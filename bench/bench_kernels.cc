@@ -1,6 +1,7 @@
 /**
  * @file
- * Microbenchmarks of the hot kernels: log-domain products, CVG block
+ * Microbenchmarks of the hot kernels: eager prediction of one
+ * attention head at full-scale MLD and MDM shapes, CVG block
  * merging, bitmask extraction, quantised matmul and the dense GEMM
  * backends. Not a paper artefact; standard performance tracking for
  * the library itself.
@@ -28,7 +29,7 @@
 
 #include "exion/accel/functional_device.h"
 #include "exion/common/rng.h"
-#include "exion/sparsity/log_domain.h"
+#include "exion/sparsity/eager_prediction.h"
 #include "exion/sparsity/mask_synth.h"
 #include "exion/tensor/gemm.h"
 #include "exion/tensor/ops.h"
@@ -57,6 +58,51 @@ constexpr GemmShape kTallShapes[] = {
     {"qkv_64x256x256", 64, 256, 256},
     {"ffn1_64x256x1024", 64, 256, 1024},
     {"ffn2_64x1024x256", 64, 1024, 256},
+};
+
+/**
+ * One head of eager prediction as the executor runs it: t tokens of
+ * width d through the LD projections onto a d x dh head slice of Wq
+ * and Wk, then the LD scores (t x dh by dh x t).
+ */
+struct EpHeadShape
+{
+    const char *name;
+    Index t, d, dh;
+
+    /** Ops of one prediction (MAC = 2): two projections, scores. */
+    double ops() const
+    {
+        return 2.0 * (2.0 * t * d * dh + static_cast<double>(t) * t * dh);
+    }
+};
+
+constexpr EpHeadShape kEpHeadShapes[] = {
+    {"ep_head_mld_8x256x64", 8, 256, 64},
+    {"ep_head_mdm_196x512x64", 196, 512, 64},
+};
+
+/** Int12 operands of one EpHeadShape: x, Wq head, Wk head. */
+struct EpHeadOperands
+{
+    QuantMatrix x, wq, wk;
+
+    explicit EpHeadOperands(const EpHeadShape &s)
+    {
+        Rng rng(9);
+        Matrix xf(s.t, s.d), wqf(s.d, s.dh), wkf(s.d, s.dh);
+        xf.fillNormal(rng, 0.0f, 1.0f);
+        wqf.fillNormal(rng, 0.0f, 0.05f);
+        wkf.fillNormal(rng, 0.0f, 0.05f);
+        x = QuantMatrix::fromFloat(xf, IntWidth::Int12);
+        wq = QuantMatrix::fromFloat(wqf, IntWidth::Int12);
+        wk = QuantMatrix::fromFloat(wkf, IntWidth::Int12);
+    }
+
+    Matrix predict() const
+    {
+        return predictHeadScore(x, wq, wk, LodMode::TwoStep);
+    }
 };
 
 /** Keeps timed results observable without Google Benchmark's
@@ -138,41 +184,20 @@ namespace
 {
 
 void
-BM_LdProductTwoStep(benchmark::State &state)
+BM_EpHead(benchmark::State &state)
 {
-    Rng rng(1);
-    std::vector<i32> a(1024), b(1024);
-    for (int i = 0; i < 1024; ++i) {
-        a[i] = static_cast<i32>(rng.uniformInt(4096)) - 2048;
-        b[i] = static_cast<i32>(rng.uniformInt(4096)) - 2048;
-    }
+    const EpHeadShape &shape = kEpHeadShapes[state.range(0)];
+    const EpHeadOperands ops(shape);
     for (auto _ : state) {
-        i64 acc = 0;
-        for (int i = 0; i < 1024; ++i)
-            acc += ldProduct(a[i], b[i], LodMode::TwoStep);
-        benchmark::DoNotOptimize(acc);
+        Matrix scores = ops.predict();
+        benchmark::DoNotOptimize(scores.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * 1024);
+    state.counters["GOP/s"] = benchmark::Counter(
+        shape.ops() * static_cast<double>(state.iterations()) / 1e9,
+        benchmark::Counter::kIsRate);
+    state.SetLabel(shape.name);
 }
-BENCHMARK(BM_LdProductTwoStep);
-
-void
-BM_LdMatmul(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    Rng rng(2);
-    Matrix a(n, n), b(n, n);
-    a.fillNormal(rng, 0.0f, 1.0f);
-    b.fillNormal(rng, 0.0f, 1.0f);
-    const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
-    const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    for (auto _ : state) {
-        Matrix c = ldMatmul(qa, qb, LodMode::TwoStep);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_LdMatmul)->Arg(32)->Arg(64);
+BENCHMARK(BM_EpHead)->Arg(0)->Arg(1);
 
 void
 BM_QuantMatmul(benchmark::State &state)
@@ -332,10 +357,10 @@ namespace exion
 namespace
 {
 
-/** Best-of-N wall-clock timing of fn, printed as one table row. */
+/** Best-of-N wall-clock seconds of fn. */
 template <typename Fn>
-void
-timeKernel(const char *name, u64 items, int reps, Fn &&fn)
+double
+bestOf(int reps, Fn &&fn)
 {
     double best = 1e30;
     for (int rep = 0; rep < reps; ++rep) {
@@ -345,6 +370,15 @@ timeKernel(const char *name, u64 items, int reps, Fn &&fn)
         best = std::min(best,
                         std::chrono::duration<double>(t1 - t0).count());
     }
+    return best;
+}
+
+/** Best-of-N wall-clock timing of fn, printed as one table row. */
+template <typename Fn>
+void
+timeKernel(const char *name, u64 items, int reps, Fn &&fn)
+{
+    const double best = bestOf(reps, fn);
     std::printf("%-32s %10.3f ms   %8.1f Mitems/s\n", name, best * 1e3,
                 static_cast<double>(items) / best / 1e6);
 }
@@ -356,19 +390,14 @@ runFallbackSuite(int reps)
                 "not available at build time), best of %d\n\n",
                 reps);
 
-    {
-        Rng rng(1);
-        std::vector<i32> a(1024), b(1024);
-        for (int i = 0; i < 1024; ++i) {
-            a[i] = static_cast<i32>(rng.uniformInt(4096)) - 2048;
-            b[i] = static_cast<i32>(rng.uniformInt(4096)) - 2048;
-        }
-        timeKernel("ld_product_two_step/1024", 1024, reps, [&] {
-            i64 acc = 0;
-            for (int i = 0; i < 1024; ++i)
-                acc += ldProduct(a[i], b[i], LodMode::TwoStep);
-            g_sink = g_sink + static_cast<float>(acc);
+    for (const EpHeadShape &s : kEpHeadShapes) {
+        const EpHeadOperands ops(s);
+        const double best = bestOf(reps, [&] {
+            const Matrix scores = ops.predict();
+            g_sink = g_sink + scores(0, 0);
         });
+        std::printf("%-32s %10.3f ms   %8.2f GOP/s\n", s.name,
+                    best * 1e3, s.ops() / best / 1e9);
     }
 
     for (Index n : {Index{64}, Index{128}}) {

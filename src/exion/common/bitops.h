@@ -70,25 +70,56 @@ twoStepLeadingOne(u32 v)
     return out;
 }
 
-/** Value reconstructed from a single-step LOD approximation (0 -> 0). */
+/**
+ * Value reconstructed from a single-step LOD approximation (0 -> 0):
+ * 2^leadingOne(v). Computed branch-free (smear the leading one into
+ * every lower bit, then keep only the top bit) so loops over it
+ * vectorise.
+ */
 constexpr u32
 lodValue(u32 v)
 {
-    const int p = leadingOne(v);
-    return p == kNoLeadingOne ? 0 : (u32{1} << p);
+    v |= v >> 1;
+    v |= v >> 2;
+    v |= v >> 4;
+    v |= v >> 8;
+    v |= v >> 16;
+    return v & ~(v >> 1);
 }
 
-/** Value reconstructed from a TS-LOD approximation (0 -> 0). */
+/**
+ * Value reconstructed from a TS-LOD approximation (0 -> 0):
+ * 2^first + 2^second of twoStepLeadingOne(v), the sentinels adding 0.
+ */
 constexpr u32
 tsLodValue(u32 v)
 {
-    const TsLod t = twoStepLeadingOne(v);
-    u32 out = 0;
-    if (t.first != kNoLeadingOne)
-        out |= u32{1} << t.first;
-    if (t.second != kNoLeadingOne)
-        out |= u32{1} << t.second;
-    return out;
+    const u32 top = lodValue(v);
+    return top | lodValue(v & ~top);
+}
+
+/** Leading-one detection depth. */
+enum class LodMode
+{
+    Single,  //!< original EP (FACT): one bit per operand
+    TwoStep, //!< EXION's TS-LOD: two bits per operand
+};
+
+/**
+ * LOD image of a signed operand: sign(v) times lodValue (Single) or
+ * tsLodValue (TwoStep) of |v|. Total over i32 (INT32_MIN maps to
+ * itself). The log-domain product of two operands is exactly the
+ * product of their images, so every LD MMUL is an ordinary integer
+ * GEMM over images. The map is idempotent: an image is its own image.
+ */
+constexpr i32
+lodImage(i32 v, LodMode mode)
+{
+    const u32 mag = v < 0 ? u32{0} - static_cast<u32>(v)
+                          : static_cast<u32>(v);
+    const u32 img = mode == LodMode::Single ? lodValue(mag)
+                                            : tsLodValue(mag);
+    return static_cast<i32>(v < 0 ? u32{0} - img : img);
 }
 
 /** Number of set bits in a 64-bit word. */

@@ -53,6 +53,48 @@ TransformerBlock::TransformerBlock(int id, Index d_model, Index n_heads,
                  "store shapes disagree with block ", id, " config");
 }
 
+namespace
+{
+
+/** Fills images with the LOD images of w's head slices. */
+void
+buildProjectionImages(const Matrix &w, Index n_heads, LodMode mode,
+                      std::vector<i32> &values,
+                      std::vector<QuantMatrix> &heads)
+{
+    const Index d = w.rows();
+    const Index dh = w.cols() / n_heads;
+    values.assign(d * w.cols(), 0);
+    heads.clear();
+    for (Index h = 0; h < n_heads; ++h) {
+        const QuantMatrix q = QuantMatrix::fromFloat(
+            sliceCols(w, h * dh, dh), IntWidth::Int12);
+        for (Index r = 0; r < d; ++r)
+            for (Index c = 0; c < dh; ++c)
+                values[r * w.cols() + h * dh + c] =
+                    lodImage(q(r, c), mode);
+        heads.push_back(QuantMatrix::borrowStrided(
+            values.data() + h * dh, d, dh, w.cols(), q.params()));
+    }
+}
+
+} // namespace
+
+const EpWeightImages &
+TransformerBlock::epWeightImages(LodMode mode) const
+{
+    const int slot = mode == LodMode::Single ? 0 : 1;
+    EpImageCache &cache = *epImages_;
+    std::call_once(cache.once[slot], [&] {
+        EpWeightImages &img = cache.images[slot];
+        buildProjectionImages(wq_.weight(), nHeads_, mode, img.wqValues,
+                              img.wq);
+        buildProjectionImages(wk_.weight(), nHeads_, mode, img.wkValues,
+                              img.wk);
+    });
+    return cache.images[slot];
+}
+
 Matrix
 TransformerBlock::forward(const Matrix &x, BlockExecutor &exec) const
 {

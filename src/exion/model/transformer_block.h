@@ -9,11 +9,40 @@
 #ifndef EXION_MODEL_TRANSFORMER_BLOCK_H_
 #define EXION_MODEL_TRANSFORMER_BLOCK_H_
 
+#include <memory>
+#include <mutex>
+#include <vector>
+
+#include "exion/common/bitops.h"
 #include "exion/model/executor.h"
 #include "exion/model/layers.h"
 
 namespace exion
 {
+
+/**
+ * Eager prediction's weight operands for one LodMode: the LOD images
+ * of every Wq/Wk head slice. Head h of a projection is
+ * lodImage(QuantMatrix::fromFloat(sliceCols(W, h*dh, dh), Int12)),
+ * with that quantisation's own scale. The heads of one projection sit
+ * side by side in one d x d buffer, so a single integer GEMM
+ * (ldImageMatmul) predicts every head's projection at once.
+ */
+struct EpWeightImages
+{
+    EpWeightImages() = default;
+    EpWeightImages(const EpWeightImages &) = delete;
+    EpWeightImages &operator=(const EpWeightImages &) = delete;
+
+    /** Head h's image: d x dh view into the projection's buffer
+        (row stride d), carrying the head slice's Int12 params. */
+    std::vector<QuantMatrix> wq;
+    std::vector<QuantMatrix> wk;
+
+    /** The buffers the views read (d x d, row-major). */
+    std::vector<i32> wqValues;
+    std::vector<i32> wkValues;
+};
 
 /**
  * Transformer block: multi-head self-attention + 2-layer FFN.
@@ -111,7 +140,23 @@ class TransformerBlock
         return ffnAtRest_.w1t.size() != 0 ? &ffnAtRest_ : nullptr;
     }
 
+    /**
+     * Eager prediction's LOD weight images for mode. Built on first
+     * use, once per mode and block, and shared by every executor,
+     * worker and cohort member after that (thread-safe). Dense-only
+     * use never builds them.
+     */
+    const EpWeightImages &epWeightImages(LodMode mode) const;
+
   private:
+    /** Lazily built EpWeightImages, one slot per LodMode. Behind a
+        pointer so the block stays movable. */
+    struct EpImageCache
+    {
+        std::once_flag once[2];
+        EpWeightImages images[2];
+    };
+
     int id_;
     Index dModel_;
     Index nHeads_;
@@ -132,6 +177,9 @@ class TransformerBlock
     Matrix ln2Beta_;
 
     FfnAtRest ffnAtRest_;
+
+    std::unique_ptr<EpImageCache> epImages_ =
+        std::make_unique<EpImageCache>();
 };
 
 } // namespace exion

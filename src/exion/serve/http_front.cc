@@ -329,7 +329,7 @@ HttpFront::HttpFront(ServeBackend &engine, Options opts)
     // never fire it; their streams notice the settled ticket at the
     // next heartbeat or progress boundary.)
     engine_.setOnComplete(
-        [this](const RequestResult &r) { finishJob(r.id); });
+        [this](const RequestResult &r) { finishJob(r); });
 }
 
 HttpFront::~HttpFront()
@@ -356,14 +356,54 @@ HttpFront::findJob(u64 id) const
 }
 
 void
-HttpFront::finishJob(u64 id)
+HttpFront::recordLocked(Job &job, const RequestResult &r)
 {
-    const std::shared_ptr<Job> job = findJob(id);
+    if (r.cancelled) {
+        job.finalState = "cancelled";
+    } else if (!r.ok()) {
+        job.finalState = "failed";
+        job.finalFields = ", \"error\": \"" + jsonEscape(r.error) + "\"";
+    } else {
+        job.finalState = "done";
+        char seconds[32];
+        std::snprintf(seconds, sizeof seconds, "%.6f", r.seconds);
+        job.finalFields = std::string(", \"seconds\": ") + seconds
+            + ", \"output_rows\": " + std::to_string(r.output.rows())
+            + ", \"output_cols\": " + std::to_string(r.output.cols())
+            + ", \"ops_executed\": "
+            + std::to_string(r.stats.totalExecuted())
+            + ", \"ops_dense\": " + std::to_string(r.stats.totalDense());
+    }
+    job.ticket = Ticket();
+}
+
+void
+HttpFront::settleLocked(Job &job)
+{
+    if (!job.finalState.empty() || !job.ticket.ready())
+        return;
+    RequestResult r;
+    try {
+        r = job.ticket.get();
+    } catch (const std::exception &e) {
+        r.error = e.what();
+    } catch (...) {
+        r.error = "unknown error";
+    }
+    recordLocked(job, r);
+}
+
+void
+HttpFront::finishJob(const RequestResult &r)
+{
+    // Runs just before the ticket settles, with the result the ticket
+    // will hold; cancelled requests never get here (settleLocked).
+    const std::shared_ptr<Job> job = findJob(r.id);
     if (job == nullptr)
         return;
     {
         std::lock_guard<std::mutex> lock(job->m);
-        job->completed = true;
+        recordLocked(*job, r);
     }
     job->cv.notify_all();
 }
@@ -375,8 +415,14 @@ HttpFront::evictFinishedLocked()
         return;
     u64 excess = jobs_.size() - opts_.maxFinishedJobs;
     for (auto it = jobs_.begin(); excess > 0 && it != jobs_.end();) {
-        // Finished = the ticket settled (done, failed or cancelled).
-        if (it->second->ticket.valid() && it->second->ticket.ready()) {
+        Job &job = *it->second;
+        bool finished;
+        {
+            std::lock_guard<std::mutex> lock(job.m);
+            settleLocked(job);
+            finished = !job.finalState.empty();
+        }
+        if (finished) {
             it = jobs_.erase(it);
             --excess;
         } else {
@@ -525,17 +571,17 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
     // Create the job before submitting: the progress hook starts
     // firing the moment a worker picks the request up.
     auto job = std::make_shared<Job>();
+    job->benchmark = serve.benchmark;
+    job->mode = serve.mode;
+    job->priority = serve.priority;
+    job->quantize = serve.quantize;
+    job->seed = serve.noiseSeed;
     {
         std::lock_guard<std::mutex> lock(jobsMutex_);
         job->id = nextJobId_++;
         evictFinishedLocked();
         jobs_.emplace(job->id, job);
     }
-    job->benchmark = serve.benchmark;
-    job->mode = serve.mode;
-    job->priority = serve.priority;
-    job->quantize = serve.quantize;
-    job->seed = serve.noiseSeed;
     serve.id = job->id;
     const std::weak_ptr<Job> weak = job;
     serve.onProgress = [weak](int iteration) {
@@ -589,7 +635,13 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
         respondError(writer, 500, "unhandled reject reason");
         return;
     }
-    job->ticket = outcome.ticket;
+    {
+        // A quick request may have finished (and been recorded)
+        // already; its ticket is not needed then.
+        std::lock_guard<std::mutex> lock(job->m);
+        if (job->finalState.empty())
+            job->ticket = outcome.ticket;
+    }
     respondJson(writer, 201,
                 "{\"id\": " + std::to_string(job->id)
                     + ", \"state\": \"queued\"}",
@@ -598,43 +650,20 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
 }
 
 std::string
-HttpFront::statusJson(const Job &job) const
+HttpFront::statusJson(Job &job) const
 {
     int done = -1;
-    {
-        std::lock_guard<std::mutex> lock(job.m);
-        done = job.iterationsDone;
-    }
     std::string state;
     std::string tail;
-    if (job.ticket.valid() && job.ticket.ready()) {
-        try {
-            const RequestResult r = job.ticket.get();
-            if (r.cancelled) {
-                state = "cancelled";
-            } else {
-                state = "done";
-                char seconds[32];
-                std::snprintf(seconds, sizeof seconds, "%.6f",
-                              r.seconds);
-                tail += ", \"seconds\": ";
-                tail += seconds;
-                tail += ", \"output_rows\": "
-                    + std::to_string(r.output.rows())
-                    + ", \"output_cols\": "
-                    + std::to_string(r.output.cols())
-                    + ", \"ops_executed\": "
-                    + std::to_string(r.stats.totalExecuted())
-                    + ", \"ops_dense\": "
-                    + std::to_string(r.stats.totalDense());
-            }
-        } catch (const std::exception &e) {
-            state = "failed";
-            tail += ", \"error\": \"" + jsonEscape(e.what()) + "\"";
-        }
-    } else {
-        state = done >= 0 ? "running" : "queued";
+    {
+        std::lock_guard<std::mutex> lock(job.m);
+        settleLocked(job);
+        done = job.iterationsDone;
+        state = job.finalState;
+        tail = job.finalFields;
     }
+    if (state.empty())
+        state = done >= 0 ? "running" : "queued";
     return "{\"id\": " + std::to_string(job.id) + ", \"state\": \""
         + state + "\", \"benchmark\": \""
         + benchmarkName(job.benchmark) + "\", \"mode\": \""
@@ -646,7 +675,7 @@ HttpFront::statusJson(const Job &job) const
 }
 
 void
-HttpFront::handleStatus(const Job &job, ResponseWriter &writer)
+HttpFront::handleStatus(Job &job, ResponseWriter &writer)
 {
     respondJson(writer, 200, statusJson(job));
 }
@@ -654,11 +683,12 @@ HttpFront::handleStatus(const Job &job, ResponseWriter &writer)
 void
 HttpFront::handleCancel(Job &job, ResponseWriter &writer)
 {
+    Ticket ticket;
     {
         std::lock_guard<std::mutex> lock(job.m);
-        job.cancelRequested = true;
+        ticket = job.ticket;
     }
-    const bool signalled = job.ticket.cancel();
+    const bool signalled = ticket.cancel();
     // Wake SSE streams so they notice the settled (or settling)
     // ticket promptly instead of at the next heartbeat.
     job.cv.notify_all();
@@ -682,14 +712,18 @@ HttpFront::handleEvents(Job &job, ResponseWriter &writer)
     int sent = -1; // last iteration index already emitted
     while (true) {
         int avail = -1;
-        bool completed = false;
+        bool settled = false;
         {
             std::unique_lock<std::mutex> lock(job.m);
             job.cv.wait_for(lock, heartbeat, [&] {
-                return job.iterationsDone > sent || job.completed;
+                return job.iterationsDone > sent
+                    || !job.finalState.empty();
             });
             avail = job.iterationsDone;
-            completed = job.completed;
+            // A cancelled job settles without a wakeup: noticed here
+            // at the latest on the next heartbeat.
+            settleLocked(job);
+            settled = !job.finalState.empty();
         }
         bool alive = true;
         for (int i = sent + 1; i <= avail && alive; ++i) {
@@ -699,9 +733,7 @@ HttpFront::handleEvents(Job &job, ResponseWriter &writer)
             if (alive)
                 sent = i;
         }
-        const bool settled =
-            job.ticket.valid() && job.ticket.ready();
-        if (alive && !settled && avail <= sent && !completed) {
+        if (alive && !settled && avail <= sent) {
             // Idle wakeup: heartbeat, which doubles as the probe
             // that notices a departed client.
             alive = writer.writeChunk(": heartbeat\n\n");
@@ -709,20 +741,16 @@ HttpFront::handleEvents(Job &job, ResponseWriter &writer)
         if (!alive || writer.peerClosed()) {
             // The client went away mid-stream: release the engine
             // capacity it was consuming.
+            Ticket ticket;
             {
                 std::lock_guard<std::mutex> lock(job.m);
-                job.cancelRequested = true;
+                ticket = job.ticket;
             }
-            job.ticket.cancel();
+            ticket.cancel();
             job.cv.notify_all();
             return;
         }
-        if (settled || completed) {
-            // The callback fires just before the ticket settles;
-            // wait() closes that window (it is at most the promise
-            // delivery away).
-            if (job.ticket.valid())
-                job.ticket.wait();
+        if (settled) {
             // The job may have finished between the locked read of
             // iterationsDone and the settled probe above; flush the
             // progress events that landed in that window so the

@@ -61,8 +61,9 @@ namespace exion
  * Stateful REST facade over one ServeBackend (a solo BatchEngine
  * or a ShardRouter over N of them — the facade cannot tell).
  *
- * Owns the job table (engine tickets keyed by the job ids it hands
- * out) and the engine's completion callback (installed at
+ * Owns the job table (engine tickets, then the finished status
+ * fields, keyed by the job ids it hands out) and the engine's
+ * completion callback (installed at
  * construction — the callback slot belongs to the front; a service
  * embedding HttpFront must not call engine.setOnComplete itself).
  * Thread-safe: handle() is called concurrently from every connection
@@ -107,43 +108,53 @@ class HttpFront
     /**
      * Per-job state shared between the submitting handler, the
      * engine's onProgress/onComplete callbacks and any number of SSE
-     * streams. Terminal state is read from the Ticket; this only
-     * carries what the ticket cannot: live iteration progress and
-     * the wakeup channel.
+     * streams. A finished job keeps only what its status body
+     * reports, not the request's result.
      */
     struct Job
     {
+        /** Set before the job is published, constant after. */
         u64 id = 0;
-        Ticket ticket;
         Benchmark benchmark = Benchmark::MLD;
         ExecMode mode = ExecMode::Exion;
         Priority priority = Priority::Normal;
         bool quantize = false;
         u64 seed = 0;
 
-        mutable std::mutex m;
+        /** Guards every field below. */
+        std::mutex m;
         std::condition_variable cv;
+        /** The engine's ticket while the job runs; dropped once the
+            terminal state below is recorded. */
+        Ticket ticket;
         /** Completed denoising iterations (-1: none yet). */
         int iterationsDone = -1;
-        /** Engine reported completion (callback fired). */
-        bool completed = false;
-        /** A client asked for cancellation (DELETE or SSE drop). */
-        bool cancelRequested = false;
+        /** "done", "failed" or "cancelled" once finished, else empty,
+            and the result fields the status body appends. */
+        std::string finalState;
+        std::string finalFields;
     };
 
+    /** Records r's terminal status fields and drops the ticket.
+        @pre job.m held */
+    static void recordLocked(Job &job, const RequestResult &r);
+    /** Records the outcome if the ticket has settled without the
+        completion callback (cancellations). @pre job.m held */
+    static void settleLocked(Job &job);
+
     std::shared_ptr<Job> findJob(u64 id) const;
-    void finishJob(u64 id);
+    void finishJob(const RequestResult &r);
     /** Drops the oldest finished jobs beyond maxFinishedJobs. */
     void evictFinishedLocked();
 
     void handleSubmit(const HttpRequest &req, ResponseWriter &writer);
-    void handleStatus(const Job &job, ResponseWriter &writer);
+    void handleStatus(Job &job, ResponseWriter &writer);
     void handleCancel(Job &job, ResponseWriter &writer);
     void handleEvents(Job &job, ResponseWriter &writer);
     void handleMetrics(ResponseWriter &writer);
 
     /** Status JSON of a job (also the SSE `done` payload). */
-    std::string statusJson(const Job &job) const;
+    std::string statusJson(Job &job) const;
 
     ServeBackend &engine_;
     Options opts_;

@@ -108,26 +108,33 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
 }
 
 Matrix
+predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
+                          LodMode mode, SimdTier simd)
+{
+    EXION_ASSERT(q_est.cols() == k_est.cols(), "head width mismatch");
+    // Requantise for the second-level LD MMUL, as the EPRE feeds its
+    // own outputs back.
+    const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
+    const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
+
+    Matrix scores = ldMatmulTransposed(q12, k12, mode, simd);
+    const float inv_sqrt =
+        1.0f / std::sqrt(static_cast<float>(q_est.cols()));
+    for (Index i = 0; i < scores.size(); ++i)
+        scores.data()[i] *= inv_sqrt;
+    return scores;
+}
+
+Matrix
 predictHeadScore(const QuantMatrix &x_q12, const QuantMatrix &wq_head,
                  const QuantMatrix &wk_head, LodMode mode,
                  SimdTier simd)
 {
     EXION_ASSERT(wq_head.cols() == wk_head.cols(),
                  "head width mismatch");
-    const Index dh = wq_head.cols();
-
-    // LD projections produce float estimates; requantise for the
-    // second-level LD MMUL, as the EPRE feeds its own outputs back.
-    const Matrix q_est = ldMatmul(x_q12, wq_head, mode, simd);
-    const Matrix k_est = ldMatmul(x_q12, wk_head, mode, simd);
-    const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
-    const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
-
-    Matrix scores = ldMatmulTransposed(q12, k12, mode, simd);
-    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-    for (Index i = 0; i < scores.size(); ++i)
-        scores.data()[i] *= inv_sqrt;
-    return scores;
+    return predictScoreFromEstimates(
+        ldMatmul(x_q12, wq_head, mode, simd),
+        ldMatmul(x_q12, wk_head, mode, simd), mode, simd);
 }
 
 ProjectionNeeds

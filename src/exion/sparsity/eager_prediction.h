@@ -71,11 +71,22 @@ HeadDecision decideFromPrediction(const Matrix &predicted,
                                   SimdTier simd = defaultSimdTier());
 
 /**
+ * Second EPRE stage of one head: requantises the head's LD Q/K
+ * projection estimates (tokens x d_head each) to INT12 and runs the
+ * LD QK^T, scaled by 1/sqrt(d_head).
+ */
+Matrix predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
+                                 LodMode mode,
+                                 SimdTier simd = defaultSimdTier());
+
+/**
  * Predicts one head's scaled attention score in the log domain.
  *
  * Runs LD projections of x through Wq/Wk head slices, then the LD
- * QK^T, mirroring the EPRE datapath. Biases are skipped (the EPRE
- * predicts from the dominant MMUL terms only).
+ * QK^T (predictScoreFromEstimates), mirroring the EPRE datapath.
+ * Biases are skipped (the EPRE predicts from the dominant MMUL terms
+ * only). The executor computes the same score for every head at once
+ * from the block's cached weight images.
  *
  * @param x_q12   INT12-quantised block input
  * @param wq_head head slice of the Q weight (d x d_head), quantised

@@ -47,44 +47,84 @@ ldProduct(i32 a, i32 b, LodMode mode)
 namespace
 {
 
-/** ldDot kernel of a tier's table for the given LOD depth. */
-i64 (*ldDotKernel(LodMode mode, SimdTier simd))(const i32 *,
-                                                const i32 *, Index)
+/**
+ * Images of n values with the mode fixed at compile time, so the loop
+ * vectorises. Returns whether any image exceeds kGemmInt12MaxAbs.
+ */
+template <LodMode Mode>
+bool
+lodImages(const i32 *src, i32 *dst, Index n)
 {
-    const SimdKernels &kr = simdKernels(simd);
-    return mode == LodMode::Single ? kr.ldDotSingle : kr.ldDotTwoStep;
+    u32 wide = 0;
+    for (Index i = 0; i < n; ++i) {
+        dst[i] = lodImage(src[i], Mode);
+        wide |= static_cast<u32>(dst[i]) + u32{kGemmInt12MaxAbs}
+            > u32{2 * kGemmInt12MaxAbs};
+    }
+    return wide != 0;
 }
 
 } // namespace
+
+QuantMatrix
+lodTransform(const QuantMatrix &q, LodMode mode)
+{
+    QuantMatrix out(q.rows(), q.cols(), q.params());
+    if (q.cols() == 0)
+        return out;
+    bool wide = false;
+    for (Index r = 0; r < q.rows(); ++r) {
+        i32 *dst = &out(r, 0);
+        wide |= mode == LodMode::Single
+            ? lodImages<LodMode::Single>(q.rowPtr(r), dst, q.cols())
+            : lodImages<LodMode::TwoStep>(q.rowPtr(r), dst, q.cols());
+    }
+    EXION_ASSERT(!wide, "LD operand wider than Int12");
+    return out;
+}
+
+Matrix
+ldImageMatmul(const QuantMatrix &a_img,
+              std::span<const QuantMatrix> b_imgs, SimdTier simd)
+{
+    EXION_ASSERT(!b_imgs.empty(), "ldImageMatmul without operands");
+    const QuantMatrix &b0 = b_imgs.front();
+    EXION_ASSERT(a_img.cols() == b0.rows(), "ldImageMatmul shape mismatch");
+    const Index m = a_img.rows();
+    const Index k = a_img.cols();
+    const Index w = b0.cols();
+    const Index n = w * b_imgs.size();
+    for (Index h = 0; h < b_imgs.size(); ++h)
+        EXION_ASSERT(b_imgs[h].rows() == k && b_imgs[h].cols() == w
+                         && b_imgs[h].rowStride() == b0.rowStride()
+                         && (k == 0
+                             || b_imgs[h].rowPtr(0)
+                                 == b0.rowPtr(0) + h * w),
+                     "ldImageMatmul operand ", h,
+                     " is not the next window of one image");
+    Matrix c(m, n);
+    if (m == 0 || n == 0 || k == 0)
+        return c;
+    std::vector<i64> sums(m * n);
+    simdKernels(simd).gemmInt12(a_img.rowPtr(0), a_img.rowStride(),
+                                b0.rowPtr(0), b0.rowStride(), sums.data(),
+                                n, m, k, n);
+    for (Index h = 0; h < b_imgs.size(); ++h) {
+        const double out_scale = a_img.scale() * b_imgs[h].scale();
+        for (Index i = 0; i < m; ++i)
+            for (Index j = h * w; j < (h + 1) * w; ++j)
+                c(i, j) = static_cast<float>(sums[i * n + j] * out_scale);
+    }
+    return c;
+}
 
 Matrix
 ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
          SimdTier simd)
 {
     EXION_ASSERT(a.cols() == b.rows(), "ldMatmul shape mismatch");
-    Matrix c(a.rows(), b.cols());
-    const double out_scale = a.scale() * b.scale();
-    const auto ld_dot = ldDotKernel(mode, simd);
-    const Index k_dim = a.cols();
-    const Index n = b.cols();
-    // The k-chain walks a column of B; transpose B's integer values
-    // once so the kernel streams both operands contiguously. The sum
-    // is integer — reordering nothing, copying everything — so this
-    // matches the ldProduct accumulation exactly.
-    std::vector<i32> bt(n * k_dim);
-    for (Index k = 0; k < k_dim; ++k) {
-        const i32 *brow = b.rowPtr(k);
-        for (Index j = 0; j < n; ++j)
-            bt[j * k_dim + k] = brow[j];
-    }
-    for (Index i = 0; i < a.rows(); ++i) {
-        const i32 *arow = a.rowPtr(i);
-        for (Index j = 0; j < n; ++j)
-            c(i, j) = static_cast<float>(
-                ld_dot(arow, bt.data() + j * k_dim, k_dim)
-                * out_scale);
-    }
-    return c;
+    const QuantMatrix b_img = lodTransform(b, mode);
+    return ldImageMatmul(lodTransform(a, mode), {&b_img, 1}, simd);
 }
 
 Matrix
@@ -92,17 +132,13 @@ ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
                    LodMode mode, SimdTier simd)
 {
     EXION_ASSERT(a.cols() == b.cols(), "ldMatmulT shape mismatch");
-    Matrix c(a.rows(), b.rows());
-    const double out_scale = a.scale() * b.scale();
-    const auto ld_dot = ldDotKernel(mode, simd);
-    const Index k_dim = a.cols();
-    for (Index i = 0; i < a.rows(); ++i) {
-        const i32 *arow = a.rowPtr(i);
-        for (Index j = 0; j < b.rows(); ++j)
-            c(i, j) = static_cast<float>(
-                ld_dot(arow, b.rowPtr(j), k_dim) * out_scale);
-    }
-    return c;
+    // The GEMM streams rows of its right operand: transpose B's image.
+    const QuantMatrix b_img = lodTransform(b, mode);
+    QuantMatrix bt_img(b.cols(), b.rows(), b.params());
+    for (Index r = 0; r < b.rows(); ++r)
+        for (Index c = 0; c < b.cols(); ++c)
+            bt_img(c, r) = b_img(r, c);
+    return ldImageMatmul(lodTransform(a, mode), {&bt_img, 1}, simd);
 }
 
 Matrix

@@ -12,6 +12,8 @@
 #ifndef EXION_SPARSITY_LOG_DOMAIN_H_
 #define EXION_SPARSITY_LOG_DOMAIN_H_
 
+#include <span>
+
 #include "exion/common/bitops.h"
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
@@ -20,29 +22,45 @@
 namespace exion
 {
 
-/** Leading-one detection depth. */
-enum class LodMode
-{
-    Single,  //!< original EP (FACT): one bit per operand
-    TwoStep, //!< EXION's TS-LOD: two bits per operand
-};
-
 /**
  * Approximate signed product of two integers in the log domain.
  *
  * Single mode: sign * 2^(p_a + p_b). TwoStep mode: the four (or fewer)
- * cross terms of (2^a1 + 2^a2)(2^b1 + 2^b2).
+ * cross terms of (2^a1 + 2^a2)(2^b1 + 2^b2). Equal to
+ * lodImage(a, mode) * lodImage(b, mode) on every input; kept as the
+ * per-MAC oracle the GEMM path is tested against.
  */
 i64 ldProduct(i32 a, i32 b, LodMode mode);
 
 /**
+ * q with every value replaced by its lodImage (same shape, params).
+ * @pre Int12 values, so every image fits gemmInt12 (asserted)
+ */
+QuantMatrix lodTransform(const QuantMatrix &q, LodMode mode);
+
+/**
+ * A * [B_0 | B_1 | ...] over operands that already are LOD images,
+ * dequantised to float: one exact integer GEMM (gemmInt12). The B_h
+ * are equal-width column windows of one row-major buffer, side by
+ * side (B_h starts h * B_0.cols() elements after B_0, every window
+ * with B_0's row stride), and each dequantises its columns with
+ * a.scale() * B_h.scale(). Output is m x (count * B_0.cols()).
+ *
+ * @pre every value's magnitude is at most kGemmInt12MaxAbs
+ */
+Matrix ldImageMatmul(const QuantMatrix &a_img,
+                     std::span<const QuantMatrix> b_imgs,
+                     SimdTier simd = defaultSimdTier());
+
+/**
  * Log-domain A (m x k) * B (k x n), dequantised to float.
  *
- * Every MAC uses ldProduct; accumulation is exact (the one-hot adder
- * tree merges one-hot addends losslessly). The MAC batches run
- * through the ldDot kernels of the requested SIMD tier — integer and
- * order-insensitive, so every tier is bit-identical to the scalar
- * ldProduct chain.
+ * Every MAC is ldProduct, and accumulation is exact (the one-hot
+ * adder tree merges one-hot addends losslessly). Computed as the
+ * integer GEMM of the operands' LOD images, so every SIMD tier and
+ * every blocking is bit-identical to the scalar ldProduct chain.
+ *
+ * @pre both operands hold Int12 values
  */
 Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
                 SimdTier simd = defaultSimdTier());

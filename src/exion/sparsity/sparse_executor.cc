@@ -121,16 +121,20 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         / std::sqrt(static_cast<float>(dh));
 
     // --- EPRE: predicted attention scores and skip decisions. ---
-    const QuantMatrix qx = QuantMatrix::fromFloat(x_norm, IntWidth::Int12);
+    // The input is transformed once; the weight images come cached
+    // from the block, and one integer GEMM per projection covers
+    // every head — per head exactly predictHeadScore's projections.
+    const QuantMatrix x_img = lodTransform(
+        QuantMatrix::fromFloat(x_norm, IntWidth::Int12), lod_mode);
+    const EpWeightImages &images = blk.epWeightImages(lod_mode);
+    const Matrix q_est = ldImageMatmul(x_img, images.wq, simd);
+    const Matrix k_est = ldImageMatmul(x_img, images.wk, simd);
     std::vector<HeadDecision> decisions;
     decisions.reserve(n_heads);
     for (Index h = 0; h < n_heads; ++h) {
-        const QuantMatrix qwq = QuantMatrix::fromFloat(
-            sliceCols(blk.wq().weight(), h * dh, dh), IntWidth::Int12);
-        const QuantMatrix qwk = QuantMatrix::fromFloat(
-            sliceCols(blk.wk().weight(), h * dh, dh), IntWidth::Int12);
-        Matrix predicted =
-            predictHeadScore(qx, qwq, qwk, lod_mode, simd);
+        Matrix predicted = predictScoreFromEstimates(
+            sliceCols(q_est, h * dh, dh), sliceCols(k_est, h * dh, dh),
+            lod_mode, simd);
         for (Index i = 0; i < predicted.size(); ++i)
             predicted.data()[i] *=
                 static_cast<float>(blk.scoreTemp());

@@ -41,8 +41,8 @@ class SparseExecutor : public BlockExecutor
         GemmBackend gemm = defaultGemmBackend();
         /**
          * SIMD tier for the sparse hot-path kernels (EP compare
-         * scans, log-domain MACs, kept-position attention, FFN-Reuse
-         * loops) and the dense MMULs above. Scalar and Exact are
+         * scans, EP's integer GEMM, kept-position attention,
+         * FFN-Reuse loops) and the dense MMULs above. Scalar and Exact are
          * bit-identical; Fast reassociates float reductions.
          */
         SimdTier simd = defaultSimdTier();

@@ -6,9 +6,8 @@
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
  * back to the scalar reference chains, compares are ordered-quiet
- * (_CMP_*_OQ) so NaN lanes never set mask bits, and the log-domain
- * kernels compute each lane's term through the same reconstruction
- * identity as the scalar table (integer, exact in any order).
+ * (_CMP_*_OQ) so NaN lanes never set mask bits, and the integer
+ * kernels (dotI32, gemmInt12) are exact in any order.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -19,6 +18,8 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace exion
 {
@@ -131,84 +132,81 @@ dotI32Avx2(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-__m256i
-spreadBelowLeadingOne(__m256i v)
-{
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 1));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 2));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 4));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 8));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 16));
-    return v;
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-__m256i
-lodValueLanes(__m256i v)
-{
-    const __m256i spread = spreadBelowLeadingOne(v);
-    return _mm256_andnot_si256(_mm256_srli_epi32(spread, 1), spread);
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-__m256i
-tsLodValueLanes(__m256i v)
-{
-    const __m256i top = lodValueLanes(v);
-    const __m256i rest = _mm256_andnot_si256(top, v);
-    return _mm256_or_si256(top, lodValueLanes(rest));
-}
-
 /**
- * Shared LD dot body: reconstruct per-lane magnitudes with the given
- * per-lane LOD value function, multiply (products bound by the INT12
- * operand range, far inside 32 bits), apply the product sign, widen
- * to i64 and accumulate.
+ * One MR-row by 16-column tile of gemmInt12: MR x 2 i32 accumulators
+ * stay in registers for up to kGemmInt12FlushSteps k-steps, then
+ * widen into C (which the caller zeroed).
  */
-template <__m256i (*LodLanes)(__m256i)>
-i64
-ldDotAvx2(const i32 *a, const i32 *b, Index n, i64 (*tail)(const i32 *,
-                                                           const i32 *,
-                                                           Index))
+template <int MR>
+void
+gemmInt12TileAvx2(const i32 *a, Index lda, const i32 *b, Index ldb,
+                  i64 *c, Index ldc, Index k)
 {
-    __m256i acc = _mm256_setzero_si256();
-    Index k = 0;
-    for (; k + 8 <= n; k += 8) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + k));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + k));
-        const __m256i la = LodLanes(_mm256_abs_epi32(va));
-        const __m256i lb = LodLanes(_mm256_abs_epi32(vb));
-        __m256i prod = _mm256_mullo_epi32(la, lb);
-        // sign(a*b): arithmetic-shift the XOR'd signs into a lane
-        // mask, then two's-complement negate the flagged lanes.
-        const __m256i sign =
-            _mm256_srai_epi32(_mm256_xor_si256(va, vb), 31);
-        prod = _mm256_sub_epi32(_mm256_xor_si256(prod, sign), sign);
-        acc = _mm256_add_epi64(
-            acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod)));
-        acc = _mm256_add_epi64(
-            acc,
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1)));
+    for (Index k0 = 0; k0 < k; k0 += kGemmInt12FlushSteps) {
+        const Index k1 = std::min(k, k0 + kGemmInt12FlushSteps);
+        __m256i acc[MR][2];
+        for (int r = 0; r < MR; ++r) {
+            acc[r][0] = _mm256_setzero_si256();
+            acc[r][1] = _mm256_setzero_si256();
+        }
+        for (Index kk = k0; kk < k1; ++kk) {
+            const i32 *brow = b + kk * ldb;
+            const __m256i b0 = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(brow));
+            const __m256i b1 = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(brow + 8));
+            for (int r = 0; r < MR; ++r) {
+                const __m256i av = _mm256_set1_epi32(a[r * lda + kk]);
+                acc[r][0] = _mm256_add_epi32(
+                    acc[r][0], _mm256_mullo_epi32(av, b0));
+                acc[r][1] = _mm256_add_epi32(
+                    acc[r][1], _mm256_mullo_epi32(av, b1));
+            }
+        }
+        for (int r = 0; r < MR; ++r) {
+            for (int v = 0; v < 2; ++v) {
+                __m256i *dst =
+                    reinterpret_cast<__m256i *>(c + r * ldc + 8 * v);
+                const __m256i wlo = _mm256_cvtepi32_epi64(
+                    _mm256_castsi256_si128(acc[r][v]));
+                const __m256i whi = _mm256_cvtepi32_epi64(
+                    _mm256_extracti128_si256(acc[r][v], 1));
+                _mm256_storeu_si256(
+                    dst, _mm256_add_epi64(_mm256_loadu_si256(dst), wlo));
+                _mm256_storeu_si256(
+                    dst + 1,
+                    _mm256_add_epi64(_mm256_loadu_si256(dst + 1), whi));
+            }
+        }
     }
-    i64 total = hsum64(acc);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
 }
 
-i64
-ldDotSingleAvx2(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx2<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
+using GemmInt12Tile = void (*)(const i32 *, Index, const i32 *, Index,
+                               i64 *, Index, Index);
 
-i64
-ldDotTwoStepAvx2(const i32 *a, const i32 *b, Index n)
+constexpr GemmInt12Tile kGemmInt12Tiles[4] = {
+    gemmInt12TileAvx2<1>, gemmInt12TileAvx2<2>, gemmInt12TileAvx2<3>,
+    gemmInt12TileAvx2<4>};
+
+void
+gemmInt12Avx2(const i32 *a, Index lda, const i32 *b, Index ldb, i64 *c,
+              Index ldc, Index m, Index k, Index n)
 {
-    return ldDotAvx2<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
+    // Full 16-column panels by 4-row tiles; the ragged column tail
+    // goes to the scalar reference.
+    const Index full = n - n % 16;
+    for (Index i = 0; i < m; ++i)
+        std::fill(c + i * ldc, c + i * ldc + full, i64{0});
+    for (Index j0 = 0; j0 < full; j0 += 16) {
+        for (Index i0 = 0; i0 < m; i0 += 4) {
+            const Index mr = std::min<Index>(4, m - i0);
+            kGemmInt12Tiles[mr - 1](a + i0 * lda, lda, b + j0, ldb,
+                                    c + i0 * ldc + j0, ldc, k);
+        }
+    }
+    if (full < n)
+        gemmInt12Scalar(a, lda, b + full, ldb, c + full, ldc, m, k,
+                        n - full);
 }
 
 u64
@@ -283,8 +281,7 @@ avx2Table()
         axpy4F32Avx2,
         dotF32Avx2,
         dotI32Avx2,
-        ldDotSingleAvx2,
-        ldDotTwoStepAvx2,
+        gemmInt12Avx2,
         absGreaterMask64Avx2,
         cmpGeMask64Avx2,
         popcountWordsAvx2,

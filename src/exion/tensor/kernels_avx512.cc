@@ -20,6 +20,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace exion
 {
 namespace simd
@@ -116,73 +118,96 @@ dotI32Avx512(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-__m512i
-spreadBelowLeadingOne(__m512i v)
+/**
+ * One MR-row by (16 * NV)-column tile of gemmInt12: MR x NV i32
+ * accumulators stay in registers for up to kGemmInt12FlushSteps
+ * k-steps, then widen into C. Lanes outside live[v] (a ragged last
+ * panel) load as zero and are never stored.
+ */
+template <int MR, int NV>
+void
+gemmInt12TileAvx512(const i32 *a, Index lda, const i32 *b, Index ldb,
+                    i64 *c, Index ldc, Index k, const __mmask16 *live)
 {
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 1));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 2));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 4));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 8));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 16));
-    return v;
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-__m512i
-lodValueLanes(__m512i v)
-{
-    const __m512i spread = spreadBelowLeadingOne(v);
-    return _mm512_andnot_si512(_mm512_srli_epi32(spread, 1), spread);
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-__m512i
-tsLodValueLanes(__m512i v)
-{
-    const __m512i top = lodValueLanes(v);
-    const __m512i rest = _mm512_andnot_si512(top, v);
-    return _mm512_or_si512(top, lodValueLanes(rest));
-}
-
-template <__m512i (*LodLanes)(__m512i)>
-i64
-ldDotAvx512(const i32 *a, const i32 *b, Index n,
-            i64 (*tail)(const i32 *, const i32 *, Index))
-{
-    __m512i acc = _mm512_setzero_si512();
-    Index k = 0;
-    for (; k + 16 <= n; k += 16) {
-        const __m512i va = _mm512_loadu_si512(a + k);
-        const __m512i vb = _mm512_loadu_si512(b + k);
-        const __m512i la = LodLanes(_mm512_abs_epi32(va));
-        const __m512i lb = LodLanes(_mm512_abs_epi32(vb));
-        __m512i prod = _mm512_mullo_epi32(la, lb);
-        const __m512i sign =
-            _mm512_srai_epi32(_mm512_xor_si512(va, vb), 31);
-        prod = _mm512_sub_epi32(_mm512_xor_si512(prod, sign), sign);
-        acc = _mm512_add_epi64(
-            acc, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(prod)));
-        acc = _mm512_add_epi64(
-            acc,
-            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(prod, 1)));
+    for (Index k0 = 0; k0 < k; k0 += kGemmInt12FlushSteps) {
+        const Index k1 = std::min(k, k0 + kGemmInt12FlushSteps);
+        __m512i acc[MR][NV];
+        for (int r = 0; r < MR; ++r)
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm512_setzero_si512();
+        for (Index kk = k0; kk < k1; ++kk) {
+            const i32 *brow = b + kk * ldb;
+            __m512i bv[NV];
+            for (int v = 0; v < NV; ++v)
+                bv[v] = _mm512_maskz_loadu_epi32(live[v], brow + 16 * v);
+            for (int r = 0; r < MR; ++r) {
+                const __m512i av = _mm512_set1_epi32(a[r * lda + kk]);
+                for (int v = 0; v < NV; ++v)
+                    acc[r][v] = _mm512_add_epi32(
+                        acc[r][v], _mm512_mullo_epi32(av, bv[v]));
+            }
+        }
+        for (int r = 0; r < MR; ++r) {
+            for (int v = 0; v < NV; ++v) {
+                i64 *dst = c + r * ldc + 16 * v;
+                const __mmask8 lo = static_cast<__mmask8>(live[v]);
+                const __mmask8 hi = static_cast<__mmask8>(live[v] >> 8);
+                const __m512i wlo = _mm512_cvtepi32_epi64(
+                    _mm512_castsi512_si256(acc[r][v]));
+                const __m512i whi = _mm512_cvtepi32_epi64(
+                    _mm512_extracti64x4_epi64(acc[r][v], 1));
+                _mm512_mask_storeu_epi64(
+                    dst, lo,
+                    _mm512_add_epi64(_mm512_maskz_loadu_epi64(lo, dst),
+                                     wlo));
+                _mm512_mask_storeu_epi64(
+                    dst + 8, hi,
+                    _mm512_add_epi64(
+                        _mm512_maskz_loadu_epi64(hi, dst + 8), whi));
+            }
+        }
     }
-    i64 total = _mm512_reduce_add_epi64(acc);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
 }
 
-i64
-ldDotSingleAvx512(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx512<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
+using GemmInt12Tile = void (*)(const i32 *, Index, const i32 *, Index,
+                               i64 *, Index, Index, const __mmask16 *);
 
-i64
-ldDotTwoStepAvx512(const i32 *a, const i32 *b, Index n)
+/** Tile kernels by [rows - 1][vectors - 1]. */
+constexpr GemmInt12Tile kGemmInt12Tiles[4][4] = {
+    {gemmInt12TileAvx512<1, 1>, gemmInt12TileAvx512<1, 2>,
+     gemmInt12TileAvx512<1, 3>, gemmInt12TileAvx512<1, 4>},
+    {gemmInt12TileAvx512<2, 1>, gemmInt12TileAvx512<2, 2>,
+     gemmInt12TileAvx512<2, 3>, gemmInt12TileAvx512<2, 4>},
+    {gemmInt12TileAvx512<3, 1>, gemmInt12TileAvx512<3, 2>,
+     gemmInt12TileAvx512<3, 3>, gemmInt12TileAvx512<3, 4>},
+    {gemmInt12TileAvx512<4, 1>, gemmInt12TileAvx512<4, 2>,
+     gemmInt12TileAvx512<4, 3>, gemmInt12TileAvx512<4, 4>},
+};
+
+void
+gemmInt12Avx512(const i32 *a, Index lda, const i32 *b, Index ldb,
+                i64 *c, Index ldc, Index m, Index k, Index n)
 {
-    return ldDotAvx512<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
+    for (Index i = 0; i < m; ++i)
+        std::fill(c + i * ldc, c + i * ldc + n, i64{0});
+    // 64-column panels (4 x 16 lanes) by 4-row tiles: each B panel
+    // row feeds four rows of A from registers.
+    for (Index j0 = 0; j0 < n; j0 += 64) {
+        const Index w = std::min<Index>(64, n - j0);
+        __mmask16 live[4];
+        for (Index v = 0; v < 4; ++v) {
+            const Index lanes =
+                w > 16 * v ? std::min<Index>(16, w - 16 * v) : 0;
+            live[v] = static_cast<__mmask16>((u32{1} << lanes) - 1);
+        }
+        const Index nv = (w + 15) / 16;
+        for (Index i0 = 0; i0 < m; i0 += 4) {
+            const Index mr = std::min<Index>(4, m - i0);
+            kGemmInt12Tiles[mr - 1][nv - 1](a + i0 * lda, lda, b + j0,
+                                            ldb, c + i0 * ldc + j0,
+                                            ldc, k, live);
+        }
+    }
 }
 
 u64
@@ -251,8 +276,7 @@ avx512Table()
         axpy4F32Avx512,
         dotF32Avx512,
         dotI32Avx512,
-        ldDotSingleAvx512,
-        ldDotTwoStepAvx512,
+        gemmInt12Avx512,
         absGreaterMask64Avx512,
         cmpGeMask64Avx512,
         popcountWordsAvx512,

@@ -108,72 +108,51 @@ dotI32Neon(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-int32x4_t
-spreadBelowLeadingOne(int32x4_t v)
+void
+gemmInt12Neon(const i32 *a, Index lda, const i32 *b, Index ldb, i64 *c,
+              Index ldc, Index m, Index k, Index n)
 {
-    uint32x4_t u = vreinterpretq_u32_s32(v);
-    u = vorrq_u32(u, vshrq_n_u32(u, 1));
-    u = vorrq_u32(u, vshrq_n_u32(u, 2));
-    u = vorrq_u32(u, vshrq_n_u32(u, 4));
-    u = vorrq_u32(u, vshrq_n_u32(u, 8));
-    u = vorrq_u32(u, vshrq_n_u32(u, 16));
-    return vreinterpretq_s32_u32(u);
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-int32x4_t
-lodValueLanes(int32x4_t v)
-{
-    const uint32x4_t spread =
-        vreinterpretq_u32_s32(spreadBelowLeadingOne(v));
-    return vreinterpretq_s32_u32(
-        vbicq_u32(spread, vshrq_n_u32(spread, 1)));
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-int32x4_t
-tsLodValueLanes(int32x4_t v)
-{
-    const int32x4_t top = lodValueLanes(v);
-    const int32x4_t rest = vbicq_s32(v, top);
-    return vorrq_s32(top, lodValueLanes(rest));
-}
-
-template <int32x4_t (*LodLanes)(int32x4_t)>
-i64
-ldDotNeon(const i32 *a, const i32 *b, Index n,
-          i64 (*tail)(const i32 *, const i32 *, Index))
-{
-    int64x2_t acc = vdupq_n_s64(0);
-    Index k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const int32x4_t va = vld1q_s32(a + k);
-        const int32x4_t vb = vld1q_s32(b + k);
-        const int32x4_t la = LodLanes(vabsq_s32(va));
-        const int32x4_t lb = LodLanes(vabsq_s32(vb));
-        int32x4_t prod = vmulq_s32(la, lb);
-        const int32x4_t sign = vshrq_n_s32(veorq_s32(va, vb), 31);
-        prod = vsubq_s32(veorq_s32(prod, sign), sign);
-        acc = vaddq_s64(acc, vmovl_s32(vget_low_s32(prod)));
-        acc = vaddq_s64(acc, vmovl_s32(vget_high_s32(prod)));
+    // Row-panel axpy over 16-column panels: four i32x4 accumulators
+    // per panel (integer vmla: exact, unlike the float form the
+    // kernels above avoid), widened into C after at most
+    // kGemmInt12FlushSteps k-steps. The ragged column tail goes to
+    // the scalar reference.
+    const Index full = n - n % 16;
+    for (Index i = 0; i < m; ++i) {
+        const i32 *arow = a + i * lda;
+        i64 *crow = c + i * ldc;
+        for (Index j0 = 0; j0 < full; j0 += 16) {
+            for (Index j = j0; j < j0 + 16; ++j)
+                crow[j] = 0;
+            for (Index k0 = 0; k0 < k; k0 += kGemmInt12FlushSteps) {
+                const Index k1 =
+                    k0 + kGemmInt12FlushSteps < k
+                    ? k0 + kGemmInt12FlushSteps
+                    : k;
+                int32x4_t acc[4] = {vdupq_n_s32(0), vdupq_n_s32(0),
+                                    vdupq_n_s32(0), vdupq_n_s32(0)};
+                for (Index kk = k0; kk < k1; ++kk) {
+                    const i32 *brow = b + kk * ldb + j0;
+                    const i32 av = arow[kk];
+                    for (int v = 0; v < 4; ++v)
+                        acc[v] = vmlaq_n_s32(acc[v],
+                                             vld1q_s32(brow + 4 * v), av);
+                }
+                for (int v = 0; v < 4; ++v) {
+                    i64 *dst = crow + j0 + 4 * v;
+                    vst1q_s64(dst,
+                              vaddq_s64(vld1q_s64(dst),
+                                        vmovl_s32(vget_low_s32(acc[v]))));
+                    vst1q_s64(dst + 2,
+                              vaddq_s64(vld1q_s64(dst + 2),
+                                        vmovl_s32(vget_high_s32(acc[v]))));
+                }
+            }
+        }
     }
-    i64 total = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
-}
-
-i64
-ldDotSingleNeon(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotNeon<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
-
-i64
-ldDotTwoStepNeon(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotNeon<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
+    if (full < n)
+        gemmInt12Scalar(a, lda, b + full, ldb, c + full, ldc, m, k,
+                        n - full);
 }
 
 } // namespace
@@ -187,8 +166,7 @@ neonTable()
         axpy4F32Neon,
         dotF32Neon,
         dotI32Neon,
-        ldDotSingleNeon,
-        ldDotTwoStepNeon,
+        gemmInt12Neon,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

@@ -12,51 +12,14 @@
 
 #include "exion/tensor/simd_dispatch.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-
-#include "exion/common/bitops.h"
 
 namespace exion
 {
 namespace simd
 {
-
-namespace
-{
-
-/*
- * Log-domain product terms via the reconstruction identity:
- * sign * 2^(pa+pb) == sign * lodValue(|a|) * lodValue(|b|), and the
- * TwoStep sum of cross terms (2^a1+2^a2)(2^b1+2^b2) is exactly
- * tsLodValue(|a|) * tsLodValue(|b|). Zero operands fall out naturally
- * (lodValue(0) == 0). Integer arithmetic — equal to ldProduct() on
- * every input, enforced exhaustively over the INT12 operand range in
- * test_simd.cc.
- */
-
-i64
-ldTermSingle(i32 a, i32 b)
-{
-    const bool negative = (a < 0) != (b < 0);
-    const u32 ua = static_cast<u32>(std::abs(static_cast<i64>(a)));
-    const u32 ub = static_cast<u32>(std::abs(static_cast<i64>(b)));
-    const i64 mag = static_cast<i64>(lodValue(ua)) * lodValue(ub);
-    return negative ? -mag : mag;
-}
-
-i64
-ldTermTwoStep(i32 a, i32 b)
-{
-    const bool negative = (a < 0) != (b < 0);
-    const u32 ua = static_cast<u32>(std::abs(static_cast<i64>(a)));
-    const u32 ub = static_cast<u32>(std::abs(static_cast<i64>(b)));
-    const i64 mag = static_cast<i64>(tsLodValue(ua)) * tsLodValue(ub);
-    return negative ? -mag : mag;
-}
-
-} // namespace
 
 void
 axpyF32Scalar(float *out, const float *x, float a, Index n)
@@ -98,22 +61,23 @@ dotI32Scalar(const i32 *a, const i32 *b, Index n)
     return acc;
 }
 
-i64
-ldDotSingleScalar(const i32 *a, const i32 *b, Index n)
+void
+gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
+                i64 *c, Index ldc, Index m, Index k, Index n)
 {
-    i64 acc = 0;
-    for (Index k = 0; k < n; ++k)
-        acc += ldTermSingle(a[k], b[k]);
-    return acc;
-}
-
-i64
-ldDotTwoStepScalar(const i32 *a, const i32 *b, Index n)
-{
-    i64 acc = 0;
-    for (Index k = 0; k < n; ++k)
-        acc += ldTermTwoStep(a[k], b[k]);
-    return acc;
+    // The reference accumulates straight into i64, so it needs no
+    // flush schedule: the vector tables' i32 lanes are checked
+    // against it.
+    for (Index i = 0; i < m; ++i) {
+        i64 *crow = c + i * ldc;
+        std::fill(crow, crow + n, i64{0});
+        for (Index kk = 0; kk < k; ++kk) {
+            const i64 av = a[i * lda + kk];
+            const i32 *brow = b + kk * ldb;
+            for (Index j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
 }
 
 u64
@@ -170,8 +134,7 @@ scalarTable()
         axpy4F32Scalar,
         dotF32Scalar,
         dotI32Scalar,
-        ldDotSingleScalar,
-        ldDotTwoStepScalar,
+        gemmInt12Scalar,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

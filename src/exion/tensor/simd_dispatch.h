@@ -4,11 +4,11 @@
  *
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
- * products, eager prediction's compare loops and log-domain MACs, the
- * Blocked GEMM micro-kernel — now calls a *named kernel* out of a
- * function table. One table per instruction set
- * (kernels_{scalar,avx2,avx512,neon}.cc), probed once at runtime
- * (CPUID / compile-time ISA) and selected behind the scalar
+ * products, eager prediction's compare loops and the integer GEMM its
+ * log-domain MMULs reduce to, the Blocked GEMM micro-kernel — now
+ * calls a *named kernel* out of a function table. One table per
+ * instruction set (kernels_{scalar,avx2,avx512,neon}.cc), probed once
+ * at runtime (CPUID / compile-time ISA) and selected behind the scalar
  * reference, so the same binary runs the widest vectors the host
  * offers and plain scalar everywhere else.
  *
@@ -46,6 +46,18 @@
 
 namespace exion
 {
+
+/** Largest operand magnitude gemmInt12 accepts: |lodImage| of Int12. */
+inline constexpr i64 kGemmInt12MaxAbs = 2048;
+
+/**
+ * Most k-steps an i32 accumulator lane of gemmInt12 may take between
+ * flushes: 511 * 2048^2 < 2^31 <= 512 * 2048^2.
+ */
+inline constexpr Index kGemmInt12FlushSteps = 511;
+static_assert(static_cast<i64>(kGemmInt12FlushSteps) * kGemmInt12MaxAbs
+                  * kGemmInt12MaxAbs
+              <= i64{0x7fffffff});
 
 /** Instruction-set level of a kernel table. */
 enum class SimdLevel
@@ -113,18 +125,21 @@ struct SimdKernels
     i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
 
     /**
-     * sum_k ldProduct(a[k], b[k], LodMode::Single). Integer-exact.
-     * Vector form uses sign(a*b) * lodValue(|a|) * lodValue(|b|) —
-     * identically the scalar 2^(pa+pb) with the zero cases folded in.
+     * C = A * B over bounded integers: A is m x k (rows lda apart),
+     * B is k x n (rows ldb apart), C is m x n i64 (rows ldc apart,
+     * overwritten). @pre every operand's magnitude is at most
+     * kGemmInt12MaxAbs.
+     *
+     * Eager prediction's log-domain MMULs reduce to this GEMM:
+     * ldProduct(a, b) == lodImage(a) * lodImage(b), and an Int12
+     * value's image has magnitude at most 2048. Vector forms run a
+     * row-panel axpy over i32 lanes and flush the lanes to i64 after
+     * at most kGemmInt12FlushSteps k-steps, the most that cannot
+     * overflow. Integer sums are exact in any order, so every table
+     * and every blocking is bit-identical to the scalar reference.
      */
-    i64 (*ldDotSingle)(const i32 *a, const i32 *b, Index n);
-
-    /**
-     * sum_k ldProduct(a[k], b[k], LodMode::TwoStep). Integer-exact:
-     * the four cross terms of (2^a1+2^a2)(2^b1+2^b2) are exactly
-     * tsLodValue(|a|) * tsLodValue(|b|).
-     */
-    i64 (*ldDotTwoStep)(const i32 *a, const i32 *b, Index n);
+    void (*gemmInt12)(const i32 *a, Index lda, const i32 *b, Index ldb,
+                      i64 *c, Index ldc, Index m, Index k, Index n);
 
     /**
      * Bit i of the result is set iff |x[i]| > theta, for i in
@@ -217,8 +232,8 @@ void axpy4F32Scalar(float *out, const float *x0, const float *x1,
                     float a1, float a2, float a3, Index n);
 float dotF32Scalar(const float *a, const float *b, Index n);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
-i64 ldDotSingleScalar(const i32 *a, const i32 *b, Index n);
-i64 ldDotTwoStepScalar(const i32 *a, const i32 *b, Index n);
+void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
+                     i64 *c, Index ldc, Index m, Index k, Index n);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);
 u64 cmpGeMask64Scalar(const float *x, float threshold, Index n);
 u64 popcountWordsScalar(const u64 *w, Index n);

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "exion/common/rng.h"
+#include "exion/model/transformer_block.h"
 #include "exion/sparsity/eager_prediction.h"
 #include "exion/tensor/ops.h"
 
@@ -157,6 +161,85 @@ TEST(PredictHeadScore, CorrelatesWithExactScores)
         hits += (rank < t / 4) ? 1 : 0;
     }
     EXPECT_GE(hits, t * 3 / 4);
+}
+
+TEST(EpWeightImages, BuiltOnceAcrossThreadsAndEqualPerHeadQuantisation)
+{
+    // Four threads ask one block for its images at once: all must get
+    // the same object, and every head's view must equal the LOD image
+    // of the head slice's own Int12 quantisation, values and scale.
+    Rng rng(31);
+    const Index d = 48, heads = 3, dh = d / heads;
+    const TransformerBlock blk(0, d, heads, 2, false, rng);
+    for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
+        std::vector<const EpWeightImages *> seen(4, nullptr);
+        std::vector<std::thread> threads;
+        for (Index i = 0; i < seen.size(); ++i)
+            threads.emplace_back(
+                [&, i] { seen[i] = &blk.epWeightImages(mode); });
+        for (std::thread &t : threads)
+            t.join();
+        for (const EpWeightImages *img : seen)
+            ASSERT_EQ(img, seen[0]);
+
+        const EpWeightImages &img = *seen[0];
+        ASSERT_EQ(img.wq.size(), heads);
+        ASSERT_EQ(img.wk.size(), heads);
+        for (Index h = 0; h < heads; ++h) {
+            const std::pair<const Linear *, const QuantMatrix *> projs[] =
+                {{&blk.wq(), &img.wq[h]}, {&blk.wk(), &img.wk[h]}};
+            for (const auto &[proj, view] : projs) {
+                const QuantMatrix want = lodTransform(
+                    QuantMatrix::fromFloat(
+                        sliceCols(proj->weight(), h * dh, dh),
+                        IntWidth::Int12),
+                    mode);
+                EXPECT_EQ(view->scale(), want.scale());
+                ASSERT_EQ(view->rows(), d);
+                ASSERT_EQ(view->cols(), dh);
+                for (Index r = 0; r < d; ++r)
+                    for (Index c = 0; c < dh; ++c)
+                        ASSERT_EQ((*view)(r, c), want(r, c))
+                            << "h=" << h << " r=" << r << " c=" << c;
+            }
+        }
+    }
+}
+
+TEST(EpWeightImages, AllHeadsGemmEqualsPerHeadPrediction)
+{
+    // The executor predicts every head from one GEMM over the cached
+    // images; per head that must be predictHeadScore bit for bit.
+    Rng rng(37);
+    const Index t = 11, d = 64, heads = 4, dh = d / heads;
+    const TransformerBlock blk(0, d, heads, 2, false, rng);
+    Matrix x(t, d);
+    x.fillNormal(rng, 0.0f, 1.0f);
+    const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);
+    for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
+        const QuantMatrix x_img = lodTransform(qx, mode);
+        const EpWeightImages &img = blk.epWeightImages(mode);
+        const Matrix q_est = ldImageMatmul(x_img, img.wq);
+        const Matrix k_est = ldImageMatmul(x_img, img.wk);
+        for (Index h = 0; h < heads; ++h) {
+            const Matrix fused = predictScoreFromEstimates(
+                sliceCols(q_est, h * dh, dh),
+                sliceCols(k_est, h * dh, dh), mode);
+            const Matrix per_head = predictHeadScore(
+                qx,
+                QuantMatrix::fromFloat(
+                    sliceCols(blk.wq().weight(), h * dh, dh),
+                    IntWidth::Int12),
+                QuantMatrix::fromFloat(
+                    sliceCols(blk.wk().weight(), h * dh, dh),
+                    IntWidth::Int12),
+                mode);
+            ASSERT_EQ(fused.size(), per_head.size());
+            for (Index i = 0; i < fused.size(); ++i)
+                ASSERT_EQ(fused.data()[i], per_head.data()[i])
+                    << "h=" << h << " i=" << i;
+        }
+    }
 }
 
 /** Parameterised sweep over keep ratios: sparsity is monotone. */

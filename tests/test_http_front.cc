@@ -15,12 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "exion/model/config.h"
 #include "exion/net/http_client.h"
@@ -387,6 +389,94 @@ TEST(HttpFront, CancelFinishedJobReportsFinished)
               std::string::npos);
 }
 
+/** body with its "seconds" value (six decimals) replaced by S. */
+std::string
+maskSeconds(const std::string &body)
+{
+    const std::string key = "\"seconds\": ";
+    const size_t at = body.find(key);
+    if (at == std::string::npos)
+        return body;
+    const size_t begin = at + key.size();
+    const size_t dot = body.find('.', begin);
+    const size_t end = body.find(',', begin);
+    if (dot == std::string::npos || end == std::string::npos
+        || end - dot != 7)
+        return body;
+    return body.substr(0, begin) + "S" + body.substr(end);
+}
+
+TEST(HttpFront, DoneStatusBodyGolden)
+{
+    FrontFixture fx;
+    const long long id = fx.submit(
+        "{\"benchmark\": \"MLD\", \"seed\": 5, \"quantize\": true}");
+    const std::string status = fx.waitTerminal(id);
+
+    // The same request straight through the engine gives the result
+    // fields the body must report.
+    ServeRequest req;
+    req.benchmark = Benchmark::MLD;
+    req.noiseSeed = 5;
+    req.quantize = true;
+    const RequestResult r = fx.engine.submit(req).get();
+    const std::string want = "{\"id\": " + std::to_string(id)
+        + ", \"state\": \"done\", \"benchmark\": \"MLD\", \"mode\": "
+          "\"exion\", \"priority\": \"normal\", \"quantize\": true, "
+          "\"seed\": 5, \"iterations_done\": "
+        + std::to_string(makeTinyConfig().iterations)
+        + ", \"seconds\": S, \"output_rows\": "
+        + std::to_string(r.output.rows()) + ", \"output_cols\": "
+        + std::to_string(r.output.cols()) + ", \"ops_executed\": "
+        + std::to_string(r.stats.totalExecuted()) + ", \"ops_dense\": "
+        + std::to_string(r.stats.totalDense()) + "}\n";
+    EXPECT_EQ(maskSeconds(status), want);
+
+    // The SSE stream of the finished job ends in the same document.
+    BufferResponseWriter events;
+    ASSERT_EQ(fx.handle(makeRequest("GET", "/v1/jobs/"
+                                               + std::to_string(id)
+                                               + "/events"),
+                        events),
+              200);
+    EXPECT_NE(events.bytes().find("event: done\ndata: "
+                                  + status.substr(0, status.size() - 1)
+                                  + "\n\n"),
+              std::string::npos);
+}
+
+TEST(HttpFront, CancelledStatusAndDeleteBodiesGolden)
+{
+    FrontFixture fx;
+    fx.engine.pause();
+    const long long id = fx.submit();
+    ASSERT_EQ(id, 1);
+    BufferResponseWriter cancel;
+    ASSERT_EQ(fx.handle(makeRequest("DELETE", "/v1/jobs/1"), cancel),
+              200);
+    EXPECT_EQ(bodyOf(cancel),
+              "{\"id\": 1, \"cancelled\": true, \"state\": "
+              "\"cancelling\"}\n");
+    const std::string cancelled =
+        "{\"id\": 1, \"state\": \"cancelled\", \"benchmark\": \"MLD\", "
+        "\"mode\": \"exion\", \"priority\": \"normal\", \"quantize\": "
+        "false, \"seed\": 7, \"iterations_done\": 0}";
+    EXPECT_EQ(fx.waitTerminal(id), cancelled + "\n");
+    BufferResponseWriter again;
+    ASSERT_EQ(fx.handle(makeRequest("DELETE", "/v1/jobs/1"), again),
+              200);
+    EXPECT_EQ(bodyOf(again),
+              "{\"id\": 1, \"cancelled\": false, \"state\": "
+              "\"finished\"}\n");
+    BufferResponseWriter events;
+    ASSERT_EQ(fx.handle(makeRequest("GET", "/v1/jobs/1/events"), events),
+              200);
+    EXPECT_NE(events.bytes().find("event: done\ndata: " + cancelled
+                                  + "\n\n"),
+              std::string::npos);
+    fx.engine.resume();
+}
+
 TEST(HttpFront, FinishedJobsAreEvicted)
 {
     BatchEngine engine(FrontFixture::options(0, 0));
@@ -571,6 +661,92 @@ TEST(HttpFrontSocket, ClientDisconnectMidStreamCancelsTheJob)
     fx.engine.resume();
     const EngineMetrics m = fx.engine.snapshot();
     EXPECT_EQ(m.cancelled(), 1u);
+}
+
+TEST(HttpFrontSocket, ConcurrentSubmitAndStatusOnSeveralConnections)
+{
+    // Submitters on their own connections poll their jobs while a
+    // prober GETs ids that are being published, and a small retention
+    // cap makes every submission evict finished jobs other threads
+    // just created. Every response must be well formed; run under
+    // TSan, the job table must show no data race.
+    BatchEngine engine(FrontFixture::options(0, 0));
+    HttpFront::Options opts = FrontFixture::frontOptions();
+    opts.maxFinishedJobs = 2;
+    HttpFront front(engine, opts);
+    HttpServer server(HttpServer::Options{},
+                      [&front](const HttpRequest &req,
+                               ResponseWriter &w) {
+                          front.handle(req, w);
+                      });
+    engine.addModel(makeTinyConfig());
+    server.start();
+
+    const int submitters = 3, jobsEach = 6;
+    std::atomic<bool> stop{false};
+    std::atomic<int> bad{0}, done{0};
+    const auto wellFormed = [](const HttpClientResponse &resp) {
+        if (resp.status == 404)
+            return true;
+        return resp.status == 200
+            && resp.body.rfind("{\"id\": ", 0) == 0
+            && resp.body.find("\"iterations_done\": ")
+                != std::string::npos;
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < submitters; ++t) {
+        threads.emplace_back([&] {
+            HttpConnection conn =
+                HttpConnection::connect("127.0.0.1", server.port());
+            for (int j = 0; j < jobsEach; ++j) {
+                HttpClientResponse resp;
+                if (!conn.request("POST", "/v1/jobs", resp,
+                                  "{\"benchmark\": \"MLD\"}")
+                    || resp.status != 201) {
+                    ++bad;
+                    continue;
+                }
+                const std::string target =
+                    "/v1/jobs" + std::string("/")
+                    + std::to_string(jsonInt(resp.body, "id"));
+                for (int spin = 0; spin < 5000; ++spin) {
+                    HttpClientResponse status;
+                    if (!conn.request("GET", target, status)
+                        || !wellFormed(status)) {
+                        ++bad;
+                        break;
+                    }
+                    if (status.status == 404
+                        || status.body.find("\"state\": \"done\"")
+                            != std::string::npos) {
+                        ++done;
+                        break;
+                    }
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                }
+            }
+        });
+    }
+    std::thread prober([&] {
+        HttpConnection conn =
+            HttpConnection::connect("127.0.0.1", server.port());
+        for (int i = 0; !stop; i = (i + 1) % (submitters * jobsEach)) {
+            HttpClientResponse status;
+            if (!conn.request("GET", "/v1/jobs/" + std::to_string(i + 1),
+                              status)
+                || !wellFormed(status))
+                ++bad;
+        }
+    });
+    for (std::thread &t : threads)
+        t.join();
+    stop = true;
+    prober.join();
+    engine.waitIdle();
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_EQ(done.load(), submitters * jobsEach);
+    EXPECT_LE(front.jobCount(), 3u);
 }
 
 // ------------------------------------------- Retry-After round-trip

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "exion/common/rng.h"
 #include "exion/metrics/metrics.h"
@@ -66,6 +67,77 @@ TEST(LdProduct, ExtremeMagnitudesDoNotOverflow)
               -(i64{1} << 31));
     EXPECT_EQ(ldProduct(min32, min32, LodMode::Single), i64{1} << 62);
     EXPECT_GT(ldProduct(min32, min32, LodMode::TwoStep), 0);
+}
+
+TEST(LdProduct, EqualsLodImageProductExhaustiveInt12)
+{
+    // The identity the integer-GEMM path rests on, for every Int12
+    // operand pair in both LOD depths (and the i32 extremes).
+    for (const LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+        std::vector<i64> image;
+        for (i32 v = -2048; v <= 2047; ++v)
+            image.push_back(lodImage(v, mode));
+        u64 mismatches = 0;
+        for (i32 a = -2048; a <= 2047; ++a)
+            for (i32 b = -2048; b <= 2047; ++b)
+                mismatches += ldProduct(a, b, mode)
+                    != image[a + 2048] * image[b + 2048];
+        EXPECT_EQ(mismatches, 0u);
+        for (const i32 v : {std::numeric_limits<i32>::min(),
+                            std::numeric_limits<i32>::max()})
+            EXPECT_EQ(ldProduct(v, v, mode),
+                      i64{lodImage(v, mode)} * lodImage(v, mode));
+        // An image is its own image.
+        for (i32 v = -2048; v <= 2047; ++v)
+            ASSERT_EQ(lodImage(lodImage(v, mode), mode), lodImage(v, mode));
+    }
+}
+
+/** Int12 operand with random values, extremes included. */
+QuantMatrix
+randomInt12(Index rows, Index cols, double scale, Rng &rng)
+{
+    QuantMatrix q(rows, cols, QuantParams{scale, IntWidth::Int12});
+    for (Index r = 0; r < rows; ++r)
+        for (Index c = 0; c < cols; ++c)
+            q.at(r, c) = static_cast<i32>(rng.uniformInt(4096)) - 2048;
+    q.at(0, 0) = -2048;
+    q.at(rows - 1, cols - 1) = 2047;
+    return q;
+}
+
+TEST(LdMatmul, MatchesLdProductOracleBeyondFlushInterval)
+{
+    // k = 700 spans more than one i32 flush interval of the GEMM; the
+    // result must equal the per-MAC ldProduct chain bit for bit, on
+    // every SIMD tier, plain and transposed.
+    Rng rng(29);
+    const Index m = 6, k = 700, n = 19;
+    const QuantMatrix a = randomInt12(m, k, 0.013, rng);
+    const QuantMatrix b = randomInt12(k, n, 0.007, rng);
+    QuantMatrix bt(n, k, b.params());
+    for (Index r = 0; r < k; ++r)
+        for (Index c = 0; c < n; ++c)
+            bt.at(c, r) = b(r, c);
+    for (const LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+        Matrix want(m, n);
+        for (Index i = 0; i < m; ++i)
+            for (Index j = 0; j < n; ++j) {
+                i64 sum = 0;
+                for (Index kk = 0; kk < k; ++kk)
+                    sum += ldProduct(a(i, kk), b(kk, j), mode);
+                want(i, j) = static_cast<float>(
+                    sum * (a.scale() * b.scale()));
+            }
+        for (const SimdTier tier : {SimdTier::Scalar, SimdTier::Exact}) {
+            const Matrix got = ldMatmul(a, b, mode, tier);
+            const Matrix got_t = ldMatmulTransposed(a, bt, mode, tier);
+            for (Index i = 0; i < want.size(); ++i) {
+                ASSERT_EQ(want.data()[i], got.data()[i]) << "i=" << i;
+                ASSERT_EQ(want.data()[i], got_t.data()[i]) << "i=" << i;
+            }
+        }
+    }
 }
 
 TEST(LdMatmul, AllZeroOperandsYieldZeroOutput)

@@ -8,8 +8,9 @@
  * mask words with ragged tails. Exact-contract entries (axpy,
  * compares, integer reductions) must be bit-identical; dotF32 — the
  * Fast tier's reassociated reduction — is tolerance-checked. The
- * log-domain dot kernels are checked exhaustively against ldProduct
- * over the full INT12 operand range. On top of the kernels, the
+ * integer GEMM eager prediction runs on is checked on ragged shapes
+ * and on a depth whose i32 lanes overflow unless flushed. On top of
+ * the kernels, the
  * tier plumbing (parse round-trips, table selection, process
  * default) and the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -174,8 +175,7 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->axpy4F32, nullptr);
         EXPECT_NE(t->dotF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
-        EXPECT_NE(t->ldDotSingle, nullptr);
-        EXPECT_NE(t->ldDotTwoStep, nullptr);
+        EXPECT_NE(t->gemmInt12, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
         EXPECT_NE(t->cmpGeMask64, nullptr);
         EXPECT_NE(t->popcountWords, nullptr);
@@ -271,61 +271,76 @@ TEST(SimdKernelTest, DotI32Exact)
     }
 }
 
-TEST(SimdKernelTest, LdDotExhaustiveInt12)
+/** Runs a table's gemmInt12 on a x b (row-major, contiguous). */
+std::vector<i64>
+runGemmInt12(const SimdKernels &table, const std::vector<i32> &a,
+             const std::vector<i32> &b, Index m, Index k, Index n)
 {
-    // Every INT12 operand pair, both LOD depths: the vector lane math
-    // (spread-bits magnitude, sign folding) must reproduce ldProduct
-    // exactly, and the scalar kernel must equal the per-element sum.
-    const i32 lo = -2047, hi = 2047;
-    std::vector<i32> all;
-    for (i32 v = lo; v <= hi; ++v)
-        all.push_back(v);
-    const Index n = all.size();
-    const std::vector<const SimdKernels *> tables = vectorTables();
+    // Poison C: the kernel must overwrite, not accumulate.
+    std::vector<i64> c(m * n, i64{0x5a5a5a5a5a});
+    table.gemmInt12(a.data(), k, b.data(), n, c.data(), n, m, k, n);
+    return c;
+}
 
-    std::vector<i32> bvec(n);
-    // Stride 13 keeps the full-range sweep but trims runtime; the
-    // tails (|v| near 0 and 2047) are always included.
-    for (i32 b = lo; b <= hi; b += 13) {
-        std::fill(bvec.begin(), bvec.end(), b);
-        i64 want_single = 0, want_two = 0;
-        for (i32 a : all) {
-            want_single += ldProduct(a, b, LodMode::Single);
-            want_two += ldProduct(a, b, LodMode::TwoStep);
-        }
-        ASSERT_EQ(want_single,
-                  simd::ldDotSingleScalar(all.data(), bvec.data(), n))
-            << "b=" << b;
-        ASSERT_EQ(want_two,
-                  simd::ldDotTwoStepScalar(all.data(), bvec.data(), n))
-            << "b=" << b;
-        for (const SimdKernels *table : tables) {
-            ASSERT_EQ(want_single,
-                      table->ldDotSingle(all.data(), bvec.data(), n))
-                << table->name << " b=" << b;
-            ASSERT_EQ(want_two,
-                      table->ldDotTwoStep(all.data(), bvec.data(), n))
-                << table->name << " b=" << b;
+TEST(SimdKernelTest, GemmInt12RaggedShapesMatchScalar)
+{
+    // Shapes straddle every tile edge (4-row tiles, 16/64-column
+    // panels), including empty and single-element ones; values span
+    // the whole operand range, extremes included.
+    Rng rng(15);
+    const Index ms[] = {0, 1, 3, 4, 5, 8, 9};
+    const Index ks[] = {0, 1, 7, 64, 511, 512, 513};
+    const Index ns[] = {0, 1, 5, 8, 15, 16, 17, 63, 64, 65, 100, 196};
+    for (Index m : ms) {
+        for (Index k : ks) {
+            for (Index n : ns) {
+                std::vector<i32> a(m * k), b(k * n);
+                for (i32 &v : a)
+                    v = static_cast<i32>(rng.uniformInt(4097)) - 2048;
+                for (i32 &v : b)
+                    v = static_cast<i32>(rng.uniformInt(4097)) - 2048;
+                const std::vector<i64> want =
+                    runGemmInt12(simd::scalarTable(), a, b, m, k, n);
+                // The reference itself against the plain triple loop.
+                for (Index i = 0; i < m; ++i)
+                    for (Index j = 0; j < n; ++j) {
+                        i64 sum = 0;
+                        for (Index kk = 0; kk < k; ++kk)
+                            sum += static_cast<i64>(a[i * k + kk])
+                                * b[kk * n + j];
+                        ASSERT_EQ(want[i * n + j], sum)
+                            << "m=" << m << " k=" << k << " n=" << n;
+                    }
+                for (const SimdKernels *table : vectorTables())
+                    ASSERT_EQ(want, runGemmInt12(*table, a, b, m, k, n))
+                        << table->name << " m=" << m << " k=" << k
+                        << " n=" << n;
+            }
         }
     }
 }
 
-TEST(SimdKernelTest, LdDotRaggedTails)
+TEST(SimdKernelTest, GemmInt12FlushesBeforeI32Overflow)
 {
-    Rng rng(15);
-    for (const SimdKernels *table : vectorTables()) {
-        for (Index n : kLengths) {
-            std::vector<i32> a(n), b(n);
-            for (Index i = 0; i < n; ++i) {
-                a[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
-                b[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
+    // k = 1024 products of magnitude 2048^2 = 2^22 sum to 2^32: an
+    // i32 lane that is never flushed wraps. Same-sign and mixed-sign
+    // operands, on a full panel and a ragged one.
+    const Index m = 5, k = 1024;
+    for (Index n : {Index{64}, Index{37}}) {
+        for (const i32 sign : {1, -1}) {
+            std::vector<i32> a(m * k), b(k * n);
+            for (Index i = 0; i < a.size(); ++i)
+                a[i] = (i % 3 == 0 ? sign : 1) * -2048;
+            for (Index i = 0; i < b.size(); ++i)
+                b[i] = -2048;
+            const std::vector<i64> want =
+                runGemmInt12(simd::scalarTable(), a, b, m, k, n);
+            if (sign == 1) {
+                EXPECT_EQ(want[0], i64{1024} * 2048 * 2048);
             }
-            EXPECT_EQ(simd::ldDotSingleScalar(a.data(), b.data(), n),
-                      table->ldDotSingle(a.data(), b.data(), n))
-                << table->name << " n=" << n;
-            EXPECT_EQ(simd::ldDotTwoStepScalar(a.data(), b.data(), n),
-                      table->ldDotTwoStep(a.data(), b.data(), n))
-                << table->name << " n=" << n;
+            for (const SimdKernels *table : vectorTables())
+                EXPECT_EQ(want, runGemmInt12(*table, a, b, m, k, n))
+                    << table->name << " n=" << n << " sign=" << sign;
         }
     }
 }
