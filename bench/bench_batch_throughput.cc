@@ -22,14 +22,15 @@
  * and per-class deadline-miss percentages straight from
  * EngineMetrics — the trajectory CI tracks for the serving layer.
  *
- * A third scenario compares the GEMM backends under cohort batching
- * on the paper-scale MLD workload, gated per mode with an explicit
- * tolerance: cohort-on dense with the Blocked (cache-blocked,
- * B-panel-packed) backend must strictly beat the Reference backend,
- * and the EXION mode — whose wall clock is dominated by sparse
- * kernels the backend never touches — must clear a 5% regression
- * allowance, with a stderr note whenever a mode lands below parity.
- * Both comparisons land in BENCH_batch.json.
+ * A third scenario compares cohort batching off vs on for the
+ * paper-scale MLD workload, gated on the dense row: stacking
+ * same-model latents must beat the request-at-a-time path.
+ *
+ * A fourth scenario compares the SIMD tiers under cohort batching
+ * on the same workload: the Exact tier (host vector table, golden
+ * accumulation order, bit-identical to Scalar) must not lose to the
+ * forced-Scalar tier whenever a vector table is active — the gate
+ * that keeps the kernel layer an actual wall-clock win.
  *
  * A fifth scenario measures weight-store sharing: the full-scale
  * model's store is built once and registered with two engines; the
@@ -41,31 +42,14 @@
  * comparison regresses, or the overload accounting does not
  * reconcile, so CI can use a quick run as a smoke check.
  *
- * A fourth scenario compares the SIMD tiers under cohort batching
- * on the same workload: the Exact tier (host vector table, golden
- * accumulation order, bit-identical to Scalar) must not lose to the
- * forced-Scalar tier whenever a vector table is active — the gate
- * that keeps the kernel layer an actual wall-clock win.
- *
- * A sixth scenario measures intra-request tensor parallelism under
- * cohort batching: the same cohort-led stacked load at
- * tensorParallel = 1 vs 4 (override the slice count with --tp N),
- * with tp=4 outputs asserted byte-identical to tp=1 on every rep.
- * On hosts with >= 4 hardware threads the dense row is gated at a
- * 1.3x floor (see bench/README.md for the rationale); on smaller
- * hosts only the bit-identity gate applies.
- *
  *   ./build/bench/bench_batch_throughput [--quick]
- *                                        [--gemm reference|blocked]
- *                                        [--simd scalar|exact|fast]
- *                                        [--tp N]
+ *                                        [--simd scalar|exact]
  */
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -160,12 +144,11 @@ percentile(const std::vector<double> &samples, double pct)
 EngineRun
 runEngine(const ModelConfig &cfg,
           const std::vector<ServeRequest> &batch, int workers,
-          GemmBackend gemm, SimdTier simd)
+          SimdTier simd)
 {
     BatchEngine::Options opts;
     opts.workers = workers;
     opts.poolSeed = kPoolSeed;
-    opts.gemmBackend = gemm;
     opts.simdTier = simd;
     // Latency is taken from the callback; don't accumulate results.
     opts.queueResults = false;
@@ -312,22 +295,6 @@ struct CohortComparison
     }
 };
 
-/** Cohort-on GEMM backend comparison row of the JSON artifact. */
-struct GemmComparison
-{
-    std::string mode;
-    int requests = 0;
-    double referenceRps = 0.0;
-    double blockedRps = 0.0;
-    /** Per-mode acceptance bound on speedup() (the explicit gate). */
-    double minSpeedup = 1.0;
-
-    double speedup() const
-    {
-        return referenceRps > 0.0 ? blockedRps / referenceRps : 0.0;
-    }
-};
-
 /**
  * Same-benchmark load through the engine with cohort batching off vs
  * on, single worker: every request traverses the same weights, so
@@ -337,8 +304,7 @@ struct GemmComparison
  */
 double
 runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
-              int workers, bool cohort, Index max_rows,
-              GemmBackend gemm, SimdTier simd)
+              int workers, bool cohort, Index max_rows, SimdTier simd)
 {
     BatchEngine::Options opts;
     opts.workers = workers;
@@ -346,7 +312,6 @@ runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
     opts.queueResults = false;
     opts.cohortBatching = cohort;
     opts.cohortMaxRows = max_rows;
-    opts.gemmBackend = gemm;
     opts.simdTier = simd;
     BatchEngine engine(opts);
     engine.addModel(cfg);
@@ -376,8 +341,7 @@ runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
 
 CohortComparison
 compareCohort(const ModelConfig &cfg, ExecMode mode, int n,
-              Index max_rows, int reps, GemmBackend gemm,
-              SimdTier simd)
+              Index max_rows, int reps, SimdTier simd)
 {
     CohortComparison cmp;
     cmp.mode = execModeName(mode);
@@ -390,10 +354,9 @@ compareCohort(const ModelConfig &cfg, ExecMode mode, int n,
     double on = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
         const double off_s = runCohortLoad(cfg, mode, n, /*workers=*/1,
-                                           false, max_rows, gemm,
-                                           simd);
+                                           false, max_rows, simd);
         const double on_s = runCohortLoad(cfg, mode, n, /*workers=*/1,
-                                          true, max_rows, gemm, simd);
+                                          true, max_rows, simd);
         if (off_s > 0.0)
             off = off == 0.0 ? off_s : std::min(off, off_s);
         if (on_s > 0.0)
@@ -401,164 +364,6 @@ compareCohort(const ModelConfig &cfg, ExecMode mode, int n,
     }
     cmp.offRps = off > 0.0 ? n / off : 0.0;
     cmp.onRps = on > 0.0 ? n / on : 0.0;
-    return cmp;
-}
-
-/**
- * Cohort-on, Reference vs Blocked GEMM backend (interleaved
- * best-of-N): the same stacked tall-MMUL load, with only the kernel
- * swapped — outputs are bit-identical, so any gap is pure wall clock.
- */
-GemmComparison
-compareGemmBackends(const ModelConfig &cfg, ExecMode mode, int n,
-                    Index max_rows, int reps, SimdTier simd)
-{
-    GemmComparison cmp;
-    cmp.mode = execModeName(mode);
-    cmp.requests = n;
-    double ref = 0.0;
-    double blocked = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const double ref_s =
-            runCohortLoad(cfg, mode, n, /*workers=*/1, true, max_rows,
-                          GemmBackend::Reference, simd);
-        const double blocked_s =
-            runCohortLoad(cfg, mode, n, /*workers=*/1, true, max_rows,
-                          GemmBackend::Blocked, simd);
-        if (ref_s > 0.0)
-            ref = ref == 0.0 ? ref_s : std::min(ref, ref_s);
-        if (blocked_s > 0.0)
-            blocked = blocked == 0.0 ? blocked_s : std::min(blocked,
-                                                            blocked_s);
-    }
-    cmp.referenceRps = ref > 0.0 ? n / ref : 0.0;
-    cmp.blockedRps = blocked > 0.0 ? n / blocked : 0.0;
-    return cmp;
-}
-
-/** Tensor-parallel comparison row of the JSON artifact. */
-struct TpComparison
-{
-    std::string mode;
-    int requests = 0;
-    int tp = 1;           //!< slice count of the TP run
-    double tp1Rps = 0.0;  //!< tensorParallel = 1
-    double tpNRps = 0.0;  //!< tensorParallel = tp
-    bool bitIdentical = false;
-    /** Acceptance floor on speedup(); 0 when the gate is skipped. */
-    double minSpeedup = 0.0;
-
-    double speedup() const
-    {
-        return tp1Rps > 0.0 ? tpNRps / tp1Rps : 0.0;
-    }
-};
-
-struct TpRun
-{
-    double seconds = 0.0;
-    std::vector<Matrix> outputs; //!< in submission order
-};
-
-/**
- * Cohort-on load with the engine's tensorParallel knob: one leader
- * steps the whole cohort (the tall stacked GEMMs TP exists for) while
- * the remaining workers serve slice tasks. Returns the makespan plus
- * every output, so the caller can assert the tp=N bytes equal tp=1.
- */
-TpRun
-runTpLoad(const ModelConfig &cfg, ExecMode mode, int n, int workers,
-          int tp, Index max_rows)
-{
-    BatchEngine::Options opts;
-    opts.workers = workers;
-    opts.poolSeed = kPoolSeed;
-    opts.queueResults = false;
-    opts.cohortBatching = true;
-    opts.cohortMaxRows = max_rows;
-    opts.tensorParallel = tp;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    engine.pause();
-    std::vector<Ticket> tickets;
-    tickets.reserve(n);
-    for (int i = 0; i < n; ++i) {
-        ServeRequest req;
-        req.id = static_cast<u64>(i);
-        req.benchmark = cfg.benchmark;
-        req.mode = mode;
-        req.noiseSeed = kNoiseSeedBase + static_cast<u64>(i);
-        tickets.push_back(engine.submit(req));
-    }
-    const double start = now();
-    engine.resume();
-    for (Ticket &t : tickets)
-        t.wait();
-    TpRun run;
-    run.seconds = now() - start;
-    run.outputs.reserve(n);
-    for (Ticket &t : tickets) {
-        RequestResult r = t.get();
-        if (!r.ok())
-            return TpRun{};
-        run.outputs.push_back(std::move(r.output));
-    }
-    return run;
-}
-
-/** Byte-level equality of two output sets (same submission order). */
-bool
-sameOutputs(const std::vector<Matrix> &a, const std::vector<Matrix> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (Index i = 0; i < a.size(); ++i) {
-        if (a[i].rows() != b[i].rows() || a[i].cols() != b[i].cols())
-            return false;
-        if (std::memcmp(a[i].data().data(), b[i].data().data(),
-                        static_cast<size_t>(a[i].size())
-                            * sizeof(float))
-            != 0)
-            return false;
-    }
-    return true;
-}
-
-/**
- * tensorParallel = 1 vs N under cohort batching (interleaved
- * best-of-N). The slices repartition identical work, so the outputs
- * must match byte for byte on every rep — checked unconditionally,
- * even when the wall-clock gate is skipped on small hosts.
- */
-TpComparison
-compareTensorParallel(const ModelConfig &cfg, ExecMode mode, int n,
-                      int tp, Index max_rows, int reps,
-                      bool &bit_identical)
-{
-    TpComparison cmp;
-    cmp.mode = execModeName(mode);
-    cmp.requests = n;
-    cmp.tp = tp;
-    double solo = 0.0;
-    double sliced = 0.0;
-    bit_identical = true;
-    for (int rep = 0; rep < reps; ++rep) {
-        const TpRun solo_run =
-            runTpLoad(cfg, mode, n, /*workers=*/tp, 1, max_rows);
-        const TpRun tp_run =
-            runTpLoad(cfg, mode, n, /*workers=*/tp, tp, max_rows);
-        if (solo_run.seconds > 0.0)
-            solo = solo == 0.0 ? solo_run.seconds
-                               : std::min(solo, solo_run.seconds);
-        if (tp_run.seconds > 0.0)
-            sliced = sliced == 0.0 ? tp_run.seconds
-                                   : std::min(sliced, tp_run.seconds);
-        bit_identical &= sameOutputs(solo_run.outputs, tp_run.outputs);
-    }
-    cmp.tp1Rps = solo > 0.0 ? n / solo : 0.0;
-    cmp.tpNRps = sliced > 0.0 ? n / sliced : 0.0;
-    cmp.bitIdentical = bit_identical;
     return cmp;
 }
 
@@ -644,9 +449,8 @@ struct SimdComparison
 
 /**
  * Cohort-on, Scalar vs Exact SIMD tier (interleaved best-of-N): the
- * same stacked load through the Blocked GEMM backend, with only the
- * kernel table swapped — the tiers are bit-identical by construction,
- * so any gap is pure wall clock.
+ * same stacked load with only the kernel table swapped — the tiers
+ * are bit-identical by construction, so any gap is pure wall clock.
  */
 SimdComparison
 compareSimdTiers(const ModelConfig &cfg, ExecMode mode, int n,
@@ -658,12 +462,10 @@ compareSimdTiers(const ModelConfig &cfg, ExecMode mode, int n,
     double scalar = 0.0;
     double exact = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-        const double scalar_s =
-            runCohortLoad(cfg, mode, n, /*workers=*/1, true, max_rows,
-                          GemmBackend::Blocked, SimdTier::Scalar);
-        const double exact_s =
-            runCohortLoad(cfg, mode, n, /*workers=*/1, true, max_rows,
-                          GemmBackend::Blocked, SimdTier::Exact);
+        const double scalar_s = runCohortLoad(
+            cfg, mode, n, /*workers=*/1, true, max_rows, SimdTier::Scalar);
+        const double exact_s = runCohortLoad(
+            cfg, mode, n, /*workers=*/1, true, max_rows, SimdTier::Exact);
         if (scalar_s > 0.0)
             scalar = scalar == 0.0 ? scalar_s
                                    : std::min(scalar, scalar_s);
@@ -679,9 +481,7 @@ compareSimdTiers(const ModelConfig &cfg, ExecMode mode, int n,
 void
 writeBenchJson(const std::string &path, const ModelConfig &cfg,
                bool quick, const std::vector<CohortComparison> &rows,
-               const std::vector<GemmComparison> &gemm_rows,
                const std::vector<SimdComparison> &simd_rows,
-               const std::vector<TpComparison> &tp_rows, bool tp_gated,
                const WeightsReport &weights)
 {
     std::ofstream out(path);
@@ -705,18 +505,6 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    out << "  \"gemm\": [\n";
-    for (Index i = 0; i < gemm_rows.size(); ++i) {
-        const GemmComparison &g = gemm_rows[i];
-        out << "    {\"mode\": \"" << g.mode << "\", \"requests\": "
-            << g.requests << ", \"cohort\": true,\n"
-            << "     \"reference_rps\": " << g.referenceRps
-            << ", \"blocked_rps\": " << g.blockedRps
-            << ", \"speedup\": " << g.speedup()
-            << ", \"min_speedup\": " << g.minSpeedup << "}"
-            << (i + 1 < gemm_rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n";
     out << "  \"simd\": {\n";
     out << "    \"level\": \"" << simdLevelName(activeSimdLevel())
         << "\",\n";
@@ -730,24 +518,6 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
             << ", \"exact_rps\": " << sc.exactRps
             << ", \"speedup\": " << sc.speedup() << "}"
             << (i + 1 < simd_rows.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n";
-    out << "  },\n";
-    out << "  \"tp\": {\n";
-    out << "    \"gated\": " << (tp_gated ? "true" : "false") << ",\n";
-    out << "    \"rows\": [\n";
-    for (Index i = 0; i < tp_rows.size(); ++i) {
-        const TpComparison &t = tp_rows[i];
-        out << "      {\"mode\": \"" << t.mode
-            << "\", \"requests\": " << t.requests
-            << ", \"tp\": " << t.tp << ", \"cohort\": true,\n"
-            << "       \"tp1_rps\": " << t.tp1Rps
-            << ", \"tp" << t.tp << "_rps\": " << t.tpNRps
-            << ", \"speedup\": " << t.speedup()
-            << ", \"min_speedup\": " << t.minSpeedup
-            << ", \"bit_identical\": "
-            << (t.bitIdentical ? "true" : "false") << "}"
-            << (i + 1 < tp_rows.size() ? "," : "") << "\n";
     }
     out << "    ]\n";
     out << "  },\n";
@@ -778,9 +548,9 @@ main(int argc, char **argv)
 {
     const bool quick = bench::quickMode(argc, argv);
 
-    // --gemm / --simd: backend and kernel tier for the main
-    // throughput sweep and the cohort on/off comparison (the gated
-    // comparisons below always measure both of their own settings).
+    // --simd: kernel tier for the main throughput sweep and the
+    // cohort on/off comparison (the SIMD comparison below always
+    // measures both tiers).
     KernelFlags sweep_kernels;
     for (int i = 1; i < argc; ++i) {
         std::string err;
@@ -790,7 +560,6 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    const GemmBackend sweep_gemm = sweep_kernels.gemm;
     const SimdTier sweep_simd = sweep_kernels.simd;
 
     ModelConfig cfg = makeConfig(Benchmark::MLD, Scale::Reduced);
@@ -799,8 +568,7 @@ main(int argc, char **argv)
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::cout << "model " << cfg.name << ", " << cfg.iterations
               << " iterations, " << hw << " hardware threads, seeds "
-              << "fixed (noise base " << kNoiseSeedBase << "), gemm "
-              << gemmBackendName(sweep_gemm) << ", simd "
+              << "fixed (noise base " << kNoiseSeedBase << "), simd "
               << simdTierName(sweep_simd) << " (level "
               << simdLevelName(activeSimdLevel()) << ")\n\n";
 
@@ -831,8 +599,7 @@ main(int argc, char **argv)
                   << std::setprecision(2) << std::setw(16) << base_rps;
         double best = 0.0;
         for (int w : workers) {
-            const EngineRun run =
-                runEngine(cfg, batch, w, sweep_gemm, sweep_simd);
+            const EngineRun run = runEngine(cfg, batch, w, sweep_simd);
             const double rps = n / run.seconds;
             healthy &= rps > 0.0;
             best = std::max(best, rps);
@@ -875,7 +642,7 @@ main(int argc, char **argv)
         const int reps = mode == ExecMode::Dense ? 5 : 3;
         CohortComparison cmp =
             compareCohort(cohort_cfg, mode, cohort_n, /*max_rows=*/8,
-                          reps, sweep_gemm, sweep_simd);
+                          reps, sweep_simd);
         std::cout << std::left << std::setw(8) << cmp.mode
                   << std::fixed << std::setprecision(2)
                   << "cohort-off " << std::setw(10) << cmp.offRps
@@ -892,60 +659,13 @@ main(int argc, char **argv)
         healthy = false;
     }
 
-    // GEMM backends under cohort batching: the same stacked tall
-    // MMULs with only the kernel swapped. The dense row is the gate
-    // that converts the cohort-stacking structural win into a
-    // wall-clock win; the EXION row tracks how much of the sparse
-    // mode's dense substrate the blocked kernel accelerates.
-    std::cout << "\n== GEMM backends, cohort-on: " << cohort_n
-              << " same-model " << cohort_cfg.name
-              << " (full-scale) requests, "
-              << cohort_cfg.iterations
-              << " iterations, 1 worker, max rows 8 ==\n";
-    std::vector<GemmComparison> gemm_rows;
-    for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
-        const int reps = mode == ExecMode::Dense ? 5 : 3;
-        GemmComparison cmp = compareGemmBackends(
-            cohort_cfg, mode, cohort_n, /*max_rows=*/8, reps,
-            sweep_simd);
-        // Per-mode acceptance bound. Dense is the pure tall-GEMM
-        // amortisation play and must strictly beat parity; the EXION
-        // mode spends most of its wall clock in sparse kernels the
-        // backend never touches, so its dense substrate only gates
-        // against a 5% regression allowance (it typically lands just
-        // under parity, ~0.99x).
-        cmp.minSpeedup = mode == ExecMode::Dense ? 1.0 : 0.95;
-        std::cout << std::left << std::setw(8) << cmp.mode
-                  << std::fixed << std::setprecision(2)
-                  << "reference " << std::setw(10) << cmp.referenceRps
-                  << "blocked " << std::setw(10) << cmp.blockedRps
-                  << "speedup " << cmp.speedup() << "x (gate >= "
-                  << cmp.minSpeedup << ")\n";
-        healthy &= cmp.referenceRps > 0.0 && cmp.blockedRps > 0.0;
-        if (cmp.speedup() < cmp.minSpeedup
-            || (mode == ExecMode::Dense
-                && cmp.blockedRps <= cmp.referenceRps)) {
-            std::cerr << "error: Blocked GEMM backend missed the "
-                      << cmp.mode << " cohort-on gate ("
-                      << cmp.speedup() << "x < " << cmp.minSpeedup
-                      << "x)\n";
-            healthy = false;
-        } else if (cmp.speedup() <= 1.0) {
-            std::cerr << "note: Blocked GEMM backend below parity on "
-                      << cmp.mode << " cohort-on throughput ("
-                      << cmp.speedup()
-                      << "x, within its tolerance gate of "
-                      << cmp.minSpeedup << "x)\n";
-        }
-        gemm_rows.push_back(std::move(cmp));
-    }
-    // SIMD tiers under cohort batching: the Blocked backend's
-    // kernels with the scalar table forced vs the host vector table
-    // under the Exact (bit-identical) contract. Gated only when a
-    // vector table is actually active — on a scalar-only host (or
-    // under EXION_SIMD=scalar) both rows run the same code and noise
-    // would decide the verdict.
-    std::cout << "\n== SIMD tiers, cohort-on, blocked GEMM: "
+    // SIMD tiers under cohort batching: the kernels with the scalar
+    // table forced vs the host vector table under the Exact
+    // (bit-identical) contract. Gated only when a vector table is
+    // actually active — on a scalar-only host (or under
+    // EXION_SIMD=scalar) both rows run the same code and noise would
+    // decide the verdict.
+    std::cout << "\n== SIMD tiers, cohort-on: "
               << cohort_n << " same-model " << cohort_cfg.name
               << " (full-scale) requests, " << cohort_cfg.iterations
               << " iterations, 1 worker, max rows 8 (level "
@@ -972,70 +692,6 @@ main(int argc, char **argv)
                      "throughput\n";
         healthy = false;
     }
-    // Tensor parallelism under cohort batching: the same cohort-led
-    // stacked load, tensorParallel=1 vs 4, with the spare workers
-    // serving slice tasks instead of idling behind the leader. The
-    // paper-scale full MLD cohort GEMMs (up to 64 stacked rows x
-    // 256 -> 1024-column projections) are exactly the tall shapes
-    // column slicing exists for. Wall-clock is gated only on hosts
-    // with >= 4 hardware threads — on fewer cores the slices time-
-    // share and the fork overhead is all that is measured — but
-    // bit-identity of tp=4 against tp=1 is asserted unconditionally.
-    const int tp_slices =
-        sweep_kernels.tp > 1 ? sweep_kernels.tp : 4;
-    const bool tp_gated =
-        hw >= static_cast<unsigned>(tp_slices) && tp_slices == 4;
-    const int tp_n = 8;
-    std::cout << "\n== tensor parallelism, cohort-on: " << tp_n
-              << " same-model " << cohort_cfg.name
-              << " (full-scale) requests, " << cohort_cfg.iterations
-              << " iterations, tp=1 vs tp=" << tp_slices << " over "
-              << tp_slices << " workers"
-              << (tp_gated ? "" : " (wall-clock gate skipped: host has "
-                                  "fewer than 4 hardware threads)")
-              << " ==\n";
-    std::vector<TpComparison> tp_rows;
-    for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
-        const int reps = quick ? 2 : (mode == ExecMode::Dense ? 4 : 3);
-        bool bit_identical = false;
-        TpComparison cmp = compareTensorParallel(
-            cohort_cfg, mode, tp_n, tp_slices, /*max_rows=*/8, reps,
-            bit_identical);
-        // The tall dense projections are where the 1.3x floor lives;
-        // the EXION row is informational (sparse kernels dominate its
-        // wall clock and are forked per-slice only in the FFN).
-        cmp.minSpeedup =
-            tp_gated && mode == ExecMode::Dense ? 1.3 : 0.0;
-        std::cout << std::left << std::setw(8) << cmp.mode
-                  << std::fixed << std::setprecision(2) << "tp=1 "
-                  << std::setw(10) << cmp.tp1Rps << "tp=" << tp_slices
-                  << " " << std::setw(10) << cmp.tpNRps << "speedup "
-                  << cmp.speedup() << "x"
-                  << (cmp.minSpeedup > 0.0
-                          ? " (gate >= " + std::to_string(cmp.minSpeedup)
-                                .substr(0, 3) + "x)"
-                          : "")
-                  << (bit_identical ? "" : "  BIT-MISMATCH") << "\n";
-        healthy &= cmp.tp1Rps > 0.0 && cmp.tpNRps > 0.0;
-        // Correctness gate, never skipped: slices repartition
-        // identical work, so any byte difference is a merge bug.
-        if (!bit_identical) {
-            std::cerr << "error: tensorParallel=" << tp_slices
-                      << " output differs from tensorParallel=1 on "
-                      << cmp.mode << " — the deterministic merge is "
-                         "broken\n";
-            healthy = false;
-        }
-        if (cmp.minSpeedup > 0.0 && cmp.speedup() < cmp.minSpeedup) {
-            std::cerr << "error: tensor parallelism missed the "
-                      << cmp.mode << " cohort-on gate ("
-                      << cmp.speedup() << "x < " << cmp.minSpeedup
-                      << "x)\n";
-            healthy = false;
-        }
-        tp_rows.push_back(std::move(cmp));
-    }
-
     // Weight sharing: the store built once, registered with two
     // engines; the second engine must borrow, not copy.
     const WeightsReport weights = measureWeightSharing(cohort_cfg);
@@ -1072,7 +728,7 @@ main(int argc, char **argv)
     }
 
     writeBenchJson("BENCH_batch.json", cohort_cfg, quick, cohort_rows,
-                   gemm_rows, simd_rows, tp_rows, tp_gated, weights);
+                   simd_rows, weights);
 
     healthy &= runOverload(cfg, quick);
     return healthy ? 0 : 1;

@@ -3,8 +3,8 @@
  * Microbenchmarks of the hot kernels: eager prediction of one
  * attention head at full-scale MLD and MDM shapes, CVG block
  * merging, bitmask extraction, quantised matmul and the dense GEMM
- * backends. Not a paper artefact; standard performance tracking for
- * the library itself.
+ * kernel against its Reference oracle. Not a paper artefact; standard
+ * performance tracking for the library itself.
  *
  * Two build modes:
  *  - With Google Benchmark (EXION_HAVE_GBENCH): the usual
@@ -13,11 +13,11 @@
  *    kernel) so CI environments without libbenchmark still measure
  *    kernels instead of silently skipping the target.
  *
- * Both modes run the GEMM backend comparison on the paper-scale tall
- * cohort MMULs (a stacked cohort of 8 x 8-token members against
- * full-scale MLD weight shapes) and **exit nonzero if the Blocked
- * backend does not reach Reference throughput** — the regression gate
- * for the cache-blocked kernel.
+ * Both modes run the Blocked-vs-Reference comparison on the
+ * paper-scale tall cohort MMULs (a stacked cohort of 8 x 8-token
+ * members against full-scale MLD weight shapes) and **exit nonzero if
+ * the Blocked kernel does not reach Reference throughput** — the
+ * regression gate for the cache-blocked kernel.
  */
 
 #include <algorithm>
@@ -109,18 +109,31 @@ struct EpHeadOperands
     DoNotOptimize. */
 volatile float g_sink = 0.0f;
 
+/** Name of the kernel a `blocked` flag selects below. */
+const char *
+kernelName(bool blocked)
+{
+    return blocked ? "blocked" : "reference";
+}
+
+/** A*B through the production kernel or its Reference oracle. */
+Matrix
+matmulBy(const Matrix &a, const Matrix &b, bool blocked)
+{
+    return blocked ? matmul(a, b) : matmulReference(a, b);
+}
+
 /**
- * Best-of-N wall-clock seconds for one A*B with the given backend.
+ * Best-of-N wall-clock seconds for one A*B with the given kernel.
  * Best-of (not mean) because a scheduling hiccup only ever adds time.
  */
 double
-timeMatmul(const Matrix &a, const Matrix &b, GemmBackend backend,
-           int reps)
+timeMatmul(const Matrix &a, const Matrix &b, bool blocked, int reps)
 {
     double best = 1e30;
     for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const Matrix c = matmulWith(a, b, backend);
+        const Matrix c = matmulBy(a, b, blocked);
         const auto t1 = std::chrono::steady_clock::now();
         best = std::min(best,
                         std::chrono::duration<double>(t1 - t0).count());
@@ -143,17 +156,15 @@ gateBlockedGemm(int reps)
     Rng rng(42);
     double ref_total = 0.0;
     double blocked_total = 0.0;
-    std::printf("\n== GEMM backend gate: paper-scale tall cohort "
+    std::printf("\n== Blocked GEMM gate: paper-scale tall cohort "
                 "MMULs (best of %d) ==\n",
                 reps);
     for (const GemmShape &s : kTallShapes) {
         Matrix a(s.m, s.k), b(s.k, s.n);
         a.fillNormal(rng, 0.0f, 1.0f);
         b.fillNormal(rng, 0.0f, 1.0f);
-        const double ref =
-            timeMatmul(a, b, GemmBackend::Reference, reps);
-        const double blocked =
-            timeMatmul(a, b, GemmBackend::Blocked, reps);
+        const double ref = timeMatmul(a, b, /*blocked=*/false, reps);
+        const double blocked = timeMatmul(a, b, /*blocked=*/true, reps);
         ref_total += ref;
         blocked_total += blocked;
         std::printf("%-20s reference %8.3f ms   blocked %8.3f ms   "
@@ -166,7 +177,7 @@ gateBlockedGemm(int reps)
                 ref_total / blocked_total);
     if (blocked_total > ref_total) {
         std::fprintf(stderr,
-                     "error: Blocked GEMM backend is slower than "
+                     "error: Blocked GEMM kernel is slower than "
                      "Reference on the tall cohort MMULs\n");
         return false;
     }
@@ -203,9 +214,7 @@ void
 BM_QuantMatmul(benchmark::State &state)
 {
     const Index n = state.range(0);
-    const GemmBackend backend = state.range(1) == 0
-        ? GemmBackend::Reference
-        : GemmBackend::Blocked;
+    const bool blocked = state.range(1) != 0;
     Rng rng(3);
     Matrix a(n, n), b(n, n);
     a.fillNormal(rng, 0.0f, 1.0f);
@@ -213,7 +222,8 @@ BM_QuantMatmul(benchmark::State &state)
     const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
     for (auto _ : state) {
-        Matrix c = matmulQuantWith(qa, qb, backend);
+        Matrix c = blocked ? matmulQuant(qa, qb)
+                           : matmulQuantReference(qa, qb);
         benchmark::DoNotOptimize(c.data().data());
     }
     state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -222,45 +232,41 @@ BENCHMARK(BM_QuantMatmul)
     ->ArgsProduct({{64, 128}, {0, 1}})
     ->ArgNames({"n", "blocked"});
 
-/** Dense float GEMM across backends on the tall cohort shapes. */
+/** Dense float GEMM vs its oracle on the tall cohort shapes. */
 void
 BM_GemmTall(benchmark::State &state)
 {
     const GemmShape &shape = kTallShapes[state.range(0)];
-    const GemmBackend backend = state.range(1) == 0
-        ? GemmBackend::Reference
-        : GemmBackend::Blocked;
+    const bool blocked = state.range(1) != 0;
     Rng rng(7);
     Matrix a(shape.m, shape.k), b(shape.k, shape.n);
     a.fillNormal(rng, 0.0f, 1.0f);
     b.fillNormal(rng, 0.0f, 1.0f);
     for (auto _ : state) {
-        Matrix c = matmulWith(a, b, backend);
+        Matrix c = matmulBy(a, b, blocked);
         benchmark::DoNotOptimize(c.data().data());
     }
     state.SetItemsProcessed(state.iterations() * shape.m * shape.k
                             * shape.n);
-    state.SetLabel(std::string(shape.name) + "/"
-                   + gemmBackendName(backend));
+    state.SetLabel(std::string(shape.name) + "/" + kernelName(blocked));
 }
 BENCHMARK(BM_GemmTall)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->ArgNames({"shape", "blocked"});
 
-/** A * B^T (attention scores) across backends. */
+/** A * B^T (attention scores) vs its oracle. */
 void
 BM_GemmTransposed(benchmark::State &state)
 {
     const Index n = state.range(0);
-    const GemmBackend backend = state.range(1) == 0
-        ? GemmBackend::Reference
-        : GemmBackend::Blocked;
+    const bool blocked = state.range(1) != 0;
     Rng rng(8);
     Matrix a(n, 256), b(n, 256);
     a.fillNormal(rng, 0.0f, 1.0f);
     b.fillNormal(rng, 0.0f, 1.0f);
     for (auto _ : state) {
-        Matrix c = matmulTransposedWith(a, b, backend);
+        Matrix c = blocked ? matmulTransposed(a, b)
+                           : matmulTransposedReference(a, b);
         benchmark::DoNotOptimize(c.data().data());
     }
     state.SetItemsProcessed(state.iterations() * n * n * 256);
@@ -407,14 +413,13 @@ runFallbackSuite(int reps)
         b.fillNormal(rng, 0.0f, 1.0f);
         const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
         const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-        for (GemmBackend backend :
-             {GemmBackend::Reference, GemmBackend::Blocked}) {
+        for (bool blocked : {false, true}) {
             char name[64];
             std::snprintf(name, sizeof(name), "quant_matmul/%zu/%s",
-                          static_cast<size_t>(n),
-                          gemmBackendName(backend));
+                          static_cast<size_t>(n), kernelName(blocked));
             timeKernel(name, n * n * n, reps, [&] {
-                const Matrix c = matmulQuantWith(qa, qb, backend);
+                const Matrix c = blocked ? matmulQuant(qa, qb)
+                                         : matmulQuantReference(qa, qb);
                 g_sink = g_sink + c(0, 0);
             });
         }
@@ -425,13 +430,12 @@ runFallbackSuite(int reps)
         Matrix a(s.m, s.k), b(s.k, s.n);
         a.fillNormal(rng, 0.0f, 1.0f);
         b.fillNormal(rng, 0.0f, 1.0f);
-        for (GemmBackend backend :
-             {GemmBackend::Reference, GemmBackend::Blocked}) {
+        for (bool blocked : {false, true}) {
             char name[64];
             std::snprintf(name, sizeof(name), "gemm_%s/%s", s.name,
-                          gemmBackendName(backend));
+                          kernelName(blocked));
             timeKernel(name, s.m * s.k * s.n, reps, [&] {
-                const Matrix c = matmulWith(a, b, backend);
+                const Matrix c = matmulBy(a, b, blocked);
                 g_sink = g_sink + c(0, 0);
             });
         }

@@ -105,9 +105,6 @@ namespace
 using namespace exion;
 using Clock = std::chrono::steady_clock;
 
-/** --tp value applied to every engine the fixtures build. */
-int g_tensorParallel = 1;
-
 double
 secondsSince(Clock::time_point t0)
 {
@@ -162,7 +159,6 @@ struct Fixture
         opts.admission.maxQueuedPerClass = 8;
         opts.admission.shedThreshold = 10;
         opts.admission.shedBelow = Priority::Normal;
-        opts.tensorParallel = g_tensorParallel;
         return opts;
     }
 
@@ -1034,7 +1030,6 @@ main(int argc, char **argv)
     const bool quick = bench::quickMode(argc, argv);
     int shards = 1;
     RoutePolicy policy = RoutePolicy::LeastDepth;
-    KernelFlags kernels;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--shards" && i + 1 < argc) {
@@ -1051,16 +1046,8 @@ main(int argc, char **argv)
                 std::cerr << err << "\n";
                 return 2;
             }
-            if (rs == KernelFlagStatus::Consumed)
-                continue;
-            if (tryConsumeKernelFlag(argc, argv, i, kernels, err)
-                == KernelFlagStatus::Error) {
-                std::cerr << err << "\n";
-                return 2;
-            }
         }
     }
-    g_tensorParallel = kernels.tp;
     const double closedSeconds = quick ? 0.4 : 1.5;
     const double openSeconds = quick ? 1.0 : 2.5;
     const std::vector<int> levels =

@@ -5,6 +5,7 @@
  * Usage:
  *   exion_cli [--model NAME] [--device exion4|exion24|exion42]
  *             [--ablation base|ep|ffnr|all] [--batch N] [--gpu]
+ *             [--simd scalar|exact]
  *
  * Prints latency, energy, efficiency, and work reduction; with --gpu
  * also runs the matched GPU baseline and prints the gains. Without
@@ -147,16 +148,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Process-wide: every dense MMUL / kernel of the runs below
-    // dispatches on these. --gemm is bit-identical across backends;
-    // --simd scalar|exact are bit-identical, fast is tolerance-level.
-    setDefaultGemmBackend(kernels.gemm);
+    // Process-wide: every kernel of the runs below dispatches on
+    // this; --simd scalar|exact are bit-identical.
     setDefaultSimdTier(kernels.simd);
-    if (kernels.tp > 1)
-        std::cout << "note: --tp " << kernels.tp
-                  << " accepted but inert here — the explorer runs "
-                     "the analytical perf model, not real GEMMs "
-                     "(use exion_serve / serve_batch / bench_serve)\n";
 
     const ExionConfig device = parseDevice(device_name);
     const Ablation ablation = parseAblation(ablation_name);

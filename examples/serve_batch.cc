@@ -15,6 +15,7 @@
  * Build & run:
  *   cmake -B build -S . && cmake --build build
  *   ./build/examples/serve_batch [--shards N] [--route POLICY]
+ *                                [--simd scalar|exact]
  */
 
 #include <chrono>
@@ -55,12 +56,9 @@ main(int argc, char **argv)
     // it, lets the engine finish what it accepted, and exits cleanly.
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
-    // --gemm selects the engine's GEMM backend (default Blocked) and
-    // --simd its kernel tier (default Exact). Outputs are
-    // bit-identical for every backend and for the scalar/exact tiers
-    // — the self-checks below hold regardless — only wall clock
-    // changes (fast is tolerance-level and would trip the bit-exact
-    // check, which is itself a useful probe).
+    // --simd selects the engine's kernel tier (default Exact). The
+    // scalar and exact tiers are bit-identical — the self-checks
+    // below hold regardless — only wall clock changes.
     KernelFlags kernels;
     int shards = 1;
     RoutePolicy route = RoutePolicy::LeastDepth;
@@ -110,9 +108,7 @@ main(int argc, char **argv)
 
     BatchEngine::Options opts;
     opts.workers = 4;
-    opts.gemmBackend = kernels.gemm;
     opts.simdTier = kernels.simd;
-    opts.tensorParallel = kernels.tp;
     opts.queueResults = false; // completions arrive via the callback
     opts.admission.maxQueuedPerClass = 16;
     opts.admission.shedThreshold = 12;

@@ -6,8 +6,6 @@
 
 #if defined(__linux__)
 #include <dirent.h>
-#include <pthread.h>
-#include <sched.h>
 #endif
 
 namespace exion
@@ -88,29 +86,6 @@ numaNodeCpus()
     return nodes;
 #else
     return {};
-#endif
-}
-
-bool
-pinCurrentThread(const std::vector<int> &cpus)
-{
-    if (cpus.empty())
-        return false;
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    bool any = false;
-    for (int cpu : cpus)
-        if (cpu >= 0 && cpu < CPU_SETSIZE) {
-            CPU_SET(cpu, &set);
-            any = true;
-        }
-    if (!any)
-        return false;
-    return ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set)
-           == 0;
-#else
-    return false;
 #endif
 }
 

@@ -36,16 +36,6 @@ std::vector<int> parseCpuList(const std::string &text);
  */
 std::vector<std::vector<int>> numaNodeCpus();
 
-/**
- * Best-effort affinity for the calling thread: restricts it to the
- * given CPU ids. Returns false (without warning — callers decide how
- * loudly to degrade) when the platform has no thread affinity, the
- * list is empty, or the kernel refuses the mask. Used by the
- * tensor-parallel slice runner to land a slice's helper task on its
- * assigned NUMA node.
- */
-bool pinCurrentThread(const std::vector<int> &cpus);
-
 } // namespace exion
 
 #endif // EXION_COMMON_NUMA_H_

@@ -31,39 +31,33 @@ ExecStats::merge(const ExecStats &other)
 }
 
 Matrix
-execMatmul(const Matrix &a, const Matrix &b, bool quantize,
-           GemmBackend backend, SimdTier simd, const TpContext &tp)
+execMatmul(const Matrix &a, const Matrix &b, bool quantize, SimdTier simd)
 {
     if (!quantize)
-        return matmulSliced(a, b, tp, backend, simd);
-    // Quantise whole operands once — a slice is a window onto the
-    // full quantisation domain, so tp=N stays bit-identical to solo.
+        return matmul(a, b, simd);
     const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    return matmulQuantSliced(qa, qb, tp, backend, simd);
+    return matmulQuant(qa, qb, simd);
 }
 
 Matrix
 execWeightMatmul(const Matrix &x, const Linear &lin, bool quantize,
-                 GemmBackend backend, SimdTier simd, const TpContext &tp)
+                 SimdTier simd)
 {
     if (!quantize)
-        return matmulSliced(x, lin.weight(), tp, backend, simd);
+        return matmul(x, lin.weight(), simd);
     const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);
     if (lin.hasQuantWeight())
-        return matmulQuantSliced(qx, lin.quantWeight(), tp, backend,
-                                 simd);
-    return matmulQuantSliced(
-        qx, QuantMatrix::fromFloat(lin.weight(), IntWidth::Int12), tp,
-        backend, simd);
+        return matmulQuant(qx, lin.quantWeight(), simd);
+    return matmulQuant(
+        qx, QuantMatrix::fromFloat(lin.weight(), IntWidth::Int12), simd);
 }
 
 void
 denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
                        const Matrix &k, const Matrix &v, Index r0,
                        Index rows, bool quantize, ExecStats &stats,
-                       Matrix &concat, GemmBackend backend,
-                       SimdTier simd)
+                       Matrix &concat, SimdTier simd)
 {
     const Index t = rows;
     const Index dh = blk.headDim();
@@ -75,12 +69,9 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
         const Matrix kh = sliceBlock(k, r0, t, h * dh, dh);
         const Matrix vh = sliceBlock(v, r0, t, h * dh, dh);
 
-        Matrix scores =
-            scale(matmulTransposedWith(qh, kh, backend, simd),
-                  inv_sqrt);
+        Matrix scores = scale(matmulTransposed(qh, kh), inv_sqrt);
         const Matrix probs = softmax(scores);
-        const Matrix out_h =
-            execMatmul(probs, vh, quantize, backend, simd);
+        const Matrix out_h = execMatmul(probs, vh, quantize, simd);
         for (Index r = 0; r < t; ++r)
             for (Index c = 0; c < dh; ++c)
                 concat(r0 + r, h * dh + c) = out_h(r, c);
@@ -93,21 +84,17 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
 Matrix
 denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                    bool quantize, ExecStats &stats,
-                   ExecObservers &observers, GemmBackend backend,
-                   SimdTier simd, const TpContext &tp)
+                   ExecObservers &observers, SimdTier simd)
 {
     (void)observers;
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
 
-    Matrix q =
-        execWeightMatmul(x_norm, blk.wq(), quantize, backend, simd, tp);
+    Matrix q = execWeightMatmul(x_norm, blk.wq(), quantize, simd);
     addRowVector(q, blk.wq().bias());
-    Matrix k =
-        execWeightMatmul(x_norm, blk.wk(), quantize, backend, simd, tp);
+    Matrix k = execWeightMatmul(x_norm, blk.wk(), quantize, simd);
     addRowVector(k, blk.wk().bias());
-    Matrix v =
-        execWeightMatmul(x_norm, blk.wv(), quantize, backend, simd, tp);
+    Matrix v = execWeightMatmul(x_norm, blk.wv(), quantize, simd);
     addRowVector(v, blk.wv().bias());
 
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
@@ -118,10 +105,9 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
     Matrix concat(t, d);
     denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats,
-                           concat, backend, simd);
+                           concat, simd);
 
-    Matrix out =
-        execWeightMatmul(concat, blk.wo(), quantize, backend, simd, tp);
+    Matrix out = execWeightMatmul(concat, blk.wo(), quantize, simd);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);
@@ -131,22 +117,21 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 Matrix
 denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
              bool quantize, ExecStats &stats, ExecObservers &observers,
-             GemmBackend backend, SimdTier simd, const TpContext &tp)
+             SimdTier simd)
 {
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
     const Index hid = blk.ffnHidden();
 
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize,
-                                   backend, simd, tp);
+    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize, simd);
     addRowVector(gate, blk.ffn1().bias());
     stats.ffnOpsDense += mmulOps(t, d, hid);
     stats.ffnOpsExecuted += mmulOps(t, d, hid);
 
     Matrix hidden;
     if (blk.geglu()) {
-        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(),
-                                        quantize, backend, simd, tp);
+        Matrix value =
+            execWeightMatmul(x_norm, blk.ffn1Value(), quantize, simd);
         addRowVector(value, blk.ffn1Value().bias());
         stats.ffnOpsDense += mmulOps(t, d, hid);
         stats.ffnOpsExecuted += mmulOps(t, d, hid);
@@ -160,8 +145,7 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnHidden)
         observers.onFfnHidden(blk.id(), hidden);
 
-    Matrix out = execWeightMatmul(hidden, blk.ffn2(), quantize,
-                                  backend, simd, tp);
+    Matrix out = execWeightMatmul(hidden, blk.ffn2(), quantize, simd);
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);
@@ -172,14 +156,14 @@ Matrix
 DenseExecutor::attention(const TransformerBlock &blk, const Matrix &x_norm)
 {
     return denseAttentionImpl(blk, x_norm, quantize_, stats(), observers,
-                              backend_, simd_, tp_);
+                              simd_);
 }
 
 Matrix
 DenseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
     return denseFfnImpl(blk, x_norm, quantize_, stats(), observers,
-                        backend_, simd_, tp_);
+                        simd_);
 }
 
 } // namespace exion

@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "exion/tensor/bitmask.h"
-#include "exion/tensor/gemm.h"
-#include "exion/tensor/matmul_slice.h"
 #include "exion/tensor/matrix.h"
+#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -155,32 +154,13 @@ class BlockExecutor
     }
 
     /**
-     * GEMM backend for dense MMULs issued on this executor's behalf
-     * by layers outside the block (network in/out/time projections,
-     * ResBlock convolutions). Backends are bit-identical, so this is
-     * purely a wall-clock knob; the base implementation follows the
-     * process default.
-     */
-    virtual GemmBackend gemmBackend() const
-    {
-        return defaultGemmBackend();
-    }
-
-    /**
-     * SIMD tier for kernels issued on this executor's behalf (see
-     * simd_dispatch.h). Scalar and Exact are bit-identical; the base
-     * implementation follows the process default.
+     * SIMD tier for kernels issued on this executor's behalf, inside
+     * the block and out (network in/out/time projections, ResBlock
+     * convolutions; see simd_dispatch.h). Scalar and Exact are
+     * bit-identical; the base implementation follows the process
+     * default.
      */
     virtual SimdTier simdTier() const { return defaultSimdTier(); }
-
-    /**
-     * Tensor-parallel slicing for projection GEMMs issued on this
-     * executor's behalf, inside the block and out (network in/out/
-     * time projections). Sliced execution is bit-identical to solo
-     * (see matmul_slice.h), so this too is purely a wall-clock knob;
-     * the base implementation is inactive.
-     */
-    virtual TpContext tpContext() const { return {}; }
 
     /** Multi-head attention sub-layer (QKV, scores, AV, out-proj). */
     virtual Matrix attention(const TransformerBlock &blk,
@@ -232,19 +212,12 @@ class DenseExecutor : public BlockExecutor
   public:
     /**
      * @param quantize route every MMUL through INT12 operands
-     * @param backend  GEMM backend for every dense MMUL (all
-     *                 backends are bit-identical; this is a pure
-     *                 wall-clock knob)
-     * @param simd     SIMD tier for the backend's kernels (Scalar and
-     *                 Exact bit-identical; Fast tolerance-gated)
-     * @param tp       tensor-parallel slicing for the projection
-     *                 GEMMs (bit-identical at any slice count)
+     * @param simd     SIMD tier for the kernels (Scalar and Exact
+     *                 are bit-identical)
      */
     explicit DenseExecutor(bool quantize = false,
-                           GemmBackend backend = defaultGemmBackend(),
-                           SimdTier simd = defaultSimdTier(),
-                           TpContext tp = {})
-        : quantize_(quantize), backend_(backend), simd_(simd), tp_(tp)
+                           SimdTier simd = defaultSimdTier())
+        : quantize_(quantize), simd_(simd)
     {}
 
     Matrix attention(const TransformerBlock &blk,
@@ -254,20 +227,12 @@ class DenseExecutor : public BlockExecutor
     /** Whether INT12 quantisation is applied. */
     bool quantized() const { return quantize_; }
 
-    /** GEMM backend used for dense MMULs. */
-    GemmBackend gemmBackend() const override { return backend_; }
-
     /** SIMD tier used for kernels. */
     SimdTier simdTier() const override { return simd_; }
 
-    /** Tensor-parallel slicing for projection GEMMs. */
-    TpContext tpContext() const override { return tp_; }
-
   private:
     bool quantize_;
-    GemmBackend backend_;
     SimdTier simd_;
-    TpContext tp_;
 };
 
 /**
@@ -294,17 +259,9 @@ class CohortBlockExecutor : public BlockExecutor
                                  const std::vector<int> &iterations) = 0;
 };
 
-/**
- * A*B with optional INT12 operand quantisation, computed with the
- * given GEMM backend (defaults to the process-wide backend). An
- * active tp slices b's columns across workers — bit-identical to the
- * unsliced product (quantisation happens once over the whole
- * operands; slices are views into the quantized image).
- */
+/** A*B with optional INT12 operand quantisation. */
 Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize,
-                  GemmBackend backend = defaultGemmBackend(),
-                  SimdTier simd = defaultSimdTier(),
-                  const TpContext &tp = {});
+                  SimdTier simd = defaultSimdTier());
 
 /**
  * x * W for a layer's weight, with optional INT12 operand
@@ -317,9 +274,7 @@ Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize,
  */
 Matrix execWeightMatmul(const Matrix &x, const Linear &lin,
                         bool quantize,
-                        GemmBackend backend = defaultGemmBackend(),
-                        SimdTier simd = defaultSimdTier(),
-                        const TpContext &tp = {});
+                        SimdTier simd = defaultSimdTier());
 
 /**
  * MACs-as-2-ops for an (m x k) * (k x n) MMUL — the paper's TOPS
@@ -342,9 +297,7 @@ mmulOps(Index m, Index k, Index n)
 Matrix denseAttentionImpl(const TransformerBlock &blk,
                           const Matrix &x_norm, bool quantize,
                           ExecStats &stats, ExecObservers &observers,
-                          GemmBackend backend = defaultGemmBackend(),
-                          SimdTier simd = defaultSimdTier(),
-                          const TpContext &tp = {});
+                          SimdTier simd = defaultSimdTier());
 
 /**
  * Per-head score/softmax/AV core of dense attention on rows
@@ -361,16 +314,13 @@ void denseAttentionCoreInto(const TransformerBlock &blk,
                             const Matrix &v, Index r0, Index rows,
                             bool quantize, ExecStats &stats,
                             Matrix &concat,
-                            GemmBackend backend = defaultGemmBackend(),
                             SimdTier simd = defaultSimdTier());
 
 /** Dense FFN implementation shared by executors. */
 Matrix denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
                     bool quantize, ExecStats &stats,
                     ExecObservers &observers,
-                    GemmBackend backend = defaultGemmBackend(),
-                    SimdTier simd = defaultSimdTier(),
-                    const TpContext &tp = {});
+                    SimdTier simd = defaultSimdTier());
 
 } // namespace exion
 

@@ -29,10 +29,9 @@ Linear::fromStore(const WeightStore &ws, const std::string &name)
 }
 
 Matrix
-Linear::forward(const Matrix &x, GemmBackend backend, SimdTier simd,
-                const TpContext &tp) const
+Linear::forward(const Matrix &x, SimdTier simd) const
 {
-    Matrix y = matmulSliced(x, weight_, tp, backend, simd);
+    Matrix y = matmul(x, weight_, simd);
     addRowVector(y, bias_);
     return y;
 }

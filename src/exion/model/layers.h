@@ -8,10 +8,9 @@
 
 #include <string>
 
-#include "exion/tensor/gemm.h"
-#include "exion/tensor/matmul_slice.h"
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
+#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -42,50 +41,17 @@ class Linear
     /**
      * Applies the layer to x (rows = tokens).
      *
-     * @param backend GEMM backend for the x W product; defaults to
-     *                the process-wide backend. All backends are
-     *                bit-identical.
-     * @param simd    SIMD tier for the backend's kernels (Scalar and
-     *                Exact bit-identical; Fast tolerance-gated)
+     * @param simd SIMD tier for the x W product's kernels (Scalar and
+     *             Exact are bit-identical)
      */
     Matrix forward(const Matrix &x,
-                   GemmBackend backend = defaultGemmBackend(),
-                   SimdTier simd = defaultSimdTier(),
-                   const TpContext &tp = {}) const;
+                   SimdTier simd = defaultSimdTier()) const;
 
     /** Weight matrix (in x out). */
     const Matrix &weight() const { return weight_; }
 
     /** Bias row vector (1 x out). */
     const Matrix &bias() const { return bias_; }
-
-    /*
-     * Per-slice zero-copy views for tensor-parallel execution: output
-     * columns [r.c0, r.c0 + r.n) of the layer. Each is a borrowed
-     * sub-view of the same storage weight()/bias()/quantWeight()
-     * alias (for store-backed layers, the mmap'd EXWS sections) —
-     * same kind, sliced shape, and for the quant image the *whole*
-     * tensor's scale, never a per-slice re-quantisation.
-     */
-
-    /** Strided view of weight()'s columns [r.c0, r.c0 + r.n). */
-    Matrix weightSlice(const SliceRange &r) const
-    {
-        return sliceCols(weight_, r);
-    }
-
-    /** Contiguous view of bias()'s columns (a 1 x r.n row). */
-    Matrix biasSlice(const SliceRange &r) const
-    {
-        return sliceCols(bias_, r);
-    }
-
-    /** Strided view of quantWeight()'s columns, whole-tensor scale.
-        @pre hasQuantWeight() */
-    QuantMatrix quantWeightSlice(const SliceRange &r) const
-    {
-        return sliceCols(quantWeight_, r);
-    }
 
     /**
      * Quantized-at-rest INT12 weight image (empty unless the layer

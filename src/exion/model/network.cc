@@ -104,14 +104,12 @@ Matrix
 DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
                               Index segments, BlockExecutor &exec) const
 {
-    // The executor's backend also covers the network-level linears
-    // and ResBlock convolutions, so an engine's backend choice
-    // reaches every dense MMUL of the run, not just the blocks.
-    const GemmBackend gemm = exec.gemmBackend();
+    // The executor's tier also covers the network-level linears and
+    // ResBlock convolutions, so an engine's tier reaches every dense
+    // MMUL of the run, not just the blocks.
     const SimdTier simd = exec.simdTier();
-    const TpContext tp = exec.tpContext();
 
-    Matrix h = inProj_.forward(x, gemm, simd, tp);
+    Matrix h = inProj_.forward(x, simd);
     addRowVector(h, condEmbed_);
 
     // Per-segment timestep embeddings. Cohort members usually step in
@@ -153,7 +151,7 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
         cur_tokens = want;
 
         if (stage.channelProj.inDim() != 0)
-            h = stage.channelProj.forward(h, gemm, simd, tp);
+            h = stage.channelProj.forward(h, simd);
 
         if (unet && upsampling && !skips.empty()) {
             const Matrix &skip = skips.back();
@@ -168,18 +166,17 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
         Matrix t_proj;
         for (Index m = 0; m < segments; ++m) {
             if (m == 0 || timesteps[m] != timesteps[m - 1])
-                t_proj =
-                    stage.timeProj.forward(t_embs[m], gemm, simd, tp);
+                t_proj = stage.timeProj.forward(t_embs[m], simd);
             addRowVectorToRows(h, t_proj, m * cur_tokens, cur_tokens);
         }
 
         for (const auto &res : stage.resBlocks)
-            h = res.forward(h, gemm, simd, tp);
+            h = res.forward(h, simd);
         for (const auto &blk : stage.blocks)
             h = blk.forward(h, exec);
     }
 
-    return outProj_.forward(h, gemm, simd, tp);
+    return outProj_.forward(h, simd);
 }
 
 } // namespace exion

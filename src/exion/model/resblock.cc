@@ -21,12 +21,11 @@ ResBlock::ResBlock(const WeightStore &ws, const std::string &prefix)
 }
 
 Matrix
-ResBlock::forward(const Matrix &x, GemmBackend backend, SimdTier simd,
-                  const TpContext &tp) const
+ResBlock::forward(const Matrix &x, SimdTier simd) const
 {
     const Matrix n = layerNorm(x, normGamma_, normBeta_);
-    const Matrix h = gelu(conv1_.forward(n, backend, simd, tp));
-    const Matrix out = conv2_.forward(h, backend, simd, tp);
+    const Matrix h = gelu(conv1_.forward(n, simd));
+    const Matrix out = conv2_.forward(h, simd);
     return add(x, out);
 }
 

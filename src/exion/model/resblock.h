@@ -40,9 +40,7 @@ class ResBlock
      * forward bit for bit.
      */
     Matrix forward(const Matrix &x,
-                   GemmBackend backend = defaultGemmBackend(),
-                   SimdTier simd = defaultSimdTier(),
-                   const TpContext &tp = {}) const;
+                   SimdTier simd = defaultSimdTier()) const;
 
     /** Channel width. */
     Index dModel() const { return conv1_.inDim(); }

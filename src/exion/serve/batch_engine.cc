@@ -79,24 +79,6 @@ BatchEngine::BatchEngine(const Options &opts)
     : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge),
       results_(opts.resultQueueCapacity), pool_(opts.workers, opts.poolSeed)
 {
-    if (opts_.tensorParallel < 1) {
-        EXION_WARN("tensorParallel ", opts_.tensorParallel,
-                   " clamped to 1");
-        opts_.tensorParallel = 1;
-    }
-    if (opts_.tensorParallel > 1) {
-        tpRunner_ = std::make_unique<PoolSliceRunner>(pool_);
-        if (!opts_.tpSliceCpus.empty())
-            tpRunner_->setSliceCpus(opts_.tpSliceCpus);
-    }
-}
-
-TpContext
-BatchEngine::tpContext() const
-{
-    if (opts_.tensorParallel <= 1 || !tpRunner_)
-        return {};
-    return TpContext{opts_.tensorParallel, tpRunner_.get()};
 }
 
 BatchEngine::~BatchEngine()
@@ -585,9 +567,7 @@ BatchEngine::runCohort(CohortMember first)
     const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
     SparseExecutor::Options cohort_opts = SparseExecutor::fromConfig(
         cfg, ffnr, ep, first.req.quantize);
-    cohort_opts.gemm = opts_.gemmBackend;
     cohort_opts.simd = opts_.simdTier;
-    cohort_opts.tp = tpContext();
     CohortExecutor exec(cohort_opts);
     CohortRun run(pipe, exec);
 
@@ -932,9 +912,8 @@ BatchEngine::runOne(const ServeRequest &req,
     RequestContext ctx;
     std::unique_ptr<BlockExecutor> exec;
     if (req.mode == ExecMode::Dense) {
-        auto dense = std::make_unique<DenseExecutor>(
-            req.quantize, opts_.gemmBackend, opts_.simdTier,
-            tpContext());
+        auto dense =
+            std::make_unique<DenseExecutor>(req.quantize, opts_.simdTier);
         dense->bindContext(ctx.exec);
         exec = std::move(dense);
     } else {
@@ -942,9 +921,7 @@ BatchEngine::runOne(const ServeRequest &req,
         const bool ep = req.mode != ExecMode::FfnReuseOnly;
         SparseExecutor::Options sparse_opts =
             SparseExecutor::fromConfig(cfg, ffnr, ep, req.quantize);
-        sparse_opts.gemm = opts_.gemmBackend;
         sparse_opts.simd = opts_.simdTier;
-        sparse_opts.tp = tpContext();
         auto sparse = std::make_unique<SparseExecutor>(sparse_opts);
         sparse->bindRequestState(ctx.exec, ctx.ffn);
         if (req.trackConMerge && ffnr) {

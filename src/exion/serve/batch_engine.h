@@ -302,49 +302,12 @@ class BatchEngine : public ServeBackend
          */
         double cohortWindowSeconds = 0.0;
         /**
-         * GEMM backend every executor this engine builds uses for its
-         * dense MMULs. All backends produce bit-identical outputs
-         * (tensor/gemm.h), so this is purely a wall-clock knob;
-         * Blocked is the default because the cache-blocked packed
-         * kernel is what turns cohort stacking's tall GEMMs into a
-         * throughput win (see bench_batch_throughput's gated
-         * Blocked-vs-Reference comparison).
-         */
-        GemmBackend gemmBackend = GemmBackend::Blocked;
-        /**
          * SIMD tier every executor this engine builds runs its
          * kernels under. Exact (the default) uses the host's widest
          * vector table while keeping every float accumulation chain
          * in golden reference order — bit-identical to Scalar.
-         * Fast additionally reassociates float reductions
-         * (tolerance-level divergence; see simd_dispatch.h).
          */
         SimdTier simdTier = SimdTier::Exact;
-        /**
-         * Intra-request tensor parallelism: every tall projection
-         * GEMM an executor of this engine issues is column-split
-         * into this many slices, each slice's partial product
-         * computed as its own task on the engine's own ThreadPool
-         * (at maximum pool priority, so slice work never queues
-         * behind whole requests) and the partials merged in
-         * ascending slice order. Results are bit-identical to
-         * tensorParallel = 1 — slicing partitions output columns,
-         * so no accumulation chain is ever reassociated. 1 = off.
-         * Composes with cohort batching (the tall stacked GEMMs are
-         * exactly the shapes worth splitting) and with --shards
-         * (parallelism across requests); prefer this knob when
-         * single-request latency matters and spare cores exist.
-         */
-        int tensorParallel = 1;
-        /**
-         * Optional slice -> CPU-set affinity: slice s's helper tasks
-         * pin to tpSliceCpus[s % size()] (each entry a CPU-id list,
-         * e.g. one NUMA node's CPUs) before computing, so a slice's
-         * weight-column working set stays on one node. Best-effort:
-         * a failed pin warns once and computes unpinned. Empty =
-         * no slice affinity.
-         */
-        std::vector<std::vector<int>> tpSliceCpus;
     };
 
     using CompletionCallback = ServeBackend::CompletionCallback;
@@ -618,12 +581,6 @@ class BatchEngine : public ServeBackend
     Ticket submitImpl(const ServeRequest &req, bool to_queue);
     bool cancelTicket(u64 ticket_id);
 
-    /**
-     * Slice context handed to every executor this engine builds:
-     * inactive (solo) unless Options::tensorParallel > 1, in which
-     * case slice tasks fork onto pool_ via tpRunner_.
-     */
-    TpContext tpContext() const;
     RequestResult runOne(const ServeRequest &req,
                          const std::atomic<bool> *cancel) const;
 
@@ -691,14 +648,6 @@ class BatchEngine : public ServeBackend
     bool stopped_ = false;
     /** Mirrors pool_.pause() so cohort leaders stop absorbing. */
     bool paused_ = false;
-
-    /**
-     * Slice fork-join runner over pool_ (tensorParallel > 1 only).
-     * Declared before pool_ so it outlives the pool's drain; its
-     * destructor never touches the pool, and a drained pool degrades
-     * slice runs to caller-computes (PoolSliceRunner contract).
-     */
-    std::unique_ptr<PoolSliceRunner> tpRunner_;
 
     /**
      * Last member: destroyed (and therefore drained) first, while the

@@ -7,7 +7,7 @@ namespace exion
 
 CohortExecutor::CohortExecutor(const SparseExecutor::Options &opt)
     : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp)
+      ffnReuse_(opt.ffnReuse, opt.quantize, opt.simd)
 {
 }
 
@@ -94,11 +94,10 @@ CohortExecutor::attention(const TransformerBlock &blk,
             const Matrix seg = opt_.useEp
                 ? epAttentionImpl(blk, x_m, opt_.ep, opt_.lodMode,
                                   opt_.quantize, s.ctx->stats,
-                                  s.observers, opt_.gemm, opt_.simd,
-                                  opt_.tp)
+                                  s.observers, opt_.simd)
                 : denseAttentionImpl(blk, x_m, opt_.quantize,
                                      s.ctx->stats, s.observers,
-                                     opt_.gemm, opt_.simd, opt_.tp);
+                                     opt_.simd);
             pasteRows(out, seg, m * t_seg);
         }
         return out;
@@ -107,15 +106,12 @@ CohortExecutor::attention(const TransformerBlock &blk,
     // Dense float path: one tall GEMM per projection (row-independent,
     // so each member's rows match its solo run bit for bit), then the
     // token-mixing core per member segment. The tall stacks are
-    // exactly the shape the Blocked backend packs for.
-    Matrix q = execMatmul(x_norm, blk.wq().weight(), false, opt_.gemm,
-                          opt_.simd, opt_.tp);
+    // exactly the shape the blocked GEMM packs for.
+    Matrix q = execMatmul(x_norm, blk.wq().weight(), false, opt_.simd);
     addRowVector(q, blk.wq().bias());
-    Matrix k = execMatmul(x_norm, blk.wk().weight(), false, opt_.gemm,
-                          opt_.simd, opt_.tp);
+    Matrix k = execMatmul(x_norm, blk.wk().weight(), false, opt_.simd);
     addRowVector(k, blk.wk().bias());
-    Matrix v = execMatmul(x_norm, blk.wv().weight(), false, opt_.gemm,
-                          opt_.simd, opt_.tp);
+    Matrix v = execMatmul(x_norm, blk.wv().weight(), false, opt_.simd);
     addRowVector(v, blk.wv().bias());
 
     Matrix concat(x_norm.rows(), d);
@@ -128,11 +124,11 @@ CohortExecutor::attention(const TransformerBlock &blk,
         stats.vColsTotal += t_seg;
 
         denseAttentionCoreInto(blk, q, k, v, m * t_seg, t_seg, false,
-                               stats, concat, opt_.gemm, opt_.simd);
+                               stats, concat, opt_.simd);
     }
 
-    Matrix out = execMatmul(concat, blk.wo().weight(), false,
-                            opt_.gemm, opt_.simd, opt_.tp);
+    Matrix out =
+        execMatmul(concat, blk.wo().weight(), false, opt_.simd);
     addRowVector(out, blk.wo().bias());
     for (Index m = 0; m < n; ++m) {
         ExecStats &stats = memberStats(m);
@@ -185,8 +181,7 @@ CohortExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
             const Matrix seg = denseFfnImpl(blk, x_m, opt_.quantize,
                                             s.ctx->stats, s.observers,
-                                            opt_.gemm, opt_.simd,
-                                            opt_.tp);
+                                            opt_.simd);
             pasteRows(out, seg, m * t_seg);
         }
         return out;
@@ -197,8 +192,8 @@ CohortExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
     // member exactly as denseFfnImpl would for its own t_seg rows.
     ExecStats scratch;
     ExecObservers none;
-    Matrix out = denseFfnImpl(blk, x_norm, false, scratch, none,
-                              opt_.gemm, opt_.simd, opt_.tp);
+    Matrix out =
+        denseFfnImpl(blk, x_norm, false, scratch, none, opt_.simd);
     const OpCount per_member_ops =
         (blk.geglu() ? 2 : 1) * mmulOps(t_seg, d, hid)
         + mmulOps(t_seg, hid, d);

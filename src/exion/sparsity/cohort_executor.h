@@ -70,14 +70,8 @@ class CohortExecutor : public CohortBlockExecutor
     /** Active options. */
     const SparseExecutor::Options &options() const { return opt_; }
 
-    /** GEMM backend used for dense MMULs (Options::gemm). */
-    GemmBackend gemmBackend() const override { return opt_.gemm; }
-
     /** SIMD tier used for kernels (Options::simd). */
     SimdTier simdTier() const override { return opt_.simd; }
-
-    /** Slice context for the tall stacked GEMMs (Options::tp). */
-    TpContext tpContext() const override { return opt_.tp; }
 
     /** Cohort members in the current step. */
     Index cohortSize() const { return active_.size(); }

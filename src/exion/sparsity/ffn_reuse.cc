@@ -28,9 +28,8 @@ sparsityQuantile(std::span<const float> values, double target_sparsity)
 }
 
 FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize,
-                   GemmBackend backend, SimdTier simd, TpContext tp)
-    : cfg_(cfg), quantize_(quantize), backend_(backend), simd_(simd),
-      tp_(tp)
+                   SimdTier simd)
+    : cfg_(cfg), quantize_(quantize), simd_(simd)
 {
     EXION_ASSERT(cfg_.denseInterval >= 0, "dense interval ",
                  cfg_.denseInterval);
@@ -109,16 +108,14 @@ namespace
 /** Computes the non-linear hidden activation densely. */
 Matrix
 denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
-            bool quantize, GemmBackend backend, const TpContext &tp)
+            bool quantize, SimdTier simd)
 {
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize,
-                                   backend, defaultSimdTier(), tp);
+    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize, simd);
     addRowVector(gate, blk.ffn1().bias());
     Matrix hidden = gelu(gate);
     if (blk.geglu()) {
-        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(),
-                                        quantize, backend,
-                                        defaultSimdTier(), tp);
+        Matrix value =
+            execWeightMatmul(x_norm, blk.ffn1Value(), quantize, simd);
         addRowVector(value, blk.ffn1Value().bias());
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
@@ -137,67 +134,26 @@ denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
  * add() as the dense formulation. Bit-identical to
  * add(psum, matmul(h, w2)) on finite data. This is where the FFN
  * sparsity shortcut lives now that the golden matmul computes every
- * term (ops.h accumulation contract): at the paper's ~80-90% reuse
+ * term (gemm.h accumulation contract): at the paper's ~80-90% reuse
  * sparsity it does ~nnz*d work instead of t*hid*d, matching the
  * ffnOpsExecuted accounting.
- *
- * Under tensor parallelism the output columns are partitioned by the
- * slice plan: each slice runs the same whole-row mask walk but sweeps
- * its axpy only across its own column window of W2, into a private
- * partial buffer, and the partials are pasted back in ascending slice
- * order. Every output element's accumulation chain lives entirely
- * inside one slice, so tp=N is bit-identical to the solo sweep.
  */
 Matrix
 addMaskedProduct(const Matrix &psum, const Matrix &h,
-                 const Bitmask2D &mask, const Matrix &w2,
-                 SimdTier simd, const TpContext &tp)
+                 const Bitmask2D &mask, const Matrix &w2, SimdTier simd)
 {
     const SimdKernels &kr = simdKernels(simd);
     const Index n = w2.cols();
-    const SlicePlan plan = SlicePlan::make(n, tp.nSlices);
-    if (!plan.parallel()) {
-        Matrix prod(h.rows(), n);
-        for (Index r = 0; r < h.rows(); ++r) {
-            float *out = prod.rowPtr(r);
-            const float *hrow = h.rowPtr(r);
-            // Word-at-a-time mask walk; each set column contributes
-            // one axpy sweep across the output row — the same
-            // ascending-c term order per output element as the dense
-            // product.
-            mask.forEachSetBitInRow(r, [&](Index c) {
-                kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
-            });
-        }
-        return add(psum, prod);
-    }
-
-    std::vector<Matrix> parts(plan.slices());
-    runSliced(tp, plan.slices(), [&](int s) {
-        const SliceRange &sr = plan.range(s);
-        Matrix part(h.rows(), sr.n);
-        if (!sr.empty()) {
-            for (Index r = 0; r < h.rows(); ++r) {
-                float *out = part.rowPtr(r);
-                const float *hrow = h.rowPtr(r);
-                mask.forEachSetBitInRow(r, [&](Index c) {
-                    kr.axpyF32(out, w2.rowPtr(c) + sr.c0, hrow[c],
-                               sr.n);
-                });
-            }
-        }
-        parts[s] = std::move(part);
-    });
-
     Matrix prod(h.rows(), n);
     for (Index r = 0; r < h.rows(); ++r) {
         float *out = prod.rowPtr(r);
-        for (int s = 0; s < plan.slices(); ++s) {
-            const SliceRange &sr = plan.range(s);
-            if (sr.empty())
-                continue;
-            std::copy_n(parts[s].rowPtr(r), sr.n, out + sr.c0);
-        }
+        const float *hrow = h.rowPtr(r);
+        // Word-at-a-time mask walk; each set column contributes one
+        // axpy sweep across the output row — the same ascending-c
+        // term order per output element as the dense product.
+        mask.forEachSetBitInRow(r, [&](Index c) {
+            kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
+        });
     }
     return add(psum, prod);
 }
@@ -215,7 +171,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     const OpCount ffn1_dense =
         (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid);
 
-    Matrix hidden = denseHidden(blk, x_norm, quantize_, backend_, tp_);
+    Matrix hidden = denseHidden(blk, x_norm, quantize_, simd_);
     stats.ffnOpsDense += ffn1_dense;
     stats.ffnOpsExecuted += ffn1_dense;
 
@@ -252,8 +208,8 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
         h_reuse(r, c) = 0.0f;
         h_keep(r, c) = hidden(r, c);
     });
-    st.psumSparse = execWeightMatmul(h_reuse, blk.ffn2(), quantize_,
-                                     backend_, defaultSimdTier(), tp_);
+    st.psumSparse =
+        execWeightMatmul(h_reuse, blk.ffn2(), quantize_, simd_);
     st.hiddenCache = std::move(hidden);
     st.initialized = true;
 
@@ -261,10 +217,9 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     // the float path accumulate only its masked positions.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_,
-                               backend_, defaultSimdTier(), tp_))
+              execWeightMatmul(h_keep, blk.ffn2(), quantize_, simd_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight(), simd_, tp_);
+                           blk.ffn2().weight(), simd_);
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);
@@ -291,11 +246,10 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
 
     // Recompute only the masked elements of the hidden activation,
     // dotting each x row against the cached transpose's contiguous
-    // weight rows. Exact tier keeps the golden serial float chain
-    // (the transpose only removes the stride — same terms, same
-    // order); Fast swaps in the reassociated dotF32 kernel. The
-    // integer dot is exact in any order, so the quant path uses the
-    // vector kernel in every tier.
+    // weight rows. The float dot is the golden serial chain (the
+    // transpose only removes the stride — same terms, same order).
+    // The integer dot is exact in any order, so the quant path uses
+    // the vector kernel.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
     const SimdKernels &kr = simdKernels(simd_);
@@ -322,15 +276,14 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
             });
         }
     } else {
-        const auto dot = simd_ == SimdTier::Fast ? kr.dotF32
-                                                 : simd::dotF32Scalar;
         for (Index r = 0; r < t; ++r) {
             const float *xrow = x_norm.rowPtr(r);
             st.mask.forEachSetBitInRow(r, [&](Index c) {
-                float h = geluScalar(dot(xrow, tw.w1t.rowPtr(c), d)
-                                     + blk.ffn1().bias()(0, c));
+                float h = geluScalar(
+                    simd::dotF32Scalar(xrow, tw.w1t.rowPtr(c), d)
+                    + blk.ffn1().bias()(0, c));
                 if (geglu)
-                    h *= dot(xrow, tw.w1vt.rowPtr(c), d)
+                    h *= simd::dotF32Scalar(xrow, tw.w1vt.rowPtr(c), d)
                         + blk.ffn1Value().bias()(0, c);
                 h_keep(r, c) = h;
             });
@@ -347,10 +300,9 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     // shape.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_,
-                               backend_, defaultSimdTier(), tp_))
+              execWeightMatmul(h_keep, blk.ffn2(), quantize_, simd_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight(), simd_, tp_);
+                           blk.ffn2().weight(), simd_);
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += 2 * nnz * d;

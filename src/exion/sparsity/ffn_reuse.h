@@ -69,21 +69,13 @@ class FfnReuse
     /**
      * @param cfg      dense interval N and sparsity target
      * @param quantize run MMULs through INT12 operands
-     * @param backend  GEMM backend for the dense MMULs (bit-identical
-     *                 across backends)
-     * @param simd     SIMD tier for the sparse hot loops (threshold
-     *                 scans, masked recompute, masked products);
-     *                 Scalar/Exact are bit-identical, Fast
-     *                 reassociates the recompute dot products
-     * @param tp       tensor-parallel slice context for the tall
-     *                 GEMMs and the masked product. Masks and
-     *                 thresholds are always computed on whole logical
-     *                 outputs; slices only partition output columns,
-     *                 so tp=N stays bit-identical to solo.
+     * @param simd     SIMD tier for the dense MMULs and the sparse hot
+     *                 loops (threshold scans, masked recompute,
+     *                 masked products); Scalar/Exact are
+     *                 bit-identical
      */
     FfnReuse(const FfnReuseConfig &cfg, bool quantize,
-             GemmBackend backend = defaultGemmBackend(),
-             SimdTier simd = defaultSimdTier(), TpContext tp = {});
+             SimdTier simd = defaultSimdTier());
 
     FfnReuse(const FfnReuse &) = delete;
     FfnReuse &operator=(const FfnReuse &) = delete;
@@ -146,9 +138,7 @@ class FfnReuse
 
     FfnReuseConfig cfg_;
     bool quantize_;
-    GemmBackend backend_;
     SimdTier simd_;
-    TpContext tp_;
     std::unordered_map<int, TransposedFfn1> w1tCache_;
     FfnReuseState ownState_;
     FfnReuseState *state_ = &ownState_;

@@ -10,7 +10,7 @@ namespace exion
 
 SparseExecutor::SparseExecutor(const Options &opt)
     : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp)
+      ffnReuse_(opt.ffnReuse, opt.quantize, opt.simd)
 {
 }
 
@@ -33,7 +33,7 @@ SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
     if (!opt_.useFfnReuse)
         return denseFfnImpl(blk, x_norm, opt_.quantize, stats(),
-                            observers, opt_.gemm, opt_.simd, opt_.tp);
+                            observers, opt_.simd);
     return ffnReuse_.run(blk, x_norm, iteration(), stats(), observers);
 }
 
@@ -43,8 +43,7 @@ SparseExecutor::attention(const TransformerBlock &blk,
 {
     if (!opt_.useEp)
         return denseAttentionImpl(blk, x_norm, opt_.quantize, stats(),
-                                  observers, opt_.gemm, opt_.simd,
-                                  opt_.tp);
+                                  observers, opt_.simd);
     return epAttention(blk, x_norm);
 }
 
@@ -55,8 +54,7 @@ namespace
 Matrix
 projectNeededRows(const Matrix &x, const Linear &proj,
                   const std::vector<u8> &needed, bool quantize,
-                  GemmBackend backend, SimdTier simd,
-                  const TpContext &tp)
+                  SimdTier simd)
 {
     Matrix out(x.rows(), proj.outDim());
     // Collect needed rows, project densely, scatter back. This keeps
@@ -76,8 +74,7 @@ projectNeededRows(const Matrix &x, const Linear &proj,
             packed(w, c) = x(r, c);
         ++w;
     }
-    Matrix projected = execWeightMatmul(packed, proj, quantize,
-                                        backend, simd, tp);
+    Matrix projected = execWeightMatmul(packed, proj, quantize, simd);
     addRowVector(projected, proj.bias());
     w = 0;
     for (Index r = 0; r < x.rows(); ++r) {
@@ -98,21 +95,16 @@ SparseExecutor::epAttention(const TransformerBlock &blk,
 {
     return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
                            opt_.quantize, stats(), observers,
-                           opt_.gemm, opt_.simd, opt_.tp);
+                           opt_.simd);
 }
 
 Matrix
 epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                 const EpConfig &ep, LodMode lod_mode, bool quantize,
                 ExecStats &stats, ExecObservers &observers,
-                GemmBackend backend, SimdTier simd, const TpContext &tp)
+                SimdTier simd)
 {
     const SimdKernels &kr = simdKernels(simd);
-    // Exact tier keeps the golden serial chain for the kept-position
-    // score dots (the k-chain is the output element); Fast swaps in
-    // the reassociated kernel.
-    const auto dot =
-        simd == SimdTier::Fast ? kr.dotF32 : simd::dotF32Scalar;
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
     const Index dh = blk.headDim();
@@ -160,14 +152,11 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
     // --- Real projections, only for needed tokens (SDUE, INT12). ---
     const Matrix q = projectNeededRows(x_norm, blk.wq(),
-                                       needs.qRowNeeded, quantize,
-                                       backend, simd, tp);
+                                       needs.qRowNeeded, quantize, simd);
     const Matrix k = projectNeededRows(x_norm, blk.wk(),
-                                       needs.kRowNeeded, quantize,
-                                       backend, simd, tp);
+                                       needs.kRowNeeded, quantize, simd);
     const Matrix v = projectNeededRows(x_norm, blk.wv(),
-                                       needs.vRowNeeded, quantize,
-                                       backend, simd, tp);
+                                       needs.vRowNeeded, quantize, simd);
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
     stats.qkvOpsExecuted += mmulOps(nq, d, d) + mmulOps(nk, d, d)
         + mmulOps(nv, d, d);
@@ -196,13 +185,15 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
             // Scores at kept positions. Head h's slice of a
             // projection row is contiguous, so the kept dots stream
-            // both operands directly.
+            // both operands directly, each as the golden serial chain
+            // (the k-chain is the output element).
             const float *qrow = q.rowPtr(r) + h * dh;
             float max_v = -std::numeric_limits<float>::infinity();
             for (Index idx = 0; idx < kept_cols.size(); ++idx) {
                 const float *krow =
                     k.rowPtr(kept_cols[idx]) + h * dh;
-                const float s = dot(qrow, krow, dh) * inv_sqrt;
+                const float s =
+                    simd::dotF32Scalar(qrow, krow, dh) * inv_sqrt;
                 row_scores[idx] = s;
                 max_v = std::max(max_v, s);
             }
@@ -233,8 +224,7 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     }
 
     // Output projection stays dense (all rows have outputs).
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize,
-                                  backend, simd, tp);
+    Matrix out = execWeightMatmul(concat, blk.wo(), quantize, simd);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);

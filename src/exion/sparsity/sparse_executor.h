@@ -33,27 +33,14 @@ class SparseExecutor : public BlockExecutor
         FfnReuseConfig ffnReuse{};
         EpConfig ep{};
         /**
-         * GEMM backend for every dense MMUL this executor issues
-         * (dense fallbacks, FFN-Reuse dense iterations, EP's packed
-         * projections and output projection). Bit-identical across
-         * backends; a pure wall-clock knob.
-         */
-        GemmBackend gemm = defaultGemmBackend();
-        /**
          * SIMD tier for the sparse hot-path kernels (EP compare
          * scans, EP's integer GEMM, kept-position attention,
-         * FFN-Reuse loops) and the dense MMULs above. Scalar and Exact are
-         * bit-identical; Fast reassociates float reductions.
+         * FFN-Reuse loops) and every dense MMUL this executor issues
+         * (dense fallbacks, FFN-Reuse dense iterations, EP's packed
+         * projections and output projection). Scalar and Exact are
+         * bit-identical.
          */
         SimdTier simd = defaultSimdTier();
-        /**
-         * Tensor-parallel slice context for the tall weight GEMMs
-         * (QKV / out-proj / FFN projections). Sparsity decisions —
-         * thresholds, recompute masks, EP keep sets — are always
-         * taken on whole logical outputs; slicing only forks the
-         * projection columns, so tp=N is bit-identical to solo.
-         */
-        TpContext tp{};
     };
 
     explicit SparseExecutor(const Options &opt);
@@ -84,14 +71,8 @@ class SparseExecutor : public BlockExecutor
     /** Active options. */
     const Options &options() const { return opt_; }
 
-    /** GEMM backend used for dense MMULs (Options::gemm). */
-    GemmBackend gemmBackend() const override { return opt_.gemm; }
-
     /** SIMD tier used for kernels (Options::simd). */
     SimdTier simdTier() const override { return opt_.simd; }
-
-    /** Slice context for tall projection GEMMs (Options::tp). */
-    TpContext tpContext() const override { return opt_.tp; }
 
   private:
     Matrix epAttention(const TransformerBlock &blk, const Matrix &x_norm);
@@ -116,9 +97,7 @@ Matrix epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                        const EpConfig &ep, LodMode lod_mode,
                        bool quantize, ExecStats &stats,
                        ExecObservers &observers,
-                       GemmBackend backend = defaultGemmBackend(),
-                       SimdTier simd = defaultSimdTier(),
-                       const TpContext &tp = {});
+                       SimdTier simd = defaultSimdTier());
 
 } // namespace exion
 

@@ -1,6 +1,5 @@
 #include "exion/tensor/gemm.h"
 
-#include <atomic>
 #include <vector>
 
 namespace exion
@@ -8,8 +7,6 @@ namespace exion
 
 namespace
 {
-
-std::atomic<GemmBackend> g_default{GemmBackend::Reference};
 
 /**
  * Blocking parameters, sized for the paper-scale workloads: a cohort
@@ -25,33 +22,16 @@ constexpr Index kPanelCols = 128;
 constexpr Index kBlockRows = 64;
 
 /*
- * Both kernels of each pair below spell the per-element accumulation
- * with the same expression shape in the same translation unit
- * (c += a * b with k ascending from a +0.0f start), so whatever the
- * compiler does to one — vectorise across independent output elements,
- * contract multiply-add into FMA — it does to both and the per-element
+ * Each blocked kernel below and its Reference oracle (at the end of
+ * this file) spell the per-element accumulation with the same
+ * expression shape in the same translation unit (c += a * b with k
+ * ascending from a +0.0f start), so whatever the compiler does to
+ * one — vectorise across independent output elements, contract
+ * multiply-add into FMA — it does to both and the per-element
  * rounding sequence stays identical. Reassociating or splitting the
  * k reduction itself is not legal without -ffast-math, which this
  * project never enables.
  */
-
-Matrix
-referenceMatmul(const Matrix &a, const Matrix &b)
-{
-    Matrix c(a.rows(), b.cols());
-    const Index k_dim = a.cols();
-    for (Index i = 0; i < a.rows(); ++i) {
-        const float *arow = a.rowPtr(i);
-        float *crow = c.rowPtr(i);
-        for (Index k = 0; k < k_dim; ++k) {
-            const float av = arow[k];
-            const float *brow = b.rowPtr(k);
-            for (Index j = 0; j < b.cols(); ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-    return c;
-}
 
 Matrix
 blockedMatmul(const Matrix &a, const Matrix &b, SimdTier simd)
@@ -100,44 +80,12 @@ blockedMatmul(const Matrix &a, const Matrix &b, SimdTier simd)
 }
 
 Matrix
-referenceMatmulTransposed(const Matrix &a, const Matrix &b)
-{
-    Matrix c(a.rows(), b.rows());
-    const Index k_dim = a.cols();
-    for (Index i = 0; i < a.rows(); ++i) {
-        const float *arow = a.rowPtr(i);
-        for (Index j = 0; j < b.rows(); ++j) {
-            const float *brow = b.rowPtr(j);
-            float acc = 0.0f;
-            for (Index k = 0; k < k_dim; ++k)
-                acc += arow[k] * brow[k];
-            c(i, j) = acc;
-        }
-    }
-    return c;
-}
-
-Matrix
-blockedMatmulTransposed(const Matrix &a, const Matrix &b, SimdTier simd)
+blockedMatmulTransposed(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.rows(), b.rows());
     const Index m = a.rows();
     const Index n = b.rows();
     const Index k_dim = a.cols();
-    // Fast tier: each output is a pure k reduction over two
-    // contiguous rows — the reassociated dotF32 kernel's exact shape.
-    // Exact cannot vectorise this form (the k chain is the output),
-    // so it keeps the jammed scalar tiling below.
-    if (simd == SimdTier::Fast) {
-        const SimdKernels &kr = simdKernels(simd);
-        for (Index i = 0; i < m; ++i) {
-            const float *arow = a.rowPtr(i);
-            float *crow = c.rowPtr(i);
-            for (Index j = 0; j < n; ++j)
-                crow[j] = kr.dotF32(arow, b.rowPtr(j), k_dim);
-        }
-        return c;
-    }
     // B's rows are already contiguous; tiling i x j keeps a block of
     // kBlockRows B rows hot while kBlockRows A rows sweep it, instead
     // of streaming all of B once per A row. Inside a tile, four B
@@ -188,22 +136,6 @@ blockedMatmulTransposed(const Matrix &a, const Matrix &b, SimdTier simd)
 }
 
 Matrix
-referenceMatmulQuant(const QuantMatrix &a, const QuantMatrix &b)
-{
-    Matrix c(a.rows(), b.cols());
-    const double out_scale = a.scale() * b.scale();
-    for (Index i = 0; i < a.rows(); ++i) {
-        for (Index j = 0; j < b.cols(); ++j) {
-            i64 acc = 0;
-            for (Index k = 0; k < a.cols(); ++k)
-                acc += static_cast<i64>(a(i, k)) * b(k, j);
-            c(i, j) = static_cast<float>(acc * out_scale);
-        }
-    }
-    return c;
-}
-
-Matrix
 blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
                    SimdTier simd)
 {
@@ -245,69 +177,84 @@ blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
 
 } // namespace
 
-GemmBackend
-defaultGemmBackend()
-{
-    return g_default.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultGemmBackend(GemmBackend backend)
-{
-    g_default.store(backend, std::memory_order_relaxed);
-}
-
-const char *
-gemmBackendName(GemmBackend backend)
-{
-    switch (backend) {
-    case GemmBackend::Reference:
-        return "reference";
-    case GemmBackend::Blocked:
-        return "blocked";
-    }
-    return "unknown";
-}
-
-std::optional<GemmBackend>
-parseGemmBackend(const std::string &name)
-{
-    if (name == "reference")
-        return GemmBackend::Reference;
-    if (name == "blocked")
-        return GemmBackend::Blocked;
-    return std::nullopt;
-}
-
 Matrix
-matmulWith(const Matrix &a, const Matrix &b, GemmBackend backend,
-           SimdTier simd)
+matmul(const Matrix &a, const Matrix &b, SimdTier simd)
 {
     EXION_ASSERT(a.cols() == b.rows(), "matmul shape (", a.rows(), "x",
                  a.cols(), ") * (", b.rows(), "x", b.cols(), ")");
-    return backend == GemmBackend::Blocked ? blockedMatmul(a, b, simd)
-                                           : referenceMatmul(a, b);
+    return blockedMatmul(a, b, simd);
 }
 
 Matrix
-matmulTransposedWith(const Matrix &a, const Matrix &b,
-                     GemmBackend backend, SimdTier simd)
+matmulTransposed(const Matrix &a, const Matrix &b)
 {
     EXION_ASSERT(a.cols() == b.cols(), "matmulT shape (", a.rows(), "x",
                  a.cols(), ") * (", b.rows(), "x", b.cols(), ")^T");
-    return backend == GemmBackend::Blocked
-        ? blockedMatmulTransposed(a, b, simd)
-        : referenceMatmulTransposed(a, b);
+    return blockedMatmulTransposed(a, b);
 }
 
 Matrix
-matmulQuantWith(const QuantMatrix &a, const QuantMatrix &b,
-                GemmBackend backend, SimdTier simd)
+matmulQuant(const QuantMatrix &a, const QuantMatrix &b, SimdTier simd)
 {
     EXION_ASSERT(a.cols() == b.rows(), "quant matmul shape mismatch");
-    return backend == GemmBackend::Blocked
-        ? blockedMatmulQuant(a, b, simd)
-        : referenceMatmulQuant(a, b);
+    return blockedMatmulQuant(a, b, simd);
+}
+
+Matrix
+matmulReference(const Matrix &a, const Matrix &b)
+{
+    EXION_ASSERT(a.cols() == b.rows(), "matmul shape (", a.rows(), "x",
+                 a.cols(), ") * (", b.rows(), "x", b.cols(), ")");
+    Matrix c(a.rows(), b.cols());
+    const Index k_dim = a.cols();
+    for (Index i = 0; i < a.rows(); ++i) {
+        const float *arow = a.rowPtr(i);
+        float *crow = c.rowPtr(i);
+        for (Index k = 0; k < k_dim; ++k) {
+            const float av = arow[k];
+            const float *brow = b.rowPtr(k);
+            for (Index j = 0; j < b.cols(); ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+    return c;
+}
+
+Matrix
+matmulTransposedReference(const Matrix &a, const Matrix &b)
+{
+    EXION_ASSERT(a.cols() == b.cols(), "matmulT shape (", a.rows(), "x",
+                 a.cols(), ") * (", b.rows(), "x", b.cols(), ")^T");
+    Matrix c(a.rows(), b.rows());
+    const Index k_dim = a.cols();
+    for (Index i = 0; i < a.rows(); ++i) {
+        const float *arow = a.rowPtr(i);
+        for (Index j = 0; j < b.rows(); ++j) {
+            const float *brow = b.rowPtr(j);
+            float acc = 0.0f;
+            for (Index k = 0; k < k_dim; ++k)
+                acc += arow[k] * brow[k];
+            c(i, j) = acc;
+        }
+    }
+    return c;
+}
+
+Matrix
+matmulQuantReference(const QuantMatrix &a, const QuantMatrix &b)
+{
+    EXION_ASSERT(a.cols() == b.rows(), "quant matmul shape mismatch");
+    Matrix c(a.rows(), b.cols());
+    const double out_scale = a.scale() * b.scale();
+    for (Index i = 0; i < a.rows(); ++i) {
+        for (Index j = 0; j < b.cols(); ++j) {
+            i64 acc = 0;
+            for (Index k = 0; k < a.cols(); ++k)
+                acc += static_cast<i64>(a(i, k)) * b(k, j);
+            c(i, j) = static_cast<float>(acc * out_scale);
+        }
+    }
+    return c;
 }
 
 } // namespace exion

@@ -1,41 +1,33 @@
 /**
  * @file
- * Pluggable dense GEMM backends.
+ * Dense GEMM kernels.
  *
- * Every dense MMUL in the repository bottoms out here. Two backends
- * compute the same golden arithmetic:
+ * Every dense MMUL in the repository runs the cache-blocked kernel
+ * here: blocked over the i/j output dimensions with the traversed B
+ * panel packed contiguous, built for the tall stacked activations the
+ * cohort path produces (many rows against one shared weight matrix).
+ * The naive triple loops the golden model has always used (full IEEE
+ * accumulation, no skips) stay beside it as the *Reference oracles*
+ * (matmulReference and friends); only tests and bench_kernels' gate
+ * call them.
  *
- *  - Reference: the naive triple loops the golden model has always
- *    used (full IEEE accumulation, no skips).
- *  - Blocked:   cache-blocked over the i/j output dimensions with the
- *    traversed B panel packed contiguous, built for the tall stacked
- *    activations the cohort path produces (many rows against one
- *    shared weight matrix).
- *
- * Bit-identity contract: for every output element both backends
- * perform the identical sequence of floating-point operations — the
- * accumulator starts at +0.0f and adds a(i,k)*b(k,j) for k ascending,
- * with no partial-sum splitting, reassociation or skipping — so
- * Blocked is bit-identical to Reference by construction, not by
- * tolerance. Blocking only reorders *which element* is worked on
- * next (and copies B values, which is exact); it never reorders the
- * reduction inside an element. The property tests in tests/test_gemm.cc
- * enforce this over adversarial shapes including NaN/Inf payloads.
- *
- * Backend selection: callers either pass a backend explicitly
- * (matmulWith and friends) or go through the process-wide default
- * (matmul/matmulTransposed/matmulQuant in ops.h dispatch on
- * defaultGemmBackend()). Layered code — executors, the serving engine
- * — threads an explicit backend instead of mutating the process
- * default, so engines with different options can coexist in one
- * process.
+ * Accumulation contract: every output element is a single accumulator
+ * starting at +0.0f that adds a(i,k)*b(k,j) for k ascending, with
+ * plain IEEE-754 semantics, **no zero-operand skipping** (a zero
+ * activation against a NaN/Inf weight produces NaN, exactly as
+ * written) and no partial-sum splitting or reassociation. Blocking
+ * only reorders *which element* is worked on next (and copies B
+ * values, which is exact); it never reorders the reduction inside an
+ * element, so the blocked kernels are bit-identical to the oracles by
+ * construction, not by tolerance, under either SimdTier. Consequently
+ * matmul(a, b) and matmulTransposed(a, transpose(b)) agree bit for bit
+ * on every input. The property tests in tests/test_gemm.cc enforce
+ * this over adversarial shapes including NaN/Inf payloads; sparsity
+ * shortcuts belong in the sparsity layer, not here.
  */
 
 #ifndef EXION_TENSOR_GEMM_H_
 #define EXION_TENSOR_GEMM_H_
-
-#include <optional>
-#include <string>
 
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
@@ -44,52 +36,37 @@
 namespace exion
 {
 
-/** Dense GEMM kernel implementations. */
-enum class GemmBackend
-{
-    Reference, //!< naive triple loop (golden model)
-    Blocked,   //!< i/j-blocked, B-panel-packed (bit-identical)
-};
+/*
+ * matmul and matmulQuant take the SIMD tier their inner loops run
+ * under (see simd_dispatch.h); both tiers are bit-identical.
+ */
+
+/** C = A * B. @pre A.cols() == B.rows(). */
+Matrix matmul(const Matrix &a, const Matrix &b,
+              SimdTier simd = defaultSimdTier());
 
 /**
- * Process-wide default backend consulted by the ops.h entry points
- * and by defaulted constructor/option parameters across the model
- * and sparsity layers. Starts as Reference. Thread-safe (atomic).
+ * C = A * B^T. @pre A.cols() == B.cols(). Every output is a pure k
+ * chain, which no kernel-table entry can vectorise without
+ * reassociating, so this kernel is scalar under either tier.
  */
-GemmBackend defaultGemmBackend();
+Matrix matmulTransposed(const Matrix &a, const Matrix &b);
 
-/** Sets the process-wide default backend. Thread-safe (atomic). */
-void setDefaultGemmBackend(GemmBackend backend);
-
-/** Lower-case backend name ("reference" / "blocked"). */
-const char *gemmBackendName(GemmBackend backend);
-
-/** Parses a backend name; nullopt for anything unrecognised. */
-std::optional<GemmBackend> parseGemmBackend(const std::string &name);
-
-/*
- * The explicit-backend entry points additionally take the SIMD tier
- * the Blocked backend's inner loops run under (see simd_dispatch.h).
- * The Reference backend ignores it — the golden triple loops stay
- * exactly as written. Exact-tier kernels are bit-identical to the
- * scalar chains, so the Blocked-vs-Reference identity contract above
- * holds for Scalar and Exact alike; Fast reassociates the transposed
- * form's k reductions and is tolerance-gated.
+/**
+ * Integer matmul on quantised operands, float accumulator output.
+ * @pre A.cols() == B.rows().
  */
+Matrix matmulQuant(const QuantMatrix &a, const QuantMatrix &b,
+                   SimdTier simd = defaultSimdTier());
 
-/** C = A * B with an explicit backend. @pre A.cols() == B.rows(). */
-Matrix matmulWith(const Matrix &a, const Matrix &b, GemmBackend backend,
-                  SimdTier simd = defaultSimdTier());
+/** Oracle for matmul(): the naive triple loop. */
+Matrix matmulReference(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T with an explicit backend. @pre A.cols() == B.cols(). */
-Matrix matmulTransposedWith(const Matrix &a, const Matrix &b,
-                            GemmBackend backend,
-                            SimdTier simd = defaultSimdTier());
+/** Oracle for matmulTransposed(): the naive triple loop. */
+Matrix matmulTransposedReference(const Matrix &a, const Matrix &b);
 
-/** Integer matmul with an explicit backend. @pre A.cols() == B.rows(). */
-Matrix matmulQuantWith(const QuantMatrix &a, const QuantMatrix &b,
-                       GemmBackend backend,
-                       SimdTier simd = defaultSimdTier());
+/** Oracle for matmulQuant(): the naive triple loop. */
+Matrix matmulQuantReference(const QuantMatrix &a, const QuantMatrix &b);
 
 } // namespace exion
 

@@ -1,16 +1,12 @@
 #include "exion/tensor/kernel_flags.h"
 
-#include <exception>
-
 namespace exion
 {
 
 namespace
 {
 
-constexpr const char *kGemmValues = "reference|blocked";
-constexpr const char *kSimdValues = "scalar|exact|fast";
-constexpr const char *kTpValues = "a positive integer";
+constexpr const char *kSimdValues = "scalar|exact";
 
 } // namespace
 
@@ -19,50 +15,14 @@ tryConsumeKernelFlag(int argc, const char *const *argv, int &i,
                      KernelFlags &flags, std::string &error)
 {
     const std::string arg = argv[i];
-    const bool is_gemm = arg == "--gemm";
-    const bool is_simd = arg == "--simd";
-    const bool is_tp = arg == "--tp";
-    if (!is_gemm && !is_simd && !is_tp)
+    if (arg != "--simd")
         return KernelFlagStatus::NotMine;
 
-    const char *values =
-        is_gemm ? kGemmValues : is_simd ? kSimdValues : kTpValues;
     if (i + 1 >= argc) {
-        error = arg + " needs a value (" + values + ")";
+        error = arg + " needs a value (" + kSimdValues + ")";
         return KernelFlagStatus::Error;
     }
     const std::string value = argv[++i];
-
-    if (is_tp) {
-        int parsed = 0;
-        try {
-            size_t pos = 0;
-            parsed = std::stoi(value, &pos);
-            if (pos != value.size())
-                parsed = 0;
-        } catch (const std::exception &) {
-            parsed = 0;
-        }
-        if (parsed < 1) {
-            error = "bad --tp value '" + value + "' (expected "
-                + std::string(kTpValues) + ")";
-            return KernelFlagStatus::Error;
-        }
-        flags.tp = parsed;
-        return KernelFlagStatus::Consumed;
-    }
-
-    if (is_gemm) {
-        const auto parsed = parseGemmBackend(value);
-        if (!parsed) {
-            error = "unknown --gemm backend '" + value
-                + "' (expected " + std::string(kGemmValues) + ")";
-            return KernelFlagStatus::Error;
-        }
-        flags.gemm = *parsed;
-        return KernelFlagStatus::Consumed;
-    }
-
     const auto parsed = parseSimdTier(value);
     if (!parsed) {
         error = "unknown --simd tier '" + value + "' (expected "
@@ -76,8 +36,7 @@ tryConsumeKernelFlag(int argc, const char *const *argv, int &i,
 const char *
 kernelFlagsUsage()
 {
-    return "[--gemm reference|blocked] [--simd scalar|exact|fast]"
-           " [--tp N]";
+    return "[--simd scalar|exact]";
 }
 
 } // namespace exion

@@ -1,13 +1,13 @@
 /**
  * @file
- * Shared command-line parsing for the kernel-selection flags.
+ * Shared command-line parsing for the kernel-selection flag.
  *
- * Every binary that exposes --gemm / --simd used to hand-roll the
- * same parse-validate-report sequence; this helper owns it once.
- * Callers keep their own argv loop and offer each position to
+ * Every binary that exposes --simd used to hand-roll the same
+ * parse-validate-report sequence; this helper owns it once. Callers
+ * keep their own argv loop and offer each position to
  * tryConsumeKernelFlag(), which consumes the flag (and its value)
- * when it is one of ours and reports malformed values with the full
- * list of accepted spellings.
+ * when it is ours and reports malformed values with the full list of
+ * accepted spellings.
  */
 
 #ifndef EXION_TENSOR_KERNEL_FLAGS_H_
@@ -15,23 +15,16 @@
 
 #include <string>
 
-#include "exion/tensor/gemm.h"
 #include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
 
-/** Kernel selection shared by every CLI: GEMM backend + SIMD tier +
-    tensor-parallel slice count. */
+/** Kernel selection shared by every CLI. */
 struct KernelFlags
 {
-    /** --gemm value (backends are bit-identical). */
-    GemmBackend gemm = GemmBackend::Blocked;
-    /** --simd value (Scalar/Exact bit-identical; Fast reassociates). */
+    /** --simd value (Scalar and Exact are bit-identical). */
     SimdTier simd = SimdTier::Exact;
-    /** --tp value: column slices per tall projection GEMM (>= 1;
-        1 = off). Bit-identical at every setting. */
-    int tp = 1;
 };
 
 /** Outcome of offering one argv position to the kernel-flag parser. */
@@ -54,7 +47,7 @@ KernelFlagStatus tryConsumeKernelFlag(int argc, const char *const *argv,
                                       int &i, KernelFlags &flags,
                                       std::string &error);
 
-/** Usage fragment advertising the kernel flags. */
+/** Usage fragment advertising the kernel flag. */
 const char *kernelFlagsUsage();
 
 } // namespace exion

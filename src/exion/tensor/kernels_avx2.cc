@@ -71,35 +71,6 @@ axpy4F32Avx2(float *out, const float *x0, const float *x1,
                        a1, a2, a3, n - j);
 }
 
-float
-dotF32Avx2(const float *a, const float *b, Index n)
-{
-    // Fast-tier kernel: two 8-lane accumulators, reassociated.
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    Index k = 0;
-    for (; k + 16 <= n; k += 16) {
-        acc0 = _mm256_add_ps(
-            acc0, _mm256_mul_ps(_mm256_loadu_ps(a + k),
-                                _mm256_loadu_ps(b + k)));
-        acc1 = _mm256_add_ps(
-            acc1, _mm256_mul_ps(_mm256_loadu_ps(a + k + 8),
-                                _mm256_loadu_ps(b + k + 8)));
-    }
-    for (; k + 8 <= n; k += 8)
-        acc0 = _mm256_add_ps(
-            acc0, _mm256_mul_ps(_mm256_loadu_ps(a + k),
-                                _mm256_loadu_ps(b + k)));
-    const __m256 acc = _mm256_add_ps(acc0, acc1);
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    float total = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
-        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
-    for (; k < n; ++k)
-        total += a[k] * b[k];
-    return total;
-}
-
 /** Sum of the four i64 lanes. */
 i64
 hsum64(__m256i v)
@@ -279,7 +250,6 @@ avx2Table()
         "avx2",
         axpyF32Avx2,
         axpy4F32Avx2,
-        dotF32Avx2,
         dotI32Avx2,
         gemmInt12Avx2,
         absGreaterMask64Avx2,

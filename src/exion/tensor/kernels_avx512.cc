@@ -72,32 +72,6 @@ axpy4F32Avx512(float *out, const float *x0, const float *x1,
                        a1, a2, a3, n - j);
 }
 
-float
-dotF32Avx512(const float *a, const float *b, Index n)
-{
-    // Fast-tier kernel: two 16-lane accumulators, reassociated.
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    Index k = 0;
-    for (; k + 32 <= n; k += 32) {
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(_mm512_loadu_ps(a + k),
-                                _mm512_loadu_ps(b + k)));
-        acc1 = _mm512_add_ps(
-            acc1, _mm512_mul_ps(_mm512_loadu_ps(a + k + 16),
-                                _mm512_loadu_ps(b + k + 16)));
-    }
-    for (; k + 16 <= n; k += 16)
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(_mm512_loadu_ps(a + k),
-                                _mm512_loadu_ps(b + k)));
-    float total =
-        _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-    for (; k < n; ++k)
-        total += a[k] * b[k];
-    return total;
-}
-
 i64
 dotI32Avx512(const i32 *a, const i32 *b, Index n)
 {
@@ -274,7 +248,6 @@ avx512Table()
         "avx512",
         axpyF32Avx512,
         axpy4F32Avx512,
-        dotF32Avx512,
         dotI32Avx512,
         gemmInt12Avx512,
         absGreaterMask64Avx512,

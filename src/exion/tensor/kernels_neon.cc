@@ -64,31 +64,6 @@ axpy4F32Neon(float *out, const float *x0, const float *x1,
                        a1, a2, a3, n - j);
 }
 
-float
-dotF32Neon(const float *a, const float *b, Index n)
-{
-    // Fast-tier kernel: two 4-lane accumulators, reassociated.
-    float32x4_t acc0 = vdupq_n_f32(0.0f);
-    float32x4_t acc1 = vdupq_n_f32(0.0f);
-    Index k = 0;
-    for (; k + 8 <= n; k += 8) {
-        acc0 = vaddq_f32(
-            acc0, vmulq_f32(vld1q_f32(a + k), vld1q_f32(b + k)));
-        acc1 = vaddq_f32(
-            acc1,
-            vmulq_f32(vld1q_f32(a + k + 4), vld1q_f32(b + k + 4)));
-    }
-    for (; k + 4 <= n; k += 4)
-        acc0 = vaddq_f32(
-            acc0, vmulq_f32(vld1q_f32(a + k), vld1q_f32(b + k)));
-    const float32x4_t acc = vaddq_f32(acc0, acc1);
-    float total = (vgetq_lane_f32(acc, 0) + vgetq_lane_f32(acc, 2))
-        + (vgetq_lane_f32(acc, 1) + vgetq_lane_f32(acc, 3));
-    for (; k < n; ++k)
-        total += a[k] * b[k];
-    return total;
-}
-
 i64
 dotI32Neon(const i32 *a, const i32 *b, Index n)
 {
@@ -164,7 +139,6 @@ neonTable()
         "neon",
         axpyF32Neon,
         axpy4F32Neon,
-        dotF32Neon,
         dotI32Neon,
         gemmInt12Neon,
         absGreaterMask64Scalar,

@@ -3,7 +3,7 @@
  * Scalar reference kernels — the golden chains every vector table is
  * measured against.
  *
- * These loops are the ops.h accumulation contract spelled out once:
+ * These loops are the gemm.h accumulation contract spelled out once:
  * separate rounded multiply and add per term, ascending index order,
  * +0.0f accumulator starts, ordered compares (NaN never sets a bit).
  * Compiled with -ffp-contract=off so no toolchain fuses a chain here
@@ -132,7 +132,6 @@ scalarTable()
         "scalar",
         axpyF32Scalar,
         axpy4F32Scalar,
-        dotF32Scalar,
         dotI32Scalar,
         gemmInt12Scalar,
         absGreaterMask64Scalar,

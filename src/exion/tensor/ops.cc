@@ -2,22 +2,8 @@
 
 #include <cmath>
 
-#include "exion/tensor/gemm.h"
-
 namespace exion
 {
-
-Matrix
-matmul(const Matrix &a, const Matrix &b)
-{
-    return matmulWith(a, b, defaultGemmBackend());
-}
-
-Matrix
-matmulTransposed(const Matrix &a, const Matrix &b)
-{
-    return matmulTransposedWith(a, b, defaultGemmBackend());
-}
 
 Matrix
 transpose(const Matrix &a)
@@ -86,12 +72,6 @@ addRowVectorToRows(Matrix &a, const Matrix &row, Index r0, Index n)
         for (Index j = 0; j < a.cols(); ++j)
             arow[j] += r[j];
     }
-}
-
-Matrix
-matmulQuant(const QuantMatrix &a, const QuantMatrix &b)
-{
-    return matmulQuantWith(a, b, defaultGemmBackend());
 }
 
 double

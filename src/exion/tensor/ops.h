@@ -3,38 +3,20 @@
  * Dense linear-algebra reference kernels.
  *
  * These are the golden-model implementations every accelerated or
- * sparsity-skipping path in the repository is validated against.
- *
- * Accumulation contract of the matmul family: every output element is
- * a single accumulator starting at +0.0f that adds a(i,k)*b(k,j) for
- * k ascending, with plain IEEE-754 semantics and **no zero-operand
- * skipping** — a zero activation against a NaN/Inf weight produces
- * NaN, exactly as written. (An earlier matmul() skipped a == 0.0f
- * contributions while matmulTransposed() did not, so the two golden
- * kernels could disagree under NaN/Inf or signed-zero payloads;
- * sparsity shortcuts belong in the sparsity layer, not the golden
- * model.) Consequently matmul(a, b) and
- * matmulTransposed(a, transpose(b)) agree bit for bit on every input.
- *
- * The matmul family dispatches on the process-default GemmBackend
- * (see tensor/gemm.h); all backends honour the contract above
- * bit-identically.
+ * sparsity-skipping path in the repository is validated against. The
+ * matmul family (matmul, matmulTransposed, matmulQuant) lives in
+ * tensor/gemm.h, included here, with its accumulation contract.
  */
 
 #ifndef EXION_TENSOR_OPS_H_
 #define EXION_TENSOR_OPS_H_
 
+#include "exion/tensor/gemm.h"
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
 
 namespace exion
 {
-
-/** C = A * B. @pre A.cols() == B.rows(). */
-Matrix matmul(const Matrix &a, const Matrix &b);
-
-/** C = A * B^T. @pre A.cols() == B.cols(). */
-Matrix matmulTransposed(const Matrix &a, const Matrix &b);
 
 /** Returns A^T. */
 Matrix transpose(const Matrix &a);
@@ -59,9 +41,6 @@ void addRowVector(Matrix &a, const Matrix &row);
  * applying addRowVector() to each segment separately.
  */
 void addRowVectorToRows(Matrix &a, const Matrix &row, Index r0, Index n);
-
-/** Integer matmul on quantised operands, float accumulator output. */
-Matrix matmulQuant(const QuantMatrix &a, const QuantMatrix &b);
 
 /** Frobenius norm of A. */
 double frobeniusNorm(const Matrix &a);

@@ -120,8 +120,6 @@ simdTierName(SimdTier tier)
         return "scalar";
     case SimdTier::Exact:
         return "exact";
-    case SimdTier::Fast:
-        return "fast";
     }
     return "unknown";
 }
@@ -133,8 +131,6 @@ parseSimdTier(const std::string &name)
         return SimdTier::Scalar;
     if (name == "exact")
         return SimdTier::Exact;
-    if (name == "fast")
-        return SimdTier::Fast;
     return std::nullopt;
 }
 

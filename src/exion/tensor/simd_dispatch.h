@@ -12,28 +12,22 @@
  * reference, so the same binary runs the widest vectors the host
  * offers and plain scalar everywhere else.
  *
- * Two-tier numerics contract, threaded through executors and engine
- * options as SimdTier:
+ * Numerics contract: kernels vectorize only across *independent
+ * output elements* (axpy j-sweeps, per-lane compares, integer
+ * reductions — integer sums are exact in any order). Each float
+ * output element's accumulation chain stays in the golden reference
+ * order from gemm.h (one accumulator, +0.0f start, ascending k,
+ * separate mul then add, no FMA), so the vector path is
+ * bit-identical to scalar *by construction* and the existing
+ * maxAbsDiff == 0 differential tests run with vector dispatch
+ * active.
  *
- *  - Exact (default): kernels vectorize only across *independent
- *    output elements* (axpy j-sweeps, per-lane compares, integer
- *    reductions — integer sums are exact in any order). Each float
- *    output element's accumulation chain stays in the golden
- *    reference order from ops.h (one accumulator, +0.0f start,
- *    ascending k, separate mul then add, no FMA), so the vector path
- *    is bit-identical to scalar *by construction* and the existing
- *    maxAbsDiff == 0 differential tests run with vector dispatch
- *    active.
- *  - Fast (opt-in): additionally reassociates float reductions
- *    (multi-accumulator dot products). Results differ from the golden
- *    chain by rounding only; gated by tolerance-based differential
- *    tests, never enabled by default.
- *
- * Forcing scalar: SimdTier::Scalar pins an engine to the scalar
- * table; the EXION_SIMD environment variable
- * (scalar|neon|avx2|avx512|auto) caps the *process-wide* detected
- * level before any table is handed out — the CI sanitizer matrix runs
- * a forced-scalar leg this way.
+ * Executors and engine options carry a SimdTier: Exact (default)
+ * runs the active level's table, Scalar pins an engine to the scalar
+ * table; the two are bit-identical. The EXION_SIMD environment
+ * variable (scalar|neon|avx2|avx512|auto) caps the *process-wide*
+ * detected level before any table is handed out — the CI sanitizer
+ * matrix runs a forced-scalar leg this way.
  */
 
 #ifndef EXION_TENSOR_SIMD_DISPATCH_H_
@@ -68,12 +62,11 @@ enum class SimdLevel
     Avx512, //!< 512-bit x86 AVX-512F
 };
 
-/** Numerics tier an engine runs its kernels under (see file docs). */
+/** Kernel table an engine runs under (see file docs). */
 enum class SimdTier
 {
     Scalar, //!< force the scalar reference table (debugging)
     Exact,  //!< vector kernels, reference-order reductions (default)
-    Fast,   //!< + reassociated float reductions (tolerance-gated)
 };
 
 /**
@@ -111,17 +104,7 @@ struct SimdKernels
                      const float *x2, const float *x3, float a0,
                      float a1, float a2, float a3, Index n);
 
-    /**
-     * sum_k a[k] * b[k] with reassociated accumulation. Fast tier
-     * only — lane partial sums round differently from the golden
-     * serial chain.
-     */
-    float (*dotF32)(const float *a, const float *b, Index n);
-
-    /**
-     * sum_k (i64)a[k] * b[k]. Integer: exact in any order, legal in
-     * the Exact tier.
-     */
+    /** sum_k (i64)a[k] * b[k]. Integer: exact in any order. */
     i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
 
     /**
@@ -177,23 +160,21 @@ const SimdKernels &activeKernels();
 
 /**
  * Table for a tier: the scalar reference table under
- * SimdTier::Scalar, the active level's table otherwise. (Exact vs
- * Fast select the same table — the tier difference is which entries
- * a call site is allowed to use.)
+ * SimdTier::Scalar, the active level's table under Exact.
  */
 const SimdKernels &simdKernels(SimdTier tier);
 
 /**
  * Process-wide default tier consulted by defaulted parameters across
- * the tensor/model/sparsity layers, mirroring defaultGemmBackend().
- * Starts as Exact. Thread-safe (atomic).
+ * the tensor/model/sparsity layers. Starts as Exact. Thread-safe
+ * (atomic).
  */
 SimdTier defaultSimdTier();
 
 /** Sets the process-wide default tier. Thread-safe (atomic). */
 void setDefaultSimdTier(SimdTier tier);
 
-/** Lower-case tier name ("scalar" / "exact" / "fast"). */
+/** Lower-case tier name ("scalar" / "exact"). */
 const char *simdTierName(SimdTier tier);
 
 /** Parses a tier name; nullopt for anything unrecognised. */
@@ -230,6 +211,12 @@ void axpyF32Scalar(float *out, const float *x, float a, Index n);
 void axpy4F32Scalar(float *out, const float *x0, const float *x1,
                     const float *x2, const float *x3, float a0,
                     float a1, float a2, float a3, Index n);
+/**
+ * sum_k a[k] * b[k] as one serial chain from +0.0f, k ascending: the
+ * golden per-element chain. No table entry — a vector form would have
+ * to reassociate the reduction — so the kept-score and masked
+ * recompute dots call it directly.
+ */
 float dotF32Scalar(const float *a, const float *b, Index n);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
 void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,

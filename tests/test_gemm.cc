@@ -1,9 +1,9 @@
 /**
  * @file
- * GEMM backend tests: the Blocked backend must be bit-identical to
- * Reference over adversarial shapes (degenerate, prime, block-boundary
- * straddling, paper-scale tall cohort stacks), and the golden kernels
- * themselves must agree with each other under NaN/Inf and signed-zero
+ * GEMM tests: the blocked kernels must be bit-identical to their
+ * Reference oracles over adversarial shapes (degenerate, prime,
+ * block-boundary straddling, paper-scale tall cohort stacks), and the
+ * kernels must agree with each other under NaN/Inf and signed-zero
  * payloads now that matmul() no longer skips zero contributions.
  */
 
@@ -55,6 +55,27 @@ randomMatrix(Index rows, Index cols, Rng &rng)
     return m;
 }
 
+/** matmul() or, with blocked = false, its Reference oracle. */
+Matrix
+matmulBy(const Matrix &a, const Matrix &b, bool blocked)
+{
+    return blocked ? matmul(a, b) : matmulReference(a, b);
+}
+
+/** matmulTransposed() or its Reference oracle. */
+Matrix
+matmulTransposedBy(const Matrix &a, const Matrix &b, bool blocked)
+{
+    return blocked ? matmulTransposed(a, b)
+                   : matmulTransposedReference(a, b);
+}
+
+const char *
+kernelName(bool blocked)
+{
+    return blocked ? "blocked" : "reference";
+}
+
 struct Shape
 {
     Index m, k, n;
@@ -63,8 +84,8 @@ struct Shape
 /**
  * Adversarial shape set: degenerate edges, primes that divide
  * nothing, dims straddling the blocking parameters (64 rows /
- * 128 panel columns), and the tall stacked-cohort GEMMs the Blocked
- * backend exists for (N members x 8 tokens against d x d and
+ * 128 panel columns), and the tall stacked-cohort GEMMs the blocked
+ * kernel exists for (N members x 8 tokens against d x d and
  * d x 4d weight panels).
  */
 const Shape kShapes[] = {
@@ -75,43 +96,7 @@ const Shape kShapes[] = {
     {128, 256, 256}, {64, 256, 1024},
 };
 
-TEST(GemmBackendTest, NameParseRoundTrip)
-{
-    EXPECT_STREQ(gemmBackendName(GemmBackend::Reference), "reference");
-    EXPECT_STREQ(gemmBackendName(GemmBackend::Blocked), "blocked");
-    EXPECT_EQ(parseGemmBackend("reference"), GemmBackend::Reference);
-    EXPECT_EQ(parseGemmBackend("blocked"), GemmBackend::Blocked);
-    EXPECT_FALSE(parseGemmBackend("naive").has_value());
-    EXPECT_FALSE(parseGemmBackend("").has_value());
-}
-
-TEST(GemmBackendTest, ProcessDefaultRoundTrip)
-{
-    const GemmBackend before = defaultGemmBackend();
-    setDefaultGemmBackend(GemmBackend::Blocked);
-    EXPECT_EQ(defaultGemmBackend(), GemmBackend::Blocked);
-    setDefaultGemmBackend(GemmBackend::Reference);
-    EXPECT_EQ(defaultGemmBackend(), GemmBackend::Reference);
-    setDefaultGemmBackend(before);
-}
-
-/** ops.h matmul() must follow the process default. */
-TEST(GemmBackendTest, OpsEntryPointsDispatchOnDefault)
-{
-    Rng rng(11);
-    const Matrix a = randomMatrix(9, 65, rng);
-    const Matrix b = randomMatrix(65, 130, rng);
-    const GemmBackend before = defaultGemmBackend();
-    setDefaultGemmBackend(GemmBackend::Blocked);
-    const Matrix via_default = matmul(a, b);
-    setDefaultGemmBackend(before);
-    EXPECT_TRUE(bitIdentical(
-        via_default, matmulWith(a, b, GemmBackend::Blocked)));
-    EXPECT_TRUE(bitIdentical(
-        via_default, matmulWith(a, b, GemmBackend::Reference)));
-}
-
-TEST(GemmBackendTest, MatmulBlockedBitIdenticalAcrossShapes)
+TEST(GemmTest, MatmulBlockedBitIdenticalAcrossShapes)
 {
     Rng rng(101);
     for (const Shape &s : kShapes) {
@@ -119,13 +104,11 @@ TEST(GemmBackendTest, MatmulBlockedBitIdenticalAcrossShapes)
                      << s.m << "x" << s.k << " * " << s.k << "x" << s.n);
         const Matrix a = randomMatrix(s.m, s.k, rng);
         const Matrix b = randomMatrix(s.k, s.n, rng);
-        EXPECT_TRUE(bitIdentical(
-            matmulWith(a, b, GemmBackend::Reference),
-            matmulWith(a, b, GemmBackend::Blocked)));
+        EXPECT_TRUE(bitIdentical(matmulReference(a, b), matmul(a, b)));
     }
 }
 
-TEST(GemmBackendTest, MatmulTransposedBlockedBitIdenticalAcrossShapes)
+TEST(GemmTest, MatmulTransposedBlockedBitIdenticalAcrossShapes)
 {
     Rng rng(102);
     for (const Shape &s : kShapes) {
@@ -134,13 +117,12 @@ TEST(GemmBackendTest, MatmulTransposedBlockedBitIdenticalAcrossShapes)
                      << ")^T");
         const Matrix a = randomMatrix(s.m, s.k, rng);
         const Matrix b = randomMatrix(s.n, s.k, rng);
-        EXPECT_TRUE(bitIdentical(
-            matmulTransposedWith(a, b, GemmBackend::Reference),
-            matmulTransposedWith(a, b, GemmBackend::Blocked)));
+        EXPECT_TRUE(bitIdentical(matmulTransposedReference(a, b),
+                                 matmulTransposed(a, b)));
     }
 }
 
-TEST(GemmBackendTest, MatmulQuantBlockedBitIdenticalAcrossShapes)
+TEST(GemmTest, MatmulQuantBlockedBitIdenticalAcrossShapes)
 {
     Rng rng(103);
     for (const Shape &s : kShapes) {
@@ -153,14 +135,13 @@ TEST(GemmBackendTest, MatmulQuantBlockedBitIdenticalAcrossShapes)
         b.fillNormal(rng, 0.0f, 1.0f);
         const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
         const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-        EXPECT_TRUE(bitIdentical(
-            matmulQuantWith(qa, qb, GemmBackend::Reference),
-            matmulQuantWith(qa, qb, GemmBackend::Blocked)));
+        EXPECT_TRUE(bitIdentical(matmulQuantReference(qa, qb),
+                                 matmulQuant(qa, qb)));
     }
 }
 
 /** Special-value payloads must survive blocking bit for bit too. */
-TEST(GemmBackendTest, BlockedBitIdenticalWithNanInfPayloads)
+TEST(GemmTest, BlockedBitIdenticalWithNanInfPayloads)
 {
     Rng rng(104);
     Matrix a = randomMatrix(67, 131, rng);
@@ -172,12 +153,10 @@ TEST(GemmBackendTest, BlockedBitIdenticalWithNanInfPayloads)
     b(5, 5) = kNan;
     b(130, 128) = kInf;
     b(64, 64) = -0.0f;
-    EXPECT_TRUE(bitIdentical(matmulWith(a, b, GemmBackend::Reference),
-                             matmulWith(a, b, GemmBackend::Blocked)));
+    EXPECT_TRUE(bitIdentical(matmulReference(a, b), matmul(a, b)));
     Matrix bt = transpose(b);
-    EXPECT_TRUE(bitIdentical(
-        matmulTransposedWith(a, bt, GemmBackend::Reference),
-        matmulTransposedWith(a, bt, GemmBackend::Blocked)));
+    EXPECT_TRUE(bitIdentical(matmulTransposedReference(a, bt),
+                             matmulTransposed(a, bt)));
 }
 
 // ---------------------------------------------------------------------
@@ -197,10 +176,9 @@ TEST(GemmZeroSkipRegressionTest, ZeroTimesNanPropagates)
     Matrix b(2, 1);
     b(0, 0) = kNan;
     b(1, 0) = 3.0f;
-    for (GemmBackend backend :
-         {GemmBackend::Reference, GemmBackend::Blocked}) {
-        SCOPED_TRACE(gemmBackendName(backend));
-        const Matrix c = matmulWith(a, b, backend);
+    for (bool blocked : {false, true}) {
+        SCOPED_TRACE(kernelName(blocked));
+        const Matrix c = matmulBy(a, b, blocked);
         EXPECT_TRUE(std::isnan(c(0, 0)));
     }
 }
@@ -214,10 +192,9 @@ TEST(GemmZeroSkipRegressionTest, ZeroTimesInfPropagates)
     Matrix b(1, 2);
     b(0, 0) = kInf;
     b(0, 1) = -kInf;
-    for (GemmBackend backend :
-         {GemmBackend::Reference, GemmBackend::Blocked}) {
-        SCOPED_TRACE(gemmBackendName(backend));
-        const Matrix c = matmulWith(a, b, backend);
+    for (bool blocked : {false, true}) {
+        SCOPED_TRACE(kernelName(blocked));
+        const Matrix c = matmulBy(a, b, blocked);
         EXPECT_TRUE(std::isnan(c(0, 0)));
         EXPECT_TRUE(std::isnan(c(0, 1)));
         EXPECT_TRUE(std::isnan(c(1, 0)));
@@ -240,11 +217,10 @@ TEST(GemmZeroSkipRegressionTest, MatmulAgreesWithTransposedOnNanInf)
     b(2, 0) = -kInf;
     b(11, 4) = -0.0f;
     const Matrix bt = transpose(b);
-    for (GemmBackend backend :
-         {GemmBackend::Reference, GemmBackend::Blocked}) {
-        SCOPED_TRACE(gemmBackendName(backend));
-        EXPECT_TRUE(bitIdentical(matmulWith(a, b, backend),
-                                 matmulTransposedWith(a, bt, backend)));
+    for (bool blocked : {false, true}) {
+        SCOPED_TRACE(kernelName(blocked));
+        EXPECT_TRUE(bitIdentical(matmulBy(a, b, blocked),
+                                 matmulTransposedBy(a, bt, blocked)));
     }
 }
 

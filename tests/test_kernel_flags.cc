@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared kernel-flag parsing tests: the --gemm/--simd helper every
- * CLI binary routes its argv loop through. The unknown-value cases
+ * Shared kernel-flag parsing tests: the --simd helper every CLI
+ * binary routes its argv loop through. The unknown-value cases
  * are regressions — each binary used to hand-roll this parse, and a
  * typo'd value must be rejected with a message listing the accepted
  * spellings, never silently fall back to a default.
@@ -54,19 +54,7 @@ TEST(KernelFlagsTest, Defaults)
 {
     const ParseRun run = parseAll({});
     EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.gemm, GemmBackend::Blocked);
     EXPECT_EQ(run.flags.simd, SimdTier::Exact);
-}
-
-TEST(KernelFlagsTest, ParsesGemmValues)
-{
-    ParseRun run = parseAll({"--gemm", "reference"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.gemm, GemmBackend::Reference);
-
-    run = parseAll({"--gemm", "blocked"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.gemm, GemmBackend::Blocked);
 }
 
 TEST(KernelFlagsTest, ParsesSimdValues)
@@ -78,145 +66,86 @@ TEST(KernelFlagsTest, ParsesSimdValues)
     run = parseAll({"--simd", "exact"});
     EXPECT_TRUE(run.error.empty());
     EXPECT_EQ(run.flags.simd, SimdTier::Exact);
-
-    run = parseAll({"--simd", "fast"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.simd, SimdTier::Fast);
 }
 
-TEST(KernelFlagsTest, BothFlagsTogetherAndForeignArgsPassThrough)
+// The reassociating tier is gone: its spelling is now a typo like any
+// other, and the message lists exactly the two tiers that remain.
+TEST(KernelFlagsTest, RejectsRemovedFastTier)
 {
-    const ParseRun run = parseAll(
-        {"--quick", "--gemm", "reference", "--batch", "4", "--simd",
-         "fast"});
+    const ParseRun run = parseAll({"--simd", "fast"});
+    ASSERT_FALSE(run.error.empty());
+    EXPECT_NE(run.error.find("'fast'"), std::string::npos);
+    EXPECT_NE(run.error.find("(expected scalar|exact)"),
+              std::string::npos);
+    EXPECT_EQ(run.flags.simd, SimdTier::Exact);
+}
+
+// --gemm and --tp no longer exist: they are left to the caller in
+// order with their values, like any foreign argument, so a binary
+// that does not know them rejects them as unknown.
+TEST(KernelFlagsTest, RemovedFlagsAreNotMine)
+{
+    const ParseRun run = parseAll({"--quick", "--gemm", "blocked",
+                                   "--tp", "2", "--simd", "scalar"});
     EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.gemm, GemmBackend::Reference);
-    EXPECT_EQ(run.flags.simd, SimdTier::Fast);
-    // Foreign args (including consumed flags' neighbours) are left to
-    // the caller in order.
-    const std::vector<std::string> want = {"--quick", "--batch", "4"};
+    EXPECT_EQ(run.flags.simd, SimdTier::Scalar);
+    const std::vector<std::string> want = {"--quick", "--gemm",
+                                           "blocked", "--tp", "2"};
     EXPECT_EQ(run.others, want);
 }
 
 TEST(KernelFlagsTest, LastValueWins)
 {
     const ParseRun run =
-        parseAll({"--simd", "fast", "--simd", "scalar"});
+        parseAll({"--simd", "exact", "--simd", "scalar"});
     EXPECT_TRUE(run.error.empty());
     EXPECT_EQ(run.flags.simd, SimdTier::Scalar);
 }
 
 // Regression: a typo'd value must be an error naming the flag and
 // listing every accepted value — not a silent default.
-TEST(KernelFlagsTest, RejectsUnknownGemmValue)
-{
-    const ParseRun run = parseAll({"--gemm", "bocked"});
-    ASSERT_FALSE(run.error.empty());
-    EXPECT_NE(run.error.find("--gemm"), std::string::npos);
-    EXPECT_NE(run.error.find("bocked"), std::string::npos);
-    EXPECT_NE(run.error.find("reference|blocked"), std::string::npos);
-}
-
 TEST(KernelFlagsTest, RejectsUnknownSimdValue)
 {
     const ParseRun run = parseAll({"--simd", "avx99"});
     ASSERT_FALSE(run.error.empty());
     EXPECT_NE(run.error.find("--simd"), std::string::npos);
     EXPECT_NE(run.error.find("avx99"), std::string::npos);
-    EXPECT_NE(run.error.find("scalar|exact|fast"), std::string::npos);
+    EXPECT_NE(run.error.find("scalar|exact"), std::string::npos);
 }
 
 TEST(KernelFlagsTest, RejectsCaseVariants)
 {
-    EXPECT_FALSE(parseAll({"--gemm", "Blocked"}).error.empty());
+    EXPECT_FALSE(parseAll({"--simd", "Scalar"}).error.empty());
     EXPECT_FALSE(parseAll({"--simd", "EXACT"}).error.empty());
 }
 
 TEST(KernelFlagsTest, MissingValueIsError)
 {
-    ParseRun run = parseAll({"--gemm"});
+    const ParseRun run = parseAll({"--simd"});
     ASSERT_FALSE(run.error.empty());
     EXPECT_NE(run.error.find("needs a value"), std::string::npos);
-    EXPECT_NE(run.error.find("reference|blocked"), std::string::npos);
-
-    run = parseAll({"--simd"});
-    ASSERT_FALSE(run.error.empty());
-    EXPECT_NE(run.error.find("needs a value"), std::string::npos);
-    EXPECT_NE(run.error.find("scalar|exact|fast"), std::string::npos);
+    EXPECT_NE(run.error.find("scalar|exact"), std::string::npos);
 }
 
 TEST(KernelFlagsTest, ErrorDoesNotMutateFlags)
 {
     KernelFlags flags;
-    flags.gemm = GemmBackend::Reference;
-    flags.simd = SimdTier::Fast;
-    const char *argv[] = {"prog", "--gemm", "wat"};
+    flags.simd = SimdTier::Scalar;
+    const char *argv[] = {"prog", "--simd", "wat"};
     int i = 1;
     std::string err;
     EXPECT_EQ(tryConsumeKernelFlag(3, argv, i, flags, err),
               KernelFlagStatus::Error);
-    EXPECT_EQ(flags.gemm, GemmBackend::Reference);
-    EXPECT_EQ(flags.simd, SimdTier::Fast);
+    EXPECT_EQ(flags.simd, SimdTier::Scalar);
 }
 
-TEST(KernelFlagsTest, UsageAdvertisesBothFlags)
+TEST(KernelFlagsTest, UsageAdvertisesOnlySimd)
 {
     const std::string usage = kernelFlagsUsage();
-    EXPECT_NE(usage.find("--gemm"), std::string::npos);
-    EXPECT_NE(usage.find("--simd"), std::string::npos);
-    EXPECT_NE(usage.find("--tp"), std::string::npos);
-}
-
-TEST(KernelFlagsTest, ParsesTpValues)
-{
-    EXPECT_EQ(parseAll({}).flags.tp, 1);
-
-    ParseRun run = parseAll({"--tp", "1"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.tp, 1);
-
-    run = parseAll({"--tp", "4"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.tp, 4);
-
-    run = parseAll({"--tp", "2", "--tp", "8"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.tp, 8);
-}
-
-TEST(KernelFlagsTest, TpComposesWithOtherFlags)
-{
-    const ParseRun run = parseAll(
-        {"--quick", "--tp", "4", "--gemm", "reference", "--batch", "2"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.flags.tp, 4);
-    EXPECT_EQ(run.flags.gemm, GemmBackend::Reference);
-    const std::vector<std::string> want = {"--quick", "--batch", "2"};
-    EXPECT_EQ(run.others, want);
-}
-
-// Regression: --tp must reject zero, negatives, trailing junk and
-// non-numbers with a message naming what it expects — never silently
-// run solo (or worse, with a garbage slice count).
-TEST(KernelFlagsTest, RejectsBadTpValues)
-{
-    for (const char *bad : {"0", "-2", "4x", "four", ""}) {
-        SCOPED_TRACE(std::string("--tp '") + bad + "'");
-        const ParseRun run = parseAll({"--tp", bad});
-        ASSERT_FALSE(run.error.empty());
-        EXPECT_NE(run.error.find("--tp"), std::string::npos);
-        EXPECT_NE(run.error.find("positive integer"),
-                  std::string::npos);
-        EXPECT_EQ(run.flags.tp, 1);
-    }
-}
-
-TEST(KernelFlagsTest, TpMissingValueIsError)
-{
-    const ParseRun run = parseAll({"--tp"});
-    ASSERT_FALSE(run.error.empty());
-    EXPECT_NE(run.error.find("needs a value"), std::string::npos);
-    EXPECT_NE(run.error.find("positive integer"), std::string::npos);
+    EXPECT_NE(usage.find("--simd scalar|exact"), std::string::npos);
+    EXPECT_EQ(usage.find("fast"), std::string::npos);
+    EXPECT_EQ(usage.find("--gemm"), std::string::npos);
+    EXPECT_EQ(usage.find("--tp"), std::string::npos);
 }
 
 /** Caller-side argv loop for the route flag, mirroring ParseRun. */

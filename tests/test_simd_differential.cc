@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential tests of the Blocked GEMM backend against Reference
- * through every executor path: each (benchmark x mode x quantize)
- * pipeline run, a cohort-of-N stacked run, and the serving engine
- * end-to-end must produce maxAbsDiff == 0 — the backend is a pure
- * wall-clock knob, never a numerics knob.
+ * Differential tests of the Exact SIMD tier against Scalar through
+ * every executor path: each (benchmark x mode x quantize) pipeline
+ * run, a cohort-of-N stacked run, and the serving engine end-to-end
+ * must produce byte-identical outputs — the tier is a pure wall-clock
+ * knob, never a numerics knob. test_simd.cc holds the kernels to the
+ * same contract one at a time; these hold whole pipelines to it.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "exion/model/pipeline.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/sparsity/cohort_executor.h"
-#include "exion/tensor/ops.h"
 
 namespace exion
 {
@@ -35,27 +35,26 @@ bitIdentical(const Matrix &a, const Matrix &b)
 
 SparseExecutor::Options
 optionsFor(const ModelConfig &cfg, ExecMode mode, bool quantize,
-           GemmBackend backend)
+           SimdTier simd)
 {
     const bool ffnr =
         mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
     const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
     SparseExecutor::Options opt =
         SparseExecutor::fromConfig(cfg, ffnr, ep, quantize);
-    opt.gemm = backend;
+    opt.simd = simd;
     return opt;
 }
 
 Matrix
 runPipeline(const DiffusionPipeline &pipe, ExecMode mode, bool quantize,
-            GemmBackend backend, u64 seed)
+            SimdTier simd, u64 seed)
 {
     if (mode == ExecMode::Dense) {
-        DenseExecutor exec(quantize, backend);
+        DenseExecutor exec(quantize, simd);
         return pipe.run(exec, seed);
     }
-    SparseExecutor exec(optionsFor(pipe.config(), mode, quantize,
-                                   backend));
+    SparseExecutor exec(optionsFor(pipe.config(), mode, quantize, simd));
     return pipe.run(exec, seed);
 }
 
@@ -70,11 +69,11 @@ shortConfig(Benchmark b)
 }
 
 /**
- * Every benchmark, every ablation mode, float and INT12: Blocked and
- * Reference executors must agree to the last bit over full pipeline
- * runs (randomised latents via the fixed per-case seed).
+ * Every benchmark, every ablation mode, float and INT12: Exact and
+ * Scalar executors must agree to the last bit over full pipeline runs
+ * (randomised latents via the fixed per-case seed).
  */
-TEST(GemmDifferentialTest, AllBenchmarksModesQuantLevels)
+TEST(SimdTierDifferentialTest, AllBenchmarksModesQuantLevels)
 {
     const Benchmark benchmarks[] = {
         Benchmark::MLD,         Benchmark::MDM,
@@ -93,23 +92,22 @@ TEST(GemmDifferentialTest, AllBenchmarksModesQuantLevels)
                 SCOPED_TRACE(cfg.name + " mode " + execModeName(mode)
                              + (quantize ? " int12" : " float"));
                 ++seed;
-                const Matrix ref = runPipeline(
-                    pipe, mode, quantize, GemmBackend::Reference, seed);
-                const Matrix blk = runPipeline(
-                    pipe, mode, quantize, GemmBackend::Blocked, seed);
-                ASSERT_EQ(maxAbsDiff(ref, blk), 0.0);
-                ASSERT_TRUE(bitIdentical(ref, blk));
+                const Matrix scalar = runPipeline(
+                    pipe, mode, quantize, SimdTier::Scalar, seed);
+                const Matrix exact = runPipeline(
+                    pipe, mode, quantize, SimdTier::Exact, seed);
+                ASSERT_TRUE(bitIdentical(scalar, exact));
             }
         }
     }
 }
 
 /**
- * Cohort-of-N on the Blocked backend vs solo runs on Reference: the
- * two orthogonal bit-identity guarantees (stacking and backend) must
+ * Cohort-of-N on the Exact tier vs solo runs on Scalar: the two
+ * orthogonal bit-identity guarantees (stacking and tier) must
  * compose.
  */
-TEST(GemmDifferentialTest, CohortStackedBlockedMatchesSoloReference)
+TEST(SimdTierDifferentialTest, CohortStackedExactMatchesSoloScalar)
 {
     const ModelConfig cfg = shortConfig(Benchmark::MLD);
     const DiffusionPipeline pipe(cfg);
@@ -119,7 +117,7 @@ TEST(GemmDifferentialTest, CohortStackedBlockedMatchesSoloReference)
     for (ExecMode mode : modes) {
         SCOPED_TRACE(execModeName(mode));
         CohortExecutor exec(optionsFor(cfg, mode, /*quantize=*/false,
-                                       GemmBackend::Blocked));
+                                       SimdTier::Exact));
         CohortRun run(pipe, exec);
         std::vector<Index> slots;
         for (Index i = 0; i < n; ++i)
@@ -128,23 +126,21 @@ TEST(GemmDifferentialTest, CohortStackedBlockedMatchesSoloReference)
             run.step();
         for (Index i = 0; i < n; ++i) {
             SCOPED_TRACE(::testing::Message() << "member " << i);
-            const Matrix solo =
-                runPipeline(pipe, mode, false, GemmBackend::Reference,
-                            4200 + 31 * i);
+            const Matrix solo = runPipeline(pipe, mode, false,
+                                            SimdTier::Scalar, 4200 + 31 * i);
             const Matrix stacked = run.takeResult(slots[i]);
-            ASSERT_EQ(maxAbsDiff(solo, stacked), 0.0);
             ASSERT_TRUE(bitIdentical(solo, stacked));
         }
     }
 }
 
 /**
- * Engine end-to-end: identical request streams through a
- * Reference-backend engine and a Blocked-backend engine (with cohort
- * batching on, so the tall fast path is exercised) must deliver
- * bit-identical outputs and identical op accounting.
+ * Engine end-to-end: identical request streams through a Scalar-tier
+ * engine and an Exact-tier engine (with cohort batching on, so the
+ * tall fast path is exercised) must deliver bit-identical outputs and
+ * identical op accounting.
  */
-TEST(GemmDifferentialTest, EngineBlockedMatchesReferenceEngine)
+TEST(SimdTierDifferentialTest, EngineExactMatchesScalarEngine)
 {
     const ModelConfig cfg = shortConfig(Benchmark::MLD);
     std::vector<ServeRequest> requests;
@@ -160,29 +156,27 @@ TEST(GemmDifferentialTest, EngineBlockedMatchesReferenceEngine)
         requests.push_back(req);
     }
 
-    const auto run_with = [&](GemmBackend backend) {
+    const auto run_with = [&](SimdTier simd) {
         BatchEngine::Options opts;
         opts.workers = 2;
         opts.cohortBatching = true;
-        opts.gemmBackend = backend;
+        opts.simdTier = simd;
         BatchEngine engine(opts);
         engine.addModel(cfg);
         return engine.runBatch(requests);
     };
-    const std::vector<RequestResult> ref =
-        run_with(GemmBackend::Reference);
-    const std::vector<RequestResult> blk =
-        run_with(GemmBackend::Blocked);
-    ASSERT_EQ(ref.size(), blk.size());
-    for (Index i = 0; i < ref.size(); ++i) {
+    const std::vector<RequestResult> scalar = run_with(SimdTier::Scalar);
+    const std::vector<RequestResult> exact = run_with(SimdTier::Exact);
+    ASSERT_EQ(scalar.size(), exact.size());
+    for (Index i = 0; i < scalar.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "request " << i);
-        ASSERT_TRUE(ref[i].ok());
-        ASSERT_TRUE(blk[i].ok());
-        ASSERT_EQ(maxAbsDiff(ref[i].output, blk[i].output), 0.0);
-        ASSERT_TRUE(bitIdentical(ref[i].output, blk[i].output));
-        EXPECT_EQ(ref[i].stats.totalDense(), blk[i].stats.totalDense());
-        EXPECT_EQ(ref[i].stats.totalExecuted(),
-                  blk[i].stats.totalExecuted());
+        ASSERT_TRUE(scalar[i].ok());
+        ASSERT_TRUE(exact[i].ok());
+        ASSERT_TRUE(bitIdentical(scalar[i].output, exact[i].output));
+        EXPECT_EQ(scalar[i].stats.totalDense(),
+                  exact[i].stats.totalDense());
+        EXPECT_EQ(scalar[i].stats.totalExecuted(),
+                  exact[i].stats.totalExecuted());
     }
 }
 

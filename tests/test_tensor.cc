@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "exion/common/rng.h"
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/ops.h"
@@ -152,6 +156,89 @@ TEST(QuantMatrix, RoundTrip)
     const QuantMatrix q = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const Matrix back = q.toFloat();
     EXPECT_LT(maxAbsDiff(a, back), q.scale() * 0.51);
+}
+
+/*
+ * Column views (borrowStrided) as EP's per-head weight images use
+ * them: zero-copy windows [c0, c0 + n) onto one parent tensor.
+ */
+
+/** `parts` contiguous column windows exactly covering [0, cols). */
+std::vector<std::pair<Index, Index>>
+columnWindows(Index cols, Index parts)
+{
+    std::vector<std::pair<Index, Index>> windows;
+    for (Index p = 0; p < parts; ++p) {
+        const Index c0 = cols * p / parts;
+        windows.emplace_back(c0, cols * (p + 1) / parts - c0);
+    }
+    return windows;
+}
+
+TEST(SliceViewTest, SlicedViewAliasesParentStorage)
+{
+    Rng rng(11);
+    Matrix b(7, 65);
+    b.fillUniform(rng, -2.0f, 2.0f);
+    for (const auto &[c0, n] : columnWindows(b.cols(), 3)) {
+        const Matrix v = Matrix::borrowStrided(b.rowPtr(0) + c0,
+                                               b.rows(), n, b.cols());
+        EXPECT_TRUE(v.borrowed());
+        EXPECT_EQ(v.rows(), b.rows());
+        EXPECT_EQ(v.cols(), n);
+        EXPECT_EQ(v.rowStride(), b.cols());
+        for (Index i = 0; i < v.rows(); ++i) {
+            EXPECT_EQ(v.rowPtr(i), b.rowPtr(i) + c0)
+                << "window at " << c0 << " row " << i
+                << " is not a view";
+            for (Index j = 0; j < n; ++j)
+                EXPECT_EQ(v(i, j), b(i, c0 + j));
+        }
+    }
+}
+
+TEST(SliceViewTest, QuantSliceKeepsWholeTensorParams)
+{
+    Rng rng(13);
+    Matrix w(9, 70);
+    w.fillUniform(rng, -2.0f, 2.0f);
+    const QuantMatrix q = QuantMatrix::fromFloat(w, IntWidth::Int12);
+    for (const auto &[c0, n] : columnWindows(q.cols(), 4)) {
+        const QuantMatrix v = QuantMatrix::borrowStrided(
+            q.rowPtr(0) + c0, q.rows(), n, q.cols(), q.params());
+        EXPECT_EQ(v.params().scale, q.params().scale)
+            << "window at " << c0 << " re-quantised";
+        for (Index i = 0; i < v.rows(); ++i)
+            for (Index j = 0; j < n; ++j)
+                EXPECT_EQ(v(i, j), q(i, c0 + j));
+    }
+}
+
+/**
+ * INT12 round trip: dequantising a quantized image window by window
+ * reproduces the whole toFloat() image bit-for-bit (same integers,
+ * same scale, same dequantise arithmetic).
+ */
+TEST(SliceViewTest, QuantSlicesRoundTripAgainstUnslicedImage)
+{
+    Rng rng(17);
+    Matrix w(12, 129);
+    w.fillUniform(rng, -2.0f, 2.0f);
+    const QuantMatrix q = QuantMatrix::fromFloat(w, IntWidth::Int12);
+    const Matrix whole = q.toFloat();
+    Matrix stitched(whole.rows(), whole.cols());
+    for (const auto &[c0, n] : columnWindows(q.cols(), 5)) {
+        const Matrix part = QuantMatrix::borrowStrided(
+                                q.rowPtr(0) + c0, q.rows(), n, q.cols(),
+                                q.params())
+                                .toFloat();
+        for (Index i = 0; i < part.rows(); ++i)
+            std::memcpy(stitched.rowPtr(i) + c0, part.rowPtr(i),
+                        static_cast<size_t>(n) * sizeof(float));
+    }
+    EXPECT_EQ(std::memcmp(stitched.data().data(), whole.data().data(),
+                          whole.size() * sizeof(float)),
+              0);
 }
 
 TEST(Bitmask, SetGetCount)

@@ -115,8 +115,7 @@ inspect(const std::string &path)
         // Largest power-of-two divisor of the section offset, capped
         // at 4096: the alignment the mmap'd tensor actually starts
         // at. The format guarantees >= 64 (one cache line / one EXWS
-        // section unit) — what the slice plans in
-        // tensor/matmul_slice.h assume.
+        // section unit).
         const unsigned long long off = e.offset;
         const unsigned long long align =
             off == 0 ? 4096ULL : std::min(4096ULL, off & ~(off - 1));

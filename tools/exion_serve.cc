@@ -17,7 +17,7 @@
  *               [--numa]
  *               [--max-queued N] [--shed-threshold N]
  *               [--block-timeout SECONDS] [--sse-heartbeat SECONDS]
- *               [--gemm <backend>] [--simd <tier>]
+ *               [--simd scalar|exact]
  *
  *   --port N          listen port on 127.0.0.1 (default 8080;
  *                     0 = ephemeral, the chosen port is printed)
@@ -40,16 +40,8 @@
  *                     deadline-aware, cohort-affinity
  *   --numa            pin shard workers round-robin across NUMA
  *                     nodes (best-effort; warns and serves unpinned
- *                     when the host has no topology). With --tp > 1
- *                     it additionally pins each slice's tasks to one
- *                     node's CPUs (slice s -> node s % nodes), so a
- *                     slice's weight-column working set stays local;
- *                     the chosen map is printed at startup.
- *   --tp N            intra-request tensor parallelism: column-split
- *                     every tall projection GEMM into N slices run
- *                     across the engine's workers and merged in
- *                     slice order — bit-identical to --tp 1
- *                     (default 1 = off)
+ *                     when the host has no topology; no effect
+ *                     without --shards > 1)
  *   --max-queued N    admission: ready-queue bound per priority
  *                     class (QueueFull -> HTTP 429; default 16)
  *   --shed-threshold N admission: total backlog at which Low-class
@@ -75,7 +67,6 @@
 
 #include <dirent.h>
 
-#include "exion/common/numa.h"
 #include "exion/model/config.h"
 #include "exion/net/http_server.h"
 #include "exion/serve/batch_engine.h"
@@ -252,33 +243,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: --shards must be >= 1\n");
         return 2;
     }
-    engineOpts.gemmBackend = kernels.gemm;
     engineOpts.simdTier = kernels.simd;
-    engineOpts.tensorParallel = kernels.tp;
-
-    // Slice -> NUMA affinity (best-effort): with both --numa and
-    // --tp, slice s's tasks pin to node (s % nodes) so each slice's
-    // weight columns stay on one node. Purely a locality knob — the
-    // merge order, and therefore the output, is unaffected.
-    std::string tpNumaMap;
-    if (kernels.tp > 1 && numa) {
-        const std::vector<std::vector<int>> nodes = numaNodeCpus();
-        if (nodes.size() < 2) {
-            std::fprintf(stderr,
-                         "warning: --numa --tp: host exposes %zu NUMA "
-                         "node(s); slices run unpinned\n",
-                         nodes.size());
-        } else {
-            engineOpts.tpSliceCpus = nodes;
-            for (int s = 0; s < kernels.tp; ++s) {
-                if (s > 0)
-                    tpNumaMap += " ";
-                tpNumaMap += "slice" + std::to_string(s) + "->node"
-                    + std::to_string(
-                        s % static_cast<int>(nodes.size()));
-            }
-        }
-    }
 
     // One engine when unsharded (no router indirection to pay for),
     // a snapshot-routed ShardRouter otherwise — both serve the same
@@ -294,10 +259,10 @@ main(int argc, char **argv)
         routerOpts.numa = numa;
         router = std::make_unique<ShardRouter>(routerOpts);
     } else {
-        if (numa && kernels.tp <= 1)
+        if (numa)
             std::fprintf(stderr,
                          "warning: --numa has no effect without "
-                         "--shards > 1 or --tp > 1\n");
+                         "--shards > 1\n");
         soloEngine = std::make_unique<BatchEngine>(engineOpts);
     }
     ServeBackend &backend =
@@ -375,22 +340,17 @@ main(int argc, char **argv)
 
     if (router)
         std::printf("exion_serve listening on 127.0.0.1:%u "
-                    "(%d shards x %d workers, route=%s%s, gemm=%s, "
-                    "simd=%s, tp=%d)\n",
+                    "(%d shards x %d workers, route=%s%s, simd=%s)\n",
                     server.port(), router->shardCount(),
                     router->shard(0).workerCount(),
                     routePolicyName(route).c_str(),
                     numa ? ", numa" : "",
-                    gemmBackendName(kernels.gemm),
-                    simdTierName(kernels.simd), kernels.tp);
+                    simdTierName(kernels.simd));
     else
         std::printf("exion_serve listening on 127.0.0.1:%u "
-                    "(%d workers, gemm=%s, simd=%s, tp=%d)\n",
+                    "(%d workers, simd=%s)\n",
                     server.port(), backend.workerCount(),
-                    gemmBackendName(kernels.gemm),
-                    simdTierName(kernels.simd), kernels.tp);
-    if (!tpNumaMap.empty())
-        std::printf("tp slice affinity: %s\n", tpNumaMap.c_str());
+                    simdTierName(kernels.simd));
     std::fflush(stdout);
 
     while (g_signal == 0 && server.running())
