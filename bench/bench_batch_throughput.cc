@@ -12,9 +12,8 @@
  * across the batch and schedules requests over the pool, highest
  * priority first.
  *
- * Every seed is fixed (request noise seeds, pool seed), so the
- * numbers are reproducible run-to-run up to OS scheduling noise in
- * the wall-clock columns.
+ * Every request noise seed is fixed, so the numbers are reproducible
+ * run-to-run up to OS scheduling noise in the wall-clock columns.
  *
  * A second scenario drives the engine into overload (offered load
  * beyond worker capacity) under an AdmissionConfig with class-bounded
@@ -67,9 +66,8 @@ using namespace exion;
 namespace
 {
 
-/** Fixed seeds: identical request streams on every run. */
+/** Fixed seed: identical request streams on every run. */
 constexpr u64 kNoiseSeedBase = 42;
-constexpr u64 kPoolSeed = 0x5eed5eed5eed5eedULL;
 
 double
 now()
@@ -148,7 +146,6 @@ runEngine(const ModelConfig &cfg,
 {
     BatchEngine::Options opts;
     opts.workers = workers;
-    opts.poolSeed = kPoolSeed;
     opts.simdTier = simd;
     // Latency is taken from the callback; don't accumulate results.
     opts.queueResults = false;
@@ -196,7 +193,6 @@ runOverload(const ModelConfig &cfg, bool quick)
     const int offered = quick ? 24 : 60;
     BatchEngine::Options opts;
     opts.workers = 2;
-    opts.poolSeed = kPoolSeed;
     opts.queueResults = false;
     opts.admission.maxQueuedPerClass = 8;
     opts.admission.shedThreshold = 12;
@@ -308,7 +304,6 @@ runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
 {
     BatchEngine::Options opts;
     opts.workers = workers;
-    opts.poolSeed = kPoolSeed;
     opts.queueResults = false;
     opts.cohortBatching = cohort;
     opts.cohortMaxRows = max_rows;
@@ -412,7 +407,6 @@ measureWeightSharing(const ModelConfig &cfg)
 
     BatchEngine::Options eopts;
     eopts.workers = 1;
-    eopts.poolSeed = kPoolSeed;
     eopts.queueResults = false;
 
     const long base = rssKb();

@@ -2,8 +2,7 @@
  * @file
  * Serving front-door load generator: latency under throughput for
  * the HTTP API (net/http_server + serve/http_front) over a real
- * socket, in two disciplines, plus the replica-sharding throughput
- * gates.
+ * socket, in two disciplines.
  *
  * Closed loop — N client connections, each submitting a job and
  * waiting for its SSE stream to finish before submitting the next.
@@ -44,15 +43,6 @@
  * succeed after backing off, round-tripping the hint the engine
  * derived from its own queue-wait window.
  *
- * Shards — in-process (no HTTP) replica-sharding comparison on an
- * interleaved two-model burst. A strict A/B/A/B key interleave makes
- * a solo engine form no cohorts at all (absorption is priority-
- * preserving: the next-ranked non-matching request stops the
- * refill), while routing by key reassembles full cohorts per shard —
- * the mechanism the 1.3x gate pins. A second, irregular interleave
- * compares cohort-affinity against least-depth routing at equal
- * shard counts.
- *
  * Acceptance gates (exit nonzero on failure):
  *   - every closed-loop level completes work at positive throughput
  *   - every open-loop level achieves >= 95% of its target offered
@@ -65,14 +55,10 @@
  *   - SSE adds < 25% wall-time per completed job at fixed load
  *   - every 429 carries a Retry-After >= 1 s and every refused
  *     submission succeeds after honouring it
- *   - 2-shard routed throughput >= 1.3x one engine at equal total
- *     workers on the interleaved burst
- *   - cohort-affinity routing >= least-depth on the same burst
  *   - the engine drains to idle after the overload run
  *
  * Writes BENCH_serve.json. --quick shrinks durations and the sweep
- * for CI; --shards N / --route POLICY serve the HTTP scenarios
- * through a ShardRouter instead of a single engine.
+ * for CI.
  */
 
 #include <algorithm>
@@ -84,7 +70,6 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -95,7 +80,6 @@
 #include "exion/net/http_server.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/serve/http_front.h"
-#include "exion/serve/shard_router.h"
 
 #include "bench_util.h"
 
@@ -135,15 +119,10 @@ jsonInt(const std::string &body, const std::string &key)
     return std::atoll(body.c_str() + at + needle.size());
 }
 
-/**
- * The in-process server under test: a single engine or a shard
- * router behind the same HTTP front, selected by --shards/--route.
- */
+/** The in-process server under test: one engine behind the front. */
 struct Fixture
 {
-    std::unique_ptr<BatchEngine> solo;
-    std::unique_ptr<ShardRouter> router;
-    ServeBackend &backend;
+    BatchEngine engine;
     HttpFront front;
     HttpServer server;
 
@@ -154,8 +133,7 @@ struct Fixture
         opts.queueResults = false;
         // Admission: small per-class bound so the open-loop overload
         // hits QueueFull quickly; a shed watermark above it so Low
-        // arrivals are refused with LoadShedLow first. With a
-        // router these bounds apply per shard.
+        // arrivals are refused with LoadShedLow first.
         opts.admission.maxQueuedPerClass = 8;
         opts.admission.shedThreshold = 10;
         opts.admission.shedBelow = Priority::Normal;
@@ -167,28 +145,6 @@ struct Fixture
         HttpFront::Options opts;
         opts.sseHeartbeatSeconds = 0.1;
         return opts;
-    }
-
-    static std::unique_ptr<BatchEngine> makeSolo(int shards)
-    {
-        if (shards > 1)
-            return nullptr;
-        return std::make_unique<BatchEngine>(engineOptions());
-    }
-
-    static std::unique_ptr<ShardRouter> makeRouter(int shards,
-                                                   RoutePolicy policy)
-    {
-        if (shards <= 1)
-            return nullptr;
-        ShardRouter::Options opts;
-        opts.shards = shards;
-        // Keep the total worker budget at the solo fixture's 2, so
-        // --shards compares placement, not extra cores.
-        opts.shardWorkers = std::max(1, 2 / shards);
-        opts.policy = policy;
-        opts.engine = engineOptions();
-        return std::make_unique<ShardRouter>(opts);
     }
 
     /**
@@ -212,23 +168,15 @@ struct Fixture
         return cfg;
     }
 
-    Fixture(int shards, RoutePolicy policy)
-        : solo(makeSolo(shards)), router(makeRouter(shards, policy)),
-          backend(router ? static_cast<ServeBackend &>(*router)
-                         : static_cast<ServeBackend &>(*solo)),
-          front(backend, frontOptions()),
+    Fixture()
+        : engine(engineOptions()), front(engine, frontOptions()),
           server(HttpServer::Options{},
                  [this](const HttpRequest &req, ResponseWriter &w) {
                      front.handle(req, w);
                  })
     {
-        if (router != nullptr) {
-            router->addModel(makeTinyConfig());
-            router->addModel(slowConfig());
-        } else {
-            solo->addModel(makeTinyConfig());
-            solo->addModel(slowConfig());
-        }
+        engine.addModel(makeTinyConfig());
+        engine.addModel(slowConfig());
         server.start();
     }
 };
@@ -476,7 +424,7 @@ runOpenLoop(Fixture &fx, double targetRps, double duration)
     // Overload is only survived if the backlog drains once arrivals
     // stop: time it.
     const Clock::time_point d0 = Clock::now();
-    fx.backend.waitIdle();
+    fx.engine.waitIdle();
     row.drainSeconds = secondsSince(d0);
     probing.store(false);
     prober.join();
@@ -692,9 +640,9 @@ runRetryScenario(Fixture &fx, int jobs)
     HttpConnection conn =
         HttpConnection::connect("127.0.0.1", fx.server.port());
 
-    // Stage a full queue: pause the backend and submit until the
-    // class bound refuses (per shard when routed, so cap generously).
-    fx.backend.pause();
+    // Stage a full queue: pause the engine and submit until the
+    // class bound refuses.
+    fx.engine.pause();
     int fill = 0;
     for (int i = 0; i < 200; ++i) {
         HttpClientResponse resp;
@@ -731,9 +679,9 @@ runRetryScenario(Fixture &fx, int jobs)
         }
     }
 
-    // Honour the hint: resume the backend, back off for the largest
+    // Honour the hint: resume the engine, back off for the largest
     // suggested interval (bounded for bench sanity), then resubmit.
-    fx.backend.resume();
+    fx.engine.resume();
     const double backoff =
         std::min(report.maxHintSeconds > 0.0 ? report.maxHintSeconds
                                              : 1.0,
@@ -751,192 +699,15 @@ runRetryScenario(Fixture &fx, int jobs)
             ++succeeded;
     }
     report.allSucceeded = succeeded == jobs && report.refusals > 0;
-    fx.backend.waitIdle();
-    return report;
-}
-
-/** In-process replica-sharding throughput comparison. */
-struct ShardReport
-{
-    int requests = 0;
-    int repeats = 0;
-    int totalWorkers = 2;
-    double soloRps = 0.0;
-    double shardedRps = 0.0;
-    double leastDepthRps = 0.0;
-    double affinityRps = 0.0;
-
-    double speedup() const
-    {
-        return soloRps > 0.0 ? shardedRps / soloRps : 0.0;
-    }
-    double affinityGain() const
-    {
-        return leastDepthRps > 0.0 ? affinityRps / leastDepthRps
-                                   : 0.0;
-    }
-};
-
-/**
- * Paper-scale MLD (8 tokens x 256 dim, 9 blocks, ~28 MB of weights):
- * the shape cohort batching exists for. Each solo iteration drags
- * every weight matrix through the cache for just 8 activation rows,
- * so reassembling full same-key cohorts per shard amortises the
- * traversal — the mechanism the 1.3x gate pins. Tiny configs fit in
- * cache and show only ~1.2x here.
- */
-ModelConfig
-burstConfigA(bool quick)
-{
-    ModelConfig cfg = makeConfig(Benchmark::MLD, Scale::Full);
-    cfg.iterations = quick ? 3 : 4;
-    return cfg;
-}
-
-/** Identical cost, distinct registry key: the second cohort key. */
-ModelConfig
-burstConfigB(bool quick)
-{
-    ModelConfig cfg = burstConfigA(quick);
-    cfg.benchmark = Benchmark::MDM;
-    cfg.seed = 77;
-    return cfg;
-}
-
-/** Strictly interleaved A/B/A/B two-key burst. */
-std::vector<ServeRequest>
-interleavedBurst(int n)
-{
-    std::vector<ServeRequest> batch;
-    for (int i = 0; i < n; ++i) {
-        ServeRequest req;
-        req.id = static_cast<u64>(i);
-        req.benchmark = i % 2 == 0 ? Benchmark::MLD : Benchmark::MDM;
-        req.mode = ExecMode::Dense;
-        req.noiseSeed = 1000 + static_cast<u64>(i);
-        batch.push_back(req);
-    }
-    return batch;
-}
-
-/** Irregular key pattern: breaks per-shard cohorts under blind
-    depth-balancing but not under key-affine routing. */
-std::vector<ServeRequest>
-irregularBurst(int n)
-{
-    const Benchmark pattern[] = {
-        Benchmark::MLD, Benchmark::MDM, Benchmark::MDM,
-        Benchmark::MLD, Benchmark::MLD, Benchmark::MDM,
-        Benchmark::MLD, Benchmark::MDM};
-    std::vector<ServeRequest> batch;
-    for (int i = 0; i < n; ++i) {
-        ServeRequest req;
-        req.id = static_cast<u64>(i);
-        req.benchmark = pattern[i % 8];
-        req.mode = ExecMode::Dense;
-        req.noiseSeed = 2000 + static_cast<u64>(i);
-        batch.push_back(req);
-    }
-    return batch;
-}
-
-BatchEngine::Options
-burstEngineOptions(int workers)
-{
-    BatchEngine::Options opts;
-    opts.workers = workers;
-    opts.queueResults = false;
-    opts.cohortBatching = true;
-    return opts;
-}
-
-/**
- * Best-of-`repeats` burst makespan through a backend: queue the
- * whole batch paused, release it, and time until every ticket
- * settles. Returns requests/second of the best repeat.
- */
-double
-timedBurst(ServeBackend &backend,
-           const std::vector<ServeRequest> &batch, int repeats)
-{
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-        backend.pause();
-        std::vector<Ticket> tickets;
-        tickets.reserve(batch.size());
-        for (const ServeRequest &req : batch)
-            tickets.push_back(backend.submit(req));
-        const Clock::time_point t0 = Clock::now();
-        backend.resume();
-        for (const Ticket &t : tickets)
-            t.wait();
-        const double dt = secondsSince(t0);
-        backend.waitIdle();
-        if (dt > 0.0)
-            best = std::max(
-                best, static_cast<double>(batch.size()) / dt);
-    }
-    return best;
-}
-
-ShardReport
-runShardComparison(bool quick)
-{
-    ShardReport report;
-    report.requests = quick ? 12 : 16;
-    // The gate divides two noisy best-of measurements on a possibly
-    // loaded runner; give the full run enough repetitions that the
-    // solo baseline converges to its unloaded value.
-    report.repeats = quick ? 2 : 5;
-
-    const auto batch = interleavedBurst(report.requests);
-    const auto irregular = irregularBurst(report.requests);
-
-    // Full-scale weights are ~28 MB per key: build each store once
-    // and fan the shared mmap-style handle out to every backend under
-    // comparison instead of rebuilding per engine.
-    const auto storeA = WeightStore::build(burstConfigA(quick));
-    const auto storeB = WeightStore::build(burstConfigB(quick));
-
-    {
-        BatchEngine solo(burstEngineOptions(2));
-        solo.registerModel(Benchmark::MLD, storeA);
-        solo.registerModel(Benchmark::MDM, storeB);
-        report.soloRps = timedBurst(solo, batch, report.repeats);
-    }
-    const auto makeRouter = [&](RoutePolicy policy) {
-        ShardRouter::Options opts;
-        opts.shards = 2;
-        opts.shardWorkers = 1;
-        opts.policy = policy;
-        opts.engine = burstEngineOptions(1);
-        auto router = std::make_unique<ShardRouter>(opts);
-        router->registerModel(Benchmark::MLD, storeA);
-        router->registerModel(Benchmark::MDM, storeB);
-        return router;
-    };
-    {
-        auto router = makeRouter(RoutePolicy::CohortAffinity);
-        report.shardedRps =
-            timedBurst(*router, batch, report.repeats);
-        report.affinityRps =
-            timedBurst(*router, irregular, report.repeats);
-    }
-    {
-        auto router = makeRouter(RoutePolicy::LeastDepth);
-        report.leastDepthRps =
-            timedBurst(*router, irregular, report.repeats);
-    }
+    fx.engine.waitIdle();
     return report;
 }
 
 void
 writeJson(const std::string &path, bool quick, int iterations,
-          int shards, RoutePolicy policy,
           const std::vector<ClosedLoopRow> &closed, double capacity,
           const std::vector<OpenLoopRow> &open, const SseReport &sse,
-          const RetryReport &retry, const ShardReport &shard,
-          u64 connections)
+          const RetryReport &retry, u64 connections)
 {
     std::ofstream out(path);
     if (!out) {
@@ -948,9 +719,6 @@ writeJson(const std::string &path, bool quick, int iterations,
     out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     out << "  \"model\": \"tiny\",\n";
     out << "  \"iterations\": " << iterations << ",\n";
-    out << "  \"front_shards\": " << shards << ",\n";
-    out << "  \"front_route\": \"" << routePolicyName(policy)
-        << "\",\n";
     out << "  \"closed_loop\": [\n";
     for (size_t i = 0; i < closed.size(); ++i) {
         const ClosedLoopRow &r = closed[i];
@@ -1004,19 +772,6 @@ writeJson(const std::string &path, bool quick, int iterations,
     out << "    \"all_succeeded\": "
         << (retry.allSucceeded ? "true" : "false") << "\n";
     out << "  },\n";
-    out << "  \"shards\": {\n";
-    out << "    \"requests\": " << shard.requests << ",\n";
-    out << "    \"repeats\": " << shard.repeats << ",\n";
-    out << "    \"total_workers\": " << shard.totalWorkers << ",\n";
-    out << "    \"solo_rps\": " << shard.soloRps << ",\n";
-    out << "    \"sharded_rps\": " << shard.shardedRps << ",\n";
-    out << "    \"speedup\": " << shard.speedup() << ",\n";
-    out << "    \"least_depth_rps\": " << shard.leastDepthRps
-        << ",\n";
-    out << "    \"cohort_affinity_rps\": " << shard.affinityRps
-        << ",\n";
-    out << "    \"affinity_gain\": " << shard.affinityGain() << "\n";
-    out << "  },\n";
     out << "  \"connections_accepted\": " << connections << "\n";
     out << "}\n";
     std::cout << "wrote " << path << "\n";
@@ -1028,24 +783,10 @@ int
 main(int argc, char **argv)
 {
     const bool quick = bench::quickMode(argc, argv);
-    int shards = 1;
-    RoutePolicy policy = RoutePolicy::LeastDepth;
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--shards" && i + 1 < argc) {
-            shards = std::atoi(argv[++i]);
-            if (shards < 1) {
-                std::cerr << "--shards must be >= 1\n";
-                return 2;
-            }
-        } else {
-            std::string err;
-            const KernelFlagStatus rs =
-                tryConsumeRouteFlag(argc, argv, i, policy, err);
-            if (rs == KernelFlagStatus::Error) {
-                std::cerr << err << "\n";
-                return 2;
-            }
+        if (std::string(argv[i]) != "--quick") {
+            std::cerr << "usage: " << argv[0] << " [--quick]\n";
+            return 2;
         }
     }
     const double closedSeconds = quick ? 0.4 : 1.5;
@@ -1054,17 +795,11 @@ main(int argc, char **argv)
         quick ? std::vector<int>{1, 2, 4}
               : std::vector<int>{1, 2, 4, 8};
 
-    Fixture fx(shards, policy);
+    Fixture fx;
     const int iterations = makeTinyConfig().iterations;
     std::cout << "serving tiny MLD (" << iterations
               << " iterations) on 127.0.0.1:" << fx.server.port()
-              << ", ";
-    if (shards > 1)
-        std::cout << shards << " shards ("
-                  << routePolicyName(policy) << "), "
-                  << fx.backend.workerCount() << " workers total\n\n";
-    else
-        std::cout << "2 workers\n\n";
+              << ", " << fx.engine.workerCount() << " workers\n\n";
 
     // Closed loop: the latency-under-throughput curve.
     std::cout << "closed loop (" << closedSeconds << "s per level):\n";
@@ -1118,21 +853,9 @@ main(int argc, char **argv)
               << (retry.allSucceeded ? "all succeeded" : "FAILED")
               << "\n";
 
-    // Replica sharding: the tentpole throughput gates (in-process).
-    const ShardReport shard = runShardComparison(quick);
-    std::cout << "\nshards (" << shard.requests
-              << "-request interleaved burst, best of "
-              << shard.repeats << "):\n  solo 1x2 workers "
-              << shard.soloRps << " req/s vs 2x1 sharded "
-              << shard.shardedRps << " req/s (speedup "
-              << shard.speedup() << "x)\n  irregular burst: "
-              << "least-depth " << shard.leastDepthRps
-              << " req/s vs cohort-affinity " << shard.affinityRps
-              << " req/s (gain " << shard.affinityGain() << "x)\n";
-
     const u64 connections = fx.server.connectionsAccepted();
-    writeJson("BENCH_serve.json", quick, iterations, shards, policy,
-              closed, capacity, open, sse, retry, shard, connections);
+    writeJson("BENCH_serve.json", quick, iterations, closed, capacity,
+              open, sse, retry, connections);
 
     // ------------------------------------------------------- gates
     bool ok = true;
@@ -1190,24 +913,10 @@ main(int argc, char **argv)
                   << (retry.allSucceeded ? "yes" : "no") << ")\n";
         ok = false;
     }
-    if (shard.speedup() < 1.3) {
-        std::cerr << "GATE: 2-shard routed throughput "
-                  << shard.shardedRps << " req/s is only "
-                  << shard.speedup() << "x solo (" << shard.soloRps
-                  << " req/s) at equal total workers (< 1.3x)\n";
-        ok = false;
-    }
-    if (shard.affinityGain() < 1.0) {
-        std::cerr << "GATE: cohort-affinity (" << shard.affinityRps
-                  << " req/s) does not beat least-depth ("
-                  << shard.leastDepthRps
-                  << " req/s) on the same-key burst\n";
-        ok = false;
-    }
-    const EngineMetrics m = fx.backend.snapshot();
-    if (fx.backend.inFlight() != 0) {
+    const EngineMetrics m = fx.engine.snapshot();
+    if (fx.engine.inFlight() != 0) {
         std::cerr << "GATE: engine did not drain (in flight: "
-                  << fx.backend.inFlight() << ")\n";
+                  << fx.engine.inFlight() << ")\n";
         ok = false;
     }
     std::cout << "\nengine totals: accepted " << m.accepted()

@@ -6,16 +6,10 @@
  * classes, submitted through trySubmit() under an AdmissionConfig
  * that sheds best-effort overload, drained in completion order — no
  * batch barrier — and summarised with an EngineMetrics snapshot.
- * With --shards N the same stream is served by a snapshot-routed
- * ShardRouter over N engines instead of one (--route picks the
- * placement policy); nothing downstream changes — both are the same
- * ServeBackend surface, and the bit-exact self-check holds under
- * every placement.
  *
  * Build & run:
  *   cmake -B build -S . && cmake --build build
- *   ./build/examples/serve_batch [--shards N] [--route POLICY]
- *                                [--simd scalar|exact]
+ *   ./build/examples/serve_batch [--simd scalar|exact]
  */
 
 #include <chrono>
@@ -25,12 +19,10 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "exion/serve/batch_engine.h"
-#include "exion/serve/shard_router.h"
 #include "exion/tensor/kernel_flags.h"
 
 using namespace exion;
@@ -60,8 +52,6 @@ main(int argc, char **argv)
     // scalar and exact tiers are bit-identical — the self-checks
     // below hold regardless — only wall clock changes.
     KernelFlags kernels;
-    int shards = 1;
-    RoutePolicy route = RoutePolicy::LeastDepth;
     for (int i = 1; i < argc; ++i) {
         std::string err;
         const KernelFlagStatus ks =
@@ -70,27 +60,9 @@ main(int argc, char **argv)
             std::cerr << "error: " << err << "\n";
             return 1;
         }
-        if (ks == KernelFlagStatus::Consumed)
-            continue;
-        const KernelFlagStatus rs =
-            tryConsumeRouteFlag(argc, argv, i, route, err);
-        if (rs == KernelFlagStatus::Error) {
-            std::cerr << "error: " << err << "\n";
-            return 1;
-        }
-        if (rs == KernelFlagStatus::Consumed)
-            continue;
-        const std::string arg = argv[i];
-        if (arg == "--shards" && i + 1 < argc) {
-            shards = std::atoi(argv[++i]);
-            if (shards < 1) {
-                std::cerr << "error: --shards must be >= 1\n";
-                return 1;
-            }
-        } else {
-            std::cerr << "error: unknown argument '" << arg
-                      << "' (usage: serve_batch [--shards N] "
-                      << routeFlagUsage() << " " << kernelFlagsUsage()
+        if (ks == KernelFlagStatus::NotMine) {
+            std::cerr << "error: unknown argument '" << argv[i]
+                      << "' (usage: serve_batch " << kernelFlagsUsage()
                       << ")\n";
             return 1;
         }
@@ -113,32 +85,11 @@ main(int argc, char **argv)
     opts.admission.maxQueuedPerClass = 16;
     opts.admission.shedThreshold = 12;
     opts.admission.shedBelow = Priority::Normal;
+    BatchEngine engine(opts);
+    engine.addModel(t2i);
+    engine.addModel(t2m);
 
-    // Solo engine or an N-shard router — the same ServeBackend
-    // surface either way, so every step below is placement-agnostic.
-    // Admission bounds apply per shard; 4 workers total in both
-    // configurations keeps the runs comparable.
-    std::unique_ptr<BatchEngine> solo;
-    std::unique_ptr<ShardRouter> router;
-    if (shards > 1) {
-        ShardRouter::Options routerOpts;
-        routerOpts.shards = shards;
-        routerOpts.shardWorkers = std::max(1, 4 / shards);
-        routerOpts.policy = route;
-        routerOpts.engine = opts;
-        router = std::make_unique<ShardRouter>(routerOpts);
-        router->addModel(t2i);
-        router->addModel(t2m);
-    } else {
-        solo = std::make_unique<BatchEngine>(opts);
-        solo->addModel(t2i);
-        solo->addModel(t2m);
-    }
-    ServeBackend &engine = router
-        ? static_cast<ServeBackend &>(*router)
-        : static_cast<ServeBackend &>(*solo);
-
-    // Completion-order drain without a batch barrier: the backend's
+    // Completion-order drain without a batch barrier: the engine's
     // completion callback feeds a local queue (cancelled requests
     // never fire it, but this stream cancels nothing).
     std::mutex doneMutex;
@@ -210,11 +161,7 @@ main(int argc, char **argv)
 
     std::cout << "\nstreaming " << accepted << " stream + "
               << extras_accepted << " extra requests over "
-              << engine.workerCount() << " workers";
-    if (router)
-        std::cout << " in " << router->shardCount() << " shards ("
-                  << routePolicyName(route) << " routing)";
-    std::cout << " (" << extras_shed
+              << engine.workerCount() << " workers (" << extras_shed
               << " extras shed at the watermark)\n\n";
     std::cout << std::left << std::setw(4) << "id" << std::setw(16)
               << "model" << std::setw(8) << "mode" << std::setw(10)
@@ -224,7 +171,7 @@ main(int argc, char **argv)
     // 5. Drain completions in whatever order the scheduler finishes
     //    them; only the labelled core stream is printed in detail.
     //    The timed wait keeps the loop responsive to SIGINT/SIGTERM:
-    //    on a signal the backend drains what it accepted (shutdown
+    //    on a signal the engine drains what it accepted (shutdown
     //    runs — never abandons — admitted work) and the run ends
     //    with a partial summary instead of a killed process.
     bool interrupted = false;
@@ -320,13 +267,9 @@ main(int argc, char **argv)
     }
 
     // 7. Every streamed result is bit-identical to its single-stream
-    //    run, regardless of the completion order (or shard placement)
-    //    above — and the snapshot reconciles with what the submitter
-    //    observed. Any shard serves as the reference: they share one
-    //    copy of the weights.
-    const auto sequential = router
-        ? router->shard(0).runSequential(stream)
-        : solo->runSequential(stream);
+    //    run, regardless of the completion order above — and the
+    //    snapshot reconciles with what the submitter observed.
+    const auto sequential = engine.runSequential(stream);
     bool identical = results.size() == stream.size();
     for (Index i = 0; identical && i < sequential.size(); ++i) {
         const RequestResult &streamed = results.at(stream[i].id);
@@ -337,14 +280,9 @@ main(int argc, char **argv)
             identical &= streamed.output.data()[e]
                 == sequential[i].output.data()[e];
     }
-    // Accepted/completed reconcile exactly under any placement; the
-    // shed counter is per-shard — a shard that refused while another
-    // shard accepted still counted its own refusal — so the exact
-    // caller-observed match only holds for the solo engine.
     const bool reconciled = m.accepted() == accepted + extras_accepted
         && m.completed() == accepted + extras_accepted
-        && (router ? m.shed() >= extras_shed
-                   : m.shed() == extras_shed);
+        && m.shed() == extras_shed;
     std::cout << "\nasync == sequential (bit-exact): "
               << (identical ? "yes" : "NO")
               << "\nsnapshot reconciles with observed outcomes: "

@@ -4,9 +4,9 @@
  *
  * Reads the kernel's sysfs view (the per-node `cpulist` files under
  * `/sys/devices/system/node`) instead of linking libnuma, so the
- * serving stack can
- * round-robin shard worker threads across nodes where the information
- * exists and degrade to a warning everywhere else — the same
+ * serving daemon can pin engine workers round-robin across nodes
+ * where the information exists and degrade to a warning everywhere
+ * else — the same
  * best-effort contract as `--pin-weights`. On non-Linux platforms
  * (or hosts without the sysfs tree) discovery returns empty and
  * callers skip pinning.

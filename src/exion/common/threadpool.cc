@@ -13,22 +13,7 @@
 namespace exion
 {
 
-namespace
-{
-
-/** Mixes (pool seed, task index) into an independent task seed. */
-u64
-mixSeed(u64 seed, u64 index)
-{
-    // Jump the SplitMix64 stream by the task index, then take one
-    // mixing step (which adds the golden-ratio increment itself).
-    u64 x = seed + index * 0x9e3779b97f4a7c15ULL;
-    return splitMix64(x);
-}
-
-} // namespace
-
-ThreadPool::ThreadPool(int workers, u64 seed) : seed_(seed)
+ThreadPool::ThreadPool(int workers)
 {
     if (workers <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
@@ -220,13 +205,6 @@ ThreadPool::peakQueuedAtLevel(int level) const
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = levels_.find(level);
     return it == levels_.end() ? 0 : it->second.peak;
-}
-
-u64
-ThreadPool::nextTaskSeed()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return mixSeed(seed_, seededSubmitted_++);
 }
 
 void

@@ -1,17 +1,11 @@
 /**
  * @file
- * Fixed-size worker thread pool with priority scheduling and
- * deterministic task seeding.
+ * Fixed-size worker thread pool with priority scheduling.
  *
  * Tasks carry an i64 priority; workers always pull the
  * highest-priority ready task, and tasks of equal priority run in
  * submission (FIFO) order. Every submission returns a std::future that
- * carries the task's result or exception. Seeded tasks additionally
- * receive an exion::Rng whose seed depends only on the pool seed and
- * the task's submission index — never on which worker picks the task
- * up or in what order priorities drain — so randomised work is
- * bit-identical across worker counts, priorities and scheduling
- * orders.
+ * carries the task's result or exception.
  *
  * For serving layers that need admission control on top of the pool,
  * postTagged() additionally tags a task with a small integer level and
@@ -34,14 +28,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "exion/common/rng.h"
 #include "exion/common/types.h"
 
 namespace exion
 {
 
 /**
- * Thrown by submit()/submitSeeded() after shutdown() has begun.
+ * Thrown by submit()/postTagged() after shutdown() has begun.
  *
  * Submitting into a stopped pool can never complete the returned
  * future (no worker will run the task), so it fails loudly at the
@@ -70,10 +63,8 @@ class ThreadPool
      *
      * @param workers worker threads (>= 1; 0 picks the hardware
      *                concurrency)
-     * @param seed    base seed for deterministic per-task Rng streams
      */
-    explicit ThreadPool(int workers = 0,
-                        u64 seed = 0x2545f4914f6cdd1dULL);
+    explicit ThreadPool(int workers = 0);
 
     /** Drains remaining tasks, then joins the workers. */
     ~ThreadPool();
@@ -101,32 +92,6 @@ class ThreadPool
     }
 
     /**
-     * Enqueues a task that receives a deterministically seeded Rng.
-     *
-     * The Rng seed is derived from (pool seed, index of this seeded
-     * submission), so a given submission sequence produces identical
-     * draws regardless of worker count or priority-driven execution
-     * order.
-     *
-     * @throws ThreadPoolStopped after shutdown() has begun
-     */
-    template <typename F>
-    auto submitSeeded(F &&fn, i64 priority = kDefaultPriority)
-        -> std::future<std::invoke_result_t<F, Rng &>>
-    {
-        using R = std::invoke_result_t<F, Rng &>;
-        const u64 task_seed = nextTaskSeed();
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            [fn = std::forward<F>(fn), task_seed]() mutable {
-                Rng rng(task_seed);
-                return fn(rng);
-            });
-        std::future<R> future = task->get_future();
-        post([task]() { (*task)(); }, priority);
-        return future;
-    }
-
-    /**
      * Enqueues a raw task tagged with an accounting level and returns
      * a token for cancel().
      *
@@ -134,7 +99,7 @@ class ThreadPool
      * serving engine maps its priority classes onto levels); the pool
      * tracks how many ready tasks sit at each level so admission
      * decisions can bound per-level queue depth exactly. Plain
-     * submit()/submitSeeded() tasks land on level 0.
+     * submit() tasks land on level 0.
      *
      * @return token identifying the queued task (unique for the
      *         pool's lifetime)
@@ -202,7 +167,7 @@ class ThreadPool
      */
     int pinWorkers(const std::vector<std::vector<int>> &cpuSets);
 
-    /** Tasks submitted so far (plain and seeded). */
+    /** Tasks submitted so far. */
     u64 submittedCount() const;
 
     /** Tasks accepted but not yet started. */
@@ -243,10 +208,8 @@ class ThreadPool
     void post(std::function<void()> fn, i64 priority);
     u64 postLocked(std::function<void()> fn, i64 priority, int level,
                    std::unique_lock<std::mutex> &lock);
-    u64 nextTaskSeed();
     void workerLoop();
 
-    u64 seed_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::map<TaskKey, QueuedTask> queue_;
@@ -256,7 +219,6 @@ class ThreadPool
     std::map<int, LevelDepth> levels_;
     std::vector<std::thread> workers_;
     u64 submitted_ = 0;
-    u64 seededSubmitted_ = 0;
     bool stopping_ = false;
     bool paused_ = false;
 };

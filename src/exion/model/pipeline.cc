@@ -23,10 +23,6 @@ DiffusionPipeline::run(BlockExecutor &exec, u64 noise_seed) const
 {
     RunOptions opts;
     opts.noiseSeed = noise_seed;
-    // The legacy hook lives on the (possibly shared) pipeline; route
-    // it through the per-request options so both entry points share
-    // one loop.
-    opts.onIteration = onIteration;
     return run(exec, opts);
 }
 

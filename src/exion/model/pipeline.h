@@ -64,10 +64,8 @@ struct RunOutcome
  *
  * After construction the pipeline is immutable (all weights fixed);
  * run() is const and safe to call from multiple threads concurrently
- * as long as each caller brings its own executor. The legacy
- * onIteration member is the single exception — installing it on a
- * shared pipeline is a single-stream convenience; concurrent callers
- * pass their hook via RunOptions instead.
+ * as long as each caller brings its own executor. Per-run hooks go in
+ * RunOptions.
  */
 class DiffusionPipeline
 {
@@ -97,7 +95,7 @@ class DiffusionPipeline
      * Runs the full reverse process with per-request options.
      *
      * Thread-safe: touches no pipeline state besides the immutable
-     * network/scheduler and ignores the legacy onIteration member.
+     * network/scheduler.
      */
     Matrix run(BlockExecutor &exec, const RunOptions &opts) const;
 
@@ -117,12 +115,6 @@ class DiffusionPipeline
      */
     std::vector<Matrix> runCohort(CohortBlockExecutor &exec,
                                   const std::vector<u64> &seeds) const;
-
-    /**
-     * Optional per-iteration hook (iteration index, current latent).
-     * Single-stream use only; see RunOptions for concurrent runs.
-     */
-    std::function<void(int, const Matrix &)> onIteration;
 
     /** Underlying network. */
     const DenoisingNetwork &network() const { return network_; }

@@ -77,7 +77,7 @@ BatchEngine::BatchEngine() : BatchEngine(Options{})
 
 BatchEngine::BatchEngine(const Options &opts)
     : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge),
-      results_(opts.resultQueueCapacity), pool_(opts.workers, opts.poolSeed)
+      results_(opts.resultQueueCapacity), pool_(opts.workers)
 {
 }
 
@@ -355,9 +355,6 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
     }
     pending_it->second.poolToken = token;
     metrics_.onAccepted(cls);
-    // A cohort leader lingering in its formation window may want this
-    // request at its next boundary.
-    cohortCv_.notify_all();
     Ticket ticket(ticket_id, promise->get_future().share(), this);
     return SubmitOutcome{std::move(ticket), std::nullopt, 0.0};
 }
@@ -464,7 +461,8 @@ BatchEngine::deliver(const CohortMember &member, RequestResult result,
 }
 
 std::vector<BatchEngine::CohortMember>
-BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
+BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
+                               bool pass_fifo_ties)
 {
     std::vector<CohortMember> absorbed;
     if (max_take == 0)
@@ -478,11 +476,12 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
     // Candidates in scheduling order: highest pool priority first
     // (class, then EDF), submission order within ties — the order the
     // pool itself would have started them in. Track the best queued
-    // request that does NOT match the key: absorbing anything the
-    // scheduler would have started after it would starve it (a
-    // refilling cohort could otherwise hold its worker forever while
-    // a higher-priority non-matching request waits), so absorption
-    // stops at the first candidate the non-matching request beats.
+    // request that does NOT match the key: absorption stops at the
+    // first candidate it outranks. A refill (pass_fifo_ties off) also
+    // stops at the first candidate it precedes in FIFO order, so a
+    // refilling cohort never holds its worker past the queue head.
+    // Formation lets those ties pass: the passed request stays the
+    // head, which the next free worker starts.
     std::vector<std::pair<i64, u64>> candidates;
     bool has_other = false;
     std::pair<i64, u64> best_other{0, 0};
@@ -508,10 +507,11 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
     for (const auto &[prio, id] : candidates) {
         if (absorbed.size() >= max_take)
             break;
-        const bool scheduled_first = !has_other
+        const bool absorbable = !has_other
             || prio > best_other.first
-            || (prio == best_other.first && id < best_other.second);
-        if (!scheduled_first)
+            || (prio == best_other.first
+                && (pass_fifo_ties || id < best_other.second));
+        if (!absorbable)
             break; // candidates are sorted: the rest lose too
         const auto it = pending_.find(id);
         if (!pool_.cancel(it->second.poolToken))
@@ -594,65 +594,15 @@ BatchEngine::runCohort(CohortMember first)
     const ServeRequest key = first.req;
     admit(std::move(first));
 
-    // Publish this cohort's key and live row count for
-    // cohortOccupancy() (the router's affinity signal); erased on
-    // every exit path, including a poisoned iteration.
-    u64 cohort_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cohort_id = nextCohortInstance_++;
-        activeCohorts_.emplace(
-            cohort_id, ActiveCohort{key.benchmark, key.mode,
-                                    key.quantize, run.activeCount()});
-    }
-    struct CohortRegistration
-    {
-        BatchEngine *engine;
-        u64 id;
-        ~CohortRegistration()
-        {
-            std::lock_guard<std::mutex> lock(engine->mutex_);
-            engine->activeCohorts_.erase(id);
-        }
-    } registration{this, cohort_id};
-    const auto publish_rows = [&]() {
-        std::lock_guard<std::mutex> lock(mutex_);
-        activeCohorts_[cohort_id].activeRows = run.activeCount();
-    };
-
-    const auto absorb = [&]() {
+    const auto absorb = [&](bool pass_fifo_ties) {
         const Index space = max_rows - std::min(max_rows,
                                                 run.activeCount());
-        for (CohortMember &m : absorbCohortPeers(key, space))
+        for (CohortMember &m : absorbCohortPeers(key, space,
+                                                 pass_fifo_ties))
             admit(std::move(m));
-        publish_rows();
     };
-    absorb();
-
-    // Formation window: linger for same-key submissions before the
-    // first step. Boundary absorption below picks up anything later.
-    if (opts_.cohortWindowSeconds > 0.0) {
-        const auto window_deadline = std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    opts_.cohortWindowSeconds));
-        while (run.activeCount() < max_rows) {
-            bool stop;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                if (stopped_
-                    || cohortCv_.wait_until(lock, window_deadline)
-                        == std::cv_status::timeout)
-                    break;
-                stop = stopped_;
-            }
-            if (stop)
-                break;
-            absorb();
-        }
-        absorb();
-    }
+    // Formation: group same-key requests past FIFO ties.
+    absorb(/*pass_fifo_ties=*/true);
 
     const auto deliver_cancelled = [&](CohortMember &m) {
         run.leave(m.slot);
@@ -733,10 +683,12 @@ BatchEngine::runCohort(CohortMember first)
             m.ctx.reset();
         }
 
-        // Boundary absorption: late joiners attach here, starting
-        // their own iteration 0 while earlier members run ahead.
+        // Boundary refill: late joiners attach here, starting their
+        // own iteration 0 while earlier members run ahead. Only the
+        // requests the scheduler would start next, so nothing queued
+        // behind a running cohort can starve.
         if (!run.done())
-            absorb();
+            absorb(/*pass_fifo_ties=*/false);
     }
 }
 
@@ -758,8 +710,6 @@ BatchEngine::resume()
         paused_ = false;
     }
     pool_.resume();
-    // Leaders lingering in a formation window may absorb again.
-    cohortCv_.notify_all();
 }
 
 void
@@ -784,35 +734,6 @@ std::string
 BatchEngine::metricsText() const
 {
     return snapshot().toPrometheusText();
-}
-
-BatchEngine::CohortOccupancy
-BatchEngine::cohortOccupancy(const ServeRequest &req) const
-{
-    CohortOccupancy occ;
-    const u64 max_rows =
-        static_cast<u64>(std::max<Index>(1, opts_.cohortMaxRows));
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[id, p] : pending_) {
-        if (p.req.benchmark == req.benchmark && p.req.mode == req.mode
-            && p.req.quantize == req.quantize)
-            ++occ.queued;
-    }
-    for (const auto &[id, c] : activeCohorts_) {
-        if (c.benchmark != req.benchmark || c.mode != req.mode
-            || c.quantize != req.quantize)
-            continue;
-        occ.running += c.activeRows;
-        occ.spareRows += max_rows - std::min(max_rows, c.activeRows);
-    }
-    return occ;
-}
-
-bool
-BatchEngine::stoppedFlag() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stopped_;
 }
 
 int
@@ -843,7 +764,6 @@ BatchEngine::shutdown()
         stopped_ = true;
     }
     admissionCv_.notify_all(); // block-mode waiters fail with Stopped
-    cohortCv_.notify_all();    // lingering cohort leaders start now
     pool_.shutdown(); // drains every accepted request, idempotent
     results_.close();
 }

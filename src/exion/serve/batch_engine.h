@@ -164,60 +164,6 @@ struct SubmitOutcome
 };
 
 /**
- * The submission surface a serving front end consumes — implemented
- * by one BatchEngine and, identically, by a ShardRouter over N of
- * them, so HttpFront / the daemons / the load generators work
- * unchanged over either. The contract mirrors BatchEngine's: typed
- * trySubmit() outcomes, a throwing submit(), snapshot() +
- * Prometheus metricsText(), one completion callback, pause/resume
- * staging and a draining shutdown().
- */
-class ServeBackend
-{
-  public:
-    /** Invoked on a worker thread as each request completes. */
-    using CompletionCallback = std::function<void(const RequestResult &)>;
-
-    virtual ~ServeBackend() = default;
-
-    /** Admission-checked submission — the non-throwing path. */
-    virtual SubmitOutcome trySubmit(const ServeRequest &req) = 0;
-
-    /** The throwing fast path (typed exceptions on refusal). */
-    virtual Ticket submit(const ServeRequest &req) = 0;
-
-    /** Point-in-time serving metrics (aggregated across shards). */
-    virtual EngineMetrics snapshot() const = 0;
-
-    /**
-     * Prometheus text exposition of snapshot(); a sharded backend
-     * additionally labels per-shard samples with shard="i".
-     */
-    virtual std::string metricsText() const = 0;
-
-    /** Installs the completion hook; nullptr removes it. */
-    virtual void setOnComplete(CompletionCallback cb) = 0;
-
-    /** Requests admitted but not yet completed or cancelled. */
-    virtual u64 inFlight() const = 0;
-
-    /** Blocks until every admitted request has completed. */
-    virtual void waitIdle() const = 0;
-
-    /** Pauses scheduling (submissions still queue). */
-    virtual void pause() = 0;
-
-    /** Resumes scheduling after pause(). */
-    virtual void resume() = 0;
-
-    /** Graceful drain-then-stop; idempotent. */
-    virtual void shutdown() = 0;
-
-    /** Total worker threads behind this surface. */
-    virtual int workerCount() const = 0;
-};
-
-/**
  * Batched multi-request serving engine.
  *
  * Usage: addModel() every benchmark the request mix needs (not
@@ -233,19 +179,13 @@ class ServeBackend
  * depends only on the request and the registered weights, never on
  * worker count, priorities, scheduling order or admission policy.
  */
-class BatchEngine : public ServeBackend
+class BatchEngine
 {
   public:
     struct Options
     {
         /** Worker threads (0 = hardware concurrency). */
         int workers = 0;
-        /**
-         * ThreadPool seed. Denoising runs derive all randomness from
-         * each request's noiseSeed; this only feeds submitSeeded()
-         * consumers (planned: randomised schedulers, see ROADMAP).
-         */
-        u64 poolSeed = 0x2545f4914f6cdd1dULL;
         /** ConMerge configuration for trackConMerge requests. */
         ConMergeConfig conmerge;
         /**
@@ -276,14 +216,18 @@ class BatchEngine : public ServeBackend
          * MMULs traverse each weight matrix once per cohort instead
          * of once per request. Results stay bit-identical to solo
          * runs (per-request sparsity state and accounting are row-
-         * partitioned); admission and priority semantics are
-         * unchanged — the pool still starts the highest-priority
-         * ready request, which therefore leads the cohort, later
-         * joiners attach at the next iteration boundary, and a
-         * cohort only ever absorbs requests the scheduler would have
-         * started next anyway (a queued non-matching request that
-         * ranks ahead stops the refill, so sustained same-key load
-         * cannot starve it). Off by default.
+         * partitioned). The pool still starts the highest-priority
+         * ready request, which therefore leads the cohort. At
+         * formation the leader also absorbs same-key requests queued
+         * behind non-matching ones of equal pool priority (same
+         * class, no deadline on either: they differ only in FIFO
+         * order), so an interleaved multi-model stream still forms
+         * cohorts; it stops at any non-matching request ranked
+         * strictly higher. Refill at later iteration boundaries only
+         * takes requests the scheduler would have started next
+         * anyway, so the head of the queue is always started by the
+         * next free worker and sustained same-key load cannot starve
+         * it. Off by default.
          */
         bool cohortBatching = false;
         /**
@@ -293,15 +237,6 @@ class BatchEngine : public ServeBackend
          */
         Index cohortMaxRows = 8;
         /**
-         * How long a cohort leader with spare rows lingers before its
-         * first step, waiting for same-key submissions to arrive
-         * (0 = start immediately). Boundary absorption usually makes
-         * the window unnecessary — joiners attach while the cohort
-         * runs — but a window helps when requests arrive in bursts
-         * slightly slower than one iteration.
-         */
-        double cohortWindowSeconds = 0.0;
-        /**
          * SIMD tier every executor this engine builds runs its
          * kernels under. Exact (the default) uses the host's widest
          * vector table while keeping every float accumulation chain
@@ -310,15 +245,21 @@ class BatchEngine : public ServeBackend
         SimdTier simdTier = SimdTier::Exact;
     };
 
-    using CompletionCallback = ServeBackend::CompletionCallback;
+    /** Invoked on a worker thread as each request completes. */
+    using CompletionCallback = std::function<void(const RequestResult &)>;
 
     /** Engine with default options (hardware-concurrency workers). */
     BatchEngine();
 
     explicit BatchEngine(const Options &opts);
 
-    /** Drains in-flight requests, then stops (see shutdown()). */
-    ~BatchEngine() override;
+    /**
+     * Drains in-flight requests, then stops (see shutdown()). Virtual,
+     * like trySubmit() and setOnComplete(): a subclass may wrap the
+     * submission and completion paths (e.g. to record timings) and
+     * still be served by HttpFront.
+     */
+    virtual ~BatchEngine();
 
     BatchEngine(const BatchEngine &) = delete;
     BatchEngine &operator=(const BatchEngine &) = delete;
@@ -383,7 +324,7 @@ class BatchEngine : public ServeBackend
      * @throws AdmissionRejected  when admission policy refuses the
      *                            request (QueueFull / LoadShedLow)
      */
-    Ticket submit(const ServeRequest &req) override;
+    Ticket submit(const ServeRequest &req);
 
     /**
      * Admission-checked submission — the non-throwing path.
@@ -397,7 +338,7 @@ class BatchEngine : public ServeBackend
      * whose shutdown() has begun is Stopped. Every decision is
      * counted in snapshot().
      */
-    SubmitOutcome trySubmit(const ServeRequest &req) override;
+    virtual SubmitOutcome trySubmit(const ServeRequest &req);
 
     /**
      * Installs the completion hook; pass nullptr to remove it. Takes
@@ -407,7 +348,7 @@ class BatchEngine : public ServeBackend
      * an escaped exception is logged and swallowed (it cannot be
      * attached to the already-delivered result).
      */
-    void setOnComplete(CompletionCallback cb) override;
+    virtual void setOnComplete(CompletionCallback cb);
 
     /**
      * Completion queue fed by every submit() (unless
@@ -424,44 +365,10 @@ class BatchEngine : public ServeBackend
      * window. Counters reconcile exactly with the outcomes callers
      * observed.
      */
-    EngineMetrics snapshot() const override;
+    EngineMetrics snapshot() const;
 
-    /** snapshot() rendered as Prometheus text (no shard labels). */
-    std::string metricsText() const override;
-
-    /**
-     * Same-cohort-key occupancy of this engine — the affinity signal
-     * a router scores shards by. queued counts ready requests with
-     * the request's (benchmark, mode, quantize) key; running counts
-     * rows of live cohorts stepping that key; spareRows is the
-     * unfilled capacity of those cohorts (rows a routed request could
-     * occupy at the next iteration boundary without waiting for a
-     * free worker). Only meaningful with cohortBatching on — running
-     * and spareRows stay 0 otherwise.
-     */
-    struct CohortOccupancy
-    {
-        u64 queued = 0;
-        u64 running = 0;
-        u64 spareRows = 0;
-    };
-    CohortOccupancy cohortOccupancy(const ServeRequest &req) const;
-
-    /** Ready depth of each class, from the pool's level accounting. */
-    ClassDepths readyDepths() const;
-
-    /**
-     * Median queue wait of one class over the recent window, seconds
-     * (0 with no samples). The congestion signal behind retry-after
-     * hints and the router's deadline-aware scoring.
-     */
-    double classQueueWaitP50(Priority cls) const
-    {
-        return metrics_.classQueueWaitP50(cls);
-    }
-
-    /** Whether shutdown() has begun. */
-    bool stoppedFlag() const;
+    /** snapshot() rendered as Prometheus text. */
+    std::string metricsText() const;
 
     /**
      * Best-effort CPU affinity: pins worker thread i to
@@ -478,16 +385,16 @@ class BatchEngine : public ServeBackend
      * submissions be ordered purely by priority before any of them
      * starts. shutdown() overrides a pause and drains.
      */
-    void pause() override;
+    void pause();
 
     /** Resumes scheduling after pause(). */
-    void resume() override;
+    void resume();
 
     /** Requests admitted but not yet completed or cancelled. */
-    u64 inFlight() const override;
+    u64 inFlight() const;
 
     /** Blocks until every admitted request has completed. */
-    void waitIdle() const override;
+    void waitIdle() const;
 
     /**
      * Graceful shutdown: refuses new submissions, runs every request
@@ -497,7 +404,7 @@ class BatchEngine : public ServeBackend
      * draining it until this returns — a full queue blocks the
      * draining workers. Idempotent; also called by the destructor.
      */
-    void shutdown() override;
+    void shutdown();
 
     /**
      * Compatibility wrapper around submit(): enqueues the whole batch
@@ -524,7 +431,7 @@ class BatchEngine : public ServeBackend
         const std::vector<ServeRequest> &requests);
 
     /** Number of pool workers. */
-    int workerCount() const override { return pool_.workerCount(); }
+    int workerCount() const { return pool_.workerCount(); }
 
   private:
     friend class Ticket;
@@ -574,6 +481,9 @@ class BatchEngine : public ServeBackend
      */
     i64 poolPriority(const ServeRequest &req) const;
 
+    /** Ready depth of each class, from the pool's level accounting. */
+    ClassDepths readyDepths() const;
+
     /** Retry-after hint for a load-driven refusal of class cls. */
     double suggestedBackoff(Priority cls) const;
 
@@ -596,27 +506,18 @@ class BatchEngine : public ServeBackend
      * Pulls up to max_take queued requests compatible with key out of
      * the ready queue (highest pool priority first), marking them
      * started. Compatible = same benchmark, mode and quantize flag.
+     * A queued non-matching request stops absorption at the first
+     * candidate it outranks; with pass_fifo_ties set (cohort
+     * formation) a non-matching request of equal pool priority does
+     * not, since the two differ only in FIFO order.
      */
     std::vector<CohortMember> absorbCohortPeers(const ServeRequest &key,
-                                                Index max_take);
+                                                Index max_take,
+                                                bool pass_fifo_ties);
 
     /** Leads a cohort seeded with first; returns when all members
         it ever absorbed are delivered. */
     void runCohort(CohortMember first);
-
-    /**
-     * One live cohort, published for cohortOccupancy(): its key and
-     * how many rows are stepping right now. Leaders register at
-     * start, refresh activeRows at every absorb/finish boundary and
-     * erase on exit.
-     */
-    struct ActiveCohort
-    {
-        Benchmark benchmark = Benchmark::MLD;
-        ExecMode mode = ExecMode::Exion;
-        bool quantize = false;
-        u64 activeRows = 0;
-    };
 
     const std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
@@ -633,16 +534,10 @@ class BatchEngine : public ServeBackend
         request, a cancellation, or shutdown) for block-mode
         admission waits. */
     std::condition_variable admissionCv_;
-    /** Signalled on every accepted submission, for cohort leaders
-        lingering in their formation window. */
-    std::condition_variable cohortCv_;
     CompletionCallback onComplete_;
     std::map<u64, Pending> pending_;
     /** Cancel flags of started (running) requests, by ticket id. */
     std::map<u64, std::shared_ptr<std::atomic<bool>>> running_;
-    /** Live cohorts by leader instance id (see ActiveCohort). */
-    std::map<u64, ActiveCohort> activeCohorts_;
-    u64 nextCohortInstance_ = 1;
     u64 nextTicket_ = 1;
     u64 inFlight_ = 0;
     bool stopped_ = false;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -321,9 +322,16 @@ retryAfterSeconds(double suggestedBackoffSeconds)
 
 // ------------------------------------------------------------- HttpFront
 
-HttpFront::HttpFront(ServeBackend &engine, Options opts)
+HttpFront::HttpFront(BatchEngine &engine, Options opts)
     : engine_(engine), opts_(opts)
 {
+    if (!std::isfinite(opts_.sseHeartbeatSeconds)
+        || opts_.sseHeartbeatSeconds <= 0.0)
+        throw std::invalid_argument(
+            "HttpFront: sseHeartbeatSeconds must be finite and "
+            "positive, got "
+            + std::to_string(opts_.sseHeartbeatSeconds));
+
     // The front owns the engine's completion slot: the callback wakes
     // SSE streams waiting on the finished job. (Cancelled requests
     // never fire it; their streams notice the settled ticket at the

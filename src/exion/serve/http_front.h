@@ -1,6 +1,6 @@
 /**
  * @file
- * HTTP front door of the serving backend: the REST mapping layer.
+ * HTTP front door of the serving engine: the REST mapping layer.
  *
  * HttpFront::handle() is an HttpServer handler (and is equally
  * callable on hand-built HttpRequest values, so every route is golden-
@@ -27,7 +27,7 @@
  *                                terminal `done` event; a client that
  *                                disconnects mid-stream cancels the
  *                                running request cooperatively
- *   GET    /metrics              ServeBackend::metricsText()
+ *   GET    /metrics              BatchEngine::metricsText()
  *   GET    /healthz              200 "ok"
  *
  * Submission body — a flat JSON object, all fields except
@@ -58,8 +58,7 @@ namespace exion
 {
 
 /**
- * Stateful REST facade over one ServeBackend (a solo BatchEngine
- * or a ShardRouter over N of them — the facade cannot tell).
+ * Stateful REST facade over one BatchEngine.
  *
  * Owns the job table (engine tickets, then the finished status
  * fields, keyed by the job ids it hands out) and the engine's
@@ -78,7 +77,8 @@ class HttpFront
          * Seconds between SSE heartbeat comments when no progress
          * event is due. Heartbeats keep intermediaries from timing
          * out the stream and bound how quickly a departed client is
-         * noticed (each wakeup probes the connection).
+         * noticed (each wakeup probes the connection). Must be finite
+         * and positive.
          */
         double sseHeartbeatSeconds = 5.0;
         /**
@@ -89,8 +89,14 @@ class HttpFront
         u64 maxFinishedJobs = 1024;
     };
 
-    explicit HttpFront(ServeBackend &engine) : HttpFront(engine, Options()) {}
-    HttpFront(ServeBackend &engine, Options opts);
+    explicit HttpFront(BatchEngine &engine) : HttpFront(engine, Options()) {}
+
+    /**
+     * @throws std::invalid_argument when opts.sseHeartbeatSeconds is
+     *         not finite or not positive (a zero wait would spin every
+     *         SSE stream writing heartbeats)
+     */
+    HttpFront(BatchEngine &engine, Options opts);
 
     /** Uninstalls the completion callback. */
     ~HttpFront();
@@ -156,7 +162,7 @@ class HttpFront
     /** Status JSON of a job (also the SSE `done` payload). */
     std::string statusJson(Job &job) const;
 
-    ServeBackend &engine_;
+    BatchEngine &engine_;
     Options opts_;
     mutable std::mutex jobsMutex_;
     std::map<u64, std::shared_ptr<Job>> jobs_;

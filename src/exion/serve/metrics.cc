@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 namespace exion
 {
@@ -159,109 +160,22 @@ promValue(double v)
     return buf;
 }
 
-/**
- * One row of a family emission: the label suffix appended after the
- * `class` label (empty for the aggregate, `,shard="i"` per shard)
- * plus the per-class table the samples come from.
- */
-struct FamilyRow
-{
-    std::string labelSuffix;
-    const std::array<ClassMetrics, kNumPriorityClasses> *perClass;
-};
-
-/**
- * One family: HELP/TYPE header once, then a sample per class for
- * every row — the aggregate first, shards after, all under the same
- * metric name so Prometheus sees a single consistent family.
- */
-void
-emitClassFamily(std::ostringstream &out, const char *name,
-                const char *help, const char *type,
-                const std::vector<FamilyRow> &rows,
-                u64 ClassMetrics::*field)
-{
-    out << "# HELP " << name << " " << help << "\n";
-    out << "# TYPE " << name << " " << type << "\n";
-    for (const FamilyRow &row : rows) {
-        for (int c = 0; c < kNumPriorityClasses; ++c) {
-            out << name << "{class=\""
-                << priorityName(static_cast<Priority>(c)) << "\""
-                << row.labelSuffix << "} "
-                << (*row.perClass)[c].*field << "\n";
-        }
-    }
-}
-
 } // namespace
 
 std::string
 EngineMetrics::toPrometheusText() const
 {
-    return renderPrometheusText(*this, {});
-}
-
-EngineMetrics
-aggregateMetrics(const std::vector<LabeledMetrics> &shards)
-{
-    EngineMetrics agg;
-    double wait_p50 = 0.0, wait_p99 = 0.0;
-    std::array<double, kNumPriorityClasses> class_p50{};
-    for (const LabeledMetrics &s : shards) {
-        const EngineMetrics &m = s.metrics;
-        for (int c = 0; c < kNumPriorityClasses; ++c) {
-            ClassMetrics &a = agg.perClass[c];
-            const ClassMetrics &b = m.perClass[c];
-            a.accepted += b.accepted;
-            a.rejectedQueueFull += b.rejectedQueueFull;
-            a.shed += b.shed;
-            a.rejectedUnknownModel += b.rejectedUnknownModel;
-            a.rejectedStopped += b.rejectedStopped;
-            a.started += b.started;
-            a.completed += b.completed;
-            a.failed += b.failed;
-            a.cancelled += b.cancelled;
-            a.deadlineMisses += b.deadlineMisses;
-            a.queued += b.queued;
-            a.peakQueued += b.peakQueued;
-            a.queueWaitSamples += b.queueWaitSamples;
-            class_p50[c] += b.queueWaitP50
-                * static_cast<double>(b.queueWaitSamples);
-        }
-        agg.queueWaitSamples += m.queueWaitSamples;
-        wait_p50 +=
-            m.queueWaitP50 * static_cast<double>(m.queueWaitSamples);
-        wait_p99 +=
-            m.queueWaitP99 * static_cast<double>(m.queueWaitSamples);
-    }
-    if (agg.queueWaitSamples > 0) {
-        agg.queueWaitP50 =
-            wait_p50 / static_cast<double>(agg.queueWaitSamples);
-        agg.queueWaitP99 =
-            wait_p99 / static_cast<double>(agg.queueWaitSamples);
-    }
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-        if (agg.perClass[c].queueWaitSamples > 0)
-            agg.perClass[c].queueWaitP50 = class_p50[c]
-                / static_cast<double>(agg.perClass[c].queueWaitSamples);
-    }
-    return agg;
-}
-
-std::string
-renderPrometheusText(const EngineMetrics &aggregate,
-                     const std::vector<LabeledMetrics> &shards)
-{
-    std::vector<FamilyRow> rows;
-    rows.push_back(FamilyRow{"", &aggregate.perClass});
-    for (const LabeledMetrics &s : shards)
-        rows.push_back(FamilyRow{",shard=\"" + s.shard + "\"",
-                                 &s.metrics.perClass});
-
     std::ostringstream out;
+    // One family: HELP/TYPE header, then a sample per class.
     const auto family = [&](const char *name, const char *help,
                             const char *type, u64 ClassMetrics::*field) {
-        emitClassFamily(out, name, help, type, rows, field);
+        out << "# HELP " << name << " " << help << "\n";
+        out << "# TYPE " << name << " " << type << "\n";
+        for (int c = 0; c < kNumPriorityClasses; ++c) {
+            out << name << "{class=\""
+                << priorityName(static_cast<Priority>(c)) << "\"} "
+                << perClass[c].*field << "\n";
+        }
     };
     family("exion_serve_accepted_total",
            "Requests admitted into the ready queue.", "counter",
@@ -305,32 +219,19 @@ renderPrometheusText(const EngineMetrics &aggregate,
            "acceptance to worker start, over the recent window.\n";
     out << "# TYPE exion_serve_queue_wait_seconds summary\n";
     out << "exion_serve_queue_wait_seconds{quantile=\"0.5\"} "
-        << promValue(aggregate.queueWaitP50) << "\n";
+        << promValue(queueWaitP50) << "\n";
     out << "exion_serve_queue_wait_seconds{quantile=\"0.99\"} "
-        << promValue(aggregate.queueWaitP99) << "\n";
-    out << "exion_serve_queue_wait_seconds_count "
-        << aggregate.queueWaitSamples << "\n";
-    for (const LabeledMetrics &s : shards) {
-        out << "exion_serve_queue_wait_seconds{quantile=\"0.5\",shard=\""
-            << s.shard << "\"} " << promValue(s.metrics.queueWaitP50)
-            << "\n";
-        out << "exion_serve_queue_wait_seconds{quantile=\"0.99\",shard=\""
-            << s.shard << "\"} " << promValue(s.metrics.queueWaitP99)
-            << "\n";
-        out << "exion_serve_queue_wait_seconds_count{shard=\""
-            << s.shard << "\"} " << s.metrics.queueWaitSamples << "\n";
-    }
+        << promValue(queueWaitP99) << "\n";
+    out << "exion_serve_queue_wait_seconds_count " << queueWaitSamples
+        << "\n";
 
     out << "# HELP exion_serve_class_queue_wait_p50_seconds Median "
            "queue wait per class over its recent window.\n";
     out << "# TYPE exion_serve_class_queue_wait_p50_seconds gauge\n";
-    for (const FamilyRow &row : rows) {
-        for (int c = 0; c < kNumPriorityClasses; ++c) {
-            out << "exion_serve_class_queue_wait_p50_seconds{class=\""
-                << priorityName(static_cast<Priority>(c)) << "\""
-                << row.labelSuffix << "} "
-                << promValue((*row.perClass)[c].queueWaitP50) << "\n";
-        }
+    for (int c = 0; c < kNumPriorityClasses; ++c) {
+        out << "exion_serve_class_queue_wait_p50_seconds{class=\""
+            << priorityName(static_cast<Priority>(c)) << "\"} "
+            << promValue(perClass[c].queueWaitP50) << "\n";
     }
     return out.str();
 }

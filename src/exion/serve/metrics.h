@@ -19,7 +19,6 @@
 #include <array>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "exion/serve/admission.h"
 #include "exion/serve/request.h"
@@ -95,7 +94,6 @@ struct EngineMetrics
      * (`exion_serve_*_total{class="..."}`), ready-depth gauges, and
      * the queue-wait summary quantiles. Values print with up to six
      * significant digits (`%g`), matching common exporters.
-     * Equivalent to renderPrometheusText() with no shard breakdown.
      */
     std::string toPrometheusText() const;
 
@@ -108,36 +106,6 @@ struct EngineMetrics
         return total;
     }
 };
-
-/** One engine's snapshot labelled for multi-shard rendering. */
-struct LabeledMetrics
-{
-    /** Value of the `shard` label, e.g. "0". */
-    std::string shard;
-    EngineMetrics metrics;
-};
-
-/**
- * Merges per-shard snapshots into one fleet-wide view: counters,
- * ready depths and peaks sum across shards; the queue-wait
- * percentiles are sample-weighted averages of the shard percentiles
- * (an approximation — the true fleet percentile would need the raw
- * windows — but monotone in every shard's congestion, which is what
- * dashboards and the router's scoring consume).
- */
-EngineMetrics aggregateMetrics(const std::vector<LabeledMetrics> &shards);
-
-/**
- * Prometheus text exposition of a sharded engine: one HELP/TYPE
- * header per family, the aggregate's samples labelled only by
- * `{class="..."}`, then each shard's samples repeated with an
- * additional `shard="<label>"` dimension (so fleet totals and
- * per-shard breakdowns scrape from one endpoint, and the aggregate
- * series names stay identical to a solo engine's). With an empty
- * shard list the output is exactly a solo engine's exposition.
- */
-std::string renderPrometheusText(const EngineMetrics &aggregate,
-                                 const std::vector<LabeledMetrics> &shards);
 
 /**
  * Thread-safe counter sink. All methods are cheap (a mutex and a few

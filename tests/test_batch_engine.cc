@@ -1243,30 +1243,84 @@ TEST(BatchEngine, CohortAbsorbsOnlyCompatibleRequests)
     expectBitIdentical(engine.runSequential(batch), results);
 }
 
-TEST(BatchEngine, CohortWindowGathersBurst)
+/** One request of a staged burst: its cohort key and its rank. */
+struct Staged
 {
-    // A formation window lets the first request wait briefly for the
-    // rest of a burst; everything still completes and reconciles.
+    ExecMode mode = ExecMode::Exion;
+    Priority priority = Priority::Normal;
+    double deadlineSeconds = 0.0;
+};
+
+/**
+ * Queues the burst (request ids = burst indices) on a paused
+ * one-worker cohort engine, releases it and returns the ids in
+ * completion order. Cohort members finish together, in absorption
+ * order, so the order shows which requests each cohort took.
+ */
+std::vector<u64>
+cohortCompletionOrder(const std::vector<Staged> &burst)
+{
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
-    opts.workers = 2;
+    opts.workers = 1;
     opts.cohortBatching = true;
-    opts.cohortWindowSeconds = 0.05;
     BatchEngine engine(opts);
     engine.addModel(cfg);
 
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 6; ++i) {
+    std::mutex order_mutex;
+    std::vector<u64> completion_order;
+    engine.setOnComplete([&](const RequestResult &r) {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        completion_order.push_back(r.id);
+    });
+
+    engine.pause();
+    for (Index i = 0; i < burst.size(); ++i) {
         ServeRequest req;
         req.benchmark = cfg.benchmark;
-        req.id = static_cast<u64>(i);
-        req.noiseSeed = 90 + static_cast<u64>(i);
-        tickets.push_back(engine.submit(req));
+        req.id = i;
+        req.mode = burst[i].mode;
+        req.priority = burst[i].priority;
+        req.deadlineSeconds = burst[i].deadlineSeconds;
+        req.noiseSeed = 90 + i;
+        engine.submit(req);
     }
-    for (Ticket &t : tickets)
-        EXPECT_TRUE(t.get().ok());
+    engine.resume();
     engine.waitIdle();
-    EXPECT_EQ(engine.snapshot().completed(), 6u);
+    return completion_order;
+}
+
+TEST(BatchEngine, CohortFormationGroupsFifoTiesByKey)
+{
+    // A strictly interleaved two-key stream of equal rank: the leader
+    // absorbs its same-key peers past the other key's requests, which
+    // differ from them only in FIFO order, so one engine forms two
+    // full cohorts instead of six cohorts of one.
+    const Staged exion{ExecMode::Exion};
+    const Staged dense{ExecMode::Dense};
+    const std::vector<u64> expected = {0, 2, 4, 1, 3, 5};
+    EXPECT_EQ(cohortCompletionOrder(
+                  {exion, dense, exion, dense, exion, dense}),
+              expected);
+}
+
+TEST(BatchEngine, CohortFormationNeverPassesHigherRank)
+{
+    // Formation passes only FIFO ties: a non-matching request ranked
+    // strictly higher (by class, or by an earlier deadline within the
+    // class) stops absorption, so the same-key request behind it runs
+    // after it.
+    const std::vector<u64> expected = {0, 1, 2};
+    EXPECT_EQ(cohortCompletionOrder(
+                  {{ExecMode::Exion, Priority::Critical},
+                   {ExecMode::Dense, Priority::Normal},
+                   {ExecMode::Exion, Priority::Low}}),
+              expected);
+    EXPECT_EQ(cohortCompletionOrder(
+                  {{ExecMode::Exion, Priority::Normal, 60.0},
+                   {ExecMode::Dense, Priority::Normal, 120.0},
+                   {ExecMode::Exion, Priority::Normal, 0.0}}),
+              expected);
 }
 
 TEST(BatchEngine, CohortRefillDoesNotStarveQueuedHigherPriorityWork)

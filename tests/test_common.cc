@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for exion/common: RNG, bit ops, fixed point, stats, table.
+ * Unit tests for exion/common: RNG, bit ops, fixed point, stats, table,
+ * NUMA topology discovery.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "exion/common/bitops.h"
 #include "exion/common/fixed_point.h"
+#include "exion/common/numa.h"
 #include "exion/common/rng.h"
 #include "exion/common/stats.h"
 #include "exion/common/table.h"
@@ -231,6 +235,29 @@ TEST(Table, Formatters)
     EXPECT_EQ(formatDouble(1.2345, 2), "1.23");
     EXPECT_EQ(formatRatio(379.34, 1), "379.3x");
     EXPECT_EQ(formatPercent(0.138, 1), "13.8%");
+}
+
+TEST(NumaTopology, ParseCpuListHandlesRangesAndNoise)
+{
+    EXPECT_EQ(parseCpuList("0-3,8,10-11"),
+              (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
+    EXPECT_EQ(parseCpuList("2,1,1"), (std::vector<int>{1, 2}));
+    EXPECT_EQ(parseCpuList("5"), (std::vector<int>{5}));
+    EXPECT_TRUE(parseCpuList("").empty());
+    EXPECT_TRUE(parseCpuList("garbage").empty());
+    // A malformed field is skipped, not fatal.
+    EXPECT_EQ(parseCpuList("0,x,2"), (std::vector<int>{0, 2}));
+}
+
+TEST(NumaTopology, NodeDiscoveryIsWellFormedWhereItExists)
+{
+    const auto nodes = numaNodeCpus();
+    for (const auto &cpus : nodes) {
+        EXPECT_FALSE(cpus.empty());
+        EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
+        for (int cpu : cpus)
+            EXPECT_GE(cpu, 0);
+    }
 }
 
 } // namespace

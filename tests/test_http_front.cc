@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -504,6 +505,26 @@ TEST(HttpFront, FinishedJobsAreEvicted)
 }
 
 // -------------------------------------------------------------- SSE
+
+TEST(HttpFront, HeartbeatMustBeFiniteAndPositive)
+{
+    // Regression: a zero, negative or NaN heartbeat made every SSE
+    // stream spin on a zero wait, writing heartbeat chunks back to
+    // back. The front refuses such an interval at construction.
+    BatchEngine engine(FrontFixture::options(0, 0));
+    for (const double bad : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        HttpFront::Options opts;
+        opts.sseHeartbeatSeconds = bad;
+        EXPECT_THROW({ HttpFront front(engine, opts); },
+                     std::invalid_argument)
+            << "heartbeat " << bad;
+    }
+    HttpFront::Options opts;
+    opts.sseHeartbeatSeconds = 0.05;
+    EXPECT_NO_THROW({ HttpFront front(engine, opts); });
+}
 
 TEST(HttpFront, SseStreamsOneEventPerIterationGolden)
 {

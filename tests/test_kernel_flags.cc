@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "exion/serve/shard_router.h"
 #include "exion/tensor/kernel_flags.h"
 
 namespace exion
@@ -146,87 +145,6 @@ TEST(KernelFlagsTest, UsageAdvertisesOnlySimd)
     EXPECT_EQ(usage.find("fast"), std::string::npos);
     EXPECT_EQ(usage.find("--gemm"), std::string::npos);
     EXPECT_EQ(usage.find("--tp"), std::string::npos);
-}
-
-/** Caller-side argv loop for the route flag, mirroring ParseRun. */
-struct RouteRun
-{
-    RoutePolicy policy = RoutePolicy::LeastDepth;
-    std::vector<std::string> others;
-    std::string error;
-};
-
-RouteRun
-parseRoute(const std::vector<const char *> &args)
-{
-    std::vector<const char *> argv = {"prog"};
-    argv.insert(argv.end(), args.begin(), args.end());
-    RouteRun run;
-    for (int i = 1; i < static_cast<int>(argv.size()); ++i) {
-        std::string err;
-        const KernelFlagStatus ks = tryConsumeRouteFlag(
-            static_cast<int>(argv.size()), argv.data(), i, run.policy,
-            err);
-        if (ks == KernelFlagStatus::Error) {
-            run.error = err;
-            break;
-        }
-        if (ks == KernelFlagStatus::NotMine)
-            run.others.push_back(argv[i]);
-    }
-    return run;
-}
-
-TEST(RouteFlagTest, ParsesEveryPolicy)
-{
-    RouteRun run = parseRoute({"--route", "least-depth"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.policy, RoutePolicy::LeastDepth);
-
-    run = parseRoute({"--route", "deadline-aware"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.policy, RoutePolicy::DeadlineAware);
-
-    run = parseRoute({"--route", "cohort-affinity"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.policy, RoutePolicy::CohortAffinity);
-}
-
-TEST(RouteFlagTest, ForeignArgsPassThrough)
-{
-    const RouteRun run =
-        parseRoute({"--shards", "2", "--route", "deadline-aware"});
-    EXPECT_TRUE(run.error.empty());
-    EXPECT_EQ(run.policy, RoutePolicy::DeadlineAware);
-    const std::vector<std::string> want = {"--shards", "2"};
-    EXPECT_EQ(run.others, want);
-}
-
-// Regression: the hand-rolled per-binary --route parses used to fall
-// back silently; the shared helper must list the accepted policies.
-TEST(RouteFlagTest, RejectsUnknownPolicyListingValues)
-{
-    const RouteRun run = parseRoute({"--route", "round-robin"});
-    ASSERT_FALSE(run.error.empty());
-    EXPECT_NE(run.error.find("--route"), std::string::npos);
-    EXPECT_NE(run.error.find("round-robin"), std::string::npos);
-    EXPECT_NE(run.error.find(routePolicyValues()), std::string::npos);
-    EXPECT_EQ(run.policy, RoutePolicy::LeastDepth);
-}
-
-TEST(RouteFlagTest, MissingValueIsError)
-{
-    const RouteRun run = parseRoute({"--route"});
-    ASSERT_FALSE(run.error.empty());
-    EXPECT_NE(run.error.find("needs a value"), std::string::npos);
-    EXPECT_NE(run.error.find(routePolicyValues()), std::string::npos);
-}
-
-TEST(RouteFlagTest, UsageAdvertisesPolicies)
-{
-    const std::string usage = routeFlagUsage();
-    EXPECT_NE(usage.find("--route"), std::string::npos);
-    EXPECT_NE(usage.find(routePolicyValues()), std::string::npos);
 }
 
 } // namespace

@@ -197,9 +197,10 @@ TEST(Pipeline, IterationHookFires)
     const ModelConfig cfg = makeTinyConfig(8, 16, 1, 5);
     DiffusionPipeline pipe(cfg);
     int count = 0;
-    pipe.onIteration = [&](int, const Matrix &) { ++count; };
+    RunOptions opts;
+    opts.onIteration = [&](int, const Matrix &) { ++count; };
     DenseExecutor exec;
-    pipe.run(exec);
+    pipe.run(exec, opts);
     EXPECT_EQ(count, 5);
 }
 
@@ -209,11 +210,12 @@ TEST(Pipeline, LatentEvolvesSmoothly)
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 10);
     DiffusionPipeline pipe(cfg);
     std::vector<Matrix> latents;
-    pipe.onIteration = [&](int, const Matrix &x) {
+    RunOptions opts;
+    opts.onIteration = [&](int, const Matrix &x) {
         latents.push_back(x);
     };
     DenseExecutor exec;
-    pipe.run(exec);
+    pipe.run(exec, opts);
     for (std::size_t i = 2; i < latents.size(); ++i) {
         const double step_diff = frobeniusNorm(
             sub(latents[i], latents[i - 1]));

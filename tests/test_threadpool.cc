@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the ThreadPool: results, priority scheduling, FIFO
- * ordering within a priority, exception propagation, deterministic
- * seeded tasks and shutdown behaviour.
+ * ordering within a priority, exception propagation and shutdown
+ * behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -181,52 +181,6 @@ TEST(ThreadPool, PropagatesExceptions)
     EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
 }
 
-TEST(ThreadPool, SeededTasksAreDeterministicAcrossWorkerCounts)
-{
-    const auto draw_all = [](int workers) {
-        ThreadPool pool(workers, /*seed=*/99);
-        std::vector<std::future<u64>> futures;
-        for (int i = 0; i < 16; ++i)
-            futures.push_back(
-                pool.submitSeeded([](Rng &rng) { return rng.next(); }));
-        std::vector<u64> draws;
-        for (auto &f : futures)
-            draws.push_back(f.get());
-        return draws;
-    };
-    EXPECT_EQ(draw_all(1), draw_all(4));
-}
-
-TEST(ThreadPool, SeededTasksAreDeterministicUnderPriorities)
-{
-    // Seeds are keyed by submission index, so reordering execution
-    // with priorities must not change which task gets which draw.
-    const auto draw_all = [](bool reversed_priorities) {
-        ThreadPool pool(2, /*seed=*/1234);
-        std::vector<std::future<u64>> futures;
-        for (int i = 0; i < 16; ++i) {
-            const i64 prio = reversed_priorities ? -i : i;
-            futures.push_back(pool.submitSeeded(
-                [](Rng &rng) { return rng.next(); }, prio));
-        }
-        std::vector<u64> draws;
-        for (auto &f : futures)
-            draws.push_back(f.get());
-        return draws;
-    };
-    EXPECT_EQ(draw_all(false), draw_all(true));
-}
-
-TEST(ThreadPool, SeededTasksDifferByIndex)
-{
-    ThreadPool pool(1, /*seed=*/5);
-    const u64 a =
-        pool.submitSeeded([](Rng &rng) { return rng.next(); }).get();
-    const u64 b =
-        pool.submitSeeded([](Rng &rng) { return rng.next(); }).get();
-    EXPECT_NE(a, b);
-}
-
 TEST(ThreadPool, ShutdownDrainsQueuedTasks)
 {
     std::atomic<int> done{0};
@@ -263,8 +217,6 @@ TEST(ThreadPool, SubmitAfterShutdownFailsLoudly)
     pool.submit([]() {}).get();
     pool.shutdown();
     EXPECT_THROW(pool.submit([]() { return 1; }), ThreadPoolStopped);
-    EXPECT_THROW(pool.submitSeeded([](Rng &) { return 1; }),
-                 ThreadPoolStopped);
     // shutdown stays idempotent after the refused submissions.
     pool.shutdown();
 }
@@ -372,8 +324,7 @@ TEST(ThreadPool, CountsSubmissions)
     ThreadPool pool(2);
     EXPECT_EQ(pool.submittedCount(), 0u);
     pool.submit([]() {}).get();
-    pool.submitSeeded([](Rng &) { return 0; }).get();
-    EXPECT_EQ(pool.submittedCount(), 2u);
+    EXPECT_EQ(pool.submittedCount(), 1u);
 }
 
 TEST(ThreadPool, QueuedCountDrainsToZero)

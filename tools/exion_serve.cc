@@ -12,9 +12,7 @@
  * Usage:
  *   exion_serve [--port N] [--models DIR] [--builtin NAME[,NAME...]]
  *               [--scale full|reduced] [--iterations N]
- *               [--pin-weights] [--workers N]
- *               [--shards N] [--shard-workers N] [--route POLICY]
- *               [--numa]
+ *               [--pin-weights] [--workers N] [--numa]
  *               [--max-queued N] [--shed-threshold N]
  *               [--block-timeout SECONDS] [--sse-heartbeat SECONDS]
  *               [--simd scalar|exact]
@@ -29,19 +27,10 @@
  *   --iterations N    denoising-iteration override for --builtin
  *   --pin-weights     mlock() loaded stores (best-effort; a failed
  *                     pin warns and serves unpinned)
- *   --workers N       engine worker threads (default: hardware;
- *                     ignored when --shards > 1 — see --shard-workers)
- *   --shards N        replica shards: N BatchEngines sharing the
- *                     same weight stores behind a snapshot-routed
- *                     ShardRouter (default 1 = solo engine)
- *   --shard-workers N worker threads per shard (default: hardware
- *                     split evenly across shards)
- *   --route POLICY    placement policy: least-depth (default),
- *                     deadline-aware, cohort-affinity
- *   --numa            pin shard workers round-robin across NUMA
- *                     nodes (best-effort; warns and serves unpinned
- *                     when the host has no topology; no effect
- *                     without --shards > 1)
+ *   --workers N       engine worker threads (default: hardware)
+ *   --numa            pin worker i to NUMA node i mod N (best-effort;
+ *                     warns and serves unpinned when the host exposes
+ *                     fewer than two nodes)
  *   --max-queued N    admission: ready-queue bound per priority
  *                     class (QueueFull -> HTTP 429; default 16)
  *   --shed-threshold N admission: total backlog at which Low-class
@@ -49,29 +38,30 @@
  *                     default 0 = shedding off)
  *   --block-timeout S admission: block this long for a queue slot
  *                     before rejecting (default 0 = reject at once)
- *   --sse-heartbeat S SSE heartbeat interval (default 5)
+ *   --sse-heartbeat S SSE heartbeat interval, > 0 (default 5)
  *
  * The API itself is documented in serve/http_front.h; README.md has
  * curl examples.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <dirent.h>
 
+#include "exion/common/logging.h"
+#include "exion/common/numa.h"
 #include "exion/model/config.h"
 #include "exion/net/http_server.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/serve/http_front.h"
-#include "exion/serve/shard_router.h"
 #include "exion/tensor/kernel_flags.h"
 
 namespace
@@ -95,7 +85,6 @@ usage(const char *argv0)
         "usage: %s [--port N] [--models DIR] [--builtin NAME[,...]]\n"
         "          [--scale full|reduced] [--iterations N]\n"
         "          [--pin-weights] [--workers N] [--max-queued N]\n"
-        "          [--shards N] [--shard-workers N] [--route POLICY]\n"
         "          [--numa] [--shed-threshold N]\n"
         "          [--block-timeout SECONDS]\n"
         "          [--sse-heartbeat SECONDS] %s\n",
@@ -157,9 +146,6 @@ main(int argc, char **argv)
     Scale scale = Scale::Reduced;
     int iterations = 0;
     bool pinWeights = false;
-    int shards = 1;
-    int shardWorkers = 0;
-    RoutePolicy route = RoutePolicy::LeastDepth;
     bool numa = false;
     KernelFlags kernels;
     BatchEngine::Options engineOpts;
@@ -180,14 +166,6 @@ main(int argc, char **argv)
             return 2;
         }
         if (ks == KernelFlagStatus::Consumed)
-            continue;
-        const KernelFlagStatus rs =
-            tryConsumeRouteFlag(argc, argv, i, route, err);
-        if (rs == KernelFlagStatus::Error) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            return 2;
-        }
-        if (rs == KernelFlagStatus::Consumed)
             continue;
         const auto value = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
@@ -212,10 +190,6 @@ main(int argc, char **argv)
             pinWeights = true;
         else if (arg == "--workers" && (v = value()))
             engineOpts.workers = std::atoi(v);
-        else if (arg == "--shards" && (v = value()))
-            shards = std::atoi(v);
-        else if (arg == "--shard-workers" && (v = value()))
-            shardWorkers = std::atoi(v);
         else if (arg == "--numa")
             numa = true;
         else if (arg == "--max-queued" && (v = value()))
@@ -226,9 +200,21 @@ main(int argc, char **argv)
                 static_cast<u64>(std::atoll(v));
         else if (arg == "--block-timeout" && (v = value()))
             engineOpts.admission.blockTimeoutSeconds = std::atof(v);
-        else if (arg == "--sse-heartbeat" && (v = value()))
-            frontOpts.sseHeartbeatSeconds = std::atof(v);
-        else
+        else if (arg == "--sse-heartbeat" && (v = value())) {
+            // HttpFront refuses a non-positive interval too; checking
+            // here reports it before any model is built.
+            char *end = nullptr;
+            const double seconds = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !std::isfinite(seconds)
+                || seconds <= 0.0) {
+                std::fprintf(stderr,
+                             "error: --sse-heartbeat needs a positive "
+                             "number of seconds, got '%s'\n",
+                             v);
+                return 2;
+            }
+            frontOpts.sseHeartbeatSeconds = seconds;
+        } else
             return usage(argv[0]);
     }
     if (modelDir.empty() && builtin.empty()) {
@@ -239,47 +225,22 @@ main(int argc, char **argv)
     }
     if (port < 0 || port > 65535)
         return usage(argv[0]);
-    if (shards < 1) {
-        std::fprintf(stderr, "error: --shards must be >= 1\n");
-        return 2;
-    }
     engineOpts.simdTier = kernels.simd;
 
-    // One engine when unsharded (no router indirection to pay for),
-    // a snapshot-routed ShardRouter otherwise — both serve the same
-    // ServeBackend surface, so everything downstream is shared.
-    std::unique_ptr<BatchEngine> soloEngine;
-    std::unique_ptr<ShardRouter> router;
-    if (shards > 1) {
-        ShardRouter::Options routerOpts;
-        routerOpts.shards = shards;
-        routerOpts.shardWorkers = shardWorkers;
-        routerOpts.policy = route;
-        routerOpts.engine = engineOpts;
-        routerOpts.numa = numa;
-        router = std::make_unique<ShardRouter>(routerOpts);
-    } else {
-        if (numa)
-            std::fprintf(stderr,
-                         "warning: --numa has no effect without "
-                         "--shards > 1\n");
-        soloEngine = std::make_unique<BatchEngine>(engineOpts);
+    BatchEngine engine(engineOpts);
+    if (numa) {
+        // Every worker reads the one weight store, so pinning places
+        // threads on nodes, not weights.
+        const std::vector<std::vector<int>> nodes = numaNodeCpus();
+        if (nodes.size() < 2)
+            EXION_WARN("--numa requested but the host exposes ",
+                       nodes.size(),
+                       " NUMA node(s); workers stay floating");
+        else
+            EXION_INFORM("pinned ", engine.pinWorkers(nodes), " of ",
+                         engine.workerCount(), " workers across ",
+                         nodes.size(), " NUMA nodes");
     }
-    ServeBackend &backend =
-        router ? static_cast<ServeBackend &>(*router)
-               : static_cast<ServeBackend &>(*soloEngine);
-    const auto registerFromFile = [&](const std::string &path) {
-        if (router)
-            router->registerModelFromFile(path, pinWeights);
-        else
-            soloEngine->registerModelFromFile(path, pinWeights);
-    };
-    const auto registerBuiltin = [&](const ModelConfig &cfg) {
-        if (router)
-            router->addModel(cfg);
-        else
-            soloEngine->addModel(cfg);
-    };
 
     if (!modelDir.empty()) {
         const std::vector<std::string> files = storeFiles(modelDir);
@@ -289,7 +250,7 @@ main(int argc, char **argv)
             return 1;
         }
         for (const std::string &path : files) {
-            registerFromFile(path);
+            engine.registerModelFromFile(path, pinWeights);
             std::printf("registered %s%s\n", path.c_str(),
                         pinWeights ? " (pin requested)" : "");
         }
@@ -311,13 +272,13 @@ main(int argc, char **argv)
         ModelConfig cfg = makeConfig(b, scale);
         if (iterations > 0)
             cfg.iterations = iterations;
-        registerBuiltin(cfg);
+        engine.addModel(cfg);
         std::printf("registered built-in %s (%s scale)\n",
                     benchmarkName(b).c_str(),
                     scale == Scale::Full ? "full" : "reduced");
     }
 
-    HttpFront front(backend, frontOpts);
+    HttpFront front(engine, frontOpts);
     HttpServer::Options serverOpts;
     serverOpts.port = static_cast<u16>(port);
     HttpServer server(serverOpts,
@@ -338,19 +299,10 @@ main(int argc, char **argv)
     ::sigaction(SIGINT, &sa, nullptr);
     ::sigaction(SIGTERM, &sa, nullptr);
 
-    if (router)
-        std::printf("exion_serve listening on 127.0.0.1:%u "
-                    "(%d shards x %d workers, route=%s%s, simd=%s)\n",
-                    server.port(), router->shardCount(),
-                    router->shard(0).workerCount(),
-                    routePolicyName(route).c_str(),
-                    numa ? ", numa" : "",
-                    simdTierName(kernels.simd));
-    else
-        std::printf("exion_serve listening on 127.0.0.1:%u "
-                    "(%d workers, simd=%s)\n",
-                    server.port(), backend.workerCount(),
-                    simdTierName(kernels.simd));
+    std::printf("exion_serve listening on 127.0.0.1:%u "
+                "(%d workers, simd=%s)\n",
+                server.port(), engine.workerCount(),
+                simdTierName(kernels.simd));
     std::fflush(stdout);
 
     while (g_signal == 0 && server.running())
@@ -362,11 +314,11 @@ main(int argc, char **argv)
     // already accepted to completion.
     std::printf("\nsignal %d: draining (in-flight: %llu)\n",
                 static_cast<int>(g_signal),
-                static_cast<unsigned long long>(backend.inFlight()));
+                static_cast<unsigned long long>(engine.inFlight()));
     std::fflush(stdout);
     server.stop();
-    backend.shutdown();
-    const EngineMetrics m = backend.snapshot();
+    engine.shutdown();
+    const EngineMetrics m = engine.snapshot();
     std::printf("drained: %llu completed, %llu cancelled, "
                 "%llu shed, %llu connections served\n",
                 static_cast<unsigned long long>(m.completed()),
