@@ -22,8 +22,9 @@
  * EngineMetrics — the trajectory CI tracks for the serving layer.
  *
  * A third scenario compares cohort batching off vs on for the
- * paper-scale MLD workload, gated on the dense row: stacking
- * same-model latents must beat the request-at-a-time path.
+ * paper-scale MLD workload, gated on the dense row: stacked cohorts
+ * of up to 8 same-model requests must beat cohorts of one (the
+ * request-at-a-time schedule cohort batching off gives).
  *
  * A fourth scenario compares the SIMD tiers under cohort batching
  * on the same workload: the Exact tier (host vector table, golden
@@ -147,8 +148,6 @@ runEngine(const ModelConfig &cfg,
     BatchEngine::Options opts;
     opts.workers = workers;
     opts.simdTier = simd;
-    // Latency is taken from the callback; don't accumulate results.
-    opts.queueResults = false;
     BatchEngine engine(opts);
     engine.addModel(cfg);
 
@@ -193,7 +192,6 @@ runOverload(const ModelConfig &cfg, bool quick)
     const int offered = quick ? 24 : 60;
     BatchEngine::Options opts;
     opts.workers = 2;
-    opts.queueResults = false;
     opts.admission.maxQueuedPerClass = 8;
     opts.admission.shedThreshold = 12;
     opts.admission.shedBelow = Priority::Normal;
@@ -292,9 +290,9 @@ struct CohortComparison
 };
 
 /**
- * Same-benchmark load through the engine with cohort batching off vs
- * on, single worker: every request traverses the same weights, so
- * the cohort path's stacked iterations amortise weight traversal and
+ * Same-benchmark load through the engine with cohort batching off
+ * (cohorts of one) vs on, single worker: every request traverses the
+ * same weights, so stacked iterations amortise weight traversal and
  * per-iteration fixed costs across members. Wall time is the
  * submit-burst -> all-complete makespan.
  */
@@ -304,7 +302,6 @@ runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
 {
     BatchEngine::Options opts;
     opts.workers = workers;
-    opts.queueResults = false;
     opts.cohortBatching = cohort;
     opts.cohortMaxRows = max_rows;
     opts.simdTier = simd;
@@ -407,7 +404,6 @@ measureWeightSharing(const ModelConfig &cfg)
 
     BatchEngine::Options eopts;
     eopts.workers = 1;
-    eopts.queueResults = false;
 
     const long base = rssKb();
     const auto store = WeightStore::build(cfg);
@@ -645,8 +641,8 @@ main(int argc, char **argv)
         healthy &= cmp.onRps > 0.0 && cmp.offRps > 0.0;
         cohort_rows.push_back(std::move(cmp));
     }
-    // The acceptance gate: stacking same-model latents must beat the
-    // request-at-a-time path on the dense GEMM-amortising load.
+    // The acceptance gate: stacked cohorts must beat cohorts of one
+    // on the dense GEMM-amortising load.
     if (cohort_rows[0].onRps <= cohort_rows[0].offRps) {
         std::cerr << "error: cohort batching did not improve dense "
                      "same-model throughput\n";

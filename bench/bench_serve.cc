@@ -130,7 +130,6 @@ struct Fixture
     {
         BatchEngine::Options opts;
         opts.workers = 2;
-        opts.queueResults = false;
         // Admission: small per-class bound so the open-loop overload
         // hits QueueFull quickly; a shed watermark above it so Low
         // arrivals are refused with LoadShedLow first.

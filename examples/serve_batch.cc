@@ -81,7 +81,6 @@ main(int argc, char **argv)
     BatchEngine::Options opts;
     opts.workers = 4;
     opts.simdTier = kernels.simd;
-    opts.queueResults = false; // completions arrive via the callback
     opts.admission.maxQueuedPerClass = 16;
     opts.admission.shedThreshold = 12;
     opts.admission.shedBelow = Priority::Normal;

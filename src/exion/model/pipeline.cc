@@ -29,35 +29,20 @@ DiffusionPipeline::run(BlockExecutor &exec, u64 noise_seed) const
 Matrix
 DiffusionPipeline::run(BlockExecutor &exec, const RunOptions &opts) const
 {
-    return runCancellable(exec, opts).latent;
-}
-
-RunOutcome
-DiffusionPipeline::runCancellable(BlockExecutor &exec,
-                                  const RunOptions &opts) const
-{
     const ModelConfig &cfg = network_.config();
     Rng rng(opts.noiseSeed);
-    RunOutcome out;
     Matrix x(cfg.latentTokens, cfg.latentDim);
     x.fillNormal(rng, 0.0f, 1.0f);
 
     for (int i = 0; i < scheduler_.inferenceSteps(); ++i) {
-        if (opts.cancel
-            && opts.cancel->load(std::memory_order_relaxed)) {
-            out.cancelled = true;
-            break;
-        }
         exec.beginIteration(i);
         const Matrix eps = network_.forward(x, scheduler_.timestep(i),
                                             exec);
         x = scheduler_.step(x, eps, i);
-        out.iterations = i + 1;
         if (opts.onIteration)
             opts.onIteration(i, x);
     }
-    out.latent = std::move(x);
-    return out;
+    return x;
 }
 
 std::vector<Matrix>

@@ -12,7 +12,6 @@
 #ifndef EXION_MODEL_PIPELINE_H_
 #define EXION_MODEL_PIPELINE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -36,27 +35,6 @@ struct RunOptions
     u64 noiseSeed = 7;
     /** Optional per-iteration hook (iteration index, current latent). */
     std::function<void(int, const Matrix &)> onIteration;
-    /**
-     * Optional cooperative-cancellation flag. Polled at every
-     * iteration boundary: once it reads true, the run stops before
-     * the next iteration and the outcome reports cancelled. The flag
-     * is typically set from another thread; a null pointer disables
-     * polling (and changes nothing about the run's numerics).
-     */
-    const std::atomic<bool> *cancel = nullptr;
-};
-
-/**
- * Result of a cancellable run: the latent as of the last completed
- * iteration, how many iterations ran, and whether cancellation cut
- * the run short (in which case the latent is a partial denoising, not
- * a valid output).
- */
-struct RunOutcome
-{
-    Matrix latent;
-    int iterations = 0;
-    bool cancelled = false;
 };
 
 /**
@@ -98,14 +76,6 @@ class DiffusionPipeline
      * network/scheduler.
      */
     Matrix run(BlockExecutor &exec, const RunOptions &opts) const;
-
-    /**
-     * Cancellable run: like run(), but polls opts.cancel at every
-     * iteration boundary and reports how far the run got. Without a
-     * cancel flag the outcome's latent is bit-identical to run().
-     */
-    RunOutcome runCancellable(BlockExecutor &exec,
-                              const RunOptions &opts) const;
 
     /**
      * Convenience cohort run: steps all seeds to completion together

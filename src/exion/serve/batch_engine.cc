@@ -11,6 +11,26 @@
 
 namespace exion
 {
+namespace
+{
+
+/** Failed result of request id, carrying failure's message. */
+RequestResult
+failedResult(u64 id, const std::exception_ptr &failure)
+{
+    RequestResult result;
+    result.id = id;
+    result.error = "unknown error";
+    try {
+        std::rethrow_exception(failure);
+    } catch (const std::exception &e) {
+        result.error = e.what();
+    } catch (...) {
+    }
+    return result;
+}
+
+} // namespace
 
 std::string
 execModeName(ExecMode mode)
@@ -77,7 +97,7 @@ BatchEngine::BatchEngine() : BatchEngine(Options{})
 
 BatchEngine::BatchEngine(const Options &opts)
     : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge),
-      results_(opts.resultQueueCapacity), pool_(opts.workers)
+      pool_(opts.workers)
 {
 }
 
@@ -178,22 +198,16 @@ BatchEngine::suggestedBackoff(Priority cls) const
     return std::clamp(p50, 0.001, 5.0);
 }
 
-Ticket
-BatchEngine::submit(const ServeRequest &req)
-{
-    return submitImpl(req, /*to_queue=*/true);
-}
-
 SubmitOutcome
 BatchEngine::trySubmit(const ServeRequest &req)
 {
-    return submitOutcome(req, /*to_queue=*/true);
+    return submitOutcome(req);
 }
 
 Ticket
-BatchEngine::submitImpl(const ServeRequest &req, bool to_queue)
+BatchEngine::submit(const ServeRequest &req)
 {
-    SubmitOutcome outcome = submitOutcome(req, to_queue);
+    SubmitOutcome outcome = submitOutcome(req);
     if (outcome.accepted())
         return std::move(outcome.ticket);
     switch (*outcome.reason) {
@@ -215,7 +229,7 @@ BatchEngine::submitImpl(const ServeRequest &req, bool to_queue)
 }
 
 SubmitOutcome
-BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
+BatchEngine::submitOutcome(const ServeRequest &req)
 {
     const Priority cls = req.priority;
     std::unique_lock<std::mutex> lock(mutex_);
@@ -278,13 +292,13 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
     const auto pending_it =
         pending_
             .emplace(ticket_id, Pending{promise, req, cls, 0, pool_prio,
-                                        to_queue, enqueued, flag})
+                                        enqueued, flag})
             .first;
 
     u64 token = 0;
     try {
         token = pool_.postTagged(
-            [this, promise, to_queue, ticket_id, enqueued]() {
+            [this, promise, ticket_id, enqueued]() {
                 // Claim the pending entry: move the request and its
                 // submission-time cancellation flag out (instead of a
                 // third ServeRequest copy in this closure) and
@@ -295,7 +309,6 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
                 CohortMember member;
                 member.promise = promise;
                 member.enqueued = enqueued;
-                member.toQueue = to_queue;
                 member.ticketId = ticket_id;
                 {
                     std::lock_guard<std::mutex> inner(mutex_);
@@ -316,29 +329,7 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
                     std::chrono::duration<double>(started_at - enqueued)
                         .count());
                 member.startedAt = started_at;
-
-                if (opts_.cohortBatching) {
-                    runCohort(std::move(member));
-                    return;
-                }
-
-                RequestResult result;
-                std::exception_ptr failure;
-                try {
-                    result = runOne(member.req,
-                                    member.cancelFlag.get());
-                } catch (const std::exception &e) {
-                    failure = std::current_exception();
-                    result = RequestResult{};
-                    result.id = member.req.id;
-                    result.error = e.what();
-                } catch (...) {
-                    failure = std::current_exception();
-                    result = RequestResult{};
-                    result.id = member.req.id;
-                    result.error = "unknown error";
-                }
-                deliver(member, std::move(result), failure);
+                runCohort(std::move(member));
             },
             pool_prio, classIndex(cls));
     } catch (...) {
@@ -366,9 +357,9 @@ BatchEngine::cancelTicket(u64 ticket_id)
     const auto it = pending_.find(ticket_id);
     if (it == pending_.end()) {
         // Not queued: maybe running. Cooperative cancellation —
-        // signal the executing worker (or its cohort leader), which
-        // polls the flag at every iteration boundary and settles the
-        // ticket with a `cancelled` result when it stops. exchange()
+        // signal its cohort leader, which polls the flag at every
+        // iteration boundary and settles the ticket with a
+        // `cancelled` result when it drops the request. exchange()
         // makes a second cancel() report false.
         const auto rit = running_.find(ticket_id);
         if (rit == running_.end())
@@ -389,7 +380,7 @@ BatchEngine::cancelTicket(u64 ticket_id)
     result.cancelled = true;
     result.error = "cancelled";
     // Only the ticket sees a cancelled request: it never ran, so the
-    // completion callback and results() are not fed.
+    // completion callback is not fed.
     pending.promise->set_value(std::move(result));
     --inFlight_;
     lock.unlock();
@@ -404,10 +395,10 @@ BatchEngine::deliver(const CohortMember &member, RequestResult result,
 {
     const ServeRequest &req = member.req;
     const bool cancelled = result.cancelled;
-    // Deadline verdict taken as execution finishes: the delivery
-    // below may block on a bounded results() (intended backpressure),
-    // and consumer lag must not masquerade as the request missing its
-    // deadline. A cancelled request has no completion to judge.
+    // Deadline verdict taken as execution finishes, before the
+    // callback runs: a slow callback must not masquerade as the
+    // request missing its deadline. A cancelled request has no
+    // completion to judge.
     const bool missed = !cancelled && req.deadlineSeconds > 0.0
         && std::chrono::duration<double>(
                std::chrono::steady_clock::now() - member.enqueued)
@@ -430,16 +421,6 @@ BatchEngine::deliver(const CohortMember &member, RequestResult result,
             } catch (...) {
                 EXION_WARN("completion callback threw for request ",
                            result.id, "; ignoring");
-            }
-        }
-        if (member.toQueue && opts_.queueResults) {
-            try {
-                // Blocks on a bounded queue until a consumer pops:
-                // unpopped results throttle the workers.
-                results_.push(result);
-            } catch (...) {
-                EXION_WARN("result queue push failed for request ",
-                           result.id, "; dropping");
             }
         }
     }
@@ -523,7 +504,6 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
         member.req = std::move(pending.req);
         member.promise = std::move(pending.promise);
         member.enqueued = pending.enqueued;
-        member.toQueue = pending.toQueue;
         member.ticketId = id;
         member.cancelFlag = std::move(pending.cancelFlag);
         member.startedAt = started_at;
@@ -590,7 +570,11 @@ BatchEngine::runCohort(CohortMember first)
                 };
         }
     };
-    const Index max_rows = std::max<Index>(1, opts_.cohortMaxRows);
+    // Cohort batching off: every cohort is one request, and a worker
+    // runs one request at a time.
+    const Index max_rows = opts_.cohortBatching
+        ? std::max<Index>(1, opts_.cohortMaxRows)
+        : 1;
     const ServeRequest key = first.req;
     admit(std::move(first));
 
@@ -604,26 +588,30 @@ BatchEngine::runCohort(CohortMember first)
     // Formation: group same-key requests past FIFO ties.
     absorb(/*pass_fifo_ties=*/true);
 
-    const auto deliver_cancelled = [&](CohortMember &m) {
+    // Takes a member out of the cohort before its result is taken
+    // and delivers a cancellation or a failure to it.
+    const auto drop = [&](CohortMember &m, RequestResult result,
+                          std::exception_ptr failure) {
         run.leave(m.slot);
         exec.releaseSlot(m.slot);
-        RequestResult result;
-        result.id = m.req.id;
-        result.cancelled = true;
-        result.error = "cancelled";
         m.delivered = true;
-        deliver(m, std::move(result), nullptr);
+        deliver(m, std::move(result), failure);
         m.ctx.reset();
     };
 
     while (!run.done()) {
         // Cooperative cancellation: drop flagged members before the
-        // next iteration — the cohort analogue of the solo boundary
-        // poll. Removing a row never perturbs the other members.
+        // next iteration. Removing a row never perturbs the other
+        // members.
         for (auto &mp : members) {
             if (!mp->delivered && run.isActive(mp->slot)
-                && mp->cancelFlag->load(std::memory_order_relaxed))
-                deliver_cancelled(*mp);
+                && mp->cancelFlag->load(std::memory_order_relaxed)) {
+                RequestResult result;
+                result.id = mp->req.id;
+                result.cancelled = true;
+                result.error = "cancelled";
+                drop(*mp, std::move(result), nullptr);
+            }
         }
         if (run.done())
             break;
@@ -635,39 +623,37 @@ BatchEngine::runCohort(CohortMember first)
             // A failed forward poisons the whole stacked iteration:
             // fail every undelivered member with the original error.
             const std::exception_ptr failure = std::current_exception();
-            std::string what = "unknown error";
-            try {
-                std::rethrow_exception(failure);
-            } catch (const std::exception &e) {
-                what = e.what();
-            } catch (...) {
-            }
             for (auto &mp : members) {
                 if (mp->delivered)
                     continue;
-                RequestResult result;
-                result.id = mp->req.id;
-                result.error = what;
                 mp->delivered = true;
-                deliver(*mp, std::move(result), failure);
+                deliver(*mp, failedResult(mp->req.id, failure), failure);
                 mp->ctx.reset();
             }
             return;
         }
 
-        // Progress hooks fire after the iteration, like the solo
-        // path's per-iteration hook.
+        // Progress hooks fire after each completed iteration. A hook
+        // that throws fails its own request, not the worker.
         for (auto &mp : members) {
             if (mp->delivered || !mp->req.onProgress)
                 continue;
             const int done_iter = run.iterationOf(mp->slot) - 1;
-            if (done_iter >= 0
-                && (run.isActive(mp->slot) || run.isFinished(mp->slot)))
+            if (done_iter < 0
+                || !(run.isActive(mp->slot) || run.isFinished(mp->slot)))
+                continue;
+            try {
                 mp->req.onProgress(done_iter);
+            } catch (...) {
+                const std::exception_ptr failure = std::current_exception();
+                drop(*mp, failedResult(mp->req.id, failure), failure);
+            }
         }
 
         for (Index slot : finished) {
             CohortMember &m = *members[slot];
+            if (m.delivered)
+                continue; // its progress hook threw
             RequestResult result;
             result.id = m.req.id;
             result.output = run.takeResult(m.slot);
@@ -765,51 +751,6 @@ BatchEngine::shutdown()
     }
     admissionCv_.notify_all(); // block-mode waiters fail with Stopped
     pool_.shutdown(); // drains every accepted request, idempotent
-    results_.close();
-}
-
-std::vector<RequestResult>
-BatchEngine::runBatch(const std::vector<ServeRequest> &requests)
-{
-    std::vector<Ticket> tickets;
-    tickets.reserve(requests.size());
-    try {
-        for (const ServeRequest &req : requests)
-            tickets.push_back(submitImpl(req, /*to_queue=*/false));
-    } catch (...) {
-        // Admission (or shutdown) refused a request mid-batch: the
-        // already-admitted prefix still runs, so drain it — no work
-        // or result delivery abandoned — then surface the refusal.
-        for (Ticket &t : tickets) {
-            try {
-                t.get();
-            } catch (...) {
-            }
-        }
-        throw;
-    }
-    std::vector<RequestResult> results;
-    results.reserve(requests.size());
-    // Drain every ticket even if one throws, so no in-flight work is
-    // abandoned; then report the first failure with its request id.
-    std::exception_ptr first_error;
-    u64 failed_id = 0;
-    for (Index i = 0; i < tickets.size(); ++i) {
-        try {
-            results.push_back(tickets[i].get());
-        } catch (...) {
-            if (!first_error) {
-                first_error = std::current_exception();
-                failed_id = requests[i].id;
-            }
-        }
-    }
-    if (first_error) {
-        EXION_WARN("batch request ", failed_id,
-                   " failed; rethrowing its error");
-        std::rethrow_exception(first_error);
-    }
-    return results;
 }
 
 std::vector<RequestResult>
@@ -818,13 +759,12 @@ BatchEngine::runSequential(const std::vector<ServeRequest> &requests)
     std::vector<RequestResult> results;
     results.reserve(requests.size());
     for (const ServeRequest &req : requests)
-        results.push_back(runOne(req, /*cancel=*/nullptr));
+        results.push_back(runOne(req));
     return results;
 }
 
 RequestResult
-BatchEngine::runOne(const ServeRequest &req,
-                    const std::atomic<bool> *cancel) const
+BatchEngine::runOne(const ServeRequest &req) const
 {
     const DiffusionPipeline &pipe = pipeline(req.benchmark);
     const ModelConfig &cfg = pipe.config();
@@ -855,29 +795,20 @@ BatchEngine::runOne(const ServeRequest &req,
 
     RunOptions opts;
     opts.noiseSeed = req.noiseSeed;
-    opts.cancel = cancel;
     if (req.onProgress)
         opts.onIteration = [&req](int i, const Matrix &) {
             req.onProgress(i);
         };
 
     const auto start = std::chrono::steady_clock::now();
-    RunOutcome outcome = pipe.runCancellable(*exec, opts);
-    const auto stop = std::chrono::steady_clock::now();
-
     RequestResult result;
     result.id = req.id;
-    if (outcome.cancelled) {
-        // The partial latent is not a valid output; drop it.
-        result.cancelled = true;
-        result.error = "cancelled";
-    } else {
-        result.output = std::move(outcome.latent);
-        result.stats = ctx.exec.stats;
-        result.conmerge = ctx.conmerge;
-    }
-    result.seconds =
-        std::chrono::duration<double>(stop - start).count();
+    result.output = pipe.run(*exec, opts);
+    result.stats = ctx.exec.stats;
+    result.conmerge = ctx.conmerge;
+    result.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
     return result;
 }
 

@@ -6,14 +6,15 @@
  *
  * Registers immutable DiffusionPipelines once (weights shared across
  * every request for that benchmark) and schedules concurrent
- * denoising requests across a priority-ordered ThreadPool. Two
+ * denoising requests across a priority-ordered ThreadPool. Every
+ * request runs as a member of a cohort (CohortRun over a
+ * CohortExecutor), a cohort of one when cohort batching is off. Two
  * submission surfaces: submit() keeps the throwing fast path (typed
  * exceptions at the API boundary), trySubmit() returns a
  * SubmitOutcome — a Ticket on acceptance or a RejectReason (QueueFull
  * / LoadShedLow / UnknownModel / Stopped) when the AdmissionConfig in
  * Options refuses the request. Completed results are delivered
- * through the Ticket future, an optional completion callback and the
- * engine's pollable/blocking (and optionally bounded) ResultQueue;
+ * through the Ticket future and an optional completion callback;
  * Ticket::cancel() dequeues not-yet-started work; snapshot() reports
  * per-class accepted/rejected/shed/cancelled counts, ready-queue
  * depths and queue-wait percentiles. Each request owns a
@@ -44,7 +45,6 @@
 #include "exion/serve/admission.h"
 #include "exion/serve/metrics.h"
 #include "exion/serve/request.h"
-#include "exion/serve/result_queue.h"
 #include "exion/sparsity/sparse_executor.h"
 
 namespace exion
@@ -111,12 +111,12 @@ class Ticket
      * Best-effort cancellation. A request no worker has started yet
      * is dequeued and its ticket settles immediately with a result
      * marked `cancelled` (error = "cancelled"; the completion
-     * callback and the result queue are not fed — the request never
-     * ran). A request that already started is cancelled
-     * cooperatively: the executing worker (or its cohort leader)
-     * polls the flag at every iteration boundary and stops the run at
-     * the next one, settling the ticket with a `cancelled` result; a
-     * request past its last boundary completes normally.
+     * callback is not fed — the request never ran). A request that
+     * already started is cancelled cooperatively: its cohort leader
+     * polls the flag at every iteration boundary and drops the
+     * request's rows before the next one, settling the ticket with a
+     * `cancelled` result (again without the callback); a request past
+     * its last boundary completes normally.
      *
      * @return true when the request was dequeued or the running
      *         request was signalled; false when it already completed,
@@ -168,16 +168,17 @@ struct SubmitOutcome
  *
  * Usage: addModel() every benchmark the request mix needs (not
  * thread-safe; do it before submitting), then submit()/trySubmit()
- * requests as they arrive and consume completions via Ticket::get(),
- * the completion callback or results(). Overload behaviour is
- * explicit: Options::admission bounds the ready queue per priority
- * class and sheds low classes under load, trySubmit() reports the
- * decision as a value, and snapshot() exposes the counters the
- * decisions feed. runBatch() remains as a synchronous compatibility
- * wrapper (a submit-all barrier that blocks until the whole batch
- * finishes). Request execution is deterministic: a request's result
- * depends only on the request and the registered weights, never on
- * worker count, priorities, scheduling order or admission policy.
+ * requests as they arrive and consume completions via Ticket::get()
+ * or the completion callback. Overload behaviour is explicit:
+ * Options::admission bounds the ready queue per priority class and
+ * sheds low classes under load, trySubmit() reports the decision as a
+ * value, and snapshot() exposes the counters the decisions feed. A
+ * worker runs each request it starts as the leader of a cohort
+ * (runCohort()); runSequential() is the solo-executor reference the
+ * cohort path is tested against. Request execution is deterministic:
+ * a request's result depends only on the request and the registered
+ * weights, never on worker count, priorities, scheduling order,
+ * cohort membership or admission policy.
  */
 class BatchEngine
 {
@@ -188,20 +189,6 @@ class BatchEngine
         int workers = 0;
         /** ConMerge configuration for trackConMerge requests. */
         ConMergeConfig conmerge;
-        /**
-         * Deliver submit() completions to results(). Disable for
-         * long-lived services that consume only Tickets or the
-         * completion callback.
-         */
-        bool queueResults = true;
-        /**
-         * Bound on results() (0 = unbounded). When bounded, a full
-         * queue blocks the completing worker until a consumer pops —
-         * unpopped results exert backpressure on execution instead of
-         * accumulating. Consumers must then keep draining results()
-         * until shutdown() returns.
-         */
-        Index resultQueueCapacity = 0;
         /**
          * Admission policy of submit()/trySubmit(). The default
          * admits everything.
@@ -214,24 +201,26 @@ class BatchEngine
          * iteration boundary — and steps them together with their
          * latents stacked into one tall matrix per iteration, so the
          * MMULs traverse each weight matrix once per cohort instead
-         * of once per request. Results stay bit-identical to solo
-         * runs (per-request sparsity state and accounting are row-
-         * partitioned). The pool still starts the highest-priority
-         * ready request, which therefore leads the cohort. At
-         * formation the leader also absorbs same-key requests queued
-         * behind non-matching ones of equal pool priority (same
-         * class, no deadline on either: they differ only in FIFO
-         * order), so an interleaved multi-model stream still forms
-         * cohorts; it stops at any non-matching request ranked
-         * strictly higher. Refill at later iteration boundaries only
-         * takes requests the scheduler would have started next
-         * anyway, so the head of the queue is always started by the
-         * next free worker and sustained same-key load cannot starve
-         * it. Off by default.
+         * of once per request. Off, every cohort holds exactly one
+         * request, so a worker runs one request at a time. Results
+         * stay bit-identical to solo runs either way (per-request
+         * sparsity state and accounting are row-partitioned). The
+         * pool still starts the highest-priority ready request, which
+         * therefore leads the cohort. At formation the leader also
+         * absorbs same-key requests queued behind non-matching ones
+         * of equal pool priority (same class, no deadline on either:
+         * they differ only in FIFO order), so an interleaved
+         * multi-model stream still forms cohorts; it stops at any
+         * non-matching request ranked strictly higher. Refill at
+         * later iteration boundaries only takes requests the
+         * scheduler would have started next anyway, so the head of
+         * the queue is always started by the next free worker and
+         * sustained same-key load cannot starve it. Off by default.
          */
         bool cohortBatching = false;
         /**
-         * Most requests stepping together in one cohort (>= 1).
+         * Most requests stepping together in one cohort (>= 1) when
+         * cohortBatching is on.
          * Bounds how long one worker is tied up per iteration — the
          * latency cost a queued non-matching request can see.
          */
@@ -317,7 +306,7 @@ class BatchEngine
      * earliest-deadline-first ordering within the class) and runs as
      * soon as a worker is free and nothing more urgent is waiting. On
      * completion the result is delivered, in order, to the completion
-     * callback (if set), to results(), and to the Ticket future.
+     * callback (if set) and to the Ticket future.
      *
      * @throws UnknownModelError  for an unregistered benchmark
      * @throws ThreadPoolStopped  after shutdown() has begun
@@ -349,13 +338,6 @@ class BatchEngine
      * attached to the already-delivered result).
      */
     virtual void setOnComplete(CompletionCallback cb);
-
-    /**
-     * Completion queue fed by every submit() (unless
-     * Options::queueResults is off). runBatch() requests and
-     * cancelled requests do not appear here.
-     */
-    ResultQueue &results() { return results_; }
 
     /**
      * Point-in-time serving metrics: per-class
@@ -397,35 +379,18 @@ class BatchEngine
     void waitIdle() const;
 
     /**
-     * Graceful shutdown: refuses new submissions, runs every request
-     * already accepted (pending work is drained, not abandoned),
-     * delivers all their results, then closes results() so blocked
-     * consumers wake with std::nullopt. If results() is bounded, keep
-     * draining it until this returns — a full queue blocks the
-     * draining workers. Idempotent; also called by the destructor.
+     * Graceful shutdown: refuses new submissions, then runs every
+     * request already accepted (pending work is drained, not
+     * abandoned) and delivers all their results before returning.
+     * Idempotent; also called by the destructor.
      */
     void shutdown();
 
     /**
-     * Compatibility wrapper around submit(): enqueues the whole batch
-     * and blocks until every request finishes (a full barrier — a
-     * slow request holds the return, which is exactly what submit()
-     * avoids). Results are returned in request order. All-or-nothing:
-     * if any request throws, every ticket is still drained (no
-     * abandoned work) and the first failure is rethrown; likewise, if
-     * admission refuses a request mid-batch (a bounded engine under
-     * load), the already-admitted prefix is drained before the
-     * refusal propagates. Callers needing per-request error handling,
-     * per-request admission outcomes or streaming completion use
-     * submit()/trySubmit() and the Ticket / callback / results()
-     * surfaces.
-     */
-    std::vector<RequestResult> runBatch(
-        const std::vector<ServeRequest> &requests);
-
-    /**
      * Reference single-stream path: runs the batch on the calling
-     * thread, one request at a time. Bit-identical to runBatch().
+     * thread, one request at a time, each on its own solo
+     * DenseExecutor or SparseExecutor instead of a cohort. Submitting
+     * the same requests yields bit-identical results.
      */
     std::vector<RequestResult> runSequential(
         const std::vector<ServeRequest> &requests);
@@ -448,7 +413,6 @@ class BatchEngine
         Priority cls = Priority::Normal;
         u64 poolToken = 0;
         i64 poolPrio = 0;
-        bool toQueue = true;
         std::chrono::steady_clock::time_point enqueued;
         /**
          * Created at submission and carried into execution, so a
@@ -465,7 +429,6 @@ class BatchEngine
         ServeRequest req;
         std::shared_ptr<std::promise<RequestResult>> promise;
         std::chrono::steady_clock::time_point enqueued;
-        bool toQueue = true;
         u64 ticketId = 0;
         std::shared_ptr<std::atomic<bool>> cancelFlag;
         std::chrono::steady_clock::time_point startedAt;
@@ -487,17 +450,16 @@ class BatchEngine
     /** Retry-after hint for a load-driven refusal of class cls. */
     double suggestedBackoff(Priority cls) const;
 
-    SubmitOutcome submitOutcome(const ServeRequest &req, bool to_queue);
-    Ticket submitImpl(const ServeRequest &req, bool to_queue);
+    SubmitOutcome submitOutcome(const ServeRequest &req);
     bool cancelTicket(u64 ticket_id);
 
-    RequestResult runOne(const ServeRequest &req,
-                         const std::atomic<bool> *cancel) const;
+    /** One request on a solo executor: runSequential()'s body. */
+    RequestResult runOne(const ServeRequest &req) const;
 
     /**
-     * Delivers one finished request: completion callback, results()
-     * (both skipped for cancelled requests, which have no valid
-     * output), the ticket promise, metrics and in-flight accounting.
+     * Delivers one finished request: completion callback (skipped for
+     * cancelled requests, which have no valid output), the ticket
+     * promise, metrics and in-flight accounting.
      */
     void deliver(const CohortMember &member, RequestResult result,
                  std::exception_ptr failure);
@@ -515,8 +477,11 @@ class BatchEngine
                                                 Index max_take,
                                                 bool pass_fifo_ties);
 
-    /** Leads a cohort seeded with first; returns when all members
-        it ever absorbed are delivered. */
+    /**
+     * Runs every started request: leads a cohort seeded with first
+     * (first alone when cohort batching is off) and returns when all
+     * members it ever absorbed are delivered.
+     */
     void runCohort(CohortMember first);
 
     const std::chrono::steady_clock::time_point epoch_ =
@@ -525,7 +490,6 @@ class BatchEngine
     AdmissionController admission_;
     ConMergePipeline conmergePipe_;
     std::map<Benchmark, std::unique_ptr<const DiffusionPipeline>> models_;
-    ResultQueue results_;
     MetricsCollector metrics_;
 
     mutable std::mutex mutex_;

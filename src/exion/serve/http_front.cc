@@ -554,11 +554,16 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
                     "\"track_conmerge\" must be a boolean");
             serve.trackConMerge = value.boolean;
         } else if (key == "seed") {
-            if (!isNum || value.num < 0.0
+            // The body's numbers are parsed as doubles, which hold
+            // every integer below 2^53 exactly. A larger seed would
+            // be rounded (or, past 2^64, make the u64 cast undefined)
+            // and run as a seed the client did not send.
+            constexpr double kSeedLimit = 9007199254740992.0; // 2^53
+            if (!isNum || !(value.num >= 0.0 && value.num < kSeedLimit)
                 || value.num != std::floor(value.num))
                 return respondError(
                     writer, 400,
-                    "\"seed\" must be a non-negative integer");
+                    "\"seed\" must be an integer in [0, 2^53)");
             serve.noiseSeed = static_cast<u64>(value.num);
         } else if (key == "deadline_seconds") {
             if (!isNum || !(value.num >= 0.0))

@@ -39,7 +39,9 @@
  *
  * Unknown fields, wrong types and malformed JSON are 400s (strict on
  * purpose: a typoed field name silently defaulting is how a load
- * test ends up measuring the wrong mode).
+ * test ends up measuring the wrong mode). So is a "seed" outside
+ * [0, 2^53), the integers a JSON number parsed as a double holds
+ * exactly.
  */
 
 #ifndef EXION_SERVE_HTTP_FRONT_H_

@@ -5,7 +5,8 @@
  * A ServeRequest names a registered model, an execution strategy, a
  * noise seed and a scheduling class; a RequestResult carries the
  * output latent plus all per-request accounting. Both are plain value
- * types shared by the BatchEngine and the ResultQueue.
+ * types: the BatchEngine takes requests by value and hands each
+ * result to the completion callback and the request's Ticket.
  */
 
 #ifndef EXION_SERVE_REQUEST_H_
@@ -96,7 +97,8 @@ struct ServeRequest
      * for streaming previews or for cancelling a started request
      * (Ticket::cancel() from inside the hook stops the run at the
      * next iteration boundary). Must not block; it runs on the hot
-     * path of the executing worker.
+     * path of the executing worker. An exception it throws fails
+     * this request alone (its Ticket rethrows it).
      */
     std::function<void(int iteration)> onProgress;
 };
@@ -107,9 +109,9 @@ struct ServeRequest
  * When a request fails, `error` is non-empty, the other payload
  * fields are default-constructed, and only `id` is meaningful. The
  * Ticket future for a failed request rethrows the original exception
- * instead. A request cancelled before it started sets `cancelled`
- * (and `error` = "cancelled"): it never ran, so the payload fields
- * are default-constructed too.
+ * instead. A cancelled request sets `cancelled` (and `error` =
+ * "cancelled"): it has no valid output, so the payload fields are
+ * default-constructed too.
  */
 struct RequestResult
 {
@@ -121,7 +123,10 @@ struct RequestResult
     double seconds = 0.0;
     /** Failure description; empty on success. */
     std::string error;
-    /** Dequeued by Ticket::cancel() before a worker started it. */
+    /**
+     * Cancelled by Ticket::cancel(): dequeued before a worker started
+     * it, or stopped at an iteration boundary.
+     */
     bool cancelled = false;
 
     /** Whether the request completed successfully. */

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the batched serving engine: batched-vs-sequential
- * bit-identity under threading, priority scheduling, admission
- * control and cancellation; per-request state isolation; mixed
- * request scheduling; async submit/complete delivery (tickets,
- * callback, result queue); admission policies (class bounds, load
- * shedding, block-with-timeout); EngineMetrics reconciliation;
+ * Tests for the batched serving engine: bit-identity of the engine's
+ * cohort path against the solo-executor runSequential() reference
+ * under threading, priority scheduling, admission control and
+ * cancellation; per-request state isolation; mixed request
+ * scheduling; async submit/complete delivery (tickets, callback);
+ * admission policies (class bounds, load shedding,
+ * block-with-timeout); EngineMetrics reconciliation;
  * priority-inversion regression and ConMerge accounting.
  */
 
@@ -18,9 +19,11 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exion/serve/batch_engine.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -80,7 +83,7 @@ TEST(BatchEngine, BatchedMatchesSequentialBitExactly)
 
     const auto batch = mixedBatch(cfg.benchmark, 12);
     const auto sequential = engine.runSequential(batch);
-    const auto batched = engine.runBatch(batch);
+    const auto batched = submitAll(engine, batch);
     expectBitIdentical(sequential, batched);
 }
 
@@ -93,7 +96,7 @@ TEST(BatchEngine, RepeatedBatchesAreDeterministic)
     engine.addModel(cfg);
 
     const auto batch = mixedBatch(cfg.benchmark, 8);
-    expectBitIdentical(engine.runBatch(batch), engine.runBatch(batch));
+    expectBitIdentical(submitAll(engine, batch), submitAll(engine, batch));
 }
 
 TEST(BatchEngine, WorkerCountDoesNotChangeResults)
@@ -111,7 +114,7 @@ TEST(BatchEngine, WorkerCountDoesNotChangeResults)
     BatchEngine engine8(many);
     engine8.addModel(cfg);
 
-    expectBitIdentical(engine1.runBatch(batch), engine8.runBatch(batch));
+    expectBitIdentical(submitAll(engine1, batch), submitAll(engine8, batch));
 }
 
 TEST(BatchEngine, PrioritiesDoNotChangeResultsAtAnyWorkerCount)
@@ -137,7 +140,7 @@ TEST(BatchEngine, PrioritiesDoNotChangeResultsAtAnyWorkerCount)
         engine.addModel(cfg);
         if (reference.empty())
             reference = engine.runSequential(batch);
-        expectBitIdentical(reference, engine.runBatch(batch));
+        expectBitIdentical(reference, submitAll(engine, batch));
     }
 }
 
@@ -184,7 +187,7 @@ TEST(BatchEngine, SparseRequestsKeepIndependentReuseState)
     batch[1].id = 1;
     batch[1].noiseSeed = 2;
 
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     for (int i = 0; i < 2; ++i) {
         DiffusionPipeline pipe(cfg);
         SparseExecutor exec(SparseExecutor::fromConfig(
@@ -236,7 +239,7 @@ TEST(BatchEngine, ResultsKeepRequestOrderAndIds)
     auto batch = mixedBatch(cfg.benchmark, 10);
     for (Index i = 0; i < batch.size(); ++i)
         batch[i].id = 1000 + static_cast<u64>(i);
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     ASSERT_EQ(results.size(), batch.size());
     for (Index i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i].id, 1000 + static_cast<u64>(i));
@@ -259,7 +262,7 @@ TEST(BatchEngine, ServesMultipleModels)
     batch[0].benchmark = tiny.benchmark;
     batch[1].benchmark = other.benchmark;
     batch[1].id = 1;
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     EXPECT_EQ(results[0].output.rows(), tiny.latentTokens);
     EXPECT_EQ(results[1].output.rows(), other.latentTokens);
 }
@@ -376,7 +379,7 @@ TEST(BatchEngine, EarlierDeadlineRunsFirstWithinClass)
 TEST(BatchEngine, CallbackAndQueueDeliveryAreEquivalent)
 {
     // Every submit() delivers each completion to both the callback
-    // and the result queue; the two views must be bit-identical.
+    // and its ticket; the two views must be bit-identical.
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
     opts.workers = 3;
@@ -391,24 +394,14 @@ TEST(BatchEngine, CallbackAndQueueDeliveryAreEquivalent)
     });
 
     const auto batch = mixedBatch(cfg.benchmark, 9);
-    for (const ServeRequest &req : batch)
-        engine.submit(req);
-
-    std::vector<RequestResult> via_queue;
-    for (Index i = 0; i < batch.size(); ++i) {
-        auto r = engine.results().pop();
-        ASSERT_TRUE(r.has_value());
-        via_queue.push_back(std::move(*r));
-    }
-    EXPECT_FALSE(engine.results().tryPop().has_value());
+    const std::vector<RequestResult> via_ticket = submitAll(engine, batch);
     engine.waitIdle();
 
     const auto by_id = [](const RequestResult &a,
                           const RequestResult &b) { return a.id < b.id; };
     std::sort(via_callback.begin(), via_callback.end(), by_id);
-    std::sort(via_queue.begin(), via_queue.end(), by_id);
-    expectBitIdentical(via_callback, via_queue);
-    expectBitIdentical(via_queue, engine.runSequential(batch));
+    expectBitIdentical(via_callback, via_ticket);
+    expectBitIdentical(via_ticket, engine.runSequential(batch));
 }
 
 TEST(BatchEngine, ThrowingCallbackDoesNotBreakDelivery)
@@ -434,24 +427,6 @@ TEST(BatchEngine, ThrowingCallbackDoesNotBreakDelivery)
     EXPECT_EQ(result.id, 3u);
     engine.waitIdle();
     EXPECT_EQ(engine.inFlight(), 0u);
-    // The queue still got its copy despite the callback throwing.
-    EXPECT_TRUE(engine.results().tryPop().has_value());
-}
-
-TEST(BatchEngine, QueueResultsOptionDisablesQueueDelivery)
-{
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 2;
-    opts.queueResults = false;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    ServeRequest req;
-    req.benchmark = cfg.benchmark;
-    EXPECT_TRUE(engine.submit(req).get().ok());
-    engine.waitIdle();
-    EXPECT_EQ(engine.results().size(), 0u);
 }
 
 TEST(BatchEngine, ExtremeDeadlinesAreSafe)
@@ -480,18 +455,6 @@ TEST(BatchEngine, ExtremeDeadlinesAreSafe)
         EXPECT_TRUE(t.get().ok());
 }
 
-TEST(BatchEngine, RunBatchDoesNotFeedResultQueue)
-{
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 2;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    engine.runBatch(mixedBatch(cfg.benchmark, 4));
-    EXPECT_EQ(engine.results().size(), 0u);
-}
-
 TEST(BatchEngine, ShutdownDrainsPendingAndClosesQueue)
 {
     const ModelConfig cfg = tinyConfig();
@@ -516,13 +479,7 @@ TEST(BatchEngine, ShutdownDrainsPendingAndClosesQueue)
         EXPECT_TRUE(t.get().ok());
     }
 
-    // The queue still serves the drained results, then reports
-    // closure instead of blocking forever.
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(engine.results().pop().has_value());
-    EXPECT_FALSE(engine.results().pop().has_value());
-    EXPECT_TRUE(engine.results().closed());
-
+    // The ready queue is closed to new work.
     ServeRequest late;
     late.benchmark = cfg.benchmark;
     EXPECT_THROW(engine.submit(late), ThreadPoolStopped);
@@ -789,6 +746,13 @@ TEST(BatchEngine, CancelDequeuesNotStartedWork)
     BatchEngine engine(opts);
     engine.addModel(cfg);
 
+    std::mutex cb_mutex;
+    std::vector<u64> via_callback;
+    engine.setOnComplete([&](const RequestResult &r) {
+        std::lock_guard<std::mutex> lock(cb_mutex);
+        via_callback.push_back(r.id);
+    });
+
     engine.pause();
     ServeRequest req;
     req.benchmark = cfg.benchmark;
@@ -815,11 +779,9 @@ TEST(BatchEngine, CancelDequeuesNotStartedWork)
     // A completed request is no longer cancellable.
     EXPECT_FALSE(keep.cancel());
 
-    // Cancelled work never ran: only request 1 reached the queue.
-    auto popped = engine.results().tryPop();
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->id, 1u);
-    EXPECT_FALSE(engine.results().tryPop().has_value());
+    // Cancelled work never ran: only request 1 reached the callback.
+    const std::vector<u64> expected = {1};
+    EXPECT_EQ(via_callback, expected);
 
     const EngineMetrics m = engine.snapshot();
     EXPECT_EQ(m.at(Priority::Normal).accepted, 2u);
@@ -932,70 +894,6 @@ TEST(BatchEngine, BitIdentityUnderAdmissionAndCancellation)
     }
 }
 
-TEST(BatchEngine, BoundedResultQueueDeliversEverything)
-{
-    // A results() bound far below the traffic throttles the workers
-    // instead of dropping completions.
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 2;
-    opts.resultQueueCapacity = 2;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    const auto batch = mixedBatch(cfg.benchmark, 8);
-    for (const ServeRequest &req : batch)
-        engine.submit(req);
-
-    std::vector<u64> seen;
-    for (Index i = 0; i < batch.size(); ++i) {
-        auto r = engine.results().pop();
-        ASSERT_TRUE(r.has_value());
-        EXPECT_LE(engine.results().size(), 2u);
-        seen.push_back(r->id);
-    }
-    engine.waitIdle();
-    std::sort(seen.begin(), seen.end());
-    for (Index i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(seen[i], static_cast<u64>(i));
-}
-
-TEST(BatchEngine, RunBatchOverAdmissionBoundFailsCleanly)
-{
-    // Regression: when admission refuses a request mid-batch,
-    // runBatch must drain the already-admitted prefix (no abandoned
-    // work, no lost delivery) before rethrowing — and the engine
-    // stays fully serviceable afterwards.
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 1;
-    opts.admission.maxQueuedPerClass = 1;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    engine.pause(); // guarantees the second submission hits the bound
-    const auto batch = mixedBatch(cfg.benchmark, 4);
-    std::thread batcher([&]() {
-        EXPECT_THROW(engine.runBatch(batch), AdmissionRejected);
-    });
-    // Wait for the refusal: the admitted prefix (1 request) is in
-    // flight, the thread is draining it, blocked on the paused pool.
-    while (engine.snapshot().rejected() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    engine.resume();
-    batcher.join();
-    engine.waitIdle();
-
-    const EngineMetrics m = engine.snapshot();
-    EXPECT_EQ(m.accepted(), 1u);
-    EXPECT_EQ(m.completed(), 1u);
-
-    // Still serviceable: a whole batch fits once the queue drains.
-    ServeRequest req;
-    req.benchmark = cfg.benchmark;
-    EXPECT_TRUE(engine.submit(req).get().ok());
-}
-
 TEST(BatchEngine, TrySubmitAfterShutdownReportsStopped)
 {
     const ModelConfig cfg = tinyConfig();
@@ -1056,7 +954,7 @@ TEST(BatchEngine, CohortBatchingKeepsBitIdentity)
         engine.addModel(cfg);
         if (reference.empty())
             reference = engine.runSequential(batch);
-        expectBitIdentical(reference, engine.runBatch(batch));
+        expectBitIdentical(reference, submitAll(engine, batch));
     }
 }
 
@@ -1417,9 +1315,10 @@ TEST(BatchEngine, CohortTracksConMergePerMember)
 
 TEST(BatchEngine, RunningRequestCancelsCooperatively)
 {
-    // Solo path (cohort batching off): a started request cancelled
-    // from its own progress hook stops at the next iteration boundary
-    // with a cancelled result; callback and results() are not fed.
+    // Cohort of one (cohort batching off): a started request
+    // cancelled from its own progress hook stops at the next
+    // iteration boundary with a cancelled result; the callback is not
+    // fed.
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
     opts.workers = 1;
@@ -1450,7 +1349,6 @@ TEST(BatchEngine, RunningRequestCancelsCooperatively)
     engine.waitIdle();
 
     EXPECT_EQ(callbacks.load(), 0);
-    EXPECT_FALSE(engine.results().tryPop().has_value());
     const EngineMetrics m = engine.snapshot();
     EXPECT_EQ(m.at(Priority::Normal).cancelled, 1u);
     EXPECT_EQ(m.at(Priority::Normal).completed, 0u);
@@ -1479,6 +1377,82 @@ TEST(BatchEngine, ProgressHookReportsEveryIteration)
     EXPECT_TRUE(engine.submit(req).get().ok());
     const std::vector<int> expected = {0, 1, 2, 3, 4, 5};
     EXPECT_EQ(seen, expected);
+}
+
+TEST(BatchEngine, ThrowingProgressHookFailsOnlyItsRequest)
+{
+    // A progress hook that throws fails its own request, with cohort
+    // batching off and on; the worker survives and the request
+    // stepping beside it completes bit-identically.
+    const ModelConfig cfg = tinyConfig();
+    for (bool cohort : {false, true}) {
+        SCOPED_TRACE(cohort ? "cohort batching on" : "cohort batching off");
+        BatchEngine::Options opts;
+        opts.workers = 1;
+        opts.cohortBatching = cohort;
+        BatchEngine engine(opts);
+        engine.addModel(cfg);
+
+        std::vector<ServeRequest> batch(2);
+        for (u64 i = 0; i < 2; ++i) {
+            batch[i].benchmark = cfg.benchmark;
+            batch[i].id = i;
+            batch[i].noiseSeed = 50 + i;
+        }
+        ServeRequest thrower = batch[0];
+        thrower.onProgress = [](int iteration) {
+            if (iteration == 1)
+                throw std::runtime_error("hook failed");
+        };
+
+        engine.pause();
+        const Ticket failed = engine.submit(thrower);
+        const Ticket kept = engine.submit(batch[1]);
+        engine.resume();
+        EXPECT_THROW(failed.get(), std::runtime_error);
+        expectBitIdentical({kept.get()},
+                           engine.runSequential({batch[1]}));
+        engine.waitIdle();
+        EXPECT_EQ(engine.inFlight(), 0u);
+        EXPECT_EQ(engine.snapshot().completed(), 2u);
+    }
+}
+
+TEST(BatchEngine, CohortBatchingOffRunsOneRequestAtATime)
+{
+    // With cohort batching off every cohort holds one request: three
+    // queued same-key requests, which one cohort would step together,
+    // run back to back, each finishing all its iterations before the
+    // next one's first.
+    const ModelConfig cfg = tinyConfig(); // 6 iterations
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    BatchEngine engine(opts);
+    engine.addModel(cfg);
+
+    std::mutex mu;
+    std::vector<std::pair<u64, int>> progress;
+    engine.pause();
+    for (u64 id = 0; id < 3; ++id) {
+        ServeRequest req;
+        req.benchmark = cfg.benchmark;
+        req.id = id;
+        req.mode = ExecMode::Exion;
+        req.noiseSeed = 70 + id;
+        req.onProgress = [&mu, &progress, id](int iteration) {
+            std::lock_guard<std::mutex> lock(mu);
+            progress.emplace_back(id, iteration);
+        };
+        engine.submit(req);
+    }
+    engine.resume();
+    engine.waitIdle();
+
+    std::vector<std::pair<u64, int>> expected;
+    for (u64 id = 0; id < 3; ++id)
+        for (int iteration = 0; iteration < cfg.iterations; ++iteration)
+            expected.emplace_back(id, iteration);
+    EXPECT_EQ(progress, expected);
 }
 
 TEST(BatchEngine, QueueFullCarriesRetryAfterHint)

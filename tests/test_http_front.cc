@@ -99,7 +99,6 @@ struct FrontFixture
     {
         BatchEngine::Options opts;
         opts.workers = 2;
-        opts.queueResults = false;
         opts.admission.maxQueuedPerClass = maxQueued;
         opts.admission.shedThreshold = shedAt;
         opts.admission.shedBelow = Priority::Normal;
@@ -242,6 +241,9 @@ TEST(HttpFront, MalformedBodiesAre400)
              "{\"benchmark\": 3}",        // wrong type
              "{\"seed\": -1, \"benchmark\": \"MLD\"}",
              "{\"seed\": 1.5, \"benchmark\": \"MLD\"}",
+             "{\"seed\": 1e400, \"benchmark\": \"MLD\"}",
+             "{\"seed\": 18446744073709551616, \"benchmark\": \"MLD\"}",
+             "{\"seed\": 9007199254740993, \"benchmark\": \"MLD\"}",
              "{\"mode\": \"warp\", \"benchmark\": \"MLD\"}",
              "{\"priority\": \"vip\", \"benchmark\": \"MLD\"}",
              "{\"quantize\": \"yes\", \"benchmark\": \"MLD\"}",

@@ -17,6 +17,7 @@
 #include "exion/model/pipeline.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/sparsity/cohort_executor.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -163,7 +164,7 @@ TEST(SimdTierDifferentialTest, EngineExactMatchesScalarEngine)
         opts.simdTier = simd;
         BatchEngine engine(opts);
         engine.addModel(cfg);
-        return engine.runBatch(requests);
+        return submitAll(engine, requests);
     };
     const std::vector<RequestResult> scalar = run_with(SimdTier::Scalar);
     const std::vector<RequestResult> exact = run_with(SimdTier::Exact);

@@ -28,6 +28,7 @@
 #include "exion/serve/batch_engine.h"
 #include "exion/sparsity/cohort_executor.h"
 #include "exion/tensor/ops.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -439,9 +440,9 @@ TEST(WeightStoreEngineTest, TwoEnginesShareOneStoreBitIdentically)
     BatchEngine legacy(opts);
     legacy.addModel(cfg);
 
-    const auto a = first.runBatch(requests);
-    const auto b = second.runBatch(requests);
-    const auto c = legacy.runBatch(requests);
+    const auto a = submitAll(first, requests);
+    const auto b = submitAll(second, requests);
+    const auto c = submitAll(legacy, requests);
     ASSERT_EQ(a.size(), requests.size());
     for (Index i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "request " << i);
@@ -541,7 +542,6 @@ TEST(WeightStoreEngineTest, PinnedRegistrationServesIdentically)
 
     BatchEngine::Options opts;
     opts.workers = 1;
-    opts.queueResults = false;
     BatchEngine plain(opts);
     plain.registerModel(cfg.benchmark, store);
     const RequestResult reference = plain.submit(req).get();

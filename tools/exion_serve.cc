@@ -150,10 +150,6 @@ main(int argc, char **argv)
     KernelFlags kernels;
     BatchEngine::Options engineOpts;
     engineOpts.admission.maxQueuedPerClass = 16;
-    // The HTTP front observes completions through tickets and the
-    // completion callback; an unread result queue would only hold
-    // every output alive.
-    engineOpts.queueResults = false;
     HttpFront::Options frontOpts;
 
     for (int i = 1; i < argc; ++i) {
