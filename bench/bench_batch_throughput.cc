@@ -1,66 +1,59 @@
 /**
  * @file
- * Serving throughput and tail latency of the batched engine:
- * requests/sec versus the single-stream path, swept over batch size
- * and worker count, with p50/p99 per-request completion latency
- * (submit -> result delivered) measured through the async path.
- *
- * The single-stream baseline is the repository's pre-engine serving
- * path: one thread, one request at a time, a fresh pipeline (weight
- * build) per request — exactly what every example binary did before
- * the BatchEngine existed. The engine amortises weight construction
- * across the batch and schedules requests over the pool, highest
- * priority first.
+ * Serving throughput of the batched engine, in four gated scenarios.
  *
  * Every request noise seed is fixed, so the numbers are reproducible
  * run-to-run up to OS scheduling noise in the wall-clock columns.
  *
- * A second scenario drives the engine into overload (offered load
- * beyond worker capacity) under an AdmissionConfig with class-bounded
- * queues and a Low-shedding watermark, and reports accept/shed rates
- * and per-class deadline-miss percentages straight from
- * EngineMetrics — the trajectory CI tracks for the serving layer.
- *
- * A third scenario compares cohort batching off vs on for the
- * paper-scale MLD workload, gated on the dense row: stacked cohorts
- * of up to 8 same-model requests must beat cohorts of one (the
+ * Cohort batching: cohort batching off vs on for the paper-scale MLD
+ * workload, gated on the dense row: stacked cohorts of up to 8
+ * same-model requests must beat cohorts of one (the
  * request-at-a-time schedule cohort batching off gives).
  *
- * A fourth scenario compares the SIMD tiers under cohort batching
- * on the same workload: the Exact tier (host vector table, golden
- * accumulation order, bit-identical to Scalar) must not lose to the
- * forced-Scalar tier whenever a vector table is active — the gate
- * that keeps the kernel layer an actual wall-clock win.
+ * SIMD: the same cohort-on load on the process's kernel table vs on
+ * the scalar reference table in a child process (this binary re-run
+ * under EXION_SIMD=scalar, see common/rerun_self.h), reps
+ * interleaved. The tables are bit-identical by construction, so any
+ * gap is pure wall clock; whenever a vector table is active it must
+ * not lose to the scalar child on the dense row — the gate that keeps
+ * the kernel layer an actual wall-clock win.
  *
- * A fifth scenario measures weight-store sharing: the full-scale
- * model's store is built once and registered with two engines; the
- * JSON's weights section records per-model store sizes and the RSS
- * each registration added, gated on the second engine costing < 20%
- * of the weight RSS (borrowed views, not a copy).
+ * Weight-store sharing: the full-scale model's store is built once
+ * and registered with two engines; the JSON's weights section
+ * records per-model store sizes and the RSS each registration added,
+ * gated on the second engine costing < 20% of the weight RSS
+ * (borrowed views, not a copy).
+ *
+ * Overload: a burst beyond worker capacity under an AdmissionConfig
+ * with class-bounded queues and a Low-shedding watermark, reporting
+ * accept/shed rates and per-class deadline-miss percentages straight
+ * from EngineMetrics — the trajectory CI tracks for the serving
+ * layer.
  *
  * Exits nonzero if any measured throughput is not positive, a gated
  * comparison regresses, or the overload accounting does not
- * reconcile, so CI can use a quick run as a smoke check.
+ * reconcile, so CI can use a quick run as a smoke check. Any argument
+ * other than --quick (and the scalar child's own) is refused.
  *
  *   ./build/bench/bench_batch_throughput [--quick]
- *                                        [--simd scalar|exact]
  */
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "exion/common/rerun_self.h"
+#include "exion/model/weight_store.h"
 #include "exion/serve/batch_engine.h"
-#include "exion/tensor/kernel_flags.h"
+#include "exion/tensor/simd_dispatch.h"
 
 using namespace exion;
 
@@ -78,106 +71,6 @@ now()
         .count();
 }
 
-std::vector<ServeRequest>
-makeBatch(int n)
-{
-    std::vector<ServeRequest> batch;
-    for (int i = 0; i < n; ++i) {
-        ServeRequest req;
-        req.id = static_cast<u64>(i);
-        req.benchmark = Benchmark::MLD;
-        req.mode = i % 4 == 3 ? ExecMode::Dense : ExecMode::Exion;
-        req.noiseSeed = kNoiseSeedBase + static_cast<u64>(i);
-        batch.push_back(req);
-    }
-    return batch;
-}
-
-/** Pre-engine path: fresh pipeline + executor per request, 1 thread. */
-double
-runSingleStream(const ModelConfig &cfg,
-                const std::vector<ServeRequest> &batch)
-{
-    const double start = now();
-    for (const ServeRequest &req : batch) {
-        DiffusionPipeline pipe(cfg);
-        if (req.mode == ExecMode::Dense) {
-            DenseExecutor exec;
-            pipe.run(exec, req.noiseSeed);
-        } else {
-            SparseExecutor exec(SparseExecutor::fromConfig(
-                cfg, /*use_ffn_reuse=*/true, /*use_ep=*/true,
-                /*quantize=*/false));
-            pipe.run(exec, req.noiseSeed);
-        }
-    }
-    return now() - start;
-}
-
-struct EngineRun
-{
-    double seconds = 0.0; //!< makespan of the whole batch
-    double p50 = 0.0;     //!< median completion latency (s)
-    double p99 = 0.0;     //!< p99 completion latency (s)
-};
-
-/** Latency at a percentile (0..100) of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &samples, double pct)
-{
-    if (samples.empty())
-        return 0.0;
-    const double rank =
-        pct / 100.0 * static_cast<double>(samples.size() - 1);
-    const Index lo = static_cast<Index>(rank);
-    const Index hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-/**
- * Engine path: shared weights, W workers, async submit/complete.
- * Completion latency is measured per request from its submit() to the
- * completion callback firing.
- */
-EngineRun
-runEngine(const ModelConfig &cfg,
-          const std::vector<ServeRequest> &batch, int workers,
-          SimdTier simd)
-{
-    BatchEngine::Options opts;
-    opts.workers = workers;
-    opts.simdTier = simd;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    std::mutex mutex;
-    std::vector<double> submit_time(batch.size(), 0.0);
-    std::vector<double> latencies;
-    latencies.reserve(batch.size());
-    engine.setOnComplete([&](const RequestResult &r) {
-        const double done = now();
-        std::lock_guard<std::mutex> lock(mutex);
-        latencies.push_back(done - submit_time[r.id]);
-    });
-
-    const double start = now();
-    for (const ServeRequest &req : batch) {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            submit_time[req.id] = now();
-        }
-        engine.submit(req);
-    }
-    engine.waitIdle();
-    EngineRun run;
-    run.seconds = now() - start;
-    std::sort(latencies.begin(), latencies.end());
-    run.p50 = percentile(latencies, 50.0);
-    run.p99 = percentile(latencies, 99.0);
-    return run;
-}
-
 /**
  * Overload scenario: a submission burst well beyond what the workers
  * can start, pushed through trySubmit() under a shedding admission
@@ -187,8 +80,10 @@ runEngine(const ModelConfig &cfg,
  * @return whether the snapshot reconciled with the observed outcomes
  */
 bool
-runOverload(const ModelConfig &cfg, bool quick)
+runOverload(bool quick)
 {
+    ModelConfig cfg = makeConfig(Benchmark::MLD, Scale::Reduced);
+    cfg.iterations = quick ? 6 : 12;
     const int offered = quick ? 24 : 60;
     BatchEngine::Options opts;
     opts.workers = 2;
@@ -290,21 +185,20 @@ struct CohortComparison
 };
 
 /**
- * Same-benchmark load through the engine with cohort batching off
- * (cohorts of one) vs on, single worker: every request traverses the
+ * Same-benchmark load through a one-worker engine with cohort
+ * batching off (cohorts of one) or on: every request traverses the
  * same weights, so stacked iterations amortise weight traversal and
  * per-iteration fixed costs across members. Wall time is the
  * submit-burst -> all-complete makespan.
  */
 double
-runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
-              int workers, bool cohort, Index max_rows, SimdTier simd)
+runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n, bool cohort,
+              Index max_rows)
 {
     BatchEngine::Options opts;
-    opts.workers = workers;
+    opts.workers = 1;
     opts.cohortBatching = cohort;
     opts.cohortMaxRows = max_rows;
-    opts.simdTier = simd;
     BatchEngine engine(opts);
     engine.addModel(cfg);
 
@@ -333,7 +227,7 @@ runCohortLoad(const ModelConfig &cfg, ExecMode mode, int n,
 
 CohortComparison
 compareCohort(const ModelConfig &cfg, ExecMode mode, int n,
-              Index max_rows, int reps, SimdTier simd)
+              Index max_rows, int reps)
 {
     CohortComparison cmp;
     cmp.mode = execModeName(mode);
@@ -345,10 +239,8 @@ compareCohort(const ModelConfig &cfg, ExecMode mode, int n,
     double off = 0.0;
     double on = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-        const double off_s = runCohortLoad(cfg, mode, n, /*workers=*/1,
-                                           false, max_rows, simd);
-        const double on_s = runCohortLoad(cfg, mode, n, /*workers=*/1,
-                                          true, max_rows, simd);
+        const double off_s = runCohortLoad(cfg, mode, n, false, max_rows);
+        const double on_s = runCohortLoad(cfg, mode, n, true, max_rows);
         if (off_s > 0.0)
             off = off == 0.0 ? off_s : std::min(off, off_s);
         if (on_s > 0.0)
@@ -423,47 +315,115 @@ measureWeightSharing(const ModelConfig &cfg)
     return report;
 }
 
-/** Cohort-on SIMD tier comparison row of the JSON artifact. */
+/** Cohort-on scalar-child vs active-table row of the JSON artifact. */
 struct SimdComparison
 {
     std::string mode;
     int requests = 0;
-    double scalarRps = 0.0;
-    double exactRps = 0.0;
+    double scalarRps = 0.0; //!< scalar table, in a child process
+    double activeRps = 0.0; //!< this process's table
 
     double speedup() const
     {
-        return scalarRps > 0.0 ? exactRps / scalarRps : 0.0;
+        return scalarRps > 0.0 ? activeRps / scalarRps : 0.0;
     }
 };
 
+/** The cohort and SIMD gates' model: paper-scale MLD. */
+ModelConfig
+cohortConfig(bool quick)
+{
+    ModelConfig cfg = makeConfig(Benchmark::MLD, Scale::Full);
+    cfg.iterations = quick ? 4 : 8;
+    return cfg;
+}
+
+/** Requests in each of the cohort and SIMD gates' bursts. */
+int
+cohortRequests(bool quick)
+{
+    return quick ? 12 : 16;
+}
+
+/** Argument that makes this binary the SIMD gate's scalar child. */
+constexpr char kScalarChildArg[] = "--scalar-child";
+
+/** Prefix of the line the scalar child reports its makespan on. */
+constexpr char kChildSecondsPrefix[] = "scalar-child seconds ";
+
 /**
- * Cohort-on, Scalar vs Exact SIMD tier (interleaved best-of-N): the
- * same stacked load with only the kernel table swapped — the tiers
- * are bit-identical by construction, so any gap is pure wall clock.
+ * The scalar child's side of the SIMD gate: one cohort-on run of the
+ * named mode on the scalar table, its makespan printed on stdout.
+ */
+int
+runScalarChild(const std::string &mode_name, bool quick)
+{
+    if (activeSimdLevel() != SimdLevel::Scalar) {
+        std::cerr << "error: scalar child runs at level "
+                  << simdLevelName(activeSimdLevel()) << "\n";
+        return 1;
+    }
+    ExecMode mode = ExecMode::Dense;
+    if (mode_name == execModeName(ExecMode::Exion))
+        mode = ExecMode::Exion;
+    else if (mode_name != execModeName(ExecMode::Dense)) {
+        std::cerr << "error: unknown scalar-child mode '" << mode_name
+                  << "'\n";
+        return 2;
+    }
+    const double seconds =
+        runCohortLoad(cohortConfig(quick), mode, cohortRequests(quick),
+                      true, /*max_rows=*/8);
+    std::cout << kChildSecondsPrefix << std::setprecision(17) << seconds
+              << "\n";
+    return seconds > 0.0 ? 0 : 1;
+}
+
+/** One scalar child's cohort-on makespan (0 if the child failed). */
+double
+scalarChildSeconds(ExecMode mode, bool quick)
+{
+    std::vector<std::string> args = {kScalarChildArg, execModeName(mode)};
+    if (quick)
+        args.emplace_back("--quick");
+    const ChildRun child = rerunSelf(args);
+    const size_t at = child.out.find(kChildSecondsPrefix);
+    if (child.status != 0 || at == std::string::npos) {
+        std::cerr << "error: scalar child failed (status "
+                  << child.status << "): " << child.err << "\n";
+        return 0.0;
+    }
+    return std::strtod(
+        child.out.c_str() + at + std::strlen(kChildSecondsPrefix),
+        nullptr);
+}
+
+/**
+ * Cohort-on, scalar child vs this process (interleaved best-of-N):
+ * the same stacked load with only the kernel table swapped.
  */
 SimdComparison
-compareSimdTiers(const ModelConfig &cfg, ExecMode mode, int n,
-                 Index max_rows, int reps)
+compareWithScalarChild(ExecMode mode, int reps, bool quick)
 {
+    const ModelConfig cfg = cohortConfig(quick);
+    const int n = cohortRequests(quick);
     SimdComparison cmp;
     cmp.mode = execModeName(mode);
     cmp.requests = n;
     double scalar = 0.0;
-    double exact = 0.0;
+    double active = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-        const double scalar_s = runCohortLoad(
-            cfg, mode, n, /*workers=*/1, true, max_rows, SimdTier::Scalar);
-        const double exact_s = runCohortLoad(
-            cfg, mode, n, /*workers=*/1, true, max_rows, SimdTier::Exact);
+        const double scalar_s = scalarChildSeconds(mode, quick);
+        const double active_s =
+            runCohortLoad(cfg, mode, n, true, /*max_rows=*/8);
         if (scalar_s > 0.0)
             scalar = scalar == 0.0 ? scalar_s
                                    : std::min(scalar, scalar_s);
-        if (exact_s > 0.0)
-            exact = exact == 0.0 ? exact_s : std::min(exact, exact_s);
+        if (active_s > 0.0)
+            active = active == 0.0 ? active_s : std::min(active, active_s);
     }
     cmp.scalarRps = scalar > 0.0 ? n / scalar : 0.0;
-    cmp.exactRps = exact > 0.0 ? n / exact : 0.0;
+    cmp.activeRps = active > 0.0 ? n / active : 0.0;
     return cmp;
 }
 
@@ -504,8 +464,8 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
         out << "      {\"mode\": \"" << sc.mode
             << "\", \"requests\": " << sc.requests
             << ", \"cohort\": true,\n"
-            << "       \"scalar_rps\": " << sc.scalarRps
-            << ", \"exact_rps\": " << sc.exactRps
+            << "       \"scalar_child_rps\": " << sc.scalarRps
+            << ", \"active_rps\": " << sc.activeRps
             << ", \"speedup\": " << sc.speedup() << "}"
             << (i + 1 < simd_rows.size() ? "," : "") << "\n";
     }
@@ -536,81 +496,26 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    const bool quick = bench::quickMode(argc, argv);
-
-    // --simd: kernel tier for the main throughput sweep and the
-    // cohort on/off comparison (the SIMD comparison below always
-    // measures both tiers).
-    KernelFlags sweep_kernels;
+    bool quick = false;
+    const char *child_mode = nullptr;
     for (int i = 1; i < argc; ++i) {
-        std::string err;
-        if (tryConsumeKernelFlag(argc, argv, i, sweep_kernels, err)
-            == KernelFlagStatus::Error) {
-            std::cerr << "error: " << err << "\n";
-            return 1;
+        const std::string arg = argv[i];
+        if (arg == "--quick") {
+            quick = true;
+        } else if (arg == kScalarChildArg && i + 1 < argc) {
+            child_mode = argv[++i];
+        } else {
+            std::cerr << "usage: " << argv[0] << " [--quick]\n";
+            return 2;
         }
     }
-    const SimdTier sweep_simd = sweep_kernels.simd;
+    if (child_mode != nullptr)
+        return runScalarChild(child_mode, quick);
 
-    ModelConfig cfg = makeConfig(Benchmark::MLD, Scale::Reduced);
-    cfg.iterations = quick ? 6 : 12;
-
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    std::cout << "model " << cfg.name << ", " << cfg.iterations
-              << " iterations, " << hw << " hardware threads, seeds "
-              << "fixed (noise base " << kNoiseSeedBase << "), simd "
-              << simdTierName(sweep_simd) << " (level "
-              << simdLevelName(activeSimdLevel()) << ")\n\n";
-
-    std::vector<int> batches = {1, 4, 8};
-    if (!quick)
-        batches.push_back(16);
-    std::vector<int> workers = {1, 2, 4};
-    if (hw > 4)
-        workers.push_back(static_cast<int>(hw));
-
-    std::cout << std::left << std::setw(8) << "batch" << std::setw(16)
-              << "single-stream";
-    for (int w : workers)
-        std::cout << std::setw(26) << ("engine w=" + std::to_string(w));
-    std::cout << "best speedup\n";
-    std::cout << std::setw(8) << "" << std::setw(16) << "(req/s)";
-    for (size_t i = 0; i < workers.size(); ++i)
-        std::cout << std::setw(26) << "(req/s, p50/p99 ms)";
-    std::cout << "\n";
-
-    bool healthy = true;
-    for (int n : batches) {
-        const auto batch = makeBatch(n);
-        const double base_s = runSingleStream(cfg, batch);
-        const double base_rps = n / base_s;
-        healthy &= base_rps > 0.0;
-        std::cout << std::left << std::setw(8) << n << std::fixed
-                  << std::setprecision(2) << std::setw(16) << base_rps;
-        double best = 0.0;
-        for (int w : workers) {
-            const EngineRun run = runEngine(cfg, batch, w, sweep_simd);
-            const double rps = n / run.seconds;
-            healthy &= rps > 0.0;
-            best = std::max(best, rps);
-            std::ostringstream cell;
-            cell << std::fixed << std::setprecision(2) << rps << ", "
-                 << std::setprecision(1) << run.p50 * 1e3 << "/"
-                 << run.p99 * 1e3;
-            std::cout << std::setw(26) << cell.str();
-        }
-        std::cout << std::setprecision(2) << best / base_rps << "x\n";
-    }
-
-    std::cout << "\nSpeedup sources: shared weight construction "
-                 "(amortised across the batch)\nand worker "
-                 "parallelism (scales with hardware threads). p50/p99 "
-                 "are per-request\nsubmit->completion latencies "
-                 "through the async path; the batch tail no longer\n"
-                 "gates early completions, so p50 stays low even when "
-                 "a slow dense request\nstretches the makespan.\n";
-    if (!healthy)
-        std::cerr << "error: measured non-positive throughput\n";
+    std::cout << std::thread::hardware_concurrency()
+              << " hardware threads, seeds fixed (noise base "
+              << kNoiseSeedBase << "), simd level "
+              << simdLevelName(activeSimdLevel()) << "\n";
 
     // Cohort batching: same-benchmark load, one worker, off vs on.
     // Paper-scale MLD (8 tokens x 256 dim, 9 blocks, ~28 MB of
@@ -618,21 +523,20 @@ main(int argc, char **argv)
     // iteration drags every weight matrix through the cache for just
     // 8 activation rows, so stacking same-model latents amortises the
     // traversal across the whole cohort.
-    ModelConfig cohort_cfg = makeConfig(Benchmark::MLD, Scale::Full);
-    cohort_cfg.iterations = quick ? 4 : 8;
-    const int cohort_n = quick ? 12 : 16;
+    const ModelConfig cohort_cfg = cohortConfig(quick);
+    const int cohort_n = cohortRequests(quick);
     std::cout << "\n== cohort batching: " << cohort_n
               << " same-model " << cohort_cfg.name
               << " (full-scale) requests, " << cohort_cfg.iterations
               << " iterations, 1 worker, max rows 8 ==\n";
+    bool healthy = true;
     std::vector<CohortComparison> cohort_rows;
     for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
         // The dense row is the pass/fail gate; give it extra
         // repetitions so a noisy CI runner cannot flip the verdict.
         const int reps = mode == ExecMode::Dense ? 5 : 3;
-        CohortComparison cmp =
-            compareCohort(cohort_cfg, mode, cohort_n, /*max_rows=*/8,
-                          reps, sweep_simd);
+        CohortComparison cmp = compareCohort(cohort_cfg, mode, cohort_n,
+                                             /*max_rows=*/8, reps);
         std::cout << std::left << std::setw(8) << cmp.mode
                   << std::fixed << std::setprecision(2)
                   << "cohort-off " << std::setw(10) << cmp.offRps
@@ -649,37 +553,37 @@ main(int argc, char **argv)
         healthy = false;
     }
 
-    // SIMD tiers under cohort batching: the kernels with the scalar
-    // table forced vs the host vector table under the Exact
-    // (bit-identical) contract. Gated only when a vector table is
+    // SIMD under cohort batching: this process's table vs the scalar
+    // table in a child process. Gated only when a vector table is
     // actually active — on a scalar-only host (or under
-    // EXION_SIMD=scalar) both rows run the same code and noise would
+    // EXION_SIMD=scalar) both sides run the same code and noise would
     // decide the verdict.
-    std::cout << "\n== SIMD tiers, cohort-on: "
-              << cohort_n << " same-model " << cohort_cfg.name
-              << " (full-scale) requests, " << cohort_cfg.iterations
-              << " iterations, 1 worker, max rows 8 (level "
-              << simdLevelName(activeSimdLevel()) << ") ==\n";
+    std::cout << "\n== SIMD, cohort-on: " << cohort_n << " same-model "
+              << cohort_cfg.name << " (full-scale) requests, "
+              << cohort_cfg.iterations
+              << " iterations, 1 worker, max rows 8, level "
+              << simdLevelName(activeSimdLevel())
+              << " vs a scalar child ==\n";
     std::vector<SimdComparison> simd_rows;
     for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
         const int reps = mode == ExecMode::Dense ? 5 : 3;
-        SimdComparison cmp = compareSimdTiers(
-            cohort_cfg, mode, cohort_n, /*max_rows=*/8, reps);
+        SimdComparison cmp = compareWithScalarChild(mode, reps, quick);
         std::cout << std::left << std::setw(8) << cmp.mode
-                  << std::fixed << std::setprecision(2) << "scalar "
-                  << std::setw(10) << cmp.scalarRps << "exact "
-                  << std::setw(10) << cmp.exactRps << "speedup "
+                  << std::fixed << std::setprecision(2)
+                  << "scalar-child " << std::setw(10) << cmp.scalarRps
+                  << simdLevelName(activeSimdLevel()) << " "
+                  << std::setw(10) << cmp.activeRps << "speedup "
                   << cmp.speedup() << "x\n";
-        healthy &= cmp.scalarRps > 0.0 && cmp.exactRps > 0.0;
+        healthy &= cmp.scalarRps > 0.0 && cmp.activeRps > 0.0;
         simd_rows.push_back(std::move(cmp));
     }
-    // The acceptance gate: with a vector table active, dispatching
-    // the dense cohort load onto it must not lose to forced scalar.
+    // The acceptance gate: with a vector table active, the dense
+    // cohort load must not lose to the scalar child.
     if (activeSimdLevel() != SimdLevel::Scalar
-        && simd_rows[0].exactRps < simd_rows[0].scalarRps) {
-        std::cerr << "error: Exact-tier vector kernels lost to the "
-                     "forced-scalar tier on cohort-on dense "
-                     "throughput\n";
+        && simd_rows[0].activeRps < simd_rows[0].scalarRps) {
+        std::cerr << "error: the " << simdLevelName(activeSimdLevel())
+                  << " kernels lost to the scalar child on cohort-on "
+                     "dense throughput\n";
         healthy = false;
     }
     // Weight sharing: the store built once, registered with two
@@ -720,6 +624,6 @@ main(int argc, char **argv)
     writeBenchJson("BENCH_batch.json", cohort_cfg, quick, cohort_rows,
                    simd_rows, weights);
 
-    healthy &= runOverload(cfg, quick);
+    healthy &= runOverload(quick);
     return healthy ? 0 : 1;
 }

@@ -5,7 +5,6 @@
  * Usage:
  *   exion_cli [--model NAME] [--device exion4|exion24|exion42]
  *             [--ablation base|ep|ffnr|all] [--batch N] [--gpu]
- *             [--simd scalar|exact]
  *
  * Prints latency, energy, efficiency, and work reduction; with --gpu
  * also runs the matched GPU baseline and prints the gains. Without
@@ -19,7 +18,6 @@
 #include "exion/accel/perf_model.h"
 #include "exion/baseline/gpu_model.h"
 #include "exion/common/table.h"
-#include "exion/tensor/kernel_flags.h"
 
 using namespace exion;
 
@@ -109,16 +107,8 @@ main(int argc, char **argv)
     std::string ablation_name = "all";
     int batch = 1;
     bool with_gpu = false;
-    KernelFlags kernels;
 
     for (int i = 1; i < argc; ++i) {
-        std::string kernel_err;
-        const KernelFlagStatus ks =
-            tryConsumeKernelFlag(argc, argv, i, kernels, kernel_err);
-        if (ks == KernelFlagStatus::Error)
-            EXION_FATAL(kernel_err);
-        if (ks == KernelFlagStatus::Consumed)
-            continue;
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
@@ -139,18 +129,12 @@ main(int argc, char **argv)
             std::cout << "usage: exion_cli [--model NAME] "
                       << "[--device exion4|exion24|exion42]\n"
                       << "                 [--ablation base|ep|ffnr|"
-                      << "all] [--batch N] [--gpu]\n"
-                      << "                 " << kernelFlagsUsage()
-                      << "\n";
+                      << "all] [--batch N] [--gpu]\n";
             return 0;
         } else {
             EXION_FATAL("unknown argument ", arg);
         }
     }
-
-    // Process-wide: every kernel of the runs below dispatches on
-    // this; --simd scalar|exact are bit-identical.
-    setDefaultSimdTier(kernels.simd);
 
     const ExionConfig device = parseDevice(device_name);
     const Ablation ablation = parseAblation(ablation_name);

@@ -9,7 +9,10 @@
  *
  * Build & run:
  *   cmake -B build -S . && cmake --build build
- *   ./build/examples/serve_batch [--simd scalar|exact]
+ *   ./build/examples/serve_batch
+ *
+ * It takes no arguments; EXION_SIMD=scalar runs it on the scalar
+ * kernel table, with the same bit-exact self-checks.
  */
 
 #include <chrono>
@@ -23,7 +26,6 @@
 #include <string>
 
 #include "exion/serve/batch_engine.h"
-#include "exion/tensor/kernel_flags.h"
 
 using namespace exion;
 
@@ -48,24 +50,10 @@ main(int argc, char **argv)
     // it, lets the engine finish what it accepted, and exits cleanly.
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
-    // --simd selects the engine's kernel tier (default Exact). The
-    // scalar and exact tiers are bit-identical — the self-checks
-    // below hold regardless — only wall clock changes.
-    KernelFlags kernels;
-    for (int i = 1; i < argc; ++i) {
-        std::string err;
-        const KernelFlagStatus ks =
-            tryConsumeKernelFlag(argc, argv, i, kernels, err);
-        if (ks == KernelFlagStatus::Error) {
-            std::cerr << "error: " << err << "\n";
-            return 1;
-        }
-        if (ks == KernelFlagStatus::NotMine) {
-            std::cerr << "error: unknown argument '" << argv[i]
-                      << "' (usage: serve_batch " << kernelFlagsUsage()
-                      << ")\n";
-            return 1;
-        }
+    if (argc > 1) {
+        std::cerr << "error: unknown argument '" << argv[1]
+                  << "' (usage: serve_batch)\n";
+        return 1;
     }
     // 1. Register the models once; weights are shared by every
     //    request for that benchmark. The admission policy is part of
@@ -80,7 +68,6 @@ main(int argc, char **argv)
 
     BatchEngine::Options opts;
     opts.workers = 4;
-    opts.simdTier = kernels.simd;
     opts.admission.maxQueuedPerClass = 16;
     opts.admission.shedThreshold = 12;
     opts.admission.shedBelow = Priority::Normal;

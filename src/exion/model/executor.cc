@@ -31,33 +31,32 @@ ExecStats::merge(const ExecStats &other)
 }
 
 Matrix
-execMatmul(const Matrix &a, const Matrix &b, bool quantize, SimdTier simd)
+execMatmul(const Matrix &a, const Matrix &b, bool quantize)
 {
     if (!quantize)
-        return matmul(a, b, simd);
+        return matmul(a, b);
     const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    return matmulQuant(qa, qb, simd);
+    return matmulQuant(qa, qb);
 }
 
 Matrix
-execWeightMatmul(const Matrix &x, const Linear &lin, bool quantize,
-                 SimdTier simd)
+execWeightMatmul(const Matrix &x, const Linear &lin, bool quantize)
 {
     if (!quantize)
-        return matmul(x, lin.weight(), simd);
+        return matmul(x, lin.weight());
     const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);
     if (lin.hasQuantWeight())
-        return matmulQuant(qx, lin.quantWeight(), simd);
+        return matmulQuant(qx, lin.quantWeight());
     return matmulQuant(
-        qx, QuantMatrix::fromFloat(lin.weight(), IntWidth::Int12), simd);
+        qx, QuantMatrix::fromFloat(lin.weight(), IntWidth::Int12));
 }
 
 void
 denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
                        const Matrix &k, const Matrix &v, Index r0,
                        Index rows, bool quantize, ExecStats &stats,
-                       Matrix &concat, SimdTier simd)
+                       Matrix &concat)
 {
     const Index t = rows;
     const Index dh = blk.headDim();
@@ -71,7 +70,7 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
 
         Matrix scores = scale(matmulTransposed(qh, kh), inv_sqrt);
         const Matrix probs = softmax(scores);
-        const Matrix out_h = execMatmul(probs, vh, quantize, simd);
+        const Matrix out_h = execMatmul(probs, vh, quantize);
         for (Index r = 0; r < t; ++r)
             for (Index c = 0; c < dh; ++c)
                 concat(r0 + r, h * dh + c) = out_h(r, c);
@@ -84,17 +83,17 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
 Matrix
 denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                    bool quantize, ExecStats &stats,
-                   ExecObservers &observers, SimdTier simd)
+                   ExecObservers &observers)
 {
     (void)observers;
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
 
-    Matrix q = execWeightMatmul(x_norm, blk.wq(), quantize, simd);
+    Matrix q = execWeightMatmul(x_norm, blk.wq(), quantize);
     addRowVector(q, blk.wq().bias());
-    Matrix k = execWeightMatmul(x_norm, blk.wk(), quantize, simd);
+    Matrix k = execWeightMatmul(x_norm, blk.wk(), quantize);
     addRowVector(k, blk.wk().bias());
-    Matrix v = execWeightMatmul(x_norm, blk.wv(), quantize, simd);
+    Matrix v = execWeightMatmul(x_norm, blk.wv(), quantize);
     addRowVector(v, blk.wv().bias());
 
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
@@ -104,10 +103,9 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     stats.vColsTotal += t;
 
     Matrix concat(t, d);
-    denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats,
-                           concat, simd);
+    denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats, concat);
 
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize, simd);
+    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);
@@ -116,22 +114,20 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
 Matrix
 denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
-             bool quantize, ExecStats &stats, ExecObservers &observers,
-             SimdTier simd)
+             bool quantize, ExecStats &stats, ExecObservers &observers)
 {
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
     const Index hid = blk.ffnHidden();
 
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize, simd);
+    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize);
     addRowVector(gate, blk.ffn1().bias());
     stats.ffnOpsDense += mmulOps(t, d, hid);
     stats.ffnOpsExecuted += mmulOps(t, d, hid);
 
     Matrix hidden;
     if (blk.geglu()) {
-        Matrix value =
-            execWeightMatmul(x_norm, blk.ffn1Value(), quantize, simd);
+        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(), quantize);
         addRowVector(value, blk.ffn1Value().bias());
         stats.ffnOpsDense += mmulOps(t, d, hid);
         stats.ffnOpsExecuted += mmulOps(t, d, hid);
@@ -145,7 +141,7 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnHidden)
         observers.onFfnHidden(blk.id(), hidden);
 
-    Matrix out = execWeightMatmul(hidden, blk.ffn2(), quantize, simd);
+    Matrix out = execWeightMatmul(hidden, blk.ffn2(), quantize);
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);
@@ -155,15 +151,13 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
 Matrix
 DenseExecutor::attention(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseAttentionImpl(blk, x_norm, quantize_, stats(), observers,
-                              simd_);
+    return denseAttentionImpl(blk, x_norm, quantize_, stats(), observers);
 }
 
 Matrix
 DenseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseFfnImpl(blk, x_norm, quantize_, stats(), observers,
-                        simd_);
+    return denseFfnImpl(blk, x_norm, quantize_, stats(), observers);
 }
 
 } // namespace exion

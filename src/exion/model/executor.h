@@ -7,7 +7,9 @@
  * executor (optionally with INT12 operand quantisation); the sparsity
  * library layers FFN-Reuse and eager prediction on top of the same
  * interface. Every optimised executor is validated against
- * DenseExecutor outputs in the test suite.
+ * DenseExecutor outputs in the test suite. All of them run their
+ * kernels on the one table the process probed (activeKernels(), see
+ * simd_dispatch.h), so no executor carries a kernel choice.
  */
 
 #ifndef EXION_MODEL_EXECUTOR_H_
@@ -18,7 +20,6 @@
 
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/matrix.h"
-#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -153,15 +154,6 @@ class BlockExecutor
         ctx().iteration = iteration;
     }
 
-    /**
-     * SIMD tier for kernels issued on this executor's behalf, inside
-     * the block and out (network in/out/time projections, ResBlock
-     * convolutions; see simd_dispatch.h). Scalar and Exact are
-     * bit-identical; the base implementation follows the process
-     * default.
-     */
-    virtual SimdTier simdTier() const { return defaultSimdTier(); }
-
     /** Multi-head attention sub-layer (QKV, scores, AV, out-proj). */
     virtual Matrix attention(const TransformerBlock &blk,
                              const Matrix &x_norm) = 0;
@@ -210,15 +202,8 @@ class BlockExecutor
 class DenseExecutor : public BlockExecutor
 {
   public:
-    /**
-     * @param quantize route every MMUL through INT12 operands
-     * @param simd     SIMD tier for the kernels (Scalar and Exact
-     *                 are bit-identical)
-     */
-    explicit DenseExecutor(bool quantize = false,
-                           SimdTier simd = defaultSimdTier())
-        : quantize_(quantize), simd_(simd)
-    {}
+    /** @param quantize route every MMUL through INT12 operands */
+    explicit DenseExecutor(bool quantize = false) : quantize_(quantize) {}
 
     Matrix attention(const TransformerBlock &blk,
                      const Matrix &x_norm) override;
@@ -227,12 +212,8 @@ class DenseExecutor : public BlockExecutor
     /** Whether INT12 quantisation is applied. */
     bool quantized() const { return quantize_; }
 
-    /** SIMD tier used for kernels. */
-    SimdTier simdTier() const override { return simd_; }
-
   private:
     bool quantize_;
-    SimdTier simd_;
 };
 
 /**
@@ -260,8 +241,7 @@ class CohortBlockExecutor : public BlockExecutor
 };
 
 /** A*B with optional INT12 operand quantisation. */
-Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize,
-                  SimdTier simd = defaultSimdTier());
+Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize);
 
 /**
  * x * W for a layer's weight, with optional INT12 operand
@@ -273,8 +253,7 @@ Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize,
  * at-rest image snapshots the same deterministic quantisation.
  */
 Matrix execWeightMatmul(const Matrix &x, const Linear &lin,
-                        bool quantize,
-                        SimdTier simd = defaultSimdTier());
+                        bool quantize);
 
 /**
  * MACs-as-2-ops for an (m x k) * (k x n) MMUL — the paper's TOPS
@@ -296,8 +275,7 @@ mmulOps(Index m, Index k, Index n)
  */
 Matrix denseAttentionImpl(const TransformerBlock &blk,
                           const Matrix &x_norm, bool quantize,
-                          ExecStats &stats, ExecObservers &observers,
-                          SimdTier simd = defaultSimdTier());
+                          ExecStats &stats, ExecObservers &observers);
 
 /**
  * Per-head score/softmax/AV core of dense attention on rows
@@ -313,14 +291,12 @@ void denseAttentionCoreInto(const TransformerBlock &blk,
                             const Matrix &q, const Matrix &k,
                             const Matrix &v, Index r0, Index rows,
                             bool quantize, ExecStats &stats,
-                            Matrix &concat,
-                            SimdTier simd = defaultSimdTier());
+                            Matrix &concat);
 
 /** Dense FFN implementation shared by executors. */
 Matrix denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
                     bool quantize, ExecStats &stats,
-                    ExecObservers &observers,
-                    SimdTier simd = defaultSimdTier());
+                    ExecObservers &observers);
 
 } // namespace exion
 

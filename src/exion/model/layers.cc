@@ -29,9 +29,9 @@ Linear::fromStore(const WeightStore &ws, const std::string &name)
 }
 
 Matrix
-Linear::forward(const Matrix &x, SimdTier simd) const
+Linear::forward(const Matrix &x) const
 {
-    Matrix y = matmul(x, weight_, simd);
+    Matrix y = matmul(x, weight_);
     addRowVector(y, bias_);
     return y;
 }

@@ -10,7 +10,6 @@
 
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
-#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -38,14 +37,8 @@ class Linear
     static Linear fromStore(const WeightStore &ws,
                             const std::string &name);
 
-    /**
-     * Applies the layer to x (rows = tokens).
-     *
-     * @param simd SIMD tier for the x W product's kernels (Scalar and
-     *             Exact are bit-identical)
-     */
-    Matrix forward(const Matrix &x,
-                   SimdTier simd = defaultSimdTier()) const;
+    /** Applies the layer to x (rows = tokens). */
+    Matrix forward(const Matrix &x) const;
 
     /** Weight matrix (in x out). */
     const Matrix &weight() const { return weight_; }

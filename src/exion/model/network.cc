@@ -104,12 +104,7 @@ Matrix
 DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
                               Index segments, BlockExecutor &exec) const
 {
-    // The executor's tier also covers the network-level linears and
-    // ResBlock convolutions, so an engine's tier reaches every dense
-    // MMUL of the run, not just the blocks.
-    const SimdTier simd = exec.simdTier();
-
-    Matrix h = inProj_.forward(x, simd);
+    Matrix h = inProj_.forward(x);
     addRowVector(h, condEmbed_);
 
     // Per-segment timestep embeddings. Cohort members usually step in
@@ -151,7 +146,7 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
         cur_tokens = want;
 
         if (stage.channelProj.inDim() != 0)
-            h = stage.channelProj.forward(h, simd);
+            h = stage.channelProj.forward(h);
 
         if (unet && upsampling && !skips.empty()) {
             const Matrix &skip = skips.back();
@@ -166,17 +161,17 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
         Matrix t_proj;
         for (Index m = 0; m < segments; ++m) {
             if (m == 0 || timesteps[m] != timesteps[m - 1])
-                t_proj = stage.timeProj.forward(t_embs[m], simd);
+                t_proj = stage.timeProj.forward(t_embs[m]);
             addRowVectorToRows(h, t_proj, m * cur_tokens, cur_tokens);
         }
 
         for (const auto &res : stage.resBlocks)
-            h = res.forward(h, simd);
+            h = res.forward(h);
         for (const auto &blk : stage.blocks)
             h = blk.forward(h, exec);
     }
 
-    return outProj_.forward(h, simd);
+    return outProj_.forward(h);
 }
 
 } // namespace exion

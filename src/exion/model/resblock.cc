@@ -21,11 +21,11 @@ ResBlock::ResBlock(const WeightStore &ws, const std::string &prefix)
 }
 
 Matrix
-ResBlock::forward(const Matrix &x, SimdTier simd) const
+ResBlock::forward(const Matrix &x) const
 {
     const Matrix n = layerNorm(x, normGamma_, normBeta_);
-    const Matrix h = gelu(conv1_.forward(n, simd));
-    const Matrix out = conv2_.forward(h, simd);
+    const Matrix h = gelu(conv1_.forward(n));
+    const Matrix out = conv2_.forward(h);
     return add(x, out);
 }
 

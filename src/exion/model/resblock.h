@@ -39,8 +39,7 @@ class ResBlock
      * passes through unchanged — each member's rows equal a solo
      * forward bit for bit.
      */
-    Matrix forward(const Matrix &x,
-                   SimdTier simd = defaultSimdTier()) const;
+    Matrix forward(const Matrix &x) const;
 
     /** Channel width. */
     Index dModel() const { return conv1_.inDim(); }

@@ -545,10 +545,8 @@ BatchEngine::runCohort(CohortMember first)
     const bool ffnr =
         mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
     const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
-    SparseExecutor::Options cohort_opts = SparseExecutor::fromConfig(
-        cfg, ffnr, ep, first.req.quantize);
-    cohort_opts.simd = opts_.simdTier;
-    CohortExecutor exec(cohort_opts);
+    CohortExecutor exec(
+        SparseExecutor::fromConfig(cfg, ffnr, ep, first.req.quantize));
     CohortRun run(pipe, exec);
 
     // Slot ids are join order, so members_[slot] is the member.
@@ -772,17 +770,14 @@ BatchEngine::runOne(const ServeRequest &req) const
     RequestContext ctx;
     std::unique_ptr<BlockExecutor> exec;
     if (req.mode == ExecMode::Dense) {
-        auto dense =
-            std::make_unique<DenseExecutor>(req.quantize, opts_.simdTier);
+        auto dense = std::make_unique<DenseExecutor>(req.quantize);
         dense->bindContext(ctx.exec);
         exec = std::move(dense);
     } else {
         const bool ffnr = req.mode != ExecMode::EpOnly;
         const bool ep = req.mode != ExecMode::FfnReuseOnly;
-        SparseExecutor::Options sparse_opts =
-            SparseExecutor::fromConfig(cfg, ffnr, ep, req.quantize);
-        sparse_opts.simd = opts_.simdTier;
-        auto sparse = std::make_unique<SparseExecutor>(sparse_opts);
+        auto sparse = std::make_unique<SparseExecutor>(
+            SparseExecutor::fromConfig(cfg, ffnr, ep, req.quantize));
         sparse->bindRequestState(ctx.exec, ctx.ffn);
         if (req.trackConMerge && ffnr) {
             sparse->observers.onFfnMask =

@@ -178,7 +178,10 @@ struct SubmitOutcome
  * cohort path is tested against. Request execution is deterministic:
  * a request's result depends only on the request and the registered
  * weights, never on worker count, priorities, scheduling order,
- * cohort membership or admission policy.
+ * cohort membership, admission policy or the kernel table the process
+ * runs. The engine holds no kernel choice: every executor it builds
+ * uses the one table the process probed (EXION_SIMD caps it; see
+ * simd_dispatch.h).
  */
 class BatchEngine
 {
@@ -225,13 +228,6 @@ class BatchEngine
          * latency cost a queued non-matching request can see.
          */
         Index cohortMaxRows = 8;
-        /**
-         * SIMD tier every executor this engine builds runs its
-         * kernels under. Exact (the default) uses the host's widest
-         * vector table while keeping every float accumulation chain
-         * in golden reference order — bit-identical to Scalar.
-         */
-        SimdTier simdTier = SimdTier::Exact;
     };
 
     /** Invoked on a worker thread as each request completes. */

@@ -6,8 +6,7 @@ namespace exion
 {
 
 CohortExecutor::CohortExecutor(const SparseExecutor::Options &opt)
-    : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.simd)
+    : opt_(opt), ffnReuse_(opt.ffnReuse, opt.quantize)
 {
 }
 
@@ -94,10 +93,9 @@ CohortExecutor::attention(const TransformerBlock &blk,
             const Matrix seg = opt_.useEp
                 ? epAttentionImpl(blk, x_m, opt_.ep, opt_.lodMode,
                                   opt_.quantize, s.ctx->stats,
-                                  s.observers, opt_.simd)
+                                  s.observers)
                 : denseAttentionImpl(blk, x_m, opt_.quantize,
-                                     s.ctx->stats, s.observers,
-                                     opt_.simd);
+                                     s.ctx->stats, s.observers);
             pasteRows(out, seg, m * t_seg);
         }
         return out;
@@ -107,11 +105,11 @@ CohortExecutor::attention(const TransformerBlock &blk,
     // so each member's rows match its solo run bit for bit), then the
     // token-mixing core per member segment. The tall stacks are
     // exactly the shape the blocked GEMM packs for.
-    Matrix q = execMatmul(x_norm, blk.wq().weight(), false, opt_.simd);
+    Matrix q = execMatmul(x_norm, blk.wq().weight(), false);
     addRowVector(q, blk.wq().bias());
-    Matrix k = execMatmul(x_norm, blk.wk().weight(), false, opt_.simd);
+    Matrix k = execMatmul(x_norm, blk.wk().weight(), false);
     addRowVector(k, blk.wk().bias());
-    Matrix v = execMatmul(x_norm, blk.wv().weight(), false, opt_.simd);
+    Matrix v = execMatmul(x_norm, blk.wv().weight(), false);
     addRowVector(v, blk.wv().bias());
 
     Matrix concat(x_norm.rows(), d);
@@ -124,11 +122,10 @@ CohortExecutor::attention(const TransformerBlock &blk,
         stats.vColsTotal += t_seg;
 
         denseAttentionCoreInto(blk, q, k, v, m * t_seg, t_seg, false,
-                               stats, concat, opt_.simd);
+                               stats, concat);
     }
 
-    Matrix out =
-        execMatmul(concat, blk.wo().weight(), false, opt_.simd);
+    Matrix out = execMatmul(concat, blk.wo().weight(), false);
     addRowVector(out, blk.wo().bias());
     for (Index m = 0; m < n; ++m) {
         ExecStats &stats = memberStats(m);
@@ -180,8 +177,7 @@ CohortExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
             Slot &s = slot(active_[m]);
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
             const Matrix seg = denseFfnImpl(blk, x_m, opt_.quantize,
-                                            s.ctx->stats, s.observers,
-                                            opt_.simd);
+                                            s.ctx->stats, s.observers);
             pasteRows(out, seg, m * t_seg);
         }
         return out;
@@ -192,8 +188,7 @@ CohortExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
     // member exactly as denseFfnImpl would for its own t_seg rows.
     ExecStats scratch;
     ExecObservers none;
-    Matrix out =
-        denseFfnImpl(blk, x_norm, false, scratch, none, opt_.simd);
+    Matrix out = denseFfnImpl(blk, x_norm, false, scratch, none);
     const OpCount per_member_ops =
         (blk.geglu() ? 2 : 1) * mmulOps(t_seg, d, hid)
         + mmulOps(t_seg, hid, d);

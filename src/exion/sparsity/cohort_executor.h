@@ -70,9 +70,6 @@ class CohortExecutor : public CohortBlockExecutor
     /** Active options. */
     const SparseExecutor::Options &options() const { return opt_; }
 
-    /** SIMD tier used for kernels (Options::simd). */
-    SimdTier simdTier() const override { return opt_.simd; }
-
     /** Cohort members in the current step. */
     Index cohortSize() const { return active_.size(); }
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "exion/tensor/simd_dispatch.h"
+
 namespace exion
 {
 
@@ -33,10 +35,9 @@ ProjectionNeeds::countNeeded(const std::vector<u8> &needs)
 }
 
 HeadDecision
-decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
-                     SimdTier simd)
+decideFromPrediction(const Matrix &predicted, const EpConfig &ep)
 {
-    const SimdKernels &kr = simdKernels(simd);
+    const SimdKernels &kr = activeKernels();
     const Index t_q = predicted.rows();
     const Index t_k = predicted.cols();
     EXION_ASSERT(t_k > 0, "empty predicted score");
@@ -109,7 +110,7 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
 
 Matrix
 predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
-                          LodMode mode, SimdTier simd)
+                          LodMode mode)
 {
     EXION_ASSERT(q_est.cols() == k_est.cols(), "head width mismatch");
     // Requantise for the second-level LD MMUL, as the EPRE feeds its
@@ -117,7 +118,7 @@ predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
     const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
     const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
 
-    Matrix scores = ldMatmulTransposed(q12, k12, mode, simd);
+    Matrix scores = ldMatmulTransposed(q12, k12, mode);
     const float inv_sqrt =
         1.0f / std::sqrt(static_cast<float>(q_est.cols()));
     for (Index i = 0; i < scores.size(); ++i)
@@ -127,14 +128,13 @@ predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
 
 Matrix
 predictHeadScore(const QuantMatrix &x_q12, const QuantMatrix &wq_head,
-                 const QuantMatrix &wk_head, LodMode mode,
-                 SimdTier simd)
+                 const QuantMatrix &wk_head, LodMode mode)
 {
     EXION_ASSERT(wq_head.cols() == wk_head.cols(),
                  "head width mismatch");
     return predictScoreFromEstimates(
-        ldMatmul(x_q12, wq_head, mode, simd),
-        ldMatmul(x_q12, wk_head, mode, simd), mode, simd);
+        ldMatmul(x_q12, wq_head, mode), ldMatmul(x_q12, wk_head, mode),
+        mode);
 }
 
 ProjectionNeeds

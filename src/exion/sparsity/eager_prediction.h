@@ -63,12 +63,9 @@ struct ProjectionNeeds
  *
  * @param predicted scaled predicted attention score (T x T)
  * @param ep        q_th / top-k configuration
- * @param simd      SIMD tier for the threshold scans (every tier is
- *                  bit-identical — compares carry no reductions)
  */
 HeadDecision decideFromPrediction(const Matrix &predicted,
-                                  const EpConfig &ep,
-                                  SimdTier simd = defaultSimdTier());
+                                  const EpConfig &ep);
 
 /**
  * Second EPRE stage of one head: requantises the head's LD Q/K
@@ -76,8 +73,7 @@ HeadDecision decideFromPrediction(const Matrix &predicted,
  * LD QK^T, scaled by 1/sqrt(d_head).
  */
 Matrix predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
-                                 LodMode mode,
-                                 SimdTier simd = defaultSimdTier());
+                                 LodMode mode);
 
 /**
  * Predicts one head's scaled attention score in the log domain.
@@ -95,8 +91,7 @@ Matrix predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
  */
 Matrix predictHeadScore(const QuantMatrix &x_q12,
                         const QuantMatrix &wq_head,
-                        const QuantMatrix &wk_head, LodMode mode,
-                        SimdTier simd = defaultSimdTier());
+                        const QuantMatrix &wk_head, LodMode mode);
 
 /** Combines per-head decisions into block-level projection needs. */
 ProjectionNeeds combineNeeds(const std::vector<HeadDecision> &heads,

@@ -5,6 +5,7 @@
 
 #include "exion/tensor/ops.h"
 #include "exion/tensor/quant_matrix.h"
+#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -27,9 +28,8 @@ sparsityQuantile(std::span<const float> values, double target_sparsity)
     return magnitudes[rank];
 }
 
-FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize,
-                   SimdTier simd)
-    : cfg_(cfg), quantize_(quantize), simd_(simd)
+FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize)
+    : cfg_(cfg), quantize_(quantize)
 {
     EXION_ASSERT(cfg_.denseInterval >= 0, "dense interval ",
                  cfg_.denseInterval);
@@ -108,14 +108,13 @@ namespace
 /** Computes the non-linear hidden activation densely. */
 Matrix
 denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
-            bool quantize, SimdTier simd)
+            bool quantize)
 {
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize, simd);
+    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize);
     addRowVector(gate, blk.ffn1().bias());
     Matrix hidden = gelu(gate);
     if (blk.geglu()) {
-        Matrix value =
-            execWeightMatmul(x_norm, blk.ffn1Value(), quantize, simd);
+        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(), quantize);
         addRowVector(value, blk.ffn1Value().bias());
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
@@ -140,9 +139,9 @@ denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
  */
 Matrix
 addMaskedProduct(const Matrix &psum, const Matrix &h,
-                 const Bitmask2D &mask, const Matrix &w2, SimdTier simd)
+                 const Bitmask2D &mask, const Matrix &w2)
 {
-    const SimdKernels &kr = simdKernels(simd);
+    const SimdKernels &kr = activeKernels();
     const Index n = w2.cols();
     Matrix prod(h.rows(), n);
     for (Index r = 0; r < h.rows(); ++r) {
@@ -171,7 +170,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     const OpCount ffn1_dense =
         (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid);
 
-    Matrix hidden = denseHidden(blk, x_norm, quantize_, simd_);
+    Matrix hidden = denseHidden(blk, x_norm, quantize_);
     stats.ffnOpsDense += ffn1_dense;
     stats.ffnOpsExecuted += ffn1_dense;
 
@@ -185,7 +184,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     // double compare |h| > theta.
     st.theta = sparsityQuantile(hidden.data(), cfg_.targetSparsity);
     st.mask = Bitmask2D(t, hid);
-    const SimdKernels &kr = simdKernels(simd_);
+    const SimdKernels &kr = activeKernels();
     const float ftheta = static_cast<float>(st.theta);
     for (Index r = 0; r < t; ++r) {
         const float *hrow = hidden.rowPtr(r);
@@ -208,8 +207,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
         h_reuse(r, c) = 0.0f;
         h_keep(r, c) = hidden(r, c);
     });
-    st.psumSparse =
-        execWeightMatmul(h_reuse, blk.ffn2(), quantize_, simd_);
+    st.psumSparse = execWeightMatmul(h_reuse, blk.ffn2(), quantize_);
     st.hiddenCache = std::move(hidden);
     st.initialized = true;
 
@@ -217,9 +215,9 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     // the float path accumulate only its masked positions.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_, simd_))
+              execWeightMatmul(h_keep, blk.ffn2(), quantize_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight(), simd_);
+                           blk.ffn2().weight());
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);
@@ -252,7 +250,7 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     // the vector kernel.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
-    const SimdKernels &kr = simdKernels(simd_);
+    const SimdKernels &kr = activeKernels();
     const TransposedFfn1 &tw = transposedFfn1(blk);
     if (quantize_) {
         const QuantMatrix qx =
@@ -300,9 +298,9 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     // shape.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_, simd_))
+              execWeightMatmul(h_keep, blk.ffn2(), quantize_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight(), simd_);
+                           blk.ffn2().weight());
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += 2 * nnz * d;

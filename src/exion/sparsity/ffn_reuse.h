@@ -13,6 +13,10 @@
  * Thresholds are calibrated per block at each dense iteration as the
  * targetSparsity quantile of |H| — the runtime analogue of the paper's
  * empirically determined local thresholds.
+ *
+ * The dense MMULs and the sparse hot loops (threshold scans, masked
+ * recompute, masked products) run on the process's one kernel table
+ * (activeKernels(), see simd_dispatch.h).
  */
 
 #ifndef EXION_SPARSITY_FFN_REUSE_H_
@@ -25,7 +29,6 @@
 #include "exion/model/transformer_block.h"
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/quant_matrix.h"
-#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -69,13 +72,8 @@ class FfnReuse
     /**
      * @param cfg      dense interval N and sparsity target
      * @param quantize run MMULs through INT12 operands
-     * @param simd     SIMD tier for the dense MMULs and the sparse hot
-     *                 loops (threshold scans, masked recompute,
-     *                 masked products); Scalar/Exact are
-     *                 bit-identical
      */
-    FfnReuse(const FfnReuseConfig &cfg, bool quantize,
-             SimdTier simd = defaultSimdTier());
+    FfnReuse(const FfnReuseConfig &cfg, bool quantize);
 
     FfnReuse(const FfnReuse &) = delete;
     FfnReuse &operator=(const FfnReuse &) = delete;
@@ -138,7 +136,6 @@ class FfnReuse
 
     FfnReuseConfig cfg_;
     bool quantize_;
-    SimdTier simd_;
     std::unordered_map<int, TransposedFfn1> w1tCache_;
     FfnReuseState ownState_;
     FfnReuseState *state_ = &ownState_;

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "exion/tensor/simd_dispatch.h"
+
 namespace exion
 {
 
@@ -85,7 +87,7 @@ lodTransform(const QuantMatrix &q, LodMode mode)
 
 Matrix
 ldImageMatmul(const QuantMatrix &a_img,
-              std::span<const QuantMatrix> b_imgs, SimdTier simd)
+              std::span<const QuantMatrix> b_imgs)
 {
     EXION_ASSERT(!b_imgs.empty(), "ldImageMatmul without operands");
     const QuantMatrix &b0 = b_imgs.front();
@@ -106,9 +108,9 @@ ldImageMatmul(const QuantMatrix &a_img,
     if (m == 0 || n == 0 || k == 0)
         return c;
     std::vector<i64> sums(m * n);
-    simdKernels(simd).gemmInt12(a_img.rowPtr(0), a_img.rowStride(),
-                                b0.rowPtr(0), b0.rowStride(), sums.data(),
-                                n, m, k, n);
+    activeKernels().gemmInt12(a_img.rowPtr(0), a_img.rowStride(),
+                              b0.rowPtr(0), b0.rowStride(), sums.data(), n,
+                              m, k, n);
     for (Index h = 0; h < b_imgs.size(); ++h) {
         const double out_scale = a_img.scale() * b_imgs[h].scale();
         for (Index i = 0; i < m; ++i)
@@ -119,17 +121,16 @@ ldImageMatmul(const QuantMatrix &a_img,
 }
 
 Matrix
-ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
-         SimdTier simd)
+ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode)
 {
     EXION_ASSERT(a.cols() == b.rows(), "ldMatmul shape mismatch");
     const QuantMatrix b_img = lodTransform(b, mode);
-    return ldImageMatmul(lodTransform(a, mode), {&b_img, 1}, simd);
+    return ldImageMatmul(lodTransform(a, mode), {&b_img, 1});
 }
 
 Matrix
 ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                   LodMode mode, SimdTier simd)
+                   LodMode mode)
 {
     EXION_ASSERT(a.cols() == b.cols(), "ldMatmulT shape mismatch");
     // The GEMM streams rows of its right operand: transpose B's image.
@@ -138,16 +139,15 @@ ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
     for (Index r = 0; r < b.rows(); ++r)
         for (Index c = 0; c < b.cols(); ++c)
             bt_img(c, r) = b_img(r, c);
-    return ldImageMatmul(lodTransform(a, mode), {&bt_img, 1}, simd);
+    return ldImageMatmul(lodTransform(a, mode), {&bt_img, 1});
 }
 
 Matrix
-ldMatmulFloat(const Matrix &a, const Matrix &b, LodMode mode,
-              SimdTier simd)
+ldMatmulFloat(const Matrix &a, const Matrix &b, LodMode mode)
 {
     const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    return ldMatmul(qa, qb, mode, simd);
+    return ldMatmul(qa, qb, mode);
 }
 
 } // namespace exion

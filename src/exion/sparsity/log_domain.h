@@ -17,7 +17,6 @@
 #include "exion/common/bitops.h"
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
-#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
@@ -49,33 +48,29 @@ QuantMatrix lodTransform(const QuantMatrix &q, LodMode mode);
  * @pre every value's magnitude is at most kGemmInt12MaxAbs
  */
 Matrix ldImageMatmul(const QuantMatrix &a_img,
-                     std::span<const QuantMatrix> b_imgs,
-                     SimdTier simd = defaultSimdTier());
+                     std::span<const QuantMatrix> b_imgs);
 
 /**
  * Log-domain A (m x k) * B (k x n), dequantised to float.
  *
  * Every MAC is ldProduct, and accumulation is exact (the one-hot
  * adder tree merges one-hot addends losslessly). Computed as the
- * integer GEMM of the operands' LOD images, so every SIMD tier and
+ * integer GEMM of the operands' LOD images, so every kernel table and
  * every blocking is bit-identical to the scalar ldProduct chain.
  *
  * @pre both operands hold Int12 values
  */
-Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
-                SimdTier simd = defaultSimdTier());
+Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode);
 
 /** Log-domain A (m x k) * B^T (n x k), dequantised to float. */
 Matrix ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                          LodMode mode,
-                          SimdTier simd = defaultSimdTier());
+                          LodMode mode);
 
 /**
  * Convenience: quantise both float operands to INT12, then run the
  * log-domain product A * B.
  */
-Matrix ldMatmulFloat(const Matrix &a, const Matrix &b, LodMode mode,
-                     SimdTier simd = defaultSimdTier());
+Matrix ldMatmulFloat(const Matrix &a, const Matrix &b, LodMode mode);
 
 } // namespace exion
 

@@ -4,13 +4,13 @@
 #include <limits>
 
 #include "exion/tensor/ops.h"
+#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
 
 SparseExecutor::SparseExecutor(const Options &opt)
-    : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.simd)
+    : opt_(opt), ffnReuse_(opt.ffnReuse, opt.quantize)
 {
 }
 
@@ -33,7 +33,7 @@ SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
     if (!opt_.useFfnReuse)
         return denseFfnImpl(blk, x_norm, opt_.quantize, stats(),
-                            observers, opt_.simd);
+                            observers);
     return ffnReuse_.run(blk, x_norm, iteration(), stats(), observers);
 }
 
@@ -43,7 +43,7 @@ SparseExecutor::attention(const TransformerBlock &blk,
 {
     if (!opt_.useEp)
         return denseAttentionImpl(blk, x_norm, opt_.quantize, stats(),
-                                  observers, opt_.simd);
+                                  observers);
     return epAttention(blk, x_norm);
 }
 
@@ -53,8 +53,7 @@ namespace
 /** Row-masked projection: rows with needed == 0 stay zero. */
 Matrix
 projectNeededRows(const Matrix &x, const Linear &proj,
-                  const std::vector<u8> &needed, bool quantize,
-                  SimdTier simd)
+                  const std::vector<u8> &needed, bool quantize)
 {
     Matrix out(x.rows(), proj.outDim());
     // Collect needed rows, project densely, scatter back. This keeps
@@ -74,7 +73,7 @@ projectNeededRows(const Matrix &x, const Linear &proj,
             packed(w, c) = x(r, c);
         ++w;
     }
-    Matrix projected = execWeightMatmul(packed, proj, quantize, simd);
+    Matrix projected = execWeightMatmul(packed, proj, quantize);
     addRowVector(projected, proj.bias());
     w = 0;
     for (Index r = 0; r < x.rows(); ++r) {
@@ -94,17 +93,15 @@ SparseExecutor::epAttention(const TransformerBlock &blk,
                             const Matrix &x_norm)
 {
     return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
-                           opt_.quantize, stats(), observers,
-                           opt_.simd);
+                           opt_.quantize, stats(), observers);
 }
 
 Matrix
 epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                 const EpConfig &ep, LodMode lod_mode, bool quantize,
-                ExecStats &stats, ExecObservers &observers,
-                SimdTier simd)
+                ExecStats &stats, ExecObservers &observers)
 {
-    const SimdKernels &kr = simdKernels(simd);
+    const SimdKernels &kr = activeKernels();
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
     const Index dh = blk.headDim();
@@ -119,18 +116,18 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     const QuantMatrix x_img = lodTransform(
         QuantMatrix::fromFloat(x_norm, IntWidth::Int12), lod_mode);
     const EpWeightImages &images = blk.epWeightImages(lod_mode);
-    const Matrix q_est = ldImageMatmul(x_img, images.wq, simd);
-    const Matrix k_est = ldImageMatmul(x_img, images.wk, simd);
+    const Matrix q_est = ldImageMatmul(x_img, images.wq);
+    const Matrix k_est = ldImageMatmul(x_img, images.wk);
     std::vector<HeadDecision> decisions;
     decisions.reserve(n_heads);
     for (Index h = 0; h < n_heads; ++h) {
         Matrix predicted = predictScoreFromEstimates(
             sliceCols(q_est, h * dh, dh), sliceCols(k_est, h * dh, dh),
-            lod_mode, simd);
+            lod_mode);
         for (Index i = 0; i < predicted.size(); ++i)
             predicted.data()[i] *=
                 static_cast<float>(blk.scoreTemp());
-        HeadDecision dec = decideFromPrediction(predicted, ep, simd);
+        HeadDecision dec = decideFromPrediction(predicted, ep);
         if (observers.onScoreMask)
             observers.onScoreMask(blk.id(), static_cast<int>(h),
                                   dec.keep);
@@ -151,12 +148,12 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     stats.vColsSkipped += t - nv;
 
     // --- Real projections, only for needed tokens (SDUE, INT12). ---
-    const Matrix q = projectNeededRows(x_norm, blk.wq(),
-                                       needs.qRowNeeded, quantize, simd);
-    const Matrix k = projectNeededRows(x_norm, blk.wk(),
-                                       needs.kRowNeeded, quantize, simd);
-    const Matrix v = projectNeededRows(x_norm, blk.wv(),
-                                       needs.vRowNeeded, quantize, simd);
+    const Matrix q =
+        projectNeededRows(x_norm, blk.wq(), needs.qRowNeeded, quantize);
+    const Matrix k =
+        projectNeededRows(x_norm, blk.wk(), needs.kRowNeeded, quantize);
+    const Matrix v =
+        projectNeededRows(x_norm, blk.wv(), needs.vRowNeeded, quantize);
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
     stats.qkvOpsExecuted += mmulOps(nq, d, d) + mmulOps(nk, d, d)
         + mmulOps(nv, d, d);
@@ -224,7 +221,7 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     }
 
     // Output projection stays dense (all rows have outputs).
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize, simd);
+    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);

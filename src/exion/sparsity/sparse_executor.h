@@ -3,7 +3,9 @@
  * The EXION execution strategy: FFN-Reuse + eager prediction.
  *
  * One executor covers all ablation points of the evaluation
- * (EXION_Base / _EP / _FFNR / _All) through its Options flags.
+ * (EXION_Base / _EP / _FFNR / _All) through its Options flags. Its
+ * sparse hot paths and dense MMULs run on the process's one kernel
+ * table (simd_dispatch.h), so the Options hold no kernel choice.
  */
 
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
@@ -32,15 +34,6 @@ class SparseExecutor : public BlockExecutor
         LodMode lodMode = LodMode::TwoStep;
         FfnReuseConfig ffnReuse{};
         EpConfig ep{};
-        /**
-         * SIMD tier for the sparse hot-path kernels (EP compare
-         * scans, EP's integer GEMM, kept-position attention,
-         * FFN-Reuse loops) and every dense MMUL this executor issues
-         * (dense fallbacks, FFN-Reuse dense iterations, EP's packed
-         * projections and output projection). Scalar and Exact are
-         * bit-identical.
-         */
-        SimdTier simd = defaultSimdTier();
     };
 
     explicit SparseExecutor(const Options &opt);
@@ -71,9 +64,6 @@ class SparseExecutor : public BlockExecutor
     /** Active options. */
     const Options &options() const { return opt_; }
 
-    /** SIMD tier used for kernels (Options::simd). */
-    SimdTier simdTier() const override { return opt_.simd; }
-
   private:
     Matrix epAttention(const TransformerBlock &blk, const Matrix &x_norm);
 
@@ -96,8 +86,7 @@ class SparseExecutor : public BlockExecutor
 Matrix epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                        const EpConfig &ep, LodMode lod_mode,
                        bool quantize, ExecStats &stats,
-                       ExecObservers &observers,
-                       SimdTier simd = defaultSimdTier());
+                       ExecObservers &observers);
 
 } // namespace exion
 

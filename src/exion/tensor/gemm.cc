@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "exion/tensor/simd_dispatch.h"
+
 namespace exion
 {
 
@@ -34,9 +36,9 @@ constexpr Index kBlockRows = 64;
  */
 
 Matrix
-blockedMatmul(const Matrix &a, const Matrix &b, SimdTier simd)
+blockedMatmul(const Matrix &a, const Matrix &b)
 {
-    const SimdKernels &kr = simdKernels(simd);
+    const SimdKernels &kr = activeKernels();
     Matrix c(a.rows(), b.cols());
     const Index m = a.rows();
     const Index k_dim = a.cols();
@@ -136,10 +138,9 @@ blockedMatmulTransposed(const Matrix &a, const Matrix &b)
 }
 
 Matrix
-blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
-                   SimdTier simd)
+blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b)
 {
-    const SimdKernels &kr = simdKernels(simd);
+    const SimdKernels &kr = activeKernels();
     Matrix c(a.rows(), b.cols());
     const double out_scale = a.scale() * b.scale();
     const Index m = a.rows();
@@ -162,8 +163,8 @@ blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
                 const i32 *arow = a.rowPtr(i);
                 float *crow = c.rowPtr(i) + j0;
                 // One widening dot kernel per packed column (integer
-                // sums are exact in any grouping, so this is legal in
-                // every tier).
+                // sums are exact in any grouping, so this is legal on
+                // every table).
                 for (Index jj = 0; jj < nb; ++jj)
                     crow[jj] = static_cast<float>(
                         kr.dotI32(arow, packed.data() + jj * k_dim,
@@ -178,11 +179,11 @@ blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
 } // namespace
 
 Matrix
-matmul(const Matrix &a, const Matrix &b, SimdTier simd)
+matmul(const Matrix &a, const Matrix &b)
 {
     EXION_ASSERT(a.cols() == b.rows(), "matmul shape (", a.rows(), "x",
                  a.cols(), ") * (", b.rows(), "x", b.cols(), ")");
-    return blockedMatmul(a, b, simd);
+    return blockedMatmul(a, b);
 }
 
 Matrix
@@ -194,10 +195,10 @@ matmulTransposed(const Matrix &a, const Matrix &b)
 }
 
 Matrix
-matmulQuant(const QuantMatrix &a, const QuantMatrix &b, SimdTier simd)
+matmulQuant(const QuantMatrix &a, const QuantMatrix &b)
 {
     EXION_ASSERT(a.cols() == b.rows(), "quant matmul shape mismatch");
-    return blockedMatmulQuant(a, b, simd);
+    return blockedMatmulQuant(a, b);
 }
 
 Matrix

@@ -19,9 +19,9 @@
  * only reorders *which element* is worked on next (and copies B
  * values, which is exact); it never reorders the reduction inside an
  * element, so the blocked kernels are bit-identical to the oracles by
- * construction, not by tolerance, under either SimdTier. Consequently
- * matmul(a, b) and matmulTransposed(a, transpose(b)) agree bit for bit
- * on every input. The property tests in tests/test_gemm.cc enforce
+ * construction, not by tolerance, on every kernel table (see
+ * simd_dispatch.h). Consequently matmul(a, b) and
+ * matmulTransposed(a, transpose(b)) agree bit for bit on every input. The property tests in tests/test_gemm.cc enforce
  * this over adversarial shapes including NaN/Inf payloads; sparsity
  * shortcuts belong in the sparsity layer, not here.
  */
@@ -31,24 +31,17 @@
 
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
-#include "exion/tensor/simd_dispatch.h"
 
 namespace exion
 {
 
-/*
- * matmul and matmulQuant take the SIMD tier their inner loops run
- * under (see simd_dispatch.h); both tiers are bit-identical.
- */
-
 /** C = A * B. @pre A.cols() == B.rows(). */
-Matrix matmul(const Matrix &a, const Matrix &b,
-              SimdTier simd = defaultSimdTier());
+Matrix matmul(const Matrix &a, const Matrix &b);
 
 /**
  * C = A * B^T. @pre A.cols() == B.cols(). Every output is a pure k
  * chain, which no kernel-table entry can vectorise without
- * reassociating, so this kernel is scalar under either tier.
+ * reassociating, so this kernel is scalar on every table.
  */
 Matrix matmulTransposed(const Matrix &a, const Matrix &b);
 
@@ -56,8 +49,7 @@ Matrix matmulTransposed(const Matrix &a, const Matrix &b);
  * Integer matmul on quantised operands, float accumulator output.
  * @pre A.cols() == B.rows().
  */
-Matrix matmulQuant(const QuantMatrix &a, const QuantMatrix &b,
-                   SimdTier simd = defaultSimdTier());
+Matrix matmulQuant(const QuantMatrix &a, const QuantMatrix &b);
 
 /** Oracle for matmul(): the naive triple loop. */
 Matrix matmulReference(const Matrix &a, const Matrix &b);

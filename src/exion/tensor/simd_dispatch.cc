@@ -1,15 +1,15 @@
 #include "exion/tensor/simd_dispatch.h"
 
-#include <atomic>
 #include <cstdlib>
+#include <cstring>
+
+#include "exion/common/logging.h"
 
 namespace exion
 {
 
 namespace
 {
-
-std::atomic<SimdTier> g_default_tier{SimdTier::Exact};
 
 /** Probe order is widest-first within the build's architecture. */
 SimdLevel
@@ -49,12 +49,14 @@ SimdLevel
 computeActiveLevel()
 {
     SimdLevel level = probeCpuLevel();
-    if (const char *env = std::getenv("EXION_SIMD")) {
-        const std::optional<SimdLevel> cap = parseSimdLevel(env);
-        if (cap && levelRank(*cap) < levelRank(level))
-            level = *cap;
-    }
-    return level;
+    const char *env = std::getenv("EXION_SIMD");
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0)
+        return level;
+    const std::optional<SimdLevel> cap = parseSimdLevel(env);
+    if (!cap)
+        EXION_FATAL("EXION_SIMD='", env, "' is not a SIMD level; use "
+                    "scalar, neon, avx2, avx512 or auto");
+    return levelRank(*cap) < levelRank(level) ? *cap : level;
 }
 
 const SimdKernels &
@@ -91,47 +93,6 @@ activeKernels()
 {
     static const SimdKernels &table = tableForLevel(activeSimdLevel());
     return table;
-}
-
-const SimdKernels &
-simdKernels(SimdTier tier)
-{
-    return tier == SimdTier::Scalar ? simd::scalarTable()
-                                    : activeKernels();
-}
-
-SimdTier
-defaultSimdTier()
-{
-    return g_default_tier.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultSimdTier(SimdTier tier)
-{
-    g_default_tier.store(tier, std::memory_order_relaxed);
-}
-
-const char *
-simdTierName(SimdTier tier)
-{
-    switch (tier) {
-    case SimdTier::Scalar:
-        return "scalar";
-    case SimdTier::Exact:
-        return "exact";
-    }
-    return "unknown";
-}
-
-std::optional<SimdTier>
-parseSimdTier(const std::string &name)
-{
-    if (name == "scalar")
-        return SimdTier::Scalar;
-    if (name == "exact")
-        return SimdTier::Exact;
-    return std::nullopt;
 }
 
 const char *

@@ -22,12 +22,13 @@
  * maxAbsDiff == 0 differential tests run with vector dispatch
  * active.
  *
- * Executors and engine options carry a SimdTier: Exact (default)
- * runs the active level's table, Scalar pins an engine to the scalar
- * table; the two are bit-identical. The EXION_SIMD environment
- * variable (scalar|neon|avx2|avx512|auto) caps the *process-wide*
- * detected level before any table is handed out — the CI sanitizer
- * matrix runs a forced-scalar leg this way.
+ * One table per process: every kernel call reads activeKernels().
+ * The EXION_SIMD environment variable (scalar|neon|avx2|avx512|auto)
+ * is the only knob; it caps the detected level before the first table
+ * is handed out, and any other non-empty value stops the process. The
+ * CI sanitizer matrix runs a forced-scalar leg this way, and the
+ * differential suite and bench_batch_throughput compare a run against
+ * a child process under EXION_SIMD=scalar (common/rerun_self.h).
  */
 
 #ifndef EXION_TENSOR_SIMD_DISPATCH_H_
@@ -60,13 +61,6 @@ enum class SimdLevel
     Neon,   //!< 128-bit ARM NEON
     Avx2,   //!< 256-bit x86 AVX2
     Avx512, //!< 512-bit x86 AVX-512F
-};
-
-/** Kernel table an engine runs under (see file docs). */
-enum class SimdTier
-{
-    Scalar, //!< force the scalar reference table (debugging)
-    Exact,  //!< vector kernels, reference-order reductions (default)
 };
 
 /**
@@ -151,43 +145,22 @@ struct SimdKernels
 /**
  * The process-wide active level: the highest level this build carries
  * kernels for that the CPU supports, capped by EXION_SIMD. Probed
- * once on first use, constant afterwards.
+ * once on first use, constant afterwards. An EXION_SIMD value that
+ * parseSimdLevel() rejects stops the process with EXION_FATAL.
  */
 SimdLevel activeSimdLevel();
 
-/** Kernel table of the active level. */
+/** Kernel table of the active level: the one every kernel call uses. */
 const SimdKernels &activeKernels();
-
-/**
- * Table for a tier: the scalar reference table under
- * SimdTier::Scalar, the active level's table under Exact.
- */
-const SimdKernels &simdKernels(SimdTier tier);
-
-/**
- * Process-wide default tier consulted by defaulted parameters across
- * the tensor/model/sparsity layers. Starts as Exact. Thread-safe
- * (atomic).
- */
-SimdTier defaultSimdTier();
-
-/** Sets the process-wide default tier. Thread-safe (atomic). */
-void setDefaultSimdTier(SimdTier tier);
-
-/** Lower-case tier name ("scalar" / "exact"). */
-const char *simdTierName(SimdTier tier);
-
-/** Parses a tier name; nullopt for anything unrecognised. */
-std::optional<SimdTier> parseSimdTier(const std::string &name);
 
 /** Lower-case level name ("scalar" / "neon" / "avx2" / "avx512"). */
 const char *simdLevelName(SimdLevel level);
 
 /**
- * Parses an EXION_SIMD cap value. "scalar"/"neon"/"avx2"/"avx512"
- * yield that level; "auto", empty or unrecognised values yield
- * nullopt (no cap). Pure — exposed for tests; activeSimdLevel()
- * applies it to the probed level once.
+ * Parses a level name: "scalar"/"neon"/"avx2"/"avx512" yield that
+ * level, anything else nullopt. Pure — exposed for tests.
+ * activeSimdLevel() applies EXION_SIMD through it once: "auto" or an
+ * empty value sets no cap, and any other value it rejects is fatal.
  */
 std::optional<SimdLevel> parseSimdLevel(const std::string &name);
 

@@ -8,8 +8,8 @@
  * mask words with ragged tails. Every entry (axpy, compares, integer
  * reductions) must be bit-identical. The integer GEMM eager
  * prediction runs on is checked on ragged shapes and on a depth whose
- * i32 lanes overflow unless flushed. On top of the kernels, the tier
- * plumbing (parse round-trips, table selection, process default) and
+ * i32 lanes overflow unless flushed. On top of the kernels, the level
+ * plumbing (name round-trips, refusal of a bad EXION_SIMD) and
  * the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
  * column shapes so every word-boundary case is exercised.
@@ -18,15 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "exion/common/rerun_self.h"
 #include "exion/common/rng.h"
-#include "exion/sparsity/log_domain.h"
 #include "exion/tensor/bitmask.h"
-#include "exion/tensor/gemm.h"
 #include "exion/tensor/simd_dispatch.h"
 
 namespace exion
@@ -104,30 +104,7 @@ bitsEqual(const std::vector<float> &a, const std::vector<float> &b)
     return true;
 }
 
-/** Bitwise matrix equality (NaN-tolerant). */
-bool
-bitIdentical(const Matrix &a, const Matrix &b)
-{
-    return a.rows() == b.rows() && a.cols() == b.cols()
-        && (a.size() == 0
-            || std::memcmp(a.data().data(), b.data().data(),
-                           a.size() * sizeof(float)) == 0);
-}
-
 // ------------------------------------------------------------ plumbing
-
-TEST(SimdDispatchTest, TierNameParseRoundTrip)
-{
-    for (SimdTier t : {SimdTier::Scalar, SimdTier::Exact}) {
-        const auto parsed = parseSimdTier(simdTierName(t));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, t);
-    }
-    EXPECT_FALSE(parseSimdTier("fast").has_value());
-    EXPECT_FALSE(parseSimdTier("").has_value());
-    EXPECT_FALSE(parseSimdTier("vector").has_value());
-    EXPECT_FALSE(parseSimdTier("Exact").has_value());
-}
 
 TEST(SimdDispatchTest, LevelNameParseRoundTrip)
 {
@@ -137,28 +114,30 @@ TEST(SimdDispatchTest, LevelNameParseRoundTrip)
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, l);
     }
-    // "auto", empty and junk all mean "no cap".
-    EXPECT_FALSE(parseSimdLevel("auto").has_value());
-    EXPECT_FALSE(parseSimdLevel("").has_value());
-    EXPECT_FALSE(parseSimdLevel("sse9").has_value());
+    // Only exact level names parse. activeSimdLevel() reads "auto"
+    // and empty as no cap and refuses the rest.
+    for (const char *other : {"auto", "", "sse9", "scalr", "AVX2",
+                              "avx512 ", " scalar", "exact"})
+        EXPECT_FALSE(parseSimdLevel(other).has_value()) << other;
 }
 
-TEST(SimdDispatchTest, TierSelectsTable)
+TEST(SimdDispatchTest, BogusLevelIsFatal)
 {
-    // Scalar pins the reference table; Exact gets the active one.
-    EXPECT_EQ(&simdKernels(SimdTier::Scalar), &simd::scalarTable());
-    EXPECT_EQ(&simdKernels(SimdTier::Exact), &activeKernels());
-}
-
-TEST(SimdDispatchTest, DefaultTierRoundTrip)
-{
-    const SimdTier before = defaultSimdTier();
-    const SimdTier other = before == SimdTier::Exact ? SimdTier::Scalar
-                                                     : SimdTier::Exact;
-    setDefaultSimdTier(other);
-    EXPECT_EQ(defaultSimdTier(), other);
-    setDefaultSimdTier(before);
-    EXPECT_EQ(defaultSimdTier(), before);
+    // The child re-runs this test under EXION_SIMD=bogus and must
+    // stop right here; one that gets past it fails instead of starting
+    // a child of its own.
+    activeSimdLevel();
+    const char *env = std::getenv("EXION_SIMD");
+    ASSERT_FALSE(env != nullptr && std::string(env) == "bogus")
+        << "EXION_SIMD=bogus was accepted";
+    const ::testing::TestInfo &test =
+        *::testing::UnitTest::GetInstance()->current_test_info();
+    const ChildRun child = rerunSelf(
+        {std::string("--gtest_filter=") + test.test_suite_name() + "."
+         + test.name()},
+        "bogus");
+    EXPECT_NE(child.status, 0) << child.out;
+    EXPECT_NE(child.err.find("'bogus'"), std::string::npos) << child.err;
 }
 
 TEST(SimdDispatchTest, TablesArePopulated)
@@ -617,59 +596,6 @@ TEST(BitmaskWordApiTest, FullWidthWriteRowBits)
     EXPECT_EQ(m.rowOnes(1), 0u);
     m.writeRowBits(0, 0, 0, 64);
     EXPECT_EQ(m.countOnes(), 0u);
-}
-
-// --------------------------------------------------- tiers end to end
-
-TEST(SimdTierTest, BlockedGemmExactBitIdenticalAcrossTiers)
-{
-    Rng rng(24);
-    const struct
-    {
-        Index m, k, n;
-    } shapes[] = {{1, 1, 1}, {3, 7, 13}, {17, 19, 23}, {33, 65, 63}};
-    for (const auto &s : shapes) {
-        Matrix a(s.m, s.k), b(s.k, s.n);
-        a.fillUniform(rng, -2.0f, 2.0f);
-        b.fillUniform(rng, -2.0f, 2.0f);
-        if (s.m > 2 && s.k > 2) {
-            a(0, 0) = kNan;
-            a(1, 1) = kInf;
-            a(2, 0) = -0.0f;
-        }
-        const Matrix scalar = matmul(a, b, SimdTier::Scalar);
-        const Matrix exact = matmul(a, b, SimdTier::Exact);
-        EXPECT_TRUE(bitIdentical(scalar, exact))
-            << s.m << "x" << s.k << "x" << s.n;
-    }
-}
-
-TEST(SimdTierTest, QuantGemmIdenticalAcrossTiers)
-{
-    Rng rng(25);
-    Matrix a(9, 31), b(31, 17);
-    a.fillUniform(rng, -1.0f, 1.0f);
-    b.fillUniform(rng, -1.0f, 1.0f);
-    const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
-    const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    const Matrix scalar = matmulQuant(qa, qb, SimdTier::Scalar);
-    const Matrix exact = matmulQuant(qa, qb, SimdTier::Exact);
-    EXPECT_TRUE(bitIdentical(scalar, exact));
-}
-
-TEST(SimdTierTest, LdMatmulIdenticalAcrossTiers)
-{
-    Rng rng(26);
-    Matrix a(7, 29), b(29, 11);
-    a.fillUniform(rng, -1.0f, 1.0f);
-    b.fillUniform(rng, -1.0f, 1.0f);
-    const QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
-    const QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
-    for (LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
-        const Matrix scalar = ldMatmul(qa, qb, mode, SimdTier::Scalar);
-        const Matrix exact = ldMatmul(qa, qb, mode, SimdTier::Exact);
-        EXPECT_TRUE(bitIdentical(scalar, exact));
-    }
 }
 
 } // namespace

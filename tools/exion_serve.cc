@@ -15,7 +15,6 @@
  *               [--pin-weights] [--workers N] [--numa]
  *               [--max-queued N] [--shed-threshold N]
  *               [--block-timeout SECONDS] [--sse-heartbeat SECONDS]
- *               [--simd scalar|exact]
  *
  *   --port N          listen port on 127.0.0.1 (default 8080;
  *                     0 = ephemeral, the chosen port is printed)
@@ -40,18 +39,25 @@
  *                     before rejecting (default 0 = reject at once)
  *   --sse-heartbeat S SSE heartbeat interval, > 0 (default 5)
  *
+ * A numeric flag whose value is not entirely a number in its range
+ * (text, trailing characters, a negative count, a port above 65535,
+ * a non-finite time) stops the daemon with exit status 2. EXION_SIMD
+ * caps the kernel level (simd_dispatch.h); the startup line prints
+ * the level in effect.
+ *
  * The API itself is documented in serve/http_front.h; README.md has
  * curl examples.
  */
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <dirent.h>
@@ -62,7 +68,7 @@
 #include "exion/net/http_server.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/serve/http_front.h"
-#include "exion/tensor/kernel_flags.h"
+#include "exion/tensor/simd_dispatch.h"
 
 namespace
 {
@@ -87,9 +93,33 @@ usage(const char *argv0)
         "          [--pin-weights] [--workers N] [--max-queued N]\n"
         "          [--numa] [--shed-threshold N]\n"
         "          [--block-timeout SECONDS]\n"
-        "          [--sse-heartbeat SECONDS] %s\n",
-        argv0, kernelFlagsUsage());
+        "          [--sse-heartbeat SECONDS]\n",
+        argv0);
     return 2;
+}
+
+/**
+ * Parses text, the value of flag, as a T in [lo, hi]. The whole
+ * string must be the number: no sign on an unsigned T, no whitespace
+ * or trailing characters; NaN and infinities fall outside any range.
+ * Otherwise prints an error naming the flag and what it needs.
+ */
+template <class T>
+bool
+parseNumber(const std::string &flag, const char *text, const char *what,
+            std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+            T &out)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+        std::fprintf(stderr, "error: %s needs %s, got '%s'\n",
+                     flag.c_str(), what, text);
+        return false;
+    }
+    out = value;
+    return true;
 }
 
 bool
@@ -147,28 +177,23 @@ main(int argc, char **argv)
     int iterations = 0;
     bool pinWeights = false;
     bool numa = false;
-    KernelFlags kernels;
     BatchEngine::Options engineOpts;
     engineOpts.admission.maxQueuedPerClass = 16;
     HttpFront::Options frontOpts;
 
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    constexpr u64 kMaxU64 = std::numeric_limits<u64>::max();
+    constexpr double kMaxSeconds = std::numeric_limits<double>::max();
+    const char *const kCount = "a whole number >= 0";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        std::string err;
-        const KernelFlagStatus ks =
-            tryConsumeKernelFlag(argc, argv, i, kernels, err);
-        if (ks == KernelFlagStatus::Error) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            return 2;
-        }
-        if (ks == KernelFlagStatus::Consumed)
-            continue;
         const auto value = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
         const char *v = nullptr;
+        bool ok = true;
         if (arg == "--port" && (v = value()))
-            port = std::atoi(v);
+            ok = parseNumber(arg, v, "a port in 0..65535", 0, 65535, port);
         else if (arg == "--models" && (v = value()))
             modelDir = v;
         else if (arg == "--builtin" && (v = value()))
@@ -181,37 +206,34 @@ main(int argc, char **argv)
             else
                 return usage(argv[0]);
         } else if (arg == "--iterations" && (v = value()))
-            iterations = std::atoi(v);
+            ok = parseNumber(arg, v, kCount, 0, kMaxInt, iterations);
         else if (arg == "--pin-weights")
             pinWeights = true;
         else if (arg == "--workers" && (v = value()))
-            engineOpts.workers = std::atoi(v);
+            ok = parseNumber(arg, v, kCount, 0, kMaxInt,
+                             engineOpts.workers);
         else if (arg == "--numa")
             numa = true;
         else if (arg == "--max-queued" && (v = value()))
-            engineOpts.admission.maxQueuedPerClass =
-                static_cast<u64>(std::atoll(v));
+            ok = parseNumber(arg, v, kCount, 0, kMaxU64,
+                             engineOpts.admission.maxQueuedPerClass);
         else if (arg == "--shed-threshold" && (v = value()))
-            engineOpts.admission.shedThreshold =
-                static_cast<u64>(std::atoll(v));
+            ok = parseNumber(arg, v, kCount, 0, kMaxU64,
+                             engineOpts.admission.shedThreshold);
         else if (arg == "--block-timeout" && (v = value()))
-            engineOpts.admission.blockTimeoutSeconds = std::atof(v);
-        else if (arg == "--sse-heartbeat" && (v = value())) {
+            ok = parseNumber(arg, v, "a finite number of seconds >= 0",
+                             0.0, kMaxSeconds,
+                             engineOpts.admission.blockTimeoutSeconds);
+        else if (arg == "--sse-heartbeat" && (v = value()))
             // HttpFront refuses a non-positive interval too; checking
             // here reports it before any model is built.
-            char *end = nullptr;
-            const double seconds = std::strtod(v, &end);
-            if (end == v || *end != '\0' || !std::isfinite(seconds)
-                || seconds <= 0.0) {
-                std::fprintf(stderr,
-                             "error: --sse-heartbeat needs a positive "
-                             "number of seconds, got '%s'\n",
-                             v);
-                return 2;
-            }
-            frontOpts.sseHeartbeatSeconds = seconds;
-        } else
+            ok = parseNumber(arg, v, "a finite number of seconds > 0",
+                             std::numeric_limits<double>::denorm_min(),
+                             kMaxSeconds, frontOpts.sseHeartbeatSeconds);
+        else
             return usage(argv[0]);
+        if (!ok)
+            return 2;
     }
     if (modelDir.empty() && builtin.empty()) {
         std::fprintf(stderr,
@@ -219,9 +241,8 @@ main(int argc, char **argv)
                      "--builtin NAMES)\n");
         return usage(argv[0]);
     }
-    if (port < 0 || port > 65535)
-        return usage(argv[0]);
-    engineOpts.simdTier = kernels.simd;
+    // Resolving the level here makes a bad EXION_SIMD fail at boot.
+    const SimdLevel simd = activeSimdLevel();
 
     BatchEngine engine(engineOpts);
     if (numa) {
@@ -297,8 +318,7 @@ main(int argc, char **argv)
 
     std::printf("exion_serve listening on 127.0.0.1:%u "
                 "(%d workers, simd=%s)\n",
-                server.port(), engine.workerCount(),
-                simdTierName(kernels.simd));
+                server.port(), engine.workerCount(), simdLevelName(simd));
     std::fflush(stdout);
 
     while (g_signal == 0 && server.running())
