@@ -13,11 +13,12 @@
  *    kernel) so CI environments without libbenchmark still measure
  *    kernels instead of silently skipping the target.
  *
- * Both modes run the Blocked-vs-Reference comparison on the
- * paper-scale tall cohort MMULs (a stacked cohort of 8 x 8-token
- * members against full-scale MLD weight shapes) and **exit nonzero if
- * the Blocked kernel does not reach Reference throughput** — the
- * regression gate for the cache-blocked kernel.
+ * Both modes run the kernel-vs-Reference comparison on the gate
+ * shapes (a stacked cohort of 8 x 8-token members against full-scale
+ * MLD weight shapes, MDM's 196-token projections and FFN linears, and
+ * MDM's score product), print GMAC/s per shape, and **exit nonzero if
+ * the GEMM kernel does not reach Reference throughput** over them —
+ * the regression gate for gemmF32.
  */
 
 #include <algorithm>
@@ -44,20 +45,47 @@ namespace
 {
 
 /**
- * Paper-scale tall cohort shapes: 8 members x 8 tokens stacked into
- * 64 activation rows against the full-scale MLD projection (256x256)
- * and FFN (256x1024, 1024x256) weights.
+ * The gate's GEMM shapes: m x k times k x n, or m x k times (n x k)^T
+ * for a score product.
  */
 struct GemmShape
 {
     const char *name;
     Index m, k, n;
+    bool transposed; //!< A * B^T (matmulTransposed) instead of A * B
+
+    double macs() const { return static_cast<double>(m) * k * n; }
 };
 
-constexpr GemmShape kTallShapes[] = {
-    {"qkv_64x256x256", 64, 256, 256},
-    {"ffn1_64x256x1024", 64, 256, 1024},
-    {"ffn2_64x1024x256", 64, 1024, 256},
+/**
+ * 8 MLD members x 8 tokens stacked into 64 activation rows against the
+ * full-scale MLD projection (256x256) and FFN (256x1024, 1024x256)
+ * weights; MDM's 196 tokens against its projection (512x512) and FFN
+ * (512x2048, 2048x512) weights, where the k-blocking matters; and
+ * MDM's per-head score product (196 x 64 against 196 x 64 keys).
+ */
+constexpr GemmShape kGateShapes[] = {
+    {"qkv_64x256x256", 64, 256, 256, false},
+    {"ffn1_64x256x1024", 64, 256, 1024, false},
+    {"ffn2_64x1024x256", 64, 1024, 256, false},
+    {"proj_196x512x512", 196, 512, 512, false},
+    {"ffn1_196x512x2048", 196, 512, 2048, false},
+    {"ffn2_196x2048x512", 196, 2048, 512, false},
+    {"score_196x64x196", 196, 64, 196, true},
+};
+
+/** Normal operands of one GemmShape: B is n x k when transposed. */
+struct GemmOperands
+{
+    Matrix a, b;
+
+    GemmOperands(const GemmShape &s, Rng &rng)
+        : a(s.m, s.k),
+          b(s.transposed ? s.n : s.k, s.transposed ? s.k : s.n)
+    {
+        a.fillNormal(rng, 0.0f, 1.0f);
+        b.fillNormal(rng, 0.0f, 1.0f);
+    }
 };
 
 /**
@@ -116,24 +144,31 @@ kernelName(bool blocked)
     return blocked ? "blocked" : "reference";
 }
 
-/** A*B through the production kernel or its Reference oracle. */
+/**
+ * One shape's product through the production kernel or its Reference
+ * oracle.
+ */
 Matrix
-matmulBy(const Matrix &a, const Matrix &b, bool blocked)
+matmulBy(const GemmShape &s, const GemmOperands &ops, bool blocked)
 {
-    return blocked ? matmul(a, b) : matmulReference(a, b);
+    if (s.transposed)
+        return blocked ? matmulTransposed(ops.a, ops.b)
+                       : matmulTransposedReference(ops.a, ops.b);
+    return blocked ? matmul(ops.a, ops.b) : matmulReference(ops.a, ops.b);
 }
 
 /**
- * Best-of-N wall-clock seconds for one A*B with the given kernel.
+ * Best-of-N wall-clock seconds for one product with the given kernel.
  * Best-of (not mean) because a scheduling hiccup only ever adds time.
  */
 double
-timeMatmul(const Matrix &a, const Matrix &b, bool blocked, int reps)
+timeMatmul(const GemmShape &s, const GemmOperands &ops, bool blocked,
+           int reps)
 {
     double best = 1e30;
     for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const Matrix c = matmulBy(a, b, blocked);
+        const Matrix c = matmulBy(s, ops, blocked);
         const auto t1 = std::chrono::steady_clock::now();
         best = std::min(best,
                         std::chrono::duration<double>(t1 - t0).count());
@@ -143,42 +178,41 @@ timeMatmul(const Matrix &a, const Matrix &b, bool blocked, int reps)
 }
 
 /**
- * The regression gate shared by both build modes: Blocked must reach
- * Reference throughput on the tall cohort MMULs, summed over the
- * three shapes (best-of-reps each, so one noisy run cannot flip the
- * verdict).
+ * The regression gate shared by both build modes: the GEMM kernel
+ * must reach Reference throughput over the gate shapes, summed
+ * (best-of-reps each, so one noisy run cannot flip the verdict).
  *
- * @return true when Blocked >= Reference throughput
+ * @return true when kernel >= Reference throughput
  */
 bool
-gateBlockedGemm(int reps)
+gateGemmKernel(int reps)
 {
     Rng rng(42);
     double ref_total = 0.0;
-    double blocked_total = 0.0;
-    std::printf("\n== Blocked GEMM gate: paper-scale tall cohort "
-                "MMULs (best of %d) ==\n",
+    double kernel_total = 0.0;
+    std::printf("\n== GEMM kernel gate: matmul vs Reference on the "
+                "tall cohort and MDM shapes (best of %d) ==\n",
                 reps);
-    for (const GemmShape &s : kTallShapes) {
-        Matrix a(s.m, s.k), b(s.k, s.n);
-        a.fillNormal(rng, 0.0f, 1.0f);
-        b.fillNormal(rng, 0.0f, 1.0f);
-        const double ref = timeMatmul(a, b, /*blocked=*/false, reps);
-        const double blocked = timeMatmul(a, b, /*blocked=*/true, reps);
+    for (const GemmShape &s : kGateShapes) {
+        const GemmOperands ops(s, rng);
+        const double ref = timeMatmul(s, ops, /*blocked=*/false, reps);
+        const double kernel = timeMatmul(s, ops, /*blocked=*/true, reps);
         ref_total += ref;
-        blocked_total += blocked;
-        std::printf("%-20s reference %8.3f ms   blocked %8.3f ms   "
-                    "speedup %.2fx\n",
-                    s.name, ref * 1e3, blocked * 1e3, ref / blocked);
+        kernel_total += kernel;
+        std::printf("%-20s reference %8.3f ms %6.2f GMAC/s   kernel "
+                    "%8.3f ms %6.2f GMAC/s   speedup %.2fx\n",
+                    s.name, ref * 1e3, s.macs() / ref / 1e9,
+                    kernel * 1e3, s.macs() / kernel / 1e9,
+                    ref / kernel);
     }
-    std::printf("%-20s reference %8.3f ms   blocked %8.3f ms   "
-                "speedup %.2fx\n",
-                "total", ref_total * 1e3, blocked_total * 1e3,
-                ref_total / blocked_total);
-    if (blocked_total > ref_total) {
+    std::printf("%-20s reference %8.3f ms                 kernel "
+                "%8.3f ms                 speedup %.2fx\n",
+                "total", ref_total * 1e3, kernel_total * 1e3,
+                ref_total / kernel_total);
+    if (kernel_total > ref_total) {
         std::fprintf(stderr,
-                     "error: Blocked GEMM kernel is slower than "
-                     "Reference on the tall cohort MMULs\n");
+                     "error: the GEMM kernel is slower than Reference "
+                     "on the gate shapes\n");
         return false;
     }
     return true;
@@ -232,18 +266,16 @@ BENCHMARK(BM_QuantMatmul)
     ->ArgsProduct({{64, 128}, {0, 1}})
     ->ArgNames({"n", "blocked"});
 
-/** Dense float GEMM vs its oracle on the tall cohort shapes. */
+/** Dense float GEMM vs its oracle on the gate shapes. */
 void
 BM_GemmTall(benchmark::State &state)
 {
-    const GemmShape &shape = kTallShapes[state.range(0)];
+    const GemmShape &shape = kGateShapes[state.range(0)];
     const bool blocked = state.range(1) != 0;
     Rng rng(7);
-    Matrix a(shape.m, shape.k), b(shape.k, shape.n);
-    a.fillNormal(rng, 0.0f, 1.0f);
-    b.fillNormal(rng, 0.0f, 1.0f);
+    const GemmOperands ops(shape, rng);
     for (auto _ : state) {
-        Matrix c = matmulBy(a, b, blocked);
+        Matrix c = matmulBy(shape, ops, blocked);
         benchmark::DoNotOptimize(c.data().data());
     }
     state.SetItemsProcessed(state.iterations() * shape.m * shape.k
@@ -251,7 +283,7 @@ BM_GemmTall(benchmark::State &state)
     state.SetLabel(std::string(shape.name) + "/" + kernelName(blocked));
 }
 BENCHMARK(BM_GemmTall)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {0, 1}})
     ->ArgNames({"shape", "blocked"});
 
 /** A * B^T (attention scores) vs its oracle. */
@@ -353,7 +385,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    return exion::gateBlockedGemm(quick ? 3 : 5) ? 0 : 1;
+    return exion::gateGemmKernel(quick ? 3 : 5) ? 0 : 1;
 }
 
 #else // !EXION_HAVE_GBENCH
@@ -425,17 +457,15 @@ runFallbackSuite(int reps)
         }
     }
 
-    for (const GemmShape &s : kTallShapes) {
+    for (const GemmShape &s : kGateShapes) {
         Rng rng(7);
-        Matrix a(s.m, s.k), b(s.k, s.n);
-        a.fillNormal(rng, 0.0f, 1.0f);
-        b.fillNormal(rng, 0.0f, 1.0f);
+        const GemmOperands ops(s, rng);
         for (bool blocked : {false, true}) {
             char name[64];
             std::snprintf(name, sizeof(name), "gemm_%s/%s", s.name,
                           kernelName(blocked));
             timeKernel(name, s.m * s.k * s.n, reps, [&] {
-                const Matrix c = matmulBy(a, b, blocked);
+                const Matrix c = matmulBy(s, ops, blocked);
                 g_sink = g_sink + c(0, 0);
             });
         }
@@ -468,7 +498,7 @@ main(int argc, char **argv)
             quick = true;
     const int reps = quick ? 3 : 5;
     exion::runFallbackSuite(reps);
-    return exion::gateBlockedGemm(reps) ? 0 : 1;
+    return exion::gateGemmKernel(reps) ? 0 : 1;
 }
 
 #endif // EXION_HAVE_GBENCH

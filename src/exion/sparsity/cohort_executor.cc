@@ -103,8 +103,8 @@ CohortExecutor::attention(const TransformerBlock &blk,
 
     // Dense float path: one tall GEMM per projection (row-independent,
     // so each member's rows match its solo run bit for bit), then the
-    // token-mixing core per member segment. The tall stacks are
-    // exactly the shape the blocked GEMM packs for.
+    // token-mixing core per member segment. A tall stack reads each
+    // weight matrix once for every member.
     Matrix q = execMatmul(x_norm, blk.wq().weight(), false);
     addRowVector(q, blk.wq().bias());
     Matrix k = execMatmul(x_norm, blk.wk().weight(), false);

@@ -2,28 +2,31 @@
  * @file
  * Dense GEMM kernels.
  *
- * Every dense MMUL in the repository runs the cache-blocked kernel
- * here: blocked over the i/j output dimensions with the traversed B
- * panel packed contiguous, built for the tall stacked activations the
- * cohort path produces (many rows against one shared weight matrix).
- * The naive triple loops the golden model has always used (full IEEE
- * accumulation, no skips) stay beside it as the *Reference oracles*
- * (matmulReference and friends); only tests and bench_kernels' gate
- * call them.
+ * Every dense MMUL in the repository is one call to a kernel-table
+ * entry (simd_dispatch.h): matmul() to gemmF32, matmulQuant() to
+ * gemmInt12. On x86 the float entry keeps a register tile of C over
+ * k-blocks and reads A and B in place, so one path serves every
+ * shape, from a single token row to a 196-row MDM stack, with no
+ * packing buffer and no weight copy. matmulTransposed() is
+ * matmul(a, transpose(b)). The naive triple loops the golden model
+ * has always used (full IEEE accumulation, no skips) stay beside them
+ * as the *Reference oracles* (matmulReference and friends); only
+ * tests and bench_kernels' gate call them.
  *
  * Accumulation contract: every output element is a single accumulator
  * starting at +0.0f that adds a(i,k)*b(k,j) for k ascending, with
  * plain IEEE-754 semantics, **no zero-operand skipping** (a zero
  * activation against a NaN/Inf weight produces NaN, exactly as
- * written) and no partial-sum splitting or reassociation. Blocking
- * only reorders *which element* is worked on next (and copies B
- * values, which is exact); it never reorders the reduction inside an
- * element, so the blocked kernels are bit-identical to the oracles by
- * construction, not by tolerance, on every kernel table (see
- * simd_dispatch.h). Consequently matmul(a, b) and
- * matmulTransposed(a, transpose(b)) agree bit for bit on every input. The property tests in tests/test_gemm.cc enforce
- * this over adversarial shapes including NaN/Inf payloads; sparsity
- * shortcuts belong in the sparsity layer, not here.
+ * written) and no partial-sum splitting or reassociation. Tiling
+ * only reorders *which element* is worked on next, and parks partial
+ * sums in C between k-blocks (a float store and reload is exact); it
+ * never reorders the reduction inside an element, so the kernels are
+ * bit-identical to the oracles by construction, not by tolerance, on
+ * every kernel table. Consequently matmul(a, b) and
+ * matmulTransposed(a, transpose(b)) agree bit for bit on every input.
+ * The property tests in tests/test_gemm.cc enforce this over
+ * adversarial shapes including NaN/Inf payloads; sparsity shortcuts
+ * belong in the sparsity layer, not here.
  */
 
 #ifndef EXION_TENSOR_GEMM_H_
@@ -39,15 +42,16 @@ namespace exion
 Matrix matmul(const Matrix &a, const Matrix &b);
 
 /**
- * C = A * B^T. @pre A.cols() == B.cols(). Every output is a pure k
- * chain, which no kernel-table entry can vectorise without
- * reassociating, so this kernel is scalar on every table.
+ * C = A * B^T, computed as matmul(a, transpose(b)): transposing copies
+ * B exactly, so the chains are matmul's. @pre A.cols() == B.cols().
  */
 Matrix matmulTransposed(const Matrix &a, const Matrix &b);
 
 /**
- * Integer matmul on quantised operands, float accumulator output.
- * @pre A.cols() == B.rows().
+ * Integer matmul on quantised operands, float accumulator output: the
+ * exact i64 sums from gemmInt12, each scaled by a.scale() * b.scale().
+ * @pre A.cols() == B.rows(), both operands IntWidth::Int12 (the
+ * magnitude bound gemmInt12 accepts).
  */
 Matrix matmulQuant(const QuantMatrix &a, const QuantMatrix &b);
 

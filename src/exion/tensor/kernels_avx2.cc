@@ -5,9 +5,10 @@
  * Exactness discipline: float kernels vectorize across independent
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
- * back to the scalar reference chains, compares are ordered-quiet
- * (_CMP_*_OQ) so NaN lanes never set mask bits, and the integer
- * kernels (dotI32, gemmInt12) are exact in any order.
+ * back to the scalar reference chains or (gemmF32) masked loads and
+ * stores, compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
+ * set mask bits, and the integer kernels (dotI32, gemmInt12) are
+ * exact in any order.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -20,6 +21,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 
 namespace exion
 {
@@ -44,31 +46,109 @@ axpyF32Avx2(float *out, const float *x, float a, Index n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
 
+/** Rows of C one gemmF32 tile keeps in registers. */
+constexpr int kGemmF32Rows = 6;
+
+/** 8-lane vectors across one gemmF32 tile: 16 columns. */
+constexpr int kGemmF32Vecs = 2;
+
+/** k-steps per register pass; partial sums go through C between. */
+constexpr Index kGemmF32KBlock = 128;
+
+/**
+ * B rows the tile prefetches ahead. Measured: with B rows 4-8 KiB
+ * apart the hardware prefetchers miss the B stream, and a 16-column
+ * tile has too little work per B line to hide the misses. The
+ * AVX-512 tile does twice the work per line and did not gain.
+ */
+constexpr Index kGemmF32Prefetch = 4;
+
+/**
+ * k-steps [k0, k1) of one MR-row by (8 * NV)-column gemmF32 tile, as
+ * in the AVX-512 table: accumulators start at +0.0f on the first
+ * k-block and reload C's partial sums on later ones, each term is a
+ * separate rounded multiply then add, and lanes outside live[v] (sign
+ * bit clear) load as zero and are never stored.
+ */
+template <int MR, int NV>
 void
-axpy4F32Avx2(float *out, const float *x0, const float *x1,
-             const float *x2, const float *x3, float a0, float a1,
-             float a2, float a3, Index n)
+gemmF32TileAvx2(const float *a, Index lda, const float *b, Index ldb,
+                float *c, Index ldc, Index k0, Index k1,
+                const __m256i *live)
 {
-    const __m256 va0 = _mm256_set1_ps(a0);
-    const __m256 va1 = _mm256_set1_ps(a1);
-    const __m256 va2 = _mm256_set1_ps(a2);
-    const __m256 va3 = _mm256_set1_ps(a3);
-    Index j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m256 o = _mm256_loadu_ps(out + j);
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va0, _mm256_loadu_ps(x0 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va1, _mm256_loadu_ps(x1 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va2, _mm256_loadu_ps(x2 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va3, _mm256_loadu_ps(x3 + j)));
-        _mm256_storeu_ps(out + j, o);
+    __m256 acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = k0 == 0 ? _mm256_setzero_ps()
+                                : _mm256_maskload_ps(c + r * ldc + 8 * v,
+                                                     live[v]);
+    for (Index kk = k0; kk < k1; ++kk) {
+        const float *brow = b + kk * ldb;
+        // Integer address arithmetic: the rows ahead may lie past B,
+        // and a prefetch never faults.
+        const std::uintptr_t ahead = reinterpret_cast<std::uintptr_t>(brow)
+            + kGemmF32Prefetch * ldb * sizeof(float);
+        _mm_prefetch(reinterpret_cast<const char *>(ahead), _MM_HINT_T0);
+        __m256 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm256_maskload_ps(brow + 8 * v, live[v]);
+        for (int r = 0; r < MR; ++r) {
+            const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_add_ps(acc[r][v],
+                                          _mm256_mul_ps(av, bv[v]));
+        }
     }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            _mm256_maskstore_ps(c + r * ldc + 8 * v, live[v], acc[r][v]);
+}
+
+using GemmF32Tile = void (*)(const float *, Index, const float *, Index,
+                             float *, Index, Index, Index,
+                             const __m256i *);
+
+/** Tile kernels by [rows - 1][vectors - 1]. */
+constexpr GemmF32Tile kGemmF32Tiles[kGemmF32Rows][kGemmF32Vecs] = {
+    {gemmF32TileAvx2<1, 1>, gemmF32TileAvx2<1, 2>},
+    {gemmF32TileAvx2<2, 1>, gemmF32TileAvx2<2, 2>},
+    {gemmF32TileAvx2<3, 1>, gemmF32TileAvx2<3, 2>},
+    {gemmF32TileAvx2<4, 1>, gemmF32TileAvx2<4, 2>},
+    {gemmF32TileAvx2<5, 1>, gemmF32TileAvx2<5, 2>},
+    {gemmF32TileAvx2<6, 1>, gemmF32TileAvx2<6, 2>},
+};
+
+void
+gemmF32Avx2(const float *a, Index lda, const float *b, Index ldb,
+            float *c, Index ldc, Index m, Index k, Index n)
+{
+    if (k == 0) {
+        for (Index i = 0; i < m; ++i)
+            std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+        return;
+    }
+    constexpr Index kPanel = 8 * kGemmF32Vecs;
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (Index k0 = 0; k0 < k; k0 += kGemmF32KBlock) {
+        const Index k1 = std::min(k, k0 + kGemmF32KBlock);
+        for (Index j0 = 0; j0 < n; j0 += kPanel) {
+            const Index w = std::min(kPanel, n - j0);
+            __m256i live[kGemmF32Vecs];
+            for (Index v = 0; v < kGemmF32Vecs; ++v) {
+                const Index lanes =
+                    w > 8 * v ? std::min<Index>(8, w - 8 * v) : 0;
+                live[v] = _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32(static_cast<int>(lanes)), lane);
+            }
+            const Index nv = (w + 7) / 8;
+            for (Index i0 = 0; i0 < m; i0 += kGemmF32Rows) {
+                const Index mr = std::min<Index>(kGemmF32Rows, m - i0);
+                kGemmF32Tiles[mr - 1][nv - 1](a + i0 * lda, lda, b + j0,
+                                              ldb, c + i0 * ldc + j0,
+                                              ldc, k0, k1, live);
+            }
+        }
+    }
 }
 
 /** Sum of the four i64 lanes. */
@@ -249,7 +329,7 @@ avx2Table()
     static const SimdKernels table = {
         "avx2",
         axpyF32Avx2,
-        axpy4F32Avx2,
+        gemmF32Avx2,
         dotI32Avx2,
         gemmInt12Avx2,
         absGreaterMask64Avx2,

@@ -8,7 +8,8 @@
  * shines — _mm512_cmp_ps_mask yields the 16 compare bits directly,
  * and masked loads make the ragged tail branch-free (masked-off
  * lanes load +0.0f and are excluded from the result mask, so NaN/Inf
- * beyond the tail cannot leak in).
+ * beyond the tail cannot leak in). The GEMM tiles use the same masks
+ * for their ragged last column panel.
  *
  * This TU alone is compiled with -mavx512f (plus -ffp-contract=off);
  * only called after the runtime probe confirmed AVX-512F.
@@ -45,31 +46,101 @@ axpyF32Avx512(float *out, const float *x, float a, Index n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
 
+/** Rows of C one gemmF32 tile keeps in registers. */
+constexpr int kGemmF32Rows = 8;
+
+/** 16-lane vectors across one gemmF32 tile: 32 columns. */
+constexpr int kGemmF32Vecs = 2;
+
+/** k-steps per register pass; partial sums go through C between. */
+constexpr Index kGemmF32KBlock = 128;
+
+/**
+ * k-steps [k0, k1) of one MR-row by (16 * NV)-column gemmF32 tile.
+ * The MR x NV accumulators start at +0.0f on the first k-block and
+ * reload C's partial sums on later ones, add each term as a separate
+ * rounded multiply then add, and go back to C at the end. Lanes
+ * outside live[v] (a ragged last panel) load as zero and are never
+ * stored.
+ */
+template <int MR, int NV>
 void
-axpy4F32Avx512(float *out, const float *x0, const float *x1,
-               const float *x2, const float *x3, float a0, float a1,
-               float a2, float a3, Index n)
+gemmF32TileAvx512(const float *a, Index lda, const float *b, Index ldb,
+                  float *c, Index ldc, Index k0, Index k1,
+                  const __mmask16 *live)
 {
-    const __m512 va0 = _mm512_set1_ps(a0);
-    const __m512 va1 = _mm512_set1_ps(a1);
-    const __m512 va2 = _mm512_set1_ps(a2);
-    const __m512 va3 = _mm512_set1_ps(a3);
-    Index j = 0;
-    for (; j + 16 <= n; j += 16) {
-        __m512 o = _mm512_loadu_ps(out + j);
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va0, _mm512_loadu_ps(x0 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va1, _mm512_loadu_ps(x1 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va2, _mm512_loadu_ps(x2 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va3, _mm512_loadu_ps(x3 + j)));
-        _mm512_storeu_ps(out + j, o);
+    __m512 acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = k0 == 0 ? _mm512_setzero_ps()
+                                : _mm512_maskz_loadu_ps(
+                                      live[v], c + r * ldc + 16 * v);
+    for (Index kk = k0; kk < k1; ++kk) {
+        const float *brow = b + kk * ldb;
+        __m512 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm512_maskz_loadu_ps(live[v], brow + 16 * v);
+        for (int r = 0; r < MR; ++r) {
+            const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm512_add_ps(acc[r][v],
+                                          _mm512_mul_ps(av, bv[v]));
+        }
     }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            _mm512_mask_storeu_ps(c + r * ldc + 16 * v, live[v],
+                                  acc[r][v]);
+}
+
+using GemmF32Tile = void (*)(const float *, Index, const float *, Index,
+                             float *, Index, Index, Index,
+                             const __mmask16 *);
+
+/** Tile kernels by [rows - 1][vectors - 1]. */
+constexpr GemmF32Tile kGemmF32Tiles[kGemmF32Rows][kGemmF32Vecs] = {
+    {gemmF32TileAvx512<1, 1>, gemmF32TileAvx512<1, 2>},
+    {gemmF32TileAvx512<2, 1>, gemmF32TileAvx512<2, 2>},
+    {gemmF32TileAvx512<3, 1>, gemmF32TileAvx512<3, 2>},
+    {gemmF32TileAvx512<4, 1>, gemmF32TileAvx512<4, 2>},
+    {gemmF32TileAvx512<5, 1>, gemmF32TileAvx512<5, 2>},
+    {gemmF32TileAvx512<6, 1>, gemmF32TileAvx512<6, 2>},
+    {gemmF32TileAvx512<7, 1>, gemmF32TileAvx512<7, 2>},
+    {gemmF32TileAvx512<8, 1>, gemmF32TileAvx512<8, 2>},
+};
+
+void
+gemmF32Avx512(const float *a, Index lda, const float *b, Index ldb,
+              float *c, Index ldc, Index m, Index k, Index n)
+{
+    if (k == 0) {
+        for (Index i = 0; i < m; ++i)
+            std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+        return;
+    }
+    constexpr Index kPanel = 16 * kGemmF32Vecs;
+    // Every row tile of A passes over one 32-column slab of a k-block
+    // of B (16 KiB) before the next slab, so each B element comes from
+    // memory once per call and from near caches for the other tiles.
+    for (Index k0 = 0; k0 < k; k0 += kGemmF32KBlock) {
+        const Index k1 = std::min(k, k0 + kGemmF32KBlock);
+        for (Index j0 = 0; j0 < n; j0 += kPanel) {
+            const Index w = std::min(kPanel, n - j0);
+            __mmask16 live[kGemmF32Vecs];
+            for (Index v = 0; v < kGemmF32Vecs; ++v) {
+                const Index lanes =
+                    w > 16 * v ? std::min<Index>(16, w - 16 * v) : 0;
+                live[v] = static_cast<__mmask16>((u32{1} << lanes) - 1);
+            }
+            const Index nv = (w + 15) / 16;
+            for (Index i0 = 0; i0 < m; i0 += kGemmF32Rows) {
+                const Index mr = std::min<Index>(kGemmF32Rows, m - i0);
+                kGemmF32Tiles[mr - 1][nv - 1](a + i0 * lda, lda, b + j0,
+                                              ldb, c + i0 * ldc + j0,
+                                              ldc, k0, k1, live);
+            }
+        }
+    }
 }
 
 i64
@@ -247,7 +318,7 @@ avx512Table()
     static const SimdKernels table = {
         "avx512",
         axpyF32Avx512,
-        axpy4F32Avx512,
+        gemmF32Avx512,
         dotI32Avx512,
         gemmInt12Avx512,
         absGreaterMask64Avx512,

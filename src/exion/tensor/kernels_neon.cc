@@ -8,7 +8,9 @@
  * rounds twice — ragged tails fall back to the scalar reference, and
  * compares go through the scalar kernels (NEON has no move-mask; at
  * the 64-bit-word granularity the mask kernels run at, the scalar
- * chains are already cheap next to lane extraction).
+ * chains are already cheap next to lane extraction). gemmF32 points
+ * at the scalar entry: NEON is AArch64's baseline, so the compiler
+ * vectorises that entry's column sweep.
  *
  * Compiled with -ffp-contract=off like every kernel TU.
  */
@@ -39,29 +41,6 @@ axpyF32Neon(float *out, const float *x, float a, Index n)
     }
     if (j < n)
         axpyF32Scalar(out + j, x + j, a, n - j);
-}
-
-void
-axpy4F32Neon(float *out, const float *x0, const float *x1,
-             const float *x2, const float *x3, float a0, float a1,
-             float a2, float a3, Index n)
-{
-    const float32x4_t va0 = vdupq_n_f32(a0);
-    const float32x4_t va1 = vdupq_n_f32(a1);
-    const float32x4_t va2 = vdupq_n_f32(a2);
-    const float32x4_t va3 = vdupq_n_f32(a3);
-    Index j = 0;
-    for (; j + 4 <= n; j += 4) {
-        float32x4_t o = vld1q_f32(out + j);
-        o = vaddq_f32(o, vmulq_f32(va0, vld1q_f32(x0 + j)));
-        o = vaddq_f32(o, vmulq_f32(va1, vld1q_f32(x1 + j)));
-        o = vaddq_f32(o, vmulq_f32(va2, vld1q_f32(x2 + j)));
-        o = vaddq_f32(o, vmulq_f32(va3, vld1q_f32(x3 + j)));
-        vst1q_f32(out + j, o);
-    }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
 }
 
 i64
@@ -138,7 +117,7 @@ neonTable()
     static const SimdKernels table = {
         "neon",
         axpyF32Neon,
-        axpy4F32Neon,
+        gemmF32Scalar,
         dotI32Neon,
         gemmInt12Neon,
         absGreaterMask64Scalar,

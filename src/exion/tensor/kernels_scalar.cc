@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 namespace exion
 {
@@ -28,18 +29,61 @@ axpyF32Scalar(float *out, const float *x, float a, Index n)
         out[j] += a * x[j];
 }
 
-void
-axpy4F32Scalar(float *out, const float *x0, const float *x1,
-               const float *x2, const float *x3, float a0, float a1,
-               float a2, float a3, Index n)
+namespace
 {
-    for (Index j = 0; j < n; ++j) {
-        float acc = out[j];
-        acc += a0 * x0[j];
-        acc += a1 * x1[j];
-        acc += a2 * x2[j];
-        acc += a3 * x3[j];
-        out[j] = acc;
+
+/**
+ * Columns of one gemmF32Scalar panel. B's panel is packed contiguous
+ * (K * 128 floats, 128 KiB at K = 256), so it stays in L2 while every
+ * A row sweeps it, whatever B's row stride.
+ */
+constexpr Index kSweepCols = 128;
+
+} // namespace
+
+void
+gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
+              float *c, Index ldc, Index m, Index k, Index n)
+{
+    // One reusable panel buffer: B[:, j0:j0+nb] packed row-major as
+    // packed[kk * nb + jj], so the inner j-sweep reads contiguously.
+    std::vector<float> packed(k * std::min(kSweepCols, n));
+    for (Index j0 = 0; j0 < n; j0 += kSweepCols) {
+        const Index nb = std::min(kSweepCols, n - j0);
+        for (Index kk = 0; kk < k; ++kk)
+            std::copy(b + kk * ldb + j0, b + kk * ldb + j0 + nb,
+                      packed.data() + kk * nb);
+        for (Index i = 0; i < m; ++i) {
+            const float *arow = a + i * lda;
+            float *crow = c + i * ldc + j0;
+            std::fill(crow, crow + nb, 0.0f);
+            // Jam four k steps per C sweep: each element still adds
+            // its k terms one at a time in ascending order (four
+            // separately rounded additions, the golden chain), but C
+            // is loaded and stored once per four terms.
+            Index kk = 0;
+            for (; kk + 4 <= k; kk += 4) {
+                const float *b0 = packed.data() + kk * nb;
+                const float *b1 = b0 + nb;
+                const float *b2 = b1 + nb;
+                const float *b3 = b2 + nb;
+                const float a0 = arow[kk];
+                const float a1 = arow[kk + 1];
+                const float a2 = arow[kk + 2];
+                const float a3 = arow[kk + 3];
+                for (Index j = 0; j < nb; ++j) {
+                    float acc = crow[j];
+                    acc += a0 * b0[j];
+                    acc += a1 * b1[j];
+                    acc += a2 * b2[j];
+                    acc += a3 * b3[j];
+                    crow[j] = acc;
+                }
+            }
+            for (; kk < k; ++kk)
+                axpyF32Scalar(crow, packed.data() + kk * nb, arow[kk],
+                              nb);
+        }
     }
 }
 
@@ -131,7 +175,7 @@ scalarTable()
     static const SimdKernels table = {
         "scalar",
         axpyF32Scalar,
-        axpy4F32Scalar,
+        gemmF32Scalar,
         dotI32Scalar,
         gemmInt12Scalar,
         absGreaterMask64Scalar,

@@ -5,19 +5,19 @@
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
  * products, eager prediction's compare loops and the integer GEMM its
- * log-domain MMULs reduce to, the Blocked GEMM micro-kernel — now
- * calls a *named kernel* out of a function table. One table per
+ * log-domain MMULs reduce to, the float GEMM every dense product runs
+ * on — now calls a *named kernel* out of a function table. One table per
  * instruction set (kernels_{scalar,avx2,avx512,neon}.cc), probed once
  * at runtime (CPUID / compile-time ISA) and selected behind the scalar
  * reference, so the same binary runs the widest vectors the host
  * offers and plain scalar everywhere else.
  *
  * Numerics contract: kernels vectorize only across *independent
- * output elements* (axpy j-sweeps, per-lane compares, integer
- * reductions — integer sums are exact in any order). Each float
- * output element's accumulation chain stays in the golden reference
- * order from gemm.h (one accumulator, +0.0f start, ascending k,
- * separate mul then add, no FMA), so the vector path is
+ * output elements* (axpy j-sweeps, GEMM register tiles, per-lane
+ * compares, integer reductions — integer sums are exact in any
+ * order). Each float output element's accumulation chain stays in the
+ * golden reference order from gemm.h (one accumulator, +0.0f start,
+ * ascending k, separate mul then add, no FMA), so the vector path is
  * bit-identical to scalar *by construction* and the existing
  * maxAbsDiff == 0 differential tests run with vector dispatch
  * active.
@@ -89,14 +89,24 @@ struct SimdKernels
     void (*axpyF32)(float *out, const float *x, float a, Index n);
 
     /**
-     * Four jammed axpy steps: per element
-     * out[j] = (((out[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
-     * with every multiply and add rounded separately, in that order.
-     * Exact: the Blocked GEMM micro-kernel's k-jam chain.
+     * C = A * B over floats: A is m x k (rows lda apart), B is k x n
+     * (rows ldb apart), C is m x n (rows ldc apart, overwritten; the
+     * gaps between its rows are never written). Every dense float
+     * product in the library runs here (gemm.h).
+     *
+     * Each C element is the golden chain: one accumulator that starts
+     * at +0.0f and adds a(i, kk) * b(kk, j) for kk ascending, the
+     * multiply and the add rounded separately (never FMA). Vector
+     * forms keep an MR x NR block of C in registers over k-blocks and
+     * read A and B in place, with masked ragged edges: no packing
+     * buffer, no copy of B. Between k-blocks the partial sums go
+     * through C, and a float store and reload is exact. So every table
+     * is bit-identical to the scalar entry by construction, up to the
+     * NaN-payload caveat above. MR, NR and the k-block are constants
+     * of each ISA file.
      */
-    void (*axpy4F32)(float *out, const float *x0, const float *x1,
-                     const float *x2, const float *x3, float a0,
-                     float a1, float a2, float a3, Index n);
+    void (*gemmF32)(const float *a, Index lda, const float *b, Index ldb,
+                    float *c, Index ldc, Index m, Index k, Index n);
 
     /** sum_k (i64)a[k] * b[k]. Integer: exact in any order. */
     i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
@@ -181,9 +191,8 @@ const SimdKernels *avx512Table();
 const SimdKernels *neonTable();
 
 void axpyF32Scalar(float *out, const float *x, float a, Index n);
-void axpy4F32Scalar(float *out, const float *x0, const float *x1,
-                    const float *x2, const float *x3, float a0,
-                    float a1, float a2, float a3, Index n);
+void gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
+                   float *c, Index ldc, Index m, Index k, Index n);
 /**
  * sum_k a[k] * b[k] as one serial chain from +0.0f, k ascending: the
  * golden per-element chain. No table entry — a vector form would have

@@ -1,8 +1,9 @@
 /**
  * @file
- * GEMM tests: the blocked kernels must be bit-identical to their
- * Reference oracles over adversarial shapes (degenerate, prime,
- * block-boundary straddling, paper-scale tall cohort stacks), and the
+ * GEMM tests: the kernels must be bit-identical to their Reference
+ * oracles over adversarial shapes (degenerate, prime, tile- and
+ * k-block-straddling, paper-scale tall cohort stacks) and on strided
+ * views, and the
  * kernels must agree with each other under NaN/Inf and signed-zero
  * payloads now that matmul() no longer skips zero contributions.
  */
@@ -83,10 +84,10 @@ struct Shape
 
 /**
  * Adversarial shape set: degenerate edges, primes that divide
- * nothing, dims straddling the blocking parameters (64 rows /
- * 128 panel columns), and the tall stacked-cohort GEMMs the blocked
- * kernel exists for (N members x 8 tokens against d x d and
- * d x 4d weight panels).
+ * nothing, dims straddling the register tiles (rows and 16/32-column
+ * panels) and the 128-step k-blocks, and the tall stacked-cohort
+ * GEMMs (N members x 8 tokens against d x d and d x 4d weight
+ * panels).
  */
 const Shape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},     {5, 1, 3},     {1, 257, 1},
@@ -138,6 +139,28 @@ TEST(GemmTest, MatmulQuantBlockedBitIdenticalAcrossShapes)
         EXPECT_TRUE(bitIdentical(matmulQuantReference(qa, qb),
                                  matmulQuant(qa, qb)));
     }
+}
+
+TEST(GemmTest, MatmulOfStridedViewsMatchesReferenceOfCopies)
+{
+    // Column windows of wider tensors: the kernel must step rows by
+    // rowStride(), not cols().
+    Rng rng(106);
+    const Matrix wide_a = randomMatrix(37, 160, rng);
+    const Matrix wide_b = randomMatrix(131, 90, rng);
+    const Matrix a = Matrix::borrowStrided(wide_a.rowPtr(0) + 7, 37, 131,
+                                           wide_a.cols());
+    const Matrix b = Matrix::borrowStrided(wide_b.rowPtr(0) + 3, 131, 65,
+                                           wide_b.cols());
+    Matrix a_copy(a.rows(), a.cols()), b_copy(b.rows(), b.cols());
+    for (Index i = 0; i < a.rows(); ++i)
+        for (Index j = 0; j < a.cols(); ++j)
+            a_copy(i, j) = a(i, j);
+    for (Index i = 0; i < b.rows(); ++i)
+        for (Index j = 0; j < b.cols(); ++j)
+            b_copy(i, j) = b(i, j);
+    EXPECT_TRUE(
+        bitIdentical(matmulReference(a_copy, b_copy), matmul(a, b)));
 }
 
 /** Special-value payloads must survive blocking bit for bit too. */

@@ -2,11 +2,13 @@
  * @file
  * SIMD kernel layer tests.
  *
- * Every vector table this build carries is held against the scalar
- * reference table on adversarial inputs: NaN/Inf payloads, signed
- * zeros, lengths that are not a multiple of any vector width, and
- * mask words with ragged tails. Every entry (axpy, compares, integer
- * reductions) must be bit-identical. The integer GEMM eager
+ * Every vector table this build carries and this CPU can run is held
+ * against the scalar reference table on adversarial inputs: NaN/Inf
+ * payloads, signed zeros, lengths that are not a multiple of any
+ * vector width, and mask words with ragged tails. Every entry (axpy,
+ * GEMMs, compares, integer reductions) must be bit-identical. The
+ * float GEMM every dense product runs on is checked on ragged shapes
+ * with strided operands and poisoned row gaps; the integer GEMM eager
  * prediction runs on is checked on ragged shapes and on a depth whose
  * i32 lanes overflow unless flushed. On top of the kernels, the level
  * plumbing (name round-trips, refusal of a bad EXION_SIMD) and
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -37,15 +40,23 @@ namespace
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
-/** Every vector table compiled into this build, with its name. */
+/**
+ * Every vector table compiled into this build that this CPU can run:
+ * the same __builtin_cpu_supports check the level probe makes, so an
+ * AVX2-only host never calls an AVX-512 kernel. The EXION_SIMD cap is
+ * ignored on purpose: a forced-scalar run still checks every vector
+ * table the host has.
+ */
 std::vector<const SimdKernels *>
 vectorTables()
 {
     std::vector<const SimdKernels *> tables;
-    if (simd::avx2Table())
+#if defined(__x86_64__) || defined(__i386__)
+    if (simd::avx2Table() && __builtin_cpu_supports("avx2"))
         tables.push_back(simd::avx2Table());
-    if (simd::avx512Table())
+    if (simd::avx512Table() && __builtin_cpu_supports("avx512f"))
         tables.push_back(simd::avx512Table());
+#endif
     if (simd::neonTable())
         tables.push_back(simd::neonTable());
     return tables;
@@ -148,7 +159,7 @@ TEST(SimdDispatchTest, TablesArePopulated)
     for (const SimdKernels *t : all) {
         EXPECT_NE(t->name, nullptr);
         EXPECT_NE(t->axpyF32, nullptr);
-        EXPECT_NE(t->axpy4F32, nullptr);
+        EXPECT_NE(t->gemmF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
         EXPECT_NE(t->gemmInt12, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
@@ -179,25 +190,124 @@ TEST(SimdKernelTest, AxpyBitIdenticalToScalar)
     }
 }
 
-TEST(SimdKernelTest, Axpy4BitIdenticalToScalar)
+/** A gemmF32 operand or result laid out with a row stride. */
+struct StridedFloats
 {
+    Index rows, cols, ld;
+    std::vector<float> v;
+};
+
+/** Bits of the gap poison. */
+constexpr u32 kGapPoisonBits = 0x7fc0beefu;
+
+/**
+ * Quiet NaN with a payload no operand carries, so no arithmetic
+ * produces it: it marks the gaps between rows, which a kernel must
+ * neither read into a result nor write.
+ */
+float
+gapPoison()
+{
+    const u32 bits = kGapPoisonBits;
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+/**
+ * rows x cols floats, rows ld apart, every gap poisoned. The buffer
+ * ends with the last row, so a read past it leaves the allocation.
+ * Values are finite with signed zeros sprinkled in, plus one NaN, one
+ * +Inf and one -Inf at random positions: they reach a few rows and
+ * columns of C, and every other chain stays finite, so a rounding
+ * change (such as a fused multiply-add) shows in the bits instead of
+ * hiding behind NaN.
+ */
+StridedFloats
+stridedOperand(Index rows, Index cols, Index ld, Rng &rng)
+{
+    StridedFloats s{rows, cols, ld, {}};
+    s.v.assign(rows == 0 ? 0 : (rows - 1) * ld + cols, gapPoison());
+    for (Index r = 0; r < rows; ++r)
+        for (Index c = 0; c < cols; ++c) {
+            const double u = rng.uniform();
+            s.v[r * ld + c] = u < 0.1 ? (u < 0.05 ? 0.0f : -0.0f)
+                                      : static_cast<float>(
+                                            rng.uniform() * 4.0 - 2.0);
+        }
+    if (rows * cols > 0)
+        for (float special : {kNan, kInf, -kInf})
+            s.v[rng.uniformInt(rows) * ld + rng.uniformInt(cols)] =
+                special;
+    return s;
+}
+
+/** C = A * B by one table's gemmF32 into a C poisoned everywhere. */
+StridedFloats
+runGemmF32(const SimdKernels &table, const StridedFloats &a,
+           const StridedFloats &b, Index ldc)
+{
+    StridedFloats c{a.rows, b.cols, ldc, {}};
+    c.v.assign(a.rows == 0 ? 0 : (a.rows - 1) * ldc + b.cols,
+               gapPoison());
+    table.gemmF32(a.v.data(), a.ld, b.v.data(), b.ld, c.v.data(), ldc,
+                  a.rows, a.cols, b.cols);
+    return c;
+}
+
+/** True when every gap between c's rows still holds the poison. */
+bool
+gapsUntouched(const StridedFloats &c)
+{
+    for (Index r = 0; r + 1 < c.rows; ++r)
+        for (Index j = c.cols; j < c.ld; ++j) {
+            u32 got;
+            std::memcpy(&got, &c.v[r * c.ld + j], sizeof got);
+            if (got != kGapPoisonBits)
+                return false;
+        }
+    return true;
+}
+
+TEST(SimdKernelTest, GemmF32RaggedShapesMatchScalar)
+{
+    // Shapes straddle every tile edge (6- and 8-row tiles, 8- and
+    // 16-lane vectors, 16- and 32-column panels, 128-step k-blocks),
+    // empty ones included; operands carry NaN, Inf and signed zeros,
+    // and every stride is longer than its row.
     Rng rng(12);
-    for (const SimdKernels *table : vectorTables()) {
-        for (Index n : kLengths) {
-            const std::vector<float> x0 = adversarialFloats(n, rng);
-            const std::vector<float> x1 = adversarialFloats(n, rng);
-            const std::vector<float> x2 = adversarialFloats(n, rng);
-            const std::vector<float> x3 = adversarialFloats(n, rng);
-            std::vector<float> ref = adversarialFloats(n, rng);
-            std::vector<float> got = ref;
-            simd::axpy4F32Scalar(ref.data(), x0.data(), x1.data(),
-                                 x2.data(), x3.data(), 0.7f, -1.3f,
-                                 kInf, 0.01f, n);
-            table->axpy4F32(got.data(), x0.data(), x1.data(),
-                            x2.data(), x3.data(), 0.7f, -1.3f, kInf,
-                            0.01f, n);
-            EXPECT_TRUE(bitsEqual(ref, got))
-                << table->name << " n=" << n;
+    const Index ms[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 64, 196};
+    const Index ks[] = {0, 1, 127, 128, 129, 257};
+    const Index ns[] = {0,  1,  7,  8,  9,  15, 16,
+                        17, 31, 32, 33, 65, 196};
+    for (Index m : ms) {
+        for (Index k : ks) {
+            for (Index n : ns) {
+                SCOPED_TRACE(::testing::Message()
+                             << "m=" << m << " k=" << k << " n=" << n);
+                const StridedFloats a = stridedOperand(m, k, k + 3, rng);
+                const StridedFloats b = stridedOperand(k, n, n + 5, rng);
+                const Index ldc = n + 2;
+                const StridedFloats want =
+                    runGemmF32(simd::scalarTable(), a, b, ldc);
+                ASSERT_TRUE(gapsUntouched(want));
+                // The scalar entry against the plain triple loop.
+                std::vector<float> loop(want.v.size(), gapPoison());
+                for (Index i = 0; i < m; ++i)
+                    for (Index j = 0; j < n; ++j) {
+                        float acc = 0.0f;
+                        for (Index kk = 0; kk < k; ++kk)
+                            acc += a.v[i * a.ld + kk] * b.v[kk * b.ld + j];
+                        loop[i * ldc + j] = acc;
+                    }
+                ASSERT_TRUE(bitsEqual(loop, want.v));
+                for (const SimdKernels *table : vectorTables()) {
+                    const StridedFloats got =
+                        runGemmF32(*table, a, b, ldc);
+                    ASSERT_TRUE(gapsUntouched(got)) << table->name;
+                    ASSERT_TRUE(bitsEqual(want.v, got.v)) << table->name;
+                }
+            }
         }
     }
 }
