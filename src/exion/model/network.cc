@@ -8,7 +8,7 @@ namespace exion
 {
 
 Matrix
-poolTokens(const Matrix &x, Index factor)
+downsampleTokens(const Matrix &x, Index factor)
 {
     EXION_ASSERT(factor > 0 && x.rows() % factor == 0,
                  "pool factor ", factor, " vs rows ", x.rows());
@@ -139,7 +139,7 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
             EXION_ASSERT(cur_tokens % factor == 0,
                          "pool factor ", factor, " straddles segments "
                          "of ", cur_tokens, " tokens");
-            h = poolTokens(h, factor);
+            h = downsampleTokens(h, factor);
         } else if (want > cur_tokens) {
             h = upsampleTokens(h, want / cur_tokens);
         }

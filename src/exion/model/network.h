@@ -23,7 +23,7 @@ namespace exion
 {
 
 /** Average-pools token groups of size factor. @pre factor divides rows. */
-Matrix poolTokens(const Matrix &x, Index factor);
+Matrix downsampleTokens(const Matrix &x, Index factor);
 
 /** Repeats each token factor times. */
 Matrix upsampleTokens(const Matrix &x, Index factor);

@@ -51,6 +51,22 @@ class UnknownModelError : public std::invalid_argument
 };
 
 /**
+ * Thrown by submit() and model registration after the engine's
+ * shutdown() has begun: no worker would ever run the request, so the
+ * call fails at once instead of handing out a ticket that never
+ * settles.
+ */
+class EngineStopped : public std::runtime_error
+{
+  public:
+    EngineStopped()
+        : std::runtime_error("BatchEngine: submit or registration after "
+                             "shutdown")
+    {
+    }
+};
+
+/**
  * Thrown by submit() when admission policy refuses a request
  * (QueueFull / LoadShedLow). trySubmit() reports the same decision as
  * a SubmitOutcome instead of throwing.

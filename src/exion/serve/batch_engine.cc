@@ -5,6 +5,11 @@
 #include <exception>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "exion/common/logging.h"
 #include "exion/model/weight_store.h"
 #include "exion/sparsity/cohort_executor.h"
@@ -96,14 +101,31 @@ BatchEngine::BatchEngine() : BatchEngine(Options{})
 }
 
 BatchEngine::BatchEngine(const Options &opts)
-    : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge),
-      pool_(opts.workers)
+    : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge)
 {
+    const int workers = opts.workers > 0
+        ? opts.workers
+        : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    workers_.reserve(workers);
+    try {
+        for (int i = 0; i < workers; ++i)
+            workers_.emplace_back([this]() { workerLoop(); });
+    } catch (...) {
+        // Thread start failed (e.g. task limit): stop and join the
+        // workers that did start, then let the caller see the error —
+        // unwinding joinable std::threads would std::terminate.
+        shutdown();
+        throw;
+    }
 }
 
 BatchEngine::~BatchEngine()
 {
     shutdown();
+    // Workers exit only on an empty queue after stopped_ is set, and
+    // nothing is queued once it is.
+    EXION_ASSERT(ready_.empty(),
+                 "BatchEngine shutdown abandoned queued requests");
 }
 
 void
@@ -129,7 +151,7 @@ BatchEngine::registerModel(Benchmark b,
     auto pipe = std::make_unique<const DiffusionPipeline>(std::move(store));
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_)
-        throw ThreadPoolStopped();
+        throw EngineStopped();
     models_[b] = std::move(pipe);
 }
 
@@ -152,14 +174,14 @@ BatchEngine::pipeline(Benchmark b) const
 }
 
 i64
-BatchEngine::poolPriority(const ServeRequest &req) const
+BatchEngine::readyRank(const ServeRequest &req) const
 {
     // Class in the high bits; within a class, the earliest absolute
     // deadline (submission time + deadlineSeconds, measured against
     // the engine epoch) ranks highest — true EDF, so a long-queued
     // request is not starved by a fresh arrival with a tighter
     // relative deadline. "No deadline" ranks below every finite
-    // deadline; ties fall back to the pool's FIFO order. Clamping
+    // deadline; ties fall back to submission (FIFO) order. Clamping
     // happens in the double domain: a huge/inf deadline must not
     // overflow the i64 cast (NaN fails the > 0 test and counts as
     // "no deadline").
@@ -179,14 +201,6 @@ BatchEngine::poolPriority(const ServeRequest &req) const
     }
     return static_cast<i64>(req.priority) * kDeadlineRange
         + deadline_rank;
-}
-
-ClassDepths
-BatchEngine::readyDepths() const
-{
-    ClassDepths depths{};
-    pool_.queuedAtLevels(kNumPriorityClasses, depths.data());
-    return depths;
 }
 
 double
@@ -216,7 +230,7 @@ BatchEngine::submit(const ServeRequest &req)
                                 + benchmarkName(req.benchmark)
                                 + " not registered with the engine");
       case RejectReason::Stopped:
-        throw ThreadPoolStopped();
+        throw EngineStopped();
       case RejectReason::QueueFull:
       case RejectReason::LoadShedLow:
         break;
@@ -246,7 +260,7 @@ BatchEngine::submitOutcome(const ServeRequest &req)
     }
 
     std::optional<RejectReason> verdict =
-        admission_.decide(cls, readyDepths());
+        admission_.decide(cls, readyDepth_);
     if (verdict == RejectReason::QueueFull && admission_.blocking()) {
         // Block-with-timeout mode: wait for a ready-queue slot (a
         // worker starting a queued request, or a cancellation). The
@@ -258,7 +272,7 @@ BatchEngine::submitOutcome(const ServeRequest &req)
             const bool timed_out =
                 admissionCv_.wait_until(lock, deadline)
                 == std::cv_status::timeout;
-            verdict = admission_.decide(cls, readyDepths());
+            verdict = admission_.decide(cls, readyDepth_);
             if (timed_out || verdict != RejectReason::QueueFull)
                 break;
         }
@@ -278,75 +292,19 @@ BatchEngine::submitOutcome(const ServeRequest &req)
         return outcome;
     }
 
-    // Admitted: account, register for cancellation, post to the pool
-    // at the class's level — all under one lock, so a concurrent
-    // admission check can never overshoot the class bound and the
-    // worker (whose first action locks this mutex) can never observe
-    // a half-registered request.
+    // Admitted: account and queue under the one lock, so a
+    // concurrent admission check can never overshoot the class bound.
     auto promise = std::make_shared<std::promise<RequestResult>>();
     const u64 ticket_id = nextTicket_++;
     ++inFlight_;
-    const auto enqueued = std::chrono::steady_clock::now();
-    const i64 pool_prio = poolPriority(req);
-    auto flag = std::make_shared<std::atomic<bool>>(false);
-    const auto pending_it =
-        pending_
-            .emplace(ticket_id, Pending{promise, req, cls, 0, pool_prio,
-                                        enqueued, flag})
-            .first;
-
-    u64 token = 0;
-    try {
-        token = pool_.postTagged(
-            [this, promise, ticket_id, enqueued]() {
-                // Claim the pending entry: move the request and its
-                // submission-time cancellation flag out (instead of a
-                // third ServeRequest copy in this closure) and
-                // register the flag as running before the entry goes,
-                // so a concurrent cancel() always finds the request
-                // in exactly one registry — and a cancel that lost
-                // the dequeue race has already set this same flag.
-                CohortMember member;
-                member.promise = promise;
-                member.enqueued = enqueued;
-                member.ticketId = ticket_id;
-                {
-                    std::lock_guard<std::mutex> inner(mutex_);
-                    const auto it = pending_.find(ticket_id);
-                    EXION_ASSERT(it != pending_.end(),
-                                 "started task without pending entry");
-                    member.req = std::move(it->second.req);
-                    member.cancelFlag =
-                        std::move(it->second.cancelFlag);
-                    running_.emplace(ticket_id, member.cancelFlag);
-                    pending_.erase(it);
-                }
-                // A ready-queue slot freed: admit a block-mode waiter.
-                admissionCv_.notify_all();
-                const auto started_at = std::chrono::steady_clock::now();
-                metrics_.onStarted(
-                    member.req.priority,
-                    std::chrono::duration<double>(started_at - enqueued)
-                        .count());
-                member.startedAt = started_at;
-                runCohort(std::move(member));
-            },
-            pool_prio, classIndex(cls));
-    } catch (...) {
-        // The pool refused the task. Today shutdown() always flips
-        // stopped_ (checked above) before stopping the pool, so this
-        // is unreachable — but undo the accounting rather than rely
-        // on that.
-        pending_.erase(pending_it);
-        --inFlight_;
-        metrics_.onRejected(cls, RejectReason::Stopped);
-        lock.unlock();
-        idleCv_.notify_all();
-        return SubmitOutcome{Ticket{}, RejectReason::Stopped};
-    }
-    pending_it->second.poolToken = token;
+    ready_.emplace(ReadyKey{readyRank(req), ticket_id},
+                   Pending{promise, req, std::chrono::steady_clock::now()});
+    const int c = classIndex(cls);
+    readyPeak_[c] = std::max(readyPeak_[c], ++readyDepth_[c]);
     metrics_.onAccepted(cls);
     Ticket ticket(ticket_id, promise->get_future().share(), this);
+    lock.unlock();
+    workCv_.notify_one();
     return SubmitOutcome{std::move(ticket), std::nullopt, 0.0};
 }
 
@@ -354,27 +312,25 @@ bool
 BatchEngine::cancelTicket(u64 ticket_id)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = pending_.find(ticket_id);
-    if (it == pending_.end()) {
-        // Not queued: maybe running. Cooperative cancellation —
-        // signal its cohort leader, which polls the flag at every
-        // iteration boundary and settles the ticket with a
-        // `cancelled` result when it drops the request. exchange()
-        // makes a second cancel() report false.
-        const auto rit = running_.find(ticket_id);
-        if (rit == running_.end())
-            return false; // already completed or cancelled
+    const auto rit = running_.find(ticket_id);
+    if (rit != running_.end()) {
+        // Cooperative cancellation: signal its cohort leader, which
+        // polls the flag at every iteration boundary and settles the
+        // ticket with a `cancelled` result when it drops the request.
+        // exchange() makes a second cancel() report false.
         return !rit->second->exchange(true);
     }
-    if (!pool_.cancel(it->second.poolToken)) {
-        // A worker is dequeuing it right now: too late to unqueue,
-        // but the submission-time flag it will carry into running_
-        // can still stop the run at its first iteration boundary.
-        return !it->second.cancelFlag->exchange(true);
-    }
-    const Pending pending = std::move(it->second);
-    pending_.erase(it);
-    metrics_.onCancelled(pending.cls);
+    // The queue is keyed by rank, so finding a ticket walks it;
+    // cancels are rare next to submits and starts.
+    const auto it =
+        std::find_if(ready_.begin(), ready_.end(), [&](const auto &entry) {
+            return entry.first.ticketId == ticket_id;
+        });
+    if (it == ready_.end())
+        return false; // already completed or cancelled
+    const Pending pending = std::move(ready_.extract(it).mapped());
+    --readyDepth_[classIndex(pending.req.priority)];
+    metrics_.onCancelled(pending.req.priority);
     RequestResult result;
     result.id = pending.req.id;
     result.cancelled = true;
@@ -441,6 +397,26 @@ BatchEngine::deliver(const CohortMember &member, RequestResult result,
     idleCv_.notify_all();
 }
 
+BatchEngine::CohortMember
+BatchEngine::startLocked(ReadyQueue::iterator it,
+                         std::chrono::steady_clock::time_point now)
+{
+    CohortMember member;
+    member.ticketId = it->first.ticketId;
+    Pending pending = std::move(ready_.extract(it).mapped());
+    --readyDepth_[classIndex(pending.req.priority)];
+    member.req = std::move(pending.req);
+    member.promise = std::move(pending.promise);
+    member.enqueued = pending.enqueued;
+    member.cancelFlag = std::make_shared<std::atomic<bool>>(false);
+    member.startedAt = now;
+    running_.emplace(member.ticketId, member.cancelFlag);
+    metrics_.onStarted(
+        member.req.priority,
+        std::chrono::duration<double>(now - member.enqueued).count());
+    return member;
+}
+
 std::vector<BatchEngine::CohortMember>
 BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
                                bool pass_fifo_ties)
@@ -454,65 +430,29 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
     if (paused_)
         return absorbed;
 
-    // Candidates in scheduling order: highest pool priority first
-    // (class, then EDF), submission order within ties — the order the
-    // pool itself would have started them in. Track the best queued
-    // request that does NOT match the key: absorption stops at the
-    // first candidate it outranks. A refill (pass_fifo_ties off) also
-    // stops at the first candidate it precedes in FIFO order, so a
-    // refilling cohort never holds its worker past the queue head.
-    // Formation lets those ties pass: the passed request stays the
-    // head, which the next free worker starts.
-    std::vector<std::pair<i64, u64>> candidates;
-    bool has_other = false;
-    std::pair<i64, u64> best_other{0, 0};
-    for (const auto &[id, p] : pending_) {
-        if (p.req.benchmark == key.benchmark && p.req.mode == key.mode
-            && p.req.quantize == key.quantize) {
-            candidates.emplace_back(p.poolPrio, id);
-        } else if (!has_other || p.poolPrio > best_other.first
-                   || (p.poolPrio == best_other.first
-                       && id < best_other.second)) {
-            has_other = true;
-            best_other = {p.poolPrio, id};
-        }
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first > b.first;
-                  return a.second < b.second;
-              });
-
-    const auto started_at = std::chrono::steady_clock::now();
-    for (const auto &[prio, id] : candidates) {
-        if (absorbed.size() >= max_take)
+    // Walk the queue in the order workers start it. A refill
+    // (pass_fifo_ties off) stops at the first non-matching request, so
+    // a refilling cohort never holds its worker past the queue head.
+    // Formation passes non-matching requests but stops at the first
+    // request ranked below the first one it passed: only FIFO ties
+    // are passed, and the passed request stays the head, which the
+    // next free worker starts.
+    const auto now = std::chrono::steady_clock::now();
+    std::optional<i64> passed_rank;
+    for (auto it = ready_.begin();
+         it != ready_.end() && absorbed.size() < max_take;) {
+        if (passed_rank && it->first.rank < *passed_rank)
             break;
-        const bool absorbable = !has_other
-            || prio > best_other.first
-            || (prio == best_other.first
-                && (pass_fifo_ties || id < best_other.second));
-        if (!absorbable)
-            break; // candidates are sorted: the rest lose too
-        const auto it = pending_.find(id);
-        if (!pool_.cancel(it->second.poolToken))
-            continue; // a worker is dequeuing it right now
-        Pending pending = std::move(it->second);
-        pending_.erase(it);
-
-        CohortMember member;
-        member.req = std::move(pending.req);
-        member.promise = std::move(pending.promise);
-        member.enqueued = pending.enqueued;
-        member.ticketId = id;
-        member.cancelFlag = std::move(pending.cancelFlag);
-        member.startedAt = started_at;
-        running_.emplace(id, member.cancelFlag);
-        metrics_.onStarted(member.req.priority,
-                           std::chrono::duration<double>(
-                               started_at - member.enqueued)
-                               .count());
-        absorbed.push_back(std::move(member));
+        const ServeRequest &req = it->second.req;
+        if (req.benchmark == key.benchmark && req.mode == key.mode
+            && req.quantize == key.quantize) {
+            absorbed.push_back(startLocked(it++, now));
+        } else if (!pass_fifo_ties) {
+            break;
+        } else {
+            passed_rank = passed_rank.value_or(it->first.rank);
+            ++it;
+        }
     }
     if (!absorbed.empty()) {
         // Ready-queue slots freed: admit block-mode waiters.
@@ -677,13 +617,33 @@ BatchEngine::runCohort(CohortMember first)
 }
 
 void
+BatchEngine::workerLoop()
+{
+    for (;;) {
+        CohortMember first;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            // A pause idles the workers without losing work; shutdown
+            // overrides it so draining always completes.
+            workCv_.wait(lock, [this]() {
+                return stopped_ || (!paused_ && !ready_.empty());
+            });
+            if (ready_.empty())
+                return; // stopped and drained
+            first = startLocked(ready_.begin(),
+                                std::chrono::steady_clock::now());
+        }
+        // A ready-queue slot freed: admit a block-mode waiter.
+        admissionCv_.notify_all();
+        runCohort(std::move(first));
+    }
+}
+
+void
 BatchEngine::pause()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        paused_ = true;
-    }
-    pool_.pause();
+    std::lock_guard<std::mutex> lock(mutex_);
+    paused_ = true;
 }
 
 void
@@ -693,7 +653,7 @@ BatchEngine::resume()
         std::lock_guard<std::mutex> lock(mutex_);
         paused_ = false;
     }
-    pool_.resume();
+    workCv_.notify_all();
 }
 
 void
@@ -707,9 +667,10 @@ EngineMetrics
 BatchEngine::snapshot() const
 {
     EngineMetrics m = metrics_.snapshot();
+    std::lock_guard<std::mutex> lock(mutex_);
     for (int c = 0; c < kNumPriorityClasses; ++c) {
-        m.perClass[c].queued = pool_.queuedAtLevel(c);
-        m.perClass[c].peakQueued = pool_.peakQueuedAtLevel(c);
+        m.perClass[c].queued = readyDepth_[c];
+        m.perClass[c].peakQueued = readyPeak_[c];
     }
     return m;
 }
@@ -723,7 +684,43 @@ BatchEngine::metricsText() const
 int
 BatchEngine::pinWorkers(const std::vector<std::vector<int>> &cpuSets)
 {
-    return pool_.pinWorkers(cpuSets);
+    if (cpuSets.empty())
+        return 0;
+#if defined(__linux__)
+    int pinned = 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < workers_.size(); ++i) {
+        const std::vector<int> &cpus = cpuSets[i % cpuSets.size()];
+        if (cpus.empty())
+            continue;
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        for (int cpu : cpus)
+            if (cpu >= 0 && cpu < CPU_SETSIZE)
+                CPU_SET(cpu, &set);
+        const int rc = ::pthread_setaffinity_np(
+            workers_[i].native_handle(), sizeof(set), &set);
+        if (rc != 0) {
+            EXION_WARN("pinWorkers: pthread_setaffinity_np failed for "
+                       "worker ",
+                       i, " (errno ", rc, "); leaving it floating");
+            continue;
+        }
+        ++pinned;
+    }
+    return pinned;
+#else
+    EXION_WARN("pinWorkers: thread affinity unsupported on this "
+               "platform; workers stay floating");
+    return 0;
+#endif
+}
+
+int
+BatchEngine::workerCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<int>(workers_.size());
 }
 
 u64
@@ -743,12 +740,18 @@ BatchEngine::waitIdle() const
 void
 BatchEngine::shutdown()
 {
+    // Only the first call takes the threads, so later calls return at
+    // once.
+    std::vector<std::thread> workers;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopped_ = true;
+        workers.swap(workers_);
     }
+    workCv_.notify_all();      // workers drain the queue, then exit
     admissionCv_.notify_all(); // block-mode waiters fail with Stopped
-    pool_.shutdown(); // drains every accepted request, idempotent
+    for (std::thread &worker : workers)
+        worker.join();
 }
 
 std::vector<RequestResult>

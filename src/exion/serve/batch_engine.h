@@ -5,20 +5,20 @@
  * per-class observability.
  *
  * Registers immutable DiffusionPipelines once (weights shared across
- * every request for that benchmark) and schedules concurrent
- * denoising requests across a priority-ordered ThreadPool. Every
- * request runs as a member of a cohort (CohortRun over a
- * CohortExecutor), a cohort of one when cohort batching is off. Two
- * submission surfaces: submit() keeps the throwing fast path (typed
- * exceptions at the API boundary), trySubmit() returns a
- * SubmitOutcome — a Ticket on acceptance or a RejectReason (QueueFull
- * / LoadShedLow / UnknownModel / Stopped) when the AdmissionConfig in
- * Options refuses the request. Completed results are delivered
- * through the Ticket future and an optional completion callback;
- * Ticket::cancel() dequeues not-yet-started work; snapshot() reports
- * per-class accepted/rejected/shed/cancelled counts, ready-queue
- * depths and queue-wait percentiles. Each request owns a
- * RequestContext bundling every piece of mutable state the run
+ * every request for that benchmark) and runs concurrent denoising
+ * requests on its own worker threads, which start requests from one
+ * priority-ordered ready queue. Every request runs as a member of a
+ * cohort (CohortRun over a CohortExecutor), a cohort of one when
+ * cohort batching is off. Two submission surfaces: submit() keeps the
+ * throwing fast path (typed exceptions at the API boundary),
+ * trySubmit() returns a SubmitOutcome — a Ticket on acceptance or a
+ * RejectReason (QueueFull / LoadShedLow / UnknownModel / Stopped)
+ * when the AdmissionConfig in Options refuses the request. Completed
+ * results are delivered through the Ticket future and an optional
+ * completion callback; Ticket::cancel() dequeues not-yet-started
+ * work; snapshot() reports per-class accepted/rejected/shed/cancelled
+ * counts, ready-queue depths and queue-wait percentiles. Each request
+ * owns a RequestContext bundling every piece of mutable state the run
  * produces — execution context, FFN-Reuse bundle, ConMerge accounting
  * — so results are bit-identical no matter how requests interleave
  * across workers or in which order the scheduler starts them.
@@ -37,9 +37,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "exion/common/threadpool.h"
 #include "exion/conmerge/pipeline.h"
 #include "exion/model/pipeline.h"
 #include "exion/serve/admission.h"
@@ -188,7 +188,8 @@ class BatchEngine
   public:
     struct Options
     {
-        /** Worker threads (0 = hardware concurrency). */
+        /** Worker threads the engine starts (0 = hardware
+            concurrency). */
         int workers = 0;
         /** ConMerge configuration for trackConMerge requests. */
         ConMergeConfig conmerge;
@@ -207,12 +208,12 @@ class BatchEngine
          * of once per request. Off, every cohort holds exactly one
          * request, so a worker runs one request at a time. Results
          * stay bit-identical to solo runs either way (per-request
-         * sparsity state and accounting are row-partitioned). The
-         * pool still starts the highest-priority ready request, which
+         * sparsity state and accounting are row-partitioned). A free
+         * worker still starts the highest-ranked ready request, which
          * therefore leads the cohort. At formation the leader also
          * absorbs same-key requests queued behind non-matching ones
-         * of equal pool priority (same class, no deadline on either:
-         * they differ only in FIFO order), so an interleaved
+         * of equal rank (same class, no deadline on either: they
+         * differ only in FIFO order), so an interleaved
          * multi-model stream still forms cohorts; it stops at any
          * non-matching request ranked strictly higher. Refill at
          * later iteration boundaries only takes requests the
@@ -254,7 +255,7 @@ class BatchEngine
      * given scale (snapshotting the build into an engine-private
      * WeightStore). Re-registering a benchmark replaces its pipeline.
      *
-     * @throws ThreadPoolStopped after shutdown() has begun
+     * @throws EngineStopped after shutdown() has begun
      */
     void addModel(const ModelConfig &cfg);
 
@@ -271,7 +272,7 @@ class BatchEngine
      *
      * @throws std::invalid_argument when the store is null or its
      *                               config's benchmark is not b
-     * @throws ThreadPoolStopped     after shutdown() has begun
+     * @throws EngineStopped         after shutdown() has begun
      */
     void registerModel(Benchmark b,
                        std::shared_ptr<const WeightStore> store);
@@ -283,8 +284,8 @@ class BatchEngine
      * (WeightStore::load) so weight pages cannot be evicted under
      * memory pressure; a failed pin warns and serves unpinned.
      *
-     * @throws WeightStoreError  on a malformed or corrupt file
-     * @throws ThreadPoolStopped after shutdown() has begun
+     * @throws WeightStoreError on a malformed or corrupt file
+     * @throws EngineStopped    after shutdown() has begun
      */
     void registerModelFromFile(const std::string &path, bool pin = false);
 
@@ -305,7 +306,7 @@ class BatchEngine
      * callback (if set) and to the Ticket future.
      *
      * @throws UnknownModelError  for an unregistered benchmark
-     * @throws ThreadPoolStopped  after shutdown() has begun
+     * @throws EngineStopped      after shutdown() has begun
      * @throws AdmissionRejected  when admission policy refuses the
      *                            request (QueueFull / LoadShedLow)
      */
@@ -338,10 +339,10 @@ class BatchEngine
     /**
      * Point-in-time serving metrics: per-class
      * accepted/rejected/shed/cancelled/completed counts and deadline
-     * misses, current and peak ready-queue depth (from the pool's
-     * per-level accounting), and p50/p99 queue-wait over the recent
-     * window. Counters reconcile exactly with the outcomes callers
-     * observed.
+     * misses, current and peak ready-queue depth (counted where
+     * requests enter and leave the engine's ready queue), and p50/p99
+     * queue-wait over the recent window. Counters reconcile exactly
+     * with the outcomes callers observed.
      */
     EngineMetrics snapshot() const;
 
@@ -391,33 +392,42 @@ class BatchEngine
     std::vector<RequestResult> runSequential(
         const std::vector<ServeRequest> &requests);
 
-    /** Number of pool workers. */
-    int workerCount() const { return pool_.workerCount(); }
+    /** Number of worker threads (0 once shutdown() has begun). */
+    int workerCount() const;
 
   private:
     friend class Ticket;
 
     /**
-     * Bookkeeping of one admitted-but-unstarted request: enough for
-     * Ticket::cancel() to dequeue it, and for a cohort leader to
-     * absorb it out of the ready queue and run it itself.
+     * Ready-queue order: highest rank (readyRank()) first, submission
+     * (ticket) order within a rank.
+     */
+    struct ReadyKey
+    {
+        i64 rank = 0;
+        u64 ticketId = 0;
+
+        bool operator<(const ReadyKey &other) const
+        {
+            if (rank != other.rank)
+                return rank > other.rank;
+            return ticketId < other.ticketId;
+        }
+    };
+
+    /**
+     * An admitted request waiting in the ready queue: enough for a
+     * worker or a cohort leader to start it, or for Ticket::cancel()
+     * to settle it unrun.
      */
     struct Pending
     {
         std::shared_ptr<std::promise<RequestResult>> promise;
         ServeRequest req;
-        Priority cls = Priority::Normal;
-        u64 poolToken = 0;
-        i64 poolPrio = 0;
         std::chrono::steady_clock::time_point enqueued;
-        /**
-         * Created at submission and carried into execution, so a
-         * cancel() racing the worker's dequeue (pool cancel fails,
-         * worker hasn't registered in running_ yet) can still signal
-         * the run cooperatively instead of being dropped.
-         */
-        std::shared_ptr<std::atomic<bool>> cancelFlag;
     };
+
+    using ReadyQueue = std::map<ReadyKey, Pending>;
 
     /** One request a cohort leader is stepping (or about to). */
     struct CohortMember
@@ -434,14 +444,11 @@ class BatchEngine
     };
 
     /**
-     * Encodes (priority class, absolute deadline) into one pool
-     * priority; the absolute deadline is taken against epoch_ at
+     * Encodes (priority class, absolute deadline) into one ready-queue
+     * rank; the absolute deadline is taken against epoch_ at
      * submission, so queued work ages correctly under EDF.
      */
-    i64 poolPriority(const ServeRequest &req) const;
-
-    /** Ready depth of each class, from the pool's level accounting. */
-    ClassDepths readyDepths() const;
+    i64 readyRank(const ServeRequest &req) const;
 
     /** Retry-after hint for a load-driven refusal of class cls. */
     double suggestedBackoff(Priority cls) const;
@@ -461,13 +468,20 @@ class BatchEngine
                  std::exception_ptr failure);
 
     /**
+     * Takes the queued request at it out of the ready queue and
+     * registers it as running; mutex_ held.
+     */
+    CohortMember startLocked(ReadyQueue::iterator it,
+                             std::chrono::steady_clock::time_point now);
+
+    /**
      * Pulls up to max_take queued requests compatible with key out of
-     * the ready queue (highest pool priority first), marking them
-     * started. Compatible = same benchmark, mode and quantize flag.
-     * A queued non-matching request stops absorption at the first
-     * candidate it outranks; with pass_fifo_ties set (cohort
-     * formation) a non-matching request of equal pool priority does
-     * not, since the two differ only in FIFO order.
+     * the ready queue, in queue order, marking them started.
+     * Compatible = same benchmark, mode and quantize flag. The first
+     * queued non-matching request stops absorption; with
+     * pass_fifo_ties set (cohort formation) it stops only at the
+     * first request ranked below it, since requests of equal rank
+     * differ only in FIFO order.
      */
     std::vector<CohortMember> absorbCohortPeers(const ServeRequest &key,
                                                 Index max_take,
@@ -479,6 +493,13 @@ class BatchEngine
      * members it ever absorbed are delivered.
      */
     void runCohort(CohortMember first);
+
+    /**
+     * Body of each worker thread: starts the head of the ready queue
+     * whenever the engine is unpaused, until shutdown() has begun and
+     * the queue is drained.
+     */
+    void workerLoop();
 
     const std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
@@ -494,21 +515,27 @@ class BatchEngine
         request, a cancellation, or shutdown) for block-mode
         admission waits. */
     std::condition_variable admissionCv_;
+    /** Signalled when the ready queue gains a request, a pause
+        lifts, or shutdown begins: wakes idle workers. */
+    std::condition_variable workCv_;
     CompletionCallback onComplete_;
-    std::map<u64, Pending> pending_;
+    ReadyQueue ready_;
+    /** Ready depth of each class, and its high-water mark. */
+    ClassDepths readyDepth_{};
+    ClassDepths readyPeak_{};
     /** Cancel flags of started (running) requests, by ticket id. */
     std::map<u64, std::shared_ptr<std::atomic<bool>>> running_;
     u64 nextTicket_ = 1;
     u64 inFlight_ = 0;
     bool stopped_ = false;
-    /** Mirrors pool_.pause() so cohort leaders stop absorbing. */
+    /** While set, leaders absorb nothing and workers start nothing
+        until shutdown() begins. */
     bool paused_ = false;
-
     /**
-     * Last member: destroyed (and therefore drained) first, while the
-     * engine state its tasks reference is still alive.
+     * Started in the constructor body, after every member they use,
+     * and joined by shutdown() before any member is destroyed.
      */
-    ThreadPool pool_;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace exion

@@ -6,8 +6,8 @@
  * MetricsCollector is the thread-safe sink the BatchEngine feeds at
  * every request lifecycle edge (admitted, rejected, started,
  * cancelled, completed); EngineMetrics is the plain-value snapshot it
- * produces, merged by the engine with the ThreadPool's live per-level
- * ready-depth accounting. The counters reconcile exactly: at any
+ * produces, merged by the engine with the live per-class depths of its
+ * ready queue. The counters reconcile exactly: at any
  * quiescent point, accepted == completed + cancelled per class, and
  * accepted + rejected == every submit()/trySubmit() call observed by
  * the caller.
@@ -39,8 +39,8 @@ struct ClassMetrics
     u64 failed = 0;         //!< completed with an error
     u64 cancelled = 0;      //!< dequeued by Ticket::cancel()
     u64 deadlineMisses = 0; //!< completed after its deadline
-    u64 queued = 0;         //!< current ready depth (from the pool)
-    u64 peakQueued = 0;     //!< high-water ready depth (from the pool)
+    u64 queued = 0;         //!< current ready depth (from the engine)
+    u64 peakQueued = 0;     //!< high-water ready depth (from the engine)
     /** Median queue wait of this class over the recent window (s). */
     double queueWaitP50 = 0.0;
     /** Waits the class median was computed over (windowed). */
@@ -131,7 +131,7 @@ class MetricsCollector
     /**
      * Counter snapshot plus queue-wait percentiles over the retained
      * window. Ready depths (ClassMetrics::queued/peakQueued) are not
-     * known here — the engine overlays them from the pool.
+     * known here — the engine overlays them from its ready queue.
      */
     EngineMetrics snapshot() const;
 

@@ -17,10 +17,15 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "exion/serve/batch_engine.h"
 #include "submit_all.h"
@@ -482,7 +487,7 @@ TEST(BatchEngine, ShutdownDrainsPendingAndClosesQueue)
     // The ready queue is closed to new work.
     ServeRequest late;
     late.benchmark = cfg.benchmark;
-    EXPECT_THROW(engine.submit(late), ThreadPoolStopped);
+    EXPECT_THROW(engine.submit(late), EngineStopped);
 }
 
 TEST(Ticket, DefaultConstructedIsInert)
@@ -911,6 +916,110 @@ TEST(BatchEngine, TrySubmitAfterShutdownReportsStopped)
     EXPECT_EQ(m.at(Priority::Normal).rejectedStopped, 1u);
 }
 
+TEST(BatchEngine, WorkerCountFollowsOptions)
+{
+    BatchEngine::Options opts;
+    opts.workers = 3;
+    BatchEngine engine(opts);
+    EXPECT_EQ(engine.workerCount(), 3);
+    engine.shutdown();
+    EXPECT_EQ(engine.workerCount(), 0);
+
+    // 0 means hardware concurrency, and at least one worker where the
+    // platform cannot report it.
+    opts.workers = 0;
+    EXPECT_EQ(BatchEngine(opts).workerCount(),
+              static_cast<int>(
+                  std::max(1u, std::thread::hardware_concurrency())));
+}
+
+TEST(BatchEngine, DestructorDeliversPausedQueuedRequests)
+{
+    // Destroying a paused engine still drains its queue: every
+    // accepted request reaches the completion callback before the
+    // destructor returns, so no ticket outlives the engine.
+    const ModelConfig cfg = tinyConfig();
+    std::mutex mu;
+    std::vector<u64> delivered;
+    {
+        BatchEngine::Options opts;
+        opts.workers = 2;
+        BatchEngine engine(opts);
+        engine.addModel(cfg);
+        engine.setOnComplete([&](const RequestResult &r) {
+            std::lock_guard<std::mutex> lock(mu);
+            EXPECT_TRUE(r.ok());
+            delivered.push_back(r.id);
+        });
+        engine.pause();
+        for (u64 id = 0; id < 5; ++id) {
+            ServeRequest req;
+            req.benchmark = cfg.benchmark;
+            req.id = id;
+            req.noiseSeed = 30 + id;
+            engine.submit(req);
+        }
+    }
+    std::sort(delivered.begin(), delivered.end());
+    const std::vector<u64> expected = {0, 1, 2, 3, 4};
+    EXPECT_EQ(delivered, expected);
+}
+
+TEST(BatchEngine, SubmitFromCallbackDuringShutdownReportsStopped)
+{
+    // Completion callbacks that submit follow-up work while shutdown()
+    // drains the queue are refused with Stopped, and the drain still
+    // finishes.
+    const ModelConfig cfg = tinyConfig();
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    BatchEngine engine(opts);
+    engine.addModel(cfg);
+
+    ServeRequest req;
+    req.benchmark = cfg.benchmark;
+    std::mutex mu;
+    std::vector<std::optional<RejectReason>> follow_ups;
+    engine.setOnComplete([&](const RequestResult &) {
+        const SubmitOutcome outcome = engine.trySubmit(req);
+        std::lock_guard<std::mutex> lock(mu);
+        follow_ups.push_back(outcome.reason);
+    });
+    engine.pause();
+    for (int i = 0; i < 3; ++i)
+        engine.submit(req);
+    // The pause holds every request back until shutdown() has begun.
+    engine.shutdown();
+
+    ASSERT_EQ(follow_ups.size(), 3u);
+    for (const std::optional<RejectReason> &reason : follow_ups)
+        EXPECT_EQ(reason, RejectReason::Stopped);
+    EXPECT_EQ(engine.inFlight(), 0u);
+    EXPECT_EQ(engine.snapshot().at(Priority::Normal).rejectedStopped, 3u);
+}
+
+TEST(BatchEngine, PinWorkersPinsEveryWorkerToAllowedCpus)
+{
+#if defined(__linux__)
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+    std::vector<int> cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+        if (CPU_ISSET(cpu, &allowed))
+            cpus.push_back(cpu);
+    ASSERT_FALSE(cpus.empty());
+
+    BatchEngine::Options opts;
+    opts.workers = 3;
+    BatchEngine engine(opts);
+    EXPECT_EQ(engine.pinWorkers({cpus}), 3);
+    EXPECT_EQ(engine.pinWorkers({}), 0);
+#else
+    GTEST_SKIP() << "thread affinity is only supported on Linux";
+#endif
+}
+
 TEST(ServeNames, RejectReasonNames)
 {
     EXPECT_EQ(rejectReasonName(RejectReason::QueueFull), "queue-full");
@@ -1273,6 +1382,53 @@ TEST(BatchEngine, CohortRefillDoesNotStarveQueuedHigherPriorityWork)
     const std::vector<u64> expected = {1, 3, 2};
     EXPECT_EQ(completion_order, expected)
         << "same-key refill jumped a queued higher-priority request";
+}
+
+TEST(BatchEngine, CohortRefillStopsAtEqualRankFifoTie)
+{
+    // Unlike formation, refill does not pass a FIFO tie: a same-key
+    // request queued behind a non-matching one of equal rank waits
+    // until a free worker has started the earlier one.
+    const ModelConfig cfg = tinyConfig();
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    opts.cohortBatching = true;
+    BatchEngine engine(opts);
+    engine.addModel(cfg);
+
+    std::mutex order_mutex;
+    std::vector<u64> completion_order;
+    engine.setOnComplete([&](const RequestResult &r) {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        completion_order.push_back(r.id);
+    });
+
+    ServeRequest other;
+    other.benchmark = cfg.benchmark;
+    other.id = 2;
+    other.mode = ExecMode::Dense; // different key, same rank
+
+    ServeRequest same;
+    same.benchmark = cfg.benchmark;
+    same.id = 3;
+    same.noiseSeed = 43;
+
+    std::atomic<bool> injected{false};
+    ServeRequest leader;
+    leader.benchmark = cfg.benchmark;
+    leader.id = 1;
+    leader.onProgress = [&](int) {
+        if (!injected.exchange(true)) {
+            engine.submit(other);
+            engine.submit(same);
+        }
+    };
+    engine.submit(leader);
+    engine.waitIdle();
+
+    const std::vector<u64> expected = {1, 2, 3};
+    EXPECT_EQ(completion_order, expected)
+        << "refill passed a queued request of equal rank";
 }
 
 TEST(BatchEngine, CohortTracksConMergePerMember)

@@ -76,13 +76,13 @@ TEST(PoolUpsample, RoundTripShapes)
     Rng rng(4);
     Matrix x(16, 8);
     x.fillNormal(rng, 0.0f, 1.0f);
-    const Matrix pooled = poolTokens(x, 4);
+    const Matrix pooled = downsampleTokens(x, 4);
     EXPECT_EQ(pooled.rows(), 4u);
     const Matrix up = upsampleTokens(pooled, 4);
     EXPECT_EQ(up.rows(), 16u);
     // Pooling a constant matrix is exact.
     Matrix c(16, 8, 2.0f);
-    EXPECT_EQ(upsampleTokens(poolTokens(c, 4), 4), c);
+    EXPECT_EQ(upsampleTokens(downsampleTokens(c, 4), 4), c);
 }
 
 TEST(Network, ForwardShape)

@@ -22,7 +22,6 @@
 
 #include "exion/common/mmap_file.h"
 #include "exion/common/rng.h"
-#include "exion/common/threadpool.h"
 #include "exion/model/pipeline.h"
 #include "exion/model/weight_store.h"
 #include "exion/serve/batch_engine.h"
@@ -493,11 +492,11 @@ TEST(WeightStoreEngineTest, RegistrationOnStoppedEngineThrowsTyped)
     BatchEngine engine;
     engine.shutdown();
     EXPECT_THROW(engine.registerModel(cfg.benchmark, store),
-                 ThreadPoolStopped);
-    EXPECT_THROW(engine.addModel(cfg), ThreadPoolStopped);
+                 EngineStopped);
+    EXPECT_THROW(engine.addModel(cfg), EngineStopped);
     const std::string path = tempPath("stopped.exws");
     store->save(path);
-    EXPECT_THROW(engine.registerModelFromFile(path), ThreadPoolStopped);
+    EXPECT_THROW(engine.registerModelFromFile(path), EngineStopped);
     std::remove(path.c_str());
 }
 

@@ -26,7 +26,8 @@
  *   --iterations N    denoising-iteration override for --builtin
  *   --pin-weights     mlock() loaded stores (best-effort; a failed
  *                     pin warns and serves unpinned)
- *   --workers N       engine worker threads (default: hardware)
+ *   --workers N       engine worker threads, at most 1024 (default 0:
+ *                     one per hardware thread)
  *   --numa            pin worker i to NUMA node i mod N (best-effort;
  *                     warns and serves unpinned when the host exposes
  *                     fewer than two nodes)
@@ -41,9 +42,9 @@
  *
  * A numeric flag whose value is not entirely a number in its range
  * (text, trailing characters, a negative count, a port above 65535,
- * a non-finite time) stops the daemon with exit status 2. EXION_SIMD
- * caps the kernel level (simd_dispatch.h); the startup line prints
- * the level in effect.
+ * more than 1024 workers, a non-finite time) stops the daemon with
+ * exit status 2. EXION_SIMD caps the kernel level (simd_dispatch.h);
+ * the startup line prints the level in effect.
  *
  * The API itself is documented in serve/http_front.h; README.md has
  * curl examples.
@@ -77,6 +78,9 @@ using namespace exion;
 
 volatile std::sig_atomic_t g_signal = 0;
 
+/** Most engine worker threads --workers may ask for. */
+constexpr int kMaxWorkers = 1024;
+
 void
 onSignal(int sig)
 {
@@ -93,8 +97,9 @@ usage(const char *argv0)
         "          [--pin-weights] [--workers N] [--max-queued N]\n"
         "          [--numa] [--shed-threshold N]\n"
         "          [--block-timeout SECONDS]\n"
-        "          [--sse-heartbeat SECONDS]\n",
-        argv0);
+        "          [--sse-heartbeat SECONDS]\n"
+        "--workers takes 0..%d (0 = one per hardware thread)\n",
+        argv0, kMaxWorkers);
     return 2;
 }
 
@@ -185,6 +190,8 @@ main(int argc, char **argv)
     constexpr u64 kMaxU64 = std::numeric_limits<u64>::max();
     constexpr double kMaxSeconds = std::numeric_limits<double>::max();
     const char *const kCount = "a whole number >= 0";
+    const std::string workerRange =
+        "a whole number in 0.." + std::to_string(kMaxWorkers);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&]() -> const char * {
@@ -210,7 +217,7 @@ main(int argc, char **argv)
         else if (arg == "--pin-weights")
             pinWeights = true;
         else if (arg == "--workers" && (v = value()))
-            ok = parseNumber(arg, v, kCount, 0, kMaxInt,
+            ok = parseNumber(arg, v, workerRange.c_str(), 0, kMaxWorkers,
                              engineOpts.workers);
         else if (arg == "--numa")
             numa = true;
