@@ -1,9 +1,11 @@
 /**
  * @file
  * Microbenchmarks of the hot kernels: eager prediction of one
- * attention head at full-scale MLD and MDM shapes, CVG block
- * merging, bitmask extraction, quantised matmul and the dense GEMM
- * kernel against its Reference oracle. Not a paper artefact; standard
+ * attention head at full-scale MLD and MDM shapes (as the executor
+ * runs it, against the block's cached weight images, decisions
+ * included), CVG block merging, bitmask extraction, quantised matmul,
+ * the dense GEMM kernel against its Reference oracle and the integer
+ * GEMM against the scalar table. Not a paper artefact; standard
  * performance tracking for the library itself.
  *
  * Two build modes:
@@ -18,7 +20,10 @@
  * MLD weight shapes, MDM's 196-token projections and FFN linears, and
  * MDM's score product), print GMAC/s per shape, and **exit nonzero if
  * the GEMM kernel does not reach Reference throughput** over them —
- * the regression gate for gemmF32.
+ * the regression gate for gemmF32. They then time the active table's
+ * gemmInt12 against the scalar table's on eager prediction's integer
+ * GEMM shapes, print GMAC/s per shape, and **exit nonzero if the
+ * vector total is slower** — the gate for gemmInt12.
  */
 
 #include <algorithm>
@@ -30,10 +35,13 @@
 
 #include "exion/accel/functional_device.h"
 #include "exion/common/rng.h"
+#include "exion/model/transformer_block.h"
 #include "exion/sparsity/eager_prediction.h"
+#include "exion/sparsity/log_domain.h"
 #include "exion/sparsity/mask_synth.h"
 #include "exion/tensor/gemm.h"
 #include "exion/tensor/ops.h"
+#include "exion/tensor/simd_dispatch.h"
 
 #ifdef EXION_HAVE_GBENCH
 #include <benchmark/benchmark.h>
@@ -90,13 +98,16 @@ struct GemmOperands
 
 /**
  * One head of eager prediction as the executor runs it: t tokens of
- * width d through the LD projections onto a d x dh head slice of Wq
- * and Wk, then the LD scores (t x dh by dh x t).
+ * width d are quantised to Int12 and LOD-transformed, projected
+ * against head 0's cached Wq and Wk images (d x dh each, built once
+ * per block), scored (t x dh by dh x t) and turned into keep
+ * decisions with the benchmark's q_th and top-k.
  */
 struct EpHeadShape
 {
     const char *name;
     Index t, d, dh;
+    EpConfig ep;
 
     /** Ops of one prediction (MAC = 2): two projections, scores. */
     double ops() const
@@ -105,31 +116,66 @@ struct EpHeadShape
     }
 };
 
-constexpr EpHeadShape kEpHeadShapes[] = {
-    {"ep_head_mld_8x256x64", 8, 256, 64},
-    {"ep_head_mdm_196x512x64", 196, 512, 64},
+const EpHeadShape kEpHeadShapes[] = {
+    {"ep_head_mld_8x256x64", 8, 256, 64, {0.3, 0.7}},
+    {"ep_head_mdm_196x512x64", 196, 512, 64, {0.3, 0.05}},
 };
 
-/** Int12 operands of one EpHeadShape: x, Wq head, Wk head. */
+/** A block of one EpHeadShape (weight images cached) and its input. */
 struct EpHeadOperands
 {
-    QuantMatrix x, wq, wk;
+    Rng rng{9};
+    TransformerBlock blk;
+    Matrix x;
+    EpConfig ep;
 
     explicit EpHeadOperands(const EpHeadShape &s)
+        : blk(0, s.d, s.d / s.dh, 1, false, rng), x(s.t, s.d), ep(s.ep)
     {
-        Rng rng(9);
-        Matrix xf(s.t, s.d), wqf(s.d, s.dh), wkf(s.d, s.dh);
-        xf.fillNormal(rng, 0.0f, 1.0f);
-        wqf.fillNormal(rng, 0.0f, 0.05f);
-        wkf.fillNormal(rng, 0.0f, 0.05f);
-        x = QuantMatrix::fromFloat(xf, IntWidth::Int12);
-        wq = QuantMatrix::fromFloat(wqf, IntWidth::Int12);
-        wk = QuantMatrix::fromFloat(wkf, IntWidth::Int12);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        blk.epWeightImages(LodMode::TwoStep);
     }
 
-    Matrix predict() const
+    HeadDecision predict() const
     {
-        return predictHeadScore(x, wq, wk, LodMode::TwoStep);
+        const QuantMatrix x_img = lodTransform(
+            QuantMatrix::fromFloat(x, IntWidth::Int12), LodMode::TwoStep);
+        const EpWeightImages &img = blk.epWeightImages(LodMode::TwoStep);
+        const Matrix q_est = ldImageMatmul(x_img, {&img.wq[0], 1});
+        const Matrix k_est = ldImageMatmul(x_img, {&img.wk[0], 1});
+        return decideFromPrediction(
+            predictScoreFromEstimates(q_est, k_est, LodMode::TwoStep), ep);
+    }
+};
+
+/**
+ * Eager prediction's integer GEMM shapes (m x k times k x n): the x
+ * image against every head's weight image and one head's score
+ * product, at full-scale MDM (196 tokens, d = 512), full-scale MLD
+ * (8 tokens, d = 256) and reduced MDM (48 tokens, d = 64, 4 heads).
+ */
+constexpr GemmShape kInt12Shapes[] = {
+    {"proj_196x512x512", 196, 512, 512, false},
+    {"score_196x64x196", 196, 64, 196, false},
+    {"proj_8x256x256", 8, 256, 256, false},
+    {"score_8x64x8", 8, 64, 8, false},
+    {"proj_48x64x64", 48, 64, 64, false},
+    {"score_48x16x48", 48, 16, 48, false},
+};
+
+/** Int12 LOD-image-range operands of one kInt12Shapes entry. */
+struct Int12Operands
+{
+    std::vector<i32> a, b;
+    std::vector<i64> c;
+
+    Int12Operands(const GemmShape &s, Rng &rng)
+        : a(s.m * s.k), b(s.k * s.n), c(s.m * s.n)
+    {
+        for (i32 &v : a)
+            v = static_cast<i32>(rng.uniformInt(4097)) - 2048;
+        for (i32 &v : b)
+            v = static_cast<i32>(rng.uniformInt(4097)) - 2048;
     }
 };
 
@@ -218,6 +264,70 @@ gateGemmKernel(int reps)
     return true;
 }
 
+/** Best-of-N wall-clock seconds of one table's gemmInt12. */
+double
+timeGemmInt12(const SimdKernels &table, const GemmShape &s,
+              Int12Operands &ops, int reps)
+{
+    double best = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        table.gemmInt12(ops.a.data(), s.k, ops.b.data(), s.n,
+                        ops.c.data(), s.n, s.m, s.k, s.n);
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best,
+                        std::chrono::duration<double>(t1 - t0).count());
+        g_sink = g_sink + static_cast<float>(ops.c[0]);
+    }
+    return best;
+}
+
+/**
+ * The integer-GEMM gate: the active table's gemmInt12 must not be
+ * slower than the scalar table's over eager prediction's shapes,
+ * summed (best-of-reps each). Under EXION_SIMD=scalar both sides run
+ * the same kernel, so only noise separates them; the verdict then
+ * says nothing and always passes.
+ *
+ * @return true when the active table >= scalar throughput
+ */
+bool
+gateGemmInt12Kernel(int reps)
+{
+    const SimdKernels &active = activeKernels();
+    Rng rng(43);
+    double scalar_total = 0.0;
+    double active_total = 0.0;
+    std::printf("\n== Integer GEMM gate: gemmInt12 %s vs scalar on eager "
+                "prediction's shapes (best of %d) ==\n",
+                active.name, reps);
+    for (const GemmShape &s : kInt12Shapes) {
+        Int12Operands ops(s, rng);
+        const double scalar =
+            timeGemmInt12(simd::scalarTable(), s, ops, reps);
+        const double vec = timeGemmInt12(active, s, ops, reps);
+        scalar_total += scalar;
+        active_total += vec;
+        std::printf("%-20s scalar %8.3f ms %6.2f GMAC/s   %-6s %8.3f ms "
+                    "%6.2f GMAC/s   speedup %.2fx\n",
+                    s.name, scalar * 1e3, s.macs() / scalar / 1e9,
+                    active.name, vec * 1e3, s.macs() / vec / 1e9,
+                    scalar / vec);
+    }
+    std::printf("%-20s scalar %8.3f ms                 %-6s %8.3f ms "
+                "                speedup %.2fx\n",
+                "total", scalar_total * 1e3, active.name,
+                active_total * 1e3, scalar_total / active_total);
+    if (&active != &simd::scalarTable() && active_total > scalar_total) {
+        std::fprintf(stderr,
+                     "error: the %s gemmInt12 is slower than the scalar "
+                     "table on eager prediction's shapes\n",
+                     active.name);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 } // namespace exion
 
@@ -234,8 +344,8 @@ BM_EpHead(benchmark::State &state)
     const EpHeadShape &shape = kEpHeadShapes[state.range(0)];
     const EpHeadOperands ops(shape);
     for (auto _ : state) {
-        Matrix scores = ops.predict();
-        benchmark::DoNotOptimize(scores.data().data());
+        HeadDecision dec = ops.predict();
+        benchmark::DoNotOptimize(dec.oneHot.data());
     }
     state.counters["GOP/s"] = benchmark::Counter(
         shape.ops() * static_cast<double>(state.iterations()) / 1e9,
@@ -385,7 +495,10 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    return exion::gateGemmKernel(quick ? 3 : 5) ? 0 : 1;
+    const int reps = quick ? 3 : 5;
+    const bool gemm_ok = exion::gateGemmKernel(reps);
+    const bool int12_ok = exion::gateGemmInt12Kernel(reps);
+    return gemm_ok && int12_ok ? 0 : 1;
 }
 
 #else // !EXION_HAVE_GBENCH
@@ -431,8 +544,8 @@ runFallbackSuite(int reps)
     for (const EpHeadShape &s : kEpHeadShapes) {
         const EpHeadOperands ops(s);
         const double best = bestOf(reps, [&] {
-            const Matrix scores = ops.predict();
-            g_sink = g_sink + scores(0, 0);
+            const HeadDecision dec = ops.predict();
+            g_sink = g_sink + static_cast<float>(dec.oneHotCount());
         });
         std::printf("%-32s %10.3f ms   %8.2f GOP/s\n", s.name,
                     best * 1e3, s.ops() / best / 1e9);
@@ -498,7 +611,9 @@ main(int argc, char **argv)
             quick = true;
     const int reps = quick ? 3 : 5;
     exion::runFallbackSuite(reps);
-    return exion::gateGemmKernel(reps) ? 0 : 1;
+    const bool gemm_ok = exion::gateGemmKernel(reps);
+    const bool int12_ok = exion::gateGemmInt12Kernel(reps);
+    return gemm_ok && int12_ok ? 0 : 1;
 }
 
 #endif // EXION_HAVE_GBENCH

@@ -4,8 +4,9 @@
  *
  * Generates a batch of motion latents under all four Table I
  * variants, reports quality, achieved sparsity, and the EP projection
- * skips — the end-to-end software story of the paper on its
- * motivating application.
+ * skips (shares of (row, head) pairs each head did not project) — the
+ * end-to-end software story of the paper on its motivating
+ * application.
  */
 
 #include <iostream>

@@ -34,9 +34,16 @@ chooseQuantParams(std::span<const float> data, IntWidth width)
 {
     QuantParams params;
     params.width = width;
-    float max_abs = 0.0f;
-    for (float v : data)
-        max_abs = std::max(max_abs, std::abs(v));
+    // Eight independent lanes: the maximum is the same in any order
+    // (a NaN never replaces a lane), without one long compare chain.
+    float lane[8] = {};
+    size_t i = 0;
+    for (; i + 8 <= data.size(); i += 8)
+        for (size_t l = 0; l < 8; ++l)
+            lane[l] = std::max(lane[l], std::abs(data[i + l]));
+    for (; i < data.size(); ++i)
+        lane[0] = std::max(lane[0], std::abs(data[i]));
+    const float max_abs = *std::max_element(lane, lane + 8);
     if (max_abs == 0.0f) {
         params.scale = 1.0;
     } else {
@@ -48,12 +55,7 @@ chooseQuantParams(std::span<const float> data, IntWidth width)
 i32
 quantize(float x, const QuantParams &params)
 {
-    const i32 max_q = intWidthMax(params.width);
-    const i32 min_q = -max_q - 1;
-    const double scaled = std::nearbyint(x / params.scale);
-    const double clamped = std::clamp(
-        scaled, static_cast<double>(min_q), static_cast<double>(max_q));
-    return static_cast<i32>(clamped);
+    return quantizeToRange(x, params.scale, intWidthMax(params.width));
 }
 
 float

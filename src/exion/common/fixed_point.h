@@ -11,6 +11,8 @@
 #ifndef EXION_COMMON_FIXED_POINT_H_
 #define EXION_COMMON_FIXED_POINT_H_
 
+#include <algorithm>
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -50,8 +52,32 @@ struct QuantParams
 QuantParams chooseQuantParams(std::span<const float> data,
                               IntWidth width);
 
-/** Quantises one value: clamp(round(x / scale)). */
+/**
+ * Quantises one value: clamp(round(x / scale)), defined for every
+ * input. Rounds in the current rounding mode (half to even by
+ * default) with std::rint, which gives the same value as
+ * std::nearbyint in every mode but, unlike it, GCC expands inline
+ * instead of calling libm. NaN
+ * quantises to 0; +-inf and every other out-of-range value clamp to
+ * the width's range.
+ */
 i32 quantize(float x, const QuantParams &params);
+
+/**
+ * quantize() with the width's top value q_max = intWidthMax(width)
+ * already looked up: element loops such as QuantMatrix::fromFloat
+ * call this, so no call or width switch is left per element.
+ */
+inline i32
+quantizeToRange(float x, double scale, i32 q_max)
+{
+    const double scaled = std::rint(x / scale);
+    if (std::isnan(scaled))
+        return 0;
+    return static_cast<i32>(
+        std::clamp(scaled, -static_cast<double>(q_max) - 1.0,
+                   static_cast<double>(q_max)));
+}
 
 /** Dequantises one value: q * scale. */
 float dequantize(i32 q, const QuantParams &params);

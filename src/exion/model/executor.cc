@@ -98,9 +98,9 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
     stats.qkvOpsExecuted += 3 * mmulOps(t, d, d);
-    stats.qRowsTotal += t;
-    stats.kColsTotal += t;
-    stats.vColsTotal += t;
+    stats.qRowsTotal += t * blk.nHeads();
+    stats.kColsTotal += t * blk.nHeads();
+    stats.vColsTotal += t * blk.nHeads();
 
     Matrix concat(t, d);
     denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats, concat);

@@ -51,7 +51,12 @@ struct ExecStats
     double scoreSparsitySum = 0.0;
     u64 scoreSparsitySamples = 0;
 
-    /** Projection skip accounting (EP side effects, Section II-B). */
+    /**
+     * Projection skip accounting (EP side effects, Section II-B), in
+     * (row, head) pairs: every path adds tokens x heads to each total,
+     * and eager prediction adds, per head, the Q rows, K columns and
+     * V columns that head did not need to the skipped counters.
+     */
     u64 qRowsTotal = 0;
     u64 qRowsSkipped = 0;
     u64 kColsTotal = 0;

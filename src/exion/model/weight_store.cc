@@ -216,6 +216,31 @@ deserializeConfig(Reader &r)
     return cfg;
 }
 
+/**
+ * Refuses sparsity settings a file may carry that the executors cannot
+ * run: a top-k ratio outside (0, 1], a q_th or FFN-Reuse target that is
+ * not a number in range, a negative dense interval.
+ */
+void
+checkSparsitySettings(const ModelConfig &cfg)
+{
+    const auto bad = [](const std::string &what, double v) {
+        throw WeightStoreError("weight store: " + what + " "
+                               + std::to_string(v) + " out of range");
+    };
+    if (!std::isfinite(cfg.ep.topK) || cfg.ep.topK <= 0.0
+        || cfg.ep.topK > 1.0)
+        bad("ep.topK", cfg.ep.topK);
+    if (!std::isfinite(cfg.ep.qTh))
+        bad("ep.qTh", cfg.ep.qTh);
+    if (!std::isfinite(cfg.ffnReuse.targetSparsity)
+        || cfg.ffnReuse.targetSparsity < 0.0
+        || cfg.ffnReuse.targetSparsity > 1.0)
+        bad("ffnReuse.targetSparsity", cfg.ffnReuse.targetSparsity);
+    if (cfg.ffnReuse.denseInterval < 0)
+        bad("ffnReuse.denseInterval", cfg.ffnReuse.denseInterval);
+}
+
 } // namespace
 
 // ------------------------------------------------------------ builder
@@ -384,6 +409,7 @@ WeightStore::load(const std::string &path, bool pin)
     store->file_ = MmapFile::open(path, pin);
     store->size_ = store->file_.size();
     store->parse();
+    checkSparsitySettings(store->cfg_);
     return store;
 }
 

@@ -100,7 +100,10 @@ class WeightStore
      * mapped pages are mlock()'d best-effort (see MmapFile::open) so
      * serving latency never pays a page re-fault; a failed pin
      * degrades to an unpinned mapping with a warning.
-     * @throws WeightStoreError on malformed/corrupt images
+     * @throws WeightStoreError on malformed/corrupt images, and on
+     *         sparsity settings no executor can run: ep.topK not in
+     *         (0, 1], ep.qTh not finite, ffnReuse.targetSparsity not
+     *         in [0, 1], ffnReuse.denseInterval negative
      * @throws std::runtime_error when the file cannot be read
      */
     static std::shared_ptr<const WeightStore> load(const std::string &path,

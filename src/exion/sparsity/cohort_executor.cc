@@ -117,9 +117,9 @@ CohortExecutor::attention(const TransformerBlock &blk,
         ExecStats &stats = memberStats(m);
         stats.qkvOpsDense += 3 * mmulOps(t_seg, d, d);
         stats.qkvOpsExecuted += 3 * mmulOps(t_seg, d, d);
-        stats.qRowsTotal += t_seg;
-        stats.kColsTotal += t_seg;
-        stats.vColsTotal += t_seg;
+        stats.qRowsTotal += t_seg * blk.nHeads();
+        stats.kColsTotal += t_seg * blk.nHeads();
+        stats.vColsTotal += t_seg * blk.nHeads();
 
         denseAttentionCoreInto(blk, q, k, v, m * t_seg, t_seg, false,
                                stats, concat);

@@ -10,6 +10,10 @@
  *  - key columns with no kept entry skip K projection; value columns
  *    needed by neither kept entries nor one-hot argmaxes skip V
  *    projection; one-hot rows skip Q projection.
+ *
+ * The needs are per head (headNeeds): the executor projects each
+ * head's d_head columns of Q, K and V only for the rows that head
+ * needs, as the SDUE does. combineNeeds unions them across heads.
  */
 
 #ifndef EXION_SPARSITY_EAGER_PREDICTION_H_
@@ -44,9 +48,8 @@ struct HeadDecision
 };
 
 /**
- * Block-level projection-skip summary across heads.
- *
- * A projection row/token is needed if any head needs it.
+ * Projection rows one head needs (headNeeds), or that any head needs
+ * (combineNeeds), one flag per token.
  */
 struct ProjectionNeeds
 {
@@ -60,6 +63,13 @@ struct ProjectionNeeds
 
 /**
  * Builds the skip decision for one head from its predicted score.
+ *
+ * A row whose top-1 beats its top-2 by more than q_th goes one-hot.
+ * Every other row keeps ceil(topK * T) entries (at least one, at most
+ * T): the first columns, in column order, whose score is at least the
+ * row's keep_k-th largest. That threshold is found exactly, without
+ * copying or sorting the row. A row holding NaN keeps at most keep_k
+ * entries, which ones unspecified.
  *
  * @param predicted scaled predicted attention score (T x T)
  * @param ep        q_th / top-k configuration
@@ -93,7 +103,17 @@ Matrix predictHeadScore(const QuantMatrix &x_q12,
                         const QuantMatrix &wq_head,
                         const QuantMatrix &wk_head, LodMode mode);
 
-/** Combines per-head decisions into block-level projection needs. */
+/**
+ * The projection rows one head needs: Q for its rows that are not
+ * one-hot, K for the columns those rows keep, V for the same columns
+ * plus every one-hot row's argmax.
+ */
+ProjectionNeeds headNeeds(const HeadDecision &head);
+
+/**
+ * Block-level needs: a token is needed by a projection if any head
+ * needs it (the union of headNeeds over heads).
+ */
 ProjectionNeeds combineNeeds(const std::vector<HeadDecision> &heads,
                              Index tokens);
 

@@ -1,7 +1,10 @@
 #include "exion/sparsity/sparse_executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "exion/tensor/ops.h"
 #include "exion/tensor/simd_dispatch.h"
@@ -50,40 +53,127 @@ SparseExecutor::attention(const TransformerBlock &blk,
 namespace
 {
 
-/** Row-masked projection: rows with needed == 0 stay zero. */
-Matrix
-projectNeededRows(const Matrix &x, const Linear &proj,
-                  const std::vector<u8> &needed, bool quantize)
+/** Indices of the set entries of a needs vector, ascending. */
+std::vector<Index>
+neededIndices(const std::vector<u8> &needed)
 {
-    Matrix out(x.rows(), proj.outDim());
-    // Collect needed rows, project densely, scatter back. This keeps
-    // the quantisation behaviour identical to the dense path.
-    Index n_needed = 0;
-    for (u8 v : needed)
-        n_needed += v;
-    if (n_needed == 0)
-        return out;
+    std::vector<Index> idx;
+    for (Index r = 0; r < needed.size(); ++r)
+        if (needed[r])
+            idx.push_back(r);
+    return idx;
+}
 
-    Matrix packed(n_needed, x.cols());
-    Index w = 0;
-    for (Index r = 0; r < x.rows(); ++r) {
-        if (!needed[r])
-            continue;
-        for (Index c = 0; c < x.cols(); ++c)
-            packed(w, c) = x(r, c);
-        ++w;
+/**
+ * Rows idx of a (rows lda apart, cols wide) packed into buf, or a
+ * itself when idx lists all `all` rows; returns the packed rows' base,
+ * whose rows are the returned stride apart.
+ */
+template <typename T>
+std::pair<const T *, Index>
+gatherRows(const T *a, Index lda, Index cols, Index all,
+           const std::vector<Index> &idx, std::vector<T> &buf)
+{
+    if (idx.size() == all)
+        return {a, lda};
+    buf.resize(idx.size() * cols);
+    for (Index i = 0; i < idx.size(); ++i)
+        std::copy(a + idx[i] * lda, a + idx[i] * lda + cols,
+                  buf.begin() + i * cols);
+    return {buf.data(), cols};
+}
+
+/**
+ * x * W + bias, one head at a time: head h's dh columns of out are
+ * written for the rows rows[h] lists (ascending), and every other
+ * entry of out is left as it is (zero). Each head runs one GEMM over
+ * its gathered rows (x itself when the head needs every row) against
+ * W's column window, so every element it writes is the same chain as
+ * the full product's and the output equals execWeightMatmul plus bias
+ * bit for bit wherever a head reads it.
+ *
+ * Under quantize, the rows any head needs are packed and quantised
+ * once with their own Int12 scale, as execWeightMatmul quantises
+ * them, and each head runs gemmInt12 on its integer rows; the exact
+ * i64 sums dequantise as matmulQuant does.
+ */
+void
+projectHeads(const Matrix &x, const Linear &proj,
+             const std::vector<std::vector<Index>> &rows, bool quantize,
+             Matrix &out)
+{
+    const SimdKernels &kr = activeKernels();
+    const Index t = x.rows();
+    const Index d = x.cols();
+    const Index dh = proj.outDim() / rows.size();
+    const float *bias = proj.bias().rowPtr(0);
+    const auto store = [&](const std::vector<Index> &rh, Index c0,
+                           auto &&value) {
+        for (Index i = 0; i < rh.size(); ++i) {
+            float *dst = out.rowPtr(rh[i]) + c0;
+            for (Index c = 0; c < dh; ++c)
+                dst[c] = value(i, c) + bias[c0 + c];
+        }
+    };
+
+    if (!quantize) {
+        const Matrix &w = proj.weight();
+        std::vector<float> a_buf, c_buf;
+        for (Index h = 0; h < rows.size(); ++h) {
+            const std::vector<Index> &rh = rows[h];
+            if (rh.empty())
+                continue;
+            const auto [a, lda] =
+                gatherRows(x.rowPtr(0), x.rowStride(), d, t, rh, a_buf);
+            c_buf.resize(rh.size() * dh);
+            kr.gemmF32(a, lda, w.rowPtr(0) + h * dh, w.rowStride(),
+                       c_buf.data(), dh, rh.size(), d, dh);
+            store(rh, h * dh,
+                  [&](Index i, Index c) { return c_buf[i * dh + c]; });
+        }
+        return;
     }
-    Matrix projected = execWeightMatmul(packed, proj, quantize);
-    addRowVector(projected, proj.bias());
-    w = 0;
-    for (Index r = 0; r < x.rows(); ++r) {
-        if (!needed[r])
-            continue;
-        for (Index c = 0; c < out.cols(); ++c)
-            out(r, c) = projected(w, c);
-        ++w;
+
+    std::vector<u8> any(t, 0);
+    for (const std::vector<Index> &rh : rows)
+        for (Index r : rh)
+            any[r] = 1;
+    const std::vector<Index> uni = neededIndices(any);
+    if (uni.empty())
+        return;
+    std::vector<Index> pos(t, 0);
+    Matrix packed(uni.size(), d);
+    for (Index i = 0; i < uni.size(); ++i) {
+        pos[uni[i]] = i;
+        std::copy(x.rowPtr(uni[i]), x.rowPtr(uni[i]) + d,
+                  packed.rowPtr(i));
     }
-    return out;
+    const QuantMatrix qx = QuantMatrix::fromFloat(packed, IntWidth::Int12);
+    const QuantMatrix fresh = proj.hasQuantWeight()
+        ? QuantMatrix()
+        : QuantMatrix::fromFloat(proj.weight(), IntWidth::Int12);
+    const QuantMatrix &qw =
+        proj.hasQuantWeight() ? proj.quantWeight() : fresh;
+    const double out_scale = qx.scale() * qw.scale();
+    std::vector<Index> packed_rows;
+    std::vector<i32> a_buf;
+    std::vector<i64> sums;
+    for (Index h = 0; h < rows.size(); ++h) {
+        const std::vector<Index> &rh = rows[h];
+        if (rh.empty())
+            continue;
+        packed_rows.clear();
+        for (Index r : rh)
+            packed_rows.push_back(pos[r]);
+        const auto [a, lda] = gatherRows(qx.rowPtr(0), qx.rowStride(), d,
+                                         uni.size(), packed_rows, a_buf);
+        sums.resize(rh.size() * dh);
+        kr.gemmInt12(a, lda, qw.rowPtr(0) + h * dh, qw.rowStride(),
+                     sums.data(), dh, rh.size(), d, dh);
+        store(rh, h * dh, [&](Index i, Index c) {
+            return static_cast<float>(sums[i * dh + c] * out_scale);
+        });
+    }
 }
 
 } // namespace
@@ -135,28 +225,29 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         ++stats.scoreSparsitySamples;
         decisions.push_back(std::move(dec));
     }
-    const ProjectionNeeds needs = combineNeeds(decisions, t);
-
-    const Index nq = ProjectionNeeds::countNeeded(needs.qRowNeeded);
-    const Index nk = ProjectionNeeds::countNeeded(needs.kRowNeeded);
-    const Index nv = ProjectionNeeds::countNeeded(needs.vRowNeeded);
-    stats.qRowsTotal += t;
-    stats.kColsTotal += t;
-    stats.vColsTotal += t;
-    stats.qRowsSkipped += t - nq;
-    stats.kColsSkipped += t - nk;
-    stats.vColsSkipped += t - nv;
-
-    // --- Real projections, only for needed tokens (SDUE, INT12). ---
-    const Matrix q =
-        projectNeededRows(x_norm, blk.wq(), needs.qRowNeeded, quantize);
-    const Matrix k =
-        projectNeededRows(x_norm, blk.wk(), needs.kRowNeeded, quantize);
-    const Matrix v =
-        projectNeededRows(x_norm, blk.wv(), needs.vRowNeeded, quantize);
+    // --- Real projections: per head, only the rows it needs (SDUE). ---
+    std::vector<std::vector<Index>> q_rows(n_heads), k_rows(n_heads),
+        v_rows(n_heads);
+    stats.qRowsTotal += t * n_heads;
+    stats.kColsTotal += t * n_heads;
+    stats.vColsTotal += t * n_heads;
+    for (Index h = 0; h < n_heads; ++h) {
+        const ProjectionNeeds needs = headNeeds(decisions[h]);
+        q_rows[h] = neededIndices(needs.qRowNeeded);
+        k_rows[h] = neededIndices(needs.kRowNeeded);
+        v_rows[h] = neededIndices(needs.vRowNeeded);
+        stats.qRowsSkipped += t - q_rows[h].size();
+        stats.kColsSkipped += t - k_rows[h].size();
+        stats.vColsSkipped += t - v_rows[h].size();
+        stats.qkvOpsExecuted += mmulOps(q_rows[h].size(), d, dh)
+            + mmulOps(k_rows[h].size(), d, dh)
+            + mmulOps(v_rows[h].size(), d, dh);
+    }
+    Matrix q(t, d), k(t, d), v(t, d);
+    projectHeads(x_norm, blk.wq(), q_rows, quantize, q);
+    projectHeads(x_norm, blk.wk(), k_rows, quantize, k);
+    projectHeads(x_norm, blk.wv(), v_rows, quantize, v);
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
-    stats.qkvOpsExecuted += mmulOps(nq, d, d) + mmulOps(nk, d, d)
-        + mmulOps(nv, d, d);
 
     // --- Real attention at kept positions only. ---
     Matrix concat(t, d);

@@ -78,6 +78,18 @@ class SparseExecutor : public BlockExecutor
  * alone), so cohort executors run it per member segment with that
  * member's stats/observers — bit-identical to a solo SparseExecutor.
  *
+ * Each head's d_head columns of Q, K and V are projected only for the
+ * rows that head needs (headNeeds): Q for its rows that are not
+ * one-hot, K for its kept columns, V for those plus its one-hot
+ * argmaxes. One GEMM per head and projection runs over the gathered
+ * rows against W's column window (x in place when the head needs
+ * every row), so each element it produces is the dense product's.
+ * Under quantize, the rows any head needs share one Int12 scale, as
+ * in the dense path's packed quantisation, and each head runs
+ * gemmInt12 on its integer rows: quantized outputs are unchanged too.
+ * stats' qRowsSkipped, kColsSkipped and vColsSkipped count the
+ * skipped (row, head) pairs, and qkvOpsExecuted the per-head MACs.
+ *
  * @param x_norm    normalised block input (tokens x dModel)
  * @param ep        q_th / top-k configuration
  * @param lod_mode  LOD depth of the score prediction

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512F kernel table (512-bit lanes).
+ * AVX-512 kernel table (512-bit lanes; AVX-512F and BW).
  *
  * Same exactness discipline as the AVX2 table: independent-element
  * float kernels with separate mul/add (no FMA), ordered-quiet
@@ -9,19 +9,23 @@
  * and masked loads make the ragged tail branch-free (masked-off
  * lanes load +0.0f and are excluded from the result mask, so NaN/Inf
  * beyond the tail cannot leak in). The GEMM tiles use the same masks
- * for their ragged last column panel.
+ * for their ragged last column panel. The integer GEMM multiplies
+ * i16 pairs with _mm512_madd_epi16, the one AVX-512BW instruction the
+ * table needs.
  *
- * This TU alone is compiled with -mavx512f (plus -ffp-contract=off);
- * only called after the runtime probe confirmed AVX-512F.
+ * This TU alone is compiled with -mavx512f -mavx512bw (plus
+ * -ffp-contract=off); only called after the runtime probe confirmed
+ * AVX-512F and AVX-512BW.
  */
 
 #include "exion/tensor/simd_dispatch.h"
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__AVX512BW__)
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace exion
 {
@@ -164,93 +168,167 @@ dotI32Avx512(const i32 *a, const i32 *b, Index n)
 }
 
 /**
- * One MR-row by (16 * NV)-column tile of gemmInt12: MR x NV i32
- * accumulators stay in registers for up to kGemmInt12FlushSteps
- * k-steps, then widen into C. Lanes outside live[v] (a ragged last
- * panel) load as zero and are never stored.
+ * Row a (k values) as i16 pairs: out[p] holds a[2p] in its low half
+ * and a[2p + 1] in its high half, and the last pair of an odd k holds
+ * zero high. Values within kGemmInt12MaxAbs fit an i16 exactly. Kept
+ * in this TU so the loop vectorises with its flags.
  */
-template <int MR, int NV>
 void
-gemmInt12TileAvx512(const i32 *a, Index lda, const i32 *b, Index ldb,
-                    i64 *c, Index ldc, Index k, const __mmask16 *live)
+packInt12Pairs(const i32 *a, Index k, u32 *out)
 {
-    for (Index k0 = 0; k0 < k; k0 += kGemmInt12FlushSteps) {
-        const Index k1 = std::min(k, k0 + kGemmInt12FlushSteps);
-        __m512i acc[MR][NV];
-        for (int r = 0; r < MR; ++r)
-            for (int v = 0; v < NV; ++v)
-                acc[r][v] = _mm512_setzero_si512();
-        for (Index kk = k0; kk < k1; ++kk) {
-            const i32 *brow = b + kk * ldb;
-            __m512i bv[NV];
-            for (int v = 0; v < NV; ++v)
-                bv[v] = _mm512_maskz_loadu_epi32(live[v], brow + 16 * v);
-            for (int r = 0; r < MR; ++r) {
-                const __m512i av = _mm512_set1_epi32(a[r * lda + kk]);
-                for (int v = 0; v < NV; ++v)
-                    acc[r][v] = _mm512_add_epi32(
-                        acc[r][v], _mm512_mullo_epi32(av, bv[v]));
-            }
-        }
+    for (Index p = 0; p < k / 2; ++p)
+        out[p] = static_cast<u16>(a[2 * p])
+            | static_cast<u32>(a[2 * p + 1]) << 16;
+    if (k % 2 != 0)
+        out[k / 2] = static_cast<u16>(a[k - 1]);
+}
+
+/** Rows of C one gemmInt12 tile keeps in registers. */
+constexpr int kGemmInt12Rows = 8;
+
+/** 16-lane vectors across one gemmInt12 tile: 32 columns. */
+constexpr int kGemmInt12Vecs = 2;
+
+/**
+ * Pairs [p0, p1) of one MR-row by (16 * NV)-column gemmInt12 tile.
+ * ap holds the tile's rows of A as i16 pairs, rows kp apart: pair p
+ * of a row is a(2p) in the low half and a(2p + 1) in the high half.
+ * Pair p of B is put together in registers from rows 2p and 2p + 1,
+ * so lane j holds b(2p, j) low and b(2p + 1, j) high, and one
+ * _mm512_madd_epi16 adds both products of the pair into an i32 lane.
+ * The last pair of an odd k has no row 2p + 1: row 2p goes in as
+ * loaded, and its high halves (sign bits) meet A's zero high halves.
+ * The caller keeps p1 - p0 <= kGemmInt12FlushPairs, so no lane
+ * overflows before the lanes widen into C: stored on the first block
+ * (first), added on later ones. In a Ragged (last) panel, lanes
+ * outside live[v] load as zero and are never stored.
+ */
+template <int MR, int NV, bool Ragged>
+void
+gemmInt12TileAvx512(const u32 *ap, Index kp, const i32 *b, Index ldb,
+                    Index k, i64 *c, Index ldc, Index p0, Index p1,
+                    bool first, const __mmask16 *live)
+{
+    const auto load = [&](const i32 *src, int v) {
+        return Ragged ? _mm512_maskz_loadu_epi32(live[v], src)
+                      : _mm512_loadu_si512(src);
+    };
+    __m512i acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm512_setzero_si512();
+    const auto madd = [&](Index p, const __m512i *bv) {
         for (int r = 0; r < MR; ++r) {
-            for (int v = 0; v < NV; ++v) {
-                i64 *dst = c + r * ldc + 16 * v;
-                const __mmask8 lo = static_cast<__mmask8>(live[v]);
-                const __mmask8 hi = static_cast<__mmask8>(live[v] >> 8);
-                const __m512i wlo = _mm512_cvtepi32_epi64(
-                    _mm512_castsi512_si256(acc[r][v]));
-                const __m512i whi = _mm512_cvtepi32_epi64(
-                    _mm512_extracti64x4_epi64(acc[r][v], 1));
-                _mm512_mask_storeu_epi64(
-                    dst, lo,
-                    _mm512_add_epi64(_mm512_maskz_loadu_epi64(lo, dst),
-                                     wlo));
-                _mm512_mask_storeu_epi64(
-                    dst + 8, hi,
-                    _mm512_add_epi64(
-                        _mm512_maskz_loadu_epi64(hi, dst + 8), whi));
+            const __m512i av =
+                _mm512_set1_epi32(static_cast<int>(ap[r * kp + p]));
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm512_add_epi32(acc[r][v],
+                                             _mm512_madd_epi16(av, bv[v]));
+        }
+    };
+    const Index full = std::min(p1, k / 2);
+    for (Index p = p0; p < full; ++p) {
+        const i32 *b0 = b + 2 * p * ldb;
+        __m512i bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm512_mask_blend_epi16(
+                0xaaaaaaaau, load(b0 + 16 * v, v),
+                _mm512_slli_epi32(load(b0 + ldb + 16 * v, v), 16));
+        madd(p, bv);
+    }
+    if (full < p1) {
+        __m512i bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = load(b + 2 * full * ldb + 16 * v, v);
+        madd(full, bv);
+    }
+    for (int r = 0; r < MR; ++r) {
+        for (int v = 0; v < NV; ++v) {
+            i64 *dst = c + r * ldc + 16 * v;
+            const __mmask8 lo = Ragged ? static_cast<__mmask8>(live[v])
+                                       : static_cast<__mmask8>(0xff);
+            const __mmask8 hi = Ragged
+                ? static_cast<__mmask8>(live[v] >> 8)
+                : static_cast<__mmask8>(0xff);
+            __m512i wlo = _mm512_cvtepi32_epi64(
+                _mm512_castsi512_si256(acc[r][v]));
+            __m512i whi = _mm512_cvtepi32_epi64(
+                _mm512_extracti64x4_epi64(acc[r][v], 1));
+            if (!first) {
+                wlo = _mm512_add_epi64(wlo,
+                                       _mm512_maskz_loadu_epi64(lo, dst));
+                whi = _mm512_add_epi64(
+                    whi, _mm512_maskz_loadu_epi64(hi, dst + 8));
             }
+            _mm512_mask_storeu_epi64(dst, lo, wlo);
+            _mm512_mask_storeu_epi64(dst + 8, hi, whi);
         }
     }
 }
 
-using GemmInt12Tile = void (*)(const i32 *, Index, const i32 *, Index,
-                               i64 *, Index, Index, const __mmask16 *);
+using GemmInt12Tile = void (*)(const u32 *, Index, const i32 *, Index,
+                               Index, i64 *, Index, Index, Index, bool,
+                               const __mmask16 *);
 
-/** Tile kernels by [rows - 1][vectors - 1]. */
-constexpr GemmInt12Tile kGemmInt12Tiles[4][4] = {
-    {gemmInt12TileAvx512<1, 1>, gemmInt12TileAvx512<1, 2>,
-     gemmInt12TileAvx512<1, 3>, gemmInt12TileAvx512<1, 4>},
-    {gemmInt12TileAvx512<2, 1>, gemmInt12TileAvx512<2, 2>,
-     gemmInt12TileAvx512<2, 3>, gemmInt12TileAvx512<2, 4>},
-    {gemmInt12TileAvx512<3, 1>, gemmInt12TileAvx512<3, 2>,
-     gemmInt12TileAvx512<3, 3>, gemmInt12TileAvx512<3, 4>},
-    {gemmInt12TileAvx512<4, 1>, gemmInt12TileAvx512<4, 2>,
-     gemmInt12TileAvx512<4, 3>, gemmInt12TileAvx512<4, 4>},
+/** Tiles of a full 32-column panel by rows - 1. */
+constexpr GemmInt12Tile kGemmInt12Tiles[kGemmInt12Rows] = {
+    gemmInt12TileAvx512<1, 2, false>, gemmInt12TileAvx512<2, 2, false>,
+    gemmInt12TileAvx512<3, 2, false>, gemmInt12TileAvx512<4, 2, false>,
+    gemmInt12TileAvx512<5, 2, false>, gemmInt12TileAvx512<6, 2, false>,
+    gemmInt12TileAvx512<7, 2, false>, gemmInt12TileAvx512<8, 2, false>,
+};
+
+/** Tiles of a ragged last panel by [rows - 1][vectors - 1]. */
+constexpr GemmInt12Tile
+    kGemmInt12RaggedTiles[kGemmInt12Rows][kGemmInt12Vecs] = {
+        {gemmInt12TileAvx512<1, 1, true>, gemmInt12TileAvx512<1, 2, true>},
+        {gemmInt12TileAvx512<2, 1, true>, gemmInt12TileAvx512<2, 2, true>},
+        {gemmInt12TileAvx512<3, 1, true>, gemmInt12TileAvx512<3, 2, true>},
+        {gemmInt12TileAvx512<4, 1, true>, gemmInt12TileAvx512<4, 2, true>},
+        {gemmInt12TileAvx512<5, 1, true>, gemmInt12TileAvx512<5, 2, true>},
+        {gemmInt12TileAvx512<6, 1, true>, gemmInt12TileAvx512<6, 2, true>},
+        {gemmInt12TileAvx512<7, 1, true>, gemmInt12TileAvx512<7, 2, true>},
+        {gemmInt12TileAvx512<8, 1, true>, gemmInt12TileAvx512<8, 2, true>},
 };
 
 void
 gemmInt12Avx512(const i32 *a, Index lda, const i32 *b, Index ldb,
                 i64 *c, Index ldc, Index m, Index k, Index n)
 {
+    if (k == 0) {
+        for (Index i = 0; i < m; ++i)
+            std::fill(c + i * ldc, c + i * ldc + n, i64{0});
+        return;
+    }
+    const Index kp = (k + 1) / 2;
+    std::vector<u32> ap(m * kp);
     for (Index i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, i64{0});
-    // 64-column panels (4 x 16 lanes) by 4-row tiles: each B panel
-    // row feeds four rows of A from registers.
-    for (Index j0 = 0; j0 < n; j0 += 64) {
-        const Index w = std::min<Index>(64, n - j0);
-        __mmask16 live[4];
-        for (Index v = 0; v < 4; ++v) {
-            const Index lanes =
-                w > 16 * v ? std::min<Index>(16, w - 16 * v) : 0;
-            live[v] = static_cast<__mmask16>((u32{1} << lanes) - 1);
-        }
-        const Index nv = (w + 15) / 16;
-        for (Index i0 = 0; i0 < m; i0 += 4) {
-            const Index mr = std::min<Index>(4, m - i0);
-            kGemmInt12Tiles[mr - 1][nv - 1](a + i0 * lda, lda, b + j0,
-                                            ldb, c + i0 * ldc + j0,
-                                            ldc, k, live);
+        packInt12Pairs(a + i * lda, k, ap.data() + i * kp);
+    // The fewest flush blocks, split evenly: k = 512 runs two blocks
+    // of 128 pairs, not 255 and 1.
+    const Index blocks =
+        (kp + kGemmInt12FlushPairs - 1) / kGemmInt12FlushPairs;
+    const Index per = (kp + blocks - 1) / blocks;
+    constexpr Index kPanel = 16 * kGemmInt12Vecs;
+    for (Index p0 = 0; p0 < kp; p0 += per) {
+        const Index p1 = std::min(kp, p0 + per);
+        for (Index j0 = 0; j0 < n; j0 += kPanel) {
+            const Index w = std::min(kPanel, n - j0);
+            __mmask16 live[kGemmInt12Vecs];
+            for (Index v = 0; v < kGemmInt12Vecs; ++v) {
+                const Index lanes =
+                    w > 16 * v ? std::min<Index>(16, w - 16 * v) : 0;
+                live[v] = static_cast<__mmask16>((u32{1} << lanes) - 1);
+            }
+            const Index nv = (w + 15) / 16;
+            for (Index i0 = 0; i0 < m; i0 += kGemmInt12Rows) {
+                const Index mr = std::min<Index>(kGemmInt12Rows, m - i0);
+                const GemmInt12Tile tile = w == kPanel
+                    ? kGemmInt12Tiles[mr - 1]
+                    : kGemmInt12RaggedTiles[mr - 1][nv - 1];
+                tile(ap.data() + i0 * kp, kp, b + j0, ldb, k,
+                     c + i0 * ldc + j0, ldc, p0, p1, p0 == 0, live);
+            }
         }
     }
 }
@@ -333,7 +411,7 @@ avx512Table()
 } // namespace simd
 } // namespace exion
 
-#else // !defined(__AVX512F__)
+#else // !(defined(__AVX512F__) && defined(__AVX512BW__))
 
 namespace exion
 {

@@ -21,8 +21,9 @@ QuantMatrix::fromFloat(const Matrix &m, const QuantParams &params)
 {
     QuantMatrix out(m.rows(), m.cols(), params);
     const std::span<const float> src = m.data();
+    const i32 q_max = intWidthMax(params.width);
     for (Index i = 0; i < out.size(); ++i)
-        out.data_[i] = quantize(src[i], params);
+        out.data_[i] = quantizeToRange(src[i], params.scale, q_max);
     return out;
 }
 

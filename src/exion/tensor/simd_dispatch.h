@@ -46,8 +46,19 @@ namespace exion
 inline constexpr i64 kGemmInt12MaxAbs = 2048;
 
 /**
- * Most k-steps an i32 accumulator lane of gemmInt12 may take between
- * flushes: 511 * 2048^2 < 2^31 <= 512 * 2048^2.
+ * Most i16 pairs an i32 accumulator lane of the x86 gemmInt12 may add
+ * between flushes: a pair adds two products, and
+ * 255 * 2 * 2048^2 < 2^31 <= 256 * 2 * 2048^2.
+ */
+inline constexpr Index kGemmInt12FlushPairs = 255;
+static_assert(static_cast<i64>(kGemmInt12FlushPairs) * 2
+                  * kGemmInt12MaxAbs * kGemmInt12MaxAbs
+              <= i64{0x7fffffff});
+
+/**
+ * Most k-steps an i32 accumulator lane of the NEON gemmInt12, one
+ * product per step, may take between flushes:
+ * 511 * 2048^2 < 2^31 <= 512 * 2048^2.
  */
 inline constexpr Index kGemmInt12FlushSteps = 511;
 static_assert(static_cast<i64>(kGemmInt12FlushSteps) * kGemmInt12MaxAbs
@@ -60,7 +71,7 @@ enum class SimdLevel
     Scalar, //!< portable reference kernels
     Neon,   //!< 128-bit ARM NEON
     Avx2,   //!< 256-bit x86 AVX2
-    Avx512, //!< 512-bit x86 AVX-512F
+    Avx512, //!< 512-bit x86 AVX-512F and AVX-512BW
 };
 
 /**
@@ -119,11 +130,18 @@ struct SimdKernels
      *
      * Eager prediction's log-domain MMULs reduce to this GEMM:
      * ldProduct(a, b) == lodImage(a) * lodImage(b), and an Int12
-     * value's image has magnitude at most 2048. Vector forms run a
-     * row-panel axpy over i32 lanes and flush the lanes to i64 after
-     * at most kGemmInt12FlushSteps k-steps, the most that cannot
-     * overflow. Integer sums are exact in any order, so every table
-     * and every blocking is bit-identical to the scalar reference.
+     * value's image has magnitude at most 2048, so every operand
+     * fits an i16. The x86 tables pack A's rows into i16 pairs once
+     * per call (a(i, 2p) low, a(i, 2p + 1) high; an odd k's last pair
+     * has a zero high half), put each pair of B rows together in
+     * registers (B is never copied), and multiply-add the pairs with
+     * vpmaddwd into i32 lanes: an MR x 32 register tile on AVX-512
+     * (which needs AVX-512BW) and MR x 16 on AVX2. The lanes widen
+     * into C after at most kGemmInt12FlushPairs pairs, the most that
+     * cannot overflow. NEON keeps an i32 row-panel axpy flushed every
+     * kGemmInt12FlushSteps k-steps. Integer sums are exact in any
+     * order, so every table and every blocking is bit-identical to
+     * the scalar reference.
      */
     void (*gemmInt12)(const i32 *a, Index lda, const i32 *b, Index ldb,
                       i64 *c, Index ldc, Index m, Index k, Index n);

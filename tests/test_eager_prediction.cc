@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests for eager-prediction decisions and projection-skip derivation.
+ * The sort-free top-k selection is held against the copy +
+ * nth_element selection it replaced, on random, tie-heavy and
+ * signed-zero rows.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -239,6 +245,193 @@ TEST(EpWeightImages, AllHeadsGemmEqualsPerHeadPrediction)
                 ASSERT_EQ(fused.data()[i], per_head.data()[i])
                     << "h=" << h << " i=" << i;
         }
+    }
+}
+
+/**
+ * The selection decideFromPrediction made before it went sort-free:
+ * copy each row, nth_element it for the keep_k-th largest value, then
+ * keep the first keep_k columns, in column order, at or above it.
+ * One-hot rows as in the library. Kept here as the oracle.
+ */
+HeadDecision
+nthElementDecision(const Matrix &pred, const EpConfig &ep)
+{
+    const Index t_q = pred.rows();
+    const Index t_k = pred.cols();
+    const Index keep_k = std::min<Index>(
+        t_k, std::max<Index>(1, static_cast<Index>(std::ceil(
+                                    ep.topK * static_cast<double>(t_k)))));
+    HeadDecision out;
+    out.keep = Bitmask2D(t_q, t_k);
+    out.oneHot.assign(t_q, 0);
+    out.oneHotArg.assign(t_q, 0);
+    std::vector<float> row(t_k);
+    for (Index r = 0; r < t_q; ++r) {
+        float top1 = -std::numeric_limits<float>::infinity();
+        float top2 = top1;
+        Index arg1 = 0;
+        for (Index c = 0; c < t_k; ++c) {
+            const float v = pred(r, c);
+            if (v > top1) {
+                top2 = top1;
+                top1 = v;
+                arg1 = c;
+            } else if (v > top2) {
+                top2 = v;
+            }
+        }
+        if (t_k > 1 && top1 - top2 > static_cast<float>(ep.qTh)) {
+            out.oneHot[r] = 1;
+            out.oneHotArg[r] = arg1;
+            continue;
+        }
+        for (Index c = 0; c < t_k; ++c)
+            row[c] = pred(r, c);
+        std::nth_element(row.begin(), row.begin() + (keep_k - 1), row.end(),
+                         std::greater<float>());
+        const float threshold = row[keep_k - 1];
+        Index kept = 0;
+        for (Index c = 0; c < t_k && kept < keep_k; ++c)
+            if (pred(r, c) >= threshold) {
+                out.keep.set(r, c, true);
+                ++kept;
+            }
+    }
+    return out;
+}
+
+/**
+ * t x t predicted scores of one kind: random, tie-heavy, signed zeros,
+ * extremes (infinities, denormals, the largest finite floats) or runs
+ * of adjacent floats.
+ */
+Matrix
+predictedRows(Index t, int kind, Rng &rng)
+{
+    Matrix m(t, t);
+    for (Index i = 0; i < m.size(); ++i) {
+        float v = 0.0f;
+        if (kind == 0) {
+            v = static_cast<float>(rng.normal());
+        } else if (kind == 3) {
+            const float pick[] = {std::numeric_limits<float>::infinity(),
+                                  std::numeric_limits<float>::max(),
+                                  std::numeric_limits<float>::denorm_min(),
+                                  1.0f, 0.0f};
+            v = pick[rng.uniformInt(5)] * (rng.uniform() < 0.5 ? 1 : -1);
+        } else if (kind == 4) {
+            v = 1.0f;
+            for (Index step = rng.uniformInt(6); step > 0; --step)
+                v = std::nextafter(v, 2.0f);
+        } else if (kind == 1) {
+            // LOD-quantised: a handful of distinct values, many ties.
+            v = 0.01f
+                * static_cast<float>(lodImage(
+                    static_cast<i32>(rng.uniformInt(61)) - 30,
+                    LodMode::TwoStep));
+        } else {
+            // Mostly +0.0 and -0.0 (one value to the selection), with
+            // a few signed ones around them.
+            const double u = rng.uniform();
+            v = u < 0.4 ? 0.0f : u < 0.8 ? -0.0f : u < 0.9 ? 1.0f : -1.0f;
+        }
+        m.data()[i] = v;
+    }
+    return m;
+}
+
+TEST(Decision, SelectionEqualsCopyAndNthElement)
+{
+    // keep_k in {1, 2, t/2, t - 1, t} for every row width, on random,
+    // tie-heavy, signed-zero, extreme and adjacent-float rows, with and
+    // without one-hot rows: keep bits, one-hot flags and argmaxes must
+    // all be the oracle's.
+    Rng rng(41);
+    for (const Index t : {Index{1}, Index{2}, Index{8}, Index{48},
+                          Index{196}}) {
+        for (const int kind : {0, 1, 2, 3, 4}) {
+            const Matrix pred = predictedRows(t, kind, rng);
+            for (const Index keep_k : {Index{1}, Index{2}, t / 2, t - 1, t}) {
+                if (keep_k < 1 || keep_k > t)
+                    continue;
+                for (const double q_th : {1e9, 0.5}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "t=" << t << " kind=" << kind
+                                 << " keep_k=" << keep_k << " q_th=" << q_th);
+                    // ceil((keep_k - 0.5) / t * t) is keep_k exactly.
+                    const EpConfig ep{
+                        q_th, (static_cast<double>(keep_k) - 0.5)
+                                  / static_cast<double>(t)};
+                    const HeadDecision want = nthElementDecision(pred, ep);
+                    const HeadDecision got = decideFromPrediction(pred, ep);
+                    EXPECT_TRUE(got.keep == want.keep);
+                    EXPECT_EQ(got.oneHot, want.oneHot);
+                    EXPECT_EQ(got.oneHotArg, want.oneHotArg);
+                    for (Index r = 0; r < t; ++r) {
+                        if (!want.oneHot[r]) {
+                            ASSERT_EQ(got.keep.rowOnes(r), keep_k)
+                                << "r=" << r;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Decision, RowsHoldingNaNStayDefined)
+{
+    // Scores dequantised with an infinite scale can hold NaN. The
+    // selection has no answer to match there, but it must end, stay
+    // in bounds and keep at most keep_k entries; rows without NaN are
+    // decided as usual.
+    Rng rng(47);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const Index t : {Index{8}, Index{48}, Index{196}}) {
+        Matrix pred = predictedRows(t, 0, rng);
+        for (Index c = 0; c < t; ++c)
+            pred(0, c) = nan; // all NaN
+        for (Index c = 0; c < t; c += 3)
+            pred(1, c) = nan; // every third NaN
+        pred(2, t - 1) = nan;
+        // The oracle sees the NaN-free rows only: nth_element needs a
+        // strict weak order.
+        Matrix clean = pred;
+        for (Index r = 0; r < 3; ++r)
+            for (Index c = 0; c < t; ++c)
+                clean(r, c) = 0.0f;
+        for (const double top_k : {0.05, 0.5, 1.0}) {
+            const EpConfig ep{1e9, top_k};
+            const HeadDecision got = decideFromPrediction(pred, ep);
+            const HeadDecision want = nthElementDecision(clean, ep);
+            const Index keep_k = want.keep.rowOnes(t - 1);
+            for (Index r = 0; r < t; ++r)
+                EXPECT_LE(got.keep.rowOnes(r), keep_k) << "r=" << r;
+            for (Index r = 3; r < t; ++r)
+                for (Index c = 0; c < t; ++c)
+                    ASSERT_EQ(got.keep.get(r, c), want.keep.get(r, c))
+                        << "t=" << t << " r=" << r << " c=" << c;
+        }
+    }
+}
+
+TEST(Decision, KeepCountClampsToTheRow)
+{
+    // A top-k ratio past 1 keeps the whole row, never more; one that
+    // rounds below one entry, or is NaN, keeps one.
+    Rng rng(43);
+    const Matrix pred = predictedRows(12, 0, rng);
+    for (const double top_k : {1.0, 2.0, 1e300}) {
+        const HeadDecision dec = decideFromPrediction(pred, {1e9, top_k});
+        for (Index r = 0; r < 12; ++r)
+            EXPECT_EQ(dec.keep.rowOnes(r), 12u) << "topK=" << top_k;
+    }
+    for (const double top_k : {0.0, -1.0, 1e-12,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+        const HeadDecision dec = decideFromPrediction(pred, {1e9, top_k});
+        for (Index r = 0; r < 12; ++r)
+            EXPECT_EQ(dec.keep.rowOnes(r), 1u) << "topK=" << top_k;
     }
 }
 

@@ -9,8 +9,10 @@
  * GEMMs, compares, integer reductions) must be bit-identical. The
  * float GEMM every dense product runs on is checked on ragged shapes
  * with strided operands and poisoned row gaps; the integer GEMM eager
- * prediction runs on is checked on ragged shapes and on a depth whose
- * i32 lanes overflow unless flushed. On top of the kernels, the level
+ * prediction runs on is checked on ragged shapes (odd depths, whose
+ * last i16 pair is half empty, included) and at the depths around its
+ * 255-pair flush, where its i32 lanes overflow unless flushed in
+ * time. On top of the kernels, the level
  * plumbing (name round-trips, refusal of a bad EXION_SIMD) and
  * the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -42,10 +44,10 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 /**
  * Every vector table compiled into this build that this CPU can run:
- * the same __builtin_cpu_supports check the level probe makes, so an
- * AVX2-only host never calls an AVX-512 kernel. The EXION_SIMD cap is
- * ignored on purpose: a forced-scalar run still checks every vector
- * table the host has.
+ * the same __builtin_cpu_supports checks the level probe makes, so an
+ * AVX2-only host, or one with AVX-512F but not BW, never calls an
+ * AVX-512 kernel. The EXION_SIMD cap is ignored on purpose: a
+ * forced-scalar run still checks every vector table the host has.
  */
 std::vector<const SimdKernels *>
 vectorTables()
@@ -54,7 +56,8 @@ vectorTables()
 #if defined(__x86_64__) || defined(__i386__)
     if (simd::avx2Table() && __builtin_cpu_supports("avx2"))
         tables.push_back(simd::avx2Table());
-    if (simd::avx512Table() && __builtin_cpu_supports("avx512f"))
+    if (simd::avx512Table() && __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512bw"))
         tables.push_back(simd::avx512Table());
 #endif
     if (simd::neonTable())
@@ -345,13 +348,16 @@ runGemmInt12(const SimdKernels &table, const std::vector<i32> &a,
 
 TEST(SimdKernelTest, GemmInt12RaggedShapesMatchScalar)
 {
-    // Shapes straddle every tile edge (4-row tiles, 16/64-column
-    // panels), including empty and single-element ones; values span
-    // the whole operand range, extremes included.
+    // Shapes straddle every tile edge (4- and 8-row tiles, 8- and
+    // 16-lane vectors, 16- and 32-column panels, the i16 pair and its
+    // odd-k half pair, 255-pair flush blocks), including empty and
+    // single-element ones; values span the whole operand range,
+    // extremes included.
     Rng rng(15);
-    const Index ms[] = {0, 1, 3, 4, 5, 8, 9};
-    const Index ks[] = {0, 1, 7, 64, 511, 512, 513};
-    const Index ns[] = {0, 1, 5, 8, 15, 16, 17, 63, 64, 65, 100, 196};
+    const Index ms[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17};
+    const Index ks[] = {0, 1, 2, 3, 7, 64, 509, 510, 511, 512, 513};
+    const Index ns[] = {0,  1,  5,  8,  15, 16, 17, 31,
+                        32, 33, 63, 64, 65, 100, 196};
     for (Index m : ms) {
         for (Index k : ks) {
             for (Index n : ns) {
@@ -383,25 +389,35 @@ TEST(SimdKernelTest, GemmInt12RaggedShapesMatchScalar)
 
 TEST(SimdKernelTest, GemmInt12FlushesBeforeI32Overflow)
 {
-    // k = 1024 products of magnitude 2048^2 = 2^22 sum to 2^32: an
-    // i32 lane that is never flushed wraps. Same-sign and mixed-sign
-    // operands, on a full panel and a ragged one.
-    const Index m = 5, k = 1024;
-    for (Index n : {Index{64}, Index{37}}) {
-        for (const i32 sign : {1, -1}) {
-            std::vector<i32> a(m * k), b(k * n);
-            for (Index i = 0; i < a.size(); ++i)
-                a[i] = (i % 3 == 0 ? sign : 1) * -2048;
-            for (Index i = 0; i < b.size(); ++i)
-                b[i] = -2048;
-            const std::vector<i64> want =
-                runGemmInt12(simd::scalarTable(), a, b, m, k, n);
-            if (sign == 1) {
-                EXPECT_EQ(want[0], i64{1024} * 2048 * 2048);
+    // A pair adds two products of magnitude up to 2048^2 = 2^22, so 256
+    // pairs of positive products reach 2^31 and wrap an i32 lane that
+    // is not flushed in time. k = 510 is 255 pairs, the most one flush
+    // block may hold; 509 and 511 end on a half pair; 512 is 256 pairs
+    // (two blocks); 1021 and 1024 run four. Products all positive
+    // (a = b = -2048), all negative, and of mixed signs; a full panel
+    // and a ragged one; 9 rows, one past an 8-row tile.
+    const Index m = 9;
+    for (const Index k : {Index{509}, Index{510}, Index{511}, Index{512},
+                          Index{1021}, Index{1024}}) {
+        for (const Index n : {Index{64}, Index{37}}) {
+            for (const int signs : {0, 1, 2}) {
+                SCOPED_TRACE(::testing::Message() << "k=" << k << " n=" << n
+                                                  << " signs=" << signs);
+                std::vector<i32> a(m * k, signs == 1 ? 2048 : -2048),
+                    b(k * n, -2048);
+                if (signs == 2)
+                    for (Index i = 0; i < a.size(); i += 3)
+                        a[i] = 2048;
+                const std::vector<i64> want =
+                    runGemmInt12(simd::scalarTable(), a, b, m, k, n);
+                const i64 all = static_cast<i64>(k) * 2048 * 2048;
+                if (signs != 2) {
+                    ASSERT_EQ(want[0], signs == 0 ? all : -all);
+                }
+                for (const SimdKernels *table : vectorTables())
+                    EXPECT_EQ(want, runGemmInt12(*table, a, b, m, k, n))
+                        << table->name;
             }
-            for (const SimdKernels *table : vectorTables())
-                EXPECT_EQ(want, runGemmInt12(*table, a, b, m, k, n))
-                    << table->name << " n=" << n << " sign=" << sign;
         }
     }
 }

@@ -1,9 +1,17 @@
 /**
  * @file
  * Tests for the combined EXION execution strategy (FFN-Reuse + EP).
+ * Eager-prediction attention, with its per-head projections, is held
+ * bit for bit against a plain in-test oracle.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "exion/common/rng.h"
 #include "exion/metrics/metrics.h"
@@ -117,6 +125,178 @@ TEST(SparseExecutor, ScoreMaskObserverSeesOneMaskPerHead)
     };
     blk.forward(x, sparse);
     EXPECT_EQ(masks, 4);
+}
+
+/** Bitwise equality: operator== would let -0.0 pass as +0.0. */
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols()
+        && (a.size() == 0
+            || std::memcmp(a.data().data(), b.data().data(),
+                           a.size() * sizeof(float)) == 0);
+}
+
+/**
+ * x * W + bias for the rows needed (the others stay zero), as the
+ * attention paths projected before the per-head split: every row
+ * through matmul, or, under quantize, the needed rows packed and
+ * quantised together with one Int12 scale.
+ */
+Matrix
+projectOracle(const Matrix &x, const Linear &proj,
+              const std::vector<u8> &needed, bool quantize)
+{
+    Matrix out(x.rows(), proj.outDim());
+    if (!quantize) {
+        out = matmul(x, proj.weight());
+        addRowVector(out, proj.bias());
+        return out;
+    }
+    std::vector<Index> rows;
+    for (Index r = 0; r < x.rows(); ++r)
+        if (needed[r])
+            rows.push_back(r);
+    if (rows.empty())
+        return out;
+    Matrix packed(rows.size(), x.cols());
+    for (Index i = 0; i < rows.size(); ++i)
+        for (Index c = 0; c < x.cols(); ++c)
+            packed(i, c) = x(rows[i], c);
+    Matrix projected = execWeightMatmul(packed, proj, true);
+    addRowVector(projected, proj.bias());
+    for (Index i = 0; i < rows.size(); ++i)
+        for (Index c = 0; c < out.cols(); ++c)
+            out(rows[i], c) = projected(i, c);
+    return out;
+}
+
+/**
+ * EP attention written out plainly: per head, predictHeadScore on the
+ * head's own weight slices times the score temperature, then
+ * decideFromPrediction; Q, K and V from projectOracle; then the kept
+ * scores, their softmax and the weighted V rows, each element one
+ * serial chain; then the output projection. Also returns, through
+ * skipped, the (row, head) pairs no head-level need covered.
+ */
+Matrix
+epAttentionOracle(const TransformerBlock &blk, const Matrix &x,
+                  const EpConfig &ep, LodMode mode, bool quantize,
+                  u64 skipped[3])
+{
+    const Index t = x.rows();
+    const Index d = blk.dModel();
+    const Index dh = blk.headDim();
+    const float temp = static_cast<float>(blk.scoreTemp());
+    const QuantMatrix x12 = QuantMatrix::fromFloat(x, IntWidth::Int12);
+    std::vector<HeadDecision> decisions;
+    skipped[0] = skipped[1] = skipped[2] = 0;
+    for (Index h = 0; h < blk.nHeads(); ++h) {
+        Matrix predicted = predictHeadScore(
+            x12,
+            QuantMatrix::fromFloat(sliceCols(blk.wq().weight(), h * dh, dh),
+                                   IntWidth::Int12),
+            QuantMatrix::fromFloat(sliceCols(blk.wk().weight(), h * dh, dh),
+                                   IntWidth::Int12),
+            mode);
+        for (Index i = 0; i < predicted.size(); ++i)
+            predicted.data()[i] *= temp;
+        decisions.push_back(decideFromPrediction(predicted, ep));
+        const ProjectionNeeds one = combineNeeds({decisions.back()}, t);
+        skipped[0] += t - ProjectionNeeds::countNeeded(one.qRowNeeded);
+        skipped[1] += t - ProjectionNeeds::countNeeded(one.kRowNeeded);
+        skipped[2] += t - ProjectionNeeds::countNeeded(one.vRowNeeded);
+    }
+    const ProjectionNeeds needs = combineNeeds(decisions, t);
+    const Matrix q = projectOracle(x, blk.wq(), needs.qRowNeeded, quantize);
+    const Matrix k = projectOracle(x, blk.wk(), needs.kRowNeeded, quantize);
+    const Matrix v = projectOracle(x, blk.wv(), needs.vRowNeeded, quantize);
+
+    const float inv_sqrt = temp / std::sqrt(static_cast<float>(dh));
+    Matrix concat(t, d);
+    for (Index h = 0; h < blk.nHeads(); ++h) {
+        const HeadDecision &dec = decisions[h];
+        for (Index r = 0; r < t; ++r) {
+            if (dec.oneHot[r]) {
+                for (Index c = 0; c < dh; ++c)
+                    concat(r, h * dh + c) = v(dec.oneHotArg[r], h * dh + c);
+                continue;
+            }
+            std::vector<Index> cols;
+            std::vector<float> p;
+            float max_v = -std::numeric_limits<float>::infinity();
+            for (Index j = 0; j < t; ++j) {
+                if (!dec.keep.get(r, j))
+                    continue;
+                float dot = 0.0f;
+                for (Index c = 0; c < dh; ++c)
+                    dot += q(r, h * dh + c) * k(j, h * dh + c);
+                cols.push_back(j);
+                p.push_back(dot * inv_sqrt);
+                max_v = std::max(max_v, p.back());
+            }
+            double denom = 0.0;
+            for (float &e : p) {
+                e = std::exp(e - max_v);
+                denom += e;
+            }
+            const float inv_denom = static_cast<float>(1.0 / denom);
+            for (Index c = 0; c < dh; ++c) {
+                float acc = 0.0f;
+                for (Index i = 0; i < cols.size(); ++i) {
+                    const float w = p[i] * inv_denom;
+                    acc += w * v(cols[i], h * dh + c);
+                }
+                concat(r, h * dh + c) = acc;
+            }
+        }
+    }
+    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
+    addRowVector(out, blk.wo().bias());
+    return out;
+}
+
+TEST(SparseExecutor, EpAttentionEqualsPlainOracle)
+{
+    // Per-head projections over gathered rows must give the bytes of
+    // projecting every row (float) or the needed rows together (Int12),
+    // for one token up to MDM's 196, both LOD depths, with one-hot
+    // rows and skipped K rows in play; the skip counters count
+    // (row, head) pairs.
+    Rng rng(61);
+    const Index d = 64, heads = 4;
+    const TransformerBlock blk(2, d, heads, 1, false, rng, 3.0);
+    bool saw_gather = false;
+    for (const Index t : {Index{1}, Index{8}, Index{48}, Index{196}}) {
+        Matrix x(t, d);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
+            for (const bool quantize : {false, true}) {
+                for (const EpConfig ep : {EpConfig{0.3, 0.05},
+                                          EpConfig{2.0, 0.6}}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "t=" << t << " single="
+                                 << (mode == LodMode::Single)
+                                 << " quantize=" << quantize
+                                 << " topK=" << ep.topK);
+                    u64 skipped[3];
+                    const Matrix want = epAttentionOracle(
+                        blk, x, ep, mode, quantize, skipped);
+                    ExecStats stats;
+                    ExecObservers none;
+                    const Matrix got = epAttentionImpl(
+                        blk, x, ep, mode, quantize, stats, none);
+                    EXPECT_TRUE(bitIdentical(want, got));
+                    EXPECT_EQ(stats.qRowsTotal, t * heads);
+                    EXPECT_EQ(stats.qRowsSkipped, skipped[0]);
+                    EXPECT_EQ(stats.kColsSkipped, skipped[1]);
+                    EXPECT_EQ(stats.vColsSkipped, skipped[2]);
+                    saw_gather |= skipped[0] > 0 && skipped[1] > 0;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(saw_gather) << "no case skipped Q and K rows";
 }
 
 TEST(SparseExecutor, FullPipelineAllOptimisations)

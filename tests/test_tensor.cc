@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -156,6 +159,68 @@ TEST(QuantMatrix, RoundTrip)
     const QuantMatrix q = QuantMatrix::fromFloat(a, IntWidth::Int12);
     const Matrix back = q.toFloat();
     EXPECT_LT(maxAbsDiff(a, back), q.scale() * 0.51);
+}
+
+/**
+ * The rounding quantize() had before it moved to std::rint: nearbyint,
+ * with the two gaps of that version closed (NaN to 0, +-inf clamped).
+ */
+i32
+nearbyintQuantize(float x, const QuantParams &p)
+{
+    const double scaled = std::nearbyint(x / p.scale);
+    if (std::isnan(scaled))
+        return 0;
+    const double hi = intWidthMax(p.width);
+    return static_cast<i32>(std::clamp(scaled, -hi - 1.0, hi));
+}
+
+TEST(QuantMatrix, QuantizeMatchesNearbyintOnHalvesSignsAndSpecials)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> values = {
+        0.5f,     -0.5f,     1.5f,      -1.5f,    2.5f,     -2.5f,
+        2046.5f,  -2046.5f,  2047.5f,   -2047.5f, 2048.5f,  -2048.5f,
+        0.0f,     -0.0f,     denorm,    -denorm,  1e-39f,   -1e-39f,
+        2047.0f,  -2048.0f,  2049.0f,   -2049.0f, 1e30f,    -1e30f,
+        std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+        inf,      -inf,      nan,       -nan};
+    Matrix m(1, values.size());
+    for (Index i = 0; i < values.size(); ++i)
+        m(0, i) = values[i];
+    for (const IntWidth width : {IntWidth::Int12, IntWidth::Int16}) {
+        for (const double scale : {1.0, 0.5, 3.0, 1e-300}) {
+            const QuantParams p{scale, width};
+            const QuantMatrix q = QuantMatrix::fromFloat(m, p);
+            for (Index i = 0; i < values.size(); ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << "x=" << values[i] << " scale=" << scale
+                             << " bits=" << intWidthBits(width));
+                EXPECT_EQ(quantize(values[i], p),
+                          nearbyintQuantize(values[i], p));
+                EXPECT_EQ(q(0, i), nearbyintQuantize(values[i], p));
+            }
+        }
+    }
+    // Spelled out at Int12, scale 1: ties go to even, NaN to zero,
+    // and everything past the range clamps to it.
+    const QuantParams unit{1.0, IntWidth::Int12};
+    EXPECT_EQ(quantize(0.5f, unit), 0);
+    EXPECT_EQ(quantize(-1.5f, unit), -2);
+    EXPECT_EQ(quantize(2046.5f, unit), 2046);
+    EXPECT_EQ(quantize(2047.5f, unit), 2047);
+    EXPECT_EQ(quantize(-2047.5f, unit), -2048);
+    EXPECT_EQ(quantize(nan, unit), 0);
+    EXPECT_EQ(quantize(inf, unit), 2047);
+    EXPECT_EQ(quantize(-inf, unit), -2048);
+    // A chosen scale sees +-inf as the largest magnitude: every finite
+    // value then quantises to 0, and inf / inf is NaN, so 0 too.
+    const QuantMatrix chosen = QuantMatrix::fromFloat(m, IntWidth::Int12);
+    for (Index i = 0; i < values.size(); ++i)
+        EXPECT_EQ(chosen(0, i), nearbyintQuantize(values[i], chosen.params()))
+            << "x=" << values[i];
 }
 
 /*

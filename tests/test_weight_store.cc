@@ -215,6 +215,76 @@ TEST(WeightStoreTest, CorruptionAndForeignImagesAreRejected)
     std::remove(path.c_str());
 }
 
+/**
+ * Builds and saves a store whose config went through mutate, then
+ * expects load() to refuse the file with the typed error.
+ */
+template <typename Mutate>
+void
+expectLoadRefuses(const std::string &file, Mutate mutate)
+{
+    ModelConfig cfg = shortConfig(Benchmark::MLD);
+    mutate(cfg);
+    const std::string path = tempPath(file);
+    WeightStore::build(cfg)->save(path);
+    EXPECT_THROW(WeightStore::load(path), WeightStoreError);
+    std::remove(path.c_str());
+}
+
+constexpr double kNanSetting = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfSetting = std::numeric_limits<double>::infinity();
+
+TEST(WeightStoreTest, LoadRefusesTopKOutsideZeroToOne)
+{
+    // topK = 2 made decideFromPrediction keep twice a row's width.
+    for (const double top_k : {2.0, 1.0000001, 0.0, -0.5, kNanSetting,
+                               kInfSetting})
+        expectLoadRefuses("topk.exws", [&](ModelConfig &cfg) {
+            cfg.ep.topK = top_k;
+        });
+}
+
+TEST(WeightStoreTest, LoadRefusesNonFiniteQTh)
+{
+    for (const double q_th : {kNanSetting, kInfSetting, -kInfSetting})
+        expectLoadRefuses("qth.exws", [&](ModelConfig &cfg) {
+            cfg.ep.qTh = q_th;
+        });
+}
+
+TEST(WeightStoreTest, LoadRefusesTargetSparsityOutsideUnitInterval)
+{
+    for (const double target : {1.5, -0.01, kNanSetting, kInfSetting})
+        expectLoadRefuses("target.exws", [&](ModelConfig &cfg) {
+            cfg.ffnReuse.targetSparsity = target;
+        });
+}
+
+TEST(WeightStoreTest, LoadRefusesNegativeDenseInterval)
+{
+    // -1 divides by zero in FfnReuse::isDenseIteration once the
+    // constructor's assertion is compiled out.
+    for (const int interval : {-1, std::numeric_limits<int>::min()})
+        expectLoadRefuses("interval.exws", [&](ModelConfig &cfg) {
+            cfg.ffnReuse.denseInterval = interval;
+        });
+}
+
+TEST(WeightStoreTest, LoadAcceptsSparsitySettingsAtTheirBounds)
+{
+    ModelConfig cfg = shortConfig(Benchmark::MLD);
+    cfg.ep = {-3.0, 1.0};
+    cfg.ffnReuse = {0, 0.0};
+    const std::string path = tempPath("bounds.exws");
+    WeightStore::build(cfg)->save(path);
+    EXPECT_NO_THROW(WeightStore::load(path));
+    cfg.ffnReuse.targetSparsity = 1.0;
+    cfg.ep.topK = std::numeric_limits<double>::denorm_min();
+    WeightStore::build(cfg)->save(path);
+    EXPECT_NO_THROW(WeightStore::load(path));
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------- quantized at rest
 
 TEST(WeightStoreTest, QuantAtRestRoundTripMatchesLiveQuantization)
