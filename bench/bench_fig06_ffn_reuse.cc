@@ -28,7 +28,7 @@ main(int argc, char **argv)
 
     for (Benchmark b : allBenchmarks()) {
         const ModelConfig cfg = reducedConfig(b, quick, 12);
-        const DiffusionPipeline pipe = storePipeline(cfg);
+        const DiffusionPipeline pipe(cfg);
         const VariantResult run = runVariant(pipe, Variant::FfnReuse,
                                              77);
         const ExecStats &s = run.stats;

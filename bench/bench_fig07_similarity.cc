@@ -47,7 +47,7 @@ main(int argc, char **argv)
     ModelConfig cfg = makeConfig(Benchmark::DiT, Scale::Reduced);
     cfg.iterations = quick ? 16 : 50;
 
-    const DiffusionPipeline pipe = storePipeline(cfg);
+    const DiffusionPipeline pipe(cfg);
     DenseExecutor exec;
     std::vector<Matrix> hidden;
     exec.observers.onFfnHidden = [&](int block, const Matrix &h) {

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     cfg.stages[0].scoreTemp = 3.0;
     const int seeds = quick ? 2 : 4;
 
-    const DiffusionPipeline pipe = storePipeline(cfg);
+    const DiffusionPipeline pipe(cfg);
 
     TextTable table({"Method", "PSNR vs vanilla (dB)",
                      "Cosine similarity"});

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "exion/accel/functional_device.h"
 #include "exion/common/rng.h"
 #include "exion/model/transformer_block.h"
+#include "exion/model/weight_store.h"
 #include "exion/sparsity/eager_prediction.h"
 #include "exion/sparsity/log_domain.h"
 #include "exion/sparsity/mask_synth.h"
@@ -121,19 +123,37 @@ const EpHeadShape kEpHeadShapes[] = {
     {"ep_head_mdm_196x512x64", 196, 512, 64, {0.3, 0.05}},
 };
 
-/** A block of one EpHeadShape (weight images cached) and its input. */
+/**
+ * A block of one EpHeadShape viewing a WeightStore::build store
+ * (weight images cached), and its input.
+ */
 struct EpHeadOperands
 {
-    Rng rng{9};
+    std::shared_ptr<const WeightStore> store;
     TransformerBlock blk;
     Matrix x;
     EpConfig ep;
 
     explicit EpHeadOperands(const EpHeadShape &s)
-        : blk(0, s.d, s.d / s.dh, 1, false, rng), x(s.t, s.d), ep(s.ep)
+        : store(WeightStore::build(blockConfig(s))),
+          blk(0, store->config().stages.front(), false, *store),
+          x(s.t, s.d), ep(s.ep)
     {
+        Rng rng(9);
         x.fillNormal(rng, 0.0f, 1.0f);
         blk.epWeightImages(LodMode::TwoStep);
+    }
+
+    /** One stage of one block in s's shape. */
+    static ModelConfig
+    blockConfig(const EpHeadShape &s)
+    {
+        ModelConfig cfg;
+        cfg.stages = {{s.t, s.d, s.d / s.dh, 1, 1, 0}};
+        cfg.latentTokens = s.t;
+        cfg.latentDim = s.d;
+        cfg.seed = 9;
+        return cfg;
     }
 
     HeadDecision predict() const

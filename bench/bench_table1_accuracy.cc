@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     for (Benchmark b : allBenchmarks()) {
         const ModelConfig cfg = reducedConfig(b, quick, 16);
-        const DiffusionPipeline pipe = storePipeline(cfg);
+        const DiffusionPipeline pipe(cfg);
 
         // Batches for the Fréchet proxy (distinct noise seeds).
         std::vector<Matrix> vanilla_batch;

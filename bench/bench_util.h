@@ -13,7 +13,6 @@
 #include "exion/metrics/frechet.h"
 #include "exion/metrics/metrics.h"
 #include "exion/model/pipeline.h"
-#include "exion/model/weight_store.h"
 #include "exion/sparsity/sparse_executor.h"
 
 namespace exion
@@ -121,25 +120,6 @@ reducedConfig(Benchmark b, bool quick, int quick_iterations = 16)
     if (quick)
         cfg.iterations = std::min(cfg.iterations, quick_iterations);
     return cfg;
-}
-
-/**
- * Pipeline for cfg built through an explicit WeightStore snapshot —
- * the exact path a serving engine registering this model takes
- * (serialized image, borrowed views, quantized-at-rest weights), and
- * bit-identical to DiffusionPipeline(cfg).
- */
-inline DiffusionPipeline
-storePipeline(const ModelConfig &cfg)
-{
-    return DiffusionPipeline(WeightStore::build(cfg));
-}
-
-/** reducedConfig + storePipeline in one step. */
-inline DiffusionPipeline
-storePipeline(Benchmark b, bool quick, int quick_iterations = 16)
-{
-    return storePipeline(reducedConfig(b, quick, quick_iterations));
 }
 
 } // namespace bench

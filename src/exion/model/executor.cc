@@ -45,11 +45,8 @@ execWeightMatmul(const Matrix &x, const Linear &lin, bool quantize)
 {
     if (!quantize)
         return matmul(x, lin.weight());
-    const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);
-    if (lin.hasQuantWeight())
-        return matmulQuant(qx, lin.quantWeight());
-    return matmulQuant(
-        qx, QuantMatrix::fromFloat(lin.weight(), IntWidth::Int12));
+    return matmulQuant(QuantMatrix::fromFloat(x, IntWidth::Int12),
+                       lin.quantWeight());
 }
 
 void

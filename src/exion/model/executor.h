@@ -250,12 +250,8 @@ Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize);
 
 /**
  * x * W for a layer's weight, with optional INT12 operand
- * quantisation. Identical numerics to
- * execMatmul(x, lin.weight(), ...), but a layer carrying a
- * quantized-at-rest image (one built from a WeightStore) feeds it to
- * matmulQuant directly — the weight-side fromFloat disappears from
- * the request path while the product stays bit-identical, because the
- * at-rest image snapshots the same deterministic quantisation.
+ * quantisation: under quantize only x is quantised, and the layer's
+ * at-rest image (Linear::quantWeight()) is the weight operand.
  */
 Matrix execWeightMatmul(const Matrix &x, const Linear &lin,
                         bool quantize);

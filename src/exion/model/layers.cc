@@ -3,28 +3,20 @@
 #include <cmath>
 #include <limits>
 
-#include "exion/common/rng.h"
 #include "exion/model/weight_store.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
 {
 
-Linear::Linear(Index in, Index out, Rng &rng)
-    : weight_(in, out), bias_(1, out)
-{
-    const float stddev = 1.0f / std::sqrt(static_cast<float>(in));
-    weight_.fillNormal(rng, 0.0f, stddev);
-}
-
 Linear
-Linear::fromStore(const WeightStore &ws, const std::string &name)
+Linear::fromStore(const WeightStore &ws, const std::string &name, Index in,
+                  Index out)
 {
     Linear lin;
-    lin.weight_ = ws.matrix(name + ".w");
-    lin.bias_ = ws.matrix(name + ".b");
-    if (ws.has(name + ".w.q"))
-        lin.quantWeight_ = ws.quant(name + ".w.q");
+    lin.weight_ = ws.matrix(name + ".w", in, out);
+    lin.bias_ = ws.matrix(name + ".b", 1, out);
+    lin.quantWeight_ = ws.quant12(name + ".w.q", in, out);
     return lin;
 }
 

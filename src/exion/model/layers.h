@@ -14,28 +14,26 @@
 namespace exion
 {
 
-class Rng;
 class WeightStore;
 
 /**
- * Fully connected layer: y = x W + b.
+ * Fully connected layer: y = x W + b, viewing a WeightStore.
  */
 class Linear
 {
   public:
-    /** Uninitialised (empty) layer. */
+    /** Empty layer (an absent projection). */
     Linear() = default;
 
-    /** in x out layer with N(0, 1/sqrt(in)) weights, zero bias. */
-    Linear(Index in, Index out, Rng &rng);
-
     /**
-     * Layer viewing a WeightStore's tensors "<name>.w" / "<name>.b",
-     * with the at-rest INT12 image "<name>.w.q" attached when present.
-     * Borrows storage: the store must outlive the layer.
+     * Layer viewing a WeightStore's in x out weight "<name>.w", its
+     * 1 x out bias "<name>.b" and the weight's at-rest Int12 image
+     * "<name>.w.q". Borrows storage: the store must outlive the layer.
+     * @throws WeightStoreError when a tensor is missing or has another
+     *         shape (or, for the image, another width)
      */
-    static Linear fromStore(const WeightStore &ws,
-                            const std::string &name);
+    static Linear fromStore(const WeightStore &ws, const std::string &name,
+                            Index in, Index out);
 
     /** Applies the layer to x (rows = tokens). */
     Matrix forward(const Matrix &x) const;
@@ -47,28 +45,11 @@ class Linear
     const Matrix &bias() const { return bias_; }
 
     /**
-     * Quantized-at-rest INT12 weight image (empty unless the layer
-     * came from a WeightStore). Identical to
-     * QuantMatrix::fromFloat(weight(), IntWidth::Int12) — the store
-     * snapshots the same deterministic quantisation — so consumers
-     * skip the per-request quantisation, not change its numerics.
+     * The weight's Int12 image, QuantMatrix::fromFloat(weight(),
+     * IntWidth::Int12) as the store snapshots it, so quantized
+     * products read it instead of quantising per request.
      */
     const QuantMatrix &quantWeight() const { return quantWeight_; }
-
-    /** Whether an at-rest quantized weight image is attached. */
-    bool hasQuantWeight() const
-    {
-        return quantWeight_.rows() == weight_.rows()
-            && quantWeight_.cols() == weight_.cols()
-            && weight_.size() != 0;
-    }
-
-    /** Mutable weight access (tests / custom initialisation; never
-        paired with an at-rest quant image). */
-    Matrix &weight() { return weight_; }
-
-    /** Mutable bias access. */
-    Matrix &bias() { return bias_; }
 
     /** Input width. */
     Index inDim() const { return weight_.rows(); }

@@ -1,6 +1,5 @@
 #include "exion/model/network.h"
 
-#include "exion/common/rng.h"
 #include "exion/model/weight_store.h"
 #include "exion/tensor/ops.h"
 
@@ -47,27 +46,29 @@ DenoisingNetwork::DenoisingNetwork(std::shared_ptr<const WeightStore> store)
     EXION_ASSERT(!cfg_.stages.empty(), "network needs at least one stage");
     const WeightStore &ws = *store_;
 
-    inProj_ = Linear::fromStore(ws, "inProj");
-    outProj_ = Linear::fromStore(ws, "outProj");
-    condEmbed_ = ws.matrix("condEmbed");
+    const Index d_in = cfg_.stages.front().dModel;
+    inProj_ = Linear::fromStore(ws, "inProj", cfg_.latentDim, d_in);
+    outProj_ = Linear::fromStore(ws, "outProj", cfg_.stages.back().dModel,
+                                 cfg_.latentDim);
+    condEmbed_ = ws.matrix("condEmbed", 1, d_in);
 
     int block_id = 0;
-    Index prev_d = cfg_.stages.front().dModel;
+    Index prev_d = d_in;
     Index stage_id = 0;
     for (const auto &sc : cfg_.stages) {
         const std::string sp = "s" + std::to_string(stage_id++);
         Stage stage;
         stage.cfg = sc;
         if (sc.dModel != prev_d)
-            stage.channelProj = Linear::fromStore(ws, sp + ".channelProj");
-        stage.timeProj = Linear::fromStore(ws, sp + ".timeProj");
+            stage.channelProj = Linear::fromStore(ws, sp + ".channelProj",
+                                                  prev_d, sc.dModel);
+        stage.timeProj = Linear::fromStore(ws, sp + ".timeProj",
+                                           kTimeEmbedDim, sc.dModel);
         for (Index i = 0; i < sc.nResBlocks; ++i)
             stage.resBlocks.emplace_back(
-                ws, sp + ".res" + std::to_string(i));
-        for (Index i = 0; i < sc.nBlocks; ++i) {
-            stage.blocks.emplace_back(block_id++, sc.dModel, sc.nHeads,
-                                      cfg_.geglu, sc.scoreTemp, ws);
-        }
+                ws, sp + ".res" + std::to_string(i), sc.dModel);
+        for (Index i = 0; i < sc.nBlocks; ++i)
+            stage.blocks.emplace_back(block_id++, sc, cfg_.geglu, ws);
         prev_d = sc.dModel;
         stages_.push_back(std::move(stage));
     }

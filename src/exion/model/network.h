@@ -36,12 +36,8 @@ class WeightStore;
 class DenoisingNetwork
 {
   public:
-    /**
-     * Builds all stages and weights deterministically from cfg.seed.
-     * Internally snapshots the build into an in-memory WeightStore
-     * and views it — bit-identical to the historical direct build,
-     * with the at-rest quantized/transposed images along for free.
-     */
+    /** The network over WeightStore::build(cfg), a store seeded
+        deterministically from cfg.seed. */
     explicit DenoisingNetwork(const ModelConfig &cfg);
 
     /**
@@ -49,6 +45,8 @@ class DenoisingNetwork
      * store: every layer borrows the store's tensors, so N networks
      * over one store share one physical copy of the weights and
      * construction does no Rng work.
+     * @throws WeightStoreError when a tensor the config implies is
+     *         missing or has another shape or width
      */
     explicit DenoisingNetwork(std::shared_ptr<const WeightStore> store);
 

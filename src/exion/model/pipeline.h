@@ -48,15 +48,14 @@ struct RunOptions
 class DiffusionPipeline
 {
   public:
-    /** Builds the network and scheduler for cfg (snapshotting the
-        build into an in-memory WeightStore; see DenoisingNetwork). */
+    /** The pipeline over WeightStore::build(cfg). */
     explicit DiffusionPipeline(const ModelConfig &cfg);
 
     /**
-     * Builds the pipeline over an existing WeightStore — no Rng
-     * weight construction; every layer borrows the (possibly mmap'd,
-     * possibly shared-across-engines) store's tensors. Bit-identical
-     * to the cfg constructor for the store's config.
+     * Builds the pipeline over an existing WeightStore: every layer
+     * borrows the (possibly mmap'd, possibly shared-across-engines)
+     * store's tensors.
+     * @throws WeightStoreError as DenoisingNetwork's store constructor
      */
     explicit DiffusionPipeline(std::shared_ptr<const WeightStore> store);
 

@@ -1,22 +1,15 @@
 #include "exion/model/resblock.h"
 
-#include "exion/common/rng.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
 {
 
-ResBlock::ResBlock(Index d_model, Rng &rng)
-    : conv1_(d_model, d_model, rng), conv2_(d_model, d_model, rng),
+ResBlock::ResBlock(const WeightStore &ws, const std::string &prefix,
+                   Index d_model)
+    : conv1_(Linear::fromStore(ws, prefix + ".conv1", d_model, d_model)),
+      conv2_(Linear::fromStore(ws, prefix + ".conv2", d_model, d_model)),
       normGamma_(1, d_model, 1.0f), normBeta_(1, d_model, 0.0f)
-{
-}
-
-ResBlock::ResBlock(const WeightStore &ws, const std::string &prefix)
-    : conv1_(Linear::fromStore(ws, prefix + ".conv1")),
-      conv2_(Linear::fromStore(ws, prefix + ".conv2")),
-      normGamma_(1, conv1_.inDim(), 1.0f),
-      normBeta_(1, conv1_.inDim(), 0.0f)
 {
 }
 

@@ -23,14 +23,14 @@ namespace exion
 class ResBlock
 {
   public:
-    /** d x d block with random weights from rng. */
-    ResBlock(Index d_model, Rng &rng);
-
     /**
-     * Block viewing a WeightStore's "<prefix>.conv1" / "<prefix>.conv2"
-     * layers. Borrows storage: the store must outlive the block.
+     * d x d block viewing a WeightStore's "<prefix>.conv1" /
+     * "<prefix>.conv2" layers. Borrows storage: the store must outlive
+     * the block.
+     * @throws WeightStoreError as Linear::fromStore does
      */
-    ResBlock(const WeightStore &ws, const std::string &prefix);
+    ResBlock(const WeightStore &ws, const std::string &prefix,
+             Index d_model);
 
     /**
      * Applies the block to x (tokens x d_model). Every op here

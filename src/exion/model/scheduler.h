@@ -18,6 +18,9 @@
 namespace exion
 {
 
+/** Length of the training schedule every pipeline samples from. */
+inline constexpr int kTrainSteps = 1000;
+
 /**
  * DDIM scheduler over a linear-beta training schedule.
  */
@@ -25,10 +28,12 @@ class DdimScheduler
 {
   public:
     /**
-     * @param inference_steps denoising iterations at inference
-     * @param train_steps     training-schedule length (default 1000)
+     * @param inference_steps denoising iterations at inference, at
+     *                        most train_steps
+     * @param train_steps     training-schedule length
      */
-    explicit DdimScheduler(int inference_steps, int train_steps = 1000);
+    explicit DdimScheduler(int inference_steps,
+                           int train_steps = kTrainSteps);
 
     /** Number of inference iterations. */
     int inferenceSteps() const { return static_cast<int>(steps_.size()); }

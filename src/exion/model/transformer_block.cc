@@ -1,56 +1,41 @@
 #include "exion/model/transformer_block.h"
 
-#include "exion/common/rng.h"
 #include "exion/model/weight_store.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
 {
 
-TransformerBlock::TransformerBlock(int id, Index d_model, Index n_heads,
-                                   Index ffn_mult, bool geglu, Rng &rng,
-                                   double score_temp)
-    : id_(id), dModel_(d_model), nHeads_(n_heads), geglu_(geglu),
-      scoreTemp_(score_temp),
-      wq_(d_model, d_model, rng), wk_(d_model, d_model, rng),
-      wv_(d_model, d_model, rng), wo_(d_model, d_model, rng),
-      ffn1_(d_model, ffn_mult * d_model, rng),
-      ffn2_(ffn_mult * d_model, d_model, rng),
-      ln1Gamma_(1, d_model, 1.0f), ln1Beta_(1, d_model, 0.0f),
-      ln2Gamma_(1, d_model, 1.0f), ln2Beta_(1, d_model, 0.0f)
+TransformerBlock::TransformerBlock(int id, const StageConfig &stage,
+                                   bool geglu, const WeightStore &ws)
+    : id_(id), dModel_(stage.dModel), nHeads_(stage.nHeads), geglu_(geglu),
+      scoreTemp_(stage.scoreTemp)
 {
-    EXION_ASSERT(d_model % n_heads == 0,
-                 "d_model ", d_model, " not divisible by heads ", n_heads);
-    if (geglu_)
-        ffn1Value_ = Linear(d_model, ffn_mult * d_model, rng);
-}
-
-TransformerBlock::TransformerBlock(int id, Index d_model, Index n_heads,
-                                   bool geglu, double score_temp,
-                                   const WeightStore &ws)
-    : id_(id), dModel_(d_model), nHeads_(n_heads), geglu_(geglu),
-      scoreTemp_(score_temp),
-      ln1Gamma_(1, d_model, 1.0f), ln1Beta_(1, d_model, 0.0f),
-      ln2Gamma_(1, d_model, 1.0f), ln2Beta_(1, d_model, 0.0f)
-{
-    EXION_ASSERT(d_model % n_heads == 0,
-                 "d_model ", d_model, " not divisible by heads ", n_heads);
     const std::string bp = "blk" + std::to_string(id);
-    wq_ = Linear::fromStore(ws, bp + ".wq");
-    wk_ = Linear::fromStore(ws, bp + ".wk");
-    wv_ = Linear::fromStore(ws, bp + ".wv");
-    wo_ = Linear::fromStore(ws, bp + ".wo");
-    ffn1_ = Linear::fromStore(ws, bp + ".ffn1");
-    ffn2_ = Linear::fromStore(ws, bp + ".ffn2");
-    ffnAtRest_.w1t = ws.matrix(bp + ".ffn1.wT");
-    ffnAtRest_.qw1t = ws.quant(bp + ".ffn1.wT.q");
+    const Index d = dModel_;
+    const Index hid = stage.ffnMult * d;
+    if (nHeads_ == 0 || d % nHeads_ != 0)
+        throw WeightStoreError("weight store: " + bp + " has "
+                               + std::to_string(nHeads_)
+                               + " heads, which do not divide d_model "
+                               + std::to_string(d));
+    wq_ = Linear::fromStore(ws, bp + ".wq", d, d);
+    wk_ = Linear::fromStore(ws, bp + ".wk", d, d);
+    wv_ = Linear::fromStore(ws, bp + ".wv", d, d);
+    wo_ = Linear::fromStore(ws, bp + ".wo", d, d);
+    ffn1_ = Linear::fromStore(ws, bp + ".ffn1", d, hid);
+    ffn2_ = Linear::fromStore(ws, bp + ".ffn2", hid, d);
+    ffnAtRest_.w1t = ws.matrix(bp + ".ffn1.wT", hid, d);
+    ffnAtRest_.qw1t = ws.quant12(bp + ".ffn1.wT.q", hid, d);
     if (geglu_) {
-        ffn1Value_ = Linear::fromStore(ws, bp + ".ffn1v");
-        ffnAtRest_.w1vt = ws.matrix(bp + ".ffn1v.wT");
-        ffnAtRest_.qw1vt = ws.quant(bp + ".ffn1v.wT.q");
+        ffn1Value_ = Linear::fromStore(ws, bp + ".ffn1v", d, hid);
+        ffnAtRest_.w1vt = ws.matrix(bp + ".ffn1v.wT", hid, d);
+        ffnAtRest_.qw1vt = ws.quant12(bp + ".ffn1v.wT.q", hid, d);
     }
-    EXION_ASSERT(wq_.inDim() == dModel_ && ffn1_.inDim() == dModel_,
-                 "store shapes disagree with block ", id, " config");
+    ln1Gamma_ = Matrix(1, d, 1.0f);
+    ln1Beta_ = Matrix(1, d, 0.0f);
+    ln2Gamma_ = Matrix(1, d, 1.0f);
+    ln2Beta_ = Matrix(1, d, 0.0f);
 }
 
 namespace

@@ -2,8 +2,9 @@
  * @file
  * The typical transformer block of Fig. 3(b).
  *
- * Pre-norm design: x + Attn(LN(x)), then h + FFN(LN(h)). The block owns
- * its weights; computation strategy is delegated to a BlockExecutor.
+ * Pre-norm design: x + Attn(LN(x)), then h + FFN(LN(h)). The block
+ * views its weights in a WeightStore; computation strategy is delegated
+ * to a BlockExecutor.
  */
 
 #ifndef EXION_MODEL_TRANSFORMER_BLOCK_H_
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "exion/common/bitops.h"
+#include "exion/model/config.h"
 #include "exion/model/executor.h"
 #include "exion/model/layers.h"
 
@@ -51,25 +53,21 @@ class TransformerBlock
 {
   public:
     /**
-     * @param id       unique block index within the network
-     * @param d_model  embedding width
-     * @param n_heads  attention heads (must divide d_model)
-     * @param ffn_mult FFN hidden dim = ffn_mult * d_model
-     * @param geglu    use GEGLU (two first-layer paths) instead of GELU
-     * @param rng      weight initialisation stream
-     */
-    TransformerBlock(int id, Index d_model, Index n_heads,
-                     Index ffn_mult, bool geglu, Rng &rng,
-                     double score_temp = 1.0);
-
-    /**
      * Block viewing a WeightStore's "blk<id>.*" layers, including the
      * at-rest transposed first-FFN-layer images ffn1AtRest() exposes
      * for the FFN-Reuse sparse path. Borrows storage: the store must
      * outlive the block.
+     *
+     * @param id     unique block index within the network
+     * @param stage  dModel, nHeads (must divide dModel), ffnMult (FFN
+     *               hidden dim = ffnMult * dModel) and scoreTemp
+     * @param geglu  use GEGLU (two first-layer paths) instead of GELU
+     * @throws WeightStoreError when nHeads does not divide dModel, or a
+     *         tensor is missing or disagrees with the stage in shape
+     *         or width
      */
-    TransformerBlock(int id, Index d_model, Index n_heads, bool geglu,
-                     double score_temp, const WeightStore &ws);
+    TransformerBlock(int id, const StageConfig &stage, bool geglu,
+                     const WeightStore &ws);
 
     /**
      * Runs the block on x (tokens x d_model) via the executor.
@@ -120,9 +118,7 @@ class TransformerBlock
     /**
      * At-rest images of the transposed first FFN layer(s): W1^T (and
      * W1v^T under GEGLU) as float plus their INT12 quantisations —
-     * what FfnReuse's sparse recompute reads column-wise. Identical
-     * to transposing/quantising the live weights (per-tensor scales
-     * are element-order-independent), just precomputed in the store.
+     * what FfnReuse's sparse recompute reads row by row.
      */
     struct FfnAtRest
     {
@@ -132,13 +128,8 @@ class TransformerBlock
         QuantMatrix qw1vt;
     };
 
-    /** At-rest transposed FFN images, or nullptr for Rng-built
-        blocks (FfnReuse then builds its own copies). */
-    const FfnAtRest *
-    ffn1AtRest() const
-    {
-        return ffnAtRest_.w1t.size() != 0 ? &ffnAtRest_ : nullptr;
-    }
+    /** The block's at-rest transposed first-FFN-layer images. */
+    const FfnAtRest &ffn1AtRest() const { return ffnAtRest_; }
 
     /**
      * Eager prediction's LOD weight images for mode. Built on first

@@ -1,10 +1,12 @@
 #include "exion/model/weight_store.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
 #include "exion/common/rng.h"
+#include "exion/model/scheduler.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
@@ -241,6 +243,60 @@ checkSparsitySettings(const ModelConfig &cfg)
         bad("ffnReuse.denseInterval", cfg.ffnReuse.denseInterval);
 }
 
+/**
+ * Refuses a config a file may carry that no network can be built from
+ * or run: no stages; a stage with zero tokens, dModel or ffnMult, or
+ * whose nHeads is zero or does not divide dModel; stage token counts
+ * that do not go from latentTokens and back to it by whole factors
+ * (the network pools and repeats tokens by their ratio); an iteration
+ * count the scheduler cannot sample from its training schedule.
+ */
+void
+checkNetworkShape(const ModelConfig &cfg)
+{
+    const auto bad = [](const std::string &what) {
+        throw WeightStoreError("weight store: " + what);
+    };
+    if (cfg.stages.empty())
+        bad("config has no stages");
+    Index tokens = cfg.latentTokens;
+    for (Index s = 0; s < cfg.stages.size(); ++s) {
+        const StageConfig &sc = cfg.stages[s];
+        const std::string stage = "stage " + std::to_string(s) + " ";
+        if (sc.tokens == 0 || sc.dModel == 0 || sc.ffnMult == 0)
+            bad(stage + "has zero tokens, dModel or ffnMult");
+        if (sc.nHeads == 0 || sc.dModel % sc.nHeads != 0)
+            bad(stage + "nHeads " + std::to_string(sc.nHeads)
+                + " does not divide dModel " + std::to_string(sc.dModel));
+        const Index lo = std::min(tokens, sc.tokens);
+        if (lo == 0 || std::max(tokens, sc.tokens) % lo != 0)
+            bad(stage + "tokens " + std::to_string(sc.tokens)
+                + " are no whole factor of " + std::to_string(tokens));
+        tokens = sc.tokens;
+    }
+    if (tokens != cfg.latentTokens)
+        bad("last stage ends at " + std::to_string(tokens)
+            + " tokens, not latentTokens "
+            + std::to_string(cfg.latentTokens));
+    if (cfg.iterations <= 0 || cfg.iterations > kTrainSteps)
+        bad("iterations " + std::to_string(cfg.iterations)
+            + " not in [1, " + std::to_string(kTrainSteps) + "]");
+}
+
+/** Refuses a view of name unless it is rows x cols. */
+template <typename View>
+View
+shaped(View v, const std::string &name, Index rows, Index cols)
+{
+    if (v.rows() != rows || v.cols() != cols)
+        throw WeightStoreError(
+            "weight store: tensor '" + name + "' is "
+            + std::to_string(v.rows()) + "x" + std::to_string(v.cols())
+            + ", config needs " + std::to_string(rows) + "x"
+            + std::to_string(cols));
+    return v;
+}
+
 } // namespace
 
 // ------------------------------------------------------------ builder
@@ -292,6 +348,26 @@ WeightStoreBuilder::add(const std::string &name, const QuantMatrix &q)
     if (e.byteLen != 0)
         std::memcpy(buf_.data() + e.offset, q.rowPtr(0), e.byteLen);
     records_.push_back({name, e});
+}
+
+Matrix
+WeightStoreBuilder::addLinear(const std::string &name, Index in, Index out,
+                              Rng &rng)
+{
+    Matrix w(in, out);
+    w.fillNormal(rng, 0.0f, 1.0f / std::sqrt(static_cast<float>(in)));
+    add(name + ".w", w);
+    add(name + ".b", Matrix(1, out));
+    add(name + ".w.q", QuantMatrix::fromFloat(w, IntWidth::Int12));
+    return w;
+}
+
+void
+WeightStoreBuilder::addTransposed(const std::string &name, const Matrix &w)
+{
+    const Matrix wt = transpose(w);
+    add(name + ".wT", wt);
+    add(name + ".wT.q", QuantMatrix::fromFloat(wt, IntWidth::Int12));
 }
 
 std::shared_ptr<const WeightStore>
@@ -409,6 +485,7 @@ WeightStore::load(const std::string &path, bool pin)
     store->file_ = MmapFile::open(path, pin);
     store->size_ = store->file_.size();
     store->parse();
+    checkNetworkShape(store->cfg_);
     checkSparsitySettings(store->cfg_);
     return store;
 }
@@ -424,12 +501,6 @@ WeightStore::save(const std::string &path) const
     const bool ok = wrote == size_ && std::fclose(f) == 0;
     if (!ok)
         throw WeightStoreError("weight store: short write to " + path);
-}
-
-bool
-WeightStore::has(const std::string &name) const
-{
-    return index_.count(name) != 0;
 }
 
 const WeightStore::Entry &
@@ -465,6 +536,22 @@ WeightStore::quant(const std::string &name) const
         e.cols, e.params);
 }
 
+Matrix
+WeightStore::matrix(const std::string &name, Index rows, Index cols) const
+{
+    return shaped(matrix(name), name, rows, cols);
+}
+
+QuantMatrix
+WeightStore::quant12(const std::string &name, Index rows, Index cols) const
+{
+    QuantMatrix q = shaped(quant(name), name, rows, cols);
+    if (q.params().width != IntWidth::Int12)
+        throw WeightStoreError("weight store: tensor '" + name
+                               + "' is not an Int12 image");
+    return q;
+}
+
 std::shared_ptr<const WeightStore>
 WeightStore::build(const ModelConfig &cfg)
 {
@@ -472,34 +559,12 @@ WeightStore::build(const ModelConfig &cfg)
     WeightStoreBuilder b(cfg);
     Rng rng(cfg.seed);
 
-    // The draw sequence below must replay DenoisingNetwork's historical
-    // member construction order exactly — inProj, outProj, condEmbed,
-    // then per stage channelProj/timeProj/ResBlocks/blocks, with each
-    // TransformerBlock drawing wq, wk, wv, wo, ffn1, ffn2 and (GEGLU
-    // only, last) ffn1Value — so store-built weights are bit-identical
-    // to the Rng-built ones. Quantisation and transposition consume no
-    // draws, so the extra at-rest images cannot shift the stream.
-    const auto add_linear = [&](const std::string &name, Index in,
-                                Index out) {
-        Matrix w(in, out);
-        const float stddev =
-            1.0f / std::sqrt(static_cast<float>(in));
-        w.fillNormal(rng, 0.0f, stddev);
-        b.add(name + ".w", w);
-        b.add(name + ".b", Matrix(1, out));
-        b.add(name + ".w.q", QuantMatrix::fromFloat(w, IntWidth::Int12));
-        return w;
-    };
-    const auto add_transposed = [&](const std::string &name,
-                                    const Matrix &w) {
-        const Matrix wt = transpose(w);
-        b.add(name + ".wT", wt);
-        b.add(name + ".wT.q",
-              QuantMatrix::fromFloat(wt, IntWidth::Int12));
-    };
-
-    add_linear("inProj", cfg.latentDim, cfg.stages.front().dModel);
-    add_linear("outProj", cfg.stages.back().dModel, cfg.latentDim);
+    // Draw order: inProj, outProj, condEmbed, then per stage
+    // channelProj/timeProj/ResBlocks/blocks, each block drawing wq, wk,
+    // wv, wo, ffn1, ffn2 and (GEGLU only, last) ffn1v. Transposition
+    // and quantisation draw nothing.
+    b.addLinear("inProj", cfg.latentDim, cfg.stages.front().dModel, rng);
+    b.addLinear("outProj", cfg.stages.back().dModel, cfg.latentDim, rng);
     Matrix cond(1, cfg.stages.front().dModel);
     cond.fillNormal(rng, 0.0f, 0.5f);
     b.add("condEmbed", cond);
@@ -509,31 +574,28 @@ WeightStore::build(const ModelConfig &cfg)
     Index stage_id = 0;
     for (const StageConfig &sc : cfg.stages) {
         const std::string sp = "s" + std::to_string(stage_id++);
-        if (sc.dModel != prev_d)
-            add_linear(sp + ".channelProj", prev_d, sc.dModel);
-        add_linear(sp + ".timeProj", kTimeEmbedDim, sc.dModel);
+        const Index d = sc.dModel;
+        if (d != prev_d)
+            b.addLinear(sp + ".channelProj", prev_d, d, rng);
+        b.addLinear(sp + ".timeProj", kTimeEmbedDim, d, rng);
         for (Index i = 0; i < sc.nResBlocks; ++i) {
             const std::string rp = sp + ".res" + std::to_string(i);
-            add_linear(rp + ".conv1", sc.dModel, sc.dModel);
-            add_linear(rp + ".conv2", sc.dModel, sc.dModel);
+            b.addLinear(rp + ".conv1", d, d, rng);
+            b.addLinear(rp + ".conv2", d, d, rng);
         }
         for (Index i = 0; i < sc.nBlocks; ++i) {
             const std::string bp = "blk" + std::to_string(block_id++);
-            const Index hid = sc.ffnMult * sc.dModel;
-            add_linear(bp + ".wq", sc.dModel, sc.dModel);
-            add_linear(bp + ".wk", sc.dModel, sc.dModel);
-            add_linear(bp + ".wv", sc.dModel, sc.dModel);
-            add_linear(bp + ".wo", sc.dModel, sc.dModel);
-            const Matrix w1 = add_linear(bp + ".ffn1", sc.dModel, hid);
-            add_linear(bp + ".ffn2", hid, sc.dModel);
-            add_transposed(bp + ".ffn1", w1);
-            if (cfg.geglu) {
-                const Matrix w1v =
-                    add_linear(bp + ".ffn1v", sc.dModel, hid);
-                add_transposed(bp + ".ffn1v", w1v);
-            }
+            const Index hid = sc.ffnMult * d;
+            for (const char *proj : {".wq", ".wk", ".wv", ".wo"})
+                b.addLinear(bp + proj, d, d, rng);
+            const Matrix w1 = b.addLinear(bp + ".ffn1", d, hid, rng);
+            b.addLinear(bp + ".ffn2", hid, d, rng);
+            b.addTransposed(bp + ".ffn1", w1);
+            if (cfg.geglu)
+                b.addTransposed(bp + ".ffn1v",
+                                b.addLinear(bp + ".ffn1v", d, hid, rng));
         }
-        prev_d = sc.dModel;
+        prev_d = d;
     }
     return b.finish();
 }

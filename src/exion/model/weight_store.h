@@ -28,7 +28,10 @@
  *             scale, section offset, byte length
  *
  * The loader refuses foreign magic/version/endianness, truncated
- * files and checksum mismatches with a typed WeightStoreError.
+ * files, checksum mismatches and configs no network can be built from
+ * with a typed WeightStoreError. Layers are views of a store and
+ * nothing else; each view refuses a missing tensor, or one whose shape
+ * or width disagrees with the config, the same way.
  */
 
 #ifndef EXION_MODEL_WEIGHT_STORE_H_
@@ -48,6 +51,8 @@
 
 namespace exion
 {
+
+class Rng;
 
 /** Malformed, corrupt or incompatible weight-store image. */
 class WeightStoreError : public std::runtime_error
@@ -83,14 +88,12 @@ class WeightStore
     };
 
     /**
-     * Builds the store for a config: replays the network's exact
-     * Rng(cfg.seed) draw sequence into the serialized image, adding
-     * for every Linear its float weight ("<name>.w"), bias
-     * ("<name>.b") and INT12 at-rest image ("<name>.w.q"), and for
-     * every block's first FFN layer(s) the transposed copies
-     * ("blk<i>.ffn1.wT"[".q"], "...ffn1v.wT"[".q"]) the FFN-Reuse
-     * sparse path consumes. A pipeline built over this store is
-     * bit-identical to the historical Rng-built pipeline.
+     * Builds the store for a config, drawing every weight from
+     * Rng(cfg.seed): inProj, outProj, condEmbed, then per stage
+     * channelProj, timeProj, ResBlocks and blocks, each Linear laid
+     * out by WeightStoreBuilder::addLinear and each block's first FFN
+     * layer(s) also by addTransposed ("blk<i>.ffn1.wT"[".q"],
+     * "...ffn1v.wT"[".q"]) for the FFN-Reuse sparse path.
      */
     static std::shared_ptr<const WeightStore> build(const ModelConfig &cfg);
 
@@ -100,10 +103,15 @@ class WeightStore
      * mapped pages are mlock()'d best-effort (see MmapFile::open) so
      * serving latency never pays a page re-fault; a failed pin
      * degrades to an unpinned mapping with a warning.
-     * @throws WeightStoreError on malformed/corrupt images, and on
-     *         sparsity settings no executor can run: ep.topK not in
-     *         (0, 1], ep.qTh not finite, ffnReuse.targetSparsity not
-     *         in [0, 1], ffnReuse.denseInterval negative
+     * @throws WeightStoreError on malformed/corrupt images; on a
+     *         config no network can be built from: no stages, a stage
+     *         with zero tokens, dModel or ffnMult, nHeads zero or not
+     *         dividing dModel, stage token counts that do not go from
+     *         latentTokens and back to it by whole factors,
+     *         iterations not in [1, kTrainSteps]; and on sparsity
+     *         settings no executor can run: ep.topK not in (0, 1],
+     *         ep.qTh not finite, ffnReuse.targetSparsity not in
+     *         [0, 1], ffnReuse.denseInterval negative
      * @throws std::runtime_error when the file cannot be read
      */
     static std::shared_ptr<const WeightStore> load(const std::string &path,
@@ -119,9 +127,6 @@ class WeightStore
     /** The model this store parameterises. */
     const ModelConfig &config() const { return cfg_; }
 
-    /** Whether a tensor of this name exists. */
-    bool has(const std::string &name) const;
-
     /**
      * Borrowed float view of a Float32 tensor. The view aliases the
      * store's image; keep the store alive for the view's lifetime.
@@ -129,8 +134,17 @@ class WeightStore
      */
     Matrix matrix(const std::string &name) const;
 
+    /** matrix(name), refused with WeightStoreError unless it is
+        rows x cols. */
+    Matrix matrix(const std::string &name, Index rows, Index cols) const;
+
     /** Borrowed integer view of a QuantInt tensor (see matrix()). */
     QuantMatrix quant(const std::string &name) const;
+
+    /** quant(name), refused with WeightStoreError unless it is a
+        rows x cols Int12 image. */
+    QuantMatrix quant12(const std::string &name, Index rows,
+                        Index cols) const;
 
     /** All tensor sections by name. */
     const std::map<std::string, Entry> &entries() const { return index_; }
@@ -189,6 +203,19 @@ class WeightStoreBuilder
 
     /** Appends a quantized tensor section (params stored alongside). */
     void add(const std::string &name, const QuantMatrix &q);
+
+    /**
+     * Appends the tensors Linear::fromStore views: an in x out weight
+     * "<name>.w" drawn N(0, 1/sqrt(in)) from rng, a zero 1 x out bias
+     * "<name>.b" and the weight's Int12 image "<name>.w.q".
+     * @return the weight
+     */
+    Matrix addLinear(const std::string &name, Index in, Index out,
+                     Rng &rng);
+
+    /** Appends "<name>.wT" = transpose(w) and its Int12 image
+        "<name>.wT.q" (a first FFN layer's at-rest copies). */
+    void addTransposed(const std::string &name, const Matrix &w);
 
     /**
      * Seals the image (index, header, checksum) and parses it into a

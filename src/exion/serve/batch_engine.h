@@ -272,6 +272,10 @@ class BatchEngine
      *
      * @throws std::invalid_argument when the store is null or its
      *                               config's benchmark is not b
+     * @throws WeightStoreError      when a tensor the config implies
+     *                               is missing or has another shape
+     *                               or width; the engine keeps the
+     *                               models it had
      * @throws EngineStopped         after shutdown() has begun
      */
     void registerModel(Benchmark b,
@@ -284,7 +288,8 @@ class BatchEngine
      * (WeightStore::load) so weight pages cannot be evicted under
      * memory pressure; a failed pin warns and serves unpinned.
      *
-     * @throws WeightStoreError on a malformed or corrupt file
+     * @throws WeightStoreError on a malformed or corrupt file, or as
+     *                          registerModel()
      * @throws EngineStopped    after shutdown() has begun
      */
     void registerModelFromFile(const std::string &path, bool pin = false);

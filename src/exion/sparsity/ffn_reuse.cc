@@ -35,40 +35,6 @@ FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize)
                  cfg_.denseInterval);
 }
 
-const FfnReuse::TransposedFfn1 &
-FfnReuse::transposedFfn1(const TransformerBlock &blk)
-{
-    const auto [it, inserted] = w1tCache_.try_emplace(blk.id());
-    if (inserted) {
-        TransposedFfn1 &tw = it->second;
-        if (const auto *at_rest = blk.ffn1AtRest()) {
-            // Store-built block: borrow the at-rest transposed images
-            // (shallow copies of views into the store). The store
-            // snapshots transpose(W1) and its INT12 image with the
-            // same deterministic quantisation, so these are
-            // bit-identical to the live build below.
-            tw.w1t = at_rest->w1t;
-            tw.w1vt = at_rest->w1vt;
-            if (quantize_) {
-                tw.qw1t = at_rest->qw1t;
-                tw.qw1vt = at_rest->qw1vt;
-            }
-        } else {
-            tw.w1t = transpose(blk.ffn1().weight());
-            if (blk.geglu())
-                tw.w1vt = transpose(blk.ffn1Value().weight());
-            if (quantize_) {
-                tw.qw1t =
-                    QuantMatrix::fromFloat(tw.w1t, IntWidth::Int12);
-                if (blk.geglu())
-                    tw.qw1vt =
-                        QuantMatrix::fromFloat(tw.w1vt, IntWidth::Int12);
-            }
-        }
-    }
-    return it->second;
-}
-
 bool
 FfnReuse::isDenseIteration(int iteration) const
 {
@@ -87,9 +53,6 @@ void
 FfnReuse::reset()
 {
     state_->reset();
-    // Weight transposes are keyed by block id; a reset may precede a
-    // run against a different model, so drop them too.
-    w1tCache_.clear();
 }
 
 Matrix
@@ -243,15 +206,15 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
         observers.onFfnMask(blk.id(), st.mask, false);
 
     // Recompute only the masked elements of the hidden activation,
-    // dotting each x row against the cached transpose's contiguous
-    // weight rows. The float dot is the golden serial chain (the
+    // dotting each x row against the contiguous rows of the block's
+    // at-rest transpose. The float dot is the golden serial chain (the
     // transpose only removes the stride — same terms, same order).
     // The integer dot is exact in any order, so the quant path uses
     // the vector kernel.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
     const SimdKernels &kr = activeKernels();
-    const TransposedFfn1 &tw = transposedFfn1(blk);
+    const TransformerBlock::FfnAtRest &tw = blk.ffn1AtRest();
     if (quantize_) {
         const QuantMatrix qx =
             QuantMatrix::fromFloat(x_norm, IntWidth::Int12);

@@ -28,7 +28,6 @@
 #include "exion/model/executor.h"
 #include "exion/model/transformer_block.h"
 #include "exion/tensor/bitmask.h"
-#include "exion/tensor/quant_matrix.h"
 
 namespace exion
 {
@@ -107,26 +106,6 @@ class FfnReuse
     void reset();
 
   private:
-    /**
-     * Per-block transposed first-layer weights: runSparse's masked
-     * recompute reads W1 column-wise, so the sparse path dots against
-     * the transpose's contiguous rows instead. Weights are immutable
-     * for a block id and an engine serves one request at a time, so
-     * the transpose (and, under quantize, its INT12 image — the
-     * per-tensor scale is order-independent, making
-     * quantize(transpose(W)) == transpose(quantize(W))) is built once
-     * and reused across iterations.
-     */
-    struct TransposedFfn1
-    {
-        Matrix w1t;
-        Matrix w1vt;
-        QuantMatrix qw1t;
-        QuantMatrix qw1vt;
-    };
-
-    const TransposedFfn1 &transposedFfn1(const TransformerBlock &blk);
-
     Matrix runDense(const TransformerBlock &blk, const Matrix &x_norm,
                     ExecStats &stats, ExecObservers &observers,
                     FfnReuseBlockState &st);
@@ -136,7 +115,6 @@ class FfnReuse
 
     FfnReuseConfig cfg_;
     bool quantize_;
-    std::unordered_map<int, TransposedFfn1> w1tCache_;
     FfnReuseState ownState_;
     FfnReuseState *state_ = &ownState_;
 };

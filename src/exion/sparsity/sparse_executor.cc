@@ -94,8 +94,9 @@ gatherRows(const T *a, Index lda, Index cols, Index all,
  *
  * Under quantize, the rows any head needs are packed and quantised
  * once with their own Int12 scale, as execWeightMatmul quantises
- * them, and each head runs gemmInt12 on its integer rows; the exact
- * i64 sums dequantise as matmulQuant does.
+ * them, and each head runs gemmInt12 on its integer rows against the
+ * layer's at-rest image; the exact i64 sums dequantise as matmulQuant
+ * does.
  */
 void
 projectHeads(const Matrix &x, const Linear &proj,
@@ -149,11 +150,7 @@ projectHeads(const Matrix &x, const Linear &proj,
                   packed.rowPtr(i));
     }
     const QuantMatrix qx = QuantMatrix::fromFloat(packed, IntWidth::Int12);
-    const QuantMatrix fresh = proj.hasQuantWeight()
-        ? QuantMatrix()
-        : QuantMatrix::fromFloat(proj.weight(), IntWidth::Int12);
-    const QuantMatrix &qw =
-        proj.hasQuantWeight() ? proj.quantWeight() : fresh;
+    const QuantMatrix &qw = proj.quantWeight();
     const double out_scale = qx.scale() * qw.scale();
     std::vector<Index> packed_rows;
     std::vector<i32> a_buf;

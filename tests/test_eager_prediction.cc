@@ -20,6 +20,7 @@
 #include "exion/model/transformer_block.h"
 #include "exion/sparsity/eager_prediction.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -176,7 +177,7 @@ TEST(EpWeightImages, BuiltOnceAcrossThreadsAndEqualPerHeadQuantisation)
     // of the head slice's own Int12 quantisation, values and scale.
     Rng rng(31);
     const Index d = 48, heads = 3, dh = d / heads;
-    const TransformerBlock blk(0, d, heads, 2, false, rng);
+    const StandaloneBlock blk(0, d, heads, 2, false, rng);
     for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
         std::vector<const EpWeightImages *> seen(4, nullptr);
         std::vector<std::thread> threads;
@@ -218,7 +219,7 @@ TEST(EpWeightImages, AllHeadsGemmEqualsPerHeadPrediction)
     // images; per head that must be predictHeadScore bit for bit.
     Rng rng(37);
     const Index t = 11, d = 64, heads = 4, dh = d / heads;
-    const TransformerBlock blk(0, d, heads, 2, false, rng);
+    const StandaloneBlock blk(0, d, heads, 2, false, rng);
     Matrix x(t, d);
     x.fillNormal(rng, 0.0f, 1.0f);
     const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);

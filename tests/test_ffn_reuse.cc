@@ -9,6 +9,7 @@
 #include "exion/metrics/metrics.h"
 #include "exion/sparsity/ffn_reuse.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -18,7 +19,7 @@ namespace
 struct Fixture
 {
     Rng rng{101};
-    TransformerBlock blk{0, 32, 4, 4, false, rng};
+    StandaloneBlock blk{0, 32, 4, 4, false, rng};
     ExecStats stats;
     ExecObservers observers;
 
@@ -214,7 +215,7 @@ TEST(FfnReuse, QuantizedPathTracksFloat)
 TEST(FfnReuse, GegluSupported)
 {
     Rng rng(77);
-    TransformerBlock blk(0, 24, 4, 4, true, rng);
+    StandaloneBlock blk(0, 24, 4, 4, true, rng);
     ExecStats stats;
     ExecObservers observers;
     FfnReuse reuse({3, 0.8}, false);

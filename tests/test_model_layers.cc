@@ -12,6 +12,7 @@
 #include "exion/model/layers.h"
 #include "exion/model/resblock.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -21,7 +22,7 @@ namespace
 TEST(Linear, ForwardMatchesManual)
 {
     Rng rng(1);
-    Linear lin(3, 2, rng);
+    StandaloneLinear lin(3, 2, rng);
     Matrix x(1, 3);
     x(0, 0) = 1.0f;
     x(0, 1) = -2.0f;
@@ -140,7 +141,7 @@ TEST(TimestepEmbedding, DistinctAndBounded)
 TEST(ResBlock, PreservesShapeAndAddsResidual)
 {
     Rng rng(7);
-    ResBlock res(16, rng);
+    StandaloneResBlock res(16, rng);
     Matrix x(4, 16);
     x.fillNormal(rng, 0.0f, 1.0f);
     const Matrix y = res.forward(x);

@@ -15,6 +15,7 @@
 #include "exion/metrics/metrics.h"
 #include "exion/model/scheduler.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -24,7 +25,7 @@ namespace
 TEST(TransformerBlock, ShapePreserved)
 {
     Rng rng(1);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     DenseExecutor exec;
     Matrix x(6, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
@@ -37,7 +38,7 @@ TEST(TransformerBlock, OpCountingMatchesAnalytic)
 {
     Rng rng(2);
     const Index t = 10, d = 32;
-    TransformerBlock blk(0, d, 4, 4, false, rng);
+    StandaloneBlock blk(0, d, 4, 4, false, rng);
     DenseExecutor exec;
     Matrix x(t, d);
     x.fillNormal(rng, 0.0f, 1.0f);
@@ -61,7 +62,7 @@ TEST(TransformerBlock, GegluDoublesFirstLayer)
 TEST(TransformerBlock, QuantizedCloseToFloat)
 {
     Rng rng(3);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     DenseExecutor exact(false), quant(true);
     Matrix x(6, 32);
     x.fillNormal(rng, 0.0f, 1.0f);

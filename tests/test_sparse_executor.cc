@@ -18,6 +18,7 @@
 #include "exion/model/pipeline.h"
 #include "exion/sparsity/sparse_executor.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -39,7 +40,7 @@ baseOptions()
 TEST(SparseExecutor, DisabledFeaturesMatchDense)
 {
     Rng rng(1);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     Matrix x(10, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
 
@@ -53,7 +54,7 @@ TEST(SparseExecutor, EpKeepAllMatchesDenseClosely)
     // k = 1 and an unreachable q_th disable all skips; the only
     // difference is the kept-position arithmetic path.
     Rng rng(2);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     Matrix x(12, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
 
@@ -70,7 +71,7 @@ TEST(SparseExecutor, EpKeepAllMatchesDenseClosely)
 TEST(SparseExecutor, EpSkipsReduceExecutedOps)
 {
     Rng rng(3);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     Matrix x(24, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
 
@@ -89,7 +90,7 @@ TEST(SparseExecutor, EpSkipsReduceExecutedOps)
 TEST(SparseExecutor, EpOutputStaysClose)
 {
     Rng rng(4);
-    TransformerBlock blk(0, 32, 4, 4, false, rng);
+    StandaloneBlock blk(0, 32, 4, 4, false, rng);
     Matrix x(16, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
 
@@ -107,7 +108,7 @@ TEST(SparseExecutor, EpOutputStaysClose)
 TEST(SparseExecutor, ScoreMaskObserverSeesOneMaskPerHead)
 {
     Rng rng(5);
-    TransformerBlock blk(3, 32, 4, 4, false, rng);
+    StandaloneBlock blk(3, 32, 4, 4, false, rng);
     Matrix x(8, 32);
     x.fillNormal(rng, 0.0f, 1.0f);
 
@@ -265,7 +266,7 @@ TEST(SparseExecutor, EpAttentionEqualsPlainOracle)
     // (row, head) pairs.
     Rng rng(61);
     const Index d = 64, heads = 4;
-    const TransformerBlock blk(2, d, heads, 1, false, rng, 3.0);
+    const StandaloneBlock blk(2, d, heads, 1, false, rng, 3.0);
     bool saw_gather = false;
     for (const Index t : {Index{1}, Index{8}, Index{48}, Index{196}}) {
         Matrix x(t, d);

@@ -23,6 +23,7 @@
 #include "exion/common/mmap_file.h"
 #include "exion/common/rng.h"
 #include "exion/model/pipeline.h"
+#include "exion/model/scheduler.h"
 #include "exion/model/weight_store.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/sparsity/cohort_executor.h"
@@ -153,7 +154,7 @@ TEST(WeightStoreTest, SaveLoadRoundTripPreservesEverything)
     ASSERT_EQ(built->entries().size(), loaded->entries().size());
     for (const auto &[name, e] : built->entries()) {
         SCOPED_TRACE(name);
-        ASSERT_TRUE(loaded->has(name));
+        ASSERT_EQ(loaded->entries().count(name), 1u);
         const auto &le = loaded->entries().at(name);
         EXPECT_EQ(le.kind, e.kind);
         EXPECT_EQ(le.rows, e.rows);
@@ -216,7 +217,7 @@ TEST(WeightStoreTest, CorruptionAndForeignImagesAreRejected)
 }
 
 /**
- * Builds and saves a store whose config went through mutate, then
+ * Saves a store holding only a config that went through mutate, then
  * expects load() to refuse the file with the typed error.
  */
 template <typename Mutate>
@@ -226,7 +227,7 @@ expectLoadRefuses(const std::string &file, Mutate mutate)
     ModelConfig cfg = shortConfig(Benchmark::MLD);
     mutate(cfg);
     const std::string path = tempPath(file);
-    WeightStore::build(cfg)->save(path);
+    WeightStoreBuilder(cfg).finish()->save(path);
     EXPECT_THROW(WeightStore::load(path), WeightStoreError);
     std::remove(path.c_str());
 }
@@ -268,6 +269,93 @@ TEST(WeightStoreTest, LoadRefusesNegativeDenseInterval)
         expectLoadRefuses("interval.exws", [&](ModelConfig &cfg) {
             cfg.ffnReuse.denseInterval = interval;
         });
+}
+
+TEST(WeightStoreTest, LoadRefusesConfigWithoutStages)
+{
+    // The network's first view asserted a stage exists.
+    expectLoadRefuses("nostages.exws",
+                      [](ModelConfig &cfg) { cfg.stages.clear(); });
+}
+
+TEST(WeightStoreTest, LoadRefusesZeroHeads)
+{
+    // 0 heads divided by zero (SIGFPE) when the block was viewed.
+    expectLoadRefuses("zeroheads.exws",
+                      [](ModelConfig &cfg) { cfg.stages[0].nHeads = 0; });
+}
+
+TEST(WeightStoreTest, LoadRefusesHeadsNotDividingWidth)
+{
+    expectLoadRefuses("oddheads.exws",
+                      [](ModelConfig &cfg) { cfg.stages[0].nHeads = 3; });
+}
+
+TEST(WeightStoreTest, LoadRefusesZeroFfnMult)
+{
+    // An empty FFN hidden layer has no sparsity quantile.
+    expectLoadRefuses("zeromult.exws",
+                      [](ModelConfig &cfg) { cfg.stages[0].ffnMult = 0; });
+}
+
+TEST(WeightStoreTest, LoadRefusesZeroWidth)
+{
+    expectLoadRefuses("zerowidth.exws",
+                      [](ModelConfig &cfg) { cfg.stages[0].dModel = 0; });
+}
+
+TEST(WeightStoreTest, LoadRefusesZeroTokens)
+{
+    // 0 stage tokens divided by zero (SIGFPE) at the first request.
+    expectLoadRefuses("zerotokens.exws",
+                      [](ModelConfig &cfg) { cfg.stages[0].tokens = 0; });
+    expectLoadRefuses("zerolatent.exws", [](ModelConfig &cfg) {
+        cfg.latentTokens = 0;
+        cfg.stages[0].tokens = 0;
+    });
+}
+
+TEST(WeightStoreTest, LoadRefusesStageTokensOffWholeFactors)
+{
+    // MLD's one stage runs at its 8 latent tokens. 3 is no whole
+    // factor of 8 down, 12 none up, and a lone 4-token stage pools
+    // by 2 but never returns to 8.
+    for (const Index tokens : {Index{3}, Index{12}, Index{4}})
+        expectLoadRefuses("tokens.exws", [&](ModelConfig &cfg) {
+            cfg.stages[0].tokens = tokens;
+        });
+    // A UNet whose decoder comes back up by 3 from 16 to 48 tokens,
+    // not to the 64 it left.
+    expectLoadRefuses("unet.exws", [](ModelConfig &cfg) {
+        cfg = shortConfig(Benchmark::MakeAnAudio);
+        cfg.stages.back().tokens = 48;
+    });
+}
+
+TEST(WeightStoreTest, LoadRefusesIterationsOffTheTrainingSchedule)
+{
+    // 0 iterations, or more than the schedule's training steps,
+    // aborted registration on the scheduler's assertion.
+    for (const int iterations : {0, -1, std::numeric_limits<int>::min(),
+                                 kTrainSteps + 1})
+        expectLoadRefuses("iterations.exws", [&](ModelConfig &cfg) {
+            cfg.iterations = iterations;
+        });
+}
+
+TEST(WeightStoreTest, LoadAcceptsEveryBenchmarkConfig)
+{
+    std::vector<ModelConfig> configs = {makeTinyConfig()};
+    for (Benchmark b : allBenchmarks())
+        for (Scale scale : {Scale::Full, Scale::Reduced})
+            configs.push_back(makeConfig(b, scale));
+    const std::string path = tempPath("configs.exws");
+    for (const ModelConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.name);
+        WeightStoreBuilder(cfg).finish()->save(path);
+        EXPECT_NO_THROW(WeightStore::load(path));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(WeightStoreTest, LoadAcceptsSparsitySettingsAtTheirBounds)
@@ -399,6 +487,175 @@ TEST(WeightStoreTest, QuantAtRestAdversarialScalesAndShapes)
     EXPECT_EQ(loaded->quant("zc.q").size(), 0);
     EXPECT_EQ(loaded->quant("zr.q").params().scale, 1.0);
     std::remove(path.c_str());
+}
+
+/**
+ * Every at-rest image build() writes equals what it is derived from:
+ * "<name>.w.q" the Int12 image of "<name>.w", "<name>.wT" the
+ * transpose of "<name>.w", "<name>.wT.q" the Int12 image of that.
+ * No request path derives them any more, so nothing else holds them
+ * to their sources.
+ */
+TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
+{
+    const auto ends_with = [](const std::string &name, const char *tail) {
+        const std::string t(tail);
+        return name.size() > t.size()
+            && name.compare(name.size() - t.size(), t.size(), t) == 0;
+    };
+    for (Benchmark b : allBenchmarks()) {
+        const ModelConfig cfg = makeConfig(b, Scale::Reduced);
+        SCOPED_TRACE(cfg.name);
+        const auto store = WeightStore::build(cfg);
+        Index weights = 0, images = 0, transposes = 0, transposed_images = 0;
+        for (const auto &[name, e] : store->entries()) {
+            SCOPED_TRACE(name);
+            if (ends_with(name, ".w")) {
+                ++weights;
+            } else if (ends_with(name, ".w.q")) {
+                ++images;
+                const std::string w = name.substr(0, name.size() - 2);
+                EXPECT_TRUE(bitIdenticalQuant(
+                    store->quant(name),
+                    QuantMatrix::fromFloat(store->matrix(w),
+                                           IntWidth::Int12)));
+            } else if (ends_with(name, ".wT")) {
+                ++transposes;
+                const std::string w = name.substr(0, name.size() - 1);
+                EXPECT_TRUE(bitIdentical(store->matrix(name),
+                                         transpose(store->matrix(w))));
+            } else if (ends_with(name, ".wT.q")) {
+                ++transposed_images;
+                const std::string wt = name.substr(0, name.size() - 2);
+                EXPECT_TRUE(bitIdenticalQuant(
+                    store->quant(name),
+                    QuantMatrix::fromFloat(store->matrix(wt),
+                                           IntWidth::Int12)));
+            }
+        }
+        EXPECT_GT(weights, 0u);
+        EXPECT_EQ(images, weights);
+        const Index first_ffn_layers = cfg.totalBlocks() * (cfg.geglu ? 2 : 1);
+        EXPECT_EQ(transposes, first_ffn_layers);
+        EXPECT_EQ(transposed_images, first_ffn_layers);
+    }
+}
+
+// ------------------------------------------------------------ views
+
+/**
+ * The store build(cfg) makes, with tensor name taken out and then
+ * whatever put adds in its place (nothing, to leave it missing).
+ */
+template <typename Put>
+std::shared_ptr<const WeightStore>
+rebuiltWith(const ModelConfig &cfg, const std::string &name, Put put)
+{
+    const auto built = WeightStore::build(cfg);
+    WeightStoreBuilder b(cfg);
+    for (const auto &[n, e] : built->entries()) {
+        if (n == name)
+            continue;
+        if (e.kind == WeightStore::TensorKind::Float32)
+            b.add(n, built->matrix(n));
+        else
+            b.add(n, built->quant(n));
+    }
+    put(b, *built);
+    return b.finish();
+}
+
+/**
+ * Checksum-valid stores whose tensors disagree with their config, one
+ * tensor each: short, long or untransposed float tensors, Int12
+ * images of the wrong shape or width, and a missing image. Before the
+ * views checked shapes, a 1x63 bias or a 67-row inProj.w registered
+ * and then panicked at the first request, or read past its section
+ * with assertions off.
+ */
+std::vector<std::pair<std::string, std::shared_ptr<const WeightStore>>>
+misfitStores()
+{
+    const ModelConfig mld = shortConfig(Benchmark::MLD);           // d 64
+    const ModelConfig geglu = shortConfig(Benchmark::MakeAnAudio); // d 48
+    const auto matrix = [](const std::string &name, Index rows,
+                           Index cols) {
+        return [=](WeightStoreBuilder &b, const WeightStore &) {
+            b.add(name, Matrix(rows, cols));
+        };
+    };
+    const auto image = [](const std::string &name, const std::string &of,
+                          Index rows, IntWidth width) {
+        return [=](WeightStoreBuilder &b, const WeightStore &built) {
+            b.add(name, QuantMatrix::fromFloat(
+                            sliceRows(built.matrix(of), 0, rows), width));
+        };
+    };
+    const auto copy = [](const std::string &name, const std::string &of) {
+        return [=](WeightStoreBuilder &b, const WeightStore &built) {
+            b.add(name, built.matrix(of));
+        };
+    };
+    const auto nothing = [](WeightStoreBuilder &, const WeightStore &) {};
+    std::vector<std::pair<std::string, std::shared_ptr<const WeightStore>>>
+        stores;
+    const auto misfit = [&](const ModelConfig &cfg, const std::string &name,
+                            auto put) {
+        stores.emplace_back(cfg.name + " " + name,
+                            rebuiltWith(cfg, name, put));
+    };
+    misfit(mld, "blk0.wq.b", matrix("blk0.wq.b", 1, 63));
+    misfit(mld, "inProj.w", matrix("inProj.w", 67, 64));
+    misfit(mld, "condEmbed", matrix("condEmbed", 1, 63));
+    misfit(mld, "s0.timeProj.w",
+           matrix("s0.timeProj.w", kTimeEmbedDim + 1, 64));
+    misfit(mld, "blk0.wq.w.q",
+           image("blk0.wq.w.q", "blk0.wq.w", 63, IntWidth::Int12));
+    misfit(mld, "blk1.ffn2.w.q",
+           image("blk1.ffn2.w.q", "blk1.ffn2.w", 256, IntWidth::Int16));
+    misfit(mld, "blk2.wo.w.q", nothing);
+    misfit(mld, "blk3.ffn1.wT", copy("blk3.ffn1.wT", "blk3.ffn1.w"));
+    misfit(mld, "blk3.ffn1.wT.q",
+           image("blk3.ffn1.wT.q", "blk3.ffn1.wT", 255, IntWidth::Int12));
+    misfit(geglu, "blk1.ffn1v.wT", copy("blk1.ffn1v.wT", "blk1.ffn1v.w"));
+    misfit(geglu, "s1.channelProj.w", matrix("s1.channelProj.w", 47, 96));
+    misfit(geglu, "s2.res0.conv2.w", matrix("s2.res0.conv2.w", 48, 47));
+    return stores;
+}
+
+TEST(WeightStoreViewTest, PipelineRefusesTensorsOffTheConfig)
+{
+    for (const auto &[what, store] : misfitStores()) {
+        SCOPED_TRACE(what);
+        EXPECT_THROW(DiffusionPipeline{store}, WeightStoreError);
+    }
+}
+
+TEST(WeightStoreViewTest, EngineRefusesTensorsOffTheConfigAndServesOn)
+{
+    const ModelConfig edge = shortConfig(Benchmark::EDGE);
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    BatchEngine engine(opts);
+    engine.addModel(edge);
+    for (const auto &[what, store] : misfitStores()) {
+        SCOPED_TRACE(what);
+        EXPECT_THROW(
+            engine.registerModel(store->config().benchmark, store),
+            WeightStoreError);
+    }
+    ServeRequest req;
+    req.benchmark = Benchmark::MLD;
+    EXPECT_THROW(engine.submit(req), UnknownModelError);
+
+    req.benchmark = edge.benchmark;
+    req.mode = ExecMode::Dense;
+    req.noiseSeed = 5;
+    const RequestResult result = engine.submit(req).get();
+    ASSERT_TRUE(result.ok());
+    DenseExecutor exec;
+    EXPECT_TRUE(bitIdentical(DiffusionPipeline(edge).run(exec, 5),
+                             result.output));
 }
 
 // ----------------------------------------------------- differential

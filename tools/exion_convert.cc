@@ -14,9 +14,11 @@
  *   exion_convert --inspect FILE
  *
  * NAME matches benchmarkName() (e.g. MLD, StableDiffusion),
- * case-insensitively. --inspect loads (and therefore fully
- * validates: magic, version, endianness, checksum, index bounds) an
- * existing store and prints its config and tensor index.
+ * case-insensitively. --inspect loads (and therefore validates:
+ * magic, version, endianness, checksum, index bounds, a config a
+ * network can be built from) an existing store and prints its config
+ * and tensor index; the tensors' shapes are checked when an engine
+ * registers the store.
  */
 
 #include <algorithm>

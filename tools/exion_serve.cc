@@ -43,8 +43,10 @@
  * A numeric flag whose value is not entirely a number in its range
  * (text, trailing characters, a negative count, a port above 65535,
  * more than 1024 workers, a non-finite time) stops the daemon with
- * exit status 2. EXION_SIMD caps the kernel level (simd_dispatch.h);
- * the startup line prints the level in effect.
+ * exit status 2. A store in --models DIR that cannot be loaded or
+ * registered (corrupt, or its tensors or config inconsistent) stops it
+ * with exit status 1. EXION_SIMD caps the kernel level
+ * (simd_dispatch.h); the startup line prints the level in effect.
  *
  * The API itself is documented in serve/http_front.h; README.md has
  * curl examples.
@@ -55,6 +57,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
 #include <thread>
@@ -274,7 +277,13 @@ main(int argc, char **argv)
             return 1;
         }
         for (const std::string &path : files) {
-            engine.registerModelFromFile(path, pinWeights);
+            try {
+                engine.registerModelFromFile(path, pinWeights);
+            } catch (const std::exception &e) {
+                std::fprintf(stderr, "error: cannot register %s: %s\n",
+                             path.c_str(), e.what());
+                return 1;
+            }
             std::printf("registered %s%s\n", path.c_str(),
                         pinWeights ? " (pin requested)" : "");
         }
