@@ -101,7 +101,6 @@ main(int argc, char **argv)
                                    : Benchmark::MLD;
         req.mode = i % 4 == 3 ? ExecMode::Dense : ExecMode::Exion;
         req.noiseSeed = 1000 + static_cast<u64>(i);
-        req.trackConMerge = req.mode == ExecMode::Exion;
         req.priority = req.mode == ExecMode::Dense ? Priority::Low
                                                    : Priority::High;
         stream.push_back(req);
@@ -152,7 +151,7 @@ main(int argc, char **argv)
     std::cout << std::left << std::setw(4) << "id" << std::setw(16)
               << "model" << std::setw(8) << "mode" << std::setw(10)
               << "priority" << std::setw(12) << "ops saved"
-              << std::setw(12) << "merged cols" << "seconds\n";
+              << "seconds\n";
 
     // 5. Drain completions in whatever order the scheduler finishes
     //    them; only the labelled core stream is printed in detail.
@@ -202,17 +201,8 @@ main(int argc, char **argv)
                   << priorityName(req.priority) << std::setw(12)
                   << (std::to_string(
                           static_cast<int>(100.0 * saved + 0.5))
-                      + " %");
-        if (req.trackConMerge)
-            std::cout << std::setw(12)
-                      << (std::to_string(static_cast<int>(
-                              100.0
-                                  * r.conmerge.mergedRemainingFraction()
-                              + 0.5))
-                          + " %");
-        else
-            std::cout << std::setw(12) << "-";
-        std::cout << std::fixed << std::setprecision(3) << r.seconds
+                      + " %")
+                  << std::fixed << std::setprecision(3) << r.seconds
                   << "\n";
         const u64 id = r.id;
         results.emplace(id, std::move(*popped));

@@ -1,7 +1,5 @@
 #include "exion/common/mmap_file.h"
 
-#include "exion/common/logging.h"
-
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -24,12 +22,11 @@ MmapFile::~MmapFile()
 
 MmapFile::MmapFile(MmapFile &&other) noexcept
     : data_(other.data_), size_(other.size_), map_(other.map_),
-      pinned_(other.pinned_), heap_(std::move(other.heap_))
+      heap_(std::move(other.heap_))
 {
     other.data_ = nullptr;
     other.size_ = 0;
     other.map_ = nullptr;
-    other.pinned_ = false;
 }
 
 MmapFile &
@@ -40,12 +37,10 @@ MmapFile::operator=(MmapFile &&other) noexcept
         data_ = other.data_;
         size_ = other.size_;
         map_ = other.map_;
-        pinned_ = other.pinned_;
         heap_ = std::move(other.heap_);
         other.data_ = nullptr;
         other.size_ = 0;
         other.map_ = nullptr;
-        other.pinned_ = false;
     }
     return *this;
 }
@@ -54,14 +49,12 @@ void
 MmapFile::reset() noexcept
 {
 #ifdef EXION_HAVE_MMAP
-    // munmap implicitly unlocks any mlock()'d pages of the range.
     if (map_ != nullptr)
         ::munmap(map_, size_);
 #endif
     map_ = nullptr;
     data_ = nullptr;
     size_ = 0;
-    pinned_ = false;
     heap_.clear();
 }
 
@@ -94,7 +87,7 @@ readAll(const std::string &path)
 } // namespace
 
 MmapFile
-MmapFile::open(const std::string &path, bool pin)
+MmapFile::open(const std::string &path)
 {
     MmapFile out;
 #ifdef EXION_HAVE_MMAP
@@ -118,26 +111,11 @@ MmapFile::open(const std::string &path, bool pin)
     if (map != MAP_FAILED) {
         out.map_ = map;
         out.data_ = static_cast<const u8 *>(map);
-        if (pin) {
-            // Best-effort: RLIMIT_MEMLOCK commonly forbids large
-            // pins for unprivileged processes, and an unpinned
-            // mapping still serves correctly — just with page-cache
-            // eviction possible.
-            if (::mlock(map, out.size_) == 0)
-                out.pinned_ = true;
-            else
-                EXION_WARN("cannot mlock ", out.size_,
-                           " bytes of ", path,
-                           " (continuing unpinned)");
-        }
         return out;
     }
     out.size_ = 0;
     // Fall through to the heap read below.
 #endif
-    if (pin)
-        EXION_WARN("no memory mapping for ", path,
-                   "; pin request ignored (heap image)");
     out.heap_ = readAll(path);
     out.data_ = out.heap_.empty() ? nullptr : out.heap_.data();
     out.size_ = out.heap_.size();

@@ -43,16 +43,9 @@ class MmapFile
     /**
      * Opens path read-only, preferring mmap.
      *
-     * With pin set, the mapped pages are additionally mlock()'d so a
-     * latency-critical store can never be evicted and re-faulted
-     * mid-request. Pinning is best-effort: an mlock failure (usually
-     * RLIMIT_MEMLOCK) or the heap-read fallback degrades to an
-     * unpinned image with a warning — never an error. pinned()
-     * reports the outcome.
-     *
      * @throws std::runtime_error when the file cannot be opened/read
      */
-    static MmapFile open(const std::string &path, bool pin = false);
+    static MmapFile open(const std::string &path);
 
     /** First byte of the image (nullptr when empty). */
     const u8 *data() const { return data_; }
@@ -64,16 +57,12 @@ class MmapFile
         physical pages); false for the heap-read fallback. */
     bool mapped() const { return map_ != nullptr; }
 
-    /** True when the mapping is mlock()'d in RAM (pin succeeded). */
-    bool pinned() const { return pinned_; }
-
   private:
     void reset() noexcept;
 
     const u8 *data_ = nullptr;
     u64 size_ = 0;
     void *map_ = nullptr; //!< mmap base (null in heap mode)
-    bool pinned_ = false; //!< pages mlock()'d (unlocked by munmap)
     std::vector<u8> heap_;
 };
 

@@ -193,19 +193,12 @@ ConMergeStats
 ConMergePipeline::processMask(const Bitmask2D &mask) const
 {
     ConMergeStats stats;
-    processMaskInto(mask, stats);
-    return stats;
-}
-
-void
-ConMergePipeline::processMaskInto(const Bitmask2D &mask,
-                                  ConMergeStats &into) const
-{
-    into.matrixColumns += mask.cols();
-    into.matrixNonEmptyColumns += mask.nonEmptyColumnCount();
+    stats.matrixColumns = mask.cols();
+    stats.matrixNonEmptyColumns = mask.nonEmptyColumnCount();
     const Index groups = ceilDiv(mask.rows(), kLanes);
     for (Index g = 0; g < groups; ++g)
-        into.add(processGroup(mask, g * kLanes));
+        stats.add(processGroup(mask, g * kLanes));
+    return stats;
 }
 
 } // namespace exion

@@ -86,17 +86,6 @@ class ConMergePipeline
     /** Processes every 16-row group of the mask. */
     ConMergeStats processMask(const Bitmask2D &mask) const;
 
-    /**
-     * Processes every 16-row group of the mask, accumulating into a
-     * caller-owned stats object.
-     *
-     * A serving layer keeps one ConMergeStats per request and feeds it
-     * every per-iteration mask, so compaction accounting is explicit
-     * request state rather than anything held by this (stateless,
-     * thread-safe) pipeline.
-     */
-    void processMaskInto(const Bitmask2D &mask, ConMergeStats &into) const;
-
     /** Active configuration. */
     const ConMergeConfig &config() const { return cfg_; }
 

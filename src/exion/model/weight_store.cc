@@ -479,10 +479,10 @@ WeightStore::parse()
 }
 
 std::shared_ptr<const WeightStore>
-WeightStore::load(const std::string &path, bool pin)
+WeightStore::load(const std::string &path)
 {
     std::shared_ptr<WeightStore> store(new WeightStore());
-    store->file_ = MmapFile::open(path, pin);
+    store->file_ = MmapFile::open(path);
     store->size_ = store->file_.size();
     store->parse();
     checkNetworkShape(store->cfg_);

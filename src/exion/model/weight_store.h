@@ -99,10 +99,7 @@ class WeightStore
 
     /**
      * Opens a serialized store, preferring a read-only shared memory
-     * mapping (heap read when mmap is unavailable). With pin set the
-     * mapped pages are mlock()'d best-effort (see MmapFile::open) so
-     * serving latency never pays a page re-fault; a failed pin
-     * degrades to an unpinned mapping with a warning.
+     * mapping (heap read when mmap is unavailable).
      * @throws WeightStoreError on malformed/corrupt images; on a
      *         config no network can be built from: no stages, a stage
      *         with zero tokens, dModel or ffnMult, nHeads zero or not
@@ -114,8 +111,7 @@ class WeightStore
      *         [0, 1], ffnReuse.denseInterval negative
      * @throws std::runtime_error when the file cannot be read
      */
-    static std::shared_ptr<const WeightStore> load(const std::string &path,
-                                                   bool pin = false);
+    static std::shared_ptr<const WeightStore> load(const std::string &path);
 
     /**
      * Writes the image to path (atomically replaceable: plain
@@ -158,10 +154,6 @@ class WeightStore
     /** True when the image is an actual file mapping (pages shared
         across processes); false for in-memory / heap-read images. */
     bool mapped() const { return file_.mapped(); }
-
-    /** True when load(path, pin=true) succeeded in mlock()'ing the
-        mapping; always false for build()-mode and unpinned stores. */
-    bool pinned() const { return file_.pinned(); }
 
   private:
     friend class WeightStoreBuilder;

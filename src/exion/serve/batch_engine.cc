@@ -5,11 +5,6 @@
 #include <exception>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "exion/common/logging.h"
 #include "exion/model/weight_store.h"
 #include "exion/sparsity/cohort_executor.h"
@@ -101,7 +96,7 @@ BatchEngine::BatchEngine() : BatchEngine(Options{})
 }
 
 BatchEngine::BatchEngine(const Options &opts)
-    : opts_(opts), admission_(opts.admission), conmergePipe_(opts.conmerge)
+    : opts_(opts), admission_(opts.admission)
 {
     const int workers = opts.workers > 0
         ? opts.workers
@@ -156,9 +151,9 @@ BatchEngine::registerModel(Benchmark b,
 }
 
 void
-BatchEngine::registerModelFromFile(const std::string &path, bool pin)
+BatchEngine::registerModelFromFile(const std::string &path)
 {
-    auto store = WeightStore::load(path, pin);
+    auto store = WeightStore::load(path);
     const Benchmark b = store->config().benchmark;
     registerModel(b, std::move(store));
 }
@@ -444,8 +439,7 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
         if (passed_rank && it->first.rank < *passed_rank)
             break;
         const ServeRequest &req = it->second.req;
-        if (req.benchmark == key.benchmark && req.mode == key.mode
-            && req.quantize == key.quantize) {
+        if (req.benchmark == key.benchmark && req.mode == key.mode) {
             absorbed.push_back(startLocked(it++, now));
         } else if (!pass_fifo_ties) {
             break;
@@ -486,7 +480,7 @@ BatchEngine::runCohort(CohortMember first)
         mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
     const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
     CohortExecutor exec(
-        SparseExecutor::fromConfig(cfg, ffnr, ep, first.req.quantize));
+        SparseExecutor::fromConfig(cfg, ffnr, ep, /*quantize=*/false));
     CohortRun run(pipe, exec);
 
     // Slot ids are join order, so members_[slot] is the member.
@@ -500,13 +494,6 @@ BatchEngine::runCohort(CohortMember first)
         EXION_ASSERT(mem.slot + 1 == members.size(),
                      "cohort slot ", mem.slot, " out of join order");
         exec.attachSlot(mem.slot, mem.ctx->exec, mem.ctx->ffn);
-        if (mem.req.trackConMerge && ffnr) {
-            RequestContext *ctx = mem.ctx.get();
-            exec.slotObservers(mem.slot).onFfnMask =
-                [this, ctx](int, const Bitmask2D &mask, bool) {
-                    conmergePipe_.processMaskInto(mask, ctx->conmerge);
-                };
-        }
     };
     // Cohort batching off: every cohort is one request, and a worker
     // runs one request at a time.
@@ -596,7 +583,6 @@ BatchEngine::runCohort(CohortMember first)
             result.id = m.req.id;
             result.output = run.takeResult(m.slot);
             result.stats = m.ctx->exec.stats;
-            result.conmerge = m.ctx->conmerge;
             result.seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now()
                                  - m.startedAt)
@@ -682,41 +668,6 @@ BatchEngine::metricsText() const
 }
 
 int
-BatchEngine::pinWorkers(const std::vector<std::vector<int>> &cpuSets)
-{
-    if (cpuSets.empty())
-        return 0;
-#if defined(__linux__)
-    int pinned = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < workers_.size(); ++i) {
-        const std::vector<int> &cpus = cpuSets[i % cpuSets.size()];
-        if (cpus.empty())
-            continue;
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        for (int cpu : cpus)
-            if (cpu >= 0 && cpu < CPU_SETSIZE)
-                CPU_SET(cpu, &set);
-        const int rc = ::pthread_setaffinity_np(
-            workers_[i].native_handle(), sizeof(set), &set);
-        if (rc != 0) {
-            EXION_WARN("pinWorkers: pthread_setaffinity_np failed for "
-                       "worker ",
-                       i, " (errno ", rc, "); leaving it floating");
-            continue;
-        }
-        ++pinned;
-    }
-    return pinned;
-#else
-    EXION_WARN("pinWorkers: thread affinity unsupported on this "
-               "platform; workers stay floating");
-    return 0;
-#endif
-}
-
-int
 BatchEngine::workerCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -773,21 +724,15 @@ BatchEngine::runOne(const ServeRequest &req) const
     RequestContext ctx;
     std::unique_ptr<BlockExecutor> exec;
     if (req.mode == ExecMode::Dense) {
-        auto dense = std::make_unique<DenseExecutor>(req.quantize);
+        auto dense = std::make_unique<DenseExecutor>();
         dense->bindContext(ctx.exec);
         exec = std::move(dense);
     } else {
         const bool ffnr = req.mode != ExecMode::EpOnly;
         const bool ep = req.mode != ExecMode::FfnReuseOnly;
         auto sparse = std::make_unique<SparseExecutor>(
-            SparseExecutor::fromConfig(cfg, ffnr, ep, req.quantize));
+            SparseExecutor::fromConfig(cfg, ffnr, ep, /*quantize=*/false));
         sparse->bindRequestState(ctx.exec, ctx.ffn);
-        if (req.trackConMerge && ffnr) {
-            sparse->observers.onFfnMask =
-                [this, &ctx](int, const Bitmask2D &mask, bool) {
-                    conmergePipe_.processMaskInto(mask, ctx.conmerge);
-                };
-        }
         exec = std::move(sparse);
     }
 
@@ -803,7 +748,6 @@ BatchEngine::runOne(const ServeRequest &req) const
     result.id = req.id;
     result.output = pipe.run(*exec, opts);
     result.stats = ctx.exec.stats;
-    result.conmerge = ctx.conmerge;
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();

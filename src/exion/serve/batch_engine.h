@@ -19,9 +19,9 @@
  * work; snapshot() reports per-class accepted/rejected/shed/cancelled
  * counts, ready-queue depths and queue-wait percentiles. Each request
  * owns a RequestContext bundling every piece of mutable state the run
- * produces — execution context, FFN-Reuse bundle, ConMerge accounting
- * — so results are bit-identical no matter how requests interleave
- * across workers or in which order the scheduler starts them.
+ * produces — execution context and FFN-Reuse bundle — so results are
+ * bit-identical no matter how requests interleave across workers or
+ * in which order the scheduler starts them.
  */
 
 #ifndef EXION_SERVE_BATCH_ENGINE_H_
@@ -40,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "exion/conmerge/pipeline.h"
 #include "exion/model/pipeline.h"
 #include "exion/serve/admission.h"
 #include "exion/serve/metrics.h"
@@ -57,14 +56,13 @@ class BatchEngine;
  *
  * This is the per-request context object: executors bind into it
  * instead of holding stream state themselves, so one request's
- * iteration counter, op accounting, inter-iteration FFN-Reuse caches
- * and ConMerge accounting can never bleed into another's.
+ * iteration counter, op accounting and inter-iteration FFN-Reuse
+ * caches can never bleed into another's.
  */
 struct RequestContext
 {
-    ExecContext exec;       //!< iteration index + ExecStats
-    FfnReuseState ffn;      //!< inter-iteration FFN-Reuse caches
-    ConMergeStats conmerge; //!< per-iteration mask compaction roll-up
+    ExecContext exec;  //!< iteration index + ExecStats
+    FfnReuseState ffn; //!< inter-iteration FFN-Reuse caches
 };
 
 /**
@@ -191,8 +189,6 @@ class BatchEngine
         /** Worker threads the engine starts (0 = hardware
             concurrency). */
         int workers = 0;
-        /** ConMerge configuration for trackConMerge requests. */
-        ConMergeConfig conmerge;
         /**
          * Admission policy of submit()/trySubmit(). The default
          * admits everything.
@@ -200,8 +196,8 @@ class BatchEngine
         AdmissionConfig admission;
         /**
          * Cohort batching: when a worker starts a request, it pulls
-         * queued requests with the same (benchmark, mode, quantize)
-         * out of the ready queue — at start and again at every
+         * queued requests with the same (benchmark, mode) out of the
+         * ready queue — at start and again at every
          * iteration boundary — and steps them together with their
          * latents stacked into one tall matrix per iteration, so the
          * MMULs traverse each weight matrix once per cohort instead
@@ -284,15 +280,13 @@ class BatchEngine
     /**
      * Loads a serialized weight store from path (mmap'd read-only
      * where the platform allows) and registers it under its config's
-     * benchmark. With pin set the mapping is mlock()'d best-effort
-     * (WeightStore::load) so weight pages cannot be evicted under
-     * memory pressure; a failed pin warns and serves unpinned.
+     * benchmark.
      *
      * @throws WeightStoreError on a malformed or corrupt file, or as
      *                          registerModel()
      * @throws EngineStopped    after shutdown() has begun
      */
-    void registerModelFromFile(const std::string &path, bool pin = false);
+    void registerModelFromFile(const std::string &path);
 
     /**
      * Registered pipeline for a benchmark.
@@ -353,14 +347,6 @@ class BatchEngine
 
     /** snapshot() rendered as Prometheus text. */
     std::string metricsText() const;
-
-    /**
-     * Best-effort CPU affinity: pins worker thread i to
-     * cpuSets[i % cpuSets.size()] (each entry a CPU-id list, e.g. one
-     * NUMA node). Returns the number of workers pinned; failures warn
-     * and leave the worker unpinned.
-     */
-    int pinWorkers(const std::vector<std::vector<int>> &cpuSets);
 
     /**
      * Pauses scheduling: workers finish their current request, then
@@ -482,11 +468,11 @@ class BatchEngine
     /**
      * Pulls up to max_take queued requests compatible with key out of
      * the ready queue, in queue order, marking them started.
-     * Compatible = same benchmark, mode and quantize flag. The first
-     * queued non-matching request stops absorption; with
-     * pass_fifo_ties set (cohort formation) it stops only at the
-     * first request ranked below it, since requests of equal rank
-     * differ only in FIFO order.
+     * Compatible = same benchmark and mode. The first queued
+     * non-matching request stops absorption; with pass_fifo_ties set
+     * (cohort formation) it stops only at the first request ranked
+     * below it, since requests of equal rank differ only in FIFO
+     * order.
      */
     std::vector<CohortMember> absorbCohortPeers(const ServeRequest &key,
                                                 Index max_take,
@@ -510,7 +496,6 @@ class BatchEngine
         std::chrono::steady_clock::now();
     Options opts_;
     AdmissionController admission_;
-    ConMergePipeline conmergePipe_;
     std::map<Benchmark, std::unique_ptr<const DiffusionPipeline>> models_;
     MetricsCollector metrics_;
 

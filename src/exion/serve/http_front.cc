@@ -519,7 +519,6 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
     for (const auto &[key, value] : fields) {
         const bool isStr = value.kind == JsonValue::Kind::Str;
         const bool isNum = value.kind == JsonValue::Kind::Num;
-        const bool isBool = value.kind == JsonValue::Kind::Bool;
         if (key == "benchmark") {
             if (!isStr)
                 return respondError(writer, 400,
@@ -542,17 +541,6 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
                     writer, 400,
                     "\"priority\" must be one of low, normal, high, "
                     "critical");
-        } else if (key == "quantize") {
-            if (!isBool)
-                return respondError(writer, 400,
-                                    "\"quantize\" must be a boolean");
-            serve.quantize = value.boolean;
-        } else if (key == "track_conmerge") {
-            if (!isBool)
-                return respondError(
-                    writer, 400,
-                    "\"track_conmerge\" must be a boolean");
-            serve.trackConMerge = value.boolean;
         } else if (key == "seed") {
             // The body's numbers are parsed as doubles, which hold
             // every integer below 2^53 exactly. A larger seed would
@@ -587,7 +575,6 @@ HttpFront::handleSubmit(const HttpRequest &req, ResponseWriter &writer)
     job->benchmark = serve.benchmark;
     job->mode = serve.mode;
     job->priority = serve.priority;
-    job->quantize = serve.quantize;
     job->seed = serve.noiseSeed;
     {
         std::lock_guard<std::mutex> lock(jobsMutex_);
@@ -681,8 +668,7 @@ HttpFront::statusJson(Job &job) const
         + state + "\", \"benchmark\": \""
         + benchmarkName(job.benchmark) + "\", \"mode\": \""
         + execModeName(job.mode) + "\", \"priority\": \""
-        + priorityName(job.priority) + "\", \"quantize\": "
-        + (job.quantize ? "true" : "false") + ", \"seed\": "
+        + priorityName(job.priority) + "\", \"seed\": "
         + std::to_string(job.seed) + ", \"iterations_done\": "
         + std::to_string(done + 1) + tail + "}";
 }

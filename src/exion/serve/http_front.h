@@ -33,9 +33,8 @@
  * Submission body — a flat JSON object, all fields except
  * "benchmark" optional:
  *
- *   {"benchmark": "MLD", "mode": "exion", "quantize": false,
- *    "seed": 7, "priority": "normal", "deadline_seconds": 0.5,
- *    "track_conmerge": false}
+ *   {"benchmark": "MLD", "mode": "exion", "seed": 7,
+ *    "priority": "normal", "deadline_seconds": 0.5}
  *
  * Unknown fields, wrong types and malformed JSON are 400s (strict on
  * purpose: a typoed field name silently defaulting is how a load
@@ -126,7 +125,6 @@ class HttpFront
         Benchmark benchmark = Benchmark::MLD;
         ExecMode mode = ExecMode::Exion;
         Priority priority = Priority::Normal;
-        bool quantize = false;
         u64 seed = 0;
 
         /** Guards every field below. */

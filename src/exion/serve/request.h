@@ -15,7 +15,6 @@
 #include <functional>
 #include <string>
 
-#include "exion/conmerge/pipeline.h"
 #include "exion/model/config.h"
 #include "exion/model/executor.h"
 #include "exion/tensor/matrix.h"
@@ -70,15 +69,8 @@ struct ServeRequest
     Benchmark benchmark = Benchmark::MLD;
     /** Execution strategy. */
     ExecMode mode = ExecMode::Exion;
-    /** INT12 operand quantisation. */
-    bool quantize = false;
     /** Seed of the initial Gaussian latent. */
     u64 noiseSeed = 7;
-    /**
-     * Accumulate ConMerge compaction statistics over every FFN
-     * recompute mask the request produces (sparse modes only).
-     */
-    bool trackConMerge = false;
     /** Scheduling class; higher classes start first. */
     Priority priority = Priority::Normal;
     /**
@@ -118,7 +110,6 @@ struct RequestResult
     u64 id = 0;
     Matrix output;
     ExecStats stats;
-    ConMergeStats conmerge;
     /** Wall-clock seconds spent executing the request. */
     double seconds = 0.0;
     /** Failure description; empty on success. */

@@ -1,13 +1,19 @@
 #include "exion/sparsity/cohort_executor.h"
 
+#include <stdexcept>
+
 #include "exion/tensor/ops.h"
 
 namespace exion
 {
 
 CohortExecutor::CohortExecutor(const SparseExecutor::Options &opt)
-    : opt_(opt), ffnReuse_(opt.ffnReuse, opt.quantize)
+    : opt_(opt), ffnReuse_(opt.ffnReuse, /*quantize=*/false)
 {
+    if (opt.quantize)
+        throw std::invalid_argument(
+            "CohortExecutor runs float only; quantize needs a solo "
+            "executor");
 }
 
 CohortExecutor::Slot &
@@ -33,12 +39,6 @@ CohortExecutor::attachSlot(Index id, ExecContext &ctx, FfnReuseState &ffn)
     s.ffn = &ffn;
     s.ownedCtx.reset();
     s.ownedFfn.reset();
-}
-
-ExecObservers &
-CohortExecutor::slotObservers(Index id)
-{
-    return slot(id).observers;
 }
 
 ExecContext &
@@ -83,19 +83,16 @@ CohortExecutor::attention(const TransformerBlock &blk,
     const Index t_seg = x_norm.rows() / n;
     const Index d = blk.dModel();
 
-    // Sparse / quantized paths partition by member: EP decisions and
-    // INT12 scales are calibrated per request matrix.
-    if (opt_.useEp || opt_.quantize) {
+    // Eager prediction partitions by member: its decisions are
+    // calibrated per request matrix.
+    if (opt_.useEp) {
         Matrix out(x_norm.rows(), d);
+        ExecObservers none;
         for (Index m = 0; m < n; ++m) {
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
-            Slot &s = slot(active_[m]);
-            const Matrix seg = opt_.useEp
-                ? epAttentionImpl(blk, x_m, opt_.ep, opt_.lodMode,
-                                  opt_.quantize, s.ctx->stats,
-                                  s.observers)
-                : denseAttentionImpl(blk, x_m, opt_.quantize,
-                                     s.ctx->stats, s.observers);
+            const Matrix seg =
+                epAttentionImpl(blk, x_m, opt_.ep, opt_.lodMode, false,
+                                memberStats(m), none);
             pasteRows(out, seg, m * t_seg);
         }
         return out;
@@ -151,35 +148,16 @@ CohortExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
         // caches are per request — run each member against its own
         // bundle at its own iteration.
         Matrix out(x_norm.rows(), d);
+        ExecObservers none;
         for (Index m = 0; m < n; ++m) {
             Slot &s = slot(active_[m]);
             ffnReuse_.bindState(*s.ffn);
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
-            const Matrix seg =
-                ffnReuse_.run(blk, x_m, iterations_[m], s.ctx->stats,
-                              s.observers);
+            const Matrix seg = ffnReuse_.run(blk, x_m, iterations_[m],
+                                             s.ctx->stats, none);
             pasteRows(out, seg, m * t_seg);
         }
         ffnReuse_.unbindState();
-        return out;
-    }
-
-    // A hidden-activation observer wants per-member matrices; the
-    // stacked fast path would hand it the whole stack instead.
-    bool per_member = opt_.quantize;
-    for (Index m = 0; m < n && !per_member; ++m)
-        per_member = static_cast<bool>(
-            slot(active_[m]).observers.onFfnHidden);
-
-    if (per_member) {
-        Matrix out(x_norm.rows(), d);
-        for (Index m = 0; m < n; ++m) {
-            Slot &s = slot(active_[m]);
-            const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
-            const Matrix seg = denseFfnImpl(blk, x_m, opt_.quantize,
-                                            s.ctx->stats, s.observers);
-            pasteRows(out, seg, m * t_seg);
-        }
         return out;
     }
 

@@ -33,16 +33,16 @@ namespace exion
  * per-request ExecContext / FfnReuseState to a slot (attachSlot) so
  * accounting survives the executor; unattached slots get
  * executor-owned state created on demand (convenient for tests and
- * pipeline-level use). Per-slot observers fire with that member's
- * masks and activations only.
+ * pipeline-level use).
  *
- * Quantized modes fall back to per-member execution for the dense
- * paths too: INT12 scales are calibrated per matrix, so a stacked
- * operand would change every member's quantisation grid.
+ * Float only: INT12 scales are calibrated per matrix, so a stacked
+ * operand would change every member's quantisation grid. Quantized
+ * runs go through a solo SparseExecutor / DenseExecutor.
  */
 class CohortExecutor : public CohortBlockExecutor
 {
   public:
+    /** @throws std::invalid_argument when opt.quantize is set */
     explicit CohortExecutor(const SparseExecutor::Options &opt);
 
     /**
@@ -50,9 +50,6 @@ class CohortExecutor : public CohortBlockExecutor
      * outlive the slot (until releaseSlot() or destruction).
      */
     void attachSlot(Index slot, ExecContext &ctx, FfnReuseState &ffn);
-
-    /** Per-slot observers (created on first access). */
-    ExecObservers &slotObservers(Index slot);
 
     /** Execution context of a slot (created on first access). */
     ExecContext &slotContext(Index slot);
@@ -80,7 +77,6 @@ class CohortExecutor : public CohortBlockExecutor
         FfnReuseState *ffn = nullptr;
         std::unique_ptr<ExecContext> ownedCtx;
         std::unique_ptr<FfnReuseState> ownedFfn;
-        ExecObservers observers;
     };
 
     /** The slot's state, created (executor-owned) on demand. */

@@ -162,16 +162,15 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnMask)
         observers.onFfnMask(blk.id(), st.mask, true);
 
-    // Split H into reuse and recompute regions; cache the reuse
-    // region's contribution through the second FFN layer.
-    Matrix h_reuse = hidden;
+    // Split H into recompute (h_keep) and reuse regions, the latter in
+    // place; cache the reuse region's contribution through the second
+    // FFN layer.
     Matrix h_keep(t, hid);
     st.mask.forEachSetBit([&](Index r, Index c) {
-        h_reuse(r, c) = 0.0f;
         h_keep(r, c) = hidden(r, c);
+        hidden(r, c) = 0.0f;
     });
-    st.psumSparse = execWeightMatmul(h_reuse, blk.ffn2(), quantize_);
-    st.hiddenCache = std::move(hidden);
+    st.psumSparse = execWeightMatmul(hidden, blk.ffn2(), quantize_);
     st.initialized = true;
 
     // The recompute region is sparse (1 - targetSparsity of H); in

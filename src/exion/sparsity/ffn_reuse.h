@@ -40,7 +40,6 @@ struct FfnReuseBlockState
     bool initialized = false;
     double theta = 0.0;   //!< calibrated |H| threshold
     Bitmask2D mask;       //!< recompute mask (1 = recompute)
-    Matrix hiddenCache;   //!< H from the last dense iteration
     Matrix psumSparse;    //!< (H masked to reuse region) * W2
 };
 
@@ -49,8 +48,8 @@ struct FfnReuseBlockState
  *
  * The engine holds a private bundle by default; a serving layer binds
  * one bundle per in-flight request so inter-iteration reuse state
- * (masks, hidden caches, partial sums) never mixes across concurrent
- * denoising streams.
+ * (masks, partial sums) never mixes across concurrent denoising
+ * streams.
  */
 struct FfnReuseState
 {

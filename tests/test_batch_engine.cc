@@ -6,8 +6,8 @@
  * cancellation; per-request state isolation; mixed request
  * scheduling; async submit/complete delivery (tickets, callback);
  * admission policies (class bounds, load shedding,
- * block-with-timeout); EngineMetrics reconciliation;
- * priority-inversion regression and ConMerge accounting.
+ * block-with-timeout); EngineMetrics reconciliation and the
+ * priority-inversion regression.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +22,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "exion/serve/batch_engine.h"
 #include "submit_all.h"
@@ -42,7 +38,7 @@ tinyConfig()
                           /*iterations=*/6);
 }
 
-/** A mixed batch over one tiny model: modes, seeds, quantisation. */
+/** A mixed batch over one tiny model: modes and seeds. */
 std::vector<ServeRequest>
 mixedBatch(Benchmark b, int n)
 {
@@ -54,7 +50,6 @@ mixedBatch(Benchmark b, int n)
         req.id = static_cast<u64>(i);
         req.benchmark = b;
         req.mode = modes[i % 4];
-        req.quantize = i % 3 == 0;
         req.noiseSeed = 100 + static_cast<u64>(i);
         batch.push_back(req);
     }
@@ -204,33 +199,6 @@ TEST(BatchEngine, SparseRequestsKeepIndependentReuseState)
             EXPECT_EQ(results[i].output.data()[e], expected.data()[e])
                 << "request " << i << " element " << e;
     }
-}
-
-TEST(BatchEngine, TracksConMergeStatsPerRequest)
-{
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 2;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    ServeRequest req;
-    req.benchmark = cfg.benchmark;
-    req.mode = ExecMode::Exion;
-    req.trackConMerge = true;
-    const RequestResult tracked = engine.submit(req).get();
-    // 6 iterations x 2 blocks of masks flow through ConMerge; the
-    // dense-interval pattern fires onFfnMask every iteration.
-    EXPECT_GT(tracked.conmerge.groups, 0u);
-    EXPECT_GT(tracked.conmerge.matrixColumns, 0u);
-
-    req.trackConMerge = false;
-    const RequestResult untracked = engine.submit(req).get();
-    EXPECT_EQ(untracked.conmerge.groups, 0u);
-
-    // Accounting must not perturb numerics.
-    for (Index e = 0; e < tracked.output.size(); ++e)
-        EXPECT_EQ(tracked.output.data()[e], untracked.output.data()[e]);
 }
 
 TEST(BatchEngine, ResultsKeepRequestOrderAndIds)
@@ -998,28 +966,6 @@ TEST(BatchEngine, SubmitFromCallbackDuringShutdownReportsStopped)
     EXPECT_EQ(engine.snapshot().at(Priority::Normal).rejectedStopped, 3u);
 }
 
-TEST(BatchEngine, PinWorkersPinsEveryWorkerToAllowedCpus)
-{
-#if defined(__linux__)
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-    std::vector<int> cpus;
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
-        if (CPU_ISSET(cpu, &allowed))
-            cpus.push_back(cpu);
-    ASSERT_FALSE(cpus.empty());
-
-    BatchEngine::Options opts;
-    opts.workers = 3;
-    BatchEngine engine(opts);
-    EXPECT_EQ(engine.pinWorkers({cpus}), 3);
-    EXPECT_EQ(engine.pinWorkers({}), 0);
-#else
-    GTEST_SKIP() << "thread affinity is only supported on Linux";
-#endif
-}
-
 TEST(ServeNames, RejectReasonNames)
 {
     EXPECT_EQ(rejectReasonName(RejectReason::QueueFull), "queue-full");
@@ -1228,9 +1174,9 @@ TEST(BatchEngine, DeadlineMissedMemberDoesNotStallCohort)
 
 TEST(BatchEngine, CohortAbsorbsOnlyCompatibleRequests)
 {
-    // Different (mode, quantize) keys never share a cohort — results
-    // must match the sequential reference even when incompatible
-    // requests interleave in the queue.
+    // Different modes never share a cohort — results must match the
+    // sequential reference even when incompatible requests interleave
+    // in the queue.
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
     opts.workers = 1;
@@ -1429,44 +1375,6 @@ TEST(BatchEngine, CohortRefillStopsAtEqualRankFifoTie)
     const std::vector<u64> expected = {1, 2, 3};
     EXPECT_EQ(completion_order, expected)
         << "refill passed a queued request of equal rank";
-}
-
-TEST(BatchEngine, CohortTracksConMergePerMember)
-{
-    // Per-slot observers: ConMerge accounting in a cohort must match
-    // the solo run of the same request, and an untracked member in
-    // the same cohort must stay untouched.
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 1;
-    opts.cohortBatching = true;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    ServeRequest tracked;
-    tracked.benchmark = cfg.benchmark;
-    tracked.id = 1;
-    tracked.mode = ExecMode::Exion;
-    tracked.trackConMerge = true;
-    ServeRequest untracked = tracked;
-    untracked.id = 2;
-    untracked.trackConMerge = false;
-    untracked.noiseSeed = 99;
-
-    engine.pause();
-    Ticket t1 = engine.submit(tracked);
-    Ticket t2 = engine.submit(untracked);
-    engine.resume();
-    const RequestResult r1 = t1.get();
-    const RequestResult r2 = t2.get();
-    EXPECT_GT(r1.conmerge.groups, 0u);
-    EXPECT_EQ(r2.conmerge.groups, 0u);
-
-    BatchEngine plain;
-    plain.addModel(cfg);
-    const auto solo = plain.runSequential({tracked});
-    EXPECT_EQ(r1.conmerge.groups, solo[0].conmerge.groups);
-    EXPECT_EQ(r1.conmerge.matrixColumns, solo[0].conmerge.matrixColumns);
 }
 
 TEST(BatchEngine, RunningRequestCancelsCooperatively)

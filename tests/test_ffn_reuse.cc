@@ -143,15 +143,18 @@ TEST(FfnReuse, RecomputedElementsAreFresh)
     const Matrix x2 = f.input(9); // completely different input
     const Matrix out = reuse.run(f.blk, x2, 1, f.stats, f.observers);
 
-    // Reconstruct the expected hybrid: cached hidden for mask=0,
-    // fresh hidden for mask=1, through the second layer.
+    // Reconstruct the expected hybrid: the dense iteration's hidden
+    // (from x1) for mask=0, fresh hidden (from x2) for mask=1, through
+    // the second layer.
+    Matrix old_gate = matmul(x1, f.blk.ffn1().weight());
+    addRowVector(old_gate, f.blk.ffn1().bias());
     Matrix gate = matmul(x2, f.blk.ffn1().weight());
     addRowVector(gate, f.blk.ffn1().bias());
-    Matrix hybrid = st.hiddenCache;
+    Matrix hybrid(old_gate.rows(), old_gate.cols());
     for (Index r = 0; r < hybrid.rows(); ++r)
         for (Index c = 0; c < hybrid.cols(); ++c)
-            if (st.mask.get(r, c))
-                hybrid(r, c) = geluScalar(gate(r, c));
+            hybrid(r, c) = geluScalar(st.mask.get(r, c) ? gate(r, c)
+                                                        : old_gate(r, c));
     Matrix expect = matmul(hybrid, f.blk.ffn2().weight());
     addRowVector(expect, f.blk.ffn2().bias());
     EXPECT_LT(maxAbsDiff(out, expect), 1e-3);

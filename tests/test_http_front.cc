@@ -208,7 +208,7 @@ TEST(HttpFront, SubmitAcceptReturns201WithLocation)
                             "POST", "/v1/jobs",
                             "{\"benchmark\": \"MLD\", \"mode\": "
                             "\"exion\", \"seed\": 7, \"priority\": "
-                            "\"high\", \"quantize\": true}"),
+                            "\"high\"}"),
                         writer),
               201);
     const long long id = jsonInt(bodyOf(writer), "id");
@@ -222,7 +222,6 @@ TEST(HttpFront, SubmitAcceptReturns201WithLocation)
     EXPECT_NE(status.find("\"mode\": \"exion\""), std::string::npos);
     EXPECT_NE(status.find("\"priority\": \"high\""),
               std::string::npos);
-    EXPECT_NE(status.find("\"quantize\": true"), std::string::npos);
     EXPECT_NE(status.find("\"seed\": 7"), std::string::npos);
 }
 
@@ -246,7 +245,8 @@ TEST(HttpFront, MalformedBodiesAre400)
              "{\"seed\": 9007199254740993, \"benchmark\": \"MLD\"}",
              "{\"mode\": \"warp\", \"benchmark\": \"MLD\"}",
              "{\"priority\": \"vip\", \"benchmark\": \"MLD\"}",
-             "{\"quantize\": \"yes\", \"benchmark\": \"MLD\"}",
+             "{\"quantize\": true, \"benchmark\": \"MLD\"}",
+             "{\"track_conmerge\": false, \"benchmark\": \"MLD\"}",
              "{\"deadline_seconds\": -2, \"benchmark\": \"MLD\"}",
              "{\"benchmark\": \"MLD\", \"typo_field\": 1}",
          }) {
@@ -413,7 +413,7 @@ TEST(HttpFront, DoneStatusBodyGolden)
 {
     FrontFixture fx;
     const long long id = fx.submit(
-        "{\"benchmark\": \"MLD\", \"seed\": 5, \"quantize\": true}");
+        "{\"benchmark\": \"MLD\", \"seed\": 5}");
     const std::string status = fx.waitTerminal(id);
 
     // The same request straight through the engine gives the result
@@ -421,12 +421,11 @@ TEST(HttpFront, DoneStatusBodyGolden)
     ServeRequest req;
     req.benchmark = Benchmark::MLD;
     req.noiseSeed = 5;
-    req.quantize = true;
     const RequestResult r = fx.engine.submit(req).get();
     const std::string want = "{\"id\": " + std::to_string(id)
         + ", \"state\": \"done\", \"benchmark\": \"MLD\", \"mode\": "
-          "\"exion\", \"priority\": \"normal\", \"quantize\": true, "
-          "\"seed\": 5, \"iterations_done\": "
+          "\"exion\", \"priority\": \"normal\", \"seed\": 5, "
+          "\"iterations_done\": "
         + std::to_string(makeTinyConfig().iterations)
         + ", \"seconds\": S, \"output_rows\": "
         + std::to_string(r.output.rows()) + ", \"output_cols\": "
@@ -462,8 +461,8 @@ TEST(HttpFront, CancelledStatusAndDeleteBodiesGolden)
               "\"cancelling\"}\n");
     const std::string cancelled =
         "{\"id\": 1, \"state\": \"cancelled\", \"benchmark\": \"MLD\", "
-        "\"mode\": \"exion\", \"priority\": \"normal\", \"quantize\": "
-        "false, \"seed\": 7, \"iterations_done\": 0}";
+        "\"mode\": \"exion\", \"priority\": \"normal\", \"seed\": 7, "
+        "\"iterations_done\": 0}";
     EXPECT_EQ(fx.waitTerminal(id), cancelled + "\n");
     BufferResponseWriter again;
     ASSERT_EQ(fx.handle(makeRequest("DELETE", "/v1/jobs/1"), again),

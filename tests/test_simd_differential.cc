@@ -241,7 +241,6 @@ TEST(SimdDifferentialTest, EngineMatchesScalarChild)
         req.id = i;
         req.benchmark = cfg.benchmark;
         req.mode = modes[i % 4];
-        req.quantize = i % 5 == 4;
         req.noiseSeed = 7700 + i;
         requests.push_back(req);
     }

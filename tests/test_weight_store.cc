@@ -746,7 +746,6 @@ TEST(WeightStoreEngineTest, TwoEnginesShareOneStoreBitIdentically)
         req.id = i;
         req.benchmark = cfg.benchmark;
         req.mode = i % 2 == 0 ? ExecMode::Dense : ExecMode::Exion;
-        req.quantize = i == 3;
         req.noiseSeed = 8800 + i;
         requests.push_back(req);
     }
@@ -827,38 +826,11 @@ TEST(WeightStoreEngineTest, RegistrationOnStoppedEngineThrowsTyped)
     std::remove(path.c_str());
 }
 
-TEST(WeightStoreTest, PinPlumbingAndBestEffortDegradation)
-{
-    const ModelConfig cfg = shortConfig(Benchmark::MLD);
-    const auto built = WeightStore::build(cfg);
-    const std::string path = tempPath("pinned.exws");
-    built->save(path);
-
-    // Without a pin request the mapping is never locked.
-    const auto unpinned = WeightStore::load(path);
-    EXPECT_FALSE(unpinned->pinned());
-
-    // With one, pinning is best-effort: mlock may be refused by
-    // RLIMIT_MEMLOCK in constrained environments, and that must
-    // degrade to a served-but-unpinned store, never an error. Either
-    // outcome loads the identical image.
-    const auto pinned = WeightStore::load(path, /*pin=*/true);
-    if (pinned->pinned()) {
-        EXPECT_TRUE(pinned->mapped());
-    }
-    EXPECT_EQ(pinned->checksum(), unpinned->checksum());
-    EXPECT_EQ(pinned->sizeBytes(), unpinned->sizeBytes());
-
-    // build()-mode stores have no mapping to pin.
-    EXPECT_FALSE(built->pinned());
-    std::remove(path.c_str());
-}
-
-TEST(WeightStoreEngineTest, PinnedRegistrationServesIdentically)
+TEST(WeightStoreEngineTest, FileRegistrationServesExionLikeTheStore)
 {
     const ModelConfig cfg = shortConfig(Benchmark::MLD);
     const auto store = WeightStore::build(cfg);
-    const std::string path = tempPath("pinned_engine.exws");
+    const std::string path = tempPath("file_engine.exws");
     store->save(path);
 
     ServeRequest req;
@@ -872,9 +844,9 @@ TEST(WeightStoreEngineTest, PinnedRegistrationServesIdentically)
     plain.registerModel(cfg.benchmark, store);
     const RequestResult reference = plain.submit(req).get();
 
-    BatchEngine viaPin(opts);
-    viaPin.registerModelFromFile(path, /*pin=*/true);
-    const RequestResult result = viaPin.submit(req).get();
+    BatchEngine viaFile(opts);
+    viaFile.registerModelFromFile(path);
+    const RequestResult result = viaFile.submit(req).get();
 
     ASSERT_EQ(result.output.rows(), reference.output.rows());
     ASSERT_EQ(result.output.cols(), reference.output.cols());

@@ -12,8 +12,7 @@
  * Usage:
  *   exion_serve [--port N] [--models DIR] [--builtin NAME[,NAME...]]
  *               [--scale full|reduced] [--iterations N]
- *               [--pin-weights] [--workers N] [--numa]
- *               [--max-queued N] [--shed-threshold N]
+ *               [--workers N] [--max-queued N] [--shed-threshold N]
  *               [--block-timeout SECONDS] [--sse-heartbeat SECONDS]
  *
  *   --port N          listen port on 127.0.0.1 (default 8080;
@@ -23,14 +22,10 @@
  *   --builtin NAMES   comma-separated benchmark names to build
  *                     in-process instead of loading from disk
  *   --scale           model scale for --builtin (default reduced)
- *   --iterations N    denoising-iteration override for --builtin
- *   --pin-weights     mlock() loaded stores (best-effort; a failed
- *                     pin warns and serves unpinned)
+ *   --iterations N    denoising-iteration override for --builtin,
+ *                     at most 1000 (default 0: the model's own count)
  *   --workers N       engine worker threads, at most 1024 (default 0:
  *                     one per hardware thread)
- *   --numa            pin worker i to NUMA node i mod N (best-effort;
- *                     warns and serves unpinned when the host exposes
- *                     fewer than two nodes)
  *   --max-queued N    admission: ready-queue bound per priority
  *                     class (QueueFull -> HTTP 429; default 16)
  *   --shed-threshold N admission: total backlog at which Low-class
@@ -42,11 +37,12 @@
  *
  * A numeric flag whose value is not entirely a number in its range
  * (text, trailing characters, a negative count, a port above 65535,
- * more than 1024 workers, a non-finite time) stops the daemon with
- * exit status 2. A store in --models DIR that cannot be loaded or
- * registered (corrupt, or its tensors or config inconsistent) stops it
- * with exit status 1. EXION_SIMD caps the kernel level
- * (simd_dispatch.h); the startup line prints the level in effect.
+ * more than 1000 iterations or 1024 workers, a non-finite time) stops
+ * the daemon with exit status 2. A store in --models DIR that cannot
+ * be loaded or registered (corrupt, or its tensors or config
+ * inconsistent) stops it with exit status 1. EXION_SIMD caps the
+ * kernel level (simd_dispatch.h); the startup line prints the level in
+ * effect.
  *
  * The API itself is documented in serve/http_front.h; README.md has
  * curl examples.
@@ -66,9 +62,8 @@
 
 #include <dirent.h>
 
-#include "exion/common/logging.h"
-#include "exion/common/numa.h"
 #include "exion/model/config.h"
+#include "exion/model/scheduler.h"
 #include "exion/net/http_server.h"
 #include "exion/serve/batch_engine.h"
 #include "exion/serve/http_front.h"
@@ -97,12 +92,12 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--port N] [--models DIR] [--builtin NAME[,...]]\n"
         "          [--scale full|reduced] [--iterations N]\n"
-        "          [--pin-weights] [--workers N] [--max-queued N]\n"
-        "          [--numa] [--shed-threshold N]\n"
+        "          [--workers N] [--max-queued N] [--shed-threshold N]\n"
         "          [--block-timeout SECONDS]\n"
         "          [--sse-heartbeat SECONDS]\n"
+        "--iterations takes 0..%d (0 = the model's own count)\n"
         "--workers takes 0..%d (0 = one per hardware thread)\n",
-        argv0, kMaxWorkers);
+        argv0, kTrainSteps, kMaxWorkers);
     return 2;
 }
 
@@ -183,16 +178,15 @@ main(int argc, char **argv)
     std::string builtin;
     Scale scale = Scale::Reduced;
     int iterations = 0;
-    bool pinWeights = false;
-    bool numa = false;
     BatchEngine::Options engineOpts;
     engineOpts.admission.maxQueuedPerClass = 16;
     HttpFront::Options frontOpts;
 
-    constexpr int kMaxInt = std::numeric_limits<int>::max();
     constexpr u64 kMaxU64 = std::numeric_limits<u64>::max();
     constexpr double kMaxSeconds = std::numeric_limits<double>::max();
     const char *const kCount = "a whole number >= 0";
+    const std::string iterationRange =
+        "a whole number in 0.." + std::to_string(kTrainSteps);
     const std::string workerRange =
         "a whole number in 0.." + std::to_string(kMaxWorkers);
     for (int i = 1; i < argc; ++i) {
@@ -216,14 +210,11 @@ main(int argc, char **argv)
             else
                 return usage(argv[0]);
         } else if (arg == "--iterations" && (v = value()))
-            ok = parseNumber(arg, v, kCount, 0, kMaxInt, iterations);
-        else if (arg == "--pin-weights")
-            pinWeights = true;
+            ok = parseNumber(arg, v, iterationRange.c_str(), 0,
+                             kTrainSteps, iterations);
         else if (arg == "--workers" && (v = value()))
             ok = parseNumber(arg, v, workerRange.c_str(), 0, kMaxWorkers,
                              engineOpts.workers);
-        else if (arg == "--numa")
-            numa = true;
         else if (arg == "--max-queued" && (v = value()))
             ok = parseNumber(arg, v, kCount, 0, kMaxU64,
                              engineOpts.admission.maxQueuedPerClass);
@@ -255,19 +246,6 @@ main(int argc, char **argv)
     const SimdLevel simd = activeSimdLevel();
 
     BatchEngine engine(engineOpts);
-    if (numa) {
-        // Every worker reads the one weight store, so pinning places
-        // threads on nodes, not weights.
-        const std::vector<std::vector<int>> nodes = numaNodeCpus();
-        if (nodes.size() < 2)
-            EXION_WARN("--numa requested but the host exposes ",
-                       nodes.size(),
-                       " NUMA node(s); workers stay floating");
-        else
-            EXION_INFORM("pinned ", engine.pinWorkers(nodes), " of ",
-                         engine.workerCount(), " workers across ",
-                         nodes.size(), " NUMA nodes");
-    }
 
     if (!modelDir.empty()) {
         const std::vector<std::string> files = storeFiles(modelDir);
@@ -278,14 +256,13 @@ main(int argc, char **argv)
         }
         for (const std::string &path : files) {
             try {
-                engine.registerModelFromFile(path, pinWeights);
+                engine.registerModelFromFile(path);
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "error: cannot register %s: %s\n",
                              path.c_str(), e.what());
                 return 1;
             }
-            std::printf("registered %s%s\n", path.c_str(),
-                        pinWeights ? " (pin requested)" : "");
+            std::printf("registered %s\n", path.c_str());
         }
     }
     for (size_t at = 0; at < builtin.size();) {
