@@ -4,9 +4,9 @@
  * attention head at full-scale MLD and MDM shapes (as the executor
  * runs it, against the block's cached weight images, decisions
  * included), CVG block merging, bitmask extraction, quantised matmul,
- * the dense GEMM kernel against its Reference oracle and the integer
- * GEMM against the scalar table. Not a paper artefact; standard
- * performance tracking for the library itself.
+ * the dense GEMM kernel against its Reference oracle, and the integer
+ * GEMM and the masked dots against the scalar table. Not a paper
+ * artefact; standard performance tracking for the library itself.
  *
  * Two build modes:
  *  - With Google Benchmark (EXION_HAVE_GBENCH): the usual
@@ -23,11 +23,15 @@
  * the regression gate for gemmF32. They then time the active table's
  * gemmInt12 against the scalar table's on eager prediction's integer
  * GEMM shapes, print GMAC/s per shape, and **exit nonzero if the
- * vector total is slower** — the gate for gemmInt12.
+ * vector total is slower** — the gate for gemmInt12. Last, they time
+ * the active table's dotRowsF32 against the scalar entry on the masked
+ * dots of FFN-Reuse's reuse iteration (MDM and MLD) and of EP's kept
+ * scores, with the same verdict — the gate for dotRowsF32.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -36,6 +40,7 @@
 
 #include "exion/accel/functional_device.h"
 #include "exion/common/rng.h"
+#include "exion/model/config.h"
 #include "exion/model/transformer_block.h"
 #include "exion/model/weight_store.h"
 #include "exion/sparsity/eager_prediction.h"
@@ -348,6 +353,168 @@ gateGemmInt12Kernel(int reps)
     return true;
 }
 
+/**
+ * The masked-dot gate's shapes: each of `rows` x rows (d wide) is
+ * dotted against `kept` distinct rows, ascending, of a `pool`-row
+ * operand whose rows sit ld apart, as the sparse paths call
+ * dotRowsF32 once per x row.
+ */
+struct DotRowsShape
+{
+    std::string name;
+    Index rows, pool, kept, d, ld;
+
+    /** A shape named by its tag and its sizes. */
+    DotRowsShape(const char *tag, Index rows, Index pool, Index kept,
+                 Index d, Index ld)
+        : name(std::string(tag) + "_" + std::to_string(rows) + "x"
+               + std::to_string(d) + "_" + std::to_string(kept) + "of"
+               + std::to_string(pool)),
+          rows(rows), pool(pool), kept(kept), d(d), ld(ld)
+    {
+    }
+
+    double macs() const { return static_cast<double>(rows) * kept * d; }
+};
+
+/**
+ * FFN-Reuse's reuse iteration on one full-scale benchmark: every
+ * token's x row against the rows of the at-rest W1^T its recompute
+ * mask keeps, (1 - target sparsity) of the hidden width.
+ */
+DotRowsShape
+ffnReuseShape(const char *tag, Benchmark b)
+{
+    const ModelConfig cfg = makeConfig(b, Scale::Full);
+    const StageConfig &st = cfg.stages.front();
+    const Index hid = st.ffnMult * st.dModel;
+    const auto kept = static_cast<Index>(
+        (1.0 - cfg.ffnReuse.targetSparsity) * static_cast<double>(hid));
+    return {tag, st.tokens, hid, kept, st.dModel, st.dModel};
+}
+
+/**
+ * Eager prediction's kept scores on one full-scale benchmark: every
+ * query row of one head against the ceil(topK * t) keys
+ * decideFromPrediction keeps in a row that is not one-hot, read in
+ * place from K's head slice (rows dModel floats apart).
+ */
+DotRowsShape
+epKeptShape(const char *tag, Benchmark b)
+{
+    const ModelConfig cfg = makeConfig(b, Scale::Full);
+    const StageConfig &st = cfg.stages.front();
+    const auto kept = static_cast<Index>(
+        std::ceil(cfg.ep.topK * static_cast<double>(st.tokens)));
+    return {tag, st.tokens, st.tokens, kept, st.dModel / st.nHeads,
+            st.dModel};
+}
+
+/**
+ * FFN-Reuse's reuse iteration on full-scale MDM and MLD, and eager
+ * prediction's kept scores on MDM, from the benchmarks' configs.
+ */
+std::vector<DotRowsShape>
+dotRowsShapes()
+{
+    return {ffnReuseShape("ffn1_reuse_mdm", Benchmark::MDM),
+            ffnReuseShape("ffn1_reuse_mld", Benchmark::MLD),
+            epKeptShape("ep_kept_mdm", Benchmark::MDM)};
+}
+
+/** Normal operands and ascending kept indices of one DotRowsShape. */
+struct DotRowsOperands
+{
+    std::vector<float> x, b, out;
+    std::vector<Index> idx; //!< rows * kept, each row's run ascending
+
+    DotRowsOperands(const DotRowsShape &s, Rng &rng)
+        : x(s.rows * s.d), b(s.pool * s.ld), out(s.kept),
+          idx(s.rows * s.kept)
+    {
+        for (float &v : x)
+            v = static_cast<float>(rng.normal());
+        for (float &v : b)
+            v = static_cast<float>(rng.normal());
+        std::vector<Index> pool(s.pool);
+        for (Index r = 0; r < s.rows; ++r) {
+            for (Index i = 0; i < s.pool; ++i)
+                pool[i] = i;
+            for (Index i = 0; i < s.kept; ++i)
+                std::swap(pool[i], pool[i + rng.uniformInt(s.pool - i)]);
+            std::sort(pool.begin(), pool.begin() + s.kept);
+            std::copy(pool.begin(), pool.begin() + s.kept,
+                      idx.begin() + r * s.kept);
+        }
+    }
+};
+
+/** Best-of-N wall-clock seconds of one table's dotRowsF32 per shape. */
+double
+timeDotRows(const SimdKernels &table, const DotRowsShape &s,
+            DotRowsOperands &ops, int reps)
+{
+    double best = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (Index r = 0; r < s.rows; ++r)
+            table.dotRowsF32(ops.x.data() + r * s.d, ops.b.data(), s.ld,
+                             ops.idx.data() + r * s.kept, s.kept, s.d,
+                             ops.out.data());
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best,
+                        std::chrono::duration<double>(t1 - t0).count());
+        g_sink = g_sink + ops.out[0];
+    }
+    return best;
+}
+
+/**
+ * The masked-dot gate: the active table's dotRowsF32 must not be
+ * slower than the scalar table's one-chain-per-index entry over the
+ * sparse paths' shapes, summed (best-of-reps each). Under
+ * EXION_SIMD=scalar both sides run the same kernel, and the verdict
+ * always passes.
+ *
+ * @return true when the active table >= scalar throughput
+ */
+bool
+gateDotRowsKernel(int reps)
+{
+    const SimdKernels &active = activeKernels();
+    Rng rng(44);
+    double scalar_total = 0.0;
+    double active_total = 0.0;
+    std::printf("\n== Masked-dot gate: dotRowsF32 %s vs scalar on "
+                "FFN-Reuse's and EP's shapes (best of %d) ==\n",
+                active.name, reps);
+    for (const DotRowsShape &s : dotRowsShapes()) {
+        DotRowsOperands ops(s, rng);
+        const double scalar =
+            timeDotRows(simd::scalarTable(), s, ops, reps);
+        const double vec = timeDotRows(active, s, ops, reps);
+        scalar_total += scalar;
+        active_total += vec;
+        std::printf("%-33s scalar %8.3f ms %6.2f GMAC/s   %-6s %8.3f ms "
+                    "%6.2f GMAC/s   speedup %.2fx\n",
+                    s.name.c_str(), scalar * 1e3, s.macs() / scalar / 1e9,
+                    active.name, vec * 1e3, s.macs() / vec / 1e9,
+                    scalar / vec);
+    }
+    std::printf("%-33s scalar %8.3f ms                 %-6s %8.3f ms "
+                "                speedup %.2fx\n",
+                "total", scalar_total * 1e3, active.name,
+                active_total * 1e3, scalar_total / active_total);
+    if (&active != &simd::scalarTable() && active_total > scalar_total) {
+        std::fprintf(stderr,
+                     "error: the %s dotRowsF32 is slower than the scalar "
+                     "table on the sparse paths' shapes\n",
+                     active.name);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 } // namespace exion
 
@@ -518,7 +685,8 @@ main(int argc, char **argv)
     const int reps = quick ? 3 : 5;
     const bool gemm_ok = exion::gateGemmKernel(reps);
     const bool int12_ok = exion::gateGemmInt12Kernel(reps);
-    return gemm_ok && int12_ok ? 0 : 1;
+    const bool dots_ok = exion::gateDotRowsKernel(reps);
+    return gemm_ok && int12_ok && dots_ok ? 0 : 1;
 }
 
 #else // !EXION_HAVE_GBENCH
@@ -633,7 +801,8 @@ main(int argc, char **argv)
     exion::runFallbackSuite(reps);
     const bool gemm_ok = exion::gateGemmKernel(reps);
     const bool int12_ok = exion::gateGemmInt12Kernel(reps);
-    return gemm_ok && int12_ok ? 0 : 1;
+    const bool dots_ok = exion::gateDotRowsKernel(reps);
+    return gemm_ok && int12_ok && dots_ok ? 0 : 1;
 }
 
 #endif // EXION_HAVE_GBENCH

@@ -555,7 +555,8 @@ WeightStore::quant12(const std::string &name, Index rows, Index cols) const
 std::shared_ptr<const WeightStore>
 WeightStore::build(const ModelConfig &cfg)
 {
-    EXION_ASSERT(!cfg.stages.empty(), "store needs at least one stage");
+    checkNetworkShape(cfg);
+    checkSparsitySettings(cfg);
     WeightStoreBuilder b(cfg);
     Rng rng(cfg.seed);
 

@@ -94,6 +94,10 @@ class WeightStore
      * out by WeightStoreBuilder::addLinear and each block's first FFN
      * layer(s) also by addTransposed ("blk<i>.ffn1.wT"[".q"],
      * "...ffn1v.wT"[".q"]) for the FFN-Reuse sparse path.
+     *
+     * @throws WeightStoreError on a config load() would refuse (no
+     *         stages, a misfit stage, an iteration count outside
+     *         [1, kTrainSteps], sparsity settings out of range)
      */
     static std::shared_ptr<const WeightStore> build(const ModelConfig &cfg);
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "exion/tensor/select.h"
 #include "exion/tensor/simd_dispatch.h"
 
 namespace exion
@@ -34,163 +35,6 @@ ProjectionNeeds::countNeeded(const std::vector<u8> &needs)
         n += v;
     return n;
 }
-
-namespace
-{
-
-/** Order-preserving image of a non-NaN float; -0.0 sits just below +0.0. */
-u32
-orderKey(float f)
-{
-    const u32 b = std::bit_cast<u32>(f);
-    return (b & 0x80000000u) != 0 ? ~b : b | 0x80000000u;
-}
-
-/** Inverse of orderKey. */
-float
-fromOrderKey(u32 key)
-{
-    return std::bit_cast<float>((key & 0x80000000u) != 0
-                                    ? key & 0x7fffffffu
-                                    : ~key);
-}
-
-/**
- * Smallest non-NaN value of row[0, n) (+inf if there is none): eight
- * independent (vector) lanes.
- */
-float
-rowMin(const float *row, Index n)
-{
-    float lane[8];
-    std::fill(lane, lane + 8, std::numeric_limits<float>::infinity());
-    Index c = 0;
-    for (; c + 8 <= n; c += 8)
-        for (int l = 0; l < 8; ++l)
-            lane[l] = std::min(lane[l], row[c + l]);
-    for (; c < n; ++c)
-        lane[0] = std::min(lane[0], row[c]);
-    return *std::min_element(lane, lane + 8);
-}
-
-/** Candidates few enough to rank one against another. */
-constexpr Index kFewCandidates = 16;
-
-/**
- * The keep_k-th largest value of row[0, n), 1 <= keep_k <= n, given
- * the row's largest non-NaN value top: the value std::nth_element with
- * std::greater puts at keep_k - 1 (-0.0 and +0.0 are one value to it),
- * found without copying or reordering the row. A row holding NaN gets
- * some value of the row or -inf, and the call still ends.
- *
- * Bisection over values. At least keep_k values are >= lo and fewer
- * than keep_k are >= hi, so the answer lies in [lo, hi); the values
- * there are the candidates, one mask word per 64 columns. Each step
- * counts with cmpGeMask64 how many candidates reach the midpoint (in
- * the words that still hold one) and keeps the half that holds the
- * answer. A step that drops no candidate twice running closes the
- * range onto the candidates' own minimum and maximum, so clustered
- * and tied values end quickly. The answer is lo once no float lies
- * between lo and hi, or is ranked among the candidates once at most
- * kFewCandidates are left.
- */
-float
-kthLargest(const SimdKernels &kr, const float *row, Index n, Index keep_k,
-           float top, std::vector<u64> &masks)
-{
-    float lo = rowMin(row, n);
-    float hi = top;
-    if (!(lo <= hi))
-        return hi; // every value is NaN
-    if (keep_k == n)
-        return lo;
-    const Index words = (n + 63) / 64;
-    const auto width = [&](Index w) {
-        return std::min<Index>(64, n - 64 * w);
-    };
-    masks.resize(2 * words);
-    u64 *cand = masks.data();
-    u64 *reached = cand + words;
-    Index above = 0; // values >= hi
-    for (Index w = 0; w < words; ++w) {
-        const u64 ge = kr.cmpGeMask64(row + 64 * w, hi, width(w));
-        above += std::popcount(ge);
-        cand[w] = ~ge & (~u64{0} >> (64 - width(w)));
-    }
-    if (above >= keep_k)
-        return hi;
-    Index left = n - above; // candidates
-    int stalled = 0;
-    while (left > kFewCandidates) {
-        if (stalled == 2) {
-            float cmin = hi;
-            float cmax = lo;
-            for (Index w = 0; w < words; ++w)
-                for (u64 bits = cand[w]; bits != 0; bits &= bits - 1) {
-                    const float v = row[64 * w + std::countr_zero(bits)];
-                    cmin = std::min(cmin, v);
-                    cmax = std::max(cmax, v);
-                }
-            if (!(cmin < cmax))
-                return cmin;
-            lo = cmin;
-            hi = std::nextafter(cmax,
-                                std::numeric_limits<float>::infinity());
-            stalled = 0;
-        }
-        float mid =
-            static_cast<float>(lo + (static_cast<double>(hi) - lo) / 2);
-        if (!(lo < mid && mid < hi)) {
-            // Infinite ends, or hi one or two floats above lo.
-            const u32 klo = orderKey(lo);
-            const u32 khi = orderKey(hi);
-            if (khi - klo <= 1)
-                return lo;
-            mid = fromOrderKey(klo + (khi - klo) / 2);
-        }
-        Index reach = above; // values >= mid
-        for (Index w = 0; w < words; ++w) {
-            reached[w] = cand[w] == 0
-                ? 0
-                : kr.cmpGeMask64(row + 64 * w, mid, width(w)) & cand[w];
-            reach += std::popcount(reached[w]);
-        }
-        const bool up = reach >= keep_k;
-        for (Index w = 0; w < words; ++w)
-            cand[w] = up ? reached[w] : cand[w] & ~reached[w];
-        const Index was = left;
-        if (up) {
-            lo = mid;
-            left = reach - above;
-        } else {
-            hi = mid;
-            left -= reach - above;
-            above = reach;
-        }
-        stalled = left == was ? stalled + 1 : 0;
-    }
-    // The answer is the candidate v with fewer than `rank` candidates
-    // above it and at least `rank` at or above it.
-    float few[kFewCandidates];
-    Index m = 0;
-    for (Index w = 0; w < words; ++w)
-        for (u64 bits = cand[w]; bits != 0; bits &= bits - 1)
-            few[m++] = row[64 * w + std::countr_zero(bits)];
-    const Index rank = keep_k - above;
-    for (Index i = 0; i < m; ++i) {
-        Index gt = 0;
-        Index ge = 0;
-        for (Index j = 0; j < m; ++j) {
-            gt += few[j] > few[i];
-            ge += few[j] >= few[i];
-        }
-        if (gt < rank && rank <= ge)
-            return few[i];
-    }
-    return lo; // only a NaN candidate leaves the rank unheld
-}
-
-} // namespace
 
 HeadDecision
 decideFromPrediction(const Matrix &predicted, const EpConfig &ep)
@@ -241,7 +85,8 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep)
         }
 
         // Top-k selection: values outside the top k are zeroed.
-        const float threshold = kthLargest(kr, src, t_k, keep_k, top1, masks);
+        const float threshold =
+            kthLargest(src, t_k, keep_k, RankBy::Value, masks);
         // Compare 64 columns per kernel call; cap at keep_k kept
         // entries (ties at the threshold keep the lowest columns,
         // exactly the per-bit scan's order).

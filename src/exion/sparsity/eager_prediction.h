@@ -68,8 +68,9 @@ struct ProjectionNeeds
  * Every other row keeps ceil(topK * T) entries (at least one, at most
  * T): the first columns, in column order, whose score is at least the
  * row's keep_k-th largest. That threshold is found exactly, without
- * copying or sorting the row. A row holding NaN keeps at most keep_k
- * entries, which ones unspecified.
+ * copying or sorting the row (kthLargest in tensor/select.h, the
+ * selection FFN-Reuse's quantile also runs). A row holding NaN keeps
+ * at most keep_k entries, which ones unspecified.
  *
  * @param predicted scaled predicted attention score (T x T)
  * @param ep        q_th / top-k configuration

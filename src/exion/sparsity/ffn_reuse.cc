@@ -1,10 +1,11 @@
 #include "exion/sparsity/ffn_reuse.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "exion/tensor/ops.h"
 #include "exion/tensor/quant_matrix.h"
+#include "exion/tensor/select.h"
 #include "exion/tensor/simd_dispatch.h"
 
 namespace exion
@@ -16,16 +17,14 @@ sparsityQuantile(std::span<const float> values, double target_sparsity)
     EXION_ASSERT(!values.empty(), "quantile of empty data");
     EXION_ASSERT(target_sparsity >= 0.0 && target_sparsity <= 1.0,
                  "sparsity target ", target_sparsity);
-    std::vector<float> magnitudes(values.size());
-    for (Index i = 0; i < values.size(); ++i)
-        magnitudes[i] = std::abs(values[i]);
+    const Index n = values.size();
     const Index rank = std::min<Index>(
-        values.size() - 1,
-        static_cast<Index>(target_sparsity
-                           * static_cast<double>(values.size())));
-    std::nth_element(magnitudes.begin(), magnitudes.begin() + rank,
-                     magnitudes.end());
-    return magnitudes[rank];
+        n - 1, static_cast<Index>(target_sparsity * static_cast<double>(n)));
+    // The rank-th smallest magnitude (from 0) is the (n - rank)-th
+    // largest: a counting selection over |v|, no copy and no sort.
+    std::vector<u64> scratch;
+    return kthLargest(values.data(), n, n - rank, RankBy::Magnitude,
+                      scratch);
 }
 
 FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize)
@@ -140,11 +139,12 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnHidden)
         observers.onFfnHidden(blk.id(), hidden);
 
-    // Calibrate theta and build the recompute mask with the threshold
-    // compare kernel, 64 columns per call. theta is the quantile of
-    // float magnitudes — exactly representable as float — so the
-    // kernel's float compare decides identically to the promoted
-    // double compare |h| > theta.
+    // Calibrate theta (a counting selection over |H|, no copy and no
+    // sort) and build the recompute mask with the threshold compare
+    // kernel, 64 columns per call. theta is the quantile of float
+    // magnitudes — exactly representable as float — so the kernel's
+    // float compare decides identically to the promoted double
+    // compare |h| > theta.
     st.theta = sparsityQuantile(hidden.data(), cfg_.targetSparsity);
     st.mask = Bitmask2D(t, hid);
     const SimdKernels &kr = activeKernels();
@@ -206,10 +206,11 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
 
     // Recompute only the masked elements of the hidden activation,
     // dotting each x row against the contiguous rows of the block's
-    // at-rest transpose. The float dot is the golden serial chain (the
-    // transpose only removes the stride — same terms, same order).
-    // The integer dot is exact in any order, so the quant path uses
-    // the vector kernel.
+    // at-rest transpose. The float path sends each row's set columns
+    // through dotRowsF32, which runs several golden chains at once,
+    // one per vector lane (the transpose only removes the stride —
+    // same terms, same order). The integer dot is exact in any order,
+    // so the quant path uses the vector kernel.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
     const SimdKernels &kr = activeKernels();
@@ -236,17 +237,32 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
             });
         }
     } else {
+        std::vector<Index> cols;
+        cols.reserve(hid);
+        std::vector<float> dots(hid);
+        std::vector<float> dots_v(geglu ? hid : 0);
+        const float *bias = blk.ffn1().bias().rowPtr(0);
+        const float *bias_v = geglu ? blk.ffn1Value().bias().rowPtr(0)
+                                    : nullptr;
         for (Index r = 0; r < t; ++r) {
             const float *xrow = x_norm.rowPtr(r);
-            st.mask.forEachSetBitInRow(r, [&](Index c) {
-                float h = geluScalar(
-                    simd::dotF32Scalar(xrow, tw.w1t.rowPtr(c), d)
-                    + blk.ffn1().bias()(0, c));
+            cols.clear();
+            st.mask.forEachSetBitInRow(
+                r, [&](Index c) { cols.push_back(c); });
+            kr.dotRowsF32(xrow, tw.w1t.rowPtr(0), tw.w1t.rowStride(),
+                          cols.data(), cols.size(), d, dots.data());
+            if (geglu)
+                kr.dotRowsF32(xrow, tw.w1vt.rowPtr(0),
+                              tw.w1vt.rowStride(), cols.data(),
+                              cols.size(), d, dots_v.data());
+            float *hrow = h_keep.rowPtr(r);
+            for (Index i = 0; i < cols.size(); ++i) {
+                const Index c = cols[i];
+                float h = geluScalar(dots[i] + bias[c]);
                 if (geglu)
-                    h *= simd::dotF32Scalar(xrow, tw.w1vt.rowPtr(c), d)
-                        + blk.ffn1Value().bias()(0, c);
-                h_keep(r, c) = h;
-            });
+                    h *= dots_v[i] + bias_v[c];
+                hrow[c] = h;
+            }
         }
     }
 

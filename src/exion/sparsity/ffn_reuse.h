@@ -118,7 +118,12 @@ class FfnReuse
     FfnReuseState *state_ = &ownState_;
 };
 
-/** targetSparsity quantile of |values| (the calibrated threshold). */
+/**
+ * targetSparsity quantile of |values| (the calibrated threshold): the
+ * magnitude at rank min(n - 1, floor(target_sparsity * n)) in
+ * ascending order, found by kthLargest's counting selection over |v|
+ * (tensor/select.h) without a copy or a sort.
+ */
 double sparsityQuantile(std::span<const float> values,
                         double target_sparsity);
 

@@ -269,18 +269,17 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                          "non-one-hot row with empty keep set");
 
             // Scores at kept positions. Head h's slice of a
-            // projection row is contiguous, so the kept dots stream
-            // both operands directly, each as the golden serial chain
-            // (the k-chain is the output element).
-            const float *qrow = q.rowPtr(r) + h * dh;
+            // projection row is contiguous, so dotRowsF32 streams the
+            // q row against the kept rows of K's head slice in place,
+            // several golden chains at once (each k-chain is one
+            // output element, one per vector lane).
+            kr.dotRowsF32(q.rowPtr(r) + h * dh, k.rowPtr(0) + h * dh,
+                          k.rowStride(), kept_cols.data(),
+                          kept_cols.size(), dh, row_scores.data());
             float max_v = -std::numeric_limits<float>::infinity();
             for (Index idx = 0; idx < kept_cols.size(); ++idx) {
-                const float *krow =
-                    k.rowPtr(kept_cols[idx]) + h * dh;
-                const float s =
-                    simd::dotF32Scalar(qrow, krow, dh) * inv_sqrt;
-                row_scores[idx] = s;
-                max_v = std::max(max_v, s);
+                row_scores[idx] *= inv_sqrt;
+                max_v = std::max(max_v, row_scores[idx]);
             }
             kept_total += kept_cols.size();
 

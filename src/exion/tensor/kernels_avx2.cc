@@ -5,8 +5,10 @@
  * Exactness discipline: float kernels vectorize across independent
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
- * back to the scalar reference chains or (gemmF32) masked loads and
- * stores, compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
+ * back to the scalar reference chains or (gemmF32, dotRowsF32) masked
+ * loads and stores, the masked dots run eight chains at once through
+ * an in-register 8 x 8 transpose (the AVX-512 table runs this entry
+ * too), compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
  * set mask bits, and the integer kernels (dotI32, gemmInt12) are
  * exact in any order; gemmInt12 multiplies i16 pairs with
  * _mm256_madd_epi16 and masks its ragged last panel.
@@ -161,6 +163,94 @@ hsum64(__m256i v)
     _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
     return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
+
+/**
+ * Transposes eight 8-lane rows in place: afterwards r[k] holds element
+ * k of every row, row i in lane i.
+ */
+inline void
+transpose8x8(__m256 r[8])
+{
+    __m256 t[8];
+#pragma GCC unroll 4
+    for (int g = 0; g < 4; ++g) {
+        t[2 * g] = _mm256_unpacklo_ps(r[2 * g], r[2 * g + 1]);
+        t[2 * g + 1] = _mm256_unpackhi_ps(r[2 * g], r[2 * g + 1]);
+    }
+    // u[4q + j]: rows 4q .. 4q + 3 at k = 4H + j in 128-bit half H.
+    __m256 u[8];
+#pragma GCC unroll 2
+    for (int q = 0; q < 2; ++q) {
+        u[4 * q] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0x44);
+        u[4 * q + 1] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0xEE);
+        u[4 * q + 2] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0x44);
+        u[4 * q + 3] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0xEE);
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+        r[j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x20);
+        r[4 + j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x31);
+    }
+}
+
+} // namespace
+
+/**
+ * Eight golden chains at once, one per lane. Each block multiplies 8
+ * rows by x's next 8 k (the products a chain adds, rounded as the
+ * scalar chain rounds them), transposes the products and adds them to
+ * the lanes in ascending k. A ragged last block loads masked and adds
+ * only its live columns. A ragged last row group repeats its last row
+ * in the spare lanes and stores only the live ones.
+ */
+void
+dotRowsF32Avx2(const float *x, const float *b, Index ldb,
+               const Index *idx, Index n, Index d, float *out)
+{
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const auto below = [&](Index count) {
+        return _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(count)), lane);
+    };
+    for (Index i0 = 0; i0 < n; i0 += 8) {
+        const Index lanes = std::min<Index>(8, n - i0);
+        const float *row[8];
+        for (Index i = 0; i < 8; ++i)
+            row[i] = b + idx[i0 + std::min(i, lanes - 1)] * ldb;
+        __m256 acc = _mm256_setzero_ps();
+        Index k0 = 0;
+        for (; k0 + 8 <= d; k0 += 8) {
+            const __m256 xv = _mm256_loadu_ps(x + k0);
+            __m256 v[8];
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                v[i] = _mm256_mul_ps(xv, _mm256_loadu_ps(row[i] + k0));
+            transpose8x8(v);
+#pragma GCC unroll 8
+            for (int k = 0; k < 8; ++k)
+                acc = _mm256_add_ps(acc, v[k]);
+        }
+        if (k0 < d) {
+            const Index rest = d - k0;
+            const __m256i live = below(rest);
+            const __m256 xv = _mm256_maskload_ps(x + k0, live);
+            __m256 v[8];
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                v[i] = _mm256_mul_ps(xv,
+                                     _mm256_maskload_ps(row[i] + k0, live));
+            transpose8x8(v);
+#pragma GCC unroll 8
+            for (int k = 0; k < 8; ++k)
+                if (static_cast<Index>(k) < rest)
+                    acc = _mm256_add_ps(acc, v[k]);
+        }
+        _mm256_maskstore_ps(out + i0, below(lanes), acc);
+    }
+}
+
+namespace
+{
 
 i64
 dotI32Avx2(const i32 *a, const i32 *b, Index n)
@@ -408,6 +498,7 @@ avx2Table()
         "avx2",
         axpyF32Avx2,
         gemmF32Avx2,
+        dotRowsF32Avx2,
         dotI32Avx2,
         gemmInt12Avx2,
         absGreaterMask64Avx2,

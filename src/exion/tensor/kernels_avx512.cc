@@ -11,7 +11,9 @@
  * beyond the tail cannot leak in). The GEMM tiles use the same masks
  * for their ragged last column panel. The integer GEMM multiplies
  * i16 pairs with _mm512_madd_epi16, the one AVX-512BW instruction the
- * table needs.
+ * table needs. The masked dots (dotRowsF32) run the AVX2 table's
+ * eight-lane entry: a sixteen-lane form through a 16 x 16 transpose
+ * was not faster beyond run-to-run noise on FFN-Reuse's shapes.
  *
  * This TU alone is compiled with -mavx512f -mavx512bw (plus
  * -ffp-contract=off); only called after the runtime probe confirmed
@@ -397,6 +399,7 @@ avx512Table()
         "avx512",
         axpyF32Avx512,
         gemmF32Avx512,
+        dotRowsF32Avx2,
         dotI32Avx512,
         gemmInt12Avx512,
         absGreaterMask64Avx512,

@@ -6,11 +6,12 @@
  * separate vmulq_f32 / vaddq_f32 — never vmlaq/vfmaq, which lower to
  * fused FMLA on AArch64 and would round once where the golden chain
  * rounds twice — ragged tails fall back to the scalar reference, and
- * compares go through the scalar kernels (NEON has no move-mask; at
- * the 64-bit-word granularity the mask kernels run at, the scalar
- * chains are already cheap next to lane extraction). gemmF32 points
+ * compares go through the scalar kernels (NEON has no move-mask; the
+ * scalar entries compare into one byte per entry and pack the bytes
+ * with a multiply, a loop the compiler vectorises). gemmF32 points
  * at the scalar entry: NEON is AArch64's baseline, so the compiler
- * vectorises that entry's column sweep.
+ * vectorises that entry's column sweep. dotRowsF32 points at the
+ * scalar entry too: no ARM host has measured a transposed form.
  *
  * Compiled with -ffp-contract=off like every kernel TU.
  */
@@ -118,6 +119,7 @@ neonTable()
         "neon",
         axpyF32Neon,
         gemmF32Scalar,
+        dotRowsF32Scalar,
         dotI32Neon,
         gemmInt12Neon,
         absGreaterMask64Scalar,

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace exion
@@ -38,6 +39,16 @@ namespace
  * A row sweeps it, whatever B's row stride.
  */
 constexpr Index kSweepCols = 128;
+
+/** sum_k a[k] * b[k] as one serial chain from +0.0f, k ascending. */
+float
+dotF32Scalar(const float *a, const float *b, Index n)
+{
+    float acc = 0.0f;
+    for (Index k = 0; k < n; ++k)
+        acc += a[k] * b[k];
+    return acc;
+}
 
 } // namespace
 
@@ -87,13 +98,12 @@ gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
     }
 }
 
-float
-dotF32Scalar(const float *a, const float *b, Index n)
+void
+dotRowsF32Scalar(const float *x, const float *b, Index ldb,
+                 const Index *idx, Index n, Index d, float *out)
 {
-    float acc = 0.0f;
-    for (Index k = 0; k < n; ++k)
-        acc += a[k] * b[k];
-    return acc;
+    for (Index i = 0; i < n; ++i)
+        out[i] = dotF32Scalar(x, b + idx[i] * ldb, d);
 }
 
 i64
@@ -124,24 +134,52 @@ gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
     }
 }
 
+namespace
+{
+
+/**
+ * Packs 64 one-byte flags (0 or 1) into a word, flag i to bit i. The
+ * multiply moves byte j's low bit to bit 56 + j of the product, with
+ * every other partial product landing on a bit of its own outside
+ * bits 56..63, so no carry reaches them.
+ */
+u64
+packFlags64(const unsigned char flags[64])
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "flag 8g + j must load as byte j of word g");
+    u64 bits = 0;
+    for (int g = 0; g < 8; ++g) {
+        u64 w;
+        std::memcpy(&w, flags + 8 * g, sizeof w);
+        bits |= ((w * 0x0102040810204080ull) >> 56) << (8 * g);
+    }
+    return bits;
+}
+
+} // namespace
+
+// The mask kernels compare into one byte per entry and pack the bytes
+// afterwards: the compare loop has no branch and no variable shift,
+// so the compiler vectorises it at the baseline ISA (SSE2 on x86-64,
+// NEON on AArch64, whose table points here).
+
 u64
 absGreaterMask64Scalar(const float *x, float theta, Index n)
 {
-    u64 bits = 0;
+    unsigned char hit[64] = {};
     for (Index i = 0; i < n; ++i)
-        if (std::abs(x[i]) > theta)
-            bits |= u64{1} << i;
-    return bits;
+        hit[i] = std::abs(x[i]) > theta;
+    return packFlags64(hit);
 }
 
 u64
 cmpGeMask64Scalar(const float *x, float threshold, Index n)
 {
-    u64 bits = 0;
+    unsigned char hit[64] = {};
     for (Index i = 0; i < n; ++i)
-        if (x[i] >= threshold)
-            bits |= u64{1} << i;
-    return bits;
+        hit[i] = x[i] >= threshold;
+    return packFlags64(hit);
 }
 
 u64
@@ -176,6 +214,7 @@ scalarTable()
         "scalar",
         axpyF32Scalar,
         gemmF32Scalar,
+        dotRowsF32Scalar,
         dotI32Scalar,
         gemmInt12Scalar,
         absGreaterMask64Scalar,

@@ -13,14 +13,14 @@
  * offers and plain scalar everywhere else.
  *
  * Numerics contract: kernels vectorize only across *independent
- * output elements* (axpy j-sweeps, GEMM register tiles, per-lane
- * compares, integer reductions — integer sums are exact in any
- * order). Each float output element's accumulation chain stays in the
- * golden reference order from gemm.h (one accumulator, +0.0f start,
- * ascending k, separate mul then add, no FMA), so the vector path is
- * bit-identical to scalar *by construction* and the existing
- * maxAbsDiff == 0 differential tests run with vector dispatch
- * active.
+ * output elements* (axpy j-sweeps, GEMM register tiles, one masked
+ * dot per lane, per-lane compares, integer reductions — integer sums
+ * are exact in any order). Each float output element's accumulation
+ * chain stays in the golden reference order from gemm.h (one
+ * accumulator, +0.0f start, ascending k, separate mul then add, no
+ * FMA), so the vector path is bit-identical to scalar *by
+ * construction* and the existing maxAbsDiff == 0 differential tests
+ * run with vector dispatch active.
  *
  * One table per process: every kernel call reads activeKernels().
  * The EXION_SIMD environment variable (scalar|neon|avx2|avx512|auto)
@@ -119,6 +119,31 @@ struct SimdKernels
     void (*gemmF32)(const float *a, Index lda, const float *b, Index ldb,
                     float *c, Index ldc, Index m, Index k, Index n);
 
+    /**
+     * out[i] = sum_k x[k] * row(idx[i])[k] over k in [0, d), for i in
+     * [0, n), where row(j) starts at b + j * ldb. idx may be in any
+     * order and may repeat; only out[0, n) is written. Each out[i] is
+     * the golden chain: one accumulator from +0.0f, k ascending, the
+     * multiply and the add rounded separately (never FMA), and no
+     * term past d. FFN-Reuse's
+     * masked recompute (x row against the set columns' rows of the
+     * at-rest W1^T) and eager prediction's kept scores (q row against
+     * the kept keys) run here.
+     *
+     * A chain is serial in k, so the vector form runs one chain per
+     * lane: AVX2 loads 8 rows x 8 k, multiplies them by x's 8 k and
+     * transposes the products in registers (unpacklo/hi_ps,
+     * shuffle_ps 0x44/0xEE, then permute2f128 0x20/0x31), which leaves
+     * row i in lane i, then adds the 8 columns in ascending k. No
+     * gathers. A ragged last k block loads masked and adds only its
+     * live columns; a ragged last row group computes spare lanes that
+     * are never stored. AVX-512 runs the AVX2 entry (a 16-lane form
+     * was not faster beyond noise); the scalar entry runs one chain
+     * per index, and NEON points at it.
+     */
+    void (*dotRowsF32)(const float *x, const float *b, Index ldb,
+                       const Index *idx, Index n, Index d, float *out);
+
     /** sum_k (i64)a[k] * b[k]. Integer: exact in any order. */
     i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
 
@@ -211,13 +236,11 @@ const SimdKernels *neonTable();
 void axpyF32Scalar(float *out, const float *x, float a, Index n);
 void gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
                    float *c, Index ldc, Index m, Index k, Index n);
-/**
- * sum_k a[k] * b[k] as one serial chain from +0.0f, k ascending: the
- * golden per-element chain. No table entry — a vector form would have
- * to reassociate the reduction — so the kept-score and masked
- * recompute dots call it directly.
- */
-float dotF32Scalar(const float *a, const float *b, Index n);
+void dotRowsF32Scalar(const float *x, const float *b, Index ldb,
+                      const Index *idx, Index n, Index d, float *out);
+/** The AVX2 masked dots, which the AVX-512 table runs too (x86 only). */
+void dotRowsF32Avx2(const float *x, const float *b, Index ldb,
+                    const Index *idx, Index n, Index d, float *out);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
 void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
                      i64 *c, Index ldc, Index m, Index k, Index n);

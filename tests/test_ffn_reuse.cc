@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
+
 #include "exion/common/rng.h"
 #include "exion/metrics/metrics.h"
 #include "exion/sparsity/ffn_reuse.h"
@@ -51,6 +58,87 @@ TEST(SparsityQuantile, PicksTargetFraction)
     for (float v : values)
         below += std::abs(v) <= theta ? 1 : 0;
     EXPECT_NEAR(below / 100.0, 0.9, 0.02);
+}
+
+/**
+ * sparsityQuantile before it went sort-free: copy the magnitudes and
+ * nth_element them at the target's rank. Kept here as the oracle.
+ */
+double
+nthElementQuantile(std::span<const float> values, double target_sparsity)
+{
+    std::vector<float> magnitudes(values.size());
+    for (Index i = 0; i < values.size(); ++i)
+        magnitudes[i] = std::abs(values[i]);
+    const Index rank = std::min<Index>(
+        values.size() - 1,
+        static_cast<Index>(target_sparsity
+                           * static_cast<double>(values.size())));
+    std::nth_element(magnitudes.begin(), magnitudes.begin() + rank,
+                     magnitudes.end());
+    return magnitudes[rank];
+}
+
+/**
+ * n values of one kind: random, tie-heavy, all equal, signed zeros,
+ * extremes (infinities, denormals, the largest finite floats) or runs
+ * of adjacent floats.
+ */
+std::vector<float>
+quantileData(Index n, int kind, Rng &rng)
+{
+    std::vector<float> v(n);
+    const float sign_pick[] = {1.0f, -1.0f};
+    for (float &x : v) {
+        const float sign = sign_pick[rng.uniformInt(2)];
+        if (kind == 0) {
+            x = static_cast<float>(rng.normal());
+        } else if (kind == 1) {
+            x = sign * 0.25f * static_cast<float>(rng.uniformInt(9));
+        } else if (kind == 2) {
+            x = -1.5f;
+        } else if (kind == 3) {
+            const double u = rng.uniform();
+            x = u < 0.8 ? sign * 0.0f : sign * 1.0f;
+        } else if (kind == 4) {
+            const float pick[] = {std::numeric_limits<float>::infinity(),
+                                  std::numeric_limits<float>::max(),
+                                  std::numeric_limits<float>::denorm_min(),
+                                  std::numeric_limits<float>::min(),
+                                  1.0f, 0.0f};
+            x = sign * pick[rng.uniformInt(6)];
+        } else {
+            x = 1.0f;
+            for (Index step = rng.uniformInt(6); step > 0; --step)
+                x = std::nextafter(x, 2.0f);
+            x *= sign;
+        }
+    }
+    return v;
+}
+
+TEST(SparsityQuantile, MatchesNthElementOracle)
+{
+    // The counting selection must return the oracle's bits on every
+    // kind of data, at the word edges (63, 64, 65) and at MDM's
+    // 196 x 2048 hidden block, for every target from keep-all to
+    // keep-none.
+    Rng rng(61);
+    for (const Index n : {Index{1}, Index{63}, Index{64}, Index{65},
+                          Index{196 * 2048}}) {
+        for (int kind = 0; kind < 6; ++kind) {
+            const std::vector<float> values = quantileData(n, kind, rng);
+            for (const double target : {0.0, 0.5, 0.95, 1.0}) {
+                SCOPED_TRACE(::testing::Message() << "n=" << n << " kind="
+                                                  << kind << " target="
+                                                  << target);
+                const double want = nthElementQuantile(values, target);
+                const double got = sparsityQuantile(values, target);
+                EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want))
+                    << got << " vs " << want;
+            }
+        }
+    }
 }
 
 TEST(FfnReuse, DenseIterationSchedule)

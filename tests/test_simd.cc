@@ -8,7 +8,9 @@
  * vector width, and mask words with ragged tails. Every entry (axpy,
  * GEMMs, compares, integer reductions) must be bit-identical. The
  * float GEMM every dense product runs on is checked on ragged shapes
- * with strided operands and poisoned row gaps; the integer GEMM eager
+ * with strided operands and poisoned row gaps, and so are the masked
+ * dots (dotRowsF32), on ragged row counts and depths with unsorted and
+ * repeated indices; the integer GEMM eager
  * prediction runs on is checked on ragged shapes (odd depths, whose
  * last i16 pair is half empty, included) and at the depths around its
  * 255-pair flush, where its i32 lanes overflow unless flushed in
@@ -163,6 +165,7 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->name, nullptr);
         EXPECT_NE(t->axpyF32, nullptr);
         EXPECT_NE(t->gemmF32, nullptr);
+        EXPECT_NE(t->dotRowsF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
         EXPECT_NE(t->gemmInt12, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
@@ -309,6 +312,93 @@ TEST(SimdKernelTest, GemmF32RaggedShapesMatchScalar)
                         runGemmF32(*table, a, b, ldc);
                     ASSERT_TRUE(gapsUntouched(got)) << table->name;
                     ASSERT_TRUE(bitsEqual(want.v, got.v)) << table->name;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * out[i] for i in [0, n) by one table's dotRowsF32, into a buffer
+ * whose 16 slots past n hold the gap poison.
+ */
+std::vector<float>
+runDotRows(const SimdKernels &table, const std::vector<float> &x,
+           const StridedFloats &b, const std::vector<Index> &idx, Index d)
+{
+    std::vector<float> out(idx.size() + 16, gapPoison());
+    table.dotRowsF32(x.data(), b.v.data(), b.ld, idx.data(), idx.size(),
+                     d, out.data());
+    return out;
+}
+
+/** True when every slot of out from n on still holds the poison. */
+bool
+poisonedFrom(const std::vector<float> &out, Index n)
+{
+    for (Index i = n; i < out.size(); ++i) {
+        u32 got;
+        std::memcpy(&got, &out[i], sizeof got);
+        if (got != kGapPoisonBits)
+            return false;
+    }
+    return true;
+}
+
+TEST(SimdKernelTest, DotRowsMatchesScalarChains)
+{
+    // Row counts straddle the 8- and 16-lane groups and depths the
+    // 8- and 16-k blocks. Indices come unsorted and repeated, rows sit
+    // ld apart with poisoned gaps (the last row is followed by one
+    // too), and x is followed by poison, so a kernel that adds a term
+    // past d turns its chain into NaN. B carries signed zeros, NaN and
+    // +-Inf at random positions; x is finite, with signed zeros, or
+    // carries one NaN or +-Inf, which reaches every chain.
+    Rng rng(13);
+    const Index ns[] = {0, 1, 7, 8, 9, 15, 16, 17, 33};
+    const Index ds[] = {1, 15, 16, 17, 63, 64, 65, 512};
+    constexpr Index kRows = 40;
+    for (Index d : ds) {
+        for (Index n : ns) {
+            for (int x_kind = 0; x_kind < 4; ++x_kind) {
+                SCOPED_TRACE(::testing::Message() << "d=" << d << " n="
+                                                  << n << " x_kind="
+                                                  << x_kind);
+                StridedFloats b = stridedOperand(kRows, d, d + 5, rng);
+                b.v.resize(kRows * b.ld, gapPoison());
+                std::vector<float> x(d + 16, gapPoison());
+                for (Index k = 0; k < d; ++k) {
+                    const double u = rng.uniform();
+                    x[k] = u < 0.1 ? (u < 0.05 ? 0.0f : -0.0f)
+                                   : static_cast<float>(
+                                         rng.uniform() * 4.0 - 2.0);
+                }
+                if (x_kind > 0)
+                    x[rng.uniformInt(d)] =
+                        x_kind == 1 ? kNan : x_kind == 2 ? kInf : -kInf;
+                std::vector<Index> idx(n);
+                for (Index i = 0; i < n; ++i)
+                    idx[i] = rng.uniformInt(kRows);
+                if (n > 2)
+                    idx[n - 1] = idx[0]; // a repeat, whatever the draw
+
+                const std::vector<float> want =
+                    runDotRows(simd::scalarTable(), x, b, idx, d);
+                // The scalar entry against the plain chain.
+                std::vector<float> loop(n + 16, gapPoison());
+                for (Index i = 0; i < n; ++i) {
+                    float acc = 0.0f;
+                    for (Index k = 0; k < d; ++k)
+                        acc += x[k] * b.v[idx[i] * b.ld + k];
+                    loop[i] = acc;
+                }
+                ASSERT_TRUE(bitsEqual(loop, want));
+                ASSERT_TRUE(poisonedFrom(want, n));
+                for (const SimdKernels *table : vectorTables()) {
+                    const std::vector<float> got =
+                        runDotRows(*table, x, b, idx, d);
+                    ASSERT_TRUE(poisonedFrom(got, n)) << table->name;
+                    ASSERT_TRUE(bitsEqual(want, got)) << table->name;
                 }
             }
         }
@@ -476,9 +566,12 @@ TEST(SimdKernelTest, CmpGeMaskMatchesScalar)
 TEST(SimdKernelTest, MaskKernelsIgnoreBitsPastN)
 {
     // A payload past the tail that would match must not leak into
-    // the result word.
+    // the result word, whatever the table (the scalar entries pack
+    // one flag byte per entry).
     std::vector<float> x(64, 1000.0f);
-    for (const SimdKernels *table : vectorTables()) {
+    std::vector<const SimdKernels *> all = vectorTables();
+    all.push_back(&simd::scalarTable());
+    for (const SimdKernels *table : all) {
         for (Index n : {Index{1}, Index{7}, Index{31}, Index{63}}) {
             const u64 want = n >= 64 ? ~u64{0} : (u64{1} << n) - 1;
             EXPECT_EQ(want, table->absGreaterMask64(x.data(), 0.5f, n))

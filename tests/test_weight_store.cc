@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exion/common/mmap_file.h"
@@ -341,6 +342,46 @@ TEST(WeightStoreTest, LoadRefusesIterationsOffTheTrainingSchedule)
         expectLoadRefuses("iterations.exws", [&](ModelConfig &cfg) {
             cfg.iterations = iterations;
         });
+}
+
+TEST(WeightStoreTest, BuildRefusesWhatLoadRefuses)
+{
+    // A config load() refuses is refused by build() too, so a library
+    // caller gets a WeightStoreError instead of the scheduler's
+    // assertion (iterations past kTrainSteps) or a model that cannot
+    // run; through the engine as well, which then serves on.
+    std::vector<std::pair<std::string, ModelConfig>> bad;
+    ModelConfig cfg = shortConfig(Benchmark::MLD);
+    cfg.iterations = kTrainSteps + 1;
+    bad.emplace_back("iterations 1001", cfg);
+    cfg = shortConfig(Benchmark::MLD);
+    cfg.ep.topK = 0.0;
+    bad.emplace_back("topK 0", cfg);
+    cfg = shortConfig(Benchmark::MLD);
+    cfg.stages.clear();
+    bad.emplace_back("no stages", cfg);
+
+    const ModelConfig good = shortConfig(Benchmark::MLD);
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    BatchEngine engine(opts);
+    for (const auto &[what, config] : bad) {
+        SCOPED_TRACE(what);
+        EXPECT_THROW(WeightStore::build(config), WeightStoreError);
+        EXPECT_THROW(engine.addModel(config), WeightStoreError);
+    }
+    ServeRequest req;
+    req.benchmark = good.benchmark;
+    EXPECT_THROW(engine.submit(req), UnknownModelError);
+
+    engine.addModel(good);
+    req.mode = ExecMode::Exion;
+    req.noiseSeed = 7;
+    const RequestResult result = engine.submit(req).get();
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(bitIdentical(runPipeline(DiffusionPipeline(good),
+                                         ExecMode::Exion, false, 7),
+                             result.output));
 }
 
 TEST(WeightStoreTest, LoadAcceptsEveryBenchmarkConfig)
