@@ -366,7 +366,9 @@ ExionPerfModel::run(const ModelConfig &model, const SparsityProfile &prof,
     RunStats stats;
 
     const bool use_ffnr = ablationUsesFfnReuse(ablation_);
-    const int interval = model.ffnReuse.denseInterval + 1;
+    // In 64 bits, as FfnReuse::isDenseIteration: INT_MAX + 1 would
+    // overflow an int.
+    const i64 interval = i64{model.ffnReuse.denseInterval} + 1;
     int dense_iters = 0;
     int sparse_iters = 0;
     for (int i = 0; i < model.iterations; ++i) {

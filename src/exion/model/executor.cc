@@ -40,15 +40,6 @@ execMatmul(const Matrix &a, const Matrix &b, bool quantize)
     return matmulQuant(qa, qb);
 }
 
-Matrix
-execWeightMatmul(const Matrix &x, const Linear &lin, bool quantize)
-{
-    if (!quantize)
-        return matmul(x, lin.weight());
-    return matmulQuant(QuantMatrix::fromFloat(x, IntWidth::Int12),
-                       lin.quantWeight());
-}
-
 void
 denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
                        const Matrix &k, const Matrix &v, Index r0,
@@ -86,11 +77,11 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
 
-    Matrix q = execWeightMatmul(x_norm, blk.wq(), quantize);
+    Matrix q = execMatmul(x_norm, blk.wq().weight(), quantize);
     addRowVector(q, blk.wq().bias());
-    Matrix k = execWeightMatmul(x_norm, blk.wk(), quantize);
+    Matrix k = execMatmul(x_norm, blk.wk().weight(), quantize);
     addRowVector(k, blk.wk().bias());
-    Matrix v = execWeightMatmul(x_norm, blk.wv(), quantize);
+    Matrix v = execMatmul(x_norm, blk.wv().weight(), quantize);
     addRowVector(v, blk.wv().bias());
 
     stats.qkvOpsDense += 3 * mmulOps(t, d, d);
@@ -102,7 +93,7 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     Matrix concat(t, d);
     denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats, concat);
 
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
+    Matrix out = execMatmul(concat, blk.wo().weight(), quantize);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);
@@ -117,14 +108,14 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
     const Index d = blk.dModel();
     const Index hid = blk.ffnHidden();
 
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize);
+    Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
     addRowVector(gate, blk.ffn1().bias());
     stats.ffnOpsDense += mmulOps(t, d, hid);
     stats.ffnOpsExecuted += mmulOps(t, d, hid);
 
     Matrix hidden;
     if (blk.geglu()) {
-        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(), quantize);
+        Matrix value = execMatmul(x_norm, blk.ffn1Value().weight(), quantize);
         addRowVector(value, blk.ffn1Value().bias());
         stats.ffnOpsDense += mmulOps(t, d, hid);
         stats.ffnOpsExecuted += mmulOps(t, d, hid);
@@ -138,7 +129,7 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnHidden)
         observers.onFfnHidden(blk.id(), hidden);
 
-    Matrix out = execWeightMatmul(hidden, blk.ffn2(), quantize);
+    Matrix out = execMatmul(hidden, blk.ffn2().weight(), quantize);
     addRowVector(out, blk.ffn2().bias());
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);

@@ -24,7 +24,6 @@
 namespace exion
 {
 
-class Linear;
 class TransformerBlock;
 
 /**
@@ -245,16 +244,14 @@ class CohortBlockExecutor : public BlockExecutor
                                  const std::vector<int> &iterations) = 0;
 };
 
-/** A*B with optional INT12 operand quantisation. */
-Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize);
-
 /**
- * x * W for a layer's weight, with optional INT12 operand
- * quantisation: under quantize only x is quantised, and the layer's
- * at-rest image (Linear::quantWeight()) is the weight operand.
+ * A*B with optional INT12 operand quantisation: under quantize both
+ * operands are quantised here, each with its own max-|v| scale, and
+ * the exact integer product is dequantised (matmulQuant). A layer's
+ * weight goes in as its float view, lin.weight(); no INT12 weight is
+ * stored anywhere.
  */
-Matrix execWeightMatmul(const Matrix &x, const Linear &lin,
-                        bool quantize);
+Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize);
 
 /**
  * MACs-as-2-ops for an (m x k) * (k x n) MMUL — the paper's TOPS

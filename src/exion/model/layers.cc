@@ -16,7 +16,6 @@ Linear::fromStore(const WeightStore &ws, const std::string &name, Index in,
     Linear lin;
     lin.weight_ = ws.matrix(name + ".w", in, out);
     lin.bias_ = ws.matrix(name + ".b", 1, out);
-    lin.quantWeight_ = ws.quant12(name + ".w.q", in, out);
     return lin;
 }
 

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "exion/tensor/matrix.h"
-#include "exion/tensor/quant_matrix.h"
 
 namespace exion
 {
@@ -26,11 +25,12 @@ class Linear
     Linear() = default;
 
     /**
-     * Layer viewing a WeightStore's in x out weight "<name>.w", its
-     * 1 x out bias "<name>.b" and the weight's at-rest Int12 image
-     * "<name>.w.q". Borrows storage: the store must outlive the layer.
+     * Layer viewing a WeightStore's in x out weight "<name>.w" and its
+     * 1 x out bias "<name>.b". Borrows storage: the store must outlive
+     * the layer. A quantized product quantises weight() where it runs
+     * (execMatmul), so no integer image is stored.
      * @throws WeightStoreError when a tensor is missing or has another
-     *         shape (or, for the image, another width)
+     *         shape
      */
     static Linear fromStore(const WeightStore &ws, const std::string &name,
                             Index in, Index out);
@@ -44,13 +44,6 @@ class Linear
     /** Bias row vector (1 x out). */
     const Matrix &bias() const { return bias_; }
 
-    /**
-     * The weight's Int12 image, QuantMatrix::fromFloat(weight(),
-     * IntWidth::Int12) as the store snapshots it, so quantized
-     * products read it instead of quantising per request.
-     */
-    const QuantMatrix &quantWeight() const { return quantWeight_; }
-
     /** Input width. */
     Index inDim() const { return weight_.rows(); }
 
@@ -60,7 +53,6 @@ class Linear
   private:
     Matrix weight_;
     Matrix bias_;
-    QuantMatrix quantWeight_;
 };
 
 /** GELU activation (tanh approximation, matching common deployments). */

@@ -26,11 +26,9 @@ TransformerBlock::TransformerBlock(int id, const StageConfig &stage,
     ffn1_ = Linear::fromStore(ws, bp + ".ffn1", d, hid);
     ffn2_ = Linear::fromStore(ws, bp + ".ffn2", hid, d);
     ffnAtRest_.w1t = ws.matrix(bp + ".ffn1.wT", hid, d);
-    ffnAtRest_.qw1t = ws.quant12(bp + ".ffn1.wT.q", hid, d);
     if (geglu_) {
         ffn1Value_ = Linear::fromStore(ws, bp + ".ffn1v", d, hid);
         ffnAtRest_.w1vt = ws.matrix(bp + ".ffn1v.wT", hid, d);
-        ffnAtRest_.qw1vt = ws.quant12(bp + ".ffn1v.wT.q", hid, d);
     }
     ln1Gamma_ = Matrix(1, d, 1.0f);
     ln1Beta_ = Matrix(1, d, 0.0f);

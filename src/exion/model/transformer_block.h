@@ -18,6 +18,7 @@
 #include "exion/model/config.h"
 #include "exion/model/executor.h"
 #include "exion/model/layers.h"
+#include "exion/tensor/quant_matrix.h"
 
 namespace exion
 {
@@ -54,7 +55,7 @@ class TransformerBlock
   public:
     /**
      * Block viewing a WeightStore's "blk<id>.*" layers, including the
-     * at-rest transposed first-FFN-layer images ffn1AtRest() exposes
+     * at-rest transposed first-FFN-layer copies ffn1AtRest() exposes
      * for the FFN-Reuse sparse path. Borrows storage: the store must
      * outlive the block.
      *
@@ -64,7 +65,6 @@ class TransformerBlock
      * @param geglu  use GEGLU (two first-layer paths) instead of GELU
      * @throws WeightStoreError when nHeads does not divide dModel, or a
      *         tensor is missing or disagrees with the stage in shape
-     *         or width
      */
     TransformerBlock(int id, const StageConfig &stage, bool geglu,
                      const WeightStore &ws);
@@ -116,19 +116,17 @@ class TransformerBlock
     const Linear &ffn2() const { return ffn2_; }
 
     /**
-     * At-rest images of the transposed first FFN layer(s): W1^T (and
-     * W1v^T under GEGLU) as float plus their INT12 quantisations —
-     * what FfnReuse's sparse recompute reads row by row.
+     * At-rest copies of the transposed first FFN layer(s): W1^T (and
+     * W1v^T under GEGLU) — what FfnReuse's float sparse recompute
+     * reads row by row.
      */
     struct FfnAtRest
     {
         Matrix w1t;
         Matrix w1vt;
-        QuantMatrix qw1t;
-        QuantMatrix qw1vt;
     };
 
-    /** The block's at-rest transposed first-FFN-layer images. */
+    /** The block's at-rest transposed first-FFN-layer copies. */
     const FfnAtRest &ffn1AtRest() const { return ffnAtRest_; }
 
     /**

@@ -17,7 +17,7 @@ namespace
 
 constexpr char kMagic[8] = {'E', 'X', 'I', 'O', 'N', 'W', 'S', '1'};
 constexpr u32 kEndianTag = 0x01020304u;
-constexpr u32 kVersion = 1;
+constexpr u32 kVersion = 2;
 constexpr u64 kHeaderSize = 64;
 constexpr u64 kSectionAlign = 64;
 
@@ -115,35 +115,6 @@ class Reader
     u64 size_;
     u64 at_;
 };
-
-u8
-encodeWidth(IntWidth w)
-{
-    switch (w) {
-      case IntWidth::Int12:
-        return 0;
-      case IntWidth::Int16:
-        return 1;
-      case IntWidth::Int32:
-        return 2;
-    }
-    EXION_PANIC("unhandled IntWidth");
-}
-
-IntWidth
-decodeWidth(u8 v)
-{
-    switch (v) {
-      case 0:
-        return IntWidth::Int12;
-      case 1:
-        return IntWidth::Int16;
-      case 2:
-        return IntWidth::Int32;
-    }
-    throw WeightStoreError("weight store: bad IntWidth tag "
-                           + std::to_string(v));
-}
 
 void
 serializeConfig(std::vector<u8> &buf, const ModelConfig &cfg)
@@ -283,20 +254,6 @@ checkNetworkShape(const ModelConfig &cfg)
             + " not in [1, " + std::to_string(kTrainSteps) + "]");
 }
 
-/** Refuses a view of name unless it is rows x cols. */
-template <typename View>
-View
-shaped(View v, const std::string &name, Index rows, Index cols)
-{
-    if (v.rows() != rows || v.cols() != cols)
-        throw WeightStoreError(
-            "weight store: tensor '" + name + "' is "
-            + std::to_string(v.rows()) + "x" + std::to_string(v.cols())
-            + ", config needs " + std::to_string(rows) + "x"
-            + std::to_string(cols));
-    return v;
-}
-
 } // namespace
 
 // ------------------------------------------------------------ builder
@@ -324,29 +281,12 @@ WeightStoreBuilder::add(const std::string &name, const Matrix &m)
 {
     EXION_ASSERT(!finished_, "add() after finish()");
     WeightStore::Entry e;
-    e.kind = WeightStore::TensorKind::Float32;
     e.rows = m.rows();
     e.cols = m.cols();
     e.byteLen = static_cast<u64>(m.size()) * sizeof(float);
     e.offset = reserve(e.byteLen);
     if (e.byteLen != 0)
         std::memcpy(buf_.data() + e.offset, m.data().data(), e.byteLen);
-    records_.push_back({name, e});
-}
-
-void
-WeightStoreBuilder::add(const std::string &name, const QuantMatrix &q)
-{
-    EXION_ASSERT(!finished_, "add() after finish()");
-    WeightStore::Entry e;
-    e.kind = WeightStore::TensorKind::QuantInt;
-    e.params = q.params();
-    e.rows = q.rows();
-    e.cols = q.cols();
-    e.byteLen = static_cast<u64>(q.size()) * sizeof(i32);
-    e.offset = reserve(e.byteLen);
-    if (e.byteLen != 0)
-        std::memcpy(buf_.data() + e.offset, q.rowPtr(0), e.byteLen);
     records_.push_back({name, e});
 }
 
@@ -358,16 +298,13 @@ WeightStoreBuilder::addLinear(const std::string &name, Index in, Index out,
     w.fillNormal(rng, 0.0f, 1.0f / std::sqrt(static_cast<float>(in)));
     add(name + ".w", w);
     add(name + ".b", Matrix(1, out));
-    add(name + ".w.q", QuantMatrix::fromFloat(w, IntWidth::Int12));
     return w;
 }
 
 void
 WeightStoreBuilder::addTransposed(const std::string &name, const Matrix &w)
 {
-    const Matrix wt = transpose(w);
-    add(name + ".wT", wt);
-    add(name + ".wT.q", QuantMatrix::fromFloat(wt, IntWidth::Int12));
+    add(name + ".wT", transpose(w));
 }
 
 std::shared_ptr<const WeightStore>
@@ -379,11 +316,8 @@ WeightStoreBuilder::finish()
     const u64 index_offset = reserve(0);
     for (const Record &rec : records_) {
         putStr(buf_, rec.name);
-        put<u8>(buf_, static_cast<u8>(rec.entry.kind));
-        put<u8>(buf_, encodeWidth(rec.entry.params.width));
         put<u64>(buf_, rec.entry.rows);
         put<u64>(buf_, rec.entry.cols);
-        put<double>(buf_, rec.entry.params.scale);
         put<u64>(buf_, rec.entry.offset);
         put<u64>(buf_, rec.entry.byteLen);
     }
@@ -450,22 +384,16 @@ WeightStore::parse()
     for (u64 i = 0; i < index_count; ++i) {
         const std::string name = ir.getStr(4096);
         Entry e;
-        const u8 kind = ir.get<u8>();
-        if (kind > static_cast<u8>(TensorKind::QuantInt))
-            throw WeightStoreError("weight store: bad tensor kind");
-        e.kind = static_cast<TensorKind>(kind);
-        e.params.width = decodeWidth(ir.get<u8>());
         e.rows = ir.get<u64>();
         e.cols = ir.get<u64>();
-        e.params.scale = ir.get<double>();
         e.offset = ir.get<u64>();
         e.byteLen = ir.get<u64>();
-        const u64 elem = e.kind == TensorKind::Float32 ? sizeof(float)
-                                                       : sizeof(i32);
-        if (e.rows != 0 && e.cols > ~u64{0} / e.rows)
-            throw WeightStoreError("weight store: tensor shape "
-                                   "overflow");
-        if (e.byteLen != e.rows * e.cols * elem)
+        // Rows x cols x 4 must not wrap, or a huge shape could match a
+        // short (even empty) section.
+        if (e.rows != 0 && e.cols > ~u64{0} / sizeof(float) / e.rows)
+            throw WeightStoreError("weight store: tensor '" + name
+                                   + "' shape overflow");
+        if (e.byteLen != e.rows * e.cols * sizeof(float))
             throw WeightStoreError("weight store: tensor '" + name
                                    + "' length/shape mismatch");
         if (e.offset % kSectionAlign != 0 || e.offset > size_
@@ -516,40 +444,22 @@ Matrix
 WeightStore::matrix(const std::string &name) const
 {
     const Entry &e = entry(name);
-    if (e.kind != TensorKind::Float32)
-        throw WeightStoreError("weight store: tensor '" + name
-                               + "' is not float32");
     return Matrix::borrow(
         reinterpret_cast<const float *>(bytes() + e.offset), e.rows,
         e.cols);
 }
 
-QuantMatrix
-WeightStore::quant(const std::string &name) const
-{
-    const Entry &e = entry(name);
-    if (e.kind != TensorKind::QuantInt)
-        throw WeightStoreError("weight store: tensor '" + name
-                               + "' is not quantized");
-    return QuantMatrix::borrow(
-        reinterpret_cast<const i32 *>(bytes() + e.offset), e.rows,
-        e.cols, e.params);
-}
-
 Matrix
 WeightStore::matrix(const std::string &name, Index rows, Index cols) const
 {
-    return shaped(matrix(name), name, rows, cols);
-}
-
-QuantMatrix
-WeightStore::quant12(const std::string &name, Index rows, Index cols) const
-{
-    QuantMatrix q = shaped(quant(name), name, rows, cols);
-    if (q.params().width != IntWidth::Int12)
-        throw WeightStoreError("weight store: tensor '" + name
-                               + "' is not an Int12 image");
-    return q;
+    Matrix m = matrix(name);
+    if (m.rows() != rows || m.cols() != cols)
+        throw WeightStoreError(
+            "weight store: tensor '" + name + "' is "
+            + std::to_string(m.rows()) + "x" + std::to_string(m.cols())
+            + ", config needs " + std::to_string(rows) + "x"
+            + std::to_string(cols));
+    return m;
 }
 
 std::shared_ptr<const WeightStore>
@@ -563,7 +473,7 @@ WeightStore::build(const ModelConfig &cfg)
     // Draw order: inProj, outProj, condEmbed, then per stage
     // channelProj/timeProj/ResBlocks/blocks, each block drawing wq, wk,
     // wv, wo, ffn1, ffn2 and (GEGLU only, last) ffn1v. Transposition
-    // and quantisation draw nothing.
+    // draws nothing.
     b.addLinear("inProj", cfg.latentDim, cfg.stages.front().dModel, rng);
     b.addLinear("outProj", cfg.stages.back().dModel, cfg.latentDim, rng);
     Matrix cond(1, cfg.stages.front().dModel);

@@ -3,35 +3,38 @@
  * Immutable serialized model weights (the EXWS format).
  *
  * A WeightStore is the single owner of a model's parameters: one
- * contiguous byte image holding the ModelConfig, every tensor as
- * float32, and — for the MMUL weights — a quantized-at-rest INT12
- * image plus the transposed first-FFN-layer copies the FFN-Reuse
- * sparse path reads, so serving consumes weights directly (borrowed
- * Matrix/QuantMatrix views) with no per-request quantisation or
- * transposition. The same image is the on-disk format: build() lays
- * the bytes out exactly as save() writes them and load() maps them,
- * so in-memory construction, a saved file and an mmap'd file are one
- * code path and bit-identical by construction.
+ * contiguous byte image holding the ModelConfig and every tensor as
+ * float32, including the transposed first-FFN-layer copies the
+ * FFN-Reuse sparse path reads, so serving consumes weights directly
+ * (borrowed Matrix views) with no per-request transposition. INT12
+ * operands are never stored: the solo quantized paths quantise the
+ * float weight where they use it (QuantMatrix::fromFloat). The same
+ * image is the on-disk format: build() lays the bytes out exactly as
+ * save() writes them and load() maps them, so in-memory construction,
+ * a saved file and an mmap'd file are one code path and bit-identical
+ * by construction.
  *
- * Format (EXWS version 1, host-endian with an endian tag — in
+ * Format (EXWS version 2, host-endian with an endian tag — in
  * practice little-endian on every supported platform):
  *
  *   [ 0, 64)  header: magic "EXIONWS1", endian tag 0x01020304,
  *             version, file size, FNV-1a-64 checksum of [64, size),
  *             config offset/size, index offset/count
  *   config    serialized ModelConfig (field-by-field, see .cc)
- *   tensors   raw row-major element bytes, each section 64-byte
+ *   tensors   raw row-major float32 bytes, each section 64-byte
  *             aligned within the file (pages of an mmap'd store are
  *             therefore element-aligned too)
- *   index     one variable-length record per tensor: name, kind
- *             (float32 / quantized int), IntWidth, rows, cols,
- *             scale, section offset, byte length
+ *   index     one variable-length record per tensor: name, rows,
+ *             cols, section offset, byte length
  *
- * The loader refuses foreign magic/version/endianness, truncated
- * files, checksum mismatches and configs no network can be built from
- * with a typed WeightStoreError. Layers are views of a store and
- * nothing else; each view refuses a missing tensor, or one whose shape
- * or width disagrees with the config, the same way.
+ * Version 1 also held an INT12 image of every weight; a version-1
+ * file is refused like any other unknown version. The loader refuses
+ * foreign magic/version/endianness, truncated files, checksum
+ * mismatches, index entries whose byte length cannot be rows x cols
+ * floats and configs no network can be built from with a typed
+ * WeightStoreError. Layers are views of a store and nothing else; each
+ * view refuses a missing tensor, or one whose shape disagrees with the
+ * config, the same way.
  */
 
 #ifndef EXION_MODEL_WEIGHT_STORE_H_
@@ -47,7 +50,6 @@
 #include "exion/common/types.h"
 #include "exion/model/config.h"
 #include "exion/tensor/matrix.h"
-#include "exion/tensor/quant_matrix.h"
 
 namespace exion
 {
@@ -69,18 +71,9 @@ class WeightStoreError : public std::runtime_error
 class WeightStore
 {
   public:
-    /** What a tensor section holds. */
-    enum class TensorKind : u8
-    {
-        Float32 = 0,  //!< row-major float elements
-        QuantInt = 1, //!< row-major i32 elements + QuantParams
-    };
-
-    /** One named tensor section of the image. */
+    /** One named float32 tensor section of the image. */
     struct Entry
     {
-        TensorKind kind = TensorKind::Float32;
-        QuantParams params; //!< meaningful for QuantInt sections
         Index rows = 0;
         Index cols = 0;
         u64 offset = 0;  //!< byte offset of the section (64-aligned)
@@ -92,8 +85,8 @@ class WeightStore
      * Rng(cfg.seed): inProj, outProj, condEmbed, then per stage
      * channelProj, timeProj, ResBlocks and blocks, each Linear laid
      * out by WeightStoreBuilder::addLinear and each block's first FFN
-     * layer(s) also by addTransposed ("blk<i>.ffn1.wT"[".q"],
-     * "...ffn1v.wT"[".q"]) for the FFN-Reuse sparse path.
+     * layer(s) also by addTransposed ("blk<i>.ffn1.wT",
+     * "...ffn1v.wT") for the FFN-Reuse sparse path.
      *
      * @throws WeightStoreError on a config load() would refuse (no
      *         stages, a misfit stage, an iteration count outside
@@ -104,7 +97,9 @@ class WeightStore
     /**
      * Opens a serialized store, preferring a read-only shared memory
      * mapping (heap read when mmap is unavailable).
-     * @throws WeightStoreError on malformed/corrupt images; on a
+     * @throws WeightStoreError on malformed/corrupt images (an index
+     *         entry whose byte length is not rows x cols floats, or
+     *         whose rows x cols x 4 bytes overflow 64 bits); on a
      *         config no network can be built from: no stages, a stage
      *         with zero tokens, dModel or ffnMult, nHeads zero or not
      *         dividing dModel, stage token counts that do not go from
@@ -128,23 +123,15 @@ class WeightStore
     const ModelConfig &config() const { return cfg_; }
 
     /**
-     * Borrowed float view of a Float32 tensor. The view aliases the
-     * store's image; keep the store alive for the view's lifetime.
-     * @throws WeightStoreError for unknown names / kind mismatches
+     * Borrowed float view of a tensor. The view aliases the store's
+     * image; keep the store alive for the view's lifetime.
+     * @throws WeightStoreError for unknown names
      */
     Matrix matrix(const std::string &name) const;
 
     /** matrix(name), refused with WeightStoreError unless it is
         rows x cols. */
     Matrix matrix(const std::string &name, Index rows, Index cols) const;
-
-    /** Borrowed integer view of a QuantInt tensor (see matrix()). */
-    QuantMatrix quant(const std::string &name) const;
-
-    /** quant(name), refused with WeightStoreError unless it is a
-        rows x cols Int12 image. */
-    QuantMatrix quant12(const std::string &name, Index rows,
-                        Index cols) const;
 
     /** All tensor sections by name. */
     const std::map<std::string, Entry> &entries() const { return index_; }
@@ -197,20 +184,17 @@ class WeightStoreBuilder
     /** Appends a float tensor section. */
     void add(const std::string &name, const Matrix &m);
 
-    /** Appends a quantized tensor section (params stored alongside). */
-    void add(const std::string &name, const QuantMatrix &q);
-
     /**
      * Appends the tensors Linear::fromStore views: an in x out weight
-     * "<name>.w" drawn N(0, 1/sqrt(in)) from rng, a zero 1 x out bias
-     * "<name>.b" and the weight's Int12 image "<name>.w.q".
+     * "<name>.w" drawn N(0, 1/sqrt(in)) from rng and a zero 1 x out
+     * bias "<name>.b".
      * @return the weight
      */
     Matrix addLinear(const std::string &name, Index in, Index out,
                      Rng &rng);
 
-    /** Appends "<name>.wT" = transpose(w) and its Int12 image
-        "<name>.wT.q" (a first FFN layer's at-rest copies). */
+    /** Appends "<name>.wT" = transpose(w) (a first FFN layer's
+        at-rest copy). */
     void addTransposed(const std::string &name, const Matrix &w);
 
     /**

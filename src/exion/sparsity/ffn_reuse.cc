@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exion/tensor/ops.h"
-#include "exion/tensor/quant_matrix.h"
 #include "exion/tensor/select.h"
 #include "exion/tensor/simd_dispatch.h"
 
@@ -37,7 +36,9 @@ FfnReuse::FfnReuse(const FfnReuseConfig &cfg, bool quantize)
 bool
 FfnReuse::isDenseIteration(int iteration) const
 {
-    return iteration % (cfg_.denseInterval + 1) == 0;
+    // The period in 64 bits: denseInterval + 1 overflows an int at
+    // INT_MAX, which then runs dense only at iteration 0.
+    return iteration % (i64{cfg_.denseInterval} + 1) == 0;
 }
 
 const FfnReuseBlockState *
@@ -72,11 +73,11 @@ Matrix
 denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
             bool quantize)
 {
-    Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize);
+    Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
     addRowVector(gate, blk.ffn1().bias());
     Matrix hidden = gelu(gate);
     if (blk.geglu()) {
-        Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(), quantize);
+        Matrix value = execMatmul(x_norm, blk.ffn1Value().weight(), quantize);
         addRowVector(value, blk.ffn1Value().bias());
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
@@ -170,14 +171,14 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
         h_keep(r, c) = hidden(r, c);
         hidden(r, c) = 0.0f;
     });
-    st.psumSparse = execWeightMatmul(hidden, blk.ffn2(), quantize_);
+    st.psumSparse = execMatmul(hidden, blk.ffn2().weight(), quantize_);
     st.initialized = true;
 
     // The recompute region is sparse (1 - targetSparsity of H); in
     // the float path accumulate only its masked positions.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_))
+              execMatmul(h_keep, blk.ffn2().weight(), quantize_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
                            blk.ffn2().weight());
     addRowVector(out, blk.ffn2().bias());
@@ -204,39 +205,25 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnMask)
         observers.onFfnMask(blk.id(), st.mask, false);
 
-    // Recompute only the masked elements of the hidden activation,
-    // dotting each x row against the contiguous rows of the block's
-    // at-rest transpose. The float path sends each row's set columns
+    // Recompute only the masked elements of the hidden activation.
+    // The float path dots each x row against the contiguous rows of
+    // the block's at-rest transpose, sending each row's set columns
     // through dotRowsF32, which runs several golden chains at once,
     // one per vector lane (the transpose only removes the stride —
-    // same terms, same order). The integer dot is exact in any order,
-    // so the quant path uses the vector kernel.
+    // same terms, same order). The quantized path takes the set
+    // elements of the dense quantized hidden activation: its integer
+    // sums are exact in any order, and W1's Int12 image has the same
+    // max-|v| scale and codes as W1^T's, so each element equals one
+    // integer dot of x's codes against a W1^T row.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
-    const SimdKernels &kr = activeKernels();
-    const TransformerBlock::FfnAtRest &tw = blk.ffn1AtRest();
     if (quantize_) {
-        const QuantMatrix qx =
-            QuantMatrix::fromFloat(x_norm, IntWidth::Int12);
-        const double s1 = qx.scale() * tw.qw1t.scale();
-        const double s1v =
-            geglu ? qx.scale() * tw.qw1vt.scale() : 0.0;
-        for (Index r = 0; r < t; ++r) {
-            const i32 *xrow = qx.rowPtr(r);
-            st.mask.forEachSetBitInRow(r, [&](Index c) {
-                const i64 acc = kr.dotI32(xrow, tw.qw1t.rowPtr(c), d);
-                float h = geluScalar(static_cast<float>(acc * s1)
-                                     + blk.ffn1().bias()(0, c));
-                if (geglu) {
-                    const i64 accv =
-                        kr.dotI32(xrow, tw.qw1vt.rowPtr(c), d);
-                    h *= static_cast<float>(accv * s1v)
-                        + blk.ffn1Value().bias()(0, c);
-                }
-                h_keep(r, c) = h;
-            });
-        }
+        const Matrix hidden = denseHidden(blk, x_norm, true);
+        st.mask.forEachSetBit(
+            [&](Index r, Index c) { h_keep(r, c) = hidden(r, c); });
     } else {
+        const SimdKernels &kr = activeKernels();
+        const TransformerBlock::FfnAtRest &tw = blk.ffn1AtRest();
         std::vector<Index> cols;
         cols.reserve(hid);
         std::vector<float> dots(hid);
@@ -276,7 +263,7 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     // shape.
     Matrix out = quantize_
         ? add(st.psumSparse,
-              execWeightMatmul(h_keep, blk.ffn2(), quantize_))
+              execMatmul(h_keep, blk.ffn2().weight(), quantize_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
                            blk.ffn2().weight());
     addRowVector(out, blk.ffn2().bias());

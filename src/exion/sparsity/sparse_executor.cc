@@ -69,10 +69,9 @@ neededIndices(const std::vector<u8> &needed)
  * itself when idx lists all `all` rows; returns the packed rows' base,
  * whose rows are the returned stride apart.
  */
-template <typename T>
-std::pair<const T *, Index>
-gatherRows(const T *a, Index lda, Index cols, Index all,
-           const std::vector<Index> &idx, std::vector<T> &buf)
+std::pair<const float *, Index>
+gatherRows(const float *a, Index lda, Index cols, Index all,
+           const std::vector<Index> &idx, std::vector<float> &buf)
 {
     if (idx.size() == all)
         return {a, lda};
@@ -89,21 +88,18 @@ gatherRows(const T *a, Index lda, Index cols, Index all,
  * entry of out is left as it is (zero). Each head runs one GEMM over
  * its gathered rows (x itself when the head needs every row) against
  * W's column window, so every element it writes is the same chain as
- * the full product's and the output equals execWeightMatmul plus bias
- * bit for bit wherever a head reads it.
+ * the full product's and the output equals execMatmul plus bias bit
+ * for bit wherever a head reads it.
  *
  * Under quantize, the rows any head needs are packed and quantised
- * once with their own Int12 scale, as execWeightMatmul quantises
- * them, and each head runs gemmInt12 on its integer rows against the
- * layer's at-rest image; the exact i64 sums dequantise as matmulQuant
- * does.
+ * together (one Int12 scale for them, one for W) by one execMatmul,
+ * and each head copies its rows and columns out of that product.
  */
 void
 projectHeads(const Matrix &x, const Linear &proj,
              const std::vector<std::vector<Index>> &rows, bool quantize,
              Matrix &out)
 {
-    const SimdKernels &kr = activeKernels();
     const Index t = x.rows();
     const Index d = x.cols();
     const Index dh = proj.outDim() / rows.size();
@@ -118,6 +114,7 @@ projectHeads(const Matrix &x, const Linear &proj,
     };
 
     if (!quantize) {
+        const SimdKernels &kr = activeKernels();
         const Matrix &w = proj.weight();
         std::vector<float> a_buf, c_buf;
         for (Index h = 0; h < rows.size(); ++h) {
@@ -149,28 +146,11 @@ projectHeads(const Matrix &x, const Linear &proj,
         std::copy(x.rowPtr(uni[i]), x.rowPtr(uni[i]) + d,
                   packed.rowPtr(i));
     }
-    const QuantMatrix qx = QuantMatrix::fromFloat(packed, IntWidth::Int12);
-    const QuantMatrix &qw = proj.quantWeight();
-    const double out_scale = qx.scale() * qw.scale();
-    std::vector<Index> packed_rows;
-    std::vector<i32> a_buf;
-    std::vector<i64> sums;
-    for (Index h = 0; h < rows.size(); ++h) {
-        const std::vector<Index> &rh = rows[h];
-        if (rh.empty())
-            continue;
-        packed_rows.clear();
-        for (Index r : rh)
-            packed_rows.push_back(pos[r]);
-        const auto [a, lda] = gatherRows(qx.rowPtr(0), qx.rowStride(), d,
-                                         uni.size(), packed_rows, a_buf);
-        sums.resize(rh.size() * dh);
-        kr.gemmInt12(a, lda, qw.rowPtr(0) + h * dh, qw.rowStride(),
-                     sums.data(), dh, rh.size(), d, dh);
-        store(rh, h * dh, [&](Index i, Index c) {
-            return static_cast<float>(sums[i * dh + c] * out_scale);
+    const Matrix projected = execMatmul(packed, proj.weight(), true);
+    for (Index h = 0; h < rows.size(); ++h)
+        store(rows[h], h * dh, [&](Index i, Index c) {
+            return projected(pos[rows[h][i]], h * dh + c);
         });
-    }
 }
 
 } // namespace
@@ -308,7 +288,7 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     }
 
     // Output projection stays dense (all rows have outputs).
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
+    Matrix out = execMatmul(concat, blk.wo().weight(), quantize);
     addRowVector(out, blk.wo().bias());
     stats.attnOpsDense += mmulOps(t, d, d);
     stats.attnOpsExecuted += mmulOps(t, d, d);

@@ -84,9 +84,10 @@ class SparseExecutor : public BlockExecutor
  * argmaxes. One GEMM per head and projection runs over the gathered
  * rows against W's column window (x in place when the head needs
  * every row), so each element it produces is the dense product's.
- * Under quantize, the rows any head needs share one Int12 scale, as
- * in the dense path's packed quantisation, and each head runs
- * gemmInt12 on its integer rows: quantized outputs are unchanged too.
+ * Under quantize, the rows any head needs are quantised together
+ * with one Int12 scale and run through one quantized product against
+ * the whole of W, quantised where it is used; each head copies its
+ * rows and columns out of it.
  * stats' qRowsSkipped, kColsSkipped and vColsSkipped count the
  * skipped (row, head) pairs, and qkvOpsExecuted the per-head MACs.
  *

@@ -9,9 +9,9 @@
  * loads and stores, the masked dots run eight chains at once through
  * an in-register 8 x 8 transpose (the AVX-512 table runs this entry
  * too), compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
- * set mask bits, and the integer kernels (dotI32, gemmInt12) are
- * exact in any order; gemmInt12 multiplies i16 pairs with
- * _mm256_madd_epi16 and masks its ragged last panel.
+ * set mask bits, and the integer GEMM (gemmInt12) is exact in any
+ * order; it multiplies i16 pairs with _mm256_madd_epi16 and masks its
+ * ragged last panel.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -155,15 +155,6 @@ gemmF32Avx2(const float *a, Index lda, const float *b, Index ldb,
     }
 }
 
-/** Sum of the four i64 lanes. */
-i64
-hsum64(__m256i v)
-{
-    alignas(32) i64 lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
 /**
  * Transposes eight 8-lane rows in place: afterwards r[k] holds element
  * k of every row, row i in lane i.
@@ -251,29 +242,6 @@ dotRowsF32Avx2(const float *x, const float *b, Index ldb,
 
 namespace
 {
-
-i64
-dotI32Avx2(const i32 *a, const i32 *b, Index n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    Index k = 0;
-    for (; k + 8 <= n; k += 8) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + k));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + k));
-        // Signed 32x32 -> 64 on even lanes; shift down for odd lanes.
-        const __m256i even = _mm256_mul_epi32(va, vb);
-        const __m256i odd = _mm256_mul_epi32(
-            _mm256_srli_epi64(va, 32), _mm256_srli_epi64(vb, 32));
-        acc = _mm256_add_epi64(acc, even);
-        acc = _mm256_add_epi64(acc, odd);
-    }
-    i64 total = hsum64(acc);
-    if (k < n)
-        total += dotI32Scalar(a + k, b + k, n - k);
-    return total;
-}
 
 /**
  * Row a (k values) as i16 pairs: out[p] holds a[2p] in its low half
@@ -499,7 +467,6 @@ avx2Table()
         axpyF32Avx2,
         gemmF32Avx2,
         dotRowsF32Avx2,
-        dotI32Avx2,
         gemmInt12Avx2,
         absGreaterMask64Avx2,
         cmpGeMask64Avx2,

@@ -4,7 +4,7 @@
  *
  * Same exactness discipline as the AVX2 table: independent-element
  * float kernels with separate mul/add (no FMA), ordered-quiet
- * compares, integer reductions. The mask kernels are where AVX-512
+ * compares, exact integer sums. The mask kernels are where AVX-512
  * shines — _mm512_cmp_ps_mask yields the 16 compare bits directly,
  * and masked loads make the ragged tail branch-free (masked-off
  * lanes load +0.0f and are excluded from the result mask, so NaN/Inf
@@ -147,26 +147,6 @@ gemmF32Avx512(const float *a, Index lda, const float *b, Index ldb,
             }
         }
     }
-}
-
-i64
-dotI32Avx512(const i32 *a, const i32 *b, Index n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    Index k = 0;
-    for (; k + 16 <= n; k += 16) {
-        const __m512i va = _mm512_loadu_si512(a + k);
-        const __m512i vb = _mm512_loadu_si512(b + k);
-        const __m512i even = _mm512_mul_epi32(va, vb);
-        const __m512i odd = _mm512_mul_epi32(
-            _mm512_srli_epi64(va, 32), _mm512_srli_epi64(vb, 32));
-        acc = _mm512_add_epi64(acc, even);
-        acc = _mm512_add_epi64(acc, odd);
-    }
-    i64 total = _mm512_reduce_add_epi64(acc);
-    if (k < n)
-        total += dotI32Scalar(a + k, b + k, n - k);
-    return total;
 }
 
 /**
@@ -400,7 +380,6 @@ avx512Table()
         axpyF32Avx512,
         gemmF32Avx512,
         dotRowsF32Avx2,
-        dotI32Avx512,
         gemmInt12Avx512,
         absGreaterMask64Avx512,
         cmpGeMask64Avx512,

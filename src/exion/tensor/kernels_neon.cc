@@ -44,25 +44,6 @@ axpyF32Neon(float *out, const float *x, float a, Index n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
 
-i64
-dotI32Neon(const i32 *a, const i32 *b, Index n)
-{
-    int64x2_t acc = vdupq_n_s64(0);
-    Index k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const int32x4_t va = vld1q_s32(a + k);
-        const int32x4_t vb = vld1q_s32(b + k);
-        acc = vaddq_s64(
-            acc, vmull_s32(vget_low_s32(va), vget_low_s32(vb)));
-        acc = vaddq_s64(
-            acc, vmull_s32(vget_high_s32(va), vget_high_s32(vb)));
-    }
-    i64 total = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-    if (k < n)
-        total += dotI32Scalar(a + k, b + k, n - k);
-    return total;
-}
-
 void
 gemmInt12Neon(const i32 *a, Index lda, const i32 *b, Index ldb, i64 *c,
               Index ldc, Index m, Index k, Index n)
@@ -120,7 +101,6 @@ neonTable()
         axpyF32Neon,
         gemmF32Scalar,
         dotRowsF32Scalar,
-        dotI32Neon,
         gemmInt12Neon,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,

@@ -106,15 +106,6 @@ dotRowsF32Scalar(const float *x, const float *b, Index ldb,
         out[i] = dotF32Scalar(x, b + idx[i] * ldb, d);
 }
 
-i64
-dotI32Scalar(const i32 *a, const i32 *b, Index n)
-{
-    i64 acc = 0;
-    for (Index k = 0; k < n; ++k)
-        acc += static_cast<i64>(a[k]) * b[k];
-    return acc;
-}
-
 void
 gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
                 i64 *c, Index ldc, Index m, Index k, Index n)
@@ -215,7 +206,6 @@ scalarTable()
         axpyF32Scalar,
         gemmF32Scalar,
         dotRowsF32Scalar,
-        dotI32Scalar,
         gemmInt12Scalar,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,

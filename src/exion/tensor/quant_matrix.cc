@@ -28,13 +28,6 @@ QuantMatrix::fromFloat(const Matrix &m, const QuantParams &params)
 }
 
 QuantMatrix
-QuantMatrix::borrow(const i32 *data, Index rows, Index cols,
-                    QuantParams params)
-{
-    return borrowStrided(data, rows, cols, cols, params);
-}
-
-QuantMatrix
 QuantMatrix::borrowStrided(const i32 *data, Index rows, Index cols,
                            Index rowStride, QuantParams params)
 {

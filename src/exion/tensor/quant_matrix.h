@@ -7,12 +7,12 @@
  * already clamped to the target width) together with the scale needed
  * to interpret accumulator outputs.
  *
- * Like Matrix, storage is either owned or borrowed: borrow() wraps a
- * caller-owned read-only integer image (e.g. a quantized-at-rest
- * tensor of an mmap'd WeightStore) without copying, and
- * borrowStrided() views a column slice of a wider image in place.
- * A sliced view keeps the whole tensor's QuantParams — slices are
- * windows onto one quantisation domain, never re-quantised.
+ * Like Matrix, storage is either owned or borrowed: borrowStrided()
+ * views a column slice of a caller-owned wider image in place (eager
+ * prediction's per-head LOD weight images). A sliced view keeps the
+ * QuantParams it is given — slices are windows onto one buffer, never
+ * re-quantised. No weight store holds integer images; a quantized
+ * weight operand is always fromFloat() of the float weight.
  */
 
 #ifndef EXION_TENSOR_QUANT_MATRIX_H_
@@ -48,17 +48,10 @@ class QuantMatrix
                                  const QuantParams &params);
 
     /**
-     * Non-owning read-only view over caller-owned row-major integer
-     * storage with the given params. data must stay valid (and
-     * unchanged) for the view's lifetime.
-     */
-    static QuantMatrix borrow(const i32 *data, Index rows, Index cols,
-                              QuantParams params);
-
-    /**
-     * Non-owning read-only view whose consecutive rows sit rowStride
-     * elements apart (column slice of a wider row-major image). The
-     * params must be the whole tensor's. @pre rowStride >= cols
+     * Non-owning read-only view over caller-owned integer storage
+     * whose consecutive rows sit rowStride elements apart (a column
+     * slice of a wider row-major image). data must stay valid (and
+     * unchanged) for the view's lifetime. @pre rowStride >= cols
      */
     static QuantMatrix borrowStrided(const i32 *data, Index rows,
                                      Index cols, Index rowStride,

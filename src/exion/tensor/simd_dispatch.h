@@ -14,7 +14,7 @@
  *
  * Numerics contract: kernels vectorize only across *independent
  * output elements* (axpy j-sweeps, GEMM register tiles, one masked
- * dot per lane, per-lane compares, integer reductions — integer sums
+ * dot per lane, per-lane compares, integer GEMM tiles — integer sums
  * are exact in any order). Each float output element's accumulation
  * chain stays in the golden reference order from gemm.h (one
  * accumulator, +0.0f start, ascending k, separate mul then add, no
@@ -144,9 +144,6 @@ struct SimdKernels
     void (*dotRowsF32)(const float *x, const float *b, Index ldb,
                        const Index *idx, Index n, Index d, float *out);
 
-    /** sum_k (i64)a[k] * b[k]. Integer: exact in any order. */
-    i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
-
     /**
      * C = A * B over bounded integers: A is m x k (rows lda apart),
      * B is k x n (rows ldb apart), C is m x n i64 (rows ldc apart,
@@ -241,7 +238,6 @@ void dotRowsF32Scalar(const float *x, const float *b, Index ldb,
 /** The AVX2 masked dots, which the AVX-512 table runs too (x86 only). */
 void dotRowsF32Avx2(const float *x, const float *b, Index ldb,
                     const Index *idx, Index n, Index d, float *out);
-i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
 void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
                      i64 *c, Index ldc, Index m, Index k, Index n);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);

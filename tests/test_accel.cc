@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "exion/accel/exion_config.h"
 #include "exion/accel/functional_device.h"
 #include "exion/accel/perf_model.h"
@@ -227,6 +229,25 @@ TEST(PerfModel, SparsityMultipliesDenseEquivalentEfficiency)
     // the edge GPU); weight streaming bounds the benefit at batch 1.
     EXPECT_GT(s_all.topsPerWatt(), 1.3 * s_base.topsPerWatt());
     EXPECT_GT(s_all.effectiveTops(), 1.2 * s_base.effectiveTops());
+}
+
+TEST(PerfModel, DenseIntervalAtIntMaxRunsOneDenseIteration)
+{
+    // denseInterval + 1 overflowed an int here. At INT_MAX the period
+    // outlasts any run, so iteration 0 alone is dense: the same run as
+    // an interval of iterations - 1, and cheaper than iterations - 2,
+    // which also runs the last iteration dense.
+    ModelConfig model = makeConfig(Benchmark::MDM, Scale::Full);
+    const SparsityProfile prof = profileFor(Benchmark::MDM);
+    ExionPerfModel pm(exion4(), Ablation::All);
+    const auto executed = [&](int interval) {
+        model.ffnReuse.denseInterval = interval;
+        return pm.run(model, prof).executedOps;
+    };
+    const int n = model.iterations;
+    ASSERT_GE(n, 3);
+    EXPECT_EQ(executed(std::numeric_limits<int>::max()), executed(n - 1));
+    EXPECT_LT(executed(n - 1), executed(n - 2));
 }
 
 TEST(PerfModel, EnergyComponentsSumToTotal)

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "exion/metrics/metrics.h"
 #include "exion/sparsity/ffn_reuse.h"
 #include "exion/tensor/ops.h"
+#include "exion/tensor/quant_matrix.h"
 #include "standalone_layers.h"
 
 namespace exion
@@ -301,6 +303,99 @@ TEST(FfnReuse, QuantizedPathTracksFloat)
     const Matrix a = float_reuse.run(f.blk, x2, 1, s1, f.observers);
     const Matrix b = quant_reuse.run(f.blk, x2, 1, s2, f.observers);
     EXPECT_LT(relativeError(a, b), 0.05);
+}
+
+/** Bitwise equality: operator== would let -0.0 pass as +0.0. */
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols()
+        && (a.size() == 0
+            || std::memcmp(a.data().data(), b.data().data(),
+                           a.size() * sizeof(float)) == 0);
+}
+
+/**
+ * A quantized sparse iteration written out as integer dots: x's Int12
+ * codes against the rows of W1^T's own Int12 image (and W1v^T's under
+ * GEGLU), one i64 sum per set mask element, dequantised with the two
+ * scales; then the recomputed elements through the quantized second
+ * layer onto the dense iteration's cached partial sums.
+ */
+Matrix
+integerDotOracle(const TransformerBlock &blk, const Matrix &x,
+                 const FfnReuseBlockState &st)
+{
+    const QuantMatrix qx = QuantMatrix::fromFloat(x, IntWidth::Int12);
+    const auto image_t = [](const Linear &lin) {
+        return QuantMatrix::fromFloat(transpose(lin.weight()),
+                                      IntWidth::Int12);
+    };
+    const QuantMatrix qw1t = image_t(blk.ffn1());
+    const QuantMatrix qw1vt =
+        blk.geglu() ? image_t(blk.ffn1Value()) : QuantMatrix();
+    const auto dot = [&](const QuantMatrix &wt, Index r, Index c) {
+        i64 acc = 0;
+        for (Index k = 0; k < x.cols(); ++k)
+            acc += static_cast<i64>(qx(r, k)) * wt(c, k);
+        return static_cast<float>(acc * (qx.scale() * wt.scale()));
+    };
+    Matrix h_keep(x.rows(), blk.ffnHidden());
+    st.mask.forEachSetBit([&](Index r, Index c) {
+        float h = geluScalar(dot(qw1t, r, c) + blk.ffn1().bias()(0, c));
+        if (blk.geglu())
+            h *= dot(qw1vt, r, c) + blk.ffn1Value().bias()(0, c);
+        h_keep(r, c) = h;
+    });
+    Matrix out =
+        add(st.psumSparse, execMatmul(h_keep, blk.ffn2().weight(), true));
+    addRowVector(out, blk.ffn2().bias());
+    return out;
+}
+
+TEST(FfnReuse, QuantizedRecomputeMatchesIntegerDots)
+{
+    // The quantized recompute takes its elements from the dense
+    // quantized hidden activation; W1's Int12 image has the scale and
+    // codes of W1^T's, so each element is one exact integer dot.
+    for (const bool geglu : {false, true}) {
+        SCOPED_TRACE(geglu ? "GEGLU" : "GELU");
+        Rng rng(geglu ? 83 : 82);
+        const StandaloneBlock blk(0, 40, 4, 4, geglu, rng);
+        FfnReuse reuse({3, 0.8}, true);
+        ExecStats stats;
+        ExecObservers observers;
+        Matrix x(9, 40);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        reuse.run(blk, x, 0, stats, observers);
+        const FfnReuseBlockState st = *reuse.state(0);
+        ASSERT_GT(st.mask.countOnes(), 0u);
+        for (auto &v : x.data())
+            v += 0.05f * static_cast<float>(rng.normal());
+        const Matrix got = reuse.run(blk, x, 1, stats, observers);
+        EXPECT_TRUE(bitIdentical(got, integerDotOracle(blk, x, st)));
+    }
+}
+
+TEST(FfnReuse, DenseIntervalAtIntMaxIsDenseOnlyAtZero)
+{
+    // denseInterval + 1 overflowed an int here. In 64 bits the period
+    // is INT_MAX + 1, longer than any run: only iteration 0 is dense.
+    const int max = std::numeric_limits<int>::max();
+    FfnReuse reuse({max, 0.9}, false);
+    EXPECT_TRUE(reuse.isDenseIteration(0));
+    for (const int it : {1, 2, 5, 1000, max - 1, max})
+        EXPECT_FALSE(reuse.isDenseIteration(it)) << it;
+
+    Fixture f;
+    int dense_calls = 0, sparse_calls = 0;
+    f.observers.onFfnMask = [&](int, const Bitmask2D &, bool dense) {
+        (dense ? dense_calls : sparse_calls) += 1;
+    };
+    for (int it = 0; it < 4; ++it)
+        reuse.run(f.blk, f.input(it), it, f.stats, f.observers);
+    EXPECT_EQ(dense_calls, 1);
+    EXPECT_EQ(sparse_calls, 3);
 }
 
 TEST(FfnReuse, GegluSupported)

@@ -166,7 +166,6 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->axpyF32, nullptr);
         EXPECT_NE(t->gemmF32, nullptr);
         EXPECT_NE(t->dotRowsF32, nullptr);
-        EXPECT_NE(t->dotI32, nullptr);
         EXPECT_NE(t->gemmInt12, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
         EXPECT_NE(t->cmpGeMask64, nullptr);
@@ -405,25 +404,7 @@ TEST(SimdKernelTest, DotRowsMatchesScalarChains)
     }
 }
 
-// -------------------------------------------------- integer reductions
-
-TEST(SimdKernelTest, DotI32Exact)
-{
-    Rng rng(14);
-    for (const SimdKernels *table : vectorTables()) {
-        for (Index n : kLengths) {
-            std::vector<i32> a(n), b(n);
-            for (Index i = 0; i < n; ++i) {
-                // Full INT12 range plus the extremes' products.
-                a[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
-                b[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
-            }
-            EXPECT_EQ(simd::dotI32Scalar(a.data(), b.data(), n),
-                      table->dotI32(a.data(), b.data(), n))
-                << table->name << " n=" << n;
-        }
-    }
-}
+// ----------------------------------------------------- integer GEMM
 
 /** Runs a table's gemmInt12 on a x b (row-major, contiguous). */
 std::vector<i64>

@@ -142,7 +142,8 @@ bitIdentical(const Matrix &a, const Matrix &b)
  * x * W + bias for the rows needed (the others stay zero), as the
  * attention paths projected before the per-head split: every row
  * through matmul, or, under quantize, the needed rows packed and
- * quantised together with one Int12 scale.
+ * quantised together with one Int12 scale, times W's own Int12
+ * image.
  */
 Matrix
 projectOracle(const Matrix &x, const Linear &proj,
@@ -164,7 +165,9 @@ projectOracle(const Matrix &x, const Linear &proj,
     for (Index i = 0; i < rows.size(); ++i)
         for (Index c = 0; c < x.cols(); ++c)
             packed(i, c) = x(rows[i], c);
-    Matrix projected = execWeightMatmul(packed, proj, true);
+    Matrix projected =
+        matmulQuant(QuantMatrix::fromFloat(packed, IntWidth::Int12),
+                    QuantMatrix::fromFloat(proj.weight(), IntWidth::Int12));
     addRowVector(projected, proj.bias());
     for (Index i = 0; i < rows.size(); ++i)
         for (Index c = 0; c < out.cols(); ++c)
@@ -252,7 +255,7 @@ epAttentionOracle(const TransformerBlock &blk, const Matrix &x,
             }
         }
     }
-    Matrix out = execWeightMatmul(concat, blk.wo(), quantize);
+    Matrix out = execMatmul(concat, blk.wo().weight(), quantize);
     addRowVector(out, blk.wo().bias());
     return out;
 }

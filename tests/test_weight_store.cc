@@ -1,17 +1,16 @@
 /**
  * @file
  * The immutable weight store: EXWS format round-trips, corruption
- * detection, quantized-at-rest exactness, and the differential gate —
- * a pipeline served from a saved, mmap'd store must be bit-identical
- * to the seeded in-memory build across every benchmark, execution
- * mode and quantisation level, solo and cohort, and two engines
- * registering one store must share its weight image.
+ * detection, a float-only layout, and the differential gate — a
+ * pipeline served from a saved, mmap'd store must be bit-identical to
+ * the seeded in-memory build across every benchmark, execution mode
+ * and quantisation level, solo and cohort, and two engines registering
+ * one store must share its weight image.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "exion/common/mmap_file.h"
-#include "exion/common/rng.h"
 #include "exion/model/pipeline.h"
 #include "exion/model/scheduler.h"
 #include "exion/model/weight_store.h"
@@ -44,19 +42,6 @@ bitIdentical(const Matrix &a, const Matrix &b)
         && (a.size() == 0
             || std::memcmp(a.data().data(), b.data().data(),
                            a.size() * sizeof(float)) == 0);
-}
-
-/** Bitwise equality of quantized images, scale bits included. */
-bool
-bitIdenticalQuant(const QuantMatrix &a, const QuantMatrix &b)
-{
-    return a.rows() == b.rows() && a.cols() == b.cols()
-        && std::memcmp(&a.params().scale, &b.params().scale,
-                       sizeof(double)) == 0
-        && a.params().width == b.params().width
-        && (a.size() == 0
-            || std::memcmp(a.rowPtr(0), b.rowPtr(0),
-                           a.size() * sizeof(i32)) == 0);
 }
 
 std::string
@@ -89,15 +74,6 @@ runPipeline(const DiffusionPipeline &pipe, ExecMode mode, bool quantize,
     SparseExecutor exec(
         SparseExecutor::fromConfig(pipe.config(), ffnr, ep, quantize));
     return pipe.run(exec, seed);
-}
-
-Matrix
-randomMatrix(Index rows, Index cols, u64 seed)
-{
-    Rng rng(seed);
-    Matrix m(rows, cols);
-    m.fillNormal(rng, 0.0f, 1.0f);
-    return m;
 }
 
 // ------------------------------------------------------------ mmap
@@ -157,17 +133,11 @@ TEST(WeightStoreTest, SaveLoadRoundTripPreservesEverything)
         SCOPED_TRACE(name);
         ASSERT_EQ(loaded->entries().count(name), 1u);
         const auto &le = loaded->entries().at(name);
-        EXPECT_EQ(le.kind, e.kind);
         EXPECT_EQ(le.rows, e.rows);
         EXPECT_EQ(le.cols, e.cols);
         EXPECT_EQ(le.byteLen, e.byteLen);
         EXPECT_EQ(le.offset % 64, 0u);
-        if (e.kind == WeightStore::TensorKind::Float32)
-            EXPECT_TRUE(bitIdentical(built->matrix(name),
-                                     loaded->matrix(name)));
-        else
-            EXPECT_TRUE(bitIdenticalQuant(built->quant(name),
-                                          loaded->quant(name)));
+        EXPECT_TRUE(bitIdentical(built->matrix(name), loaded->matrix(name)));
     }
     EXPECT_TRUE(built->matrix("inProj.w").borrowed());
     EXPECT_TRUE(loaded->matrix("inProj.w").borrowed());
@@ -211,9 +181,96 @@ TEST(WeightStoreTest, CorruptionAndForeignImagesAreRejected)
     write_variant([](std::vector<char> &b) { b[12] = 99; });
     EXPECT_THROW(WeightStore::load(path), WeightStoreError);
 
+    // So is a version-1 file, whose index also described Int12 images.
+    // The version sits in the header, outside the checksum.
+    write_variant([](std::vector<char> &b) {
+        const u32 v1 = 1;
+        std::memcpy(b.data() + 12, &v1, sizeof(v1));
+    });
+    try {
+        WeightStore::load(path);
+        ADD_FAILURE() << "a version-1 store loaded";
+    } catch (const WeightStoreError &e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+
     // The pristine image still loads after all that.
     write_variant([](std::vector<char> &) {});
     EXPECT_NO_THROW(WeightStore::load(path));
+    std::remove(path.c_str());
+}
+
+/** FNV-1a-64, the checksum a store keeps of its bytes past the
+    64-byte header. */
+u64
+fnv1a64(const char *data, size_t n)
+{
+    u64 h = 14695981039346656037ULL;
+    for (size_t i = 0; i < n; ++i) {
+        h ^= static_cast<unsigned char>(data[i]);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(WeightStoreTest, RefusesTensorWhoseByteLengthWraps)
+{
+    // 1 x 2^62 floats take 2^64 bytes, which wrap to the 0 bytes the
+    // record claims; the view would then reach far past its empty
+    // section. The file is re-sealed, so only the shape check stands
+    // in the way.
+    WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
+    builder.add("x", Matrix(1, 1));
+    const std::string path = tempPath("wrap.exws");
+    builder.finish()->save(path);
+    ASSERT_NO_THROW(WeightStore::load(path));
+    std::vector<char> b;
+    {
+        std::ifstream in(path, std::ios::binary);
+        b.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    }
+    // Header bytes [48, 56) hold the index offset. The one record is
+    // a u32 name length, the name, then rows, cols, section offset
+    // and byte length as u64.
+    u64 index_at = 0;
+    std::memcpy(&index_at, b.data() + 48, sizeof(index_at));
+    ASSERT_LE(index_at + 5 + 32, b.size());
+    u32 name_len = 0;
+    std::memcpy(&name_len, b.data() + index_at, sizeof(name_len));
+    ASSERT_EQ(name_len, 1u);
+    ASSERT_EQ(b[index_at + 4], 'x');
+    const u64 record = index_at + 5;
+    const u64 rows = 1, cols = u64{1} << 62, byte_len = 0;
+    std::memcpy(b.data() + record, &rows, sizeof(rows));
+    std::memcpy(b.data() + record + 8, &cols, sizeof(cols));
+    std::memcpy(b.data() + record + 24, &byte_len, sizeof(byte_len));
+    const u64 sum = fnv1a64(b.data() + 64, b.size() - 64);
+    std::memcpy(b.data() + 24, &sum, sizeof(sum));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(b.data(), static_cast<std::streamsize>(b.size()));
+    }
+    EXPECT_THROW(WeightStore::load(path), WeightStoreError);
+    std::remove(path.c_str());
+}
+
+TEST(WeightStoreTest, ZeroRowAndZeroColumnTensorsRoundTrip)
+{
+    WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
+    builder.add("zr", Matrix(0, 5));
+    builder.add("zc", Matrix(5, 0));
+    const std::string path = tempPath("empty.exws");
+    builder.finish()->save(path);
+    const auto loaded = WeightStore::load(path);
+    EXPECT_EQ(loaded->matrix("zr").rows(), 0);
+    EXPECT_EQ(loaded->matrix("zr").cols(), 5);
+    EXPECT_EQ(loaded->matrix("zc").rows(), 5);
+    EXPECT_EQ(loaded->matrix("zc").cols(), 0);
+    EXPECT_EQ(loaded->entries().at("zr").byteLen, 0u);
+    EXPECT_EQ(loaded->entries().at("zc").byteLen, 0u);
     std::remove(path.c_str());
 }
 
@@ -414,128 +471,13 @@ TEST(WeightStoreTest, LoadAcceptsSparsitySettingsAtTheirBounds)
     std::remove(path.c_str());
 }
 
-// ------------------------------------------------- quantized at rest
-
-TEST(WeightStoreTest, QuantAtRestRoundTripMatchesLiveQuantization)
-{
-    // 63/64/65 columns straddle the store's 64-byte section alignment
-    // and the kernels' 64-lane mask granularity.
-    ModelConfig cfg = shortConfig(Benchmark::MLD);
-    u64 seed = 31337;
-    for (Index cols : {Index{63}, Index{64}, Index{65}}) {
-        SCOPED_TRACE(::testing::Message() << cols << " cols");
-        const Matrix w = randomMatrix(17, cols, ++seed);
-        const QuantMatrix live = QuantMatrix::fromFloat(w, IntWidth::Int12);
-
-        WeightStoreBuilder builder(cfg);
-        builder.add("w", w);
-        builder.add("w.q", live);
-        const auto store = builder.finish();
-        const std::string path =
-            tempPath("qrt" + std::to_string(cols) + ".exws");
-        store->save(path);
-        const auto loaded = WeightStore::load(path);
-
-        const QuantMatrix at_rest = loaded->quant("w.q");
-        EXPECT_TRUE(at_rest.borrowed());
-        EXPECT_TRUE(bitIdenticalQuant(live, at_rest));
-        // Re-quantizing the stored float image reproduces the at-rest
-        // image: quantisation is deterministic, so quantized-at-rest
-        // and quantized-per-request are the same bits.
-        EXPECT_TRUE(bitIdenticalQuant(
-            QuantMatrix::fromFloat(loaded->matrix("w"), IntWidth::Int12),
-            at_rest));
-        // Dequantize and integer matmul agree to the bit.
-        EXPECT_TRUE(bitIdentical(live.toFloat(), at_rest.toFloat()));
-        const QuantMatrix qx = QuantMatrix::fromFloat(
-            randomMatrix(5, 17, 999), IntWidth::Int12);
-        // x (5x17) * w (17xcols) in the quant domain.
-        EXPECT_TRUE(bitIdentical(matmulQuant(qx, live),
-                                 matmulQuant(qx, at_rest)));
-        std::remove(path.c_str());
-    }
-}
-
-TEST(WeightStoreTest, QuantAtRestAdversarialScalesAndShapes)
-{
-    ModelConfig cfg = shortConfig(Benchmark::MLD);
-    WeightStoreBuilder builder(cfg);
-
-    // Extreme dynamic range: quantize() clamps per contract, and the
-    // clamped image must round-trip exactly.
-    Matrix extreme(2, 3);
-    extreme(0, 0) = std::numeric_limits<float>::max();
-    extreme(0, 1) = std::numeric_limits<float>::denorm_min();
-    extreme(0, 2) = -std::numeric_limits<float>::max();
-    extreme(1, 0) = 0.0f;
-    extreme(1, 1) = -0.0f;
-    extreme(1, 2) = 1.0f;
-    const QuantMatrix extreme_q =
-        QuantMatrix::fromFloat(extreme, IntWidth::Int12);
-    builder.add("extreme.q", extreme_q);
-
-    // Adversarial stored scales (Inf / NaN doubles) must survive the
-    // index round-trip bit-for-bit — the loader validates structure,
-    // not numerology.
-    QuantParams inf_params;
-    inf_params.scale = std::numeric_limits<double>::infinity();
-    inf_params.width = IntWidth::Int12;
-    const i32 inf_ints[4] = {1, -2, 3, -4};
-    builder.add("inf.q", QuantMatrix::borrow(inf_ints, 2, 2, inf_params));
-
-    QuantParams nan_params;
-    nan_params.scale = std::numeric_limits<double>::quiet_NaN();
-    nan_params.width = IntWidth::Int16;
-    const i32 nan_ints[2] = {7, -7};
-    builder.add("nan.q", QuantMatrix::borrow(nan_ints, 1, 2, nan_params));
-
-    // Degenerate shapes: zero rows and zero cols, float and quant.
-    builder.add("zr", Matrix(0, 5));
-    builder.add("zc", Matrix(5, 0));
-    builder.add("zr.q", QuantMatrix::fromFloat(Matrix(0, 5),
-                                               IntWidth::Int12));
-    builder.add("zc.q", QuantMatrix::fromFloat(Matrix(5, 0),
-                                               IntWidth::Int12));
-
-    const auto store = builder.finish();
-    const std::string path = tempPath("adversarial.exws");
-    store->save(path);
-    const auto loaded = WeightStore::load(path);
-
-    EXPECT_TRUE(bitIdenticalQuant(extreme_q, loaded->quant("extreme.q")));
-    // The FLT_MAX magnitude maps to the INT12 extreme, the rest of
-    // the range collapses to 0/±1-ish small codes — clamp engaged.
-    EXPECT_EQ(loaded->quant("extreme.q").rowPtr(0)[0], 2047);
-    EXPECT_EQ(loaded->quant("extreme.q").rowPtr(0)[2], -2047);
-
-    const QuantMatrix inf_loaded = loaded->quant("inf.q");
-    EXPECT_TRUE(std::isinf(inf_loaded.params().scale));
-    EXPECT_EQ(std::memcmp(inf_loaded.rowPtr(0), inf_ints,
-                          sizeof(inf_ints)),
-              0);
-    const QuantMatrix nan_loaded = loaded->quant("nan.q");
-    EXPECT_TRUE(std::isnan(nan_loaded.params().scale));
-    EXPECT_EQ(nan_loaded.params().width, IntWidth::Int16);
-    EXPECT_EQ(std::memcmp(nan_loaded.rowPtr(0), nan_ints,
-                          sizeof(nan_ints)),
-              0);
-
-    EXPECT_EQ(loaded->matrix("zr").rows(), 0);
-    EXPECT_EQ(loaded->matrix("zr").cols(), 5);
-    EXPECT_EQ(loaded->matrix("zc").rows(), 5);
-    EXPECT_EQ(loaded->matrix("zc").cols(), 0);
-    EXPECT_EQ(loaded->quant("zr.q").size(), 0);
-    EXPECT_EQ(loaded->quant("zc.q").size(), 0);
-    EXPECT_EQ(loaded->quant("zr.q").params().scale, 1.0);
-    std::remove(path.c_str());
-}
+// ------------------------------------------------------------ layout
 
 /**
- * Every at-rest image build() writes equals what it is derived from:
- * "<name>.w.q" the Int12 image of "<name>.w", "<name>.wT" the
- * transpose of "<name>.w", "<name>.wT.q" the Int12 image of that.
- * No request path derives them any more, so nothing else holds them
- * to their sources.
+ * A built store holds float tensors only: each layer's "<name>.w" and
+ * "<name>.b", condEmbed, and "<name>.wT" = transpose("<name>.w") for
+ * each first FFN layer. No request path derives the transposes, so
+ * nothing else holds them to their source.
  */
 TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
 {
@@ -548,37 +490,31 @@ TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
         const ModelConfig cfg = makeConfig(b, Scale::Reduced);
         SCOPED_TRACE(cfg.name);
         const auto store = WeightStore::build(cfg);
-        Index weights = 0, images = 0, transposes = 0, transposed_images = 0;
+        Index weights = 0, biases = 0, transposes = 0;
         for (const auto &[name, e] : store->entries()) {
             SCOPED_TRACE(name);
+            EXPECT_EQ(e.byteLen, e.rows * e.cols * sizeof(float));
             if (ends_with(name, ".w")) {
                 ++weights;
-            } else if (ends_with(name, ".w.q")) {
-                ++images;
-                const std::string w = name.substr(0, name.size() - 2);
-                EXPECT_TRUE(bitIdenticalQuant(
-                    store->quant(name),
-                    QuantMatrix::fromFloat(store->matrix(w),
-                                           IntWidth::Int12)));
+            } else if (ends_with(name, ".b")) {
+                ++biases;
+                const std::string w = name.substr(0, name.size() - 1) + "w";
+                ASSERT_EQ(store->entries().count(w), 1u);
+                EXPECT_EQ(e.cols, store->entries().at(w).cols);
             } else if (ends_with(name, ".wT")) {
                 ++transposes;
                 const std::string w = name.substr(0, name.size() - 1);
                 EXPECT_TRUE(bitIdentical(store->matrix(name),
                                          transpose(store->matrix(w))));
-            } else if (ends_with(name, ".wT.q")) {
-                ++transposed_images;
-                const std::string wt = name.substr(0, name.size() - 2);
-                EXPECT_TRUE(bitIdenticalQuant(
-                    store->quant(name),
-                    QuantMatrix::fromFloat(store->matrix(wt),
-                                           IntWidth::Int12)));
+            } else {
+                EXPECT_EQ(name, "condEmbed");
             }
         }
         EXPECT_GT(weights, 0u);
-        EXPECT_EQ(images, weights);
+        EXPECT_EQ(biases, weights);
         const Index first_ffn_layers = cfg.totalBlocks() * (cfg.geglu ? 2 : 1);
         EXPECT_EQ(transposes, first_ffn_layers);
-        EXPECT_EQ(transposed_images, first_ffn_layers);
+        EXPECT_EQ(store->entries().size(), weights + biases + transposes + 1);
     }
 }
 
@@ -594,25 +530,19 @@ rebuiltWith(const ModelConfig &cfg, const std::string &name, Put put)
 {
     const auto built = WeightStore::build(cfg);
     WeightStoreBuilder b(cfg);
-    for (const auto &[n, e] : built->entries()) {
-        if (n == name)
-            continue;
-        if (e.kind == WeightStore::TensorKind::Float32)
+    for (const auto &[n, e] : built->entries())
+        if (n != name)
             b.add(n, built->matrix(n));
-        else
-            b.add(n, built->quant(n));
-    }
     put(b, *built);
     return b.finish();
 }
 
 /**
  * Checksum-valid stores whose tensors disagree with their config, one
- * tensor each: short, long or untransposed float tensors, Int12
- * images of the wrong shape or width, and a missing image. Before the
- * views checked shapes, a 1x63 bias or a 67-row inProj.w registered
- * and then panicked at the first request, or read past its section
- * with assertions off.
+ * tensor each: short, long or untransposed tensors and a missing one.
+ * Before the views checked shapes, a 1x63 bias or a 67-row inProj.w
+ * registered and then panicked at the first request, or read past its
+ * section with assertions off.
  */
 std::vector<std::pair<std::string, std::shared_ptr<const WeightStore>>>
 misfitStores()
@@ -623,13 +553,6 @@ misfitStores()
                            Index cols) {
         return [=](WeightStoreBuilder &b, const WeightStore &) {
             b.add(name, Matrix(rows, cols));
-        };
-    };
-    const auto image = [](const std::string &name, const std::string &of,
-                          Index rows, IntWidth width) {
-        return [=](WeightStoreBuilder &b, const WeightStore &built) {
-            b.add(name, QuantMatrix::fromFloat(
-                            sliceRows(built.matrix(of), 0, rows), width));
         };
     };
     const auto copy = [](const std::string &name, const std::string &of) {
@@ -650,14 +573,8 @@ misfitStores()
     misfit(mld, "condEmbed", matrix("condEmbed", 1, 63));
     misfit(mld, "s0.timeProj.w",
            matrix("s0.timeProj.w", kTimeEmbedDim + 1, 64));
-    misfit(mld, "blk0.wq.w.q",
-           image("blk0.wq.w.q", "blk0.wq.w", 63, IntWidth::Int12));
-    misfit(mld, "blk1.ffn2.w.q",
-           image("blk1.ffn2.w.q", "blk1.ffn2.w", 256, IntWidth::Int16));
-    misfit(mld, "blk2.wo.w.q", nothing);
+    misfit(mld, "blk2.wo.b", nothing);
     misfit(mld, "blk3.ffn1.wT", copy("blk3.ffn1.wT", "blk3.ffn1.w"));
-    misfit(mld, "blk3.ffn1.wT.q",
-           image("blk3.ffn1.wT.q", "blk3.ffn1.wT", 255, IntWidth::Int12));
     misfit(geglu, "blk1.ffn1v.wT", copy("blk1.ffn1v.wT", "blk1.ffn1v.w"));
     misfit(geglu, "s1.channelProj.w", matrix("s1.channelProj.w", 47, 96));
     misfit(geglu, "s2.res0.conv2.w", matrix("s2.res0.conv2.w", 48, 47));

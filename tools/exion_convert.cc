@@ -3,10 +3,11 @@
  * exion_convert — builds, inspects and verifies EXWS weight stores.
  *
  * A store snapshots the deterministic seeded build of a benchmark's
- * model (float weights, INT12 quantized-at-rest images, transposed
- * FFN1 copies) into one checksummed file that engines mmap read-only
- * and share. Converting is a build-time step; serving then never
- * quantises or transposes a weight again.
+ * model (float32 weights and biases, plus transposed FFN1 copies)
+ * into one checksummed EXWS v2 file that engines mmap read-only and
+ * share. Converting is a build-time step; serving then never
+ * transposes a weight again. No INT12 image is stored: the solo
+ * quantized paths quantise the float weight where they use it.
  *
  * Usage:
  *   exion_convert --benchmark NAME [--scale full|reduced] --out FILE
@@ -72,12 +73,6 @@ parseBenchmark(const std::string &name, Benchmark &out)
     return false;
 }
 
-const char *
-kindName(WeightStore::TensorKind kind)
-{
-    return kind == WeightStore::TensorKind::Float32 ? "f32" : "qint";
-}
-
 int
 convertOne(Benchmark b, Scale scale, const std::string &path)
 {
@@ -121,10 +116,9 @@ inspect(const std::string &path)
         const unsigned long long off = e.offset;
         const unsigned long long align =
             off == 0 ? 4096ULL : std::min(4096ULL, off & ~(off - 1));
-        std::printf("  %-28s %-4s %6lld x %-6lld @%-10llu "
+        std::printf("  %-28s %6lld x %-6lld @%-10llu "
                     "align%-5llu %llu bytes\n",
-                    name.c_str(), kindName(e.kind),
-                    static_cast<long long>(e.rows),
+                    name.c_str(), static_cast<long long>(e.rows),
                     static_cast<long long>(e.cols), off, align,
                     static_cast<unsigned long long>(e.byteLen));
     }
