@@ -40,11 +40,31 @@ execMatmul(const Matrix &a, const Matrix &b, bool quantize)
     return matmulQuant(qa, qb);
 }
 
+namespace
+{
+
+/** Rows of each member's segment of a stack. */
+Index
+segmentRows(const Matrix &x_norm, Members members, bool quantize)
+{
+    EXION_ASSERT(!members.empty() && x_norm.rows() % members.size() == 0,
+                 "stacked rows ", x_norm.rows(), " vs ", members.size(),
+                 " members");
+    EXION_ASSERT(!quantize || members.size() == 1,
+                 "quantize takes a stack of one, not ", members.size());
+    return x_norm.rows() / members.size();
+}
+
+/**
+ * Per-head score/softmax/AV core of dense attention on rows
+ * [r0, r0+rows) of projected q/k/v, writing the concatenated head
+ * outputs (pre output-projection) into the same rows of concat and
+ * accumulating the per-head attn op counts.
+ */
 void
-denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
-                       const Matrix &k, const Matrix &v, Index r0,
-                       Index rows, bool quantize, ExecStats &stats,
-                       Matrix &concat)
+attentionCoreInto(const TransformerBlock &blk, const Matrix &q,
+                  const Matrix &k, const Matrix &v, Index r0, Index rows,
+                  bool quantize, ExecStats &stats, Matrix &concat)
 {
     const Index t = rows;
     const Index dh = blk.headDim();
@@ -68,13 +88,13 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
     }
 }
 
+} // namespace
+
 Matrix
 denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
-                   bool quantize, ExecStats &stats,
-                   ExecObservers &observers)
+                   bool quantize, Members members)
 {
-    (void)observers;
-    const Index t = x_norm.rows();
+    const Index t = segmentRows(x_norm, members, quantize);
     const Index d = blk.dModel();
 
     Matrix q = execMatmul(x_norm, blk.wq().weight(), quantize);
@@ -84,46 +104,41 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     Matrix v = execMatmul(x_norm, blk.wv().weight(), quantize);
     addRowVector(v, blk.wv().bias());
 
-    stats.qkvOpsDense += 3 * mmulOps(t, d, d);
-    stats.qkvOpsExecuted += 3 * mmulOps(t, d, d);
-    stats.qRowsTotal += t * blk.nHeads();
-    stats.kColsTotal += t * blk.nHeads();
-    stats.vColsTotal += t * blk.nHeads();
-
-    Matrix concat(t, d);
-    denseAttentionCoreInto(blk, q, k, v, 0, t, quantize, stats, concat);
+    Matrix concat(x_norm.rows(), d);
+    for (Index m = 0; m < members.size(); ++m) {
+        ExecStats &stats = members[m]->stats;
+        stats.qkvOpsDense += 3 * mmulOps(t, d, d);
+        stats.qkvOpsExecuted += 3 * mmulOps(t, d, d);
+        stats.qRowsTotal += t * blk.nHeads();
+        stats.kColsTotal += t * blk.nHeads();
+        stats.vColsTotal += t * blk.nHeads();
+        attentionCoreInto(blk, q, k, v, m * t, t, quantize, stats, concat);
+        stats.attnOpsDense += mmulOps(t, d, d);
+        stats.attnOpsExecuted += mmulOps(t, d, d);
+    }
 
     Matrix out = execMatmul(concat, blk.wo().weight(), quantize);
     addRowVector(out, blk.wo().bias());
-    stats.attnOpsDense += mmulOps(t, d, d);
-    stats.attnOpsExecuted += mmulOps(t, d, d);
     return out;
 }
 
 Matrix
 denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
-             bool quantize, ExecStats &stats, ExecObservers &observers)
+             bool quantize, Members members,
+             const ExecObservers &observers)
 {
-    const Index t = x_norm.rows();
+    const Index t = segmentRows(x_norm, members, quantize);
     const Index d = blk.dModel();
     const Index hid = blk.ffnHidden();
 
     Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
     addRowVector(gate, blk.ffn1().bias());
-    stats.ffnOpsDense += mmulOps(t, d, hid);
-    stats.ffnOpsExecuted += mmulOps(t, d, hid);
-
-    Matrix hidden;
+    Matrix hidden = gelu(gate);
     if (blk.geglu()) {
         Matrix value = execMatmul(x_norm, blk.ffn1Value().weight(), quantize);
         addRowVector(value, blk.ffn1Value().bias());
-        stats.ffnOpsDense += mmulOps(t, d, hid);
-        stats.ffnOpsExecuted += mmulOps(t, d, hid);
-        hidden = gelu(gate);
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
-    } else {
-        hidden = gelu(gate);
     }
 
     if (observers.onFfnHidden)
@@ -131,21 +146,25 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
     Matrix out = execMatmul(hidden, blk.ffn2().weight(), quantize);
     addRowVector(out, blk.ffn2().bias());
-    stats.ffnOpsDense += mmulOps(t, hid, d);
-    stats.ffnOpsExecuted += mmulOps(t, hid, d);
+    const OpCount ops =
+        (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid) + mmulOps(t, hid, d);
+    for (ExecContext *member : members) {
+        member->stats.ffnOpsDense += ops;
+        member->stats.ffnOpsExecuted += ops;
+    }
     return out;
 }
 
 Matrix
 DenseExecutor::attention(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseAttentionImpl(blk, x_norm, quantize_, stats(), observers);
+    return denseAttentionImpl(blk, x_norm, quantize_, self());
 }
 
 Matrix
 DenseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseFfnImpl(blk, x_norm, quantize_, stats(), observers);
+    return denseFfnImpl(blk, x_norm, quantize_, self(), observers);
 }
 
 } // namespace exion

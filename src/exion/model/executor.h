@@ -10,12 +10,20 @@
  * DenseExecutor outputs in the test suite. All of them run their
  * kernels on the one table the process probed (activeKernels(), see
  * simd_dispatch.h), so no executor carries a kernel choice.
+ *
+ * A request's mutable state — iteration, accounting and FFN-Reuse's
+ * per-block state — is one ExecContext. The dense sub-layers are
+ * written once, over a stack of members (one context per equal row
+ * segment), so a solo executor runs them as a stack of one and a
+ * cohort executor over its whole stack.
  */
 
 #ifndef EXION_MODEL_EXECUTOR_H_
 #define EXION_MODEL_EXECUTOR_H_
 
 #include <functional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "exion/tensor/bitmask.h"
@@ -119,15 +127,27 @@ struct ExecObservers
 };
 
 /**
- * Per-request mutable execution state.
+ * FFN-Reuse's inter-iteration state of one block: the threshold and
+ * recompute mask its last dense iteration calibrated, and the cached
+ * partial sums of the reused elements through the second FFN layer.
+ */
+struct FfnReuseBlockState
+{
+    bool initialized = false;
+    double theta = 0.0;   //!< calibrated |H| threshold
+    Bitmask2D mask;       //!< recompute mask (1 = recompute)
+    Matrix psumSparse;    //!< (H masked to reuse region) * W2
+};
+
+/**
+ * All mutable state of one denoising stream.
  *
- * Every piece of state a BlockExecutor mutates while driving one
- * denoising stream — the current iteration index and the op/sparsity
- * accounting — lives here rather than in the executor itself. An
- * executor owns a private context by default (the original
- * single-stream behaviour); a serving layer binds one ExecContext per
- * in-flight request so request state never leaks across streams and
- * survives the executor that produced it.
+ * The iteration index, the op/sparsity accounting and FFN-Reuse's
+ * per-block state live here and nowhere else: FfnReuse keeps only its
+ * config, and every executor runs against contexts. A solo executor
+ * owns exactly one; a cohort executor holds one per member slot, which
+ * a serving layer may attach so a request's state outlives the
+ * executor that produced it.
  */
 struct ExecContext
 {
@@ -135,12 +155,20 @@ struct ExecContext
     int iteration = 0;
     /** Accumulated op/sparsity accounting. */
     ExecStats stats;
+    /** FFN-Reuse state, one entry per block id. */
+    std::unordered_map<int, FfnReuseBlockState> ffn;
 };
+
+/**
+ * The members whose equal row segments a stacked activation holds, in
+ * stack order. A solo run is a stack of one.
+ */
+using Members = std::span<ExecContext *const>;
 
 /**
  * Strategy interface for computing a block's two heavy sub-layers.
  *
- * Executors are stateful (bound context + observers) and not
+ * Executors are stateful (their context + observers) and not
  * copyable; create one per concurrent denoising stream.
  */
 class BlockExecutor
@@ -155,7 +183,7 @@ class BlockExecutor
     /** Called once at the start of every denoising iteration. */
     virtual void beginIteration(int iteration)
     {
-        ctx().iteration = iteration;
+        ctx_.iteration = iteration;
     }
 
     /** Multi-head attention sub-layer (QKV, scores, AV, out-proj). */
@@ -166,37 +194,28 @@ class BlockExecutor
     virtual Matrix ffn(const TransformerBlock &blk,
                        const Matrix &x_norm) = 0;
 
-    /** Binds an external per-request context. */
-    void bindContext(ExecContext &ctx) { ctx_ = &ctx; }
+    /** The executor's own context. */
+    ExecContext &ctx() { return ctx_; }
 
-    /** Reverts to the executor-owned single-stream context. */
-    void unbindContext() { ctx_ = &ownCtx_; }
+    /** The executor's own context (const). */
+    const ExecContext &ctx() const { return ctx_; }
 
-    /** Active execution context. */
-    ExecContext &ctx() { return *ctx_; }
-
-    /** Active execution context (const). */
-    const ExecContext &ctx() const { return *ctx_; }
-
-    /** Accumulated statistics of the active context. */
-    ExecStats &stats() { return ctx_->stats; }
+    /** Accumulated statistics of the executor's context. */
+    ExecStats &stats() { return ctx_.stats; }
 
     /** Accumulated statistics (const). */
-    const ExecStats &stats() const { return ctx_->stats; }
-
-    /** Clears the active context's statistics. */
-    void resetStats() { ctx_->stats = ExecStats{}; }
+    const ExecStats &stats() const { return ctx_.stats; }
 
     /** Observation hooks (mutable by design; callers install them). */
     ExecObservers observers;
 
   protected:
-    /** Current iteration of the active context. */
-    int iteration() const { return ctx_->iteration; }
+    /** The executor's context as a stack of one. */
+    Members self() { return {&self_, 1}; }
 
   private:
-    ExecContext ownCtx_;
-    ExecContext *ctx_ = &ownCtx_;
+    ExecContext ctx_;
+    ExecContext *const self_ = &ctx_;
 };
 
 /**
@@ -213,9 +232,6 @@ class DenseExecutor : public BlockExecutor
                      const Matrix &x_norm) override;
     Matrix ffn(const TransformerBlock &blk, const Matrix &x_norm) override;
 
-    /** Whether INT12 quantisation is applied. */
-    bool quantized() const { return quantize_; }
-
   private:
     bool quantize_;
 };
@@ -227,8 +243,7 @@ class DenseExecutor : public BlockExecutor
  * one row-segment per cohort member, stacked in slot order. Before
  * every network forward the driver (CohortRun) announces the stacked
  * order and each member's denoising iteration; implementations keep
- * all mutable state — op accounting, sparsity masks, inter-iteration
- * caches — partitioned per slot so every member's rows are
+ * one ExecContext per slot, so every member's rows and accounting are
  * bit-identical to a solo run of that member.
  */
 class CohortBlockExecutor : public BlockExecutor
@@ -266,35 +281,28 @@ mmulOps(Index m, Index k, Index n)
 }
 
 /**
- * Dense multi-head attention implementation shared by executors.
- *
- * Accumulates into stats and fires observers; returns the sub-layer
- * output (pre-residual).
+ * Dense multi-head attention over a stack of members: x_norm holds
+ * members.size() equal row segments, one per member in stack order.
+ * Each projection runs once over the whole stack (row-independent, so
+ * every member's rows equal its solo run's bit for bit), the
+ * score/softmax/AV core once per member segment, and each member is
+ * charged for its own rows only. Under quantize each operand gets one
+ * Int12 scale, so quantize takes a stack of one. Returns the
+ * sub-layer output (pre-residual).
  */
 Matrix denseAttentionImpl(const TransformerBlock &blk,
                           const Matrix &x_norm, bool quantize,
-                          ExecStats &stats, ExecObservers &observers);
+                          Members members);
 
 /**
- * Per-head score/softmax/AV core of dense attention on rows
- * [r0, r0+rows) of projected q/k/v, writing the concatenated head
- * outputs (pre output-projection) into the same rows of concat and
- * accumulating the per-head attn op counts. Split out — and
- * row-ranged — so cohort executors can run the token-mixing core per
- * member segment of one tall projection GEMM without slicing or
- * re-pasting activations; with r0 = 0 and rows = q.rows() it is the
- * solo dense path.
+ * Dense FFN over a stack of members, as denseAttentionImpl: both
+ * linears run once over the whole stack, and each member is charged
+ * for its own rows. onFfnHidden fires once with the stacked hidden
+ * activation.
  */
-void denseAttentionCoreInto(const TransformerBlock &blk,
-                            const Matrix &q, const Matrix &k,
-                            const Matrix &v, Index r0, Index rows,
-                            bool quantize, ExecStats &stats,
-                            Matrix &concat);
-
-/** Dense FFN implementation shared by executors. */
 Matrix denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
-                    bool quantize, ExecStats &stats,
-                    ExecObservers &observers);
+                    bool quantize, Members members,
+                    const ExecObservers &observers);
 
 } // namespace exion
 

@@ -38,7 +38,7 @@ DiffusionPipeline::run(BlockExecutor &exec, const RunOptions &opts) const
         exec.beginIteration(i);
         const Matrix eps = network_.forward(x, scheduler_.timestep(i),
                                             exec);
-        x = scheduler_.step(x, eps, i);
+        scheduler_.stepRowsInPlace(x, eps, i, 0, x.rows());
         if (opts.onIteration)
             opts.onIteration(i, x);
     }

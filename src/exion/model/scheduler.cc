@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exion/common/logging.h"
-#include "exion/tensor/ops.h"
 
 namespace exion
 {
@@ -50,27 +49,6 @@ DdimScheduler::alphaBar(int t) const
     return alphaBar_[t];
 }
 
-Matrix
-DdimScheduler::step(const Matrix &x_t, const Matrix &eps_hat, int i) const
-{
-    const int t = timestep(i);
-    const bool last = (i + 1 >= inferenceSteps());
-    const double ab_t = alphaBar(t);
-    const double ab_next = last ? 1.0 : alphaBar(timestep(i + 1));
-
-    const float sqrt_ab_t = static_cast<float>(std::sqrt(ab_t));
-    const float sqrt_1m_ab_t =
-        static_cast<float>(std::sqrt(1.0 - ab_t));
-    const float sqrt_ab_next = static_cast<float>(std::sqrt(ab_next));
-    const float sqrt_1m_ab_next =
-        static_cast<float>(std::sqrt(1.0 - ab_next));
-
-    // x0 prediction, then deterministic DDIM update.
-    Matrix x0 = scale(sub(x_t, scale(eps_hat, sqrt_1m_ab_t)),
-                      1.0f / sqrt_ab_t);
-    return add(scale(x0, sqrt_ab_next), scale(eps_hat, sqrt_1m_ab_next));
-}
-
 void
 DdimScheduler::stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
                                Index r0, Index rows) const
@@ -90,9 +68,9 @@ DdimScheduler::stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
     const float sqrt_ab_next = static_cast<float>(std::sqrt(ab_next));
     const float sqrt_1m_ab_next =
         static_cast<float>(std::sqrt(1.0 - ab_next));
-    // The same float operation sequence as step(): eps*s, subtract,
-    // multiply by the precomputed reciprocal, then the two scaled
-    // terms added — fused per element, allocation-free.
+    // x0 prediction (eps*s, subtract, multiply by the reciprocal),
+    // then the deterministic DDIM update (two scaled terms added), per
+    // element and allocation-free.
     const float inv_sqrt_ab_t = 1.0f / sqrt_ab_t;
 
     for (Index r = r0; r < r0 + rows; ++r) {

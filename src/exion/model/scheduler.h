@@ -6,6 +6,10 @@
  * (Section II-A); we use DDIM with eta = 0 so runs are reproducible and
  * the latent evolves smoothly between iterations — the property
  * FFN-Reuse exploits.
+ *
+ * One step function, in place over a row range, serves solo runs (all
+ * rows) and cohorts (each member's segment), so the two share their
+ * arithmetic by construction.
  */
 
 #ifndef EXION_MODEL_SCHEDULER_H_
@@ -42,21 +46,17 @@ class DdimScheduler
     int timestep(int i) const;
 
     /**
-     * One reverse step: x_{t_next} from x_t and predicted noise.
+     * One reverse step, in place, on rows [r0, r0+rows) of x:
+     * x_{t_next} from x_t and the same rows of the predicted noise.
+     * A solo run steps all of its rows; a cohort steps each member's
+     * row segment of its stack, with the same per-element arithmetic,
+     * so each member's rows are bit-identical to its solo run.
      *
-     * @param x_t      current latent
-     * @param eps_hat  network-predicted noise at timestep(i)
-     * @param i        inference iteration index (0 = most noisy)
-     */
-    Matrix step(const Matrix &x_t, const Matrix &eps_hat, int i) const;
-
-    /**
-     * In-place reverse step on rows [r0, r0+rows) of a stacked
-     * latent, reading the same rows of eps_hat. The per-element
-     * arithmetic is identical to step(), so stepping one member's
-     * row-segment of a cohort stack is bit-identical to step() on
-     * that member's solo latent — without materialising the five
-     * temporaries step() allocates.
+     * @param x       current latent(s), overwritten
+     * @param eps_hat network-predicted noise at timestep(i)
+     * @param i       inference iteration index (0 = most noisy)
+     * @param r0      first row stepped
+     * @param rows    number of rows stepped
      */
     void stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
                          Index r0, Index rows) const;

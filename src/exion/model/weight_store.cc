@@ -1,6 +1,7 @@
 #include "exion/model/weight_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -254,6 +255,52 @@ checkNetworkShape(const ModelConfig &cfg)
             + " not in [1, " + std::to_string(kTrainSteps) + "]");
 }
 
+/**
+ * Refuses every "<name>.wT" that is not the bitwise transpose of
+ * "<name>.w". FFN-Reuse's sparse iterations read the transpose and
+ * every dense product the source, so copies that disagree would serve
+ * a different layer on each path. Tensor values come from outside the
+ * program only through load(); build() writes the transpose itself.
+ */
+void
+checkTransposes(const WeightStore &store)
+{
+    const std::string tail = ".wT";
+    for (const auto &[name, e] : store.entries()) {
+        if (name.size() < tail.size()
+            || name.compare(name.size() - tail.size(), tail.size(), tail)
+                != 0)
+            continue;
+        const std::string source = name.substr(0, name.size() - 1);
+        const auto refuse = [&](const std::string &why) {
+            throw WeightStoreError("weight store: tensor '" + name + "' "
+                                   + why + " '" + source + "'");
+        };
+        const auto it = store.entries().find(source);
+        if (it == store.entries().end())
+            refuse("has no source");
+        if (e.rows != it->second.cols || e.cols != it->second.rows)
+            refuse("is not shaped as the transpose of");
+        // Tile by tile, so the copy read down its columns stays in
+        // cache: on a full-scale MDM store this costs a third of
+        // comparing whole rows.
+        constexpr Index kTile = 64;
+        const Matrix wt = store.matrix(name);
+        const Matrix w = store.matrix(source);
+        for (Index r0 = 0; r0 < wt.rows(); r0 += kTile) {
+            const Index r1 = std::min(r0 + kTile, wt.rows());
+            for (Index c0 = 0; c0 < wt.cols(); c0 += kTile) {
+                const Index c1 = std::min(c0 + kTile, wt.cols());
+                for (Index r = r0; r < r1; ++r)
+                    for (Index c = c0; c < c1; ++c)
+                        if (std::bit_cast<u32>(wt.rowPtr(r)[c])
+                            != std::bit_cast<u32>(w.rowPtr(c)[r]))
+                            refuse("is not the transpose of");
+            }
+        }
+    }
+}
+
 } // namespace
 
 // ------------------------------------------------------------ builder
@@ -415,6 +462,7 @@ WeightStore::load(const std::string &path)
     store->parse();
     checkNetworkShape(store->cfg_);
     checkSparsitySettings(store->cfg_);
+    checkTransposes(*store);
     return store;
 }
 

@@ -31,7 +31,8 @@
  * file is refused like any other unknown version. The loader refuses
  * foreign magic/version/endianness, truncated files, checksum
  * mismatches, index entries whose byte length cannot be rows x cols
- * floats and configs no network can be built from with a typed
+ * floats, configs no network can be built from and transposed
+ * copies that are not their source's transpose with a typed
  * WeightStoreError. Layers are views of a store and nothing else; each
  * view refuses a missing tensor, or one whose shape disagrees with the
  * config, the same way.
@@ -107,7 +108,9 @@ class WeightStore
      *         iterations not in [1, kTrainSteps]; and on sparsity
      *         settings no executor can run: ep.topK not in (0, 1],
      *         ep.qTh not finite, ffnReuse.targetSparsity not in
-     *         [0, 1], ffnReuse.denseInterval negative
+     *         [0, 1], ffnReuse.denseInterval negative; and on a
+     *         "<name>.wT" that is not the bitwise transpose of
+     *         "<name>.w", or has no such source
      * @throws std::runtime_error when the file cannot be read
      */
     static std::shared_ptr<const WeightStore> load(const std::string &path);

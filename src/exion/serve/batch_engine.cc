@@ -30,6 +30,20 @@ failedResult(u64 id, const std::exception_ptr &failure)
     return result;
 }
 
+/**
+ * Executor options for a serving mode: FFN-Reuse under FfnReuseOnly
+ * and Exion, eager prediction under EpOnly and Exion, float always.
+ * Solo and cohort runs both take their options from here.
+ */
+SparseExecutor::Options
+execOptions(const ModelConfig &cfg, ExecMode mode)
+{
+    const bool ffnr =
+        mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
+    const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
+    return SparseExecutor::fromConfig(cfg, ffnr, ep, /*quantize=*/false);
+}
+
 } // namespace
 
 std::string
@@ -474,13 +488,7 @@ BatchEngine::runCohort(CohortMember first)
         return;
     }
     const DiffusionPipeline &pipe = *pipe_ptr;
-    const ModelConfig &cfg = pipe.config();
-    const ExecMode mode = first.req.mode;
-    const bool ffnr =
-        mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
-    const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
-    CohortExecutor exec(
-        SparseExecutor::fromConfig(cfg, ffnr, ep, /*quantize=*/false));
+    CohortExecutor exec(execOptions(pipe.config(), first.req.mode));
     CohortRun run(pipe, exec);
 
     // Slot ids are join order, so members_[slot] is the member.
@@ -489,11 +497,11 @@ BatchEngine::runCohort(CohortMember first)
         members.push_back(
             std::make_unique<CohortMember>(std::move(m)));
         CohortMember &mem = *members.back();
-        mem.ctx = std::make_unique<RequestContext>();
+        mem.ctx = std::make_unique<ExecContext>();
         mem.slot = run.join(mem.req.noiseSeed);
         EXION_ASSERT(mem.slot + 1 == members.size(),
                      "cohort slot ", mem.slot, " out of join order");
-        exec.attachSlot(mem.slot, mem.ctx->exec, mem.ctx->ffn);
+        exec.attachSlot(mem.slot, *mem.ctx);
     };
     // Cohort batching off: every cohort is one request, and a worker
     // runs one request at a time.
@@ -582,7 +590,7 @@ BatchEngine::runCohort(CohortMember first)
             RequestResult result;
             result.id = m.req.id;
             result.output = run.takeResult(m.slot);
-            result.stats = m.ctx->exec.stats;
+            result.stats = m.ctx->stats;
             result.seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now()
                                  - m.startedAt)
@@ -719,22 +727,7 @@ RequestResult
 BatchEngine::runOne(const ServeRequest &req) const
 {
     const DiffusionPipeline &pipe = pipeline(req.benchmark);
-    const ModelConfig &cfg = pipe.config();
-
-    RequestContext ctx;
-    std::unique_ptr<BlockExecutor> exec;
-    if (req.mode == ExecMode::Dense) {
-        auto dense = std::make_unique<DenseExecutor>();
-        dense->bindContext(ctx.exec);
-        exec = std::move(dense);
-    } else {
-        const bool ffnr = req.mode != ExecMode::EpOnly;
-        const bool ep = req.mode != ExecMode::FfnReuseOnly;
-        auto sparse = std::make_unique<SparseExecutor>(
-            SparseExecutor::fromConfig(cfg, ffnr, ep, /*quantize=*/false));
-        sparse->bindRequestState(ctx.exec, ctx.ffn);
-        exec = std::move(sparse);
-    }
+    SparseExecutor exec(execOptions(pipe.config(), req.mode));
 
     RunOptions opts;
     opts.noiseSeed = req.noiseSeed;
@@ -746,8 +739,8 @@ BatchEngine::runOne(const ServeRequest &req) const
     const auto start = std::chrono::steady_clock::now();
     RequestResult result;
     result.id = req.id;
-    result.output = pipe.run(*exec, opts);
-    result.stats = ctx.exec.stats;
+    result.output = pipe.run(exec, opts);
+    result.stats = exec.stats();
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();

@@ -18,10 +18,10 @@
  * completion callback; Ticket::cancel() dequeues not-yet-started
  * work; snapshot() reports per-class accepted/rejected/shed/cancelled
  * counts, ready-queue depths and queue-wait percentiles. Each request
- * owns a RequestContext bundling every piece of mutable state the run
- * produces — execution context and FFN-Reuse bundle — so results are
- * bit-identical no matter how requests interleave across workers or
- * in which order the scheduler starts them.
+ * owns one ExecContext holding every piece of mutable state the run
+ * produces — iteration, accounting and FFN-Reuse's block state — so
+ * results are bit-identical no matter how requests interleave across
+ * workers or in which order the scheduler starts them.
  */
 
 #ifndef EXION_SERVE_BATCH_ENGINE_H_
@@ -50,20 +50,6 @@ namespace exion
 {
 
 class BatchEngine;
-
-/**
- * All mutable state of one in-flight request.
- *
- * This is the per-request context object: executors bind into it
- * instead of holding stream state themselves, so one request's
- * iteration counter, op accounting and inter-iteration FFN-Reuse
- * caches can never bleed into another's.
- */
-struct RequestContext
-{
-    ExecContext exec;  //!< iteration index + ExecStats
-    FfnReuseState ffn; //!< inter-iteration FFN-Reuse caches
-};
 
 /**
  * Handle to one submitted request.
@@ -377,8 +363,8 @@ class BatchEngine
     /**
      * Reference single-stream path: runs the batch on the calling
      * thread, one request at a time, each on its own solo
-     * DenseExecutor or SparseExecutor instead of a cohort. Submitting
-     * the same requests yields bit-identical results.
+     * SparseExecutor instead of a cohort. Submitting the same
+     * requests yields bit-identical results.
      */
     std::vector<RequestResult> runSequential(
         const std::vector<ServeRequest> &requests);
@@ -430,7 +416,7 @@ class BatchEngine
         std::shared_ptr<std::atomic<bool>> cancelFlag;
         std::chrono::steady_clock::time_point startedAt;
         Index slot = 0;
-        std::unique_ptr<RequestContext> ctx;
+        std::unique_ptr<ExecContext> ctx;
         bool delivered = false;
     };
 

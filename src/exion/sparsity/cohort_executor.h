@@ -1,17 +1,17 @@
 /**
  * @file
  * Cohort execution strategy: one executor stepping several requests'
- * stacked latents through each block, with all mutable state
- * partitioned per request.
+ * stacked latents through each block, with one ExecContext per
+ * request.
  *
- * Row-independent work (QKV projections, FFN linears, the output
- * projection) runs as one tall MMUL over the whole stack, amortising
- * the traversal of each weight matrix across every cohort member;
- * token-mixing attention and all sparsity decisions (eager-prediction
- * masks, FFN-Reuse thresholds/caches) run per member segment against
- * that member's own state, so each member's rows — and its ExecStats
- * — are bit-identical to a solo run under a SparseExecutor /
- * DenseExecutor with the same options.
+ * The dense sub-layers are the shared ones (denseAttentionImpl,
+ * denseFfnImpl) run over the whole stack: each projection and FFN
+ * linear is one tall MMUL, amortising the traversal of each weight
+ * matrix across every cohort member, and token mixing runs per member
+ * segment. Eager prediction and FFN-Reuse run member by member against
+ * that member's context — on the unsliced input when the cohort has
+ * one member. So each member's rows, and its ExecStats, are
+ * bit-identical to a solo SparseExecutor run with the same options.
  */
 
 #ifndef EXION_SPARSITY_COHORT_EXECUTOR_H_
@@ -29,10 +29,10 @@ namespace exion
 /**
  * Segment-aware block executor covering every ablation mode.
  *
- * Per-member state lives in slots. A serving layer attaches its own
- * per-request ExecContext / FfnReuseState to a slot (attachSlot) so
- * accounting survives the executor; unattached slots get
- * executor-owned state created on demand (convenient for tests and
+ * Each member slot runs against one ExecContext. A serving layer
+ * attaches a request's own context to its slot (attachSlot) so the
+ * request's state outlives the executor; an unattached slot gets an
+ * executor-owned context on first use (convenient for tests and
  * pipeline-level use).
  *
  * Float only: INT12 scales are calibrated per matrix, so a stacked
@@ -46,15 +46,15 @@ class CohortExecutor : public CohortBlockExecutor
     explicit CohortExecutor(const SparseExecutor::Options &opt);
 
     /**
-     * Binds external per-request state to a slot. The references must
-     * outlive the slot (until releaseSlot() or destruction).
+     * Binds a request's own context to a slot. It must outlive the
+     * slot (until releaseSlot() or destruction).
      */
-    void attachSlot(Index slot, ExecContext &ctx, FfnReuseState &ffn);
+    void attachSlot(Index slot, ExecContext &ctx);
 
     /** Execution context of a slot (created on first access). */
     ExecContext &slotContext(Index slot);
 
-    /** Drops a slot's bindings and owned state. */
+    /** Drops a slot's binding and owned context. */
     void releaseSlot(Index slot);
 
     void beginCohortStep(const std::vector<Index> &slots,
@@ -64,32 +64,18 @@ class CohortExecutor : public CohortBlockExecutor
                      const Matrix &x_norm) override;
     Matrix ffn(const TransformerBlock &blk, const Matrix &x_norm) override;
 
-    /** Active options. */
-    const SparseExecutor::Options &options() const { return opt_; }
-
-    /** Cohort members in the current step. */
-    Index cohortSize() const { return active_.size(); }
-
   private:
     struct Slot
     {
         ExecContext *ctx = nullptr;
-        FfnReuseState *ffn = nullptr;
-        std::unique_ptr<ExecContext> ownedCtx;
-        std::unique_ptr<FfnReuseState> ownedFfn;
+        std::unique_ptr<ExecContext> owned;
     };
-
-    /** The slot's state, created (executor-owned) on demand. */
-    Slot &slot(Index id);
-
-    /** Stats sink of the m-th active member. */
-    ExecStats &memberStats(Index m);
 
     SparseExecutor::Options opt_;
     FfnReuse ffnReuse_;
     std::unordered_map<Index, Slot> slots_;
-    std::vector<Index> active_;
-    std::vector<int> iterations_;
+    /** The current step's member contexts, in stack order. */
+    std::vector<ExecContext *> active_;
 };
 
 } // namespace exion

@@ -41,28 +41,14 @@ FfnReuse::isDenseIteration(int iteration) const
     return iteration % (i64{cfg_.denseInterval} + 1) == 0;
 }
 
-const FfnReuseBlockState *
-FfnReuse::state(int block_id) const
-{
-    const auto it = state_->blocks.find(block_id);
-    return it == state_->blocks.end() || !it->second.initialized
-        ? nullptr : &it->second;
-}
-
-void
-FfnReuse::reset()
-{
-    state_->reset();
-}
-
 Matrix
 FfnReuse::run(const TransformerBlock &blk, const Matrix &x_norm,
-              int iteration, ExecStats &stats, ExecObservers &observers)
+              ExecContext &ctx, const ExecObservers &observers) const
 {
-    FfnReuseBlockState &st = state_->blocks[blk.id()];
-    if (isDenseIteration(iteration) || !st.initialized)
-        return runDense(blk, x_norm, stats, observers, st);
-    return runSparse(blk, x_norm, stats, observers, st);
+    FfnReuseBlockState &st = ctx.ffn[blk.id()];
+    if (isDenseIteration(ctx.iteration) || !st.initialized)
+        return runDense(blk, x_norm, ctx.stats, observers, st);
+    return runSparse(blk, x_norm, ctx.stats, observers, st);
 }
 
 namespace
@@ -124,8 +110,8 @@ addMaskedProduct(const Matrix &psum, const Matrix &h,
 
 Matrix
 FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
-                   ExecStats &stats, ExecObservers &observers,
-                   FfnReuseBlockState &st)
+                   ExecStats &stats, const ExecObservers &observers,
+                   FfnReuseBlockState &st) const
 {
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
@@ -189,8 +175,8 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
 
 Matrix
 FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
-                    ExecStats &stats, ExecObservers &observers,
-                    FfnReuseBlockState &st)
+                    ExecStats &stats, const ExecObservers &observers,
+                    FfnReuseBlockState &st) const
 {
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
@@ -199,8 +185,8 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
                  "FFN-Reuse state shape mismatch for block ", blk.id());
 
     const u64 nnz = st.mask.countOnes();
-    const double sparsity = st.mask.sparsity();
-    stats.ffnSparsitySum += sparsity;
+    stats.ffnSparsitySum += 1.0 - static_cast<double>(nnz)
+        / static_cast<double>(t * hid);
     ++stats.ffnSparsitySamples;
     if (observers.onFfnMask)
         observers.onFfnMask(blk.id(), st.mask, false);

@@ -14,6 +14,10 @@
  * targetSparsity quantile of |H| — the runtime analogue of the paper's
  * empirically determined local thresholds.
  *
+ * Each block's threshold, mask and partial sums are per-stream state,
+ * so they live in the stream's ExecContext; FfnReuse holds only its
+ * config.
+ *
  * The dense MMULs and the sparse hot loops (threshold scans, masked
  * recompute, masked products) run on the process's one kernel table
  * (activeKernels(), see simd_dispatch.h).
@@ -22,47 +26,19 @@
 #ifndef EXION_SPARSITY_FFN_REUSE_H_
 #define EXION_SPARSITY_FFN_REUSE_H_
 
-#include <unordered_map>
-
 #include "exion/model/config.h"
 #include "exion/model/executor.h"
 #include "exion/model/transformer_block.h"
-#include "exion/tensor/bitmask.h"
 
 namespace exion
 {
 
 /**
- * Per-block inter-iteration reuse state.
- */
-struct FfnReuseBlockState
-{
-    bool initialized = false;
-    double theta = 0.0;   //!< calibrated |H| threshold
-    Bitmask2D mask;       //!< recompute mask (1 = recompute)
-    Matrix psumSparse;    //!< (H masked to reuse region) * W2
-};
-
-/**
- * Per-request FFN-Reuse state bundle: one entry per transformer block.
+ * FFN-Reuse execution engine.
  *
- * The engine holds a private bundle by default; a serving layer binds
- * one bundle per in-flight request so inter-iteration reuse state
- * (masks, partial sums) never mixes across concurrent denoising
- * streams.
- */
-struct FfnReuseState
-{
-    std::unordered_map<int, FfnReuseBlockState> blocks;
-
-    /** Drops all cached block state. */
-    void reset() { blocks.clear(); }
-};
-
-/**
- * FFN-Reuse execution engine, stateful across iterations.
- *
- * Not copyable: it carries a bound per-request state pointer.
+ * Holds only its config: each block's threshold, mask and partial sums
+ * live in the ExecContext a call runs against (ExecContext::ffn), so
+ * one engine serves any number of denoising streams.
  */
 class FfnReuse
 {
@@ -73,49 +49,31 @@ class FfnReuse
      */
     FfnReuse(const FfnReuseConfig &cfg, bool quantize);
 
-    FfnReuse(const FfnReuse &) = delete;
-    FfnReuse &operator=(const FfnReuse &) = delete;
-
-    /** Binds an external per-request state bundle. */
-    void bindState(FfnReuseState &state) { state_ = &state; }
-
-    /** Reverts to the engine-owned single-stream state bundle. */
-    void unbindState() { state_ = &ownState_; }
-
     /** True when the iteration is a dense (full recompute) one. */
     bool isDenseIteration(int iteration) const;
 
     /**
-     * Executes one FFN sub-layer under reuse.
+     * Executes one FFN sub-layer under reuse at ctx.iteration, against
+     * ctx's state for the block; a block with no state yet runs dense.
      *
      * @param blk       the transformer block (weights)
      * @param x_norm    normalised sub-layer input
-     * @param iteration current denoising iteration
-     * @param stats     op/sparsity accounting sink
+     * @param ctx       the stream's iteration, stats and block state
      * @param observers mask/activation hooks
      */
     Matrix run(const TransformerBlock &blk, const Matrix &x_norm,
-               int iteration, ExecStats &stats,
-               ExecObservers &observers);
-
-    /** Read access to a block's state (nullptr before first dense). */
-    const FfnReuseBlockState *state(int block_id) const;
-
-    /** Drops the bound bundle's state (e.g. between pipeline runs). */
-    void reset();
+               ExecContext &ctx, const ExecObservers &observers) const;
 
   private:
     Matrix runDense(const TransformerBlock &blk, const Matrix &x_norm,
-                    ExecStats &stats, ExecObservers &observers,
-                    FfnReuseBlockState &st);
+                    ExecStats &stats, const ExecObservers &observers,
+                    FfnReuseBlockState &st) const;
     Matrix runSparse(const TransformerBlock &blk, const Matrix &x_norm,
-                     ExecStats &stats, ExecObservers &observers,
-                     FfnReuseBlockState &st);
+                     ExecStats &stats, const ExecObservers &observers,
+                     FfnReuseBlockState &st) const;
 
     FfnReuseConfig cfg_;
     bool quantize_;
-    FfnReuseState ownState_;
-    FfnReuseState *state_ = &ownState_;
 };
 
 /**

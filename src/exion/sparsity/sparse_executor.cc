@@ -35,9 +35,8 @@ Matrix
 SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
     if (!opt_.useFfnReuse)
-        return denseFfnImpl(blk, x_norm, opt_.quantize, stats(),
-                            observers);
-    return ffnReuse_.run(blk, x_norm, iteration(), stats(), observers);
+        return denseFfnImpl(blk, x_norm, opt_.quantize, self(), observers);
+    return ffnReuse_.run(blk, x_norm, ctx(), observers);
 }
 
 Matrix
@@ -45,9 +44,9 @@ SparseExecutor::attention(const TransformerBlock &blk,
                           const Matrix &x_norm)
 {
     if (!opt_.useEp)
-        return denseAttentionImpl(blk, x_norm, opt_.quantize, stats(),
-                                  observers);
-    return epAttention(blk, x_norm);
+        return denseAttentionImpl(blk, x_norm, opt_.quantize, self());
+    return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
+                           opt_.quantize, stats(), observers);
 }
 
 namespace
@@ -156,17 +155,9 @@ projectHeads(const Matrix &x, const Linear &proj,
 } // namespace
 
 Matrix
-SparseExecutor::epAttention(const TransformerBlock &blk,
-                            const Matrix &x_norm)
-{
-    return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
-                           opt_.quantize, stats(), observers);
-}
-
-Matrix
 epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                 const EpConfig &ep, LodMode lod_mode, bool quantize,
-                ExecStats &stats, ExecObservers &observers)
+                ExecStats &stats, const ExecObservers &observers)
 {
     const SimdKernels &kr = activeKernels();
     const Index t = x_norm.rows();

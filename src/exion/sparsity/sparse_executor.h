@@ -5,7 +5,9 @@
  * One executor covers all ablation points of the evaluation
  * (EXION_Base / _EP / _FFNR / _All) through its Options flags. Its
  * sparse hot paths and dense MMULs run on the process's one kernel
- * table (simd_dispatch.h), so the Options hold no kernel choice.
+ * table (simd_dispatch.h), so the Options hold no kernel choice. It
+ * runs one stream against its own ExecContext: the dense sub-layers as
+ * a stack of one, FFN-Reuse against the context's block state.
  */
 
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
@@ -48,25 +50,7 @@ class SparseExecutor : public BlockExecutor
                      const Matrix &x_norm) override;
     Matrix ffn(const TransformerBlock &blk, const Matrix &x_norm) override;
 
-    /** The FFN-Reuse engine (inspectable state). */
-    FfnReuse &ffnReuse() { return ffnReuse_; }
-
-    /**
-     * Binds all per-request state in one call: the execution context
-     * (iteration + stats) and the FFN-Reuse bundle.
-     */
-    void bindRequestState(ExecContext &ctx, FfnReuseState &ffn)
-    {
-        bindContext(ctx);
-        ffnReuse_.bindState(ffn);
-    }
-
-    /** Active options. */
-    const Options &options() const { return opt_; }
-
   private:
-    Matrix epAttention(const TransformerBlock &blk, const Matrix &x_norm);
-
     Options opt_;
     FfnReuse ffnReuse_;
 };
@@ -76,7 +60,7 @@ class SparseExecutor : public BlockExecutor
  *
  * Stateless across iterations (all skip decisions derive from x_norm
  * alone), so cohort executors run it per member segment with that
- * member's stats/observers — bit-identical to a solo SparseExecutor.
+ * member's stats — bit-identical to a solo SparseExecutor.
  *
  * Each head's d_head columns of Q, K and V are projected only for the
  * rows that head needs (headNeeds): Q for its rows that are not
@@ -99,7 +83,7 @@ class SparseExecutor : public BlockExecutor
 Matrix epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                        const EpConfig &ep, LodMode lod_mode,
                        bool quantize, ExecStats &stats,
-                       ExecObservers &observers);
+                       const ExecObservers &observers);
 
 } // namespace exion
 

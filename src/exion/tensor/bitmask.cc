@@ -29,15 +29,6 @@ Bitmask2D::countOnes() const
                                          words_.size());
 }
 
-u64
-Bitmask2D::andPopcount(const Bitmask2D &other) const
-{
-    EXION_ASSERT(rows_ == other.rows_ && cols_ == other.cols_,
-                 "bitmask shape mismatch in andPopcount");
-    return activeKernels().andPopcountWords(
-        words_.data(), other.words_.data(), words_.size());
-}
-
 double
 Bitmask2D::sparsity() const
 {
@@ -121,15 +112,6 @@ Bitmask2D::writeRowBits(Index r, Index c0, u64 bits, Index nbits)
         words_[wi + 1] = (words_[wi + 1] & ~hi_mask)
             | ((bits >> lo_n) & hi_mask);
     }
-}
-
-void
-Bitmask2D::orWith(const Bitmask2D &other)
-{
-    EXION_ASSERT(rows_ == other.rows_ && cols_ == other.cols_,
-                 "bitmask shape mismatch in orWith");
-    activeKernels().orWords(words_.data(), other.words_.data(),
-                            words_.size());
 }
 
 } // namespace exion

@@ -80,12 +80,6 @@ class Bitmask2D
     u64 countOnes() const;
 
     /**
-     * Set bits of the element-wise AND with another mask of identical
-     * shape, without materialising the intersection.
-     */
-    u64 andPopcount(const Bitmask2D &other) const;
-
-    /**
      * Overwrites bits (r, c0) .. (r, c0 + nbits - 1) with the low
      * nbits of `bits` (bit i -> column c0 + i). nbits <= 64 and the
      * range must stay inside the row — the word-granular sink for the
@@ -164,9 +158,6 @@ class Bitmask2D
      * row0 + i — exactly the per-DPU-lane bitmask the CAU receives.
      */
     u16 columnSlice16(Index c, Index row0) const;
-
-    /** Element-wise OR with another mask of identical shape. */
-    void orWith(const Bitmask2D &other);
 
     /** True when shapes and bits match. */
     bool operator==(const Bitmask2D &other) const = default;

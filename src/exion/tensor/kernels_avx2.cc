@@ -434,9 +434,9 @@ cmpGeMask64Avx2(const float *x, float threshold, Index n)
 }
 
 /*
- * The word kernels reuse the scalar bodies: compiled in this TU with
- * -mavx2 (which implies POPCNT), std::popcount lowers to the
- * hardware instruction the baseline-ISA scalar TU cannot emit.
+ * The word kernel reuses the scalar body: compiled in this TU with
+ * -mavx2 (which implies POPCNT), the popcount lowers to the hardware
+ * instruction the baseline-ISA scalar TU cannot emit.
  */
 
 u64
@@ -445,15 +445,6 @@ popcountWordsAvx2(const u64 *w, Index n)
     u64 total = 0;
     for (Index i = 0; i < n; ++i)
         total += static_cast<u64>(__builtin_popcountll(w[i]));
-    return total;
-}
-
-u64
-andPopcountWordsAvx2(const u64 *a, const u64 *b, Index n)
-{
-    u64 total = 0;
-    for (Index i = 0; i < n; ++i)
-        total += static_cast<u64>(__builtin_popcountll(a[i] & b[i]));
     return total;
 }
 
@@ -471,8 +462,6 @@ avx2Table()
         absGreaterMask64Avx2,
         cmpGeMask64Avx2,
         popcountWordsAvx2,
-        andPopcountWordsAvx2,
-        orWordsScalar,
     };
     return &table;
 }

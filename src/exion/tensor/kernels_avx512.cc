@@ -361,15 +361,6 @@ popcountWordsAvx512(const u64 *w, Index n)
     return total;
 }
 
-u64
-andPopcountWordsAvx512(const u64 *a, const u64 *b, Index n)
-{
-    u64 total = 0;
-    for (Index i = 0; i < n; ++i)
-        total += static_cast<u64>(__builtin_popcountll(a[i] & b[i]));
-    return total;
-}
-
 } // namespace
 
 const SimdKernels *
@@ -384,8 +375,6 @@ avx512Table()
         absGreaterMask64Avx512,
         cmpGeMask64Avx512,
         popcountWordsAvx512,
-        andPopcountWordsAvx512,
-        orWordsScalar,
     };
     return &table;
 }

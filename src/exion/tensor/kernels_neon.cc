@@ -105,8 +105,6 @@ neonTable()
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,
-        andPopcountWordsScalar,
-        orWordsScalar,
     };
     return &table;
 }

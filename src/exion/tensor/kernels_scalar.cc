@@ -182,22 +182,6 @@ popcountWordsScalar(const u64 *w, Index n)
     return total;
 }
 
-u64
-andPopcountWordsScalar(const u64 *a, const u64 *b, Index n)
-{
-    u64 total = 0;
-    for (Index i = 0; i < n; ++i)
-        total += static_cast<u64>(std::popcount(a[i] & b[i]));
-    return total;
-}
-
-void
-orWordsScalar(u64 *dst, const u64 *src, Index n)
-{
-    for (Index i = 0; i < n; ++i)
-        dst[i] |= src[i];
-}
-
 const SimdKernels &
 scalarTable()
 {
@@ -210,8 +194,6 @@ scalarTable()
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,
-        andPopcountWordsScalar,
-        orWordsScalar,
     };
     return table;
 }

@@ -184,12 +184,6 @@ struct SimdKernels
 
     /** Total set bits across n words. */
     u64 (*popcountWords)(const u64 *w, Index n);
-
-    /** Total set bits of a[i] & b[i] across n words. */
-    u64 (*andPopcountWords)(const u64 *a, const u64 *b, Index n);
-
-    /** dst[i] |= src[i] for n words. */
-    void (*orWords)(u64 *dst, const u64 *src, Index n);
 };
 
 /**
@@ -243,8 +237,6 @@ void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);
 u64 cmpGeMask64Scalar(const float *x, float threshold, Index n);
 u64 popcountWordsScalar(const u64 *w, Index n);
-u64 andPopcountWordsScalar(const u64 *a, const u64 *b, Index n);
-void orWordsScalar(u64 *dst, const u64 *src, Index n);
 
 } // namespace simd
 

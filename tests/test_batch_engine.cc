@@ -1575,23 +1575,5 @@ TEST(BatchEngine, UnknownModelHasNoRetryHint)
     EXPECT_EQ(outcome.suggestedBackoffSeconds, 0.0);
 }
 
-TEST(ExecContext, BindingIsolatesStatsAcrossContexts)
-{
-    DenseExecutor exec;
-    ExecContext a, b;
-
-    exec.bindContext(a);
-    exec.beginIteration(3);
-    exec.stats().qkvOpsDense = 10;
-
-    exec.bindContext(b);
-    EXPECT_EQ(exec.ctx().iteration, 0);
-    EXPECT_EQ(exec.stats().qkvOpsDense, 0u);
-
-    exec.unbindContext();
-    EXPECT_EQ(a.iteration, 3);
-    EXPECT_EQ(a.stats.qkvOpsDense, 10u);
-}
-
 } // namespace
 } // namespace exion

@@ -271,24 +271,24 @@ TEST(Cohort, LeaveRemovesOnlyThatRow)
 
 TEST(Cohort, AttachedStateOutlivesExecutorSlots)
 {
-    // The serving layer binds its own per-request state; stats must
-    // land there, not in executor-owned storage.
+    // The serving layer attaches each request's own context; its stats
+    // and FFN-Reuse state must land there, not in executor-owned
+    // storage.
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 4);
     const DiffusionPipeline pipe(cfg);
     CohortExecutor exec(
         optionsFor(cfg, ExecMode::Exion, /*quantize=*/false));
     CohortRun run(pipe, exec);
     ExecContext ctx;
-    FfnReuseState ffn;
     const Index slot = run.join(11);
-    exec.attachSlot(slot, ctx, ffn);
+    exec.attachSlot(slot, ctx);
     while (!run.done())
         run.step();
     exec.releaseSlot(slot);
 
     const SoloResult solo = runSolo(pipe, ExecMode::Exion, false, 11);
     expectSameStats(ctx.stats, solo.stats);
-    EXPECT_FALSE(ffn.blocks.empty());
+    EXPECT_EQ(ctx.ffn.size(), pipe.config().totalBlocks());
 }
 
 TEST(Cohort, MultiSegmentForwardMatchesPerSegment)

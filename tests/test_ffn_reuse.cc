@@ -25,11 +25,30 @@ namespace exion
 namespace
 {
 
+/** reuse.run at the given iteration of ctx. */
+Matrix
+runAt(const FfnReuse &reuse, const TransformerBlock &blk, const Matrix &x,
+      ExecContext &ctx, int iteration,
+      const ExecObservers &observers = {})
+{
+    ctx.iteration = iteration;
+    return reuse.run(blk, x, ctx, observers);
+}
+
+/** denseFfnImpl on x as a stack of one, with throwaway accounting. */
+Matrix
+denseFfn(const TransformerBlock &blk, const Matrix &x)
+{
+    ExecContext ctx;
+    ExecContext *const self = &ctx;
+    return denseFfnImpl(blk, x, false, {&self, 1}, {});
+}
+
 struct Fixture
 {
     Rng rng{101};
     StandaloneBlock blk{0, 32, 4, 4, false, rng};
-    ExecStats stats;
+    ExecContext ctx;
     ExecObservers observers;
 
     Matrix
@@ -42,12 +61,12 @@ struct Fixture
     }
 
     Matrix
-    denseReference(const Matrix &x)
+    run(const FfnReuse &reuse, const Matrix &x, int iteration)
     {
-        ExecStats s;
-        ExecObservers o;
-        return denseFfnImpl(blk, x, false, s, o);
+        return runAt(reuse, blk, x, ctx, iteration, observers);
     }
+
+    Matrix denseReference(const Matrix &x) { return denseFfn(blk, x); }
 };
 
 TEST(SparsityQuantile, PicksTargetFraction)
@@ -158,7 +177,7 @@ TEST(FfnReuse, DenseIterationMatchesReference)
     Fixture f;
     FfnReuse reuse({3, 0.9}, false);
     const Matrix x = f.input(1);
-    const Matrix out = reuse.run(f.blk, x, 0, f.stats, f.observers);
+    const Matrix out = f.run(reuse, x, 0);
     EXPECT_LT(maxAbsDiff(out, f.denseReference(x)), 1e-4);
 }
 
@@ -166,10 +185,9 @@ TEST(FfnReuse, MaskHitsTargetSparsity)
 {
     Fixture f;
     FfnReuse reuse({3, 0.9}, false);
-    reuse.run(f.blk, f.input(1), 0, f.stats, f.observers);
-    const FfnReuseBlockState *st = reuse.state(0);
-    ASSERT_NE(st, nullptr);
-    EXPECT_NEAR(st->mask.sparsity(), 0.9, 0.02);
+    f.run(reuse, f.input(1), 0);
+    ASSERT_EQ(f.ctx.ffn.count(0), 1u);
+    EXPECT_NEAR(f.ctx.ffn.at(0).mask.sparsity(), 0.9, 0.02);
 }
 
 TEST(FfnReuse, ZeroSparsityReproducesDenseExactly)
@@ -178,9 +196,9 @@ TEST(FfnReuse, ZeroSparsityReproducesDenseExactly)
     // iterations must equal the dense reference on fresh inputs.
     Fixture f;
     FfnReuse reuse({3, 0.0}, false);
-    reuse.run(f.blk, f.input(1), 0, f.stats, f.observers);
+    f.run(reuse, f.input(1), 0);
     const Matrix x2 = f.input(2);
-    const Matrix out = reuse.run(f.blk, x2, 1, f.stats, f.observers);
+    const Matrix out = f.run(reuse, x2, 1);
     // The quantile threshold always leaves the minimum-|H| element
     // (plus ties) reused, so allow that single stale contribution.
     EXPECT_LT(relativeError(f.denseReference(x2), out), 0.02);
@@ -193,9 +211,8 @@ TEST(FfnReuse, FullSparsityReusesEverything)
     Fixture f;
     FfnReuse reuse({3, 1.0}, false);
     const Matrix x1 = f.input(1);
-    const Matrix out1 = reuse.run(f.blk, x1, 0, f.stats, f.observers);
-    const Matrix out2 = reuse.run(f.blk, f.input(2), 1, f.stats,
-                                  f.observers);
+    const Matrix out1 = f.run(reuse, x1, 0);
+    const Matrix out2 = f.run(reuse, f.input(2), 1);
     // One element (the max) stays above any quantile threshold; allow
     // its recomputation, the rest must be byte-identical reuse.
     Index diff = 0;
@@ -209,13 +226,13 @@ TEST(FfnReuse, SparseIterationApproximatesDense)
     Fixture f;
     FfnReuse reuse({4, 0.8}, false);
     const Matrix x1 = f.input(1);
-    reuse.run(f.blk, x1, 0, f.stats, f.observers);
+    f.run(reuse, x1, 0);
     // Nearby input: high reuse validity.
     Matrix x2 = x1;
     Rng noise(3);
     for (auto &v : x2.data())
         v += 0.02f * static_cast<float>(noise.normal());
-    const Matrix approx = reuse.run(f.blk, x2, 1, f.stats, f.observers);
+    const Matrix approx = f.run(reuse, x2, 1);
     const Matrix exact = f.denseReference(x2);
     EXPECT_GT(psnr(exact, approx), 25.0);
     EXPECT_LT(relativeError(exact, approx), 0.1);
@@ -227,11 +244,11 @@ TEST(FfnReuse, RecomputedElementsAreFresh)
     Fixture f;
     FfnReuse reuse({4, 0.5}, false);
     const Matrix x1 = f.input(1);
-    reuse.run(f.blk, x1, 0, f.stats, f.observers);
-    const FfnReuseBlockState st = *reuse.state(0);
+    f.run(reuse, x1, 0);
+    const FfnReuseBlockState st = f.ctx.ffn.at(0);
 
     const Matrix x2 = f.input(9); // completely different input
-    const Matrix out = reuse.run(f.blk, x2, 1, f.stats, f.observers);
+    const Matrix out = f.run(reuse, x2, 1);
 
     // Reconstruct the expected hybrid: the dense iteration's hidden
     // (from x1) for mask=0, fresh hidden (from x2) for mask=1, through
@@ -254,20 +271,20 @@ TEST(FfnReuse, StatsAccounting)
 {
     Fixture f;
     FfnReuse reuse({4, 0.9}, false);
-    reuse.run(f.blk, f.input(1), 0, f.stats, f.observers);
-    const OpCount dense_after_one = f.stats.ffnOpsDense;
-    EXPECT_EQ(f.stats.ffnOpsExecuted, dense_after_one);
-    EXPECT_EQ(f.stats.ffnSparsitySamples, 0u);
+    f.run(reuse, f.input(1), 0);
+    const OpCount dense_after_one = f.ctx.stats.ffnOpsDense;
+    EXPECT_EQ(f.ctx.stats.ffnOpsExecuted, dense_after_one);
+    EXPECT_EQ(f.ctx.stats.ffnSparsitySamples, 0u);
 
-    reuse.run(f.blk, f.input(2), 1, f.stats, f.observers);
-    EXPECT_EQ(f.stats.ffnOpsDense, 2 * dense_after_one);
+    f.run(reuse, f.input(2), 1);
+    EXPECT_EQ(f.ctx.stats.ffnOpsDense, 2 * dense_after_one);
     // Sparse iteration executes ~10% of dense work.
-    const OpCount sparse_exec = f.stats.ffnOpsExecuted
+    const OpCount sparse_exec = f.ctx.stats.ffnOpsExecuted
         - dense_after_one;
     EXPECT_LT(sparse_exec, dense_after_one / 5);
     EXPECT_GT(sparse_exec, 0u);
-    EXPECT_EQ(f.stats.ffnSparsitySamples, 1u);
-    EXPECT_NEAR(f.stats.meanFfnSparsity(), 0.9, 0.02);
+    EXPECT_EQ(f.ctx.stats.ffnSparsitySamples, 1u);
+    EXPECT_NEAR(f.ctx.stats.meanFfnSparsity(), 0.9, 0.02);
 }
 
 TEST(FfnReuse, MaskObserverFires)
@@ -282,7 +299,7 @@ TEST(FfnReuse, MaskObserverFires)
         (dense ? dense_calls : sparse_calls) += 1;
     };
     for (int it = 0; it < 6; ++it)
-        reuse.run(f.blk, f.input(it), it, f.stats, f.observers);
+        f.run(reuse, f.input(it), it);
     EXPECT_EQ(dense_calls, 2);  // iterations 0 and 3
     EXPECT_EQ(sparse_calls, 4); // iterations 1, 2, 4, 5
 }
@@ -293,15 +310,15 @@ TEST(FfnReuse, QuantizedPathTracksFloat)
     FfnReuse float_reuse({4, 0.8}, false);
     FfnReuse quant_reuse({4, 0.8}, true);
     const Matrix x1 = f.input(1);
-    ExecStats s1, s2;
-    float_reuse.run(f.blk, x1, 0, s1, f.observers);
-    quant_reuse.run(f.blk, x1, 0, s2, f.observers);
+    ExecContext c1, c2;
+    runAt(float_reuse, f.blk, x1, c1, 0);
+    runAt(quant_reuse, f.blk, x1, c2, 0);
     Matrix x2 = x1;
     Rng noise(5);
     for (auto &v : x2.data())
         v += 0.02f * static_cast<float>(noise.normal());
-    const Matrix a = float_reuse.run(f.blk, x2, 1, s1, f.observers);
-    const Matrix b = quant_reuse.run(f.blk, x2, 1, s2, f.observers);
+    const Matrix a = runAt(float_reuse, f.blk, x2, c1, 1);
+    const Matrix b = runAt(quant_reuse, f.blk, x2, c2, 1);
     EXPECT_LT(relativeError(a, b), 0.05);
 }
 
@@ -362,17 +379,16 @@ TEST(FfnReuse, QuantizedRecomputeMatchesIntegerDots)
         SCOPED_TRACE(geglu ? "GEGLU" : "GELU");
         Rng rng(geglu ? 83 : 82);
         const StandaloneBlock blk(0, 40, 4, 4, geglu, rng);
-        FfnReuse reuse({3, 0.8}, true);
-        ExecStats stats;
-        ExecObservers observers;
+        const FfnReuse reuse({3, 0.8}, true);
+        ExecContext ctx;
         Matrix x(9, 40);
         x.fillNormal(rng, 0.0f, 1.0f);
-        reuse.run(blk, x, 0, stats, observers);
-        const FfnReuseBlockState st = *reuse.state(0);
+        runAt(reuse, blk, x, ctx, 0);
+        const FfnReuseBlockState st = ctx.ffn.at(0);
         ASSERT_GT(st.mask.countOnes(), 0u);
         for (auto &v : x.data())
             v += 0.05f * static_cast<float>(rng.normal());
-        const Matrix got = reuse.run(blk, x, 1, stats, observers);
+        const Matrix got = runAt(reuse, blk, x, ctx, 1);
         EXPECT_TRUE(bitIdentical(got, integerDotOracle(blk, x, st)));
     }
 }
@@ -393,7 +409,7 @@ TEST(FfnReuse, DenseIntervalAtIntMaxIsDenseOnlyAtZero)
         (dense ? dense_calls : sparse_calls) += 1;
     };
     for (int it = 0; it < 4; ++it)
-        reuse.run(f.blk, f.input(it), it, f.stats, f.observers);
+        f.run(reuse, f.input(it), it);
     EXPECT_EQ(dense_calls, 1);
     EXPECT_EQ(sparse_calls, 3);
 }
@@ -402,33 +418,53 @@ TEST(FfnReuse, GegluSupported)
 {
     Rng rng(77);
     StandaloneBlock blk(0, 24, 4, 4, true, rng);
-    ExecStats stats;
-    ExecObservers observers;
-    FfnReuse reuse({3, 0.8}, false);
+    ExecContext ctx;
+    const FfnReuse reuse({3, 0.8}, false);
     Matrix x(8, 24);
     x.fillNormal(rng, 0.0f, 1.0f);
-    const Matrix dense_out = reuse.run(blk, x, 0, stats, observers);
-    ExecStats s;
-    ExecObservers o;
-    EXPECT_LT(maxAbsDiff(dense_out, denseFfnImpl(blk, x, false, s, o)),
-              1e-3);
+    const Matrix dense_out = runAt(reuse, blk, x, ctx, 0);
+    EXPECT_LT(maxAbsDiff(dense_out, denseFfn(blk, x)), 1e-3);
     Matrix x2 = x;
     Rng noise(6);
     for (auto &v : x2.data())
         v += 0.02f * static_cast<float>(noise.normal());
-    const Matrix sparse_out = reuse.run(blk, x2, 1, stats, observers);
-    const Matrix exact = denseFfnImpl(blk, x2, false, s, o);
+    const Matrix sparse_out = runAt(reuse, blk, x2, ctx, 1);
+    const Matrix exact = denseFfn(blk, x2);
     EXPECT_LT(relativeError(exact, sparse_out), 0.15);
 }
 
-TEST(FfnReuse, ResetClearsState)
+TEST(FfnReuse, StateLivesInTheContext)
 {
+    // One engine, two streams: each context carries its own block
+    // state, and the engine carries none.
     Fixture f;
-    FfnReuse reuse({3, 0.9}, false);
-    reuse.run(f.blk, f.input(1), 0, f.stats, f.observers);
-    EXPECT_NE(reuse.state(0), nullptr);
-    reuse.reset();
-    EXPECT_EQ(reuse.state(0), nullptr);
+    const FfnReuse reuse({3, 0.9}, false);
+    ExecContext a, b;
+    runAt(reuse, f.blk, f.input(1), a, 0);
+
+    // b never ran dense: its sparse-iteration call runs dense, bit for
+    // bit as a fresh context's dense iteration.
+    ExecContext fresh;
+    const Matrix got_b = runAt(reuse, f.blk, f.input(2), b, 1);
+    EXPECT_TRUE(bitIdentical(got_b,
+                             runAt(reuse, f.blk, f.input(2), fresh, 0)));
+    EXPECT_EQ(b.stats.ffnSparsitySamples, 0u);
+    EXPECT_EQ(b.stats.ffnOpsExecuted, fresh.stats.ffnOpsExecuted);
+    ASSERT_FALSE(a.ffn.at(0).mask == b.ffn.at(0).mask);
+
+    // a's next sparse iteration reads its own mask and partial sums:
+    // the same bits as a replay of a alone.
+    ExecContext alone;
+    runAt(reuse, f.blk, f.input(1), alone, 0);
+    const Matrix want_a = runAt(reuse, f.blk, f.input(3), alone, 1);
+    ExecObservers observers;
+    observers.onFfnMask = [&](int, const Bitmask2D &mask, bool dense) {
+        EXPECT_FALSE(dense);
+        EXPECT_TRUE(mask == a.ffn.at(0).mask);
+    };
+    EXPECT_TRUE(bitIdentical(runAt(reuse, f.blk, f.input(3), a, 1, observers),
+                             want_a));
+    EXPECT_EQ(a.stats.ffnSparsitySamples, 1u);
 }
 
 } // namespace

@@ -173,7 +173,8 @@ TEST(Scheduler, PerfectNoisePredictionDenoises)
     const Matrix x_t = add(
         scale(x0, static_cast<float>(std::sqrt(ab))),
         scale(noise, static_cast<float>(std::sqrt(1.0 - ab))));
-    const Matrix x_next = sched.step(x_t, noise, 0);
+    Matrix x_next = x_t;
+    sched.stepRowsInPlace(x_next, noise, 0, 0, x_next.rows());
     const int t_next = sched.timestep(1);
     const double ab_next = sched.alphaBar(t_next);
     const Matrix expect = add(

@@ -16,7 +16,7 @@
  * 255-pair flush, where its i32 lanes overflow unless flushed in
  * time. On top of the kernels, the level
  * plumbing (name round-trips, refusal of a bad EXION_SIMD) and
- * the Bitmask2D word-level API (words(), andPopcount,
+ * the Bitmask2D word-level API (words(), countOnes,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
  * column shapes so every word-boundary case is exercised.
  */
@@ -170,8 +170,6 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->absGreaterMask64, nullptr);
         EXPECT_NE(t->cmpGeMask64, nullptr);
         EXPECT_NE(t->popcountWords, nullptr);
-        EXPECT_NE(t->andPopcountWords, nullptr);
-        EXPECT_NE(t->orWords, nullptr);
     }
 }
 
@@ -571,26 +569,16 @@ TEST(SimdKernelTest, WordKernelsMatchScalar)
     for (const SimdKernels *table : vectorTables()) {
         for (Index n : {Index{0}, Index{1}, Index{2}, Index{3},
                         Index{7}, Index{8}, Index{9}, Index{33}}) {
-            std::vector<u64> a(n), b(n);
-            for (Index i = 0; i < n; ++i) {
+            std::vector<u64> a(n);
+            for (Index i = 0; i < n; ++i)
                 a[i] = rng.next();
-                b[i] = rng.next();
-            }
             if (n > 1) {
                 a[0] = 0;
-                b[n - 1] = ~u64{0};
+                a[n - 1] = ~u64{0};
             }
             EXPECT_EQ(simd::popcountWordsScalar(a.data(), n),
                       table->popcountWords(a.data(), n))
                 << table->name << " n=" << n;
-            EXPECT_EQ(
-                simd::andPopcountWordsScalar(a.data(), b.data(), n),
-                table->andPopcountWords(a.data(), b.data(), n))
-                << table->name << " n=" << n;
-            std::vector<u64> ref = a, got = a;
-            simd::orWordsScalar(ref.data(), b.data(), n);
-            table->orWords(got.data(), b.data(), n);
-            EXPECT_EQ(ref, got) << table->name << " n=" << n;
         }
     }
 }
@@ -640,25 +628,6 @@ TEST(BitmaskWordApiTest, CountOnesRaggedTails)
             EXPECT_EQ(m.rowOnes(r), row_want)
                 << "cols=" << cols << " r=" << r;
         }
-    }
-}
-
-TEST(BitmaskWordApiTest, AndPopcountRaggedTails)
-{
-    Rng rng(21);
-    for (Index cols : kRaggedCols) {
-        Bitmask2D a(4, cols), b(4, cols);
-        u64 want = 0;
-        for (Index r = 0; r < 4; ++r)
-            for (Index c = 0; c < cols; ++c) {
-                const bool av = rng.uniform() < 0.5;
-                const bool bv = rng.uniform() < 0.5;
-                a.set(r, c, av);
-                b.set(r, c, bv);
-                want += av && bv;
-            }
-        EXPECT_EQ(a.andPopcount(b), want) << "cols=" << cols;
-        EXPECT_EQ(b.andPopcount(a), want) << "cols=" << cols;
     }
 }
 

@@ -343,17 +343,6 @@ TEST(Bitmask, ColumnSlice16)
     EXPECT_EQ(m.columnSlice16(1, 0), 0u);
 }
 
-TEST(Bitmask, OrWith)
-{
-    Bitmask2D a(2, 2), b(2, 2);
-    a.set(0, 0, true);
-    b.set(1, 1, true);
-    a.orWith(b);
-    EXPECT_TRUE(a.get(0, 0));
-    EXPECT_TRUE(a.get(1, 1));
-    EXPECT_EQ(a.countOnes(), 2u);
-}
-
 /** Property sweep: packed bitmask behaves like a bool matrix. */
 class BitmaskProperty : public ::testing::TestWithParam<int>
 {

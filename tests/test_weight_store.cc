@@ -257,6 +257,78 @@ TEST(WeightStoreTest, RefusesTensorWhoseByteLengthWraps)
     std::remove(path.c_str());
 }
 
+/** The message load(path) refuses the file with ("" if it loads). */
+std::string
+loadRefusal(const std::string &path)
+{
+    try {
+        WeightStore::load(path);
+    } catch (const WeightStoreError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(WeightStoreTest, RefusesTransposeThatIsNotItsSource)
+{
+    // FFN-Reuse's sparse iterations read blk0.ffn1.wT and every dense
+    // product reads blk0.ffn1.w. A file whose transpose was zeroed and
+    // re-sealed loaded, and served wrong FFN-Reuse outputs.
+    const auto built = WeightStore::build(makeConfig(Benchmark::MLD,
+                                                     Scale::Reduced));
+    const std::string path = tempPath("transpose.exws");
+    built->save(path);
+    std::vector<char> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const WeightStore::Entry &wt = built->entries().at("blk0.ffn1.wT");
+    const auto write_resealed = [&](auto mutate) {
+        std::vector<char> b = image;
+        mutate(b.data() + wt.offset);
+        const u64 sum = fnv1a64(b.data() + 64, b.size() - 64);
+        std::memcpy(b.data() + 24, &sum, sizeof(sum));
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(b.data(), static_cast<std::streamsize>(b.size()));
+    };
+    const std::string refusal = "weight store: tensor 'blk0.ffn1.wT' is "
+                                "not the transpose of 'blk0.ffn1.w'";
+    write_resealed([&](char *t) { std::fill(t, t + wt.byteLen, 0); });
+    EXPECT_EQ(loadRefusal(path), refusal);
+    // One flipped sign bit is refused as well.
+    write_resealed([&](char *t) { t[wt.byteLen - 1] ^= char(0x80); });
+    EXPECT_EQ(loadRefusal(path), refusal);
+    write_resealed([](char *) {});
+    EXPECT_EQ(loadRefusal(path), "");
+
+    // The compare is bitwise: -0.0 is not the transpose of +0.0. A
+    // transpose without its source, or shaped as the source, is
+    // refused too.
+    const auto store_of = [&](const std::vector<std::pair<std::string,
+                                                          Matrix>> &ts) {
+        WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
+        for (const auto &[name, m] : ts)
+            builder.add(name, m);
+        builder.finish()->save(path);
+        return loadRefusal(path);
+    };
+    Matrix w(2, 3);
+    w(1, 2) = 5.0f;
+    Matrix signed_zero = transpose(w);
+    signed_zero(0, 0) = -0.0f;
+    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", transpose(w)}}), "");
+    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", signed_zero}}),
+              "weight store: tensor 'x.wT' is not the transpose of 'x.w'");
+    EXPECT_EQ(store_of({{"x.wT", transpose(w)}}),
+              "weight store: tensor 'x.wT' has no source 'x.w'");
+    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", w}}),
+              "weight store: tensor 'x.wT' is not shaped as the "
+              "transpose of 'x.w'");
+    std::remove(path.c_str());
+}
+
 TEST(WeightStoreTest, ZeroRowAndZeroColumnTensorsRoundTrip)
 {
     WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
