@@ -1,6 +1,7 @@
 #include "exion/model/executor.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "exion/model/transformer_block.h"
 #include "exion/tensor/ops.h"
@@ -123,14 +124,8 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 }
 
 Matrix
-denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
-             bool quantize, Members members,
-             const ExecObservers &observers)
+ffnHidden(const TransformerBlock &blk, const Matrix &x_norm, bool quantize)
 {
-    const Index t = segmentRows(x_norm, members, quantize);
-    const Index d = blk.dModel();
-    const Index hid = blk.ffnHidden();
-
     Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
     addRowVector(gate, blk.ffn1().bias());
     Matrix hidden = gelu(gate);
@@ -140,7 +135,19 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
     }
+    return hidden;
+}
 
+Matrix
+denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
+             bool quantize, Members members,
+             const ExecObservers &observers)
+{
+    const Index t = segmentRows(x_norm, members, quantize);
+    const Index d = blk.dModel();
+    const Index hid = blk.ffnHidden();
+
+    const Matrix hidden = ffnHidden(blk, x_norm, quantize);
     if (observers.onFfnHidden)
         observers.onFfnHidden(blk.id(), hidden);
 
@@ -155,16 +162,42 @@ denseFfnImpl(const TransformerBlock &blk, const Matrix &x_norm,
     return out;
 }
 
+void
+BlockExecutor::beginIteration(int iteration)
+{
+    ctx_.iteration = iteration;
+    members_.assign(1, &ctx_);
+}
+
+void
+BlockExecutor::beginCohortStep(const std::vector<Index> &slots,
+                               const std::vector<int> &iterations)
+{
+    if (quantize_)
+        throw std::invalid_argument(
+            "an INT12 executor runs solo only: each operand's scale is "
+            "calibrated per matrix, so stacking would change it");
+    EXION_ASSERT(slots.size() == iterations.size(),
+                 "cohort step slots ", slots.size(), " vs iterations ",
+                 iterations.size());
+    members_.clear();
+    for (Index m = 0; m < slots.size(); ++m) {
+        ExecContext &ctx = slotContext(slots[m]);
+        ctx.iteration = iterations[m];
+        members_.push_back(&ctx);
+    }
+}
+
 Matrix
 DenseExecutor::attention(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseAttentionImpl(blk, x_norm, quantize_, self());
+    return denseAttentionImpl(blk, x_norm, quantize(), members());
 }
 
 Matrix
 DenseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
 {
-    return denseFfnImpl(blk, x_norm, quantize_, self(), observers);
+    return denseFfnImpl(blk, x_norm, quantize(), members(), observers);
 }
 
 } // namespace exion

@@ -12,10 +12,10 @@
  * simd_dispatch.h), so no executor carries a kernel choice.
  *
  * A request's mutable state — iteration, accounting and FFN-Reuse's
- * per-block state — is one ExecContext. The dense sub-layers are
- * written once, over a stack of members (one context per equal row
- * segment), so a solo executor runs them as a stack of one and a
- * cohort executor over its whole stack.
+ * per-block state — is one ExecContext. Every executor steps a stack
+ * of members (one context per equal row segment): a solo run is a
+ * stack of one, and a cohort step stacks every member, so one
+ * executor and one body per sub-layer serve both.
  */
 
 #ifndef EXION_MODEL_EXECUTOR_H_
@@ -144,10 +144,8 @@ struct FfnReuseBlockState
  *
  * The iteration index, the op/sparsity accounting and FFN-Reuse's
  * per-block state live here and nowhere else: FfnReuse keeps only its
- * config, and every executor runs against contexts. A solo executor
- * owns exactly one; a cohort executor holds one per member slot, which
- * a serving layer may attach so a request's state outlives the
- * executor that produced it.
+ * config, and every executor runs against contexts. An executor owns
+ * one for its solo runs and one per cohort slot (slotContext()).
  */
 struct ExecContext
 {
@@ -168,23 +166,42 @@ using Members = std::span<ExecContext *const>;
 /**
  * Strategy interface for computing a block's two heavy sub-layers.
  *
- * Executors are stateful (their context + observers) and not
- * copyable; create one per concurrent denoising stream.
+ * Every executor steps a stack of members: each sub-layer call runs
+ * over an activation holding one equal row segment per member, in
+ * stack order. beginIteration() makes the executor's own context the
+ * only member; beginCohortStep() makes the named slots' contexts the
+ * members, so a cohort (CohortRun) and a solo run go through the same
+ * attention() and ffn(). A fresh executor called with no begin*()
+ * runs its own context alone.
+ *
+ * Executors are stateful (contexts + observers) and not copyable;
+ * create one per concurrent denoising stream or cohort.
  */
 class BlockExecutor
 {
   public:
-    BlockExecutor() = default;
     virtual ~BlockExecutor() = default;
 
     BlockExecutor(const BlockExecutor &) = delete;
     BlockExecutor &operator=(const BlockExecutor &) = delete;
 
-    /** Called once at the start of every denoising iteration. */
-    virtual void beginIteration(int iteration)
-    {
-        ctx_.iteration = iteration;
-    }
+    /**
+     * Called once at the start of every solo denoising iteration: the
+     * next forward runs the executor's own context as a stack of one.
+     */
+    virtual void beginIteration(int iteration);
+
+    /**
+     * Announces the stacked segment order for the next forward: slot
+     * slots[m]'s context, at iteration iterations[m], owns segment m.
+     * A slot's context is created on its first step.
+     *
+     * @throws std::invalid_argument on an executor that quantises:
+     *         INT12 scales are calibrated per matrix, so a stacked
+     *         operand would change every member's quantisation grid
+     */
+    virtual void beginCohortStep(const std::vector<Index> &slots,
+                                 const std::vector<int> &iterations);
 
     /** Multi-head attention sub-layer (QKV, scores, AV, out-proj). */
     virtual Matrix attention(const TransformerBlock &blk,
@@ -194,28 +211,40 @@ class BlockExecutor
     virtual Matrix ffn(const TransformerBlock &blk,
                        const Matrix &x_norm) = 0;
 
-    /** The executor's own context. */
-    ExecContext &ctx() { return ctx_; }
-
-    /** The executor's own context (const). */
-    const ExecContext &ctx() const { return ctx_; }
-
-    /** Accumulated statistics of the executor's context. */
+    /** Accumulated statistics of the executor's own context. */
     ExecStats &stats() { return ctx_.stats; }
 
     /** Accumulated statistics (const). */
     const ExecStats &stats() const { return ctx_.stats; }
 
+    /**
+     * Execution context of a cohort slot (created on first access).
+     * Its address is stable until releaseSlot() drops it.
+     */
+    ExecContext &slotContext(Index slot) { return slots_[slot]; }
+
+    /** Drops a slot's context. */
+    void releaseSlot(Index slot) { slots_.erase(slot); }
+
     /** Observation hooks (mutable by design; callers install them). */
     ExecObservers observers;
 
   protected:
-    /** The executor's context as a stack of one. */
-    Members self() { return {&self_, 1}; }
+    /** @param quantize whether the executor runs INT12 operands */
+    explicit BlockExecutor(bool quantize) : quantize_(quantize) {}
+
+    /** Whether the executor runs INT12 operands. */
+    bool quantize() const { return quantize_; }
+
+    /** The current step's member contexts, in stack order. */
+    Members members() const { return members_; }
 
   private:
+    bool quantize_;
     ExecContext ctx_;
-    ExecContext *const self_ = &ctx_;
+    /** Node-based, so a slot context's address survives rehashing. */
+    std::unordered_map<Index, ExecContext> slots_;
+    std::vector<ExecContext *> members_{&ctx_};
 };
 
 /**
@@ -226,37 +255,12 @@ class DenseExecutor : public BlockExecutor
 {
   public:
     /** @param quantize route every MMUL through INT12 operands */
-    explicit DenseExecutor(bool quantize = false) : quantize_(quantize) {}
+    explicit DenseExecutor(bool quantize = false) : BlockExecutor(quantize)
+    {}
 
     Matrix attention(const TransformerBlock &blk,
                      const Matrix &x_norm) override;
     Matrix ffn(const TransformerBlock &blk, const Matrix &x_norm) override;
-
-  private:
-    bool quantize_;
-};
-
-/**
- * Executor interface for cohort (stacked multi-request) stepping.
- *
- * A cohort executor computes a block whose activation matrix carries
- * one row-segment per cohort member, stacked in slot order. Before
- * every network forward the driver (CohortRun) announces the stacked
- * order and each member's denoising iteration; implementations keep
- * one ExecContext per slot, so every member's rows and accounting are
- * bit-identical to a solo run of that member.
- */
-class CohortBlockExecutor : public BlockExecutor
-{
-  public:
-    /**
-     * Announces the stacked segment order for the next forward.
-     *
-     * @param slots      member slot ids, one per stacked segment
-     * @param iterations each member's current denoising iteration
-     */
-    virtual void beginCohortStep(const std::vector<Index> &slots,
-                                 const std::vector<int> &iterations) = 0;
 };
 
 /**
@@ -293,6 +297,15 @@ mmulOps(Index m, Index k, Index n)
 Matrix denseAttentionImpl(const TransformerBlock &blk,
                           const Matrix &x_norm, bool quantize,
                           Members members);
+
+/**
+ * The FFN's first layer and non-linearity: gelu(x_norm W1 + b1),
+ * times (x_norm W1v + b1v) under GEGLU. The dense FFN and FFN-Reuse's
+ * dense iteration and INT12 recompute all run it, so their hidden
+ * activations are the same bits.
+ */
+Matrix ffnHidden(const TransformerBlock &blk, const Matrix &x_norm,
+                 bool quantize);
 
 /**
  * Dense FFN over a stack of members, as denseAttentionImpl: both

@@ -90,7 +90,7 @@ DenoisingNetwork::forward(const Matrix &x, int timestep,
 Matrix
 DenoisingNetwork::forward(const Matrix &x,
                           const std::vector<int> &timesteps,
-                          CohortBlockExecutor &exec) const
+                          BlockExecutor &exec) const
 {
     const Index segments = timesteps.size();
     EXION_ASSERT(segments > 0, "cohort forward needs >= 1 segment");

@@ -69,14 +69,14 @@ class DenoisingNetwork
      * segment m — members may sit at different denoising iterations.
      * All row-independent layers (projections, norms, FFN linears,
      * pooling) run on the tall matrix directly; token-mixing
-     * (attention) and per-request sparsity state are the executor's
-     * responsibility — the parameter type requires a segment-aware
-     * executor, because a plain BlockExecutor would silently attend
-     * across member boundaries. Every output row-segment is
+     * (attention) and per-request sparsity state are the executor's,
+     * which runs one member per segment. Every output row-segment is
      * bit-identical to a solo forward() of that segment.
+     *
+     * @pre exec's last beginCohortStep() named timesteps.size() slots
      */
     Matrix forward(const Matrix &x, const std::vector<int> &timesteps,
-                   CohortBlockExecutor &exec) const;
+                   BlockExecutor &exec) const;
 
     /** Model configuration. */
     const ModelConfig &config() const { return cfg_; }

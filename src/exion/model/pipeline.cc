@@ -45,26 +45,7 @@ DiffusionPipeline::run(BlockExecutor &exec, const RunOptions &opts) const
     return x;
 }
 
-std::vector<Matrix>
-DiffusionPipeline::runCohort(CohortBlockExecutor &exec,
-                             const std::vector<u64> &seeds) const
-{
-    CohortRun run(*this, exec);
-    std::vector<Index> slots;
-    slots.reserve(seeds.size());
-    for (u64 seed : seeds)
-        slots.push_back(run.join(seed));
-    while (!run.done())
-        run.step();
-    std::vector<Matrix> outputs;
-    outputs.reserve(seeds.size());
-    for (Index slot : slots)
-        outputs.push_back(run.takeResult(slot));
-    return outputs;
-}
-
-CohortRun::CohortRun(const DiffusionPipeline &pipe,
-                     CohortBlockExecutor &exec)
+CohortRun::CohortRun(const DiffusionPipeline &pipe, BlockExecutor &exec)
     : pipe_(&pipe), exec_(&exec)
 {
 }

@@ -4,9 +4,10 @@
  *
  * Owns a denoising network and a scheduler; runs the reverse process
  * from seeded noise to the generated latent under a caller-provided
- * execution strategy — either one request at a time (run()) or as a
- * cohort of requests stepping the reverse process together with their
- * latents stacked into one tall matrix per iteration (CohortRun).
+ * executor — either one request at a time (run()) or as a cohort of
+ * requests stepping the reverse process together with their latents
+ * stacked into one tall matrix per iteration (CohortRun). Any
+ * BlockExecutor runs either way.
  */
 
 #ifndef EXION_MODEL_PIPELINE_H_
@@ -76,15 +77,6 @@ class DiffusionPipeline
      */
     Matrix run(BlockExecutor &exec, const RunOptions &opts) const;
 
-    /**
-     * Convenience cohort run: steps all seeds to completion together
-     * and returns their outputs in seed order. Each output is
-     * bit-identical to run(exec_solo, seeds[i]) with an equivalent
-     * solo executor.
-     */
-    std::vector<Matrix> runCohort(CohortBlockExecutor &exec,
-                                  const std::vector<u64> &seeds) const;
-
     /** Underlying network. */
     const DenoisingNetwork &network() const { return network_; }
 
@@ -120,8 +112,8 @@ class DiffusionPipeline
  * removing one member never perturbs the others' rows.
  *
  * Bit-identity contract: a member's final latent equals a solo
- * DiffusionPipeline::run() with the same seed, for every execution
- * mode the bound CohortBlockExecutor implements.
+ * DiffusionPipeline::run() with the same seed and an executor built
+ * alike, in every execution mode.
  *
  * Not thread-safe; one driver thread steps a cohort.
  */
@@ -130,10 +122,10 @@ class CohortRun
   public:
     /**
      * @param pipe the pipeline whose reverse process the cohort steps
-     * @param exec segment-aware executor; per-member state must be
-     *             registered with it under the slot ids join() returns
+     * @param exec the executor; each member's state is its
+     *             slotContext() under the slot id join() returns
      */
-    CohortRun(const DiffusionPipeline &pipe, CohortBlockExecutor &exec);
+    CohortRun(const DiffusionPipeline &pipe, BlockExecutor &exec);
 
     /**
      * Adds a member seeded with its own initial Gaussian latent.
@@ -172,9 +164,6 @@ class CohortRun
     /** Moves a finished member's final latent out. */
     Matrix takeResult(Index slot);
 
-    /** Members ever joined (slot ids are 0..memberCount()-1). */
-    Index memberCount() const { return members_.size(); }
-
   private:
     enum class State
     {
@@ -199,7 +188,7 @@ class CohortRun
     void removeFromStack(Index pos);
 
     const DiffusionPipeline *pipe_;
-    CohortBlockExecutor *exec_;
+    BlockExecutor *exec_;
     std::vector<Member> members_;
     Matrix stacked_;                //!< active latents, in stack order
     std::vector<Index> stackOrder_; //!< slot ids of stacked_ segments

@@ -73,9 +73,9 @@ class TransformerBlock
      * Runs the block on x (tokens x d_model) via the executor.
      *
      * x may also be a cohort stack (members x tokens rows): the
-     * norms and residual adds here are row-independent, and a
-     * segment-aware executor keeps the token-mixing sub-layers
-     * per-member, so each member's rows equal a solo forward.
+     * norms and residual adds here are row-independent, and the
+     * executor keeps the token-mixing sub-layers per member, so each
+     * member's rows equal a solo forward.
      */
     Matrix forward(const Matrix &x, BlockExecutor &exec) const;
 

@@ -7,7 +7,7 @@
 
 #include "exion/common/logging.h"
 #include "exion/model/weight_store.h"
-#include "exion/sparsity/cohort_executor.h"
+#include "exion/sparsity/sparse_executor.h"
 
 namespace exion
 {
@@ -488,20 +488,19 @@ BatchEngine::runCohort(CohortMember first)
         return;
     }
     const DiffusionPipeline &pipe = *pipe_ptr;
-    CohortExecutor exec(execOptions(pipe.config(), first.req.mode));
+    SparseExecutor exec(execOptions(pipe.config(), first.req.mode));
     CohortRun run(pipe, exec);
 
-    // Slot ids are join order, so members_[slot] is the member.
+    // Slot ids are join order, so members_[slot] is the member. The
+    // executor holds each member's ExecContext under its slot.
     std::vector<std::unique_ptr<CohortMember>> members;
     const auto admit = [&](CohortMember &&m) {
         members.push_back(
             std::make_unique<CohortMember>(std::move(m)));
         CohortMember &mem = *members.back();
-        mem.ctx = std::make_unique<ExecContext>();
         mem.slot = run.join(mem.req.noiseSeed);
         EXION_ASSERT(mem.slot + 1 == members.size(),
                      "cohort slot ", mem.slot, " out of join order");
-        exec.attachSlot(mem.slot, *mem.ctx);
     };
     // Cohort batching off: every cohort is one request, and a worker
     // runs one request at a time.
@@ -529,7 +528,6 @@ BatchEngine::runCohort(CohortMember first)
         exec.releaseSlot(m.slot);
         m.delivered = true;
         deliver(m, std::move(result), failure);
-        m.ctx.reset();
     };
 
     while (!run.done()) {
@@ -561,7 +559,6 @@ BatchEngine::runCohort(CohortMember first)
                     continue;
                 mp->delivered = true;
                 deliver(*mp, failedResult(mp->req.id, failure), failure);
-                mp->ctx.reset();
             }
             return;
         }
@@ -590,7 +587,7 @@ BatchEngine::runCohort(CohortMember first)
             RequestResult result;
             result.id = m.req.id;
             result.output = run.takeResult(m.slot);
-            result.stats = m.ctx->stats;
+            result.stats = exec.slotContext(m.slot).stats;
             result.seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now()
                                  - m.startedAt)
@@ -598,7 +595,6 @@ BatchEngine::runCohort(CohortMember first)
             exec.releaseSlot(m.slot);
             m.delivered = true;
             deliver(m, std::move(result), nullptr);
-            m.ctx.reset();
         }
 
         // Boundary refill: late joiners attach here, starting their

@@ -8,7 +8,7 @@
  * every request for that benchmark) and runs concurrent denoising
  * requests on its own worker threads, which start requests from one
  * priority-ordered ready queue. Every request runs as a member of a
- * cohort (CohortRun over a CohortExecutor), a cohort of one when
+ * cohort (CohortRun over a SparseExecutor), a cohort of one when
  * cohort batching is off. Two submission surfaces: submit() keeps the
  * throwing fast path (typed exceptions at the API boundary),
  * trySubmit() returns a SubmitOutcome — a Ticket on acceptance or a
@@ -17,9 +17,10 @@
  * results are delivered through the Ticket future and an optional
  * completion callback; Ticket::cancel() dequeues not-yet-started
  * work; snapshot() reports per-class accepted/rejected/shed/cancelled
- * counts, ready-queue depths and queue-wait percentiles. Each request
- * owns one ExecContext holding every piece of mutable state the run
- * produces — iteration, accounting and FFN-Reuse's block state — so
+ * counts, ready-queue depths and queue-wait percentiles. Every piece
+ * of mutable state a request's run produces — iteration, accounting
+ * and FFN-Reuse's block state — is one ExecContext, which the cohort's
+ * executor holds under the request's slot until it is delivered, so
  * results are bit-identical no matter how requests interleave across
  * workers or in which order the scheduler starts them.
  */
@@ -416,7 +417,6 @@ class BatchEngine
         std::shared_ptr<std::atomic<bool>> cancelFlag;
         std::chrono::steady_clock::time_point startedAt;
         Index slot = 0;
-        std::unique_ptr<ExecContext> ctx;
         bool delivered = false;
     };
 

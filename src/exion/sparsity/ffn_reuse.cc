@@ -54,23 +54,6 @@ FfnReuse::run(const TransformerBlock &blk, const Matrix &x_norm,
 namespace
 {
 
-/** Computes the non-linear hidden activation densely. */
-Matrix
-denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
-            bool quantize)
-{
-    Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
-    addRowVector(gate, blk.ffn1().bias());
-    Matrix hidden = gelu(gate);
-    if (blk.geglu()) {
-        Matrix value = execMatmul(x_norm, blk.ffn1Value().weight(), quantize);
-        addRowVector(value, blk.ffn1Value().bias());
-        for (Index i = 0; i < hidden.size(); ++i)
-            hidden.data()[i] *= value.data()[i];
-    }
-    return hidden;
-}
-
 /**
  * psum + h * W2 where h is zero outside the mask's set positions,
  * accumulating only those positions: per output element the masked
@@ -119,7 +102,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     const OpCount ffn1_dense =
         (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid);
 
-    Matrix hidden = denseHidden(blk, x_norm, quantize_);
+    Matrix hidden = ffnHidden(blk, x_norm, quantize_);
     stats.ffnOpsDense += ffn1_dense;
     stats.ffnOpsExecuted += ffn1_dense;
 
@@ -204,7 +187,7 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
     if (quantize_) {
-        const Matrix hidden = denseHidden(blk, x_norm, true);
+        const Matrix hidden = ffnHidden(blk, x_norm, true);
         st.mask.forEachSetBit(
             [&](Index r, Index c) { h_keep(r, c) = hidden(r, c); });
     } else {

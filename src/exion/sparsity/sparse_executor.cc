@@ -13,7 +13,8 @@ namespace exion
 {
 
 SparseExecutor::SparseExecutor(const Options &opt)
-    : opt_(opt), ffnReuse_(opt.ffnReuse, opt.quantize)
+    : BlockExecutor(opt.quantize), opt_(opt),
+      ffnReuse_(opt.ffnReuse, opt.quantize)
 {
 }
 
@@ -31,22 +32,60 @@ SparseExecutor::fromConfig(const ModelConfig &cfg, bool use_ffn_reuse,
     return opt;
 }
 
-Matrix
-SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
+namespace
 {
-    if (!opt_.useFfnReuse)
-        return denseFfnImpl(blk, x_norm, opt_.quantize, self(), observers);
-    return ffnReuse_.run(blk, x_norm, ctx(), observers);
+
+/**
+ * fn(x, ctx) on each member's row segment of x_norm, pasted into one
+ * stacked output. A stack of one runs fn on x_norm itself, with no
+ * slice and no paste.
+ */
+template <typename Fn>
+Matrix
+eachMember(Members members, const Matrix &x_norm, Fn &&fn)
+{
+    const Index n = members.size();
+    EXION_ASSERT(n > 0 && x_norm.rows() % n == 0, "stacked rows ",
+                 x_norm.rows(), " vs ", n, " members");
+    if (n == 1)
+        return fn(x_norm, *members[0]);
+    const Index t = x_norm.rows() / n;
+    Matrix out(x_norm.rows(), x_norm.cols());
+    for (Index m = 0; m < n; ++m)
+        pasteRows(out, fn(sliceRows(x_norm, m * t, t), *members[m]),
+                  m * t);
+    return out;
 }
+
+} // namespace
 
 Matrix
 SparseExecutor::attention(const TransformerBlock &blk,
                           const Matrix &x_norm)
 {
     if (!opt_.useEp)
-        return denseAttentionImpl(blk, x_norm, opt_.quantize, self());
-    return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
-                           opt_.quantize, stats(), observers);
+        return denseAttentionImpl(blk, x_norm, opt_.quantize, members());
+    // Eager prediction's decisions are calibrated per request matrix.
+    return eachMember(members(), x_norm,
+                      [&](const Matrix &x, ExecContext &ctx) {
+                          return epAttentionImpl(blk, x, opt_.ep,
+                                                 opt_.lodMode,
+                                                 opt_.quantize,
+                                                 ctx.stats, observers);
+                      });
+}
+
+Matrix
+SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
+{
+    if (!opt_.useFfnReuse)
+        return denseFfnImpl(blk, x_norm, opt_.quantize, members(),
+                            observers);
+    // Thresholds, masks and partial sums are per request.
+    return eachMember(members(), x_norm,
+                      [&](const Matrix &x, ExecContext &ctx) {
+                          return ffnReuse_.run(blk, x, ctx, observers);
+                      });
 }
 
 namespace

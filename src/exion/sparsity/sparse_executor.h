@@ -5,9 +5,15 @@
  * One executor covers all ablation points of the evaluation
  * (EXION_Base / _EP / _FFNR / _All) through its Options flags. Its
  * sparse hot paths and dense MMULs run on the process's one kernel
- * table (simd_dispatch.h), so the Options hold no kernel choice. It
- * runs one stream against its own ExecContext: the dense sub-layers as
- * a stack of one, FFN-Reuse against the context's block state.
+ * table (simd_dispatch.h), so the Options hold no kernel choice.
+ *
+ * The same executor runs solo and cohort steps (BlockExecutor's
+ * members). The dense sub-layers (denseAttentionImpl, denseFfnImpl)
+ * run over the whole stack: each projection and FFN linear is one
+ * tall MMUL, and token mixing runs per member segment. Eager
+ * prediction and FFN-Reuse run member by member against that
+ * member's context, on the unsliced input for a stack of one. So each
+ * member's rows, and its ExecStats, are bit-identical to a solo run.
  */
 
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
@@ -59,8 +65,8 @@ class SparseExecutor : public BlockExecutor
  * Eager-prediction attention on one request's activation rows.
  *
  * Stateless across iterations (all skip decisions derive from x_norm
- * alone), so cohort executors run it per member segment with that
- * member's stats — bit-identical to a solo SparseExecutor.
+ * alone), so a cohort step runs it per member segment with that
+ * member's stats — bit-identical to a solo run.
  *
  * Each head's d_head columns of Q, K and V are projected only for the
  * rows that head needs (headNeeds): Q for its rows that are not

@@ -15,7 +15,7 @@
 #include "exion/common/rng.h"
 #include "exion/model/pipeline.h"
 #include "exion/serve/request.h"
-#include "exion/sparsity/cohort_executor.h"
+#include "exion/sparsity/sparse_executor.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
@@ -101,7 +101,7 @@ expectCohortMatchesSolo(ModelConfig cfg, Index n)
     const ExecMode modes[] = {ExecMode::Dense, ExecMode::EpOnly,
                               ExecMode::FfnReuseOnly, ExecMode::Exion};
     for (ExecMode mode : modes) {
-        CohortExecutor exec(optionsFor(cfg, mode, /*quantize=*/false));
+        SparseExecutor exec(optionsFor(cfg, mode, /*quantize=*/false));
         CohortRun run(pipe, exec);
         std::vector<Index> slots;
         for (Index i = 0; i < n; ++i)
@@ -170,43 +170,43 @@ TEST(Cohort, RefusesQuantizedOptions)
     // INT12 scales are calibrated per member matrix, so a stacked
     // operand would change every member's quantisation grid. The
     // refusal is an exception, not an assertion, so no build runs
-    // float under an INT12 flag.
+    // float under an INT12 flag — and it covers every executor.
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 4);
     const ExecMode modes[] = {ExecMode::Dense, ExecMode::EpOnly,
                               ExecMode::FfnReuseOnly, ExecMode::Exion};
     for (ExecMode mode : modes) {
         SCOPED_TRACE(execModeName(mode));
-        EXPECT_THROW(
-            { CohortExecutor exec(optionsFor(cfg, mode, true)); },
-            std::invalid_argument);
+        SparseExecutor exec(optionsFor(cfg, mode, true));
+        EXPECT_THROW(exec.beginCohortStep({0}, {0}),
+                     std::invalid_argument);
     }
+    DenseExecutor dense(/*quantize=*/true);
+    EXPECT_THROW(dense.beginCohortStep({0}, {0}), std::invalid_argument);
 }
 
 TEST(Cohort, CohortOfOneEqualsSoloPath)
 {
+    // A cohort of one runs the solo path's sub-layers on the unsliced
+    // input: output and accounting equal a solo run's, and the member's
+    // FFN-Reuse state lands in its slot context, one entry per block.
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 5);
     const DiffusionPipeline pipe(cfg);
-    CohortExecutor exec(
-        optionsFor(cfg, ExecMode::Exion, /*quantize=*/false));
-    const std::vector<Matrix> outs = pipe.runCohort(exec, {42});
-    ASSERT_EQ(outs.size(), 1u);
-    const SoloResult solo = runSolo(pipe, ExecMode::Exion, false, 42);
-    expectSameMatrix(outs[0], solo.output, "output");
-}
-
-TEST(Cohort, RunCohortConvenienceMatchesSolos)
-{
-    const ModelConfig cfg = makeTinyConfig(8, 16, 2, 4);
-    const DiffusionPipeline pipe(cfg);
-    CohortExecutor exec(
-        optionsFor(cfg, ExecMode::Dense, /*quantize=*/false));
-    const std::vector<u64> seeds = {5, 6, 7, 8, 9};
-    const std::vector<Matrix> outs = pipe.runCohort(exec, seeds);
-    ASSERT_EQ(outs.size(), seeds.size());
-    for (Index i = 0; i < seeds.size(); ++i) {
-        const SoloResult solo =
-            runSolo(pipe, ExecMode::Dense, false, seeds[i]);
-        expectSameMatrix(outs[i], solo.output, "output");
+    const ExecMode modes[] = {ExecMode::Dense, ExecMode::EpOnly,
+                              ExecMode::FfnReuseOnly, ExecMode::Exion};
+    for (ExecMode mode : modes) {
+        SCOPED_TRACE(execModeName(mode));
+        SparseExecutor exec(optionsFor(cfg, mode, /*quantize=*/false));
+        CohortRun run(pipe, exec);
+        const Index slot = run.join(42);
+        while (!run.done())
+            run.step();
+        const SoloResult solo = runSolo(pipe, mode, false, 42);
+        expectSameMatrix(run.takeResult(slot), solo.output, "output");
+        const ExecContext &ctx = exec.slotContext(slot);
+        expectSameStats(ctx.stats, solo.stats);
+        const bool ffnr =
+            mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
+        EXPECT_EQ(ctx.ffn.size(), ffnr ? cfg.totalBlocks() : 0u);
     }
 }
 
@@ -217,7 +217,7 @@ TEST(Cohort, LateJoinerAttachesAtIterationBoundary)
     // stacked forward) — and everyone still matches their solo run.
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 6);
     const DiffusionPipeline pipe(cfg);
-    CohortExecutor exec(
+    SparseExecutor exec(
         optionsFor(cfg, ExecMode::Exion, /*quantize=*/false));
     CohortRun run(pipe, exec);
     const Index a = run.join(100);
@@ -247,7 +247,7 @@ TEST(Cohort, LeaveRemovesOnlyThatRow)
 {
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 5);
     const DiffusionPipeline pipe(cfg);
-    CohortExecutor exec(
+    SparseExecutor exec(
         optionsFor(cfg, ExecMode::Exion, /*quantize=*/false));
     CohortRun run(pipe, exec);
     const Index a = run.join(1);
@@ -269,28 +269,6 @@ TEST(Cohort, LeaveRemovesOnlyThatRow)
     }
 }
 
-TEST(Cohort, AttachedStateOutlivesExecutorSlots)
-{
-    // The serving layer attaches each request's own context; its stats
-    // and FFN-Reuse state must land there, not in executor-owned
-    // storage.
-    const ModelConfig cfg = makeTinyConfig(8, 16, 2, 4);
-    const DiffusionPipeline pipe(cfg);
-    CohortExecutor exec(
-        optionsFor(cfg, ExecMode::Exion, /*quantize=*/false));
-    CohortRun run(pipe, exec);
-    ExecContext ctx;
-    const Index slot = run.join(11);
-    exec.attachSlot(slot, ctx);
-    while (!run.done())
-        run.step();
-    exec.releaseSlot(slot);
-
-    const SoloResult solo = runSolo(pipe, ExecMode::Exion, false, 11);
-    expectSameStats(ctx.stats, solo.stats);
-    EXPECT_EQ(ctx.ffn.size(), pipe.config().totalBlocks());
-}
-
 TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
 {
     // The stacked network forward itself (heterogeneous timesteps)
@@ -307,8 +285,8 @@ TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
     pasteRows(stacked, a, 0);
     pasteRows(stacked, b, cfg.latentTokens);
 
-    CohortExecutor exec(
-        optionsFor(cfg, ExecMode::Dense, /*quantize=*/false));
+    // DenseExecutor steps a cohort through the same code as a solo run.
+    DenseExecutor exec;
     exec.beginCohortStep({0, 1}, {0, 3});
     const Matrix eps = pipe.network().forward(
         stacked, std::vector<int>{pipe.scheduler().timestep(0),

@@ -24,7 +24,7 @@
 #include "exion/common/rerun_self.h"
 #include "exion/model/pipeline.h"
 #include "exion/serve/batch_engine.h"
-#include "exion/sparsity/cohort_executor.h"
+#include "exion/sparsity/sparse_executor.h"
 #include "exion/tensor/simd_dispatch.h"
 #include "submit_all.h"
 
@@ -209,7 +209,7 @@ TEST(SimdDifferentialTest, CohortStackedMatchesScalarChild)
                               ExecMode::FfnReuseOnly, ExecMode::Exion};
     std::vector<Case> cases;
     for (ExecMode mode : modes) {
-        CohortExecutor exec(optionsFor(cfg, mode, /*quantize=*/false));
+        SparseExecutor exec(optionsFor(cfg, mode, /*quantize=*/false));
         CohortRun run(pipe, exec);
         std::vector<Index> slots;
         for (Index i = 0; i < n; ++i)

@@ -25,7 +25,7 @@
 #include "exion/model/scheduler.h"
 #include "exion/model/weight_store.h"
 #include "exion/serve/batch_engine.h"
-#include "exion/sparsity/cohort_executor.h"
+#include "exion/sparsity/sparse_executor.h"
 #include "exion/tensor/ops.h"
 #include "submit_all.h"
 
@@ -739,7 +739,7 @@ TEST(WeightStoreDifferentialTest, CohortOverMmapStoreMatchesSoloSeeded)
     for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
         SCOPED_TRACE(execModeName(mode));
         const bool sparse = mode == ExecMode::Exion;
-        CohortExecutor exec(SparseExecutor::fromConfig(
+        SparseExecutor exec(SparseExecutor::fromConfig(
             cfg, /*use_ffn_reuse=*/sparse, /*use_ep=*/sparse,
             /*quantize=*/false));
         CohortRun run(mapped, exec);
