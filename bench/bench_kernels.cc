@@ -379,7 +379,7 @@ struct DotRowsShape
 
 /**
  * FFN-Reuse's reuse iteration on one full-scale benchmark: every
- * token's x row against the rows of the at-rest W1^T its recompute
+ * token's x row against the rows of the block's W1^T its recompute
  * mask keeps, (1 - target sparsity) of the hidden width.
  */
 DotRowsShape

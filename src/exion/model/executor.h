@@ -226,6 +226,11 @@ class BlockExecutor
     /** Drops a slot's context. */
     void releaseSlot(Index slot) { slots_.erase(slot); }
 
+    /** Size of the current step's member list: 1 after
+        beginIteration() or on a fresh executor, slots.size() after
+        beginCohortStep(). */
+    Index memberCount() const { return members_.size(); }
+
     /** Observation hooks (mutable by design; callers install them). */
     ExecObservers observers;
 

@@ -1,5 +1,8 @@
 #include "exion/model/network.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "exion/model/weight_store.h"
 #include "exion/tensor/ops.h"
 
@@ -105,6 +108,13 @@ Matrix
 DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
                               Index segments, BlockExecutor &exec) const
 {
+    // A throw, not an assertion: with the stack and the members out of
+    // step, attention would mix members' tokens without a sign.
+    if (exec.memberCount() != segments)
+        throw std::invalid_argument(
+            "forward over " + std::to_string(segments)
+            + " segments on an executor stepping "
+            + std::to_string(exec.memberCount()) + " members");
     Matrix h = inProj_.forward(x);
     addRowVector(h, condEmbed_);
 

@@ -56,6 +56,9 @@ class DenoisingNetwork
      * @param x        latentTokens x latentDim input
      * @param timestep scheduler timestep (conditions the time embedding)
      * @param exec     execution strategy for transformer blocks
+     * @throws std::invalid_argument unless exec's current step has
+     *         one member (BlockExecutor::memberCount()), as after
+     *         beginIteration() or on a fresh executor
      */
     Matrix forward(const Matrix &x, int timestep,
                    BlockExecutor &exec) const;
@@ -73,7 +76,9 @@ class DenoisingNetwork
      * which runs one member per segment. Every output row-segment is
      * bit-identical to a solo forward() of that segment.
      *
-     * @pre exec's last beginCohortStep() named timesteps.size() slots
+     * @throws std::invalid_argument unless exec's current step has
+     *         timesteps.size() members (BlockExecutor::memberCount()),
+     *         as after a beginCohortStep() naming that many slots
      */
     Matrix forward(const Matrix &x, const std::vector<int> &timesteps,
                    BlockExecutor &exec) const;

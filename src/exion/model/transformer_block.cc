@@ -25,11 +25,8 @@ TransformerBlock::TransformerBlock(int id, const StageConfig &stage,
     wo_ = Linear::fromStore(ws, bp + ".wo", d, d);
     ffn1_ = Linear::fromStore(ws, bp + ".ffn1", d, hid);
     ffn2_ = Linear::fromStore(ws, bp + ".ffn2", hid, d);
-    ffnAtRest_.w1t = ws.matrix(bp + ".ffn1.wT", hid, d);
-    if (geglu_) {
+    if (geglu_)
         ffn1Value_ = Linear::fromStore(ws, bp + ".ffn1v", d, hid);
-        ffnAtRest_.w1vt = ws.matrix(bp + ".ffn1v.wT", hid, d);
-    }
     ln1Gamma_ = Matrix(1, d, 1.0f);
     ln1Beta_ = Matrix(1, d, 0.0f);
     ln2Gamma_ = Matrix(1, d, 1.0f);
@@ -63,19 +60,31 @@ buildProjectionImages(const Matrix &w, Index n_heads, LodMode mode,
 
 } // namespace
 
+const TransformerBlock::FfnTransposes &
+TransformerBlock::ffn1Transposed() const
+{
+    DerivedCache &cache = *derived_;
+    std::call_once(cache.ffnOnce, [&] {
+        cache.ffn.w1t = transpose(ffn1_.weight());
+        if (geglu_)
+            cache.ffn.w1vt = transpose(ffn1Value_.weight());
+    });
+    return cache.ffn;
+}
+
 const EpWeightImages &
 TransformerBlock::epWeightImages(LodMode mode) const
 {
     const int slot = mode == LodMode::Single ? 0 : 1;
-    EpImageCache &cache = *epImages_;
-    std::call_once(cache.once[slot], [&] {
-        EpWeightImages &img = cache.images[slot];
+    DerivedCache &cache = *derived_;
+    std::call_once(cache.epOnce[slot], [&] {
+        EpWeightImages &img = cache.epImages[slot];
         buildProjectionImages(wq_.weight(), nHeads_, mode, img.wqValues,
                               img.wq);
         buildProjectionImages(wk_.weight(), nHeads_, mode, img.wkValues,
                               img.wk);
     });
-    return cache.images[slot];
+    return cache.epImages[slot];
 }
 
 Matrix

@@ -4,7 +4,10 @@
  *
  * Pre-norm design: x + Attn(LN(x)), then h + FFN(LN(h)). The block
  * views its weights in a WeightStore; computation strategy is delegated
- * to a BlockExecutor.
+ * to a BlockExecutor. Operands the sparse paths read in another layout
+ * (eager prediction's LOD images, FFN-Reuse's transposed first FFN
+ * layer) are derived from those views once per block, on first use,
+ * and never stored.
  */
 
 #ifndef EXION_MODEL_TRANSFORMER_BLOCK_H_
@@ -54,10 +57,8 @@ class TransformerBlock
 {
   public:
     /**
-     * Block viewing a WeightStore's "blk<id>.*" layers, including the
-     * at-rest transposed first-FFN-layer copies ffn1AtRest() exposes
-     * for the FFN-Reuse sparse path. Borrows storage: the store must
-     * outlive the block.
+     * Block viewing a WeightStore's "blk<id>.*" layers. Borrows
+     * storage: the store must outlive the block.
      *
      * @param id     unique block index within the network
      * @param stage  dModel, nHeads (must divide dModel), ffnMult (FFN
@@ -116,18 +117,22 @@ class TransformerBlock
     const Linear &ffn2() const { return ffn2_; }
 
     /**
-     * At-rest copies of the transposed first FFN layer(s): W1^T (and
-     * W1v^T under GEGLU) — what FfnReuse's float sparse recompute
-     * reads row by row.
+     * The transposed first FFN layer(s): W1^T (and W1v^T under GEGLU),
+     * what FfnReuse's float sparse recompute reads row by row.
      */
-    struct FfnAtRest
+    struct FfnTransposes
     {
         Matrix w1t;
-        Matrix w1vt;
+        Matrix w1vt; //!< empty when GELU
     };
 
-    /** The block's at-rest transposed first-FFN-layer copies. */
-    const FfnAtRest &ffn1AtRest() const { return ffnAtRest_; }
+    /**
+     * transpose(ffn1().weight()) and, under GEGLU,
+     * transpose(ffn1Value().weight()). Built on first use, once per
+     * block, and shared like epWeightImages(); dense-only use never
+     * builds them.
+     */
+    const FfnTransposes &ffn1Transposed() const;
 
     /**
      * Eager prediction's LOD weight images for mode. Built on first
@@ -138,12 +143,15 @@ class TransformerBlock
     const EpWeightImages &epWeightImages(LodMode mode) const;
 
   private:
-    /** Lazily built EpWeightImages, one slot per LodMode. Behind a
-        pointer so the block stays movable. */
-    struct EpImageCache
+    /** Operands derived from the block's weights on first use: EP's
+        images, one slot per LodMode, and FFN-Reuse's transposes.
+        Behind a pointer so the block stays movable. */
+    struct DerivedCache
     {
-        std::once_flag once[2];
-        EpWeightImages images[2];
+        std::once_flag epOnce[2];
+        EpWeightImages epImages[2];
+        std::once_flag ffnOnce;
+        FfnTransposes ffn;
     };
 
     int id_;
@@ -165,10 +173,8 @@ class TransformerBlock
     Matrix ln2Gamma_;
     Matrix ln2Beta_;
 
-    FfnAtRest ffnAtRest_;
-
-    std::unique_ptr<EpImageCache> epImages_ =
-        std::make_unique<EpImageCache>();
+    std::unique_ptr<DerivedCache> derived_ =
+        std::make_unique<DerivedCache>();
 };
 
 } // namespace exion

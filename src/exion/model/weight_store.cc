@@ -1,14 +1,12 @@
 #include "exion/model/weight_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
 #include "exion/common/rng.h"
 #include "exion/model/scheduler.h"
-#include "exion/tensor/ops.h"
 
 namespace exion
 {
@@ -255,52 +253,6 @@ checkNetworkShape(const ModelConfig &cfg)
             + " not in [1, " + std::to_string(kTrainSteps) + "]");
 }
 
-/**
- * Refuses every "<name>.wT" that is not the bitwise transpose of
- * "<name>.w". FFN-Reuse's sparse iterations read the transpose and
- * every dense product the source, so copies that disagree would serve
- * a different layer on each path. Tensor values come from outside the
- * program only through load(); build() writes the transpose itself.
- */
-void
-checkTransposes(const WeightStore &store)
-{
-    const std::string tail = ".wT";
-    for (const auto &[name, e] : store.entries()) {
-        if (name.size() < tail.size()
-            || name.compare(name.size() - tail.size(), tail.size(), tail)
-                != 0)
-            continue;
-        const std::string source = name.substr(0, name.size() - 1);
-        const auto refuse = [&](const std::string &why) {
-            throw WeightStoreError("weight store: tensor '" + name + "' "
-                                   + why + " '" + source + "'");
-        };
-        const auto it = store.entries().find(source);
-        if (it == store.entries().end())
-            refuse("has no source");
-        if (e.rows != it->second.cols || e.cols != it->second.rows)
-            refuse("is not shaped as the transpose of");
-        // Tile by tile, so the copy read down its columns stays in
-        // cache: on a full-scale MDM store this costs a third of
-        // comparing whole rows.
-        constexpr Index kTile = 64;
-        const Matrix wt = store.matrix(name);
-        const Matrix w = store.matrix(source);
-        for (Index r0 = 0; r0 < wt.rows(); r0 += kTile) {
-            const Index r1 = std::min(r0 + kTile, wt.rows());
-            for (Index c0 = 0; c0 < wt.cols(); c0 += kTile) {
-                const Index c1 = std::min(c0 + kTile, wt.cols());
-                for (Index r = r0; r < r1; ++r)
-                    for (Index c = c0; c < c1; ++c)
-                        if (std::bit_cast<u32>(wt.rowPtr(r)[c])
-                            != std::bit_cast<u32>(w.rowPtr(c)[r]))
-                            refuse("is not the transpose of");
-            }
-        }
-    }
-}
-
 } // namespace
 
 // ------------------------------------------------------------ builder
@@ -346,12 +298,6 @@ WeightStoreBuilder::addLinear(const std::string &name, Index in, Index out,
     add(name + ".w", w);
     add(name + ".b", Matrix(1, out));
     return w;
-}
-
-void
-WeightStoreBuilder::addTransposed(const std::string &name, const Matrix &w)
-{
-    add(name + ".wT", transpose(w));
 }
 
 std::shared_ptr<const WeightStore>
@@ -462,7 +408,6 @@ WeightStore::load(const std::string &path)
     store->parse();
     checkNetworkShape(store->cfg_);
     checkSparsitySettings(store->cfg_);
-    checkTransposes(*store);
     return store;
 }
 
@@ -520,8 +465,7 @@ WeightStore::build(const ModelConfig &cfg)
 
     // Draw order: inProj, outProj, condEmbed, then per stage
     // channelProj/timeProj/ResBlocks/blocks, each block drawing wq, wk,
-    // wv, wo, ffn1, ffn2 and (GEGLU only, last) ffn1v. Transposition
-    // draws nothing.
+    // wv, wo, ffn1, ffn2 and (GEGLU only, last) ffn1v.
     b.addLinear("inProj", cfg.latentDim, cfg.stages.front().dModel, rng);
     b.addLinear("outProj", cfg.stages.back().dModel, cfg.latentDim, rng);
     Matrix cond(1, cfg.stages.front().dModel);
@@ -547,12 +491,10 @@ WeightStore::build(const ModelConfig &cfg)
             const Index hid = sc.ffnMult * d;
             for (const char *proj : {".wq", ".wk", ".wv", ".wo"})
                 b.addLinear(bp + proj, d, d, rng);
-            const Matrix w1 = b.addLinear(bp + ".ffn1", d, hid, rng);
+            b.addLinear(bp + ".ffn1", d, hid, rng);
             b.addLinear(bp + ".ffn2", hid, d, rng);
-            b.addTransposed(bp + ".ffn1", w1);
             if (cfg.geglu)
-                b.addTransposed(bp + ".ffn1v",
-                                b.addLinear(bp + ".ffn1v", d, hid, rng));
+                b.addLinear(bp + ".ffn1v", d, hid, rng);
         }
         prev_d = d;
     }

@@ -4,15 +4,15 @@
  *
  * A WeightStore is the single owner of a model's parameters: one
  * contiguous byte image holding the ModelConfig and every tensor as
- * float32, including the transposed first-FFN-layer copies the
- * FFN-Reuse sparse path reads, so serving consumes weights directly
- * (borrowed Matrix views) with no per-request transposition. INT12
- * operands are never stored: the solo quantized paths quantise the
- * float weight where they use it (QuantMatrix::fromFloat). The same
- * image is the on-disk format: build() lays the bytes out exactly as
- * save() writes them and load() maps them, so in-memory construction,
- * a saved file and an mmap'd file are one code path and bit-identical
- * by construction.
+ * float32, so serving consumes weights directly (borrowed Matrix
+ * views). It holds the model and nothing derived from it: operands in
+ * another layout (FFN-Reuse's W1^T, eager prediction's LOD images) are
+ * built by each TransformerBlock on first use, and INT12 operands by
+ * the solo quantized paths where they use them
+ * (QuantMatrix::fromFloat). The same image is the on-disk format:
+ * build() lays the bytes out exactly as save() writes them and load()
+ * maps them, so in-memory construction, a saved file and an mmap'd
+ * file are one code path and bit-identical by construction.
  *
  * Format (EXWS version 2, host-endian with an endian tag — in
  * practice little-endian on every supported platform):
@@ -31,8 +31,7 @@
  * file is refused like any other unknown version. The loader refuses
  * foreign magic/version/endianness, truncated files, checksum
  * mismatches, index entries whose byte length cannot be rows x cols
- * floats, configs no network can be built from and transposed
- * copies that are not their source's transpose with a typed
+ * floats and configs no network can be built from with a typed
  * WeightStoreError. Layers are views of a store and nothing else; each
  * view refuses a missing tensor, or one whose shape disagrees with the
  * config, the same way.
@@ -85,9 +84,8 @@ class WeightStore
      * Builds the store for a config, drawing every weight from
      * Rng(cfg.seed): inProj, outProj, condEmbed, then per stage
      * channelProj, timeProj, ResBlocks and blocks, each Linear laid
-     * out by WeightStoreBuilder::addLinear and each block's first FFN
-     * layer(s) also by addTransposed ("blk<i>.ffn1.wT",
-     * "...ffn1v.wT") for the FFN-Reuse sparse path.
+     * out by WeightStoreBuilder::addLinear. The store holds each
+     * layer's "<name>.w" and "<name>.b", and condEmbed; nothing else.
      *
      * @throws WeightStoreError on a config load() would refuse (no
      *         stages, a misfit stage, an iteration count outside
@@ -108,9 +106,9 @@ class WeightStore
      *         iterations not in [1, kTrainSteps]; and on sparsity
      *         settings no executor can run: ep.topK not in (0, 1],
      *         ep.qTh not finite, ffnReuse.targetSparsity not in
-     *         [0, 1], ffnReuse.denseInterval negative; and on a
-     *         "<name>.wT" that is not the bitwise transpose of
-     *         "<name>.w", or has no such source
+     *         [0, 1], ffnReuse.denseInterval negative. Tensors no
+     *         layer views (such as the first FFN layers' transposes
+     *         that older files hold) load and are never read.
      * @throws std::runtime_error when the file cannot be read
      */
     static std::shared_ptr<const WeightStore> load(const std::string &path);
@@ -195,10 +193,6 @@ class WeightStoreBuilder
      */
     Matrix addLinear(const std::string &name, Index in, Index out,
                      Rng &rng);
-
-    /** Appends "<name>.wT" = transpose(w) (a first FFN layer's
-        at-rest copy). */
-    void addTransposed(const std::string &name, const Matrix &w);
 
     /**
      * Seals the image (index, header, checksum) and parses it into a

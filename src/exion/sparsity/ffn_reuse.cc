@@ -55,38 +55,49 @@ namespace
 {
 
 /**
- * psum + h * W2 where h is zero outside the mask's set positions,
- * accumulating only those positions: per output element the masked
- * contributions add in ascending column order from +0.0f — exactly
- * the dense product's accumulation chain with its zero terms elided,
- * which is bit-neutral for finite operands (a zero activation times a
- * finite weight contributes +/-0.0, and a +0.0-started accumulator is
- * never at -0.0 when one arrives) — then psum joins through the same
- * add() as the dense formulation. Bit-identical to
- * add(psum, matmul(h, w2)) on finite data. This is where the FFN
- * sparsity shortcut lives now that the golden matmul computes every
- * term (gemm.h accumulation contract): at the paper's ~80-90% reuse
- * sparsity it does ~nnz*d work instead of t*hid*d, matching the
- * ffnOpsExecuted accounting.
+ * FFN-Reuse's second layer: st.psumSparse + h * W2 + b2, where h is
+ * zero outside st.mask. Both iterations end here, so they run one
+ * expression. The quantized path runs the dense product, since INT12
+ * scales are per matrix. The float path accumulates only the mask's
+ * set positions: per output element the masked contributions add in
+ * ascending column order from +0.0f — exactly the dense product's
+ * accumulation chain with its zero terms elided, which is bit-neutral
+ * for finite operands (a zero activation times a finite weight
+ * contributes +/-0.0, and a +0.0-started accumulator is never at -0.0
+ * when one arrives) — then psum joins through the same add() as the
+ * dense formulation. Bit-identical to add(psum, matmul(h, w2)) on
+ * finite data. This is where the FFN sparsity shortcut lives now that
+ * the golden matmul computes every term (gemm.h accumulation
+ * contract): at the paper's ~80-90% reuse sparsity it does ~nnz*d work
+ * instead of t*hid*d, matching the ffnOpsExecuted accounting.
  */
 Matrix
-addMaskedProduct(const Matrix &psum, const Matrix &h,
-                 const Bitmask2D &mask, const Matrix &w2)
+secondLayer(const TransformerBlock &blk, const Matrix &h,
+            const FfnReuseBlockState &st, bool quantize)
 {
-    const SimdKernels &kr = activeKernels();
-    const Index n = w2.cols();
-    Matrix prod(h.rows(), n);
-    for (Index r = 0; r < h.rows(); ++r) {
-        float *out = prod.rowPtr(r);
-        const float *hrow = h.rowPtr(r);
-        // Word-at-a-time mask walk; each set column contributes one
-        // axpy sweep across the output row — the same ascending-c
-        // term order per output element as the dense product.
-        mask.forEachSetBitInRow(r, [&](Index c) {
-            kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
-        });
+    const Matrix &w2 = blk.ffn2().weight();
+    Matrix prod;
+    if (quantize) {
+        prod = execMatmul(h, w2, true);
+    } else {
+        const SimdKernels &kr = activeKernels();
+        const Index n = w2.cols();
+        prod = Matrix(h.rows(), n);
+        for (Index r = 0; r < h.rows(); ++r) {
+            float *out = prod.rowPtr(r);
+            const float *hrow = h.rowPtr(r);
+            // Word-at-a-time mask walk; each set column contributes
+            // one axpy sweep across the output row — the same
+            // ascending-c term order per output element as the dense
+            // product.
+            st.mask.forEachSetBitInRow(r, [&](Index c) {
+                kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
+            });
+        }
     }
-    return add(psum, prod);
+    Matrix out = add(st.psumSparse, prod);
+    addRowVector(out, blk.ffn2().bias());
+    return out;
 }
 
 } // namespace
@@ -143,14 +154,8 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     st.psumSparse = execMatmul(hidden, blk.ffn2().weight(), quantize_);
     st.initialized = true;
 
-    // The recompute region is sparse (1 - targetSparsity of H); in
-    // the float path accumulate only its masked positions.
-    Matrix out = quantize_
-        ? add(st.psumSparse,
-              execMatmul(h_keep, blk.ffn2().weight(), quantize_))
-        : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight());
-    addRowVector(out, blk.ffn2().bias());
+    // The recompute region is sparse (1 - targetSparsity of H).
+    Matrix out = secondLayer(blk, h_keep, st, quantize_);
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += mmulOps(t, hid, d);
     return out;
@@ -176,14 +181,15 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
 
     // Recompute only the masked elements of the hidden activation.
     // The float path dots each x row against the contiguous rows of
-    // the block's at-rest transpose, sending each row's set columns
-    // through dotRowsF32, which runs several golden chains at once,
-    // one per vector lane (the transpose only removes the stride —
-    // same terms, same order). The quantized path takes the set
-    // elements of the dense quantized hidden activation: its integer
-    // sums are exact in any order, and W1's Int12 image has the same
-    // max-|v| scale and codes as W1^T's, so each element equals one
-    // integer dot of x's codes against a W1^T row.
+    // W1^T, which the block derives once (ffn1Transposed()), sending
+    // each row's set columns through dotRowsF32, which runs several
+    // golden chains at once, one per vector lane (the transpose only
+    // removes the stride — same terms, same order). The quantized
+    // path takes the set elements of the dense quantized hidden
+    // activation: its integer sums are exact in any order, and W1's
+    // Int12 image has the same max-|v| scale and codes as W1^T's, so
+    // each element equals one integer dot of x's codes against a W1^T
+    // row.
     Matrix h_keep(t, hid);
     const bool geglu = blk.geglu();
     if (quantize_) {
@@ -192,7 +198,7 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
             [&](Index r, Index c) { h_keep(r, c) = hidden(r, c); });
     } else {
         const SimdKernels &kr = activeKernels();
-        const TransformerBlock::FfnAtRest &tw = blk.ffn1AtRest();
+        const TransformerBlock::FfnTransposes &tw = blk.ffn1Transposed();
         std::vector<Index> cols;
         cols.reserve(hid);
         std::vector<float> dots(hid);
@@ -227,15 +233,8 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     stats.ffnOpsExecuted += 2 * per_element * nnz * d;
 
     // Second layer: accumulate only the recomputed contributions onto
-    // the cached partial sums — via the masked positions in the float
-    // path, so the executed work tracks nnz instead of the dense
-    // shape.
-    Matrix out = quantize_
-        ? add(st.psumSparse,
-              execMatmul(h_keep, blk.ffn2().weight(), quantize_))
-        : addMaskedProduct(st.psumSparse, h_keep, st.mask,
-                           blk.ffn2().weight());
-    addRowVector(out, blk.ffn2().bias());
+    // the cached partial sums.
+    Matrix out = secondLayer(blk, h_keep, st, quantize_);
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += 2 * nnz * d;
     return out;

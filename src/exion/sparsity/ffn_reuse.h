@@ -20,7 +20,10 @@
  *
  * The dense MMULs and the sparse hot loops (threshold scans, masked
  * recompute, masked products) run on the process's one kernel table
- * (activeKernels(), see simd_dispatch.h).
+ * (activeKernels(), see simd_dispatch.h). The float recompute reads
+ * rows of W1^T, which each block derives from its W1 on first use
+ * (TransformerBlock::ffn1Transposed()); the weight store holds W1
+ * only.
  */
 
 #ifndef EXION_SPARSITY_FFN_REUSE_H_

@@ -127,7 +127,7 @@ struct SimdKernels
      * multiply and the add rounded separately (never FMA), and no
      * term past d. FFN-Reuse's
      * masked recompute (x row against the set columns' rows of the
-     * at-rest W1^T) and eager prediction's kept scores (q row against
+     * block's W1^T) and eager prediction's kept scores (q row against
      * the kept keys) run here.
      *
      * A chain is serial in k, so the vector form runs one chain per

@@ -92,12 +92,10 @@ class StandaloneBlock : private StoreOwner, public TransformerBlock
         const Index hid = ffn_mult * d;
         for (const char *proj : {".wq", ".wk", ".wv", ".wo"})
             b.addLinear(bp + proj, d, d, rng);
-        const Matrix w1 = b.addLinear(bp + ".ffn1", d, hid, rng);
+        b.addLinear(bp + ".ffn1", d, hid, rng);
         b.addLinear(bp + ".ffn2", hid, d, rng);
-        b.addTransposed(bp + ".ffn1", w1);
         if (geglu)
-            b.addTransposed(bp + ".ffn1v",
-                            b.addLinear(bp + ".ffn1v", d, hid, rng));
+            b.addLinear(bp + ".ffn1v", d, hid, rng);
         return b.finish();
     }
 };

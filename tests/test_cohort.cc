@@ -286,12 +286,17 @@ TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
     pasteRows(stacked, b, cfg.latentTokens);
 
     // DenseExecutor steps a cohort through the same code as a solo run.
+    // The forward refuses a stack its executor did not announce, which
+    // would attend across members, and a solo latent on a cohort step.
+    const std::vector<int> timesteps{pipe.scheduler().timestep(0),
+                                     pipe.scheduler().timestep(3)};
     DenseExecutor exec;
+    EXPECT_THROW(pipe.network().forward(stacked, timesteps, exec),
+                 std::invalid_argument);
     exec.beginCohortStep({0, 1}, {0, 3});
-    const Matrix eps = pipe.network().forward(
-        stacked, std::vector<int>{pipe.scheduler().timestep(0),
-                                  pipe.scheduler().timestep(3)},
-        exec);
+    const Matrix eps = pipe.network().forward(stacked, timesteps, exec);
+    EXPECT_THROW(pipe.network().forward(a, timesteps[0], exec),
+                 std::invalid_argument);
 
     DenseExecutor solo;
     const Matrix ea =

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -172,22 +173,34 @@ TEST(PredictHeadScore, CorrelatesWithExactScores)
 
 TEST(EpWeightImages, BuiltOnceAcrossThreadsAndEqualPerHeadQuantisation)
 {
-    // Four threads ask one block for its images at once: all must get
-    // the same object, and every head's view must equal the LOD image
-    // of the head slice's own Int12 quantisation, values and scale.
+    // Four threads ask one GEGLU block for its images and its FFN
+    // transposes at once, half of them transposes first: all must get
+    // the same objects, every head's view must equal the LOD image of
+    // the head slice's own Int12 quantisation, values and scale, and
+    // the transposes must be the first FFN layers' bit for bit. Engine
+    // workers race here on a model's first EXION request.
     Rng rng(31);
     const Index d = 48, heads = 3, dh = d / heads;
-    const StandaloneBlock blk(0, d, heads, 2, false, rng);
+    const StandaloneBlock blk(0, d, heads, 2, /*geglu=*/true, rng);
+    using Transposes = TransformerBlock::FfnTransposes;
+    std::vector<const Transposes *> transposes;
     for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
         std::vector<const EpWeightImages *> seen(4, nullptr);
+        std::vector<const Transposes *> seen_t(4, nullptr);
         std::vector<std::thread> threads;
         for (Index i = 0; i < seen.size(); ++i)
-            threads.emplace_back(
-                [&, i] { seen[i] = &blk.epWeightImages(mode); });
+            threads.emplace_back([&, i] {
+                if (i % 2 == 0)
+                    seen_t[i] = &blk.ffn1Transposed();
+                seen[i] = &blk.epWeightImages(mode);
+                if (i % 2 == 1)
+                    seen_t[i] = &blk.ffn1Transposed();
+            });
         for (std::thread &t : threads)
             t.join();
         for (const EpWeightImages *img : seen)
             ASSERT_EQ(img, seen[0]);
+        transposes.insert(transposes.end(), seen_t.begin(), seen_t.end());
 
         const EpWeightImages &img = *seen[0];
         ASSERT_EQ(img.wq.size(), heads);
@@ -210,6 +223,22 @@ TEST(EpWeightImages, BuiltOnceAcrossThreadsAndEqualPerHeadQuantisation)
                             << "h=" << h << " r=" << r << " c=" << c;
             }
         }
+    }
+
+    for (const Transposes *tw : transposes)
+        ASSERT_EQ(tw, transposes[0]);
+    const std::pair<const Matrix *, const Linear *> layers[] = {
+        {&transposes[0]->w1t, &blk.ffn1()},
+        {&transposes[0]->w1vt, &blk.ffn1Value()}};
+    for (const auto &[got, layer] : layers) {
+        const Matrix &w = layer->weight();
+        ASSERT_EQ(got->rows(), w.cols());
+        ASSERT_EQ(got->cols(), w.rows());
+        for (Index r = 0; r < got->rows(); ++r)
+            for (Index c = 0; c < got->cols(); ++c)
+                ASSERT_EQ(std::bit_cast<u32>((*got)(r, c)),
+                          std::bit_cast<u32>(w(c, r)))
+                    << "r=" << r << " c=" << c;
     }
 }
 

@@ -257,78 +257,6 @@ TEST(WeightStoreTest, RefusesTensorWhoseByteLengthWraps)
     std::remove(path.c_str());
 }
 
-/** The message load(path) refuses the file with ("" if it loads). */
-std::string
-loadRefusal(const std::string &path)
-{
-    try {
-        WeightStore::load(path);
-    } catch (const WeightStoreError &e) {
-        return e.what();
-    }
-    return "";
-}
-
-TEST(WeightStoreTest, RefusesTransposeThatIsNotItsSource)
-{
-    // FFN-Reuse's sparse iterations read blk0.ffn1.wT and every dense
-    // product reads blk0.ffn1.w. A file whose transpose was zeroed and
-    // re-sealed loaded, and served wrong FFN-Reuse outputs.
-    const auto built = WeightStore::build(makeConfig(Benchmark::MLD,
-                                                     Scale::Reduced));
-    const std::string path = tempPath("transpose.exws");
-    built->save(path);
-    std::vector<char> image;
-    {
-        std::ifstream in(path, std::ios::binary);
-        image.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    const WeightStore::Entry &wt = built->entries().at("blk0.ffn1.wT");
-    const auto write_resealed = [&](auto mutate) {
-        std::vector<char> b = image;
-        mutate(b.data() + wt.offset);
-        const u64 sum = fnv1a64(b.data() + 64, b.size() - 64);
-        std::memcpy(b.data() + 24, &sum, sizeof(sum));
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(b.data(), static_cast<std::streamsize>(b.size()));
-    };
-    const std::string refusal = "weight store: tensor 'blk0.ffn1.wT' is "
-                                "not the transpose of 'blk0.ffn1.w'";
-    write_resealed([&](char *t) { std::fill(t, t + wt.byteLen, 0); });
-    EXPECT_EQ(loadRefusal(path), refusal);
-    // One flipped sign bit is refused as well.
-    write_resealed([&](char *t) { t[wt.byteLen - 1] ^= char(0x80); });
-    EXPECT_EQ(loadRefusal(path), refusal);
-    write_resealed([](char *) {});
-    EXPECT_EQ(loadRefusal(path), "");
-
-    // The compare is bitwise: -0.0 is not the transpose of +0.0. A
-    // transpose without its source, or shaped as the source, is
-    // refused too.
-    const auto store_of = [&](const std::vector<std::pair<std::string,
-                                                          Matrix>> &ts) {
-        WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
-        for (const auto &[name, m] : ts)
-            builder.add(name, m);
-        builder.finish()->save(path);
-        return loadRefusal(path);
-    };
-    Matrix w(2, 3);
-    w(1, 2) = 5.0f;
-    Matrix signed_zero = transpose(w);
-    signed_zero(0, 0) = -0.0f;
-    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", transpose(w)}}), "");
-    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", signed_zero}}),
-              "weight store: tensor 'x.wT' is not the transpose of 'x.w'");
-    EXPECT_EQ(store_of({{"x.wT", transpose(w)}}),
-              "weight store: tensor 'x.wT' has no source 'x.w'");
-    EXPECT_EQ(store_of({{"x.w", w}, {"x.wT", w}}),
-              "weight store: tensor 'x.wT' is not shaped as the "
-              "transpose of 'x.w'");
-    std::remove(path.c_str());
-}
-
 TEST(WeightStoreTest, ZeroRowAndZeroColumnTensorsRoundTrip)
 {
     WeightStoreBuilder builder(shortConfig(Benchmark::MLD));
@@ -546,12 +474,11 @@ TEST(WeightStoreTest, LoadAcceptsSparsitySettingsAtTheirBounds)
 // ------------------------------------------------------------ layout
 
 /**
- * A built store holds float tensors only: each layer's "<name>.w" and
- * "<name>.b", condEmbed, and "<name>.wT" = transpose("<name>.w") for
- * each first FFN layer. No request path derives the transposes, so
- * nothing else holds them to their source.
+ * A built store holds the model and nothing derived from it: each
+ * layer's "<name>.w" and "<name>.b" (as wide as its weight), and
+ * condEmbed.
  */
-TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
+TEST(WeightStoreTest, BuiltStoreHoldsOnlyWeightsBiasesAndCondEmbed)
 {
     const auto ends_with = [](const std::string &name, const char *tail) {
         const std::string t(tail);
@@ -562,7 +489,7 @@ TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
         const ModelConfig cfg = makeConfig(b, Scale::Reduced);
         SCOPED_TRACE(cfg.name);
         const auto store = WeightStore::build(cfg);
-        Index weights = 0, biases = 0, transposes = 0;
+        Index weights = 0, biases = 0;
         for (const auto &[name, e] : store->entries()) {
             SCOPED_TRACE(name);
             EXPECT_EQ(e.byteLen, e.rows * e.cols * sizeof(float));
@@ -573,20 +500,13 @@ TEST(WeightStoreTest, BuiltAtRestImagesMatchTheirSources)
                 const std::string w = name.substr(0, name.size() - 1) + "w";
                 ASSERT_EQ(store->entries().count(w), 1u);
                 EXPECT_EQ(e.cols, store->entries().at(w).cols);
-            } else if (ends_with(name, ".wT")) {
-                ++transposes;
-                const std::string w = name.substr(0, name.size() - 1);
-                EXPECT_TRUE(bitIdentical(store->matrix(name),
-                                         transpose(store->matrix(w))));
             } else {
                 EXPECT_EQ(name, "condEmbed");
             }
         }
         EXPECT_GT(weights, 0u);
         EXPECT_EQ(biases, weights);
-        const Index first_ffn_layers = cfg.totalBlocks() * (cfg.geglu ? 2 : 1);
-        EXPECT_EQ(transposes, first_ffn_layers);
-        EXPECT_EQ(store->entries().size(), weights + biases + transposes + 1);
+        EXPECT_EQ(store->entries().size(), weights + biases + 1);
     }
 }
 
@@ -605,13 +525,35 @@ rebuiltWith(const ModelConfig &cfg, const std::string &name, Put put)
     for (const auto &[n, e] : built->entries())
         if (n != name)
             b.add(n, built->matrix(n));
-    put(b, *built);
+    put(b);
     return b.finish();
+}
+
+TEST(WeightStoreTest, StaleTransposeSectionsAreNeverRead)
+{
+    // Files written before the blocks derived W1^T held it as
+    // "<name>.wT". Such a section still loads, and FFN-Reuse reads the
+    // transpose of blk0.ffn1.w, not a zeroed copy beside it.
+    const ModelConfig cfg = shortConfig(Benchmark::MLD);
+    const Index d = cfg.stages[0].dModel;
+    const Index hid = cfg.stages[0].ffnMult * d;
+    const std::string path = tempPath("stale_transpose.exws");
+    rebuiltWith(cfg, "blk0.ffn1.wT", [&](WeightStoreBuilder &b) {
+        b.add("blk0.ffn1.wT", Matrix(hid, d));
+    })->save(path);
+    const auto loaded = WeightStore::load(path);
+    ASSERT_EQ(loaded->entries().count("blk0.ffn1.wT"), 1u);
+    EXPECT_TRUE(bitIdentical(
+        runPipeline(DiffusionPipeline(cfg), ExecMode::FfnReuseOnly, false,
+                    4242),
+        runPipeline(DiffusionPipeline(loaded), ExecMode::FfnReuseOnly,
+                    false, 4242)));
+    std::remove(path.c_str());
 }
 
 /**
  * Checksum-valid stores whose tensors disagree with their config, one
- * tensor each: short, long or untransposed tensors and a missing one.
+ * tensor each: short or long tensors and a missing one.
  * Before the views checked shapes, a 1x63 bias or a 67-row inProj.w
  * registered and then panicked at the first request, or read past its
  * section with assertions off.
@@ -623,16 +565,11 @@ misfitStores()
     const ModelConfig geglu = shortConfig(Benchmark::MakeAnAudio); // d 48
     const auto matrix = [](const std::string &name, Index rows,
                            Index cols) {
-        return [=](WeightStoreBuilder &b, const WeightStore &) {
+        return [=](WeightStoreBuilder &b) {
             b.add(name, Matrix(rows, cols));
         };
     };
-    const auto copy = [](const std::string &name, const std::string &of) {
-        return [=](WeightStoreBuilder &b, const WeightStore &built) {
-            b.add(name, built.matrix(of));
-        };
-    };
-    const auto nothing = [](WeightStoreBuilder &, const WeightStore &) {};
+    const auto nothing = [](WeightStoreBuilder &) {};
     std::vector<std::pair<std::string, std::shared_ptr<const WeightStore>>>
         stores;
     const auto misfit = [&](const ModelConfig &cfg, const std::string &name,
@@ -646,8 +583,6 @@ misfitStores()
     misfit(mld, "s0.timeProj.w",
            matrix("s0.timeProj.w", kTimeEmbedDim + 1, 64));
     misfit(mld, "blk2.wo.b", nothing);
-    misfit(mld, "blk3.ffn1.wT", copy("blk3.ffn1.wT", "blk3.ffn1.w"));
-    misfit(geglu, "blk1.ffn1v.wT", copy("blk1.ffn1v.wT", "blk1.ffn1v.w"));
     misfit(geglu, "s1.channelProj.w", matrix("s1.channelProj.w", 47, 96));
     misfit(geglu, "s2.res0.conv2.w", matrix("s2.res0.conv2.w", 48, 47));
     return stores;

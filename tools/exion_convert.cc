@@ -3,11 +3,13 @@
  * exion_convert — builds, inspects and verifies EXWS weight stores.
  *
  * A store snapshots the deterministic seeded build of a benchmark's
- * model (float32 weights and biases, plus transposed FFN1 copies)
+ * model (float32 weights and biases, and nothing derived from them)
  * into one checksummed EXWS v2 file that engines mmap read-only and
- * share. Converting is a build-time step; serving then never
- * transposes a weight again. No INT12 image is stored: the solo
- * quantized paths quantise the float weight where they use it.
+ * share. Converting is a build-time step. Each served network derives
+ * the operands its sparse paths read in another layout (FFN-Reuse's
+ * W1^T, eager prediction's LOD images) once per block, on first use.
+ * No INT12 image is stored: the solo quantized paths quantise the
+ * float weight where they use it.
  *
  * Usage:
  *   exion_convert --benchmark NAME [--scale full|reduced] --out FILE
