@@ -166,8 +166,8 @@ struct EpHeadOperands
         const QuantMatrix x_img = lodTransform(
             QuantMatrix::fromFloat(x, IntWidth::Int12), LodMode::TwoStep);
         const EpWeightImages &img = blk.epWeightImages(LodMode::TwoStep);
-        const Matrix q_est = ldImageMatmul(x_img, {&img.wq[0], 1});
-        const Matrix k_est = ldImageMatmul(x_img, {&img.wk[0], 1});
+        const Matrix q_est = ldImageMatmul({&x_img, 1}, {&img.wq[0], 1});
+        const Matrix k_est = ldImageMatmul({&x_img, 1}, {&img.wk[0], 1});
         return decideFromPrediction(
             predictScoreFromEstimates(q_est, k_est, LodMode::TwoStep), ep);
     }
@@ -177,11 +177,13 @@ struct EpHeadOperands
  * Eager prediction's integer GEMM shapes (m x k times k x n): the x
  * image against every head's weight image and one head's score
  * product, at full-scale MDM (196 tokens, d = 512), full-scale MLD
- * (8 tokens, d = 256) and reduced MDM (48 tokens, d = 64, 4 heads).
+ * (8 tokens, d = 256, alone and as the stacked image of an 8-member
+ * cohort) and reduced MDM (48 tokens, d = 64, 4 heads).
  */
 constexpr GemmShape kInt12Shapes[] = {
     {"proj_196x512x512", 196, 512, 512, false},
     {"score_196x64x196", 196, 64, 196, false},
+    {"proj_cohort_64x256x256", 64, 256, 256, false},
     {"proj_8x256x256", 8, 256, 256, false},
     {"score_8x64x8", 8, 64, 8, false},
     {"proj_48x64x64", 48, 64, 64, false},
@@ -333,13 +335,13 @@ gateGemmInt12Kernel(int reps)
         const double vec = timeGemmInt12(active, s, ops, reps);
         scalar_total += scalar;
         active_total += vec;
-        std::printf("%-20s scalar %8.3f ms %6.2f GMAC/s   %-6s %8.3f ms "
+        std::printf("%-22s scalar %8.3f ms %6.2f GMAC/s   %-6s %8.3f ms "
                     "%6.2f GMAC/s   speedup %.2fx\n",
                     s.name, scalar * 1e3, s.macs() / scalar / 1e9,
                     active.name, vec * 1e3, s.macs() / vec / 1e9,
                     scalar / vec);
     }
-    std::printf("%-20s scalar %8.3f ms                 %-6s %8.3f ms "
+    std::printf("%-22s scalar %8.3f ms                 %-6s %8.3f ms "
                 "                speedup %.2fx\n",
                 "total", scalar_total * 1e3, active.name,
                 active_total * 1e3, scalar_total / active_total);

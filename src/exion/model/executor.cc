@@ -41,10 +41,6 @@ execMatmul(const Matrix &a, const Matrix &b, bool quantize)
     return matmulQuant(qa, qb);
 }
 
-namespace
-{
-
-/** Rows of each member's segment of a stack. */
 Index
 segmentRows(const Matrix &x_norm, Members members, bool quantize)
 {
@@ -55,6 +51,9 @@ segmentRows(const Matrix &x_norm, Members members, bool quantize)
                  "quantize takes a stack of one, not ", members.size());
     return x_norm.rows() / members.size();
 }
+
+namespace
+{
 
 /**
  * Per-head score/softmax/AV core of dense attention on rows
@@ -126,9 +125,10 @@ denseAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 Matrix
 ffnHidden(const TransformerBlock &blk, const Matrix &x_norm, bool quantize)
 {
-    Matrix gate = execMatmul(x_norm, blk.ffn1().weight(), quantize);
-    addRowVector(gate, blk.ffn1().bias());
-    Matrix hidden = gelu(gate);
+    Matrix hidden = execMatmul(x_norm, blk.ffn1().weight(), quantize);
+    addRowVector(hidden, blk.ffn1().bias());
+    for (float &h : hidden.data())
+        h = geluScalar(h);
     if (blk.geglu()) {
         Matrix value = execMatmul(x_norm, blk.ffn1Value().weight(), quantize);
         addRowVector(value, blk.ffn1Value().bias());

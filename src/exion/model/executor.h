@@ -15,7 +15,12 @@
  * per-block state — is one ExecContext. Every executor steps a stack
  * of members (one context per equal row segment): a solo run is a
  * stack of one, and a cohort step stacks every member, so one
- * executor and one body per sub-layer serve both.
+ * executor and one body per sub-layer serve both. Each body, dense or
+ * sparse, runs every product whose rows are independent once over
+ * the whole stack, and keeps token mixing and what a request
+ * calibrates (INT12 scales, eager prediction's decisions, FFN-Reuse's
+ * thresholds and masks) per member segment, so each member's rows and
+ * ExecStats equal its solo run's bit for bit.
  */
 
 #ifndef EXION_MODEL_EXECUTOR_H_
@@ -288,6 +293,14 @@ mmulOps(Index m, Index k, Index n)
 {
     return static_cast<OpCount>(2) * m * k * n;
 }
+
+/**
+ * Rows of each member's segment of a stacked activation: x_norm must
+ * hold members.size() equal segments (asserted). Under quantize each
+ * operand gets one Int12 scale, so quantize takes a stack of one
+ * (asserted too).
+ */
+Index segmentRows(const Matrix &x_norm, Members members, bool quantize);
 
 /**
  * Dense multi-head attention over a stack of members: x_norm holds

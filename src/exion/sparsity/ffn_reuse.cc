@@ -1,6 +1,8 @@
 #include "exion/sparsity/ffn_reuse.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "exion/tensor/ops.h"
@@ -43,59 +45,94 @@ FfnReuse::isDenseIteration(int iteration) const
 
 Matrix
 FfnReuse::run(const TransformerBlock &blk, const Matrix &x_norm,
-              ExecContext &ctx, const ExecObservers &observers) const
+              Members members, const ExecObservers &observers) const
 {
-    FfnReuseBlockState &st = ctx.ffn[blk.id()];
-    if (isDenseIteration(ctx.iteration) || !st.initialized)
-        return runDense(blk, x_norm, ctx.stats, observers, st);
-    return runSparse(blk, x_norm, ctx.stats, observers, st);
+    const Index t = segmentRows(x_norm, members, quantize_);
+    const auto calibrates = [&](ExecContext *ctx) {
+        return isDenseIteration(ctx->iteration)
+            || !ctx->ffn[blk.id()].initialized;
+    };
+    // A stack whose every member calibrates runs FFN-1 and the
+    // partial-sum GEMM once over all its rows.
+    if (std::all_of(members.begin(), members.end(), calibrates))
+        return runDense(blk, x_norm, members, observers);
+    const auto one = [&](const Matrix &x, Index m) {
+        ExecContext &ctx = *members[m];
+        if (calibrates(&ctx))
+            return runDense(blk, x, members.subspan(m, 1), observers);
+        return runSparse(blk, x, ctx.stats, observers, ctx.ffn[blk.id()]);
+    };
+    if (members.size() == 1)
+        return one(x_norm, 0);
+
+    // A mixed stack runs member by member, each on a view of its rows.
+    Matrix out(x_norm.rows(), blk.dModel());
+    for (Index m = 0; m < members.size(); ++m)
+        pasteRows(out,
+                  one(Matrix::borrowStrided(x_norm.rowPtr(m * t), t,
+                                            x_norm.cols(),
+                                            x_norm.rowStride()),
+                      m),
+                  m * t);
+    return out;
 }
 
 namespace
 {
 
 /**
- * FFN-Reuse's second layer: st.psumSparse + h * W2 + b2, where h is
- * zero outside st.mask. Both iterations end here, so they run one
- * expression. The quantized path runs the dense product, since INT12
- * scales are per matrix. The float path accumulates only the mask's
- * set positions: per output element the masked contributions add in
- * ascending column order from +0.0f — exactly the dense product's
- * accumulation chain with its zero terms elided, which is bit-neutral
- * for finite operands (a zero activation times a finite weight
- * contributes +/-0.0, and a +0.0-started accumulator is never at -0.0
- * when one arrives) — then psum joins through the same add() as the
- * dense formulation. Bit-identical to add(psum, matmul(h, w2)) on
- * finite data. This is where the FFN sparsity shortcut lives now that
- * the golden matmul computes every term (gemm.h accumulation
- * contract): at the paper's ~80-90% reuse sparsity it does ~nnz*d work
- * instead of t*hid*d, matching the ffnOpsExecuted accounting.
+ * The recompute region's product through FFN-Reuse's second layer:
+ * h' * W2, where h' equals h at mask's set positions and is zero
+ * elsewhere; h's other entries are never read. The quantized path
+ * builds h' and runs the dense product, since INT12 scales are per
+ * matrix. The float path accumulates only the mask's set positions:
+ * per output element the masked contributions add in ascending column
+ * order from +0.0f — exactly the dense product's accumulation chain
+ * with its zero terms elided, which is bit-neutral for finite operands
+ * (a zero activation times a finite weight contributes +/-0.0, and a
+ * +0.0-started accumulator is never at -0.0 when one arrives).
+ * Bit-identical to matmul(h', w2) on finite data. This is where the
+ * FFN sparsity shortcut lives now that the golden matmul computes
+ * every term (gemm.h accumulation contract): at the paper's ~80-90%
+ * reuse sparsity it does ~nnz*d work instead of t*hid*d, matching the
+ * ffnOpsExecuted accounting.
  */
 Matrix
-secondLayer(const TransformerBlock &blk, const Matrix &h,
-            const FfnReuseBlockState &st, bool quantize)
+maskedSecondLayer(const TransformerBlock &blk, const Matrix &h,
+                  const Bitmask2D &mask, bool quantize)
 {
     const Matrix &w2 = blk.ffn2().weight();
-    Matrix prod;
     if (quantize) {
-        prod = execMatmul(h, w2, true);
-    } else {
-        const SimdKernels &kr = activeKernels();
-        const Index n = w2.cols();
-        prod = Matrix(h.rows(), n);
-        for (Index r = 0; r < h.rows(); ++r) {
-            float *out = prod.rowPtr(r);
-            const float *hrow = h.rowPtr(r);
-            // Word-at-a-time mask walk; each set column contributes
-            // one axpy sweep across the output row — the same
-            // ascending-c term order per output element as the dense
-            // product.
-            st.mask.forEachSetBitInRow(r, [&](Index c) {
-                kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
-            });
-        }
+        Matrix kept(h.rows(), h.cols());
+        mask.forEachSetBit([&](Index r, Index c) { kept(r, c) = h(r, c); });
+        return execMatmul(kept, w2, true);
     }
-    Matrix out = add(st.psumSparse, prod);
+    const SimdKernels &kr = activeKernels();
+    const Index n = w2.cols();
+    Matrix prod(h.rows(), n);
+    for (Index r = 0; r < h.rows(); ++r) {
+        float *out = prod.rowPtr(r);
+        const float *hrow = h.rowPtr(r);
+        // Word-at-a-time mask walk; each set column contributes one
+        // axpy sweep across the output row — the same ascending-c term
+        // order per output element as the dense product.
+        mask.forEachSetBitInRow(r, [&](Index c) {
+            kr.axpyF32(out, w2.rowPtr(c), hrow[c], n);
+        });
+    }
+    return prod;
+}
+
+/**
+ * FFN-Reuse's output: the cached partial sums plus the recompute
+ * region's product plus b2. Both iterations end here, through the
+ * same add() as the dense formulation add(psum, matmul(h', w2)).
+ */
+Matrix
+secondLayer(const TransformerBlock &blk, const Matrix &psum,
+            const Matrix &prod)
+{
+    Matrix out = add(psum, prod);
     addRowVector(out, blk.ffn2().bias());
     return out;
 }
@@ -104,60 +141,83 @@ secondLayer(const TransformerBlock &blk, const Matrix &h,
 
 Matrix
 FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
-                   ExecStats &stats, const ExecObservers &observers,
-                   FfnReuseBlockState &st) const
+                   Members members, const ExecObservers &observers) const
 {
-    const Index t = x_norm.rows();
+    const Index n = members.size();
+    const Index t = x_norm.rows() / n;
     const Index d = blk.dModel();
     const Index hid = blk.ffnHidden();
     const OpCount ffn1_dense =
         (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid);
 
+    // FFN-1 once over every member's rows.
     Matrix hidden = ffnHidden(blk, x_norm, quantize_);
-    stats.ffnOpsDense += ffn1_dense;
-    stats.ffnOpsExecuted += ffn1_dense;
 
-    if (observers.onFfnHidden)
-        observers.onFfnHidden(blk.id(), hidden);
-
-    // Calibrate theta (a counting selection over |H|, no copy and no
-    // sort) and build the recompute mask with the threshold compare
-    // kernel, 64 columns per call. theta is the quantile of float
-    // magnitudes — exactly representable as float — so the kernel's
-    // float compare decides identically to the promoted double
-    // compare |h| > theta.
-    st.theta = sparsityQuantile(hidden.data(), cfg_.targetSparsity);
-    st.mask = Bitmask2D(t, hid);
+    // Per member, on its own rows of H: calibrate theta (a counting
+    // selection over |H|, no copy and no sort) and build the recompute
+    // mask with the threshold compare kernel, 64 columns per call.
+    // theta is the quantile of float magnitudes — exactly
+    // representable as float — so the kernel's float compare decides
+    // identically to the promoted double compare |h| > theta. Then
+    // run the recompute region (sparse: 1 - targetSparsity of H)
+    // through the second layer, and zero it in H, leaving the reuse
+    // region in place.
     const SimdKernels &kr = activeKernels();
-    const float ftheta = static_cast<float>(st.theta);
-    for (Index r = 0; r < t; ++r) {
-        const float *hrow = hidden.rowPtr(r);
-        for (Index c0 = 0; c0 < hid; c0 += 64) {
-            const Index nb = std::min<Index>(64, hid - c0);
-            st.mask.writeRowBits(
-                r, c0, kr.absGreaterMask64(hrow + c0, ftheta, nb),
-                nb);
+    std::vector<Matrix> prod(n);
+    for (Index m = 0; m < n; ++m) {
+        ExecStats &stats = members[m]->stats;
+        FfnReuseBlockState &st = members[m]->ffn[blk.id()];
+        const Index r0 = m * t;
+        stats.ffnOpsDense += ffn1_dense;
+        stats.ffnOpsExecuted += ffn1_dense;
+
+        if (observers.onFfnHidden)
+            observers.onFfnHidden(blk.id(),
+                                  n == 1 ? hidden : sliceRows(hidden, r0, t));
+
+        st.theta = sparsityQuantile(
+            std::span<const float>(hidden.data()).subspan(r0 * hid, t * hid),
+            cfg_.targetSparsity);
+        st.mask = Bitmask2D(t, hid);
+        const float ftheta = static_cast<float>(st.theta);
+        for (Index r = 0; r < t; ++r) {
+            const float *hrow = hidden.rowPtr(r0 + r);
+            for (Index c0 = 0; c0 < hid; c0 += 64) {
+                const Index nb = std::min<Index>(64, hid - c0);
+                st.mask.writeRowBits(
+                    r, c0, kr.absGreaterMask64(hrow + c0, ftheta, nb),
+                    nb);
+            }
         }
+
+        if (observers.onFfnMask)
+            observers.onFfnMask(blk.id(), st.mask, true);
+
+        prod[m] = maskedSecondLayer(
+            blk, Matrix::borrow(hidden.rowPtr(r0), t, hid), st.mask,
+            quantize_);
+        st.mask.forEachSetBit(
+            [&](Index r, Index c) { hidden(r0 + r, c) = 0.0f; });
     }
 
-    if (observers.onFfnMask)
-        observers.onFfnMask(blk.id(), st.mask, true);
+    // Cache the reuse region's contribution through the second FFN
+    // layer: one GEMM over every member's rows. H is spent after it.
+    Matrix psum = execMatmul(hidden, blk.ffn2().weight(), quantize_);
+    hidden = Matrix();
+    Matrix out(n == 1 ? 0 : x_norm.rows(), d);
+    for (Index m = 0; m < n; ++m) {
+        ExecStats &stats = members[m]->stats;
+        FfnReuseBlockState &st = members[m]->ffn[blk.id()];
+        st.psumSparse = n == 1 ? std::move(psum) : sliceRows(psum, m * t, t);
+        st.initialized = true;
 
-    // Split H into recompute (h_keep) and reuse regions, the latter in
-    // place; cache the reuse region's contribution through the second
-    // FFN layer.
-    Matrix h_keep(t, hid);
-    st.mask.forEachSetBit([&](Index r, Index c) {
-        h_keep(r, c) = hidden(r, c);
-        hidden(r, c) = 0.0f;
-    });
-    st.psumSparse = execMatmul(hidden, blk.ffn2().weight(), quantize_);
-    st.initialized = true;
-
-    // The recompute region is sparse (1 - targetSparsity of H).
-    Matrix out = secondLayer(blk, h_keep, st, quantize_);
-    stats.ffnOpsDense += mmulOps(t, hid, d);
-    stats.ffnOpsExecuted += mmulOps(t, hid, d);
+        Matrix y = secondLayer(blk, st.psumSparse, prod[m]);
+        stats.ffnOpsDense += mmulOps(t, hid, d);
+        stats.ffnOpsExecuted += mmulOps(t, hid, d);
+        if (n == 1)
+            return y;
+        pasteRows(out, y, m * t);
+    }
     return out;
 }
 
@@ -179,24 +239,23 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     if (observers.onFfnMask)
         observers.onFfnMask(blk.id(), st.mask, false);
 
-    // Recompute only the masked elements of the hidden activation.
-    // The float path dots each x row against the contiguous rows of
-    // W1^T, which the block derives once (ffn1Transposed()), sending
-    // each row's set columns through dotRowsF32, which runs several
-    // golden chains at once, one per vector lane (the transpose only
-    // removes the stride — same terms, same order). The quantized
-    // path takes the set elements of the dense quantized hidden
-    // activation: its integer sums are exact in any order, and W1's
-    // Int12 image has the same max-|v| scale and codes as W1^T's, so
-    // each element equals one integer dot of x's codes against a W1^T
-    // row.
-    Matrix h_keep(t, hid);
+    // Recompute only the masked elements of the hidden activation;
+    // the second layer reads h at the mask's set positions only. The
+    // float path dots each x row against the contiguous rows of W1^T,
+    // which the block derives once (ffn1Transposed()), sending each
+    // row's set columns through dotRowsF32, which runs several golden
+    // chains at once, one per vector lane (the transpose only removes
+    // the stride — same terms, same order). The quantized path takes
+    // the set elements of the dense quantized hidden activation: its
+    // integer sums are exact in any order, and W1's Int12 image has
+    // the same max-|v| scale and codes as W1^T's, so each element
+    // equals one integer dot of x's codes against a W1^T row.
+    Matrix h;
     const bool geglu = blk.geglu();
     if (quantize_) {
-        const Matrix hidden = ffnHidden(blk, x_norm, true);
-        st.mask.forEachSetBit(
-            [&](Index r, Index c) { h_keep(r, c) = hidden(r, c); });
+        h = ffnHidden(blk, x_norm, true);
     } else {
+        h = Matrix(t, hid);
         const SimdKernels &kr = activeKernels();
         const TransformerBlock::FfnTransposes &tw = blk.ffn1Transposed();
         std::vector<Index> cols;
@@ -217,13 +276,13 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
                 kr.dotRowsF32(xrow, tw.w1vt.rowPtr(0),
                               tw.w1vt.rowStride(), cols.data(),
                               cols.size(), d, dots_v.data());
-            float *hrow = h_keep.rowPtr(r);
+            float *hrow = h.rowPtr(r);
             for (Index i = 0; i < cols.size(); ++i) {
                 const Index c = cols[i];
-                float h = geluScalar(dots[i] + bias[c]);
+                float value = geluScalar(dots[i] + bias[c]);
                 if (geglu)
-                    h *= dots_v[i] + bias_v[c];
-                hrow[c] = h;
+                    value *= dots_v[i] + bias_v[c];
+                hrow[c] = value;
             }
         }
     }
@@ -234,7 +293,8 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
 
     // Second layer: accumulate only the recomputed contributions onto
     // the cached partial sums.
-    Matrix out = secondLayer(blk, h_keep, st, quantize_);
+    Matrix out = secondLayer(blk, st.psumSparse,
+                             maskedSecondLayer(blk, h, st.mask, quantize_));
     stats.ffnOpsDense += mmulOps(t, hid, d);
     stats.ffnOpsExecuted += 2 * nnz * d;
     return out;

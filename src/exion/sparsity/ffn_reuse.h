@@ -56,21 +56,34 @@ class FfnReuse
     bool isDenseIteration(int iteration) const;
 
     /**
-     * Executes one FFN sub-layer under reuse at ctx.iteration, against
-     * ctx's state for the block; a block with no state yet runs dense.
+     * Executes one FFN sub-layer under reuse over a stack of members:
+     * x_norm holds members.size() equal row segments, one per member
+     * in stack order, and each member runs at its own iteration
+     * against its own state for the block.
+     *
+     * A member calibrates when it is at a dense iteration or has no
+     * state for the block yet. When every member calibrates, FFN-1
+     * and the partial-sum GEMM run once over the whole stack, and
+     * each member takes its quantile, mask and split from its own
+     * rows; the masked second layer runs per member, on its own mask.
+     * A stack that mixes calibrating and reusing members runs member
+     * by member, each on a view of its rows. So every member's rows,
+     * ExecStats and state equal a stack-of-one call on its rows bit
+     * for bit, and onFfnHidden and onFfnMask fire per member with
+     * that member's rows, in stack order.
      *
      * @param blk       the transformer block (weights)
      * @param x_norm    normalised sub-layer input
-     * @param ctx       the stream's iteration, stats and block state
+     * @param members   the stack's iterations, stats and block state
      * @param observers mask/activation hooks
      */
     Matrix run(const TransformerBlock &blk, const Matrix &x_norm,
-               ExecContext &ctx, const ExecObservers &observers) const;
+               Members members, const ExecObservers &observers) const;
 
   private:
     Matrix runDense(const TransformerBlock &blk, const Matrix &x_norm,
-                    ExecStats &stats, const ExecObservers &observers,
-                    FfnReuseBlockState &st) const;
+                    Members members,
+                    const ExecObservers &observers) const;
     Matrix runSparse(const TransformerBlock &blk, const Matrix &x_norm,
                      ExecStats &stats, const ExecObservers &observers,
                      FfnReuseBlockState &st) const;

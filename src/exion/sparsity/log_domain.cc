@@ -86,37 +86,49 @@ lodTransform(const QuantMatrix &q, LodMode mode)
 }
 
 Matrix
-ldImageMatmul(const QuantMatrix &a_img,
+ldImageMatmul(std::span<const QuantMatrix> a_imgs,
               std::span<const QuantMatrix> b_imgs)
 {
-    EXION_ASSERT(!b_imgs.empty(), "ldImageMatmul without operands");
+    EXION_ASSERT(!a_imgs.empty() && !b_imgs.empty(),
+                 "ldImageMatmul without operands");
+    const QuantMatrix &a0 = a_imgs.front();
     const QuantMatrix &b0 = b_imgs.front();
-    EXION_ASSERT(a_img.cols() == b0.rows(), "ldImageMatmul shape mismatch");
-    const Index m = a_img.rows();
-    const Index k = a_img.cols();
+    EXION_ASSERT(a0.cols() == b0.rows(), "ldImageMatmul shape mismatch");
+    const Index ma = a0.rows();
+    const Index k = a0.cols();
     const Index w = b0.cols();
+    const Index m = ma * a_imgs.size();
     const Index n = w * b_imgs.size();
+    for (Index s = 0; s < a_imgs.size(); ++s)
+        EXION_ASSERT(a_imgs[s].rows() == ma && a_imgs[s].cols() == k
+                         && a_imgs[s].rowStride() == a0.rowStride()
+                         && (ma == 0 || k == 0
+                             || a_imgs[s].rowPtr(0)
+                                 == a0.rowPtr(0) + s * ma * a0.rowStride()),
+                     "ldImageMatmul operand A_", s,
+                     " is not the next row window of one image");
     for (Index h = 0; h < b_imgs.size(); ++h)
         EXION_ASSERT(b_imgs[h].rows() == k && b_imgs[h].cols() == w
                          && b_imgs[h].rowStride() == b0.rowStride()
                          && (k == 0
                              || b_imgs[h].rowPtr(0)
                                  == b0.rowPtr(0) + h * w),
-                     "ldImageMatmul operand ", h,
+                     "ldImageMatmul operand B_", h,
                      " is not the next window of one image");
     Matrix c(m, n);
     if (m == 0 || n == 0 || k == 0)
         return c;
     std::vector<i64> sums(m * n);
-    activeKernels().gemmInt12(a_img.rowPtr(0), a_img.rowStride(),
-                              b0.rowPtr(0), b0.rowStride(), sums.data(), n,
-                              m, k, n);
-    for (Index h = 0; h < b_imgs.size(); ++h) {
-        const double out_scale = a_img.scale() * b_imgs[h].scale();
-        for (Index i = 0; i < m; ++i)
-            for (Index j = h * w; j < (h + 1) * w; ++j)
-                c(i, j) = static_cast<float>(sums[i * n + j] * out_scale);
-    }
+    activeKernels().gemmInt12(a0.rowPtr(0), a0.rowStride(), b0.rowPtr(0),
+                              b0.rowStride(), sums.data(), n, m, k, n);
+    for (Index s = 0; s < a_imgs.size(); ++s)
+        for (Index h = 0; h < b_imgs.size(); ++h) {
+            const double out_scale = a_imgs[s].scale() * b_imgs[h].scale();
+            for (Index i = s * ma; i < (s + 1) * ma; ++i)
+                for (Index j = h * w; j < (h + 1) * w; ++j)
+                    c(i, j) =
+                        static_cast<float>(sums[i * n + j] * out_scale);
+        }
     return c;
 }
 
@@ -124,8 +136,9 @@ Matrix
 ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode)
 {
     EXION_ASSERT(a.cols() == b.rows(), "ldMatmul shape mismatch");
+    const QuantMatrix a_img = lodTransform(a, mode);
     const QuantMatrix b_img = lodTransform(b, mode);
-    return ldImageMatmul(lodTransform(a, mode), {&b_img, 1});
+    return ldImageMatmul({&a_img, 1}, {&b_img, 1});
 }
 
 Matrix
@@ -139,7 +152,8 @@ ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
     for (Index r = 0; r < b.rows(); ++r)
         for (Index c = 0; c < b.cols(); ++c)
             bt_img(c, r) = b_img(r, c);
-    return ldImageMatmul(lodTransform(a, mode), {&bt_img, 1});
+    const QuantMatrix a_img = lodTransform(a, mode);
+    return ldImageMatmul({&a_img, 1}, {&bt_img, 1});
 }
 
 Matrix

@@ -38,16 +38,20 @@ i64 ldProduct(i32 a, i32 b, LodMode mode);
 QuantMatrix lodTransform(const QuantMatrix &q, LodMode mode);
 
 /**
- * A * [B_0 | B_1 | ...] over operands that already are LOD images,
- * dequantised to float: one exact integer GEMM (gemmInt12). The B_h
- * are equal-width column windows of one row-major buffer, side by
- * side (B_h starts h * B_0.cols() elements after B_0, every window
- * with B_0's row stride), and each dequantises its columns with
- * a.scale() * B_h.scale(). Output is m x (count * B_0.cols()).
+ * [A_0; A_1; ...] * [B_0 | B_1 | ...] over operands that already are
+ * LOD images, dequantised to float: one exact integer GEMM
+ * (gemmInt12). The A_s are equal-height row windows of one row-major
+ * buffer, stacked (A_s starts s * A_0.rows() rows after A_0, every
+ * window with A_0's row stride); the B_h are equal-width column
+ * windows of one buffer, side by side (B_h starts h * B_0.cols()
+ * elements after B_0, every window with B_0's row stride). Block
+ * (s, h) dequantises with A_s.scale() * B_h.scale(), so each A_s
+ * keeps its own quantisation grid. Output is (count_a * A_0.rows())
+ * x (count_b * B_0.cols()).
  *
  * @pre every value's magnitude is at most kGemmInt12MaxAbs
  */
-Matrix ldImageMatmul(const QuantMatrix &a_img,
+Matrix ldImageMatmul(std::span<const QuantMatrix> a_imgs,
                      std::span<const QuantMatrix> b_imgs);
 
 /**

@@ -32,47 +32,14 @@ SparseExecutor::fromConfig(const ModelConfig &cfg, bool use_ffn_reuse,
     return opt;
 }
 
-namespace
-{
-
-/**
- * fn(x, ctx) on each member's row segment of x_norm, pasted into one
- * stacked output. A stack of one runs fn on x_norm itself, with no
- * slice and no paste.
- */
-template <typename Fn>
-Matrix
-eachMember(Members members, const Matrix &x_norm, Fn &&fn)
-{
-    const Index n = members.size();
-    EXION_ASSERT(n > 0 && x_norm.rows() % n == 0, "stacked rows ",
-                 x_norm.rows(), " vs ", n, " members");
-    if (n == 1)
-        return fn(x_norm, *members[0]);
-    const Index t = x_norm.rows() / n;
-    Matrix out(x_norm.rows(), x_norm.cols());
-    for (Index m = 0; m < n; ++m)
-        pasteRows(out, fn(sliceRows(x_norm, m * t, t), *members[m]),
-                  m * t);
-    return out;
-}
-
-} // namespace
-
 Matrix
 SparseExecutor::attention(const TransformerBlock &blk,
                           const Matrix &x_norm)
 {
     if (!opt_.useEp)
         return denseAttentionImpl(blk, x_norm, opt_.quantize, members());
-    // Eager prediction's decisions are calibrated per request matrix.
-    return eachMember(members(), x_norm,
-                      [&](const Matrix &x, ExecContext &ctx) {
-                          return epAttentionImpl(blk, x, opt_.ep,
-                                                 opt_.lodMode,
-                                                 opt_.quantize,
-                                                 ctx.stats, observers);
-                      });
+    return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
+                           opt_.quantize, members(), observers);
 }
 
 Matrix
@@ -81,25 +48,50 @@ SparseExecutor::ffn(const TransformerBlock &blk, const Matrix &x_norm)
     if (!opt_.useFfnReuse)
         return denseFfnImpl(blk, x_norm, opt_.quantize, members(),
                             observers);
-    // Thresholds, masks and partial sums are per request.
-    return eachMember(members(), x_norm,
-                      [&](const Matrix &x, ExecContext &ctx) {
-                          return ffnReuse_.run(blk, x, ctx, observers);
-                      });
+    return ffnReuse_.run(blk, x_norm, members(), observers);
 }
 
 namespace
 {
 
-/** Indices of the set entries of a needs vector, ascending. */
-std::vector<Index>
-neededIndices(const std::vector<u8> &needed)
+/**
+ * Appends offset + r for every set entry r of a needs vector,
+ * ascending, to idx; returns how many it appended.
+ */
+Index
+appendNeeded(const std::vector<u8> &needed, Index offset,
+             std::vector<Index> &idx)
 {
-    std::vector<Index> idx;
+    const Index before = idx.size();
     for (Index r = 0; r < needed.size(); ++r)
         if (needed[r])
-            idx.push_back(r);
-    return idx;
+            idx.push_back(offset + r);
+    return idx.size() - before;
+}
+
+/**
+ * x's n equal row segments quantised to Int12, each with its own
+ * max-|v| scale, returned in params: QuantMatrix::fromFloat's codes of
+ * each segment, written into one matrix (whose own params are unused).
+ */
+QuantMatrix
+quantizeSegments(const Matrix &x, Index n, std::vector<QuantParams> &params)
+{
+    const Index t = x.rows() / n;
+    const Index d = x.cols();
+    const i32 q_max = intWidthMax(IntWidth::Int12);
+    QuantMatrix codes(x.rows(), d, {});
+    params.resize(n);
+    for (Index m = 0; m < n; ++m) {
+        params[m] = chooseQuantParams(x.data().subspan(m * t * d, t * d),
+                                      IntWidth::Int12);
+        for (Index r = m * t; r < (m + 1) * t; ++r) {
+            const float *src = x.rowPtr(r);
+            for (Index c = 0; c < d; ++c)
+                codes(r, c) = quantizeToRange(src[c], params[m].scale, q_max);
+        }
+    }
+    return codes;
 }
 
 /**
@@ -174,8 +166,8 @@ projectHeads(const Matrix &x, const Linear &proj,
     for (const std::vector<Index> &rh : rows)
         for (Index r : rh)
             any[r] = 1;
-    const std::vector<Index> uni = neededIndices(any);
-    if (uni.empty())
+    std::vector<Index> uni;
+    if (appendNeeded(any, 0, uni) == 0)
         return;
     std::vector<Index> pos(t, 0);
     Matrix packed(uni.size(), d);
@@ -191,15 +183,71 @@ projectHeads(const Matrix &x, const Linear &proj,
         });
 }
 
+/**
+ * Eager prediction's EPRE over a stack of members: every member's
+ * skip decision per head, member m's head h at m * n_heads + h.
+ *
+ * Each member's rows are transformed with its own Int12 scale into
+ * one stacked image, which segments views one member (and scale) at a
+ * time; the weight images come cached from the block, and one integer
+ * GEMM per projection covers every member and head — per member and
+ * head exactly predictHeadScore's projections. The scores, decisions
+ * and score-sparsity accounting stay per member, and onScoreMask
+ * fires member-major, head-minor.
+ */
+std::vector<HeadDecision>
+predictDecisions(const TransformerBlock &blk, const Matrix &x_norm,
+                 const EpConfig &ep, LodMode lod_mode, Members members,
+                 const ExecObservers &observers)
+{
+    const Index n = members.size();
+    const Index t = x_norm.rows() / n;
+    const Index dh = blk.headDim();
+    const Index n_heads = blk.nHeads();
+    const float temp = static_cast<float>(blk.scoreTemp());
+    std::vector<QuantParams> params;
+    const QuantMatrix x_img =
+        lodTransform(quantizeSegments(x_norm, n, params), lod_mode);
+    std::vector<QuantMatrix> segments;
+    segments.reserve(n);
+    for (Index m = 0; m < n; ++m)
+        segments.push_back(QuantMatrix::borrowStrided(
+            x_img.rowPtr(m * t), t, x_img.cols(), x_img.cols(), params[m]));
+    const EpWeightImages &images = blk.epWeightImages(lod_mode);
+    const Matrix q_est = ldImageMatmul(segments, images.wq);
+    const Matrix k_est = ldImageMatmul(segments, images.wk);
+    std::vector<HeadDecision> decisions;
+    decisions.reserve(n * n_heads);
+    for (Index m = 0; m < n; ++m) {
+        ExecStats &stats = members[m]->stats;
+        for (Index h = 0; h < n_heads; ++h) {
+            Matrix predicted = predictScoreFromEstimates(
+                sliceBlock(q_est, m * t, t, h * dh, dh),
+                sliceBlock(k_est, m * t, t, h * dh, dh), lod_mode);
+            for (Index i = 0; i < predicted.size(); ++i)
+                predicted.data()[i] *= temp;
+            HeadDecision dec = decideFromPrediction(predicted, ep);
+            if (observers.onScoreMask)
+                observers.onScoreMask(blk.id(), static_cast<int>(h),
+                                      dec.keep);
+            stats.scoreSparsitySum += dec.scoreSparsity();
+            ++stats.scoreSparsitySamples;
+            decisions.push_back(std::move(dec));
+        }
+    }
+    return decisions;
+}
+
 } // namespace
 
 Matrix
 epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                 const EpConfig &ep, LodMode lod_mode, bool quantize,
-                ExecStats &stats, const ExecObservers &observers)
+                Members members, const ExecObservers &observers)
 {
     const SimdKernels &kr = activeKernels();
-    const Index t = x_norm.rows();
+    const Index n = members.size();
+    const Index t = segmentRows(x_norm, members, quantize);
     const Index d = blk.dModel();
     const Index dh = blk.headDim();
     const Index n_heads = blk.nHeads();
@@ -207,121 +255,112 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         / std::sqrt(static_cast<float>(dh));
 
     // --- EPRE: predicted attention scores and skip decisions. ---
-    // The input is transformed once; the weight images come cached
-    // from the block, and one integer GEMM per projection covers
-    // every head — per head exactly predictHeadScore's projections.
-    const QuantMatrix x_img = lodTransform(
-        QuantMatrix::fromFloat(x_norm, IntWidth::Int12), lod_mode);
-    const EpWeightImages &images = blk.epWeightImages(lod_mode);
-    const Matrix q_est = ldImageMatmul(x_img, images.wq);
-    const Matrix k_est = ldImageMatmul(x_img, images.wk);
-    std::vector<HeadDecision> decisions;
-    decisions.reserve(n_heads);
-    for (Index h = 0; h < n_heads; ++h) {
-        Matrix predicted = predictScoreFromEstimates(
-            sliceCols(q_est, h * dh, dh), sliceCols(k_est, h * dh, dh),
-            lod_mode);
-        for (Index i = 0; i < predicted.size(); ++i)
-            predicted.data()[i] *=
-                static_cast<float>(blk.scoreTemp());
-        HeadDecision dec = decideFromPrediction(predicted, ep);
-        if (observers.onScoreMask)
-            observers.onScoreMask(blk.id(), static_cast<int>(h),
-                                  dec.keep);
-        stats.scoreSparsitySum += dec.scoreSparsity();
-        ++stats.scoreSparsitySamples;
-        decisions.push_back(std::move(dec));
-    }
-    // --- Real projections: per head, only the rows it needs (SDUE). ---
+    const std::vector<HeadDecision> decisions =
+        predictDecisions(blk, x_norm, ep, lod_mode, members, observers);
+    // --- Real projections: per head, only the rows it needs (SDUE),
+    // every member's needed rows (stacked row m * t + r) at once. ---
     std::vector<std::vector<Index>> q_rows(n_heads), k_rows(n_heads),
         v_rows(n_heads);
-    stats.qRowsTotal += t * n_heads;
-    stats.kColsTotal += t * n_heads;
-    stats.vColsTotal += t * n_heads;
-    for (Index h = 0; h < n_heads; ++h) {
-        const ProjectionNeeds needs = headNeeds(decisions[h]);
-        q_rows[h] = neededIndices(needs.qRowNeeded);
-        k_rows[h] = neededIndices(needs.kRowNeeded);
-        v_rows[h] = neededIndices(needs.vRowNeeded);
-        stats.qRowsSkipped += t - q_rows[h].size();
-        stats.kColsSkipped += t - k_rows[h].size();
-        stats.vColsSkipped += t - v_rows[h].size();
-        stats.qkvOpsExecuted += mmulOps(q_rows[h].size(), d, dh)
-            + mmulOps(k_rows[h].size(), d, dh)
-            + mmulOps(v_rows[h].size(), d, dh);
+    for (Index m = 0; m < n; ++m) {
+        ExecStats &stats = members[m]->stats;
+        stats.qRowsTotal += t * n_heads;
+        stats.kColsTotal += t * n_heads;
+        stats.vColsTotal += t * n_heads;
+        for (Index h = 0; h < n_heads; ++h) {
+            const ProjectionNeeds needs =
+                headNeeds(decisions[m * n_heads + h]);
+            const Index nq = appendNeeded(needs.qRowNeeded, m * t, q_rows[h]);
+            const Index nk = appendNeeded(needs.kRowNeeded, m * t, k_rows[h]);
+            const Index nv = appendNeeded(needs.vRowNeeded, m * t, v_rows[h]);
+            stats.qRowsSkipped += t - nq;
+            stats.kColsSkipped += t - nk;
+            stats.vColsSkipped += t - nv;
+            stats.qkvOpsExecuted += mmulOps(nq, d, dh) + mmulOps(nk, d, dh)
+                + mmulOps(nv, d, dh);
+        }
+        stats.qkvOpsDense += 3 * mmulOps(t, d, d);
     }
-    Matrix q(t, d), k(t, d), v(t, d);
+    Matrix q(x_norm.rows(), d), k(x_norm.rows(), d), v(x_norm.rows(), d);
     projectHeads(x_norm, blk.wq(), q_rows, quantize, q);
     projectHeads(x_norm, blk.wk(), k_rows, quantize, k);
     projectHeads(x_norm, blk.wv(), v_rows, quantize, v);
-    stats.qkvOpsDense += 3 * mmulOps(t, d, d);
 
-    // --- Real attention at kept positions only. ---
-    Matrix concat(t, d);
+    // --- Real attention at kept positions only, per member segment
+    // (rows r0 .. r0 + t of the stack). ---
+    Matrix concat(x_norm.rows(), d);
     std::vector<float> row_scores(t);
     std::vector<Index> kept_cols;
     kept_cols.reserve(t);
-    for (Index h = 0; h < n_heads; ++h) {
-        const HeadDecision &dec = decisions[h];
-        OpCount kept_total = 0;
-        for (Index r = 0; r < t; ++r) {
-            if (dec.oneHot[r]) {
-                // One-hot approximation: output is V at the argmax.
-                const Index src = dec.oneHotArg[r];
-                for (Index c = 0; c < dh; ++c)
-                    concat(r, h * dh + c) = v(src, h * dh + c);
-                continue;
-            }
-            kept_cols.clear();
-            dec.keep.forEachSetBitInRow(
-                r, [&](Index c) { kept_cols.push_back(c); });
-            EXION_ASSERT(!kept_cols.empty(),
-                         "non-one-hot row with empty keep set");
+    for (Index m = 0; m < n; ++m) {
+        ExecStats &stats = members[m]->stats;
+        const Index r0 = m * t;
+        for (Index h = 0; h < n_heads; ++h) {
+            const HeadDecision &dec = decisions[m * n_heads + h];
+            OpCount kept_total = 0;
+            for (Index r = 0; r < t; ++r) {
+                if (dec.oneHot[r]) {
+                    // One-hot approximation: output is V at the argmax.
+                    const Index src = r0 + dec.oneHotArg[r];
+                    for (Index c = 0; c < dh; ++c)
+                        concat(r0 + r, h * dh + c) = v(src, h * dh + c);
+                    continue;
+                }
+                kept_cols.clear();
+                dec.keep.forEachSetBitInRow(
+                    r, [&](Index c) { kept_cols.push_back(c); });
+                EXION_ASSERT(!kept_cols.empty(),
+                             "non-one-hot row with empty keep set");
 
-            // Scores at kept positions. Head h's slice of a
-            // projection row is contiguous, so dotRowsF32 streams the
-            // q row against the kept rows of K's head slice in place,
-            // several golden chains at once (each k-chain is one
-            // output element, one per vector lane).
-            kr.dotRowsF32(q.rowPtr(r) + h * dh, k.rowPtr(0) + h * dh,
-                          k.rowStride(), kept_cols.data(),
-                          kept_cols.size(), dh, row_scores.data());
-            float max_v = -std::numeric_limits<float>::infinity();
-            for (Index idx = 0; idx < kept_cols.size(); ++idx) {
-                row_scores[idx] *= inv_sqrt;
-                max_v = std::max(max_v, row_scores[idx]);
-            }
-            kept_total += kept_cols.size();
+                // Scores at kept positions. Head h's slice of a
+                // projection row is contiguous, so dotRowsF32 streams
+                // the q row against the kept rows of the member's K
+                // head slice in place, several golden chains at once
+                // (each k-chain is one output element, one per vector
+                // lane).
+                kr.dotRowsF32(q.rowPtr(r0 + r) + h * dh,
+                              k.rowPtr(r0) + h * dh, k.rowStride(),
+                              kept_cols.data(), kept_cols.size(), dh,
+                              row_scores.data());
+                float max_v = -std::numeric_limits<float>::infinity();
+                for (Index idx = 0; idx < kept_cols.size(); ++idx) {
+                    row_scores[idx] *= inv_sqrt;
+                    max_v = std::max(max_v, row_scores[idx]);
+                }
+                kept_total += kept_cols.size();
 
-            // Softmax over kept entries.
-            double denom = 0.0;
-            for (Index idx = 0; idx < kept_cols.size(); ++idx) {
-                row_scores[idx] = std::exp(row_scores[idx] - max_v);
-                denom += row_scores[idx];
-            }
-            const float inv_denom = static_cast<float>(1.0 / denom);
+                // Softmax over kept entries.
+                double denom = 0.0;
+                for (Index idx = 0; idx < kept_cols.size(); ++idx) {
+                    row_scores[idx] = std::exp(row_scores[idx] - max_v);
+                    denom += row_scores[idx];
+                }
+                const float inv_denom = static_cast<float>(1.0 / denom);
 
-            // Attention x V over kept entries: one axpy sweep per
-            // kept column into the (zero-initialised) concat slice.
-            // Per output element the terms still add in ascending
-            // idx order from +0.0f, with the probability weight
-            // rounded once before the sweep — exactly the original
-            // left-associated chain.
-            float *crow = concat.rowPtr(r) + h * dh;
-            for (Index idx = 0; idx < kept_cols.size(); ++idx)
-                kr.axpyF32(crow,
-                           v.rowPtr(kept_cols[idx]) + h * dh,
-                           row_scores[idx] * inv_denom, dh);
+                // Attention x V over kept entries: one axpy sweep per
+                // kept column into the (zero-initialised) concat
+                // slice. Per output element the terms still add in
+                // ascending idx order from +0.0f, with the probability
+                // weight rounded once before the sweep — exactly the
+                // original left-associated chain.
+                float *crow = concat.rowPtr(r0 + r) + h * dh;
+                for (Index idx = 0; idx < kept_cols.size(); ++idx)
+                    kr.axpyF32(crow,
+                               v.rowPtr(r0 + kept_cols[idx]) + h * dh,
+                               row_scores[idx] * inv_denom, dh);
+            }
+            stats.attnOpsDense += mmulOps(t, dh, t) + mmulOps(t, t, dh);
+            stats.attnOpsExecuted += 2 * 2 * kept_total * dh;
         }
-        stats.attnOpsDense += mmulOps(t, dh, t) + mmulOps(t, t, dh);
-        stats.attnOpsExecuted += 2 * 2 * kept_total * dh;
     }
 
-    // Output projection stays dense (all rows have outputs).
+    // Output projection stays dense (all rows have outputs), once over
+    // the stack.
     Matrix out = execMatmul(concat, blk.wo().weight(), quantize);
     addRowVector(out, blk.wo().bias());
-    stats.attnOpsDense += mmulOps(t, d, d);
-    stats.attnOpsExecuted += mmulOps(t, d, d);
+    for (ExecContext *member : members) {
+        member->stats.attnOpsDense += mmulOps(t, d, d);
+        member->stats.attnOpsExecuted += mmulOps(t, d, d);
+    }
     return out;
 }
 

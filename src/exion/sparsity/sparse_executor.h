@@ -8,12 +8,16 @@
  * table (simd_dispatch.h), so the Options hold no kernel choice.
  *
  * The same executor runs solo and cohort steps (BlockExecutor's
- * members). The dense sub-layers (denseAttentionImpl, denseFfnImpl)
- * run over the whole stack: each projection and FFN linear is one
- * tall MMUL, and token mixing runs per member segment. Eager
- * prediction and FFN-Reuse run member by member against that
- * member's context, on the unsliced input for a stack of one. So each
- * member's rows, and its ExecStats, are bit-identical to a solo run.
+ * members), and every sub-layer runs over the whole stack: each
+ * product whose rows are independent (projections, FFN linears, eager
+ * prediction's integer GEMMs, and FFN-Reuse's FFN-1 and partial sums
+ * when every member calibrates) is one tall MMUL over every member's
+ * rows, and token mixing runs per member segment. Only what a request
+ * calibrates stays per member: its Int12 scale, its per-head
+ * predictions and decisions, and FFN-Reuse's quantile, mask and reuse
+ * iterations; a stack that mixes FFN-Reuse's calibrating and reusing
+ * members runs that sub-layer member by member. So each member's
+ * rows, and its ExecStats, are bit-identical to a solo run.
  */
 
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
@@ -62,33 +66,45 @@ class SparseExecutor : public BlockExecutor
 };
 
 /**
- * Eager-prediction attention on one request's activation rows.
+ * Eager-prediction attention over a stack of members: x_norm holds
+ * members.size() equal row segments, one per member in stack order.
  *
  * Stateless across iterations (all skip decisions derive from x_norm
- * alone), so a cohort step runs it per member segment with that
- * member's stats — bit-identical to a solo run.
+ * alone). Each member's rows are quantised to Int12 with that
+ * member's own max-|v| scale and LOD-transformed into one stacked
+ * image; one integer GEMM per projection (Wq's and Wk's cached
+ * images) runs over every member's rows, and each member's segment
+ * dequantises with its own scale (ldImageMatmul). Each member then
+ * predicts, decides and counts on its own rows, per head, and
+ * onScoreMask fires member-major, head-minor.
  *
  * Each head's d_head columns of Q, K and V are projected only for the
  * rows that head needs (headNeeds): Q for its rows that are not
  * one-hot, K for its kept columns, V for those plus its one-hot
- * argmaxes. One GEMM per head and projection runs over the gathered
- * rows against W's column window (x in place when the head needs
- * every row), so each element it produces is the dense product's.
- * Under quantize, the rows any head needs are quantised together
- * with one Int12 scale and run through one quantized product against
- * the whole of W, quantised where it is used; each head copies its
- * rows and columns out of it.
- * stats' qRowsSkipped, kColsSkipped and vColsSkipped count the
- * skipped (row, head) pairs, and qkvOpsExecuted the per-head MACs.
+ * argmaxes. One GEMM per head and projection runs over every member's
+ * needed rows (stacked row m * t + r) against W's column window (x in
+ * place when the head needs every row), so each element it produces
+ * is the dense product's. The kept scores run per member segment and
+ * the output projection once over the stack. So every member's rows
+ * and ExecStats equal a stack-of-one call on its rows bit for bit.
+ * Under quantize (a stack of one), the rows any head needs are
+ * quantised together with one Int12 scale and run through one
+ * quantized product against the whole of W, quantised where it is
+ * used; each head copies its rows and columns out of it.
+ * Each member's qRowsSkipped, kColsSkipped and vColsSkipped count its
+ * skipped (row, head) pairs, and qkvOpsExecuted its per-head MACs.
  *
- * @param x_norm    normalised block input (tokens x dModel)
+ * @param x_norm    normalised block input (members x tokens rows,
+ *                  dModel wide)
  * @param ep        q_th / top-k configuration
  * @param lod_mode  LOD depth of the score prediction
  * @param quantize  route real MMULs through INT12 operands
+ * @param members   the stack's contexts; each one's stats take its
+ *                  own accounting
  */
 Matrix epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
                        const EpConfig &ep, LodMode lod_mode,
-                       bool quantize, ExecStats &stats,
+                       bool quantize, Members members,
                        const ExecObservers &observers);
 
 } // namespace exion

@@ -1,5 +1,6 @@
 #include "exion/tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace exion
@@ -8,10 +9,35 @@ namespace exion
 Matrix
 transpose(const Matrix &a)
 {
-    Matrix t(a.cols(), a.rows());
-    for (Index i = 0; i < a.rows(); ++i)
-        for (Index j = 0; j < a.cols(); ++j)
-            t(j, i) = a(i, j);
+    // 32 x 32 tiles keep a tile's source and destination rows in cache
+    // while it is copied, where a row-at-a-time loop writes each
+    // element a whole destination row from the last. A full-height
+    // tile is written one destination row (32 contiguous floats) at a
+    // time. A shorter one, such as a whole 8-token attention head, is
+    // copied in source-row order: one long inner loop per row costs
+    // less than many 8-long ones.
+    constexpr Index kTile = 32;
+    const Index rows = a.rows();
+    const Index cols = a.cols();
+    Matrix t(cols, rows);
+    const float *src = a.rowPtr(0);
+    const Index lda = a.rowStride();
+    float *dst = t.rowPtr(0);
+    for (Index i0 = 0; i0 < rows; i0 += kTile) {
+        const Index i1 = std::min(rows, i0 + kTile);
+        for (Index j0 = 0; j0 < cols; j0 += kTile) {
+            const Index j1 = std::min(cols, j0 + kTile);
+            if (i1 - i0 == kTile) {
+                for (Index j = j0; j < j1; ++j)
+                    for (Index i = i0; i < i1; ++i)
+                        dst[j * rows + i] = src[i * lda + j];
+            } else {
+                for (Index i = i0; i < i1; ++i)
+                    for (Index j = j0; j < j1; ++j)
+                        dst[j * rows + i] = src[i * lda + j];
+            }
+        }
+    }
     return t;
 }
 

@@ -255,8 +255,8 @@ TEST(EpWeightImages, AllHeadsGemmEqualsPerHeadPrediction)
     for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
         const QuantMatrix x_img = lodTransform(qx, mode);
         const EpWeightImages &img = blk.epWeightImages(mode);
-        const Matrix q_est = ldImageMatmul(x_img, img.wq);
-        const Matrix k_est = ldImageMatmul(x_img, img.wk);
+        const Matrix q_est = ldImageMatmul({&x_img, 1}, img.wq);
+        const Matrix k_est = ldImageMatmul({&x_img, 1}, img.wk);
         for (Index h = 0; h < heads; ++h) {
             const Matrix fused = predictScoreFromEstimates(
                 sliceCols(q_est, h * dh, dh),

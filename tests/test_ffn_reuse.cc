@@ -32,7 +32,8 @@ runAt(const FfnReuse &reuse, const TransformerBlock &blk, const Matrix &x,
       const ExecObservers &observers = {})
 {
     ctx.iteration = iteration;
-    return reuse.run(blk, x, ctx, observers);
+    ExecContext *const self = &ctx;
+    return reuse.run(blk, x, {&self, 1}, observers);
 }
 
 /** denseFfnImpl on x as a stack of one, with throwaway accounting. */
@@ -465,6 +466,115 @@ TEST(FfnReuse, StateLivesInTheContext)
     EXPECT_TRUE(bitIdentical(runAt(reuse, f.blk, f.input(3), a, 1, observers),
                              want_a));
     EXPECT_EQ(a.stats.ffnSparsitySamples, 1u);
+}
+
+/** One onFfnMask call: the mask and whether it was calibrated. */
+struct MaskCall
+{
+    Bitmask2D mask;
+    bool dense;
+};
+
+TEST(FfnReuse, MixedStackEqualsEachMemberAlone)
+{
+    // Two stacked calls over three members whose inputs differ in
+    // scale, each viewed as a column window of a wider tensor. The
+    // first stacks a member at a dense iteration, one at a reuse
+    // iteration and one with no state yet; in the second every member
+    // calibrates, so FFN-1 and the partial sums run once over the
+    // whole stack. Each member's rows, ExecStats, theta, mask and
+    // partial sums must equal a stack of one on its rows, bit for
+    // bit, and the hooks fire per member with its rows, in stack
+    // order.
+    for (const bool geglu : {false, true}) {
+        SCOPED_TRACE(geglu ? "GEGLU" : "GELU");
+        Rng rng(geglu ? 91 : 90);
+        const Index t = 9, d = 40, n = 3, pad = 3;
+        const StandaloneBlock blk(0, d, 4, 4, geglu, rng);
+        const FfnReuse reuse({3, 0.8}, false);
+        const float scales[n] = {1.0f, 4.0f, 0.25f};
+        const auto input = [&](Index m) {
+            Matrix x(t, d);
+            x.fillNormal(rng, 0.0f, scales[m]);
+            return x;
+        };
+
+        // Members 0 and 1 calibrate alone at iteration 0; member 2
+        // has never run.
+        ExecContext alone[n], stacked[n];
+        for (Index m = 0; m < 2; ++m) {
+            const Matrix warm = input(m);
+            runAt(reuse, blk, warm, alone[m], 0);
+            runAt(reuse, blk, warm, stacked[m], 0);
+        }
+        ExecContext *const stack[n] = {&stacked[0], &stacked[1],
+                                       &stacked[2]};
+
+        const int steps[2][n] = {{4, 1, 1}, {8, 4, 4}};
+        for (const auto &iterations : steps) {
+            SCOPED_TRACE(::testing::Message()
+                         << "iterations " << iterations[0] << ", "
+                         << iterations[1] << ", " << iterations[2]);
+            std::vector<MaskCall> want_masks, got_masks;
+            std::vector<Matrix> want_hidden, got_hidden;
+            ExecObservers want_obs, got_obs;
+            want_obs.onFfnMask = [&](int, const Bitmask2D &mk, bool dense) {
+                want_masks.push_back({mk, dense});
+            };
+            want_obs.onFfnHidden = [&](int, const Matrix &h) {
+                want_hidden.push_back(h);
+            };
+            got_obs.onFfnMask = [&](int, const Bitmask2D &mk, bool dense) {
+                got_masks.push_back({mk, dense});
+            };
+            got_obs.onFfnHidden = [&](int, const Matrix &h) {
+                got_hidden.push_back(h);
+            };
+
+            Matrix wide(n * t, d + 2 * pad, -7.0f);
+            std::vector<Matrix> want(n);
+            for (Index m = 0; m < n; ++m) {
+                const Matrix xm = input(m);
+                for (Index r = 0; r < t; ++r)
+                    for (Index c = 0; c < d; ++c)
+                        wide(m * t + r, pad + c) = xm(r, c);
+                want[m] = runAt(reuse, blk, xm, alone[m], iterations[m],
+                                want_obs);
+                stacked[m].iteration = iterations[m];
+            }
+            const Matrix x = Matrix::borrowStrided(
+                wide.rowPtr(0) + pad, n * t, d, wide.rowStride());
+            const Matrix got = reuse.run(blk, x, stack, got_obs);
+
+            for (Index m = 0; m < n; ++m) {
+                SCOPED_TRACE(::testing::Message() << "member " << m);
+                EXPECT_TRUE(
+                    bitIdentical(sliceRows(got, m * t, t), want[m]));
+                const ExecStats &a = stacked[m].stats, &b = alone[m].stats;
+                EXPECT_EQ(a.ffnOpsDense, b.ffnOpsDense);
+                EXPECT_EQ(a.ffnOpsExecuted, b.ffnOpsExecuted);
+                EXPECT_EQ(a.ffnSparsitySum, b.ffnSparsitySum);
+                EXPECT_EQ(a.ffnSparsitySamples, b.ffnSparsitySamples);
+                const FfnReuseBlockState &sa = stacked[m].ffn.at(0);
+                const FfnReuseBlockState &sb = alone[m].ffn.at(0);
+                EXPECT_EQ(std::bit_cast<u64>(sa.theta),
+                          std::bit_cast<u64>(sb.theta));
+                EXPECT_TRUE(sa.mask == sb.mask);
+                EXPECT_TRUE(bitIdentical(sa.psumSparse, sb.psumSparse));
+            }
+            ASSERT_EQ(got_masks.size(), n);
+            ASSERT_EQ(got_masks.size(), want_masks.size());
+            for (Index i = 0; i < n; ++i) {
+                EXPECT_EQ(got_masks[i].dense, want_masks[i].dense);
+                EXPECT_TRUE(got_masks[i].mask == want_masks[i].mask);
+            }
+            ASSERT_EQ(got_hidden.size(), want_hidden.size());
+            for (Index i = 0; i < got_hidden.size(); ++i)
+                EXPECT_TRUE(bitIdentical(got_hidden[i], want_hidden[i]));
+        }
+        // Member 1 ran one reuse iteration, in the mixed stack.
+        EXPECT_EQ(stacked[1].stats.ffnSparsitySamples, 1u);
+    }
 }
 
 } // namespace

@@ -286,21 +286,114 @@ TEST(SparseExecutor, EpAttentionEqualsPlainOracle)
                     u64 skipped[3];
                     const Matrix want = epAttentionOracle(
                         blk, x, ep, mode, quantize, skipped);
-                    ExecStats stats;
+                    ExecContext ctx;
+                    ExecContext *const self = &ctx;
                     ExecObservers none;
                     const Matrix got = epAttentionImpl(
-                        blk, x, ep, mode, quantize, stats, none);
+                        blk, x, ep, mode, quantize, {&self, 1}, none);
                     EXPECT_TRUE(bitIdentical(want, got));
-                    EXPECT_EQ(stats.qRowsTotal, t * heads);
-                    EXPECT_EQ(stats.qRowsSkipped, skipped[0]);
-                    EXPECT_EQ(stats.kColsSkipped, skipped[1]);
-                    EXPECT_EQ(stats.vColsSkipped, skipped[2]);
+                    EXPECT_EQ(ctx.stats.qRowsTotal, t * heads);
+                    EXPECT_EQ(ctx.stats.qRowsSkipped, skipped[0]);
+                    EXPECT_EQ(ctx.stats.kColsSkipped, skipped[1]);
+                    EXPECT_EQ(ctx.stats.vColsSkipped, skipped[2]);
                     saw_gather |= skipped[0] > 0 && skipped[1] > 0;
                 }
             }
         }
     }
     EXPECT_TRUE(saw_gather) << "no case skipped Q and K rows";
+}
+
+/** Every ExecStats field, compared exactly. */
+void
+expectSameStats(const ExecStats &a, const ExecStats &b)
+{
+    EXPECT_EQ(a.qkvOpsDense, b.qkvOpsDense);
+    EXPECT_EQ(a.qkvOpsExecuted, b.qkvOpsExecuted);
+    EXPECT_EQ(a.attnOpsDense, b.attnOpsDense);
+    EXPECT_EQ(a.attnOpsExecuted, b.attnOpsExecuted);
+    EXPECT_EQ(a.ffnOpsDense, b.ffnOpsDense);
+    EXPECT_EQ(a.ffnOpsExecuted, b.ffnOpsExecuted);
+    EXPECT_EQ(a.ffnSparsitySum, b.ffnSparsitySum);
+    EXPECT_EQ(a.ffnSparsitySamples, b.ffnSparsitySamples);
+    EXPECT_EQ(a.scoreSparsitySum, b.scoreSparsitySum);
+    EXPECT_EQ(a.scoreSparsitySamples, b.scoreSparsitySamples);
+    EXPECT_EQ(a.qRowsTotal, b.qRowsTotal);
+    EXPECT_EQ(a.qRowsSkipped, b.qRowsSkipped);
+    EXPECT_EQ(a.kColsTotal, b.kColsTotal);
+    EXPECT_EQ(a.kColsSkipped, b.kColsSkipped);
+    EXPECT_EQ(a.vColsTotal, b.vColsTotal);
+    EXPECT_EQ(a.vColsSkipped, b.vColsSkipped);
+}
+
+/** One onScoreMask call: the head and its keep mask. */
+struct ScoreMaskCall
+{
+    int head;
+    Bitmask2D keep;
+};
+
+TEST(SparseExecutor, StackedEpEqualsEachMemberAlone)
+{
+    // One call over three members whose inputs differ in scale by
+    // 10^3 each way, so each quantises with its own Int12 scale. Every
+    // member's rows and ExecStats, and the onScoreMask sequence, must
+    // equal stack-of-one calls on each member's rows, bit for bit.
+    Rng rng(67);
+    const Index d = 64, heads = 4, n = 3;
+    const StandaloneBlock blk(1, d, heads, 1, false, rng, 3.0);
+    const float scales[n] = {1.0f, 1e3f, 1e-3f};
+    for (const Index t : {Index{8}, Index{48}}) {
+        Matrix x(n * t, d);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        for (Index r = 0; r < x.rows(); ++r)
+            for (Index c = 0; c < d; ++c)
+                x(r, c) *= scales[r / t];
+        for (const LodMode mode : {LodMode::TwoStep, LodMode::Single}) {
+            for (const EpConfig ep :
+                 {EpConfig{0.3, 0.05}, EpConfig{2.0, 0.6}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "t=" << t << " single="
+                             << (mode == LodMode::Single)
+                             << " topK=" << ep.topK);
+                std::vector<ScoreMaskCall> want_calls, got_calls;
+                ExecObservers want_obs, got_obs;
+                want_obs.onScoreMask = [&](int, int h, const Bitmask2D &k) {
+                    want_calls.push_back({h, k});
+                };
+                got_obs.onScoreMask = [&](int, int h, const Bitmask2D &k) {
+                    got_calls.push_back({h, k});
+                };
+
+                ExecContext alone[n], stacked[n];
+                std::vector<Matrix> want;
+                for (Index m = 0; m < n; ++m) {
+                    ExecContext *const self = &alone[m];
+                    want.push_back(epAttentionImpl(
+                        blk, sliceRows(x, m * t, t), ep, mode, false,
+                        {&self, 1}, want_obs));
+                }
+                ExecContext *const stack[n] = {&stacked[0], &stacked[1],
+                                               &stacked[2]};
+                const Matrix got =
+                    epAttentionImpl(blk, x, ep, mode, false, stack, got_obs);
+
+                for (Index m = 0; m < n; ++m) {
+                    SCOPED_TRACE(::testing::Message() << "member " << m);
+                    EXPECT_TRUE(bitIdentical(sliceRows(got, m * t, t),
+                                             want[m]));
+                    expectSameStats(stacked[m].stats, alone[m].stats);
+                }
+                ASSERT_EQ(got_calls.size(), n * heads);
+                ASSERT_EQ(got_calls.size(), want_calls.size());
+                for (Index i = 0; i < got_calls.size(); ++i) {
+                    EXPECT_EQ(got_calls[i].head, want_calls[i].head);
+                    EXPECT_TRUE(got_calls[i].keep == want_calls[i].keep)
+                        << "call " << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(SparseExecutor, FullPipelineAllOptimisations)

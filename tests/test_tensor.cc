@@ -74,6 +74,45 @@ TEST(Ops, TransposeInvolution)
     EXPECT_EQ(transpose(transpose(a)), a);
 }
 
+TEST(Ops, TransposeEqualsDefinitionOnRaggedShapes)
+{
+    // The tiled copy must put a(i, j)'s bits at (j, i) on shapes with
+    // no rows, one element, ragged tiles and MLD's full W1, including
+    // NaN and -0.0 payloads and a strided view's own window.
+    Rng rng(7);
+    const std::pair<Index, Index> shapes[] = {
+        {0, 7}, {1, 1}, {31, 33}, {65, 129}, {256, 1024}};
+    for (const auto &[rows, cols] : shapes) {
+        Matrix a(rows, cols);
+        a.fillNormal(rng, 0.0f, 1.0f);
+        if (a.size() > 2) {
+            a.data()[1] = -0.0f;
+            a.data()[a.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+        }
+        // Columns 1.. of a, rows cols apart (a itself when empty).
+        const Matrix view = a.size() == 0
+            ? a
+            : Matrix::borrowStrided(a.data().data() + 1, rows, cols - 1,
+                                    cols);
+        const Matrix *const sources[] = {&a, &view};
+        for (const Matrix *src : sources) {
+            SCOPED_TRACE(::testing::Message()
+                         << rows << "x" << src->cols()
+                         << (src == &view ? " view" : ""));
+            const Matrix t = transpose(*src);
+            ASSERT_EQ(t.rows(), src->cols());
+            ASSERT_EQ(t.cols(), src->rows());
+            for (Index i = 0; i < src->rows(); ++i)
+                for (Index j = 0; j < src->cols(); ++j) {
+                    const float want = (*src)(i, j);
+                    const float got = t(j, i);
+                    ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                        << "(" << i << ", " << j << ")";
+                }
+        }
+    }
+}
+
 TEST(Ops, AddSubScale)
 {
     Matrix a(1, 3), b(1, 3);
