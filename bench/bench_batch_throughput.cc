@@ -91,7 +91,6 @@ runOverload(bool quick)
     opts.workers = 2;
     opts.admission.maxQueuedPerClass = 8;
     opts.admission.shedThreshold = 12;
-    opts.admission.shedBelow = Priority::Normal;
     BatchEngine engine(opts);
     engine.addModel(cfg);
 

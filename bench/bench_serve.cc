@@ -135,7 +135,6 @@ struct Fixture
         // arrivals are refused with LoadShedLow first.
         opts.admission.maxQueuedPerClass = 8;
         opts.admission.shedThreshold = 10;
-        opts.admission.shedBelow = Priority::Normal;
         return opts;
     }
 

@@ -70,7 +70,6 @@ main(int argc, char **argv)
     opts.workers = 4;
     opts.admission.maxQueuedPerClass = 16;
     opts.admission.shedThreshold = 12;
-    opts.admission.shedBelow = Priority::Normal;
     BatchEngine engine(opts);
     engine.addModel(t2i);
     engine.addModel(t2m);

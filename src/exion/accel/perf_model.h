@@ -5,9 +5,12 @@
  * Rolls per-layer cycle and energy costs up to whole-workload latency
  * and energy for a given device instance and ablation. Tile-level
  * costs come from the same formulas the detailed Sdue/Epre/Cfse models
- * use (tests pin them against each other at small sizes); sparsity
- * behaviour comes from calibrated SparsityProfiles with ConMerge
- * effects measured by running the real pipeline on sampled groups.
+ * use, but no test compares the two: the PerfModel tests check
+ * orderings and bounds only (ablation latency and energy order,
+ * device and batch size, power limits, energy components summing to
+ * the total). Sparsity behaviour comes from calibrated
+ * SparsityProfiles with ConMerge effects measured by running the real
+ * pipeline on sampled groups.
  *
  * Reporting conventions follow the paper: "TOPS" is dense-equivalent
  * work over time (optimisations can push it past peak), and TOPS/W is

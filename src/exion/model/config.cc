@@ -48,15 +48,6 @@ ModelConfig::totalBlocks() const
     return total;
 }
 
-Index
-ModelConfig::totalResBlocks() const
-{
-    Index total = 0;
-    for (const auto &s : stages)
-        total += s.nResBlocks;
-    return total;
-}
-
 namespace
 {
 

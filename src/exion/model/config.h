@@ -120,9 +120,6 @@ struct ModelConfig
 
     /** Total transformer blocks across all stages. */
     Index totalBlocks() const;
-
-    /** Total ResBlocks across all stages. */
-    Index totalResBlocks() const;
 };
 
 /** Returns the configuration of a benchmark at the given scale. */

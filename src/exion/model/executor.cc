@@ -1,6 +1,8 @@
 #include "exion/model/executor.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "exion/model/transformer_block.h"
@@ -180,6 +182,11 @@ BlockExecutor::beginCohortStep(const std::vector<Index> &slots,
     EXION_ASSERT(slots.size() == iterations.size(),
                  "cohort step slots ", slots.size(), " vs iterations ",
                  iterations.size());
+    if (std::adjacent_find(iterations.begin(), iterations.end(),
+                           std::not_equal_to<>())
+        != iterations.end())
+        throw std::invalid_argument(
+            "a cohort steps in lockstep: its members' iterations differ");
     members_.clear();
     for (Index m = 0; m < slots.size(); ++m) {
         ExecContext &ctx = slotContext(slots[m]);

@@ -199,11 +199,13 @@ class BlockExecutor
     /**
      * Announces the stacked segment order for the next forward: slot
      * slots[m]'s context, at iteration iterations[m], owns segment m.
-     * A slot's context is created on its first step.
+     * A slot's context is created on its first step. A cohort steps
+     * in lockstep, so every entry of iterations is the same.
      *
      * @throws std::invalid_argument on an executor that quantises:
      *         INT12 scales are calibrated per matrix, so a stacked
      *         operand would change every member's quantisation grid
+     * @throws std::invalid_argument when the iterations differ
      */
     virtual void beginCohortStep(const std::vector<Index> &slots,
                                  const std::vector<int> &iterations);

@@ -84,50 +84,20 @@ Matrix
 DenoisingNetwork::forward(const Matrix &x, int timestep,
                           BlockExecutor &exec) const
 {
-    EXION_ASSERT(x.rows() == cfg_.latentTokens
-                     && x.cols() == cfg_.latentDim,
-                 "latent shape (", x.rows(), ",", x.cols(), ") vs config");
-    return forwardImpl(x, &timestep, /*segments=*/1, exec);
-}
-
-Matrix
-DenoisingNetwork::forward(const Matrix &x,
-                          const std::vector<int> &timesteps,
-                          BlockExecutor &exec) const
-{
-    const Index segments = timesteps.size();
-    EXION_ASSERT(segments > 0, "cohort forward needs >= 1 segment");
-    EXION_ASSERT(x.rows() == segments * cfg_.latentTokens
-                     && x.cols() == cfg_.latentDim,
-                 "stacked latent shape (", x.rows(), ",", x.cols(),
-                 ") vs ", segments, " segments of config");
-    return forwardImpl(x, timesteps.data(), segments, exec);
-}
-
-Matrix
-DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
-                              Index segments, BlockExecutor &exec) const
-{
     // A throw, not an assertion: with the stack and the members out of
     // step, attention would mix members' tokens without a sign.
-    if (exec.memberCount() != segments)
+    const Index segments = exec.memberCount();
+    if (x.rows() != segments * cfg_.latentTokens
+        || x.cols() != cfg_.latentDim)
         throw std::invalid_argument(
-            "forward over " + std::to_string(segments)
-            + " segments on an executor stepping "
-            + std::to_string(exec.memberCount()) + " members");
+            "forward over a " + std::to_string(x.rows()) + "x"
+            + std::to_string(x.cols()) + " stack on an executor stepping "
+            + std::to_string(segments) + " members of "
+            + std::to_string(cfg_.latentTokens) + "x"
+            + std::to_string(cfg_.latentDim) + " latents");
     Matrix h = inProj_.forward(x);
     addRowVector(h, condEmbed_);
-
-    // Per-segment timestep embeddings. Cohort members usually step in
-    // lockstep, so consecutive equal timesteps share one embedding —
-    // bit-identical to recomputing it (the function is
-    // deterministic), but computed once per distinct value.
-    std::vector<Matrix> t_embs(segments);
-    for (Index m = 0; m < segments; ++m) {
-        t_embs[m] = m > 0 && timesteps[m] == timesteps[m - 1]
-            ? t_embs[m - 1]
-            : timestepEmbedding(timesteps[m], kTimeEmbedDim);
-    }
+    const Matrix t_emb = timestepEmbedding(timestep, kTimeEmbedDim);
 
     const bool unet = cfg_.type != NetworkType::TransformerOnly
         && stages_.size() >= 3;
@@ -167,14 +137,9 @@ DenoisingNetwork::forwardImpl(const Matrix &x, const int *timesteps,
             }
         }
 
-        // Time conditioning per segment; lockstep members share one
-        // projection (amortised weight traversal, identical bits).
-        Matrix t_proj;
-        for (Index m = 0; m < segments; ++m) {
-            if (m == 0 || timesteps[m] != timesteps[m - 1])
-                t_proj = stage.timeProj.forward(t_embs[m]);
-            addRowVectorToRows(h, t_proj, m * cur_tokens, cur_tokens);
-        }
+        // Members step in lockstep: one time projection conditions
+        // every segment.
+        addRowVector(h, stage.timeProj.forward(t_emb));
 
         for (const auto &res : stage.resBlocks)
             h = res.forward(h);

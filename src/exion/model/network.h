@@ -51,43 +51,31 @@ class DenoisingNetwork
     explicit DenoisingNetwork(std::shared_ptr<const WeightStore> store);
 
     /**
-     * Predicts noise for latent x at the given (training) timestep.
+     * Predicts noise for a stack of latents at one (training)
+     * timestep, in one pass over the weights.
      *
-     * @param x        latentTokens x latentDim input
+     * x carries exec.memberCount() row segments of latentTokens rows
+     * each, one per member of the executor's current step (one after
+     * beginIteration() or on a fresh executor), and the timestep
+     * conditions every segment: a cohort's members step in lockstep.
+     * Row-independent layers (projections, norms, FFN linears,
+     * pooling) run on the tall matrix directly; token mixing
+     * (attention) and per-request sparsity state are the executor's,
+     * which runs one member per segment. Every output row segment is
+     * bit-identical to a forward of that segment alone.
+     *
+     * @param x        memberCount x latentTokens rows, latentDim wide
      * @param timestep scheduler timestep (conditions the time embedding)
      * @param exec     execution strategy for transformer blocks
-     * @throws std::invalid_argument unless exec's current step has
-     *         one member (BlockExecutor::memberCount()), as after
-     *         beginIteration() or on a fresh executor
+     * @throws std::invalid_argument unless x holds exec.memberCount()
+     *         segments of latentTokens x latentDim: a stack its
+     *         executor did not announce would attend across members
      */
     Matrix forward(const Matrix &x, int timestep,
                    BlockExecutor &exec) const;
 
-    /**
-     * Cohort forward: predicts noise for a stack of latents in one
-     * pass over the weights.
-     *
-     * x carries timesteps.size() row-segments of latentTokens rows
-     * each, one per cohort member, and timesteps[m] conditions
-     * segment m — members may sit at different denoising iterations.
-     * All row-independent layers (projections, norms, FFN linears,
-     * pooling) run on the tall matrix directly; token-mixing
-     * (attention) and per-request sparsity state are the executor's,
-     * which runs one member per segment. Every output row-segment is
-     * bit-identical to a solo forward() of that segment.
-     *
-     * @throws std::invalid_argument unless exec's current step has
-     *         timesteps.size() members (BlockExecutor::memberCount()),
-     *         as after a beginCohortStep() naming that many slots
-     */
-    Matrix forward(const Matrix &x, const std::vector<int> &timesteps,
-                   BlockExecutor &exec) const;
-
     /** Model configuration. */
     const ModelConfig &config() const { return cfg_; }
-
-    /** Total number of transformer blocks. */
-    Index numBlocks() const { return blockPtrs_.size(); }
 
     /** Access to block i in execution order. */
     const TransformerBlock &block(Index i) const { return *blockPtrs_[i]; }
@@ -99,9 +87,6 @@ class DenoisingNetwork
     }
 
   private:
-    Matrix forwardImpl(const Matrix &x, const int *timesteps,
-                       Index segments, BlockExecutor &exec) const;
-
     struct Stage
     {
         StageConfig cfg;

@@ -1,5 +1,9 @@
 #include "exion/model/pipeline.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "exion/common/rng.h"
 #include "exion/tensor/ops.h"
 
@@ -38,7 +42,7 @@ DiffusionPipeline::run(BlockExecutor &exec, const RunOptions &opts) const
         exec.beginIteration(i);
         const Matrix eps = network_.forward(x, scheduler_.timestep(i),
                                             exec);
-        scheduler_.stepRowsInPlace(x, eps, i, 0, x.rows());
+        scheduler_.stepInPlace(x, eps, i);
         if (opts.onIteration)
             opts.onIteration(i, x);
     }
@@ -53,6 +57,10 @@ CohortRun::CohortRun(const DiffusionPipeline &pipe, BlockExecutor &exec)
 Index
 CohortRun::join(u64 noise_seed)
 {
+    if (iteration_ > 0)
+        throw std::logic_error(
+            "cohort join after step " + std::to_string(iteration_)
+            + ": members step in lockstep");
     const ModelConfig &cfg = pipe_->config();
     const Index tokens = cfg.latentTokens;
     // Seed exactly like a solo run so the member's rows are
@@ -73,8 +81,16 @@ CohortRun::join(u64 noise_seed)
 }
 
 void
-CohortRun::removeFromStack(Index pos)
+CohortRun::leave(Index slot)
 {
+    EXION_ASSERT(slot < members_.size(), "cohort slot ", slot);
+    Member &member = members_[slot];
+    if (member.state != State::Active)
+        return;
+    member.state = State::Left;
+    // Cut the member's rows out of the stack.
+    const Index pos = std::find(stackOrder_.begin(), stackOrder_.end(), slot)
+        - stackOrder_.begin();
     const Index tokens = pipe_->config().latentTokens;
     Matrix shrunk(stacked_.rows() - tokens, stacked_.cols());
     const auto &src = stacked_.data();
@@ -88,22 +104,6 @@ CohortRun::removeFromStack(Index pos)
     stackOrder_.erase(stackOrder_.begin() + pos);
 }
 
-void
-CohortRun::leave(Index slot)
-{
-    EXION_ASSERT(slot < members_.size(), "cohort slot ", slot);
-    Member &member = members_[slot];
-    if (member.state != State::Active)
-        return;
-    member.state = State::Left;
-    for (Index pos = 0; pos < stackOrder_.size(); ++pos) {
-        if (stackOrder_[pos] == slot) {
-            removeFromStack(pos);
-            break;
-        }
-    }
-}
-
 std::vector<Index>
 CohortRun::step()
 {
@@ -114,39 +114,22 @@ CohortRun::step()
     std::vector<Index> finished;
     if (stackOrder_.empty())
         return finished;
-    std::vector<int> iterations;
-    std::vector<int> timesteps;
-    iterations.reserve(stackOrder_.size());
-    timesteps.reserve(stackOrder_.size());
-    for (Index slot : stackOrder_) {
-        iterations.push_back(members_[slot].iteration);
-        timesteps.push_back(sched.timestep(members_[slot].iteration));
-    }
+    exec_->beginCohortStep(
+        stackOrder_, std::vector<int>(stackOrder_.size(), iteration_));
+    const Matrix eps = pipe_->network().forward(
+        stacked_, sched.timestep(iteration_), *exec_);
+    sched.stepInPlace(stacked_, eps, iteration_);
+    if (++iteration_ < sched.inferenceSteps())
+        return finished;
 
-    exec_->beginCohortStep(stackOrder_, iterations);
-    const Matrix eps = pipe_->network().forward(stacked_, timesteps,
-                                                *exec_);
-
-    for (Index m = 0; m < stackOrder_.size(); ++m) {
-        Member &member = members_[stackOrder_[m]];
-        sched.stepRowsInPlace(stacked_, eps, member.iteration,
-                              m * tokens, tokens);
-        ++member.iteration;
-        if (member.iteration >= sched.inferenceSteps())
-            finished.push_back(stackOrder_[m]);
-    }
-    // Extract finished members' rows and compact the stack, from the
-    // back so earlier positions stay valid.
-    for (Index i = finished.size(); i-- > 0;) {
-        const Index slot = finished[i];
-        Index pos = 0;
-        while (stackOrder_[pos] != slot)
-            ++pos;
-        Member &member = members_[slot];
+    // The last iteration: every member finishes.
+    for (Index pos = 0; pos < stackOrder_.size(); ++pos) {
+        Member &member = members_[stackOrder_[pos]];
         member.latent = sliceRows(stacked_, pos * tokens, tokens);
         member.state = State::Finished;
-        removeFromStack(pos);
     }
+    finished.swap(stackOrder_);
+    stacked_ = Matrix();
     return finished;
 }
 
@@ -168,13 +151,6 @@ CohortRun::isFinished(Index slot) const
 {
     EXION_ASSERT(slot < members_.size(), "cohort slot ", slot);
     return members_[slot].state == State::Finished;
-}
-
-int
-CohortRun::iterationOf(Index slot) const
-{
-    EXION_ASSERT(slot < members_.size(), "cohort slot ", slot);
-    return members_[slot].iteration;
 }
 
 Matrix

@@ -5,7 +5,7 @@
  * Owns a denoising network and a scheduler; runs the reverse process
  * from seeded noise to the generated latent under a caller-provided
  * executor — either one request at a time (run()) or as a cohort of
- * requests stepping the reverse process together with their latents
+ * requests stepping the reverse process in lockstep with their latents
  * stacked into one tall matrix per iteration (CohortRun). Any
  * BlockExecutor runs either way.
  */
@@ -101,15 +101,13 @@ class DiffusionPipeline
  * A cohort of denoising requests stepping the reverse process in one
  * stacked pass per iteration.
  *
- * Members join with their own noise seed (at construction or at any
- * step boundary — a late joiner simply starts its iteration 0 while
- * earlier members are further along; the network forward conditions
- * each row-segment on its member's own timestep). Each step() stacks
- * the active members' latents into one tall matrix, runs the network
- * once, and advances every member's scheduler state by one iteration.
- * Members leave the cohort when they finish (all iterations done) or
- * when leave() removes them mid-flight (e.g. a cancelled request) —
- * removing one member never perturbs the others' rows.
+ * Members join with their own noise seed before the first step(); the
+ * cohort then steps in lockstep. Each step() runs every active
+ * member's latent, stacked into one tall matrix, through one network
+ * forward at the cohort's one timestep and one scheduler step, so all
+ * members finish on the same step. leave() removes a member mid-flight
+ * (e.g. a cancelled request); removing one member never perturbs the
+ * others' rows.
  *
  * Bit-identity contract: a member's final latent equals a solo
  * DiffusionPipeline::run() with the same seed and an executor built
@@ -129,7 +127,10 @@ class CohortRun
 
     /**
      * Adds a member seeded with its own initial Gaussian latent.
-     * Takes effect at the next step(). @return the member's slot id
+     * @return the member's slot id
+     * @throws std::logic_error once the cohort has stepped: members
+     *         step in lockstep, so a late joiner would need its own
+     *         timestep
      */
     Index join(u64 noise_seed);
 
@@ -142,7 +143,8 @@ class CohortRun
     /**
      * One denoising iteration for every active member.
      *
-     * @return slots of members that finished during this step
+     * @return slots of members that finished during this step: none,
+     *         or every active member after the last iteration
      */
     std::vector<Index> step();
 
@@ -158,8 +160,8 @@ class CohortRun
     /** Whether a member completed all iterations. */
     bool isFinished(Index slot) const;
 
-    /** Iterations a member has completed so far. */
-    int iterationOf(Index slot) const;
+    /** Iterations the cohort has completed so far. */
+    int iteration() const { return iteration_; }
 
     /** Moves a finished member's final latent out. */
     Matrix takeResult(Index slot);
@@ -180,18 +182,15 @@ class CohortRun
     struct Member
     {
         Matrix latent;
-        int iteration = 0;
         State state = State::Active;
     };
-
-    /** Drops stacked rows of the member at stack position pos. */
-    void removeFromStack(Index pos);
 
     const DiffusionPipeline *pipe_;
     BlockExecutor *exec_;
     std::vector<Member> members_;
     Matrix stacked_;                //!< active latents, in stack order
     std::vector<Index> stackOrder_; //!< slot ids of stacked_ segments
+    int iteration_ = 0;             //!< every member's next iteration
 };
 
 } // namespace exion

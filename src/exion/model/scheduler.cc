@@ -50,13 +50,10 @@ DdimScheduler::alphaBar(int t) const
 }
 
 void
-DdimScheduler::stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
-                               Index r0, Index rows) const
+DdimScheduler::stepInPlace(Matrix &x, const Matrix &eps_hat, int i) const
 {
-    EXION_ASSERT(x.rows() == eps_hat.rows()
-                     && x.cols() == eps_hat.cols()
-                     && r0 + rows <= x.rows(),
-                 "stepRowsInPlace shape/range mismatch");
+    EXION_ASSERT(x.rows() == eps_hat.rows() && x.cols() == eps_hat.cols(),
+                 "stepInPlace shape mismatch");
     const int t = timestep(i);
     const bool last = (i + 1 >= inferenceSteps());
     const double ab_t = alphaBar(t);
@@ -73,7 +70,7 @@ DdimScheduler::stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
     // element and allocation-free.
     const float inv_sqrt_ab_t = 1.0f / sqrt_ab_t;
 
-    for (Index r = r0; r < r0 + rows; ++r) {
+    for (Index r = 0; r < x.rows(); ++r) {
         float *xrow = x.rowPtr(r);
         const float *erow = eps_hat.rowPtr(r);
         for (Index c = 0; c < x.cols(); ++c) {

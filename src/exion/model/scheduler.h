@@ -7,9 +7,9 @@
  * the latent evolves smoothly between iterations — the property
  * FFN-Reuse exploits.
  *
- * One step function, in place over a row range, serves solo runs (all
- * rows) and cohorts (each member's segment), so the two share their
- * arithmetic by construction.
+ * One step function, in place over every row, serves solo runs and
+ * cohorts: a cohort's members step in lockstep, so one call steps the
+ * whole stack with the same per-element arithmetic as a solo run.
  */
 
 #ifndef EXION_MODEL_SCHEDULER_H_
@@ -46,20 +46,16 @@ class DdimScheduler
     int timestep(int i) const;
 
     /**
-     * One reverse step, in place, on rows [r0, r0+rows) of x:
-     * x_{t_next} from x_t and the same rows of the predicted noise.
-     * A solo run steps all of its rows; a cohort steps each member's
-     * row segment of its stack, with the same per-element arithmetic,
-     * so each member's rows are bit-identical to its solo run.
+     * One reverse step, in place: x_{t_next} from x_t and the
+     * predicted noise. The arithmetic is per element, so each row
+     * segment of a stacked cohort latent steps bit-identically to its
+     * solo run.
      *
      * @param x       current latent(s), overwritten
-     * @param eps_hat network-predicted noise at timestep(i)
+     * @param eps_hat network-predicted noise at timestep(i), x's shape
      * @param i       inference iteration index (0 = most noisy)
-     * @param r0      first row stepped
-     * @param rows    number of rows stepped
      */
-    void stepRowsInPlace(Matrix &x, const Matrix &eps_hat, int i,
-                         Index r0, Index rows) const;
+    void stepInPlace(Matrix &x, const Matrix &eps_hat, int i) const;
 
     /** Cumulative alpha-bar at a training timestep. */
     double alphaBar(int t) const;

@@ -25,7 +25,7 @@ rejectReasonName(RejectReason r)
 std::optional<RejectReason>
 AdmissionController::decide(Priority cls, const ClassDepths &ready) const
 {
-    if (cfg_.shedThreshold > 0 && cls < cfg_.shedBelow) {
+    if (cfg_.shedThreshold > 0 && cls == Priority::Low) {
         u64 total = 0;
         for (const u64 depth : ready)
             total += depth;

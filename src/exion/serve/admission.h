@@ -7,11 +7,12 @@
  * must say *why*, so a caller (or an upstream router) can react: back
  * off on QueueFull, downgrade or drop on LoadShedLow, re-register on
  * UnknownModel, stop sending on Stopped. AdmissionConfig declares the
- * policy (bounded ready-queue depth per priority class, a shed-below
- * watermark driven by total queue depth, an optional block-with-
- * timeout mode), AdmissionController evaluates it as a pure function
- * of the current per-class ready depths, and the typed exceptions map
- * the reject reasons onto BatchEngine::submit()'s throwing fast path.
+ * policy (bounded ready-queue depth per priority class, a watermark
+ * on total queue depth that sheds Low requests, an optional
+ * block-with-timeout mode), AdmissionController evaluates it as a
+ * pure function of the current per-class ready depths, and the typed
+ * exceptions map the reject reasons onto BatchEngine::submit()'s
+ * throwing fast path.
  */
 
 #ifndef EXION_SERVE_ADMISSION_H_
@@ -32,7 +33,7 @@ namespace exion
 enum class RejectReason
 {
     QueueFull,    //!< the request's class is at its ready-depth bound
-    LoadShedLow,  //!< total depth over the watermark; class too low
+    LoadShedLow,  //!< total depth over the watermark; class Low
     UnknownModel, //!< benchmark not registered with addModel()
     Stopped,      //!< engine shutdown has begun
 };
@@ -107,18 +108,11 @@ struct AdmissionConfig
     u64 maxQueuedPerClass = 0;
 
     /**
-     * Total ready depth (all classes) at or above which classes below
-     * shedBelow are refused with LoadShedLow, keeping headroom for
+     * Total ready depth (all classes) at or above which Low requests
+     * are refused with LoadShedLow, keeping headroom for
      * latency-sensitive traffic. 0 = shedding disabled.
      */
     u64 shedThreshold = 0;
-
-    /**
-     * First class exempt from shedding: classes strictly below it are
-     * shed under overload. With the default (Normal), only Low work
-     * is shed.
-     */
-    Priority shedBelow = Priority::Normal;
 
     /**
      * Block-with-timeout mode: when a class is at its QueueFull

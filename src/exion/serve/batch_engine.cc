@@ -427,8 +427,7 @@ BatchEngine::startLocked(ReadyQueue::iterator it,
 }
 
 std::vector<BatchEngine::CohortMember>
-BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
-                               bool pass_fifo_ties)
+BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
 {
     std::vector<CohortMember> absorbed;
     if (max_take == 0)
@@ -439,13 +438,11 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
     if (paused_)
         return absorbed;
 
-    // Walk the queue in the order workers start it. A refill
-    // (pass_fifo_ties off) stops at the first non-matching request, so
-    // a refilling cohort never holds its worker past the queue head.
-    // Formation passes non-matching requests but stops at the first
-    // request ranked below the first one it passed: only FIFO ties
-    // are passed, and the passed request stays the head, which the
-    // next free worker starts.
+    // Walk the queue in the order workers start it, passing
+    // non-matching requests but stopping at the first request ranked
+    // below the first one passed: only FIFO ties are passed, and the
+    // passed request stays the head, which the next free worker
+    // starts.
     const auto now = std::chrono::steady_clock::now();
     std::optional<i64> passed_rank;
     for (auto it = ready_.begin();
@@ -455,8 +452,6 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take,
         const ServeRequest &req = it->second.req;
         if (req.benchmark == key.benchmark && req.mode == key.mode) {
             absorbed.push_back(startLocked(it++, now));
-        } else if (!pass_fifo_ties) {
-            break;
         } else {
             passed_rank = passed_rank.value_or(it->first.rank);
             ++it;
@@ -491,34 +486,24 @@ BatchEngine::runCohort(CohortMember first)
     SparseExecutor exec(execOptions(pipe.config(), first.req.mode));
     CohortRun run(pipe, exec);
 
-    // Slot ids are join order, so members_[slot] is the member. The
-    // executor holds each member's ExecContext under its slot.
-    std::vector<std::unique_ptr<CohortMember>> members;
-    const auto admit = [&](CohortMember &&m) {
-        members.push_back(
-            std::make_unique<CohortMember>(std::move(m)));
-        CohortMember &mem = *members.back();
-        mem.slot = run.join(mem.req.noiseSeed);
-        EXION_ASSERT(mem.slot + 1 == members.size(),
-                     "cohort slot ", mem.slot, " out of join order");
-    };
-    // Cohort batching off: every cohort is one request, and a worker
-    // runs one request at a time.
+    // Formation: the cohort takes every member before its first step
+    // and then steps them in lockstep. Slot ids are join order, so
+    // members[slot] is the member; the executor holds each member's
+    // ExecContext under its slot. Cohort batching off: every cohort is
+    // one request, and a worker runs one request at a time.
     const Index max_rows = opts_.cohortBatching
         ? std::max<Index>(1, opts_.cohortMaxRows)
         : 1;
+    std::vector<CohortMember> members;
     const ServeRequest key = first.req;
-    admit(std::move(first));
-
-    const auto absorb = [&](bool pass_fifo_ties) {
-        const Index space = max_rows - std::min(max_rows,
-                                                run.activeCount());
-        for (CohortMember &m : absorbCohortPeers(key, space,
-                                                 pass_fifo_ties))
-            admit(std::move(m));
-    };
-    // Formation: group same-key requests past FIFO ties.
-    absorb(/*pass_fifo_ties=*/true);
+    members.push_back(std::move(first));
+    for (CohortMember &m : absorbCohortPeers(key, max_rows - 1))
+        members.push_back(std::move(m));
+    for (CohortMember &m : members) {
+        m.slot = run.join(m.req.noiseSeed);
+        EXION_ASSERT(&m == &members[m.slot], "cohort slot ", m.slot,
+                     " out of join order");
+    }
 
     // Takes a member out of the cohort before its result is taken
     // and delivers a cancellation or a failure to it.
@@ -534,14 +519,14 @@ BatchEngine::runCohort(CohortMember first)
         // Cooperative cancellation: drop flagged members before the
         // next iteration. Removing a row never perturbs the other
         // members.
-        for (auto &mp : members) {
-            if (!mp->delivered && run.isActive(mp->slot)
-                && mp->cancelFlag->load(std::memory_order_relaxed)) {
+        for (CohortMember &m : members) {
+            if (!m.delivered
+                && m.cancelFlag->load(std::memory_order_relaxed)) {
                 RequestResult result;
-                result.id = mp->req.id;
+                result.id = m.req.id;
                 result.cancelled = true;
                 result.error = "cancelled";
-                drop(*mp, std::move(result), nullptr);
+                drop(m, std::move(result), nullptr);
             }
         }
         if (run.done())
@@ -554,34 +539,30 @@ BatchEngine::runCohort(CohortMember first)
             // A failed forward poisons the whole stacked iteration:
             // fail every undelivered member with the original error.
             const std::exception_ptr failure = std::current_exception();
-            for (auto &mp : members) {
-                if (mp->delivered)
+            for (CohortMember &m : members) {
+                if (m.delivered)
                     continue;
-                mp->delivered = true;
-                deliver(*mp, failedResult(mp->req.id, failure), failure);
+                m.delivered = true;
+                deliver(m, failedResult(m.req.id, failure), failure);
             }
             return;
         }
 
         // Progress hooks fire after each completed iteration. A hook
         // that throws fails its own request, not the worker.
-        for (auto &mp : members) {
-            if (mp->delivered || !mp->req.onProgress)
-                continue;
-            const int done_iter = run.iterationOf(mp->slot) - 1;
-            if (done_iter < 0
-                || !(run.isActive(mp->slot) || run.isFinished(mp->slot)))
+        for (CohortMember &m : members) {
+            if (m.delivered || !m.req.onProgress)
                 continue;
             try {
-                mp->req.onProgress(done_iter);
+                m.req.onProgress(run.iteration() - 1);
             } catch (...) {
                 const std::exception_ptr failure = std::current_exception();
-                drop(*mp, failedResult(mp->req.id, failure), failure);
+                drop(m, failedResult(m.req.id, failure), failure);
             }
         }
 
         for (Index slot : finished) {
-            CohortMember &m = *members[slot];
+            CohortMember &m = members[slot];
             if (m.delivered)
                 continue; // its progress hook threw
             RequestResult result;
@@ -596,13 +577,6 @@ BatchEngine::runCohort(CohortMember first)
             m.delivered = true;
             deliver(m, std::move(result), nullptr);
         }
-
-        // Boundary refill: late joiners attach here, starting their
-        // own iteration 0 while earlier members run ahead. Only the
-        // requests the scheduler would start next, so nothing queued
-        // behind a running cohort can starve.
-        if (!run.done())
-            absorb(/*pass_fifo_ties=*/false);
     }
 }
 

@@ -184,25 +184,25 @@ class BatchEngine
         /**
          * Cohort batching: when a worker starts a request, it pulls
          * queued requests with the same (benchmark, mode) out of the
-         * ready queue — at start and again at every
-         * iteration boundary — and steps them together with their
+         * ready queue and steps them together in lockstep, their
          * latents stacked into one tall matrix per iteration, so the
          * MMULs traverse each weight matrix once per cohort instead
-         * of once per request. Off, every cohort holds exactly one
-         * request, so a worker runs one request at a time. Results
-         * stay bit-identical to solo runs either way (per-request
-         * sparsity state and accounting are row-partitioned). A free
-         * worker still starts the highest-ranked ready request, which
-         * therefore leads the cohort. At formation the leader also
-         * absorbs same-key requests queued behind non-matching ones
-         * of equal rank (same class, no deadline on either: they
-         * differ only in FIFO order), so an interleaved
-         * multi-model stream still forms cohorts; it stops at any
-         * non-matching request ranked strictly higher. Refill at
-         * later iteration boundaries only takes requests the
-         * scheduler would have started next anyway, so the head of
-         * the queue is always started by the next free worker and
-         * sustained same-key load cannot starve it. Off by default.
+         * of once per request. The cohort takes members only then,
+         * before its first step, and all of them finish on the same
+         * step unless cancelled or failed; a request queued while a
+         * cohort runs waits for a free worker. Off, every cohort
+         * holds exactly one request, so a worker runs one request at
+         * a time. Results stay bit-identical to solo runs either way
+         * (per-request sparsity state and accounting are
+         * row-partitioned). A free worker still starts the
+         * highest-ranked ready request, which therefore leads the
+         * cohort. The leader also absorbs same-key requests queued
+         * behind non-matching ones of equal rank (same class, no
+         * deadline on either: they differ only in FIFO order), so an
+         * interleaved multi-model stream still forms cohorts; it
+         * stops at any non-matching request ranked strictly higher,
+         * and a passed request stays at the head of the queue, which
+         * the next free worker starts. Off by default.
          */
         bool cohortBatching = false;
         /**
@@ -454,20 +454,18 @@ class BatchEngine
     /**
      * Pulls up to max_take queued requests compatible with key out of
      * the ready queue, in queue order, marking them started.
-     * Compatible = same benchmark and mode. The first queued
-     * non-matching request stops absorption; with pass_fifo_ties set
-     * (cohort formation) it stops only at the first request ranked
-     * below it, since requests of equal rank differ only in FIFO
-     * order.
+     * Compatible = same benchmark and mode. A non-matching request is
+     * passed, and absorption stops at the first request ranked below
+     * it, since requests of equal rank differ only in FIFO order.
      */
     std::vector<CohortMember> absorbCohortPeers(const ServeRequest &key,
-                                                Index max_take,
-                                                bool pass_fifo_ties);
+                                                Index max_take);
 
     /**
-     * Runs every started request: leads a cohort seeded with first
-     * (first alone when cohort batching is off) and returns when all
-     * members it ever absorbed are delivered.
+     * Runs every started request: leads a cohort formed from first
+     * and its absorbed peers (first alone when cohort batching is
+     * off), steps it in lockstep and returns when every member is
+     * delivered.
      */
     void runCohort(CohortMember first);
 

@@ -86,7 +86,6 @@ struct EngineMetrics
         return sum(&ClassMetrics::deadlineMisses);
     }
     u64 queueDepth() const { return sum(&ClassMetrics::queued); }
-    u64 peakQueueDepth() const { return sum(&ClassMetrics::peakQueued); }
 
     /**
      * Renders the snapshot as a Prometheus text exposition

@@ -10,8 +10,11 @@
  * (Section IV-A: "EPRE's latency is mostly hidden ... due to
  * pipelining schemes"); a Sync drains everything.
  *
- * The analytic ExionPerfModel uses closed forms of the same costs;
- * tests pin the two against each other on generated programs.
+ * The analytic ExionPerfModel uses closed forms of the same costs. No
+ * test compares the two: the TopController tests check instrCycles()
+ * against the closed form denseMmulCycles() (sim/params.h), and the
+ * overlap rules above on small programs, hand-built or from
+ * ProgramBuilder.
  */
 
 #ifndef EXION_SIM_TOP_CONTROLLER_H_

@@ -52,27 +52,32 @@ FfnReuse::run(const TransformerBlock &blk, const Matrix &x_norm,
         return isDenseIteration(ctx->iteration)
             || !ctx->ffn[blk.id()].initialized;
     };
-    // A stack whose every member calibrates runs FFN-1 and the
-    // partial-sum GEMM once over all its rows.
-    if (std::all_of(members.begin(), members.end(), calibrates))
+    // A cohort steps in lockstep, so its members calibrate together:
+    // FFN-1 and the partial-sum GEMM run once over every row.
+    const bool dense = calibrates(members[0]);
+    EXION_ASSERT(std::all_of(members.begin(), members.end(),
+                             [&](ExecContext *ctx) {
+                                 return calibrates(ctx) == dense;
+                             }),
+                 "FFN-Reuse stack mixes calibrating and reusing members "
+                 "at block ", blk.id());
+    if (dense)
         return runDense(blk, x_norm, members, observers);
-    const auto one = [&](const Matrix &x, Index m) {
-        ExecContext &ctx = *members[m];
-        if (calibrates(&ctx))
-            return runDense(blk, x, members.subspan(m, 1), observers);
-        return runSparse(blk, x, ctx.stats, observers, ctx.ffn[blk.id()]);
-    };
     if (members.size() == 1)
-        return one(x_norm, 0);
+        return runSparse(blk, x_norm, members[0]->stats, observers,
+                         members[0]->ffn[blk.id()]);
 
-    // A mixed stack runs member by member, each on a view of its rows.
+    // Reuse runs member by member, each on a view of its rows and its
+    // own mask.
     Matrix out(x_norm.rows(), blk.dModel());
     for (Index m = 0; m < members.size(); ++m)
         pasteRows(out,
-                  one(Matrix::borrowStrided(x_norm.rowPtr(m * t), t,
-                                            x_norm.cols(),
-                                            x_norm.rowStride()),
-                      m),
+                  runSparse(blk,
+                            Matrix::borrowStrided(x_norm.rowPtr(m * t), t,
+                                                  x_norm.cols(),
+                                                  x_norm.rowStride()),
+                            members[m]->stats, observers,
+                            members[m]->ffn[blk.id()]),
                   m * t);
     return out;
 }

@@ -58,19 +58,19 @@ class FfnReuse
     /**
      * Executes one FFN sub-layer under reuse over a stack of members:
      * x_norm holds members.size() equal row segments, one per member
-     * in stack order, and each member runs at its own iteration
-     * against its own state for the block.
+     * in stack order, each against its own state for the block.
      *
      * A member calibrates when it is at a dense iteration or has no
-     * state for the block yet. When every member calibrates, FFN-1
-     * and the partial-sum GEMM run once over the whole stack, and
-     * each member takes its quantile, mask and split from its own
+     * state for the block yet. A cohort steps in lockstep, so its
+     * members calibrate or reuse together (asserted). A calibrating
+     * stack runs FFN-1 and the partial-sum GEMM once over every row,
+     * and each member takes its quantile, mask and split from its own
      * rows; the masked second layer runs per member, on its own mask.
-     * A stack that mixes calibrating and reusing members runs member
-     * by member, each on a view of its rows. So every member's rows,
-     * ExecStats and state equal a stack-of-one call on its rows bit
-     * for bit, and onFfnHidden and onFfnMask fire per member with
-     * that member's rows, in stack order.
+     * A reusing stack runs member by member, each on a view of its
+     * rows. So every member's rows, ExecStats and state equal a
+     * stack-of-one call on its rows bit for bit, and onFfnHidden and
+     * onFfnMask fire per member with that member's rows, in stack
+     * order.
      *
      * @param blk       the transformer block (weights)
      * @param x_norm    normalised sub-layer input

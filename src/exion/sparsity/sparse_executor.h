@@ -11,13 +11,13 @@
  * members), and every sub-layer runs over the whole stack: each
  * product whose rows are independent (projections, FFN linears, eager
  * prediction's integer GEMMs, and FFN-Reuse's FFN-1 and partial sums
- * when every member calibrates) is one tall MMUL over every member's
- * rows, and token mixing runs per member segment. Only what a request
- * calibrates stays per member: its Int12 scale, its per-head
- * predictions and decisions, and FFN-Reuse's quantile, mask and reuse
- * iterations; a stack that mixes FFN-Reuse's calibrating and reusing
- * members runs that sub-layer member by member. So each member's
- * rows, and its ExecStats, are bit-identical to a solo run.
+ * at a dense iteration) is one tall MMUL over every member's rows, and
+ * token mixing runs per member segment. A cohort steps in lockstep,
+ * so its members calibrate or reuse FFN-Reuse's state together. Only
+ * what a request calibrates stays per member: its Int12 scale, its
+ * per-head predictions and decisions, and FFN-Reuse's quantile, mask
+ * and reuse iterations. So each member's rows, and its ExecStats, are
+ * bit-identical to a solo run.
  */
 
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_

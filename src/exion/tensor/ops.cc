@@ -85,21 +85,6 @@ addRowVector(Matrix &a, const Matrix &row)
     }
 }
 
-void
-addRowVectorToRows(Matrix &a, const Matrix &row, Index r0, Index n)
-{
-    EXION_ASSERT(row.rows() == 1 && row.cols() == a.cols(),
-                 "row vector shape mismatch");
-    EXION_ASSERT(r0 <= a.rows() && n <= a.rows() - r0, "row range [",
-                 r0, ", +", n, ") out of ", a.rows(), " rows");
-    for (Index i = r0; i < r0 + n; ++i) {
-        float *arow = a.rowPtr(i);
-        const float *r = row.rowPtr(0);
-        for (Index j = 0; j < a.cols(); ++j)
-            arow[j] += r[j];
-    }
-}
-
 double
 frobeniusNorm(const Matrix &a)
 {

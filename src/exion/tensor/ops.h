@@ -33,15 +33,6 @@ Matrix scale(const Matrix &a, float s);
 /** Adds a row vector (1 x cols) to every row of A in place. */
 void addRowVector(Matrix &a, const Matrix &row);
 
-/**
- * Adds a row vector (1 x cols) to rows [r0, r0+n) of A in place.
- *
- * The per-row arithmetic is identical to addRowVector(), so applying
- * it segment-by-segment over a stacked matrix is bit-identical to
- * applying addRowVector() to each segment separately.
- */
-void addRowVectorToRows(Matrix &a, const Matrix &row, Index r0, Index n);
-
 /** Frobenius norm of A. */
 double frobeniusNorm(const Matrix &a);
 
@@ -51,11 +42,11 @@ double maxAbsDiff(const Matrix &a, const Matrix &b);
 /**
  * Returns rows [r0, r0+n) of A as an n x cols matrix.
  *
- * The range check (here and in sliceCols/sliceBlock/pasteRows/
- * addRowVectorToRows) is wraparound-safe: Index is unsigned, so a
- * negative r0 or n computed in caller arithmetic arrives as a huge
- * value, and a naive `r0 + n <= rows` guard would wrap right past
- * the bound it is meant to enforce.
+ * The range check (here and in sliceCols/sliceBlock/pasteRows) is
+ * wraparound-safe: Index is unsigned, so a negative r0 or n computed
+ * in caller arithmetic arrives as a huge value, and a naive
+ * `r0 + n <= rows` guard would wrap right past the bound it is meant
+ * to enforce.
  */
 Matrix sliceRows(const Matrix &a, Index r0, Index n);
 

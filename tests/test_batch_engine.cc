@@ -4,10 +4,10 @@
  * cohort path against the solo-executor runSequential() reference
  * under threading, priority scheduling, admission control and
  * cancellation; per-request state isolation; mixed request
- * scheduling; async submit/complete delivery (tickets, callback);
- * admission policies (class bounds, load shedding,
- * block-with-timeout); EngineMetrics reconciliation and the
- * priority-inversion regression.
+ * scheduling; cohort formation and lockstep stepping; async
+ * submit/complete delivery (tickets, callback); admission policies
+ * (class bounds, load shedding, block-with-timeout); EngineMetrics
+ * reconciliation and the priority-inversion regression.
  */
 
 #include <gtest/gtest.h>
@@ -573,7 +573,6 @@ TEST(BatchEngine, OverloadShedsLowWhileHighCompletes)
     opts.workers = 1;
     opts.admission.maxQueuedPerClass = 8;
     opts.admission.shedThreshold = 4;
-    opts.admission.shedBelow = Priority::Normal;
     BatchEngine engine(opts);
     engine.addModel(cfg);
 
@@ -1278,10 +1277,10 @@ TEST(BatchEngine, CohortFormationNeverPassesHigherRank)
 
 TEST(BatchEngine, CohortRefillDoesNotStarveQueuedHigherPriorityWork)
 {
-    // Absorption is priority-preserving: a running cohort must not
-    // pull in a same-key request that the scheduler ranks behind a
-    // queued non-matching one — otherwise sustained same-key load
-    // could hold the worker forever while higher-priority work waits.
+    // A running cohort takes no members, so same-key load cannot hold
+    // its worker while higher-priority work waits: a same-key Low
+    // request queued mid-run waits, and the free worker then starts
+    // the queued High request first.
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
     opts.workers = 1;
@@ -1308,9 +1307,9 @@ TEST(BatchEngine, CohortRefillDoesNotStarveQueuedHigherPriorityWork)
     high_other.mode = ExecMode::Dense; // different key
     high_other.priority = Priority::High;
 
-    // The leader submits both mid-run, so they are queued at its next
-    // iteration boundary: the same-key Low candidate loses to the
-    // queued High request and must NOT be absorbed.
+    // The leader submits both mid-run. Its cohort takes neither, and
+    // the High request's cohort (another key) does not absorb the Low
+    // one.
     std::atomic<bool> injected{false};
     ServeRequest leader;
     leader.benchmark = cfg.benchmark;
@@ -1327,14 +1326,15 @@ TEST(BatchEngine, CohortRefillDoesNotStarveQueuedHigherPriorityWork)
 
     const std::vector<u64> expected = {1, 3, 2};
     EXPECT_EQ(completion_order, expected)
-        << "same-key refill jumped a queued higher-priority request";
+        << "a same-key request jumped a queued higher-priority one";
 }
 
 TEST(BatchEngine, CohortRefillStopsAtEqualRankFifoTie)
 {
-    // Unlike formation, refill does not pass a FIFO tie: a same-key
-    // request queued behind a non-matching one of equal rank waits
-    // until a free worker has started the earlier one.
+    // A same-key request queued mid-run behind a non-matching one of
+    // equal rank waits: the running cohort takes no members, and the
+    // free worker starts the earlier request, whose cohort (another
+    // key) does not absorb it.
     const ModelConfig cfg = tinyConfig();
     BatchEngine::Options opts;
     opts.workers = 1;
@@ -1374,7 +1374,59 @@ TEST(BatchEngine, CohortRefillStopsAtEqualRankFifoTie)
 
     const std::vector<u64> expected = {1, 2, 3};
     EXPECT_EQ(completion_order, expected)
-        << "refill passed a queued request of equal rank";
+        << "a same-key request passed a queued request of equal rank";
+}
+
+TEST(BatchEngine, CohortTakesNoMemberAfterItsFirstStep)
+{
+    // A cohort takes members only when it forms: a same-key request
+    // submitted from the leader's progress hook, with one worker and
+    // nothing else queued, waits for the worker and runs after the
+    // leader. Its first progress comes after the leader's completion
+    // callback.
+    const ModelConfig cfg = tinyConfig(); // 6 iterations
+    BatchEngine::Options opts;
+    opts.workers = 1;
+    opts.cohortBatching = true;
+    BatchEngine engine(opts);
+    engine.addModel(cfg);
+
+    // (id, iteration) per progress call; iteration -1 marks the
+    // completion callback.
+    std::mutex mu;
+    std::vector<std::pair<u64, int>> events;
+    const auto record = [&](u64 id, int iteration) {
+        std::lock_guard<std::mutex> lock(mu);
+        events.emplace_back(id, iteration);
+    };
+    engine.setOnComplete(
+        [&](const RequestResult &r) { record(r.id, -1); });
+
+    ServeRequest same;
+    same.benchmark = cfg.benchmark;
+    same.id = 2;
+    same.noiseSeed = 43;
+    same.onProgress = [&](int iteration) { record(2, iteration); };
+
+    std::atomic<bool> injected{false};
+    ServeRequest leader;
+    leader.benchmark = cfg.benchmark;
+    leader.id = 1;
+    leader.onProgress = [&](int iteration) {
+        record(1, iteration);
+        if (!injected.exchange(true))
+            engine.submit(same);
+    };
+    engine.submit(leader);
+    engine.waitIdle();
+
+    std::vector<std::pair<u64, int>> expected;
+    for (const u64 id : {1u, 2u}) {
+        for (int iteration = 0; iteration < cfg.iterations; ++iteration)
+            expected.emplace_back(id, iteration);
+        expected.emplace_back(id, -1);
+    }
+    EXPECT_EQ(events, expected);
 }
 
 TEST(BatchEngine, RunningRequestCancelsCooperatively)

@@ -2,9 +2,9 @@
  * @file
  * Cohort-stepping tests: bit-identity of stacked execution against
  * solo runs for every benchmark and ablation mode, cohort-of-1
- * degeneracy, late joiners at iteration boundaries, mid-flight
- * removal, per-member stats partitioning, the multi-segment network
- * forward, and the refusal of quantized options.
+ * degeneracy, lockstep stepping, mid-flight removal, per-member stats
+ * partitioning, the multi-segment network forward, and the refusal of
+ * quantized options.
  */
 
 #include <gtest/gtest.h>
@@ -210,11 +210,12 @@ TEST(Cohort, CohortOfOneEqualsSoloPath)
     }
 }
 
-TEST(Cohort, LateJoinerAttachesAtIterationBoundary)
+TEST(Cohort, MembersStepInLockstep)
 {
-    // A member joining after two steps starts its own iteration 0
-    // while the earlier members run ahead (different timesteps in one
-    // stacked forward) — and everyone still matches their solo run.
+    // Members join before the first step and then share one
+    // iteration: they finish on the same step, a join after a step is
+    // refused, and so is a cohort step whose members' iterations
+    // differ. Every member still matches its solo run.
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 6);
     const DiffusionPipeline pipe(cfg);
     SparseExecutor exec(
@@ -222,18 +223,21 @@ TEST(Cohort, LateJoinerAttachesAtIterationBoundary)
     CohortRun run(pipe, exec);
     const Index a = run.join(100);
     const Index b = run.join(200);
-    run.step();
-    run.step();
-    EXPECT_EQ(run.iterationOf(a), 2);
-    const Index late = run.join(300);
-    EXPECT_EQ(run.iterationOf(late), 0);
-    while (!run.done())
-        run.step();
-    EXPECT_TRUE(run.isFinished(late));
+    EXPECT_TRUE(run.step().empty());
+    EXPECT_EQ(run.iteration(), 1);
+    EXPECT_THROW(run.join(300), std::logic_error);
+    EXPECT_EQ(run.activeCount(), 2u);
 
-    const u64 seeds[] = {100, 200, 300};
-    const Index slots[] = {a, b, late};
-    for (int i = 0; i < 3; ++i) {
+    std::vector<Index> finished;
+    while (finished.empty() && !run.done())
+        finished = run.step();
+    EXPECT_EQ(finished, (std::vector<Index>{a, b}));
+    EXPECT_EQ(run.iteration(), pipe.scheduler().inferenceSteps());
+    EXPECT_TRUE(run.done());
+
+    const u64 seeds[] = {100, 200};
+    const Index slots[] = {a, b};
+    for (int i = 0; i < 2; ++i) {
         SCOPED_TRACE("member " + std::to_string(i));
         const SoloResult solo =
             runSolo(pipe, ExecMode::Exion, false, seeds[i]);
@@ -241,6 +245,8 @@ TEST(Cohort, LateJoinerAttachesAtIterationBoundary)
                          "output");
         expectSameStats(exec.slotContext(slots[i]).stats, solo.stats);
     }
+    EXPECT_THROW(exec.beginCohortStep({a, b}, {1, 0}),
+                 std::invalid_argument);
 }
 
 TEST(Cohort, LeaveRemovesOnlyThatRow)
@@ -271,8 +277,8 @@ TEST(Cohort, LeaveRemovesOnlyThatRow)
 
 TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
 {
-    // The stacked network forward itself (heterogeneous timesteps)
-    // equals two solo forwards pasted together.
+    // The stacked network forward itself, at the cohort's one
+    // timestep, equals two solo forwards pasted together.
     const ModelConfig cfg =
         makeConfig(Benchmark::MakeAnAudio, Scale::Reduced);
     const DiffusionPipeline pipe(cfg);
@@ -288,21 +294,18 @@ TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
     // DenseExecutor steps a cohort through the same code as a solo run.
     // The forward refuses a stack its executor did not announce, which
     // would attend across members, and a solo latent on a cohort step.
-    const std::vector<int> timesteps{pipe.scheduler().timestep(0),
-                                     pipe.scheduler().timestep(3)};
+    const int timestep = pipe.scheduler().timestep(3);
     DenseExecutor exec;
-    EXPECT_THROW(pipe.network().forward(stacked, timesteps, exec),
+    EXPECT_THROW(pipe.network().forward(stacked, timestep, exec),
                  std::invalid_argument);
-    exec.beginCohortStep({0, 1}, {0, 3});
-    const Matrix eps = pipe.network().forward(stacked, timesteps, exec);
-    EXPECT_THROW(pipe.network().forward(a, timesteps[0], exec),
+    exec.beginCohortStep({0, 1}, {3, 3});
+    const Matrix eps = pipe.network().forward(stacked, timestep, exec);
+    EXPECT_THROW(pipe.network().forward(a, timestep, exec),
                  std::invalid_argument);
 
     DenseExecutor solo;
-    const Matrix ea =
-        pipe.network().forward(a, pipe.scheduler().timestep(0), solo);
-    const Matrix eb =
-        pipe.network().forward(b, pipe.scheduler().timestep(3), solo);
+    const Matrix ea = pipe.network().forward(a, timestep, solo);
+    const Matrix eb = pipe.network().forward(b, timestep, solo);
     expectSameMatrix(sliceRows(eps, 0, cfg.latentTokens), ea, "seg a");
     expectSameMatrix(sliceRows(eps, cfg.latentTokens, cfg.latentTokens),
                      eb, "seg b");

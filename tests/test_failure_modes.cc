@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "exion/common/fixed_point.h"
+#include "exion/common/rng.h"
 #include "exion/conmerge/merged_tile.h"
 #include "exion/conmerge/sort_buffer.h"
 #include "exion/sim/sdue.h"
+#include "exion/sparsity/ffn_reuse.h"
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/ops.h"
+#include "standalone_layers.h"
 
 namespace exion
 {
@@ -85,17 +88,25 @@ TEST(FailureDeathTest, PasteRowsWrappedNegativeOffsetPanics)
                  "pasteRows out of range");
 }
 
-TEST(FailureDeathTest, AddRowVectorToRowsWrappedNegativePanics)
+// A cohort steps in lockstep, so FFN-Reuse never sees a stack whose
+// members disagree on calibrating; one that does is a caller's bug.
+TEST(FailureDeathTest, FfnReuseMixedStackPanics)
 {
     REQUIRE_ASSERTS();
-    Matrix a(4, 4);
-    Matrix row(1, 4);
-    EXPECT_DEATH(
-        addRowVectorToRows(a, row, static_cast<Index>(-1), 2),
-        "row range");
-    EXPECT_DEATH(
-        addRowVectorToRows(a, row, 2, static_cast<Index>(-1)),
-        "row range");
+    Rng rng(3);
+    const StandaloneBlock blk(0, 16, 2, 4, false, rng);
+    const FfnReuse reuse({3, 0.8}, false);
+    Matrix x(8, 16);
+    x.fillNormal(rng, 0.0f, 1.0f);
+    ExecContext warm, cold;
+    ExecContext *const alone[] = {&warm};
+    reuse.run(blk, sliceRows(x, 0, 4), alone, {});
+    // At iteration 1 the warm member reuses; the cold one has no state
+    // yet, so it would calibrate.
+    warm.iteration = cold.iteration = 1;
+    ExecContext *const stack[] = {&warm, &cold};
+    EXPECT_DEATH(reuse.run(blk, x, stack, {}),
+                 "mixes calibrating and reusing");
 }
 
 TEST(FailureDeathTest, BitmaskOutOfRangePanics)

@@ -101,7 +101,6 @@ struct FrontFixture
         opts.workers = 2;
         opts.admission.maxQueuedPerClass = maxQueued;
         opts.admission.shedThreshold = shedAt;
-        opts.admission.shedBelow = Priority::Normal;
         return opts;
     }
 

@@ -174,7 +174,7 @@ TEST(Scheduler, PerfectNoisePredictionDenoises)
         scale(x0, static_cast<float>(std::sqrt(ab))),
         scale(noise, static_cast<float>(std::sqrt(1.0 - ab))));
     Matrix x_next = x_t;
-    sched.stepRowsInPlace(x_next, noise, 0, 0, x_next.rows());
+    sched.stepInPlace(x_next, noise, 0);
     const int t_next = sched.timestep(1);
     const double ab_next = sched.alphaBar(t_next);
     const Matrix expect = add(

@@ -130,34 +130,6 @@ TEST(Ops, AddSubScale)
     EXPECT_FLOAT_EQ(sc(0, 1), 4.0f);
 }
 
-TEST(Ops, AddRowVectorToRowsMatchesWholeMatrixOnSegments)
-{
-    Rng rng(11);
-    Matrix stacked(6, 4);
-    stacked.fillNormal(rng, 0.0f, 1.0f);
-    Matrix row(1, 4);
-    row.fillNormal(rng, 0.0f, 1.0f);
-
-    // Segment application == slicing, addRowVector, pasting back —
-    // bit for bit (the cohort forward relies on this).
-    Matrix via_segment = stacked;
-    addRowVectorToRows(via_segment, row, 2, 3);
-    Matrix slice = sliceRows(stacked, 2, 3);
-    addRowVector(slice, row);
-    Matrix expected = stacked;
-    pasteRows(expected, slice, 2);
-    for (Index e = 0; e < expected.size(); ++e)
-        EXPECT_EQ(via_segment.data()[e], expected.data()[e]);
-
-    // Covering every row reproduces addRowVector exactly.
-    Matrix whole = stacked;
-    addRowVector(whole, row);
-    Matrix all = stacked;
-    addRowVectorToRows(all, row, 0, stacked.rows());
-    for (Index e = 0; e < whole.size(); ++e)
-        EXPECT_EQ(all.data()[e], whole.data()[e]);
-}
-
 TEST(Ops, SliceAndPaste)
 {
     Rng rng(7);
