@@ -1,7 +1,7 @@
 /**
  * @file
- * Design-choice ablations for ConMerge (beyond the paper's figures,
- * called out in DESIGN.md): how much does each architectural knob buy?
+ * Design-choice ablations for ConMerge, which no figure of the paper
+ * covers: how much does each architectural knob buy?
  *
  *  - merge depth: origins per physical column (1 = condensing only,
  *    2 = single merge, 3 = the paper's triple-buffered WMEM);

@@ -7,10 +7,10 @@
  * (FID/R-Precision/FAD/IS/...) are replaced by PSNR-vs-vanilla — the
  * cross-model metric Table I itself reports — plus cosine similarity
  * and a Fréchet-distance proxy over a batch of generations (the FID
- * stand-in; see DESIGN.md). Also prints the achieved inter-/intra-
- * iteration sparsity and the EP projection-skip rates: for Q, K and
- * V, the share of (row, head) pairs whose row that head did not
- * project, as ExecStats counts them.
+ * stand-in that metrics/frechet.h describes). Also prints the
+ * achieved inter-/intra-iteration sparsity and the EP projection-skip
+ * rates: for Q, K and V, the share of (row, head) pairs whose row
+ * that head did not project, as ExecStats counts them.
  */
 
 #include <algorithm>

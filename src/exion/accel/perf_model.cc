@@ -19,12 +19,6 @@ int12Bytes(u64 elements)
     return (elements * 3 + 1) / 2;
 }
 
-OpCount
-mmulOps(u64 m, u64 k, u64 n)
-{
-    return 2 * m * k * n;
-}
-
 /** Fraction of CFSE cycles hidden behind SDUE execution. */
 constexpr double kCfseOverlap = 0.5;
 

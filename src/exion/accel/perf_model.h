@@ -7,10 +7,12 @@
  * costs come from the same formulas the detailed Sdue/Epre/Cfse models
  * use, but no test compares the two: the PerfModel tests check
  * orderings and bounds only (ablation latency and energy order,
- * device and batch size, power limits, energy components summing to
- * the total). Sparsity behaviour comes from calibrated
- * SparsityProfiles with ConMerge effects measured by running the real
- * pipeline on sampled groups.
+ * device and batch size, latency against DRAM bandwidth, power
+ * limits, energy components summing to the total). Each block costs
+ * max(compute, DMA) cycles: transfers hide behind compute, as the
+ * double-/triple-buffered IMEM/WMEM allow. Sparsity behaviour comes
+ * from calibrated SparsityProfiles with ConMerge effects measured by
+ * running the real pipeline on sampled groups.
  *
  * Reporting conventions follow the paper: "TOPS" is dense-equivalent
  * work over time (optimisations can push it past peak), and TOPS/W is

@@ -7,7 +7,9 @@
  * profiles carry the calibrated equivalents to paper-scale accounting
  * where full numerics are infeasible. Sources: Table I (sparsity
  * levels, N, q_th, k), Section II-B (projection skip averages), and
- * the DESIGN.md mask-structure calibration.
+ * the mask-structure calibration of ffnMaskParams() and
+ * scoreMaskParams(), whose comments in mask_synth.cc name the figures
+ * each parameter is fitted to.
  */
 
 #ifndef EXION_ACCEL_SPARSITY_PROFILE_H_

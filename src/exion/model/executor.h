@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exion/model/op_counter.h"
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/matrix.h"
 
@@ -283,18 +284,6 @@ class DenseExecutor : public BlockExecutor
  * stored anywhere.
  */
 Matrix execMatmul(const Matrix &a, const Matrix &b, bool quantize);
-
-/**
- * MACs-as-2-ops for an (m x k) * (k x n) MMUL — the paper's TOPS
- * convention. The single accounting formula every executor path
- * (dense, EP, FFN-Reuse, cohort) shares, so their ExecStats stay
- * comparable element for element.
- */
-constexpr OpCount
-mmulOps(Index m, Index k, Index n)
-{
-    return static_cast<OpCount>(2) * m * k * n;
-}
 
 /**
  * Rows of each member's segment of a stacked activation: x_norm must

@@ -3,17 +3,6 @@
 namespace exion
 {
 
-namespace
-{
-
-OpCount
-mmulOps(OpCount m, OpCount k, OpCount n)
-{
-    return 2 * m * k * n;
-}
-
-} // namespace
-
 double
 OpBreakdown::transformerShare() const
 {

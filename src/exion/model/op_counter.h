@@ -17,6 +17,18 @@
 namespace exion
 {
 
+/**
+ * MACs-as-2-ops for an (m x k) * (k x n) MMUL — the paper's TOPS
+ * convention. The single accounting formula of the op counter, the
+ * performance model and every executor path (dense, EP, FFN-Reuse,
+ * cohort), so their counts stay comparable element for element.
+ */
+constexpr OpCount
+mmulOps(Index m, Index k, Index n)
+{
+    return static_cast<OpCount>(2) * m * k * n;
+}
+
 /** Per-iteration op counts by category. */
 struct OpBreakdown
 {

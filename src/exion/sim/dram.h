@@ -5,9 +5,9 @@
  * Stands in for the paper's Ramulator integration: the evaluation only
  * exercises DRAM through sustained streaming of weights and
  * activations, so a bandwidth + fixed-latency + energy-per-bit model
- * captures the contribution at this granularity (see DESIGN.md
- * substitution table). Energy figures follow the LPDDR5/GDDR6 vendor
- * data the paper cites.
+ * captures the contribution at this granularity. Banks, row-buffer
+ * hits and refresh are not modelled. Energy figures follow the
+ * LPDDR5/GDDR6 vendor data the paper cites.
  */
 
 #ifndef EXION_SIM_DRAM_H_
@@ -47,15 +47,6 @@ class DramModel
 
     /** Energy to move the given bytes, in pJ. */
     EnergyPj transferEnergy(u64 bytes) const;
-
-    /** Sustained bandwidth in GB/s. */
-    double bandwidthGbs() const { return bandwidthGbs_; }
-
-    /** Energy per bit in pJ. */
-    double energyPerBitPj() const { return energyPerBitPj_; }
-
-    /** Access latency in nanoseconds (row activation + burst setup). */
-    double latencyNs() const { return latencyNs_; }
 
     /** Technology name for reports. */
     std::string name() const;

@@ -54,13 +54,6 @@ EnergyModel::sdueEnergy(Cycle cycles, double active_fraction) const
         * (active * active_fraction + gated * (1.0 - active_fraction));
 }
 
-EnergyPj
-EnergyModel::idleEnergy(DscComponent c, Cycle cycles) const
-{
-    return static_cast<double>(cycles) * activeEnergyPerCycle(c)
-        * kIdleFraction;
-}
-
 double
 EnergyModel::totalActivePowerMw() const
 {

@@ -61,9 +61,6 @@ class EnergyModel
      */
     EnergyPj sdueEnergy(Cycle cycles, double active_fraction) const;
 
-    /** Energy for an idle component over the given cycles. */
-    EnergyPj idleEnergy(DscComponent c, Cycle cycles) const;
-
     /** Total DSC power when fully active, in mW (Table III total). */
     double totalActivePowerMw() const;
 

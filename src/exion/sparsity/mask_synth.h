@@ -52,7 +52,10 @@ struct ScoreMaskParams
     double coldColFraction = 0.0;
 };
 
-/** Calibrated FFN mask parameters for a benchmark (see DESIGN.md). */
+/**
+ * Calibrated FFN mask parameters for a benchmark; the comment in
+ * mask_synth.cc names the figures they are fitted to.
+ */
 FfnMaskParams ffnMaskParams(Benchmark b);
 
 /** Calibrated score mask parameters for a benchmark. */

@@ -215,6 +215,33 @@ TEST(PerfModel, BatchEightCostsMoreThanBatchOne)
     EXPECT_LT(b8.latencySeconds, 8.0 * b1.latencySeconds);
 }
 
+TEST(PerfModel, LatencyFallsWithDramBandwidthUntilComputeBound)
+{
+    // Each block costs max(compute, dma) cycles: while DRAM streaming
+    // dominates, more bandwidth cuts latency; once every block is
+    // compute bound, more bandwidth changes nothing. A sum in place of
+    // the max would keep shaving the DMA term past that point.
+    const ModelConfig model = makeConfig(Benchmark::MLD, Scale::Full);
+    const SparsityProfile prof = profileFor(Benchmark::MLD);
+    auto latency = [&](double bandwidth_gbs) {
+        ExionConfig cfg = exion4();
+        cfg.dramBandwidthGbs = bandwidth_gbs;
+        ExionPerfModel pm(cfg, Ablation::All);
+        return pm.run(model, prof, 1).latencySeconds;
+    };
+    const double l0 = latency(0.51);
+    const double l1 = latency(5.1);
+    const double l2 = latency(51.0);
+    const double l3 = latency(510.0);
+    const double l4 = latency(5100.0);
+    const double l5 = latency(51000.0);
+    EXPECT_GT(l0, l1);
+    EXPECT_GT(l1, l2);
+    EXPECT_GT(l2, l3);
+    EXPECT_GT(l3, l4);
+    EXPECT_DOUBLE_EQ(l4, l5);
+}
+
 TEST(PerfModel, SparsityMultipliesDenseEquivalentEfficiency)
 {
     // Skipped work shows up as dense-equivalent TOPS/W beyond what
