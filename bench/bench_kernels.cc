@@ -5,8 +5,9 @@
  * runs it, against the block's cached weight images, decisions
  * included), CVG block merging, bitmask extraction, quantised matmul,
  * the dense GEMM kernel against its Reference oracle, and the integer
- * GEMM and the masked dots against the scalar table. Not a paper
- * artefact; standard performance tracking for the library itself.
+ * GEMM, the masked dots and the Int12 element loops against the scalar
+ * table. Not a paper artefact; standard performance tracking for the
+ * library itself.
  *
  * Two build modes:
  *  - With Google Benchmark (EXION_HAVE_GBENCH): the usual
@@ -23,10 +24,13 @@
  * the regression gate for gemmF32. They then time the active table's
  * gemmInt12 against the scalar table's on eager prediction's integer
  * GEMM shapes, print GMAC/s per shape, and **exit nonzero if the
- * vector total is slower** — the gate for gemmInt12. Last, they time
+ * vector total is slower** — the gate for gemmInt12. Then they time
  * the active table's dotRowsF32 against the scalar entry on the masked
  * dots of FFN-Reuse's reuse iteration (MDM and MLD) and of EP's kept
- * scores, with the same verdict — the gate for dotRowsF32.
+ * scores, with the same verdict — the gate for dotRowsF32. Last, the
+ * active table's quantizeF32 and dequantizeI64 against the scalar
+ * entries on eager prediction's element counts, with the same verdict
+ * — the gate for the Int12 element loops.
  */
 
 #include <algorithm>
@@ -161,15 +165,28 @@ struct EpHeadOperands
         return cfg;
     }
 
-    HeadDecision predict() const
+    /**
+     * x's Int12 codes and their images in one pass (quantizeF32), the
+     * head's two projections, its score (predictScoreInto, the
+     * executor's per-head routine) and its decisions.
+     */
+    HeadDecision predict(ScoreScratch &scratch) const
     {
-        const QuantMatrix x_img = lodTransform(
-            QuantMatrix::fromFloat(x, IntWidth::Int12), LodMode::TwoStep);
+        const QuantParams params =
+            chooseQuantParams(x.data(), IntWidth::Int12);
+        std::vector<i32> codes(x.size());
+        activeKernels().quantizeF32(x.data().data(), x.size(), params.scale,
+                                    intWidthMax(IntWidth::Int12),
+                                    LodMode::TwoStep, codes.data());
+        const QuantMatrix x_img = QuantMatrix::borrowStrided(
+            codes.data(), x.rows(), x.cols(), x.cols(), params);
         const EpWeightImages &img = blk.epWeightImages(LodMode::TwoStep);
         const Matrix q_est = ldImageMatmul({&x_img, 1}, {&img.wq[0], 1});
         const Matrix k_est = ldImageMatmul({&x_img, 1}, {&img.wk[0], 1});
         return decideFromPrediction(
-            predictScoreFromEstimates(q_est, k_est, LodMode::TwoStep), ep);
+            predictScoreInto(q_est, k_est, LodMode::TwoStep,
+                             static_cast<float>(blk.scoreTemp()), scratch),
+            ep);
     }
 };
 
@@ -517,6 +534,135 @@ gateDotRowsKernel(int reps)
     return true;
 }
 
+/**
+ * Eager prediction's element loops at full scale, as the executor
+ * calls them: `calls` calls of n elements each. Int12 quantisation
+ * with the two-step LOD image: MDM's 196 x 512 x image (one call),
+ * one head's 196 x 64 Q or K block (one call per row) and an
+ * 8-member MLD cohort's stacked 64 x 256 image (one call per member).
+ * Dequantisation: MDM's 196 x 512 estimates and the cohort's 64 x 256
+ * (one call per row and head of 64), and MDM's 196 x 196 head scores
+ * (one call per row).
+ */
+struct ElementShape
+{
+    const char *name;
+    Index calls, n;
+    bool quantize; //!< quantizeF32, else dequantizeI64
+
+    Index elements() const { return calls * n; }
+};
+
+constexpr ElementShape kElementShapes[] = {
+    {"quantize_x_mdm_196x512", 1, 196 * 512, true},
+    {"quantize_head_mdm_196x64", 196, 64, true},
+    {"quantize_x_mld_cohort_64x256", 8, 8 * 256, true},
+    {"dequantize_est_mdm_196x512", 196 * 8, 64, false},
+    {"dequantize_est_mld_cohort_64x256", 64 * 4, 64, false},
+    {"dequantize_scores_mdm_196x196", 196, 196, false},
+};
+
+/** Normal floats and their Int12 scale, or i64 sums of EP's range. */
+struct ElementOperands
+{
+    std::vector<float> x, f_out;
+    std::vector<i64> s;
+    std::vector<i32> i_out;
+    double scale;
+
+    ElementOperands(const ElementShape &e, Rng &rng)
+        : x(e.elements()), f_out(e.elements()), s(e.elements()),
+          i_out(e.elements())
+    {
+        for (float &v : x)
+            v = static_cast<float>(rng.normal());
+        for (i64 &v : s)
+            v = static_cast<i64>(rng.uniformInt(u64{1} << 30))
+                - (i64{1} << 29);
+        scale = chooseQuantParams(x, IntWidth::Int12).scale;
+    }
+};
+
+/** Calls of one shape's element loop per timed rep. */
+constexpr int kElementInner = 8;
+
+/** Best-of-N wall-clock seconds of one table's entry on one shape. */
+double
+timeElements(const SimdKernels &table, const ElementShape &e,
+             ElementOperands &ops, int reps)
+{
+    const i32 q_max = intWidthMax(IntWidth::Int12);
+    double best = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int inner = 0; inner < kElementInner; ++inner)
+            for (Index c = 0; c < e.calls; ++c) {
+                if (e.quantize)
+                    table.quantizeF32(ops.x.data() + c * e.n, e.n, ops.scale,
+                                      q_max, LodMode::TwoStep,
+                                      ops.i_out.data() + c * e.n);
+                else
+                    table.dequantizeI64(ops.s.data() + c * e.n, e.n,
+                                        ops.scale,
+                                        ops.f_out.data() + c * e.n);
+            }
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best,
+                        std::chrono::duration<double>(t1 - t0).count()
+                            / kElementInner);
+        g_sink = g_sink + ops.f_out[0] + static_cast<float>(ops.i_out[0]);
+    }
+    return best;
+}
+
+/**
+ * The element-loop gate: the active table's quantizeF32 and
+ * dequantizeI64 together must not be slower than the scalar table's
+ * over eager prediction's element counts, summed (best-of-reps each).
+ * Under EXION_SIMD=scalar both sides run the same entries, and the
+ * verdict always passes; the AVX2 table's dequantisation is the scalar
+ * entry, so its rows only add noise to both sides.
+ *
+ * @return true when the active table >= scalar throughput
+ */
+bool
+gateElementKernels(int reps)
+{
+    const SimdKernels &active = activeKernels();
+    Rng rng(45);
+    double scalar_total = 0.0;
+    double active_total = 0.0;
+    std::printf("\n== Element-loop gate: quantizeF32 and dequantizeI64 %s "
+                "vs scalar on eager prediction's element counts (best of "
+                "%d) ==\n",
+                active.name, reps);
+    for (const ElementShape &e : kElementShapes) {
+        ElementOperands ops(e, rng);
+        const double scalar = timeElements(simd::scalarTable(), e, ops, reps);
+        const double vec = timeElements(active, e, ops, reps);
+        scalar_total += scalar;
+        active_total += vec;
+        const double n = static_cast<double>(e.elements());
+        std::printf("%-33s scalar %8.3f ms %7.1f M/s   %-6s %8.3f ms "
+                    "%7.1f M/s   speedup %.2fx\n",
+                    e.name, scalar * 1e3, n / scalar / 1e6, active.name,
+                    vec * 1e3, n / vec / 1e6, scalar / vec);
+    }
+    std::printf("%-33s scalar %8.3f ms                %-6s %8.3f ms "
+                "               speedup %.2fx\n",
+                "total", scalar_total * 1e3, active.name,
+                active_total * 1e3, scalar_total / active_total);
+    if (&active != &simd::scalarTable() && active_total > scalar_total) {
+        std::fprintf(stderr,
+                     "error: the %s quantizeF32 and dequantizeI64 are "
+                     "slower than the scalar table on eager prediction's "
+                     "element counts\n",
+                     active.name);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 } // namespace exion
 
@@ -532,8 +678,9 @@ BM_EpHead(benchmark::State &state)
 {
     const EpHeadShape &shape = kEpHeadShapes[state.range(0)];
     const EpHeadOperands ops(shape);
+    ScoreScratch scratch;
     for (auto _ : state) {
-        HeadDecision dec = ops.predict();
+        HeadDecision dec = ops.predict(scratch);
         benchmark::DoNotOptimize(dec.oneHot.data());
     }
     state.counters["GOP/s"] = benchmark::Counter(
@@ -688,7 +835,8 @@ main(int argc, char **argv)
     const bool gemm_ok = exion::gateGemmKernel(reps);
     const bool int12_ok = exion::gateGemmInt12Kernel(reps);
     const bool dots_ok = exion::gateDotRowsKernel(reps);
-    return gemm_ok && int12_ok && dots_ok ? 0 : 1;
+    const bool elements_ok = exion::gateElementKernels(reps);
+    return gemm_ok && int12_ok && dots_ok && elements_ok ? 0 : 1;
 }
 
 #else // !EXION_HAVE_GBENCH
@@ -733,8 +881,9 @@ runFallbackSuite(int reps)
 
     for (const EpHeadShape &s : kEpHeadShapes) {
         const EpHeadOperands ops(s);
+        ScoreScratch scratch;
         const double best = bestOf(reps, [&] {
-            const HeadDecision dec = ops.predict();
+            const HeadDecision dec = ops.predict(scratch);
             g_sink = g_sink + static_cast<float>(dec.oneHotCount());
         });
         std::printf("%-32s %10.3f ms   %8.2f GOP/s\n", s.name,
@@ -804,7 +953,8 @@ main(int argc, char **argv)
     const bool gemm_ok = exion::gateGemmKernel(reps);
     const bool int12_ok = exion::gateGemmInt12Kernel(reps);
     const bool dots_ok = exion::gateDotRowsKernel(reps);
-    return gemm_ok && int12_ok && dots_ok ? 0 : 1;
+    const bool elements_ok = exion::gateElementKernels(reps);
+    return gemm_ok && int12_ok && dots_ok && elements_ok ? 0 : 1;
 }
 
 #endif // EXION_HAVE_GBENCH

@@ -32,17 +32,28 @@ intWidthMax(IntWidth width)
 QuantParams
 chooseQuantParams(std::span<const float> data, IntWidth width)
 {
+    return chooseQuantParams(data.data(), 1, data.size(), data.size(),
+                             width);
+}
+
+QuantParams
+chooseQuantParams(const float *data, Index rows, Index cols, Index stride,
+                  IntWidth width)
+{
     QuantParams params;
     params.width = width;
     // Eight independent lanes: the maximum is the same in any order
     // (a NaN never replaces a lane), without one long compare chain.
     float lane[8] = {};
-    size_t i = 0;
-    for (; i + 8 <= data.size(); i += 8)
-        for (size_t l = 0; l < 8; ++l)
-            lane[l] = std::max(lane[l], std::abs(data[i + l]));
-    for (; i < data.size(); ++i)
-        lane[0] = std::max(lane[0], std::abs(data[i]));
+    for (Index r = 0; r < rows; ++r) {
+        const float *row = data + r * stride;
+        Index i = 0;
+        for (; i + 8 <= cols; i += 8)
+            for (Index l = 0; l < 8; ++l)
+                lane[l] = std::max(lane[l], std::abs(row[i + l]));
+        for (; i < cols; ++i)
+            lane[0] = std::max(lane[0], std::abs(row[i]));
+    }
     const float max_abs = *std::max_element(lane, lane + 8);
     if (max_abs == 0.0f) {
         params.scale = 1.0;

@@ -53,6 +53,15 @@ QuantParams chooseQuantParams(std::span<const float> data,
                               IntWidth width);
 
 /**
+ * chooseQuantParams over rows x cols values whose rows sit stride
+ * elements apart, such as one head's columns of a wider row-major
+ * block, read in place. max |x| does not depend on the order it is
+ * taken in, so the params equal those of the window's copy.
+ */
+QuantParams chooseQuantParams(const float *data, Index rows, Index cols,
+                              Index stride, IntWidth width);
+
+/**
  * Quantises one value: clamp(round(x / scale)), defined for every
  * input. Rounds in the current rounding mode (half to even by
  * default) with std::rint, which gives the same value as

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "exion/tensor/select.h"
@@ -113,22 +114,70 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep)
     return out;
 }
 
+namespace
+{
+
+/** Int12 scale of a block read in place (rows at its row stride). */
+double
+int12Scale(const Matrix &m)
+{
+    return chooseQuantParams(m.rowPtr(0), m.rows(), m.cols(), m.rowStride(),
+                             IntWidth::Int12)
+        .scale;
+}
+
+} // namespace
+
+const Matrix &
+predictScoreInto(const Matrix &q_est, const Matrix &k_est, LodMode mode,
+                 float temp, ScoreScratch &scratch)
+{
+    EXION_ASSERT(q_est.cols() == k_est.cols(), "head width mismatch");
+    const SimdKernels &kr = activeKernels();
+    const Index t_q = q_est.rows();
+    const Index t_k = k_est.rows();
+    const Index dh = q_est.cols();
+    const i32 q_max = intWidthMax(IntWidth::Int12);
+    // Requantise for the second-level LD MMUL, as the EPRE feeds its
+    // own outputs back.
+    const double q_scale = int12Scale(q_est);
+    const double k_scale = int12Scale(k_est);
+    scratch.qImg.resize(t_q * dh);
+    for (Index r = 0; r < t_q; ++r)
+        kr.quantizeF32(q_est.rowPtr(r), dh, q_scale, q_max, mode,
+                       scratch.qImg.data() + r * dh);
+    scratch.kRow.resize(dh);
+    scratch.ktImg.resize(dh * t_k);
+    for (Index r = 0; r < t_k; ++r) {
+        kr.quantizeF32(k_est.rowPtr(r), dh, k_scale, q_max, mode,
+                       scratch.kRow.data());
+        for (Index c = 0; c < dh; ++c)
+            scratch.ktImg[c * t_k + r] = scratch.kRow[c];
+    }
+    scratch.sums.resize(t_q * t_k);
+    kr.gemmInt12(scratch.qImg.data(), dh, scratch.ktImg.data(), t_k,
+                 scratch.sums.data(), t_k, t_q, dh, t_k);
+
+    if (scratch.scores.rows() != t_q || scratch.scores.cols() != t_k)
+        scratch.scores = Matrix(t_q, t_k);
+    const double out_scale = q_scale * k_scale;
+    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+    for (Index r = 0; r < t_q; ++r) {
+        float *row = scratch.scores.rowPtr(r);
+        kr.dequantizeI64(scratch.sums.data() + r * t_k, t_k, out_scale, row);
+        for (Index c = 0; c < t_k; ++c)
+            row[c] = row[c] * inv_sqrt * temp;
+    }
+    return scratch.scores;
+}
+
 Matrix
 predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
                           LodMode mode)
 {
-    EXION_ASSERT(q_est.cols() == k_est.cols(), "head width mismatch");
-    // Requantise for the second-level LD MMUL, as the EPRE feeds its
-    // own outputs back.
-    const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
-    const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
-
-    Matrix scores = ldMatmulTransposed(q12, k12, mode);
-    const float inv_sqrt =
-        1.0f / std::sqrt(static_cast<float>(q_est.cols()));
-    for (Index i = 0; i < scores.size(); ++i)
-        scores.data()[i] *= inv_sqrt;
-    return scores;
+    ScoreScratch scratch;
+    predictScoreInto(q_est, k_est, mode, 1.0f, scratch);
+    return std::move(scratch.scores);
 }
 
 Matrix

@@ -14,6 +14,12 @@
  * The needs are per head (headNeeds): the executor projects each
  * head's d_head columns of Q, K and V only for the rows that head
  * needs, as the SDUE does. combineNeeds unions them across heads.
+ *
+ * Every head's score runs one routine, predictScoreInto, which reads
+ * the head's Q/K estimate block in place and reuses one scratch. The
+ * executor calls it per member and head on the stacked estimates;
+ * predictScoreFromEstimates and predictHeadScore, which the oracles
+ * and benches call, run it too.
  */
 
 #ifndef EXION_SPARSITY_EAGER_PREDICTION_H_
@@ -79,9 +85,44 @@ HeadDecision decideFromPrediction(const Matrix &predicted,
                                   const EpConfig &ep);
 
 /**
- * Second EPRE stage of one head: requantises the head's LD Q/K
- * projection estimates (tokens x d_head each) to INT12 and runs the
- * LD QK^T, scaled by 1/sqrt(d_head).
+ * The buffers predictScoreInto writes, reused from head to head: the
+ * Int12 LOD image of the Q block, one K row's image and the K block's
+ * image transposed (the integer GEMM streams the rows of its right
+ * operand), the exact integer scores and the predicted block. The
+ * executor keeps one per prediction call and never shares it between
+ * threads.
+ */
+struct ScoreScratch
+{
+    std::vector<i32> qImg;  //!< t_q x d_head, row-major
+    std::vector<i32> kRow;  //!< d_head: one K row's image
+    std::vector<i32> ktImg; //!< d_head x t_k: K's image, transposed
+    std::vector<i64> sums;  //!< t_q x t_k integer scores
+    Matrix scores;          //!< t_q x t_k predicted block (the result)
+};
+
+/**
+ * Second EPRE stage of one head, in place: requantises the head's LD
+ * Q and K projection estimates (t_q x d_head and t_k x d_head; either
+ * may be a strided view, such as one member's rows and one head's
+ * columns of the stacked estimates) to Int12, each with its own
+ * max-|v| scale, and LOD-transforms them in the same pass
+ * (quantizeF32). One gemmInt12 runs the LD QK^T, and each score is
+ * dequantised (dequantizeI64), multiplied by 1/sqrt(d_head) and then
+ * by temp, each product rounded to float in that order. Allocates
+ * only when scratch's buffers are too small for this head, or its
+ * predicted block has another shape.
+ *
+ * @return scratch.scores, valid until scratch is used again
+ */
+const Matrix &predictScoreInto(const Matrix &q_est, const Matrix &k_est,
+                               LodMode mode, float temp,
+                               ScoreScratch &scratch);
+
+/**
+ * predictScoreInto with a temperature of 1, into a scratch of its own:
+ * the LD QK^T of one head's requantised Q/K estimates, scaled by
+ * 1/sqrt(d_head).
  */
 Matrix predictScoreFromEstimates(const Matrix &q_est, const Matrix &k_est,
                                  LodMode mode);

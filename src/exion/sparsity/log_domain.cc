@@ -118,16 +118,16 @@ ldImageMatmul(std::span<const QuantMatrix> a_imgs,
     Matrix c(m, n);
     if (m == 0 || n == 0 || k == 0)
         return c;
+    const SimdKernels &kr = activeKernels();
     std::vector<i64> sums(m * n);
-    activeKernels().gemmInt12(a0.rowPtr(0), a0.rowStride(), b0.rowPtr(0),
-                              b0.rowStride(), sums.data(), n, m, k, n);
+    kr.gemmInt12(a0.rowPtr(0), a0.rowStride(), b0.rowPtr(0),
+                 b0.rowStride(), sums.data(), n, m, k, n);
     for (Index s = 0; s < a_imgs.size(); ++s)
         for (Index h = 0; h < b_imgs.size(); ++h) {
             const double out_scale = a_imgs[s].scale() * b_imgs[h].scale();
             for (Index i = s * ma; i < (s + 1) * ma; ++i)
-                for (Index j = h * w; j < (h + 1) * w; ++j)
-                    c(i, j) =
-                        static_cast<float>(sums[i * n + j] * out_scale);
+                kr.dequantizeI64(sums.data() + i * n + h * w, w, out_scale,
+                                 c.rowPtr(i) + h * w);
         }
     return c;
 }
@@ -139,21 +139,6 @@ ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode)
     const QuantMatrix a_img = lodTransform(a, mode);
     const QuantMatrix b_img = lodTransform(b, mode);
     return ldImageMatmul({&a_img, 1}, {&b_img, 1});
-}
-
-Matrix
-ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                   LodMode mode)
-{
-    EXION_ASSERT(a.cols() == b.cols(), "ldMatmulT shape mismatch");
-    // The GEMM streams rows of its right operand: transpose B's image.
-    const QuantMatrix b_img = lodTransform(b, mode);
-    QuantMatrix bt_img(b.cols(), b.rows(), b.params());
-    for (Index r = 0; r < b.rows(); ++r)
-        for (Index c = 0; c < b.cols(); ++c)
-            bt_img(c, r) = b_img(r, c);
-    const QuantMatrix a_img = lodTransform(a, mode);
-    return ldImageMatmul({&a_img, 1}, {&bt_img, 1});
 }
 
 Matrix

@@ -45,9 +45,13 @@ QuantMatrix lodTransform(const QuantMatrix &q, LodMode mode);
  * window with A_0's row stride); the B_h are equal-width column
  * windows of one buffer, side by side (B_h starts h * B_0.cols()
  * elements after B_0, every window with B_0's row stride). Block
- * (s, h) dequantises with A_s.scale() * B_h.scale(), so each A_s
- * keeps its own quantisation grid. Output is (count_a * A_0.rows())
- * x (count_b * B_0.cols()).
+ * (s, h) dequantises with A_s.scale() * B_h.scale() (dequantizeI64,
+ * one call per row of the block), so each A_s keeps its own
+ * quantisation grid. Output is (count_a * A_0.rows()) x
+ * (count_b * B_0.cols()). Eager prediction's first stage runs here;
+ * its per-head second stage (predictScoreInto in
+ * eager_prediction.h) runs the same integer GEMM on images it builds
+ * in place.
  *
  * @pre every value's magnitude is at most kGemmInt12MaxAbs
  */
@@ -65,10 +69,6 @@ Matrix ldImageMatmul(std::span<const QuantMatrix> a_imgs,
  * @pre both operands hold Int12 values
  */
 Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode);
-
-/** Log-domain A (m x k) * B^T (n x k), dequantised to float. */
-Matrix ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                          LodMode mode);
 
 /**
  * Convenience: quantise both float operands to INT12, then run the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,31 +68,6 @@ appendNeeded(const std::vector<u8> &needed, Index offset,
         if (needed[r])
             idx.push_back(offset + r);
     return idx.size() - before;
-}
-
-/**
- * x's n equal row segments quantised to Int12, each with its own
- * max-|v| scale, returned in params: QuantMatrix::fromFloat's codes of
- * each segment, written into one matrix (whose own params are unused).
- */
-QuantMatrix
-quantizeSegments(const Matrix &x, Index n, std::vector<QuantParams> &params)
-{
-    const Index t = x.rows() / n;
-    const Index d = x.cols();
-    const i32 q_max = intWidthMax(IntWidth::Int12);
-    QuantMatrix codes(x.rows(), d, {});
-    params.resize(n);
-    for (Index m = 0; m < n; ++m) {
-        params[m] = chooseQuantParams(x.data().subspan(m * t * d, t * d),
-                                      IntWidth::Int12);
-        for (Index r = m * t; r < (m + 1) * t; ++r) {
-            const float *src = x.rowPtr(r);
-            for (Index c = 0; c < d; ++c)
-                codes(r, c) = quantizeToRange(src[c], params[m].scale, q_max);
-        }
-    }
-    return codes;
 }
 
 /**
@@ -187,46 +163,59 @@ projectHeads(const Matrix &x, const Linear &proj,
  * Eager prediction's EPRE over a stack of members: every member's
  * skip decision per head, member m's head h at m * n_heads + h.
  *
- * Each member's rows are transformed with its own Int12 scale into
- * one stacked image, which segments views one member (and scale) at a
- * time; the weight images come cached from the block, and one integer
- * GEMM per projection covers every member and head — per member and
- * head exactly predictHeadScore's projections. The scores, decisions
- * and score-sparsity accounting stay per member, and onScoreMask
- * fires member-major, head-minor.
+ * Each member's rows are quantised with its own Int12 scale and
+ * LOD-transformed in one pass (quantizeF32) into one stacked image,
+ * which segments views one member (and scale) at a time; the weight
+ * images come cached from the block, and one integer GEMM per
+ * projection covers every member and head — per member and head
+ * exactly predictHeadScore's projections. Each (member, head) then
+ * reads its Q/K estimate block in place (predictScoreInto), with one
+ * scratch reused across the call. The scores, decisions and
+ * score-sparsity accounting stay per member, and onScoreMask fires
+ * member-major, head-minor.
  */
 std::vector<HeadDecision>
 predictDecisions(const TransformerBlock &blk, const Matrix &x_norm,
                  const EpConfig &ep, LodMode lod_mode, Members members,
                  const ExecObservers &observers)
 {
+    const SimdKernels &kr = activeKernels();
     const Index n = members.size();
     const Index t = x_norm.rows() / n;
+    const Index d = x_norm.cols();
     const Index dh = blk.headDim();
     const Index n_heads = blk.nHeads();
     const float temp = static_cast<float>(blk.scoreTemp());
-    std::vector<QuantParams> params;
-    const QuantMatrix x_img =
-        lodTransform(quantizeSegments(x_norm, n, params), lod_mode);
+    const std::span<const float> x = x_norm.data();
+    std::vector<i32> x_img(x.size());
     std::vector<QuantMatrix> segments;
     segments.reserve(n);
-    for (Index m = 0; m < n; ++m)
-        segments.push_back(QuantMatrix::borrowStrided(
-            x_img.rowPtr(m * t), t, x_img.cols(), x_img.cols(), params[m]));
+    for (Index m = 0; m < n; ++m) {
+        const std::span<const float> seg = x.subspan(m * t * d, t * d);
+        const QuantParams params = chooseQuantParams(seg, IntWidth::Int12);
+        i32 *img = x_img.data() + m * t * d;
+        kr.quantizeF32(seg.data(), seg.size(), params.scale,
+                       intWidthMax(IntWidth::Int12), lod_mode, img);
+        segments.push_back(QuantMatrix::borrowStrided(img, t, d, d, params));
+    }
     const EpWeightImages &images = blk.epWeightImages(lod_mode);
     const Matrix q_est = ldImageMatmul(segments, images.wq);
     const Matrix k_est = ldImageMatmul(segments, images.wk);
+    const auto head_block = [&](const Matrix &est, Index m, Index h) {
+        return Matrix::borrowStrided(est.rowPtr(m * t) + h * dh, t, dh,
+                                     est.rowStride());
+    };
+    ScoreScratch scratch;
     std::vector<HeadDecision> decisions;
     decisions.reserve(n * n_heads);
     for (Index m = 0; m < n; ++m) {
         ExecStats &stats = members[m]->stats;
         for (Index h = 0; h < n_heads; ++h) {
-            Matrix predicted = predictScoreFromEstimates(
-                sliceBlock(q_est, m * t, t, h * dh, dh),
-                sliceBlock(k_est, m * t, t, h * dh, dh), lod_mode);
-            for (Index i = 0; i < predicted.size(); ++i)
-                predicted.data()[i] *= temp;
-            HeadDecision dec = decideFromPrediction(predicted, ep);
+            HeadDecision dec = decideFromPrediction(
+                predictScoreInto(head_block(q_est, m, h),
+                                 head_block(k_est, m, h), lod_mode, temp,
+                                 scratch),
+                ep);
             if (observers.onScoreMask)
                 observers.onScoreMask(blk.id(), static_cast<int>(h),
                                       dec.keep);

@@ -71,12 +71,16 @@ class SparseExecutor : public BlockExecutor
  *
  * Stateless across iterations (all skip decisions derive from x_norm
  * alone). Each member's rows are quantised to Int12 with that
- * member's own max-|v| scale and LOD-transformed into one stacked
- * image; one integer GEMM per projection (Wq's and Wk's cached
- * images) runs over every member's rows, and each member's segment
- * dequantises with its own scale (ldImageMatmul). Each member then
- * predicts, decides and counts on its own rows, per head, and
- * onScoreMask fires member-major, head-minor.
+ * member's own max-|v| scale and LOD-transformed in the same pass
+ * (the quantizeF32 kernel) into one stacked image; one integer GEMM
+ * per projection (Wq's and Wk's cached images) runs over every
+ * member's rows, and each member's segment dequantises with its own
+ * scale (ldImageMatmul, through dequantizeI64). Each member then
+ * predicts, decides and counts on its own rows, per head:
+ * predictScoreInto reads the head's Q/K estimate block in place from
+ * the stacked estimates and reuses one scratch for every member and
+ * head of the call (no per-head copy, QuantMatrix or transposed
+ * product of its own). onScoreMask fires member-major, head-minor.
  *
  * Each head's d_head columns of Q, K and V are projected only for the
  * rows that head needs (headNeeds): Q for its rows that are not

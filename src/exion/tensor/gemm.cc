@@ -43,13 +43,12 @@ matmulQuant(const QuantMatrix &a, const QuantMatrix &b)
     const Index n = b.cols();
     if (m == 0 || k == 0 || n == 0)
         return c;
+    const SimdKernels &kr = activeKernels();
     std::vector<i64> sums(m * n);
-    activeKernels().gemmInt12(a.rowPtr(0), a.rowStride(), b.rowPtr(0),
-                              b.rowStride(), sums.data(), n, m, k, n);
-    const double out_scale = a.scale() * b.scale();
-    float *out = c.data().data();
-    for (Index i = 0; i < m * n; ++i)
-        out[i] = static_cast<float>(sums[i] * out_scale);
+    kr.gemmInt12(a.rowPtr(0), a.rowStride(), b.rowPtr(0), b.rowStride(),
+                 sums.data(), n, m, k, n);
+    kr.dequantizeI64(sums.data(), m * n, a.scale() * b.scale(),
+                     c.data().data());
     return c;
 }
 

@@ -11,7 +11,9 @@
  * too), compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
  * set mask bits, and the integer GEMM (gemmInt12) is exact in any
  * order; it multiplies i16 pairs with _mm256_madd_epi16 and masks its
- * ragged last panel.
+ * ragged last panel. The Int12 quantisation runs quantizeToRange's
+ * double operations four lanes at a time; the dequantisation is the
+ * scalar entry, since AVX2 has no packed i64-to-double conversion.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -396,6 +398,90 @@ gemmInt12Avx2(const i32 *a, Index lda, const i32 *b, Index ldb, i64 *c,
     }
 }
 
+/**
+ * quantizeToRange of 4 floats, widened to double: divide by scale,
+ * round in the current mode (_MM_FROUND_CUR_DIRECTION is std::rint),
+ * clamp to [lo, hi] and truncate. A NaN quotient clamps to hi and the
+ * ordered mask clears it to +0.0 before the truncation.
+ */
+__m128i
+codes4(__m256d v, __m256d scale, __m256d lo, __m256d hi)
+{
+    const __m256d q = _mm256_round_pd(_mm256_div_pd(v, scale),
+                                      _MM_FROUND_CUR_DIRECTION);
+    const __m256d ordered = _mm256_cmp_pd(q, q, _CMP_ORD_Q);
+    return _mm256_cvttpd_epi32(_mm256_and_pd(
+        ordered, _mm256_max_pd(_mm256_min_pd(q, hi), lo)));
+}
+
+/** lodValue per u32 lane: smear the leading one down, keep the top. */
+__m256i
+lodValue8(__m256i v)
+{
+    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 1));
+    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 2));
+    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 4));
+    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 8));
+    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 16));
+    return _mm256_andnot_si256(_mm256_srli_epi32(v, 1), v);
+}
+
+/**
+ * lodImage per i32 lane: |v| (INT32_MIN stays 2^31 as a u32), its
+ * leading one or two, and v's sign back (_mm256_sign_epi32 negates
+ * where v < 0; v == 0 has image 0 either way).
+ */
+template <LodMode Mode>
+__m256i
+lodImage8(__m256i v)
+{
+    const __m256i mag = _mm256_abs_epi32(v);
+    __m256i img = lodValue8(mag);
+    if constexpr (Mode == LodMode::TwoStep)
+        img = _mm256_or_si256(img, lodValue8(_mm256_andnot_si256(img, mag)));
+    return _mm256_sign_epi32(img, v);
+}
+
+/** 8 floats per step as two 4-lane double halves; the scalar tail. */
+template <int Lod>
+void
+quantizeF32Avx2Impl(const float *x, Index n, double scale, i32 q_max,
+                    i32 *out)
+{
+    const __m256d vs = _mm256_set1_pd(scale);
+    const __m256d hi = _mm256_set1_pd(static_cast<double>(q_max));
+    const __m256d lo = _mm256_set1_pd(-static_cast<double>(q_max) - 1.0);
+    Index i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_loadu_ps(x + i);
+        const __m128i c0 =
+            codes4(_mm256_cvtps_pd(_mm256_castps256_ps128(v)), vs, lo, hi);
+        const __m128i c1 =
+            codes4(_mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)), vs, lo, hi);
+        __m256i c = _mm256_inserti128_si256(_mm256_castsi128_si256(c0), c1, 1);
+        if constexpr (Lod == 1)
+            c = lodImage8<LodMode::Single>(c);
+        else if constexpr (Lod == 2)
+            c = lodImage8<LodMode::TwoStep>(c);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), c);
+    }
+}
+
+void
+quantizeF32Avx2(const float *x, Index n, double scale, i32 q_max,
+                std::optional<LodMode> lod, i32 *out)
+{
+    if (!lod)
+        quantizeF32Avx2Impl<0>(x, n, scale, q_max, out);
+    else if (*lod == LodMode::Single)
+        quantizeF32Avx2Impl<1>(x, n, scale, q_max, out);
+    else
+        quantizeF32Avx2Impl<2>(x, n, scale, q_max, out);
+    const Index full = n - n % 8;
+    if (full < n)
+        quantizeF32Scalar(x + full, n - full, scale, q_max, lod, out + full);
+}
+
 u64
 absGreaterMask64Avx2(const float *x, float theta, Index n)
 {
@@ -459,6 +545,8 @@ avx2Table()
         gemmF32Avx2,
         dotRowsF32Avx2,
         gemmInt12Avx2,
+        quantizeF32Avx2,
+        dequantizeI64Scalar,
         absGreaterMask64Avx2,
         cmpGeMask64Avx2,
         popcountWordsAvx2,

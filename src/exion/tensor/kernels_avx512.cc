@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512 kernel table (512-bit lanes; AVX-512F and BW).
+ * AVX-512 kernel table (512-bit lanes; AVX-512F, BW and DQ).
  *
  * Same exactness discipline as the AVX2 table: independent-element
  * float kernels with separate mul/add (no FMA), ordered-quiet
@@ -13,16 +13,19 @@
  * i16 pairs with _mm512_madd_epi16, the one AVX-512BW instruction the
  * table needs. The masked dots (dotRowsF32) run the AVX2 table's
  * eight-lane entry: a sixteen-lane form through a 16 x 16 transpose
- * was not faster beyond run-to-run noise on FFN-Reuse's shapes.
+ * was not faster beyond run-to-run noise on FFN-Reuse's shapes. The
+ * Int12 dequantisation converts i64 lanes to double with
+ * _mm512_cvtepi64_pd, the one AVX-512DQ instruction the table needs;
+ * every other instruction here is AVX-512F, on 512-bit registers.
  *
- * This TU alone is compiled with -mavx512f -mavx512bw (plus
+ * This TU alone is compiled with -mavx512f -mavx512bw -mavx512dq (plus
  * -ffp-contract=off); only called after the runtime probe confirmed
- * AVX-512F and AVX-512BW.
+ * AVX-512F, AVX-512BW and AVX-512DQ.
  */
 
 #include "exion/tensor/simd_dispatch.h"
 
-#if defined(__AVX512F__) && defined(__AVX512BW__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
 
@@ -315,6 +318,127 @@ gemmInt12Avx512(const i32 *a, Index lda, const i32 *b, Index ldb,
     }
 }
 
+/** Mask of the first min(16, n - i) lanes of a 16-lane step at i. */
+__mmask16
+liveLanes16(Index i, Index n)
+{
+    return n - i >= 16 ? static_cast<__mmask16>(0xffff)
+                       : static_cast<__mmask16>((1u << (n - i)) - 1);
+}
+
+/**
+ * quantizeToRange of 8 floats, widened to double: divide by scale,
+ * round in the current mode (roundscale with _MM_FROUND_CUR_DIRECTION
+ * is std::rint), clamp to [lo, hi] and truncate. A NaN quotient
+ * clamps to hi and is then cleared to 0 by the ordered mask.
+ */
+__m256i
+codes8(__m512d v, __m512d scale, __m512d lo, __m512d hi)
+{
+    const __m512d q = _mm512_roundscale_pd(_mm512_div_pd(v, scale),
+                                           _MM_FROUND_CUR_DIRECTION);
+    const __mmask8 ordered = _mm512_cmp_pd_mask(q, q, _CMP_ORD_Q);
+    return _mm512_maskz_cvttpd_epi32(
+        ordered, _mm512_max_pd(_mm512_min_pd(q, hi), lo));
+}
+
+/** lodValue per u32 lane: smear the leading one down, keep the top. */
+__m512i
+lodValue16(__m512i v)
+{
+    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 1));
+    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 2));
+    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 4));
+    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 8));
+    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 16));
+    return _mm512_andnot_si512(_mm512_srli_epi32(v, 1), v);
+}
+
+/**
+ * lodImage per i32 lane: |v| (INT32_MIN stays 2^31 as a u32), its
+ * leading one or two, and v's sign back.
+ */
+template <LodMode Mode>
+__m512i
+lodImage16(__m512i v)
+{
+    const __m512i mag = _mm512_abs_epi32(v);
+    __m512i img = lodValue16(mag);
+    if constexpr (Mode == LodMode::TwoStep)
+        img = _mm512_or_si512(img, lodValue16(_mm512_andnot_si512(img, mag)));
+    const __mmask16 negative =
+        _mm512_cmplt_epi32_mask(v, _mm512_setzero_si512());
+    return _mm512_mask_sub_epi32(img, negative, _mm512_setzero_si512(),
+                                 img);
+}
+
+/**
+ * 16 floats per step, the ragged tail under a mask (its spare lanes
+ * load +0.0f and are never stored): two 8-lane double halves give
+ * the codes, then, with Lod, their images.
+ */
+template <int Lod>
+void
+quantizeF32Avx512Impl(const float *x, Index n, double scale, i32 q_max,
+                      i32 *out)
+{
+    const __m512d vs = _mm512_set1_pd(scale);
+    const __m512d hi = _mm512_set1_pd(static_cast<double>(q_max));
+    const __m512d lo = _mm512_set1_pd(-static_cast<double>(q_max) - 1.0);
+    for (Index i = 0; i < n; i += 16) {
+        const __mmask16 live = liveLanes16(i, n);
+        const __m512 v = _mm512_maskz_loadu_ps(live, x + i);
+        const __m256i c0 =
+            codes8(_mm512_cvtps_pd(_mm512_castps512_ps256(v)), vs, lo, hi);
+        const __m256i c1 = codes8(
+            _mm512_cvtps_pd(_mm256_castpd_ps(
+                _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1))),
+            vs, lo, hi);
+        __m512i c = _mm512_inserti64x4(_mm512_castsi256_si512(c0), c1, 1);
+        if constexpr (Lod == 1)
+            c = lodImage16<LodMode::Single>(c);
+        else if constexpr (Lod == 2)
+            c = lodImage16<LodMode::TwoStep>(c);
+        _mm512_mask_storeu_epi32(out + i, live, c);
+    }
+}
+
+void
+quantizeF32Avx512(const float *x, Index n, double scale, i32 q_max,
+                  std::optional<LodMode> lod, i32 *out)
+{
+    if (!lod)
+        quantizeF32Avx512Impl<0>(x, n, scale, q_max, out);
+    else if (*lod == LodMode::Single)
+        quantizeF32Avx512Impl<1>(x, n, scale, q_max, out);
+    else
+        quantizeF32Avx512Impl<2>(x, n, scale, q_max, out);
+}
+
+/**
+ * 16 sums per step, as two 8-lane halves: i64 to double
+ * (_mm512_cvtepi64_pd, AVX-512DQ), times scale, narrowed to float,
+ * each rounded in the current mode; the ragged tail under a mask.
+ */
+void
+dequantizeI64Avx512(const i64 *s, Index n, double scale, float *out)
+{
+    const __m512d vs = _mm512_set1_pd(scale);
+    const auto half = [&](const i64 *src, __mmask8 live) {
+        return _mm512_cvtpd_ps(_mm512_mul_pd(
+            _mm512_cvtepi64_pd(_mm512_maskz_loadu_epi64(live, src)), vs));
+    };
+    for (Index i = 0; i < n; i += 16) {
+        const __mmask16 live = liveLanes16(i, n);
+        const __m256 f0 = half(s + i, static_cast<__mmask8>(live));
+        const __m256 f1 = half(s + i + 8, static_cast<__mmask8>(live >> 8));
+        const __m512 f = _mm512_castpd_ps(_mm512_insertf64x4(
+            _mm512_castps_pd(_mm512_castps256_ps512(f0)),
+            _mm256_castps_pd(f1), 1));
+        _mm512_mask_storeu_ps(out + i, live, f);
+    }
+}
+
 u64
 absGreaterMask64Avx512(const float *x, float theta, Index n)
 {
@@ -322,9 +446,7 @@ absGreaterMask64Avx512(const float *x, float theta, Index n)
     const __m512i sign = _mm512_set1_epi32(0x7fffffff);
     u64 bits = 0;
     for (Index i = 0; i < n; i += 16) {
-        const __mmask16 live = n - i >= 16
-            ? static_cast<__mmask16>(0xffff)
-            : static_cast<__mmask16>((1u << (n - i)) - 1);
+        const __mmask16 live = liveLanes16(i, n);
         const __m512 v = _mm512_maskz_loadu_ps(live, x + i);
         const __m512 mag = _mm512_castsi512_ps(
             _mm512_and_si512(_mm512_castps_si512(v), sign));
@@ -341,9 +463,7 @@ cmpGeMask64Avx512(const float *x, float threshold, Index n)
     const __m512 vt = _mm512_set1_ps(threshold);
     u64 bits = 0;
     for (Index i = 0; i < n; i += 16) {
-        const __mmask16 live = n - i >= 16
-            ? static_cast<__mmask16>(0xffff)
-            : static_cast<__mmask16>((1u << (n - i)) - 1);
+        const __mmask16 live = liveLanes16(i, n);
         const __m512 v = _mm512_maskz_loadu_ps(live, x + i);
         const __mmask16 hit =
             _mm512_mask_cmp_ps_mask(live, v, vt, _CMP_GE_OQ);
@@ -372,6 +492,8 @@ avx512Table()
         gemmF32Avx512,
         dotRowsF32Avx2,
         gemmInt12Avx512,
+        quantizeF32Avx512,
+        dequantizeI64Avx512,
         absGreaterMask64Avx512,
         cmpGeMask64Avx512,
         popcountWordsAvx512,
@@ -382,7 +504,8 @@ avx512Table()
 } // namespace simd
 } // namespace exion
 
-#else // !(defined(__AVX512F__) && defined(__AVX512BW__))
+#else // !(defined(__AVX512F__) && defined(__AVX512BW__)
+      //   && defined(__AVX512DQ__))
 
 namespace exion
 {

@@ -11,7 +11,8 @@
  * with a multiply, a loop the compiler vectorises). gemmF32 points
  * at the scalar entry: NEON is AArch64's baseline, so the compiler
  * vectorises that entry's column sweep. dotRowsF32 points at the
- * scalar entry too: no ARM host has measured a transposed form.
+ * scalar entry too: no ARM host has measured a transposed form. So do
+ * quantizeF32 and dequantizeI64, which have no NEON form.
  *
  * Compiled with -ffp-contract=off like every kernel TU.
  */
@@ -102,6 +103,8 @@ neonTable()
         gemmF32Scalar,
         dotRowsF32Scalar,
         gemmInt12Neon,
+        quantizeF32Scalar,
+        dequantizeI64Scalar,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

@@ -12,6 +12,8 @@
 
 #include "exion/tensor/simd_dispatch.h"
 
+#include "exion/common/fixed_point.h"
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -125,6 +127,27 @@ gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
     }
 }
 
+void
+quantizeF32Scalar(const float *x, Index n, double scale, i32 q_max,
+                  std::optional<LodMode> lod, i32 *out)
+{
+    for (Index i = 0; i < n; ++i)
+        out[i] = quantizeToRange(x[i], scale, q_max);
+    if (lod == LodMode::Single)
+        for (Index i = 0; i < n; ++i)
+            out[i] = lodImage(out[i], LodMode::Single);
+    else if (lod == LodMode::TwoStep)
+        for (Index i = 0; i < n; ++i)
+            out[i] = lodImage(out[i], LodMode::TwoStep);
+}
+
+void
+dequantizeI64Scalar(const i64 *s, Index n, double scale, float *out)
+{
+    for (Index i = 0; i < n; ++i)
+        out[i] = static_cast<float>(s[i] * scale);
+}
+
 namespace
 {
 
@@ -191,6 +214,8 @@ scalarTable()
         gemmF32Scalar,
         dotRowsF32Scalar,
         gemmInt12Scalar,
+        quantizeF32Scalar,
+        dequantizeI64Scalar,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

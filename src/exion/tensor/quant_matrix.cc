@@ -1,5 +1,7 @@
 #include "exion/tensor/quant_matrix.h"
 
+#include "exion/tensor/simd_dispatch.h"
+
 namespace exion
 {
 
@@ -20,10 +22,9 @@ QuantMatrix
 QuantMatrix::fromFloat(const Matrix &m, const QuantParams &params)
 {
     QuantMatrix out(m.rows(), m.cols(), params);
-    const std::span<const float> src = m.data();
-    const i32 q_max = intWidthMax(params.width);
-    for (Index i = 0; i < out.size(); ++i)
-        out.data_[i] = quantizeToRange(src[i], params.scale, q_max);
+    activeKernels().quantizeF32(m.data().data(), out.size(), params.scale,
+                                intWidthMax(params.width), std::nullopt,
+                                out.data_.data());
     return out;
 }
 

@@ -18,7 +18,8 @@ probeCpuLevel()
 #if defined(__x86_64__) || defined(__i386__)
     if (simd::avx512Table() != nullptr
         && __builtin_cpu_supports("avx512f")
-        && __builtin_cpu_supports("avx512bw"))
+        && __builtin_cpu_supports("avx512bw")
+        && __builtin_cpu_supports("avx512dq"))
         return SimdLevel::Avx512;
     if (simd::avx2Table() != nullptr && __builtin_cpu_supports("avx2"))
         return SimdLevel::Avx2;

@@ -4,19 +4,20 @@
  *
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
- * products, eager prediction's compare loops and the integer GEMM its
- * log-domain MMULs reduce to, the float GEMM every dense product runs
- * on — now calls a *named kernel* out of a function table. One table per
- * instruction set (kernels_{scalar,avx2,avx512,neon}.cc), probed once
- * at runtime (CPUID / compile-time ISA) and selected behind the scalar
+ * products, eager prediction's compare loops, its Int12 quantise and
+ * dequantise loops and the integer GEMM its log-domain MMULs reduce
+ * to, the float GEMM every dense product runs on — now calls a *named
+ * kernel* out of a function table. One table per instruction set
+ * (kernels_{scalar,avx2,avx512,neon}.cc), probed once at runtime
+ * (CPUID / compile-time ISA) and selected behind the scalar
  * reference, so the same binary runs the widest vectors the host
  * offers and plain scalar everywhere else.
  *
  * Numerics contract: kernels vectorize only across *independent
  * output elements* (axpy j-sweeps, GEMM register tiles, one masked
- * dot per lane, per-lane compares, integer GEMM tiles — integer sums
- * are exact in any order). Each float output element's accumulation
- * chain stays in the golden reference order from gemm.h (one
+ * dot per lane, per-lane compares and conversions, integer GEMM tiles
+ * — integer sums are exact in any order). Each float output element's
+ * accumulation chain stays in the golden reference order from gemm.h (one
  * accumulator, +0.0f start, ascending k, separate mul then add, no
  * FMA), so the vector path is bit-identical to scalar *by
  * construction* and the existing maxAbsDiff == 0 differential tests
@@ -37,6 +38,7 @@
 #include <optional>
 #include <string>
 
+#include "exion/common/bitops.h"
 #include "exion/common/types.h"
 
 namespace exion
@@ -71,7 +73,7 @@ enum class SimdLevel
     Scalar, //!< portable reference kernels
     Neon,   //!< 128-bit ARM NEON
     Avx2,   //!< 256-bit x86 AVX2
-    Avx512, //!< 512-bit x86 AVX-512F and AVX-512BW
+    Avx512, //!< 512-bit x86 AVX-512F, AVX-512BW and AVX-512DQ
 };
 
 /**
@@ -169,6 +171,38 @@ struct SimdKernels
                       i64 *c, Index ldc, Index m, Index k, Index n);
 
     /**
+     * out[i] = quantizeToRange(x[i], scale, q_max) for i in [0, n):
+     * the integer codes of n floats at one scale (fixed_point.h), and
+     * with lod set, lodImage(code, *lod) instead, in the same pass.
+     * Every quantisation of a float block in the library runs here
+     * (QuantMatrix::fromFloat, eager prediction's x image and its
+     * per-head requantisation).
+     *
+     * The vector forms run quantizeToRange's IEEE operations per
+     * lane: widen to double (exact), divide by scale, round to an
+     * integer in the current rounding mode (what std::rint does), send
+     * NaN to 0, clamp to [-q_max - 1, q_max], truncate to i32 (exact,
+     * the value is integral). So every table is bit-identical to the
+     * scalar entry by construction. AVX-512 takes 16 floats per step
+     * under a ragged-tail mask; AVX2 takes 8 and hands its tail to
+     * the scalar entry; NEON points at the scalar entry.
+     */
+    void (*quantizeF32)(const float *x, Index n, double scale, i32 q_max,
+                        std::optional<LodMode> lod, i32 *out);
+
+    /**
+     * out[i] = static_cast<float>(s[i] * scale) for i in [0, n): an
+     * exact integer sum back to float through one double multiply.
+     * Every Int12 product's dequantisation runs here (matmulQuant,
+     * ldImageMatmul, eager prediction's per-head scores). The
+     * AVX-512 form converts i64 to double with vcvtqq2pd (AVX-512DQ),
+     * multiplies and narrows, each rounded in the current mode as the
+     * scalar conversions are. AVX2 has no packed i64 conversion, so
+     * AVX2 and NEON point at the scalar entry.
+     */
+    void (*dequantizeI64)(const i64 *s, Index n, double scale, float *out);
+
+    /**
      * Bit i of the result is set iff |x[i]| > theta, for i in
      * [0, n), n <= 64. Matches std::abs(x[i]) > theta exactly:
      * ordered compare, so NaN payloads yield 0 bits; -Inf compares
@@ -234,6 +268,9 @@ void dotRowsF32Avx2(const float *x, const float *b, Index ldb,
                     const Index *idx, Index n, Index d, float *out);
 void gemmInt12Scalar(const i32 *a, Index lda, const i32 *b, Index ldb,
                      i64 *c, Index ldc, Index m, Index k, Index n);
+void quantizeF32Scalar(const float *x, Index n, double scale, i32 q_max,
+                       std::optional<LodMode> lod, i32 *out);
+void dequantizeI64Scalar(const i64 *s, Index n, double scale, float *out);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);
 u64 cmpGeMask64Scalar(const float *x, float threshold, Index n);
 u64 popcountWordsScalar(const u64 *w, Index n);

@@ -3,7 +3,8 @@
  * Tests for eager-prediction decisions and projection-skip derivation.
  * The sort-free top-k selection is held against the copy +
  * nth_element selection it replaced, on random, tie-heavy and
- * signed-zero rows.
+ * signed-zero rows, and the per-head predicted score against its
+ * per-element ldProduct definition, with no kernel in the oracle.
  */
 
 #include <gtest/gtest.h>
@@ -274,6 +275,117 @@ TEST(EpWeightImages, AllHeadsGemmEqualsPerHeadPrediction)
             for (Index i = 0; i < fused.size(); ++i)
                 ASSERT_EQ(fused.data()[i], per_head.data()[i])
                     << "h=" << h << " i=" << i;
+        }
+    }
+}
+
+/**
+ * One head's predicted score written out per element, with no kernel:
+ * each of q and k gets the Int12 scale of its own max |v| (1.0 when
+ * the block is all zero), and entry (r, j) is the i64 sum over c of
+ * ldProduct(quantize(q(r, c)), quantize(k(j, c))), times the two
+ * scales, rounded to float, times 1/sqrt(d_head).
+ */
+Matrix
+plainScore(const Matrix &q, const Matrix &k, LodMode mode)
+{
+    const auto params = [](const Matrix &m) {
+        float max_abs = 0.0f;
+        for (Index r = 0; r < m.rows(); ++r)
+            for (Index c = 0; c < m.cols(); ++c)
+                max_abs = std::max(max_abs, std::abs(m(r, c)));
+        QuantParams p;
+        p.scale = max_abs == 0.0f
+            ? 1.0
+            : static_cast<double>(max_abs) / intWidthMax(IntWidth::Int12);
+        return p;
+    };
+    const QuantParams qp = params(q);
+    const QuantParams kp = params(k);
+    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(q.cols()));
+    Matrix out(q.rows(), k.rows());
+    for (Index r = 0; r < q.rows(); ++r)
+        for (Index j = 0; j < k.rows(); ++j) {
+            i64 acc = 0;
+            for (Index c = 0; c < q.cols(); ++c)
+                acc += ldProduct(quantize(q(r, c), qp), quantize(k(j, c), kp),
+                                 mode);
+            out(r, j) =
+                static_cast<float>(acc * (qp.scale * kp.scale)) * inv_sqrt;
+        }
+    return out;
+}
+
+/** t x dh normal values at column c0 of a t x (c0 + dh + 5) block. */
+Matrix
+wideBlock(Index t, Index dh, Index c0, Rng &rng)
+{
+    Matrix m(t, c0 + dh + 5);
+    m.fillNormal(rng, 0.0f, 1.0f);
+    return m;
+}
+
+TEST(PredictScore, EqualsPerElementLdProducts)
+{
+    // predictScoreFromEstimates, and predictScoreInto on the same
+    // blocks read in place from wider ones through one scratch reused
+    // across every shape, against plainScore bit for bit; a
+    // temperature multiplies after 1/sqrt(d_head), whose order only
+    // shows where 1/sqrt(d_head) is not a power of two (d_head 24).
+    // Blocks: normal, Q all zero, K all zero, and one entry 10^4 times
+    // the rest in each of Q and K.
+    Rng rng(53);
+    ScoreScratch scratch;
+    const float temp = 3.0f;
+    for (const Index t : {Index{1}, Index{8}, Index{48}, Index{196}}) {
+        for (const Index dh : {Index{16}, Index{24}, Index{64}}) {
+            for (int kind = 0; kind < 4; ++kind) {
+                const Index c0 = 7;
+                Matrix q_wide = wideBlock(t, dh, c0, rng);
+                Matrix k_wide = wideBlock(t, dh, c0, rng);
+                for (Index r = 0; r < t; ++r)
+                    for (Index c = 0; c < dh; ++c) {
+                        if (kind == 1)
+                            q_wide(r, c0 + c) = 0.0f;
+                        if (kind == 2)
+                            k_wide(r, c0 + c) = 0.0f;
+                    }
+                if (kind == 3) {
+                    q_wide(rng.uniformInt(t), c0 + rng.uniformInt(dh)) = 1e4f;
+                    k_wide(rng.uniformInt(t), c0 + rng.uniformInt(dh)) =
+                        -1e4f;
+                }
+                const Matrix q = sliceCols(q_wide, c0, dh);
+                const Matrix k = sliceCols(k_wide, c0, dh);
+                const Matrix q_view = Matrix::borrowStrided(
+                    q_wide.rowPtr(0) + c0, t, dh, q_wide.rowStride());
+                const Matrix k_view = Matrix::borrowStrided(
+                    k_wide.rowPtr(0) + c0, t, dh, k_wide.rowStride());
+                for (const LodMode mode :
+                     {LodMode::TwoStep, LodMode::Single}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "t=" << t << " dh=" << dh << " kind="
+                                 << kind << " single="
+                                 << (mode == LodMode::Single));
+                    const Matrix want = plainScore(q, k, mode);
+                    const Matrix got = predictScoreFromEstimates(q, k, mode);
+                    const Matrix &in_place =
+                        predictScoreInto(q_view, k_view, mode, temp, scratch);
+                    ASSERT_EQ(got.rows(), t);
+                    ASSERT_EQ(got.cols(), t);
+                    ASSERT_EQ(in_place.rows(), t);
+                    ASSERT_EQ(in_place.cols(), t);
+                    for (Index r = 0; r < t; ++r)
+                        for (Index j = 0; j < t; ++j) {
+                            ASSERT_EQ(std::bit_cast<u32>(got(r, j)),
+                                      std::bit_cast<u32>(want(r, j)))
+                                << "r=" << r << " j=" << j;
+                            ASSERT_EQ(std::bit_cast<u32>(in_place(r, j)),
+                                      std::bit_cast<u32>(want(r, j) * temp))
+                                << "r=" << r << " j=" << j;
+                        }
+                }
+            }
         }
     }
 }

@@ -14,7 +14,10 @@
  * prediction runs on is checked on ragged shapes (odd depths, whose
  * last i16 pair is half empty, included) and at the depths around its
  * 255-pair flush, where its i32 lanes overflow unless flushed in
- * time. On top of the kernels, the level
+ * time. The Int12 quantise and dequantise entries run NaN, infinities,
+ * out-of-range values, denormals and half-way quotients at every
+ * width's q_max and LOD depth, and i64 sums past a double's 53 bits,
+ * at every length from 0 to 33. On top of the kernels, the level
  * plumbing (name round-trips, refusal of a bad EXION_SIMD) and
  * the Bitmask2D word-level API (words(), countOnes,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -24,13 +27,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exion/common/fixed_point.h"
 #include "exion/common/rerun_self.h"
 #include "exion/common/rng.h"
 #include "exion/tensor/bitmask.h"
@@ -47,7 +53,7 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 /**
  * Every vector table compiled into this build that this CPU can run:
  * the same __builtin_cpu_supports checks the level probe makes, so an
- * AVX2-only host, or one with AVX-512F but not BW, never calls an
+ * AVX2-only host, or one with AVX-512F but not BW or DQ, never calls an
  * AVX-512 kernel. The EXION_SIMD cap is ignored on purpose: a
  * forced-scalar run still checks every vector table the host has.
  */
@@ -59,7 +65,8 @@ vectorTables()
     if (simd::avx2Table() && __builtin_cpu_supports("avx2"))
         tables.push_back(simd::avx2Table());
     if (simd::avx512Table() && __builtin_cpu_supports("avx512f")
-        && __builtin_cpu_supports("avx512bw"))
+        && __builtin_cpu_supports("avx512bw")
+        && __builtin_cpu_supports("avx512dq"))
         tables.push_back(simd::avx512Table());
 #endif
     if (simd::neonTable())
@@ -167,6 +174,8 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->gemmF32, nullptr);
         EXPECT_NE(t->dotRowsF32, nullptr);
         EXPECT_NE(t->gemmInt12, nullptr);
+        EXPECT_NE(t->quantizeF32, nullptr);
+        EXPECT_NE(t->dequantizeI64, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
         EXPECT_NE(t->cmpGeMask64, nullptr);
         EXPECT_NE(t->popcountWords, nullptr);
@@ -486,6 +495,157 @@ TEST(SimdKernelTest, GemmInt12FlushesBeforeI32Overflow)
                 for (const SimdKernels *table : vectorTables())
                     EXPECT_EQ(want, runGemmInt12(*table, a, b, m, k, n))
                         << table->name;
+            }
+        }
+    }
+}
+
+// ------------------------------------------- quantise and dequantise
+
+/** The widths' q_max: Int12, Int16 and Int32. */
+const i32 kQMaxes[] = {2047, 32767, 2147483647};
+
+/**
+ * n floats for quantizeF32 at `scale`: NaN, +-inf, values far past
+ * +-q_max * scale, +-0, denormals, half-way quotients (k + 0.5 times
+ * the scale, k of either sign; exact when the scale has few mantissa
+ * bits, as 0.5, 1.0, 3.0 and 0.75 do), the range's edges and ordinary
+ * values, shuffled by rng.
+ */
+std::vector<float>
+quantizeInputs(Index n, double scale, i32 q_max, Rng &rng)
+{
+    const float top = static_cast<float>(scale * q_max);
+    const float pool[] = {
+        kNan,
+        kInf,
+        -kInf,
+        0.0f,
+        -0.0f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::min() / 4.0f,
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max(),
+        top,
+        -top,
+        top * 1e6f,
+        -top * 1e6f,
+        static_cast<float>(2.5 * scale),
+        static_cast<float>(-2.5 * scale),
+        static_cast<float>(3.5 * scale),
+        static_cast<float>(-0.5 * scale),
+        static_cast<float>(0.5 * scale),
+        static_cast<float>(1023.5 * scale),
+    };
+    constexpr Index kPool = sizeof(pool) / sizeof(pool[0]);
+    std::vector<float> v(n);
+    for (Index i = 0; i < n; ++i) {
+        const double u = rng.uniform();
+        const double k = static_cast<double>(rng.uniformInt(4096)) - 2048.0;
+        v[i] = u < 0.4   ? pool[rng.uniformInt(kPool)]
+            : u < 0.7    ? static_cast<float>((k + 0.5) * scale)
+                         : static_cast<float>((rng.uniform() * 2.0 - 1.0)
+                                              * 1.2 * top);
+    }
+    return v;
+}
+
+TEST(SimdKernelTest, QuantizeF32MatchesScalar)
+{
+    // Every length from 0 to 33 runs each masked or scalar tail. The
+    // scales are an all-zero block's 1.0, 0.5, 3.0 and 0.75 (whose
+    // half-way quotients are exact, and whose reciprocals are not
+    // for the last two, so a multiply by 1 / scale rounds some of them
+    // the other way), typical max-|v| / q_max scales, and extremes
+    // that clamp everything or quantise everything to zero; each
+    // width's q_max; no LOD, single and two-step.
+    Rng rng(21);
+    const std::optional<LodMode> lods[] = {std::nullopt, LodMode::Single,
+                                           LodMode::TwoStep};
+    for (const i32 q_max : kQMaxes) {
+        for (const double scale : {1.0, 0.5, 3.0, 0.75, 3.7 / 2047.0,
+                                   1.0 / 3.0, 1e-30, 1e30, 7.25e-3}) {
+            for (const std::optional<LodMode> lod : lods) {
+                for (Index n = 0; n <= 33; ++n) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "q_max=" << q_max << " scale="
+                                 << scale << " lod="
+                                 << (lod ? static_cast<int>(*lod) : -1)
+                                 << " n=" << n);
+                    const std::vector<float> x =
+                        quantizeInputs(n, scale, q_max, rng);
+                    // The scalar entry against quantizeToRange and
+                    // lodImage per element.
+                    std::vector<i32> want(n + 16, 0x5a5a5a5a);
+                    simd::quantizeF32Scalar(x.data(), n, scale, q_max, lod,
+                                            want.data());
+                    for (Index i = 0; i < n; ++i) {
+                        i32 code = quantizeToRange(x[i], scale, q_max);
+                        if (lod)
+                            code = lodImage(code, *lod);
+                        ASSERT_EQ(want[i], code) << "x=" << x[i];
+                    }
+                    for (const SimdKernels *table : vectorTables()) {
+                        std::vector<i32> got(n + 16, 0x5a5a5a5a);
+                        table->quantizeF32(x.data(), n, scale, q_max, lod,
+                                           got.data());
+                        ASSERT_EQ(want, got) << table->name;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernelTest, DequantizeI64MatchesScalar)
+{
+    // Sums of 0, +-2^31, +-(2^53 + 1) (the first i64 a double cannot
+    // hold), +-2^62 and the i64 extremes among random ones; scales
+    // that keep floats normal, push them to denormals or zero, or
+    // overflow them to inf. Every length from 0 to 33; the 16 slots
+    // past n must stay as they were.
+    Rng rng(22);
+    const i64 p53 = i64{1} << 53;
+    const i64 pool[] = {0,
+                        i64{1} << 31,
+                        -(i64{1} << 31),
+                        p53 + 1,
+                        -(p53 + 1),
+                        i64{1} << 62,
+                        -(i64{1} << 62),
+                        std::numeric_limits<i64>::max(),
+                        std::numeric_limits<i64>::min(),
+                        1,
+                        -1};
+    constexpr Index kPool = sizeof(pool) / sizeof(pool[0]);
+    const float poison = gapPoison();
+    for (const double scale : {1.0, 3.3e-7, 1.0 / 3.0, 1e-45, 1e-60,
+                               1e300, 0.0, -2.5e-4}) {
+        for (Index n = 0; n <= 33; ++n) {
+            SCOPED_TRACE(::testing::Message() << "scale=" << scale
+                                              << " n=" << n);
+            std::vector<i64> s(n);
+            for (i64 &v : s)
+                v = rng.uniform() < 0.5
+                    ? pool[rng.uniformInt(kPool)]
+                    : static_cast<i64>(rng.next() >> (1 + rng.uniformInt(63)))
+                        * (rng.uniform() < 0.5 ? 1 : -1);
+            std::vector<float> want(n + 16, poison);
+            simd::dequantizeI64Scalar(s.data(), n, scale, want.data());
+            for (Index i = 0; i < n; ++i)
+                ASSERT_EQ(std::bit_cast<u32>(want[i]),
+                          std::bit_cast<u32>(static_cast<float>(s[i] * scale)))
+                    << "s=" << s[i];
+            ASSERT_TRUE(poisonedFrom(want, n));
+            for (const SimdKernels *table : vectorTables()) {
+                std::vector<float> got(n + 16, poison);
+                table->dequantizeI64(s.data(), n, scale, got.data());
+                ASSERT_TRUE(poisonedFrom(got, n)) << table->name;
+                for (Index i = 0; i < n; ++i)
+                    ASSERT_EQ(std::bit_cast<u32>(want[i]),
+                              std::bit_cast<u32>(got[i]))
+                        << table->name << " s=" << s[i];
             }
         }
     }

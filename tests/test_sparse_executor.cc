@@ -335,14 +335,15 @@ struct ScoreMaskCall
 
 TEST(SparseExecutor, StackedEpEqualsEachMemberAlone)
 {
-    // One call over three members whose inputs differ in scale by
-    // 10^3 each way, so each quantises with its own Int12 scale. Every
-    // member's rows and ExecStats, and the onScoreMask sequence, must
-    // equal stack-of-one calls on each member's rows, bit for bit.
+    // One call over four members whose inputs differ in scale by
+    // 10^3 each way, so each quantises with its own Int12 scale, and
+    // one all zero, which quantises with scale 1.0. Every member's rows
+    // and ExecStats, and the onScoreMask sequence, must equal
+    // stack-of-one calls on each member's rows, bit for bit.
     Rng rng(67);
-    const Index d = 64, heads = 4, n = 3;
+    const Index d = 64, heads = 4, n = 4;
     const StandaloneBlock blk(1, d, heads, 1, false, rng, 3.0);
-    const float scales[n] = {1.0f, 1e3f, 1e-3f};
+    const float scales[n] = {1.0f, 1e3f, 1e-3f, 0.0f};
     for (const Index t : {Index{8}, Index{48}}) {
         Matrix x(n * t, d);
         x.fillNormal(rng, 0.0f, 1.0f);
@@ -374,7 +375,7 @@ TEST(SparseExecutor, StackedEpEqualsEachMemberAlone)
                         {&self, 1}, want_obs));
                 }
                 ExecContext *const stack[n] = {&stacked[0], &stacked[1],
-                                               &stacked[2]};
+                                               &stacked[2], &stacked[3]};
                 const Matrix got =
                     epAttentionImpl(blk, x, ep, mode, false, stack, got_obs);
 
