@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
-#include "exion/common/rng.h"
 #include "exion/model/scheduler.h"
 
 namespace exion
@@ -30,10 +30,12 @@ constexpr u64 kOffConfigSize = 40;
 constexpr u64 kOffIndexOffset = 48;
 constexpr u64 kOffIndexCount = 56;
 
+constexpr u64 kFnvOffsetBasis = 14695981039346656037ULL;
+
+/** FNV-1a-64 of n bytes, continuing from hash state h. */
 u64
-fnv1a64(const u8 *data, u64 n)
+fnv1a64(const u8 *data, u64 n, u64 h = kFnvOffsetBasis)
 {
-    u64 h = 14695981039346656037ULL;
     for (u64 i = 0; i < n; ++i) {
         h ^= data[i];
         h *= 1099511628211ULL;
@@ -53,9 +55,15 @@ put(std::vector<u8> &buf, T v)
 
 template <typename T>
 void
-putAt(std::vector<u8> &buf, u64 at, T v)
+putAt(u8 *image, u64 at, T v)
 {
-    std::memcpy(buf.data() + at, &v, sizeof(T));
+    std::memcpy(image + at, &v, sizeof(T));
+}
+
+u64
+alignSection(u64 at)
+{
+    return (at + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
 }
 
 void
@@ -258,46 +266,49 @@ checkNetworkShape(const ModelConfig &cfg)
 // ------------------------------------------------------------ builder
 
 WeightStoreBuilder::WeightStoreBuilder(const ModelConfig &cfg)
-    : cfg_(cfg), buf_(kHeaderSize, 0)
 {
-    const u64 config_offset = buf_.size();
-    serializeConfig(buf_, cfg);
-    putAt<u64>(buf_, kOffConfigOffset, config_offset);
-    putAt<u64>(buf_, kOffConfigSize, buf_.size() - config_offset);
+    serializeConfig(config_, cfg);
+    end_ = kHeaderSize + config_.size();
 }
 
-u64
-WeightStoreBuilder::reserve(u64 n)
+WeightStoreBuilder::Record &
+WeightStoreBuilder::append(const std::string &name, Index rows, Index cols)
 {
-    u64 at = buf_.size();
-    at = (at + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-    buf_.resize(at + n, 0);
-    return at;
+    EXION_ASSERT(!finished_, "add() after finish()");
+    Record &rec = records_.emplace_back();
+    rec.name = name;
+    rec.entry.rows = rows;
+    rec.entry.cols = cols;
+    rec.entry.byteLen = static_cast<u64>(rows) * cols * sizeof(float);
+    rec.entry.offset = alignSection(end_);
+    end_ = rec.entry.offset + rec.entry.byteLen;
+    return rec;
 }
 
 void
 WeightStoreBuilder::add(const std::string &name, const Matrix &m)
 {
-    EXION_ASSERT(!finished_, "add() after finish()");
-    WeightStore::Entry e;
-    e.rows = m.rows();
-    e.cols = m.cols();
-    e.byteLen = static_cast<u64>(m.size()) * sizeof(float);
-    e.offset = reserve(e.byteLen);
-    if (e.byteLen != 0)
-        std::memcpy(buf_.data() + e.offset, m.data().data(), e.byteLen);
-    records_.push_back({name, e});
+    Record &rec = append(name, m.rows(), m.cols());
+    if (m.size() != 0)
+        rec.data.assign(m.data().begin(), m.data().end());
 }
 
-Matrix
+void
+WeightStoreBuilder::addNormal(const std::string &name, Index rows,
+                              Index cols, Rng &rng, double mean,
+                              double stddev)
+{
+    append(name, rows, cols).draw =
+        rng.planNormals(static_cast<size_t>(rows) * cols, mean, stddev);
+}
+
+void
 WeightStoreBuilder::addLinear(const std::string &name, Index in, Index out,
                               Rng &rng)
 {
-    Matrix w(in, out);
-    w.fillNormal(rng, 0.0f, 1.0f / std::sqrt(static_cast<float>(in)));
-    add(name + ".w", w);
-    add(name + ".b", Matrix(1, out));
-    return w;
+    addNormal(name + ".w", in, out, rng, 0.0f,
+              1.0f / std::sqrt(static_cast<float>(in)));
+    append(name + ".b", 1, out);
 }
 
 std::shared_ptr<const WeightStore>
@@ -306,36 +317,68 @@ WeightStoreBuilder::finish()
     EXION_ASSERT(!finished_, "finish() twice");
     finished_ = true;
 
-    const u64 index_offset = reserve(0);
+    const u64 index_offset = alignSection(end_);
+    std::vector<u8> index;
     for (const Record &rec : records_) {
-        putStr(buf_, rec.name);
-        put<u64>(buf_, rec.entry.rows);
-        put<u64>(buf_, rec.entry.cols);
-        put<u64>(buf_, rec.entry.offset);
-        put<u64>(buf_, rec.entry.byteLen);
+        putStr(index, rec.name);
+        put<u64>(index, rec.entry.rows);
+        put<u64>(index, rec.entry.cols);
+        put<u64>(index, rec.entry.offset);
+        put<u64>(index, rec.entry.byteLen);
     }
-
-    std::memcpy(buf_.data(), kMagic, sizeof(kMagic));
-    putAt<u32>(buf_, kOffEndian, kEndianTag);
-    putAt<u32>(buf_, kOffVersion, kVersion);
-    putAt<u64>(buf_, kOffFileSize, buf_.size());
-    putAt<u64>(buf_, kOffIndexOffset, index_offset);
-    putAt<u64>(buf_, kOffIndexCount, records_.size());
-    putAt<u64>(buf_, kOffChecksum,
-               fnv1a64(buf_.data() + kHeaderSize,
-                       buf_.size() - kHeaderSize));
+    const u64 size = index_offset + index.size();
 
     std::shared_ptr<WeightStore> store(new WeightStore());
-    store->heap_ = std::move(buf_);
-    store->size_ = store->heap_.size();
-    store->parse();
+    store->heap_.reset(static_cast<u8 *>(std::calloc(size, 1)));
+    if (!store->heap_)
+        throw std::bad_alloc();
+    store->size_ = size;
+    u8 *image = store->heap_.get();
+
+    std::memcpy(image, kMagic, sizeof(kMagic));
+    putAt<u32>(image, kOffEndian, kEndianTag);
+    putAt<u32>(image, kOffVersion, kVersion);
+    putAt<u64>(image, kOffFileSize, size);
+    putAt<u64>(image, kOffConfigOffset, kHeaderSize);
+    putAt<u64>(image, kOffConfigSize, config_.size());
+    putAt<u64>(image, kOffIndexOffset, index_offset);
+    putAt<u64>(image, kOffIndexCount, records_.size());
+    std::memcpy(image + kHeaderSize, config_.data(), config_.size());
+    if (!index.empty())
+        std::memcpy(image + index_offset, index.data(), index.size());
+
+    std::vector<Rng::NormalDraw> draws;
+    for (Record &rec : records_) {
+        u8 *section = image + rec.entry.offset;
+        if (!rec.data.empty())
+            std::memcpy(section, rec.data.data(), rec.entry.byteLen);
+        if (rec.draw) {
+            rec.draw->out = reinterpret_cast<float *>(section);
+            draws.push_back(std::move(*rec.draw));
+        }
+    }
+
+    // The sections ascend in the image, so everything below a draw's
+    // written floats is final: hash it while later chunks are filled.
+    u64 hash = kFnvOffsetBasis;
+    const u8 *hashed = image + kHeaderSize;
+    const auto hash_to = [&](const u8 *end) {
+        hash = fnv1a64(hashed, static_cast<u64>(end - hashed), hash);
+        hashed = end;
+    };
+    Rng::fillNormals(draws, [&](size_t draw, size_t written) {
+        hash_to(reinterpret_cast<const u8 *>(draws[draw].out + written));
+    });
+    hash_to(image + size);
+    putAt<u64>(image, kOffChecksum, hash);
+    store->parse(/*verify_checksum=*/false);
     return store;
 }
 
 // -------------------------------------------------------------- store
 
 void
-WeightStore::parse()
+WeightStore::parse(bool verify_checksum)
 {
     const u8 *p = bytes();
     if (size_ < kHeaderSize)
@@ -357,8 +400,8 @@ WeightStore::parse()
                                + std::to_string(file_size) + ", file "
                                + std::to_string(size_) + ")");
     checksum_ = hdr.get<u64>();
-    const u64 actual = fnv1a64(p + kHeaderSize, size_ - kHeaderSize);
-    if (actual != checksum_)
+    if (verify_checksum
+        && fnv1a64(p + kHeaderSize, size_ - kHeaderSize) != checksum_)
         throw WeightStoreError("weight store: checksum mismatch "
                                "(corrupt image)");
     const u64 config_offset = hdr.get<u64>();
@@ -405,7 +448,7 @@ WeightStore::load(const std::string &path)
     std::shared_ptr<WeightStore> store(new WeightStore());
     store->file_ = MmapFile::open(path);
     store->size_ = store->file_.size();
-    store->parse();
+    store->parse(/*verify_checksum=*/true);
     checkNetworkShape(store->cfg_);
     checkSparsitySettings(store->cfg_);
     return store;
@@ -468,9 +511,7 @@ WeightStore::build(const ModelConfig &cfg)
     // wv, wo, ffn1, ffn2 and (GEGLU only, last) ffn1v.
     b.addLinear("inProj", cfg.latentDim, cfg.stages.front().dModel, rng);
     b.addLinear("outProj", cfg.stages.back().dModel, cfg.latentDim, rng);
-    Matrix cond(1, cfg.stages.front().dModel);
-    cond.fillNormal(rng, 0.0f, 0.5f);
-    b.add("condEmbed", cond);
+    b.addNormal("condEmbed", 1, cfg.stages.front().dModel, rng, 0.0f, 0.5f);
 
     int block_id = 0;
     Index prev_d = cfg.stages.front().dModel;

@@ -40,21 +40,22 @@
 #ifndef EXION_MODEL_WEIGHT_STORE_H_
 #define EXION_MODEL_WEIGHT_STORE_H_
 
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exion/common/mmap_file.h"
+#include "exion/common/rng.h"
 #include "exion/common/types.h"
 #include "exion/model/config.h"
 #include "exion/tensor/matrix.h"
 
 namespace exion
 {
-
-class Rng;
 
 /** Malformed, corrupt or incompatible weight-store image. */
 class WeightStoreError : public std::runtime_error
@@ -86,6 +87,11 @@ class WeightStore
      * channelProj, timeProj, ResBlocks and blocks, each Linear laid
      * out by WeightStoreBuilder::addLinear. The store holds each
      * layer's "<name>.w" and "<name>.b", and condEmbed; nothing else.
+     * The image is allocated once, at its final size; the weights are
+     * drawn straight into their sections on up to
+     * min(hardware_concurrency(), 8) threads, all joined before it
+     * returns, and the payload is hashed once (see
+     * WeightStoreBuilder::finish()).
      *
      * @throws WeightStoreError on a config load() would refuse (no
      *         stages, a misfit stage, an iteration count outside
@@ -154,27 +160,38 @@ class WeightStore
 
     const Entry &entry(const std::string &name) const;
 
-    /** Validates the header/checksum and fills cfg_ and index_. */
-    void parse();
+    /**
+     * Validates the header and fills cfg_, index_ and checksum_;
+     * checks the payload against the checksum when verify_checksum
+     * (load()), not for an image its builder has just hashed.
+     */
+    void parse(bool verify_checksum);
 
     const u8 *bytes() const
     {
-        return file_.data() != nullptr ? file_.data() : heap_.data();
+        return file_.data() != nullptr ? file_.data() : heap_.get();
     }
+
+    /** Releases a calloc'd image. */
+    struct FreeImage
+    {
+        void operator()(u8 *p) const { std::free(p); }
+    };
 
     ModelConfig cfg_;
     std::map<std::string, Entry> index_;
     u64 checksum_ = 0;
     u64 size_ = 0;
-    std::vector<u8> heap_; //!< build()-mode image
-    MmapFile file_;        //!< load()-mode image
+    std::unique_ptr<u8[], FreeImage> heap_; //!< builder-made image
+    MmapFile file_;                         //!< load()-mode image
 };
 
 /**
  * Incremental writer of a store image. build() uses it to snapshot a
  * seeded model; tests and tools can use it to serialize arbitrary
  * tensors. Tensors appear in the store in insertion order; names must
- * be unique.
+ * be unique. Adding a tensor fixes its section; finish() allocates the
+ * image once, at its final size, and writes every section in place.
  */
 class WeightStoreBuilder
 {
@@ -182,21 +199,34 @@ class WeightStoreBuilder
     /** Starts an image for the given config. */
     explicit WeightStoreBuilder(const ModelConfig &cfg);
 
-    /** Appends a float tensor section. */
+    /** Appends a float tensor section holding a copy of m. */
     void add(const std::string &name, const Matrix &m);
 
     /**
-     * Appends the tensors Linear::fromStore views: an in x out weight
-     * "<name>.w" drawn N(0, 1/sqrt(in)) from rng and a zero 1 x out
-     * bias "<name>.b".
-     * @return the weight
+     * Appends a rows x cols tensor of N(mean, stddev) draws. They are
+     * taken from rng now (it advances as rows x cols normal() calls
+     * would; Rng::planNormals) and written into the section by
+     * finish().
      */
-    Matrix addLinear(const std::string &name, Index in, Index out,
-                     Rng &rng);
+    void addNormal(const std::string &name, Index rows, Index cols,
+                   Rng &rng, double mean, double stddev);
 
     /**
-     * Seals the image (index, header, checksum) and parses it into a
-     * ready store — the identical code path load() uses.
+     * Appends the tensors Linear::fromStore views: an in x out weight
+     * "<name>.w" drawn N(0, 1/sqrt(in)) from rng as addNormal() does,
+     * and a zero 1 x out bias "<name>.b".
+     */
+    void addLinear(const std::string &name, Index in, Index out,
+                   Rng &rng);
+
+    /**
+     * Seals the image and parses it into a ready store — the code path
+     * load() uses. Allocates the image at its final size and writes
+     * every section in place, the drawn ones through
+     * Rng::fillNormals on up to min(hardware_concurrency(), 8)
+     * threads joined before it returns. The payload is hashed once,
+     * on the calling thread, behind the fill: each section as soon as
+     * it is written. The store's parse does not hash it again.
      */
     std::shared_ptr<const WeightStore> finish();
 
@@ -205,13 +235,16 @@ class WeightStoreBuilder
     {
         std::string name;
         WeightStore::Entry entry;
+        std::vector<float> data;              //!< add()'s copy
+        std::optional<Rng::NormalDraw> draw;  //!< addNormal()'s draws
     };
 
-    /** Reserves a 64-aligned section of n bytes; returns its offset. */
-    u64 reserve(u64 n);
+    /** Appends a rows x cols section at the next 64-aligned offset;
+        it stays zero unless the record gets data or a draw. */
+    Record &append(const std::string &name, Index rows, Index cols);
 
-    ModelConfig cfg_;
-    std::vector<u8> buf_;
+    std::vector<u8> config_; //!< the serialized config
+    u64 end_ = 0;            //!< first byte past the last section
     std::vector<Record> records_;
     bool finished_ = false;
 };

@@ -42,9 +42,6 @@ class Epre
     Cycle predictAttentionCycles(Index tokens, Index d_model,
                                  Index n_heads) const;
 
-    /** Hardware parameters. */
-    const DscParams &params() const { return params_; }
-
   private:
     DscParams params_;
 };

@@ -78,9 +78,6 @@ class Sdue
      */
     SdueRunStats mergedTileStats(const MergedTile &tile, Index k) const;
 
-    /** Hardware parameters. */
-    const DscParams &params() const { return params_; }
-
   private:
     DscParams params_;
 };

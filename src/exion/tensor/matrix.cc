@@ -46,8 +46,7 @@ void
 Matrix::fillNormal(Rng &rng, float mean, float stddev)
 {
     EXION_ASSERT(!borrowed(), "mutating a borrowed matrix");
-    for (auto &v : data_)
-        v = static_cast<float>(rng.normal(mean, stddev));
+    rng.fillNormal(data_.data(), data_.size(), mean, stddev);
 }
 
 void

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exion/common/bitops.h"
@@ -66,6 +70,88 @@ TEST(Rng, NormalMoments)
         stats.add(rng.normal());
     EXPECT_NEAR(stats.mean(), 0.0, 0.05);
     EXPECT_NEAR(stats.stddev(), 1.0, 0.05);
+}
+
+TEST(Rng, FillNormalMatchesTheSerialNormalLoop)
+{
+    // The threaded fill must write what n serial normal(mean, stddev)
+    // calls return and leave the generator where they leave it, cached
+    // sine included: around one chunk of pairs, over several chunks
+    // with an odd tail, and entered with and without a cached normal.
+    const size_t chunk = 2 * Rng::kNormalChunkPairs; // floats
+    const std::vector<size_t> lengths = {
+        0, 1, 2, 3, chunk - 1, chunk, chunk + 1, chunk + 2, 3 * chunk + 5};
+    const std::vector<std::pair<double, double>> moments = {
+        {0.0, 1.0},
+        {0.0, static_cast<double>(1.0f / std::sqrt(64.0f))},
+        {3.0, 2.0},
+        {-1.5, 0.25}};
+    u64 seed = 100;
+    for (const size_t n : lengths) {
+        for (const bool cached : {false, true}) {
+            const auto [mean, stddev] = moments[seed % moments.size()];
+            SCOPED_TRACE("n " + std::to_string(n) + (cached ? ", cached" : "")
+                         + ", mean " + std::to_string(mean) + ", stddev "
+                         + std::to_string(stddev));
+            Rng serial(seed), filled(seed);
+            ++seed;
+            if (cached) {
+                serial.normal();
+                filled.normal();
+            }
+            std::vector<float> want(n), got(n);
+            for (float &v : want)
+                v = static_cast<float>(serial.normal(mean, stddev));
+            filled.fillNormal(got.data(), n, mean, stddev);
+            EXPECT_TRUE(n == 0
+                        || std::memcmp(want.data(), got.data(),
+                                       n * sizeof(float))
+                               == 0);
+            for (int i = 0; i < 16; ++i)
+                EXPECT_EQ(std::bit_cast<u64>(serial.normal()),
+                          std::bit_cast<u64>(filled.normal()))
+                    << "draw " << i << " after the fill";
+        }
+    }
+}
+
+TEST(Rng, FillNormalsReportsEachChunkInOrderOnceWritten)
+{
+    // filled(d, k) promises that draws [0, d) and the first k floats of
+    // draw d hold their values; the weight-store builder hashes the
+    // image behind the fill on that promise. Draw 0 spans three chunks
+    // and ends odd, so draw 1 starts from the cached sine.
+    const size_t chunk = 2 * Rng::kNormalChunkPairs; // floats
+    const std::vector<size_t> sizes = {2 * chunk + 3, 5, chunk};
+    Rng serial(21), planned(21);
+    std::vector<std::vector<float>> want, got;
+    std::vector<Rng::NormalDraw> draws;
+    for (const size_t n : sizes) {
+        want.emplace_back(n);
+        for (float &v : want.back())
+            v = static_cast<float>(serial.normal(0.5, 2.0));
+        got.emplace_back(n);
+        draws.push_back(planned.planNormals(n, 0.5, 2.0));
+        draws.back().out = got.back().data();
+    }
+    const auto same = [&](size_t d, size_t k) {
+        return std::memcmp(want[d].data(), got[d].data(), k * sizeof(float))
+            == 0;
+    };
+    std::vector<std::pair<size_t, size_t>> reports;
+    Rng::fillNormals(draws, [&](size_t d, size_t written) {
+        for (size_t e = 0; e < d; ++e)
+            EXPECT_TRUE(same(e, sizes[e])) << "draw " << e;
+        EXPECT_TRUE(same(d, written)) << "draw " << d << ", " << written;
+        reports.emplace_back(d, written);
+    });
+    const std::vector<std::pair<size_t, size_t>> chunks_in_order = {
+        {0, chunk}, {0, 2 * chunk}, {0, 2 * chunk + 3}, {1, 5}, {2, chunk}};
+    EXPECT_EQ(reports, chunks_in_order);
+    for (size_t d = 0; d < sizes.size(); ++d)
+        EXPECT_TRUE(same(d, sizes[d])) << "draw " << d;
+    EXPECT_EQ(std::bit_cast<u64>(serial.normal()),
+              std::bit_cast<u64>(planned.normal()));
 }
 
 TEST(Rng, BernoulliRate)

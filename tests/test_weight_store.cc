@@ -1,7 +1,8 @@
 /**
  * @file
  * The immutable weight store: EXWS format round-trips, corruption
- * detection, a float-only layout, and the differential gate — a
+ * detection, a float-only layout, a threaded build equal to a serial
+ * one byte for byte, and the differential gate — a
  * pipeline served from a saved, mmap'd store must be bit-identical to
  * the seeded in-memory build across every benchmark, execution mode
  * and quantisation level, solo and cohort, and two engines registering
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "exion/common/mmap_file.h"
+#include "exion/common/rng.h"
 #include "exion/model/pipeline.h"
 #include "exion/model/scheduler.h"
 #include "exion/model/weight_store.h"
@@ -48,6 +51,25 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + "/" + name;
+}
+
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** The image a store holds, byte for byte, through save(). */
+std::vector<char>
+imageBytes(const WeightStore &store, const std::string &file)
+{
+    const std::string path = tempPath(file);
+    store.save(path);
+    std::vector<char> bytes = fileBytes(path);
+    std::remove(path.c_str());
+    return bytes;
 }
 
 /** Short runs that still cross a dense/sparse FFN-Reuse boundary. */
@@ -104,44 +126,125 @@ TEST(MmapFileTest, MissingFileThrows)
 
 TEST(WeightStoreTest, SaveLoadRoundTripPreservesEverything)
 {
-    const ModelConfig cfg = shortConfig(Benchmark::MLD);
-    const auto built = WeightStore::build(cfg);
-    const std::string path = tempPath("roundtrip.exws");
-    built->save(path);
-    const auto loaded = WeightStore::load(path);
+    // load() is the one path that checks the checksum finish() writes
+    // (a builder's own parse does not hash the image again), so every
+    // benchmark's image goes through it.
+    for (Benchmark b : allBenchmarks()) {
+        const ModelConfig cfg = shortConfig(b);
+        SCOPED_TRACE(cfg.name);
+        const auto built = WeightStore::build(cfg);
+        const std::string path = tempPath("roundtrip.exws");
+        built->save(path);
+        const auto loaded = WeightStore::load(path);
 
 #if defined(__unix__) || defined(__APPLE__)
-    EXPECT_TRUE(loaded->mapped());
+        EXPECT_TRUE(loaded->mapped());
 #endif
-    EXPECT_EQ(built->checksum(), loaded->checksum());
-    EXPECT_EQ(built->sizeBytes(), loaded->sizeBytes());
+        EXPECT_EQ(built->checksum(), loaded->checksum());
+        EXPECT_EQ(built->sizeBytes(), loaded->sizeBytes());
+        EXPECT_TRUE(fileBytes(path) == imageBytes(*loaded, "resaved.exws"));
 
-    const ModelConfig &lc = loaded->config();
-    EXPECT_EQ(lc.name, cfg.name);
-    EXPECT_EQ(lc.benchmark, cfg.benchmark);
-    EXPECT_EQ(lc.scale, cfg.scale);
-    EXPECT_EQ(lc.iterations, cfg.iterations);
-    EXPECT_EQ(lc.seed, cfg.seed);
-    EXPECT_EQ(lc.stages.size(), cfg.stages.size());
-    EXPECT_EQ(lc.latentTokens, cfg.latentTokens);
-    EXPECT_EQ(lc.latentDim, cfg.latentDim);
-    EXPECT_EQ(lc.geglu, cfg.geglu);
-    EXPECT_EQ(lc.ffnReuse.denseInterval, cfg.ffnReuse.denseInterval);
+        const ModelConfig &lc = loaded->config();
+        EXPECT_EQ(lc.name, cfg.name);
+        EXPECT_EQ(lc.benchmark, cfg.benchmark);
+        EXPECT_EQ(lc.scale, cfg.scale);
+        EXPECT_EQ(lc.iterations, cfg.iterations);
+        EXPECT_EQ(lc.seed, cfg.seed);
+        EXPECT_EQ(lc.stages.size(), cfg.stages.size());
+        EXPECT_EQ(lc.latentTokens, cfg.latentTokens);
+        EXPECT_EQ(lc.latentDim, cfg.latentDim);
+        EXPECT_EQ(lc.geglu, cfg.geglu);
+        EXPECT_EQ(lc.ffnReuse.denseInterval, cfg.ffnReuse.denseInterval);
 
-    ASSERT_EQ(built->entries().size(), loaded->entries().size());
-    for (const auto &[name, e] : built->entries()) {
-        SCOPED_TRACE(name);
-        ASSERT_EQ(loaded->entries().count(name), 1u);
-        const auto &le = loaded->entries().at(name);
-        EXPECT_EQ(le.rows, e.rows);
-        EXPECT_EQ(le.cols, e.cols);
-        EXPECT_EQ(le.byteLen, e.byteLen);
-        EXPECT_EQ(le.offset % 64, 0u);
-        EXPECT_TRUE(bitIdentical(built->matrix(name), loaded->matrix(name)));
+        ASSERT_EQ(built->entries().size(), loaded->entries().size());
+        for (const auto &[name, e] : built->entries()) {
+            SCOPED_TRACE(name);
+            ASSERT_EQ(loaded->entries().count(name), 1u);
+            const auto &le = loaded->entries().at(name);
+            EXPECT_EQ(le.rows, e.rows);
+            EXPECT_EQ(le.cols, e.cols);
+            EXPECT_EQ(le.byteLen, e.byteLen);
+            EXPECT_EQ(le.offset % 64, 0u);
+            EXPECT_TRUE(
+                bitIdentical(built->matrix(name), loaded->matrix(name)));
+        }
+        EXPECT_TRUE(built->matrix("inProj.w").borrowed());
+        EXPECT_TRUE(loaded->matrix("inProj.w").borrowed());
+        std::remove(path.c_str());
     }
-    EXPECT_TRUE(built->matrix("inProj.w").borrowed());
-    EXPECT_TRUE(loaded->matrix("inProj.w").borrowed());
-    std::remove(path.c_str());
+}
+
+/**
+ * build(cfg) made the plain way, written here rather than shared with
+ * the library: the same tensors in the same order, added as copies,
+ * each weight one rng.normal() per element, in order, from one serial
+ * Rng(cfg.seed).
+ */
+std::shared_ptr<const WeightStore>
+serialOracle(const ModelConfig &cfg)
+{
+    Rng rng(cfg.seed);
+    WeightStoreBuilder b(cfg);
+    const auto drawn = [&](const std::string &name, Index rows, Index cols,
+                           float stddev) {
+        Matrix m(rows, cols);
+        for (Index r = 0; r < rows; ++r)
+            for (Index c = 0; c < cols; ++c)
+                m(r, c) = static_cast<float>(rng.normal(0.0, stddev));
+        b.add(name, m);
+    };
+    const auto linear = [&](const std::string &name, Index in, Index out) {
+        drawn(name + ".w", in, out, 1.0f / std::sqrt(static_cast<float>(in)));
+        b.add(name + ".b", Matrix(1, out));
+    };
+    const Index d0 = cfg.stages.front().dModel;
+    linear("inProj", cfg.latentDim, d0);
+    linear("outProj", cfg.stages.back().dModel, cfg.latentDim);
+    drawn("condEmbed", 1, d0, 0.5f);
+    int block = 0;
+    Index prev_d = d0;
+    for (Index s = 0; s < cfg.stages.size(); ++s) {
+        const StageConfig &sc = cfg.stages[s];
+        const std::string sp = "s" + std::to_string(s);
+        if (sc.dModel != prev_d)
+            linear(sp + ".channelProj", prev_d, sc.dModel);
+        linear(sp + ".timeProj", kTimeEmbedDim, sc.dModel);
+        for (Index i = 0; i < sc.nResBlocks; ++i) {
+            const std::string rp = sp + ".res" + std::to_string(i);
+            linear(rp + ".conv1", sc.dModel, sc.dModel);
+            linear(rp + ".conv2", sc.dModel, sc.dModel);
+        }
+        for (Index i = 0; i < sc.nBlocks; ++i) {
+            const std::string bp = "blk" + std::to_string(block++);
+            for (const char *proj : {".wq", ".wk", ".wv", ".wo"})
+                linear(bp + proj, sc.dModel, sc.dModel);
+            linear(bp + ".ffn1", sc.dModel, sc.ffnMult * sc.dModel);
+            linear(bp + ".ffn2", sc.ffnMult * sc.dModel, sc.dModel);
+            if (cfg.geglu)
+                linear(bp + ".ffn1v", sc.dModel, sc.ffnMult * sc.dModel);
+        }
+        prev_d = sc.dModel;
+    }
+    return b.finish();
+}
+
+TEST(WeightStoreTest, BuildMatchesTheSerialOracleByteForByte)
+{
+    // build() draws in place on several threads; the bytes must be the
+    // serial ones. No checksum is pinned: the weights come from libm,
+    // which may round differently on another platform.
+    std::vector<ModelConfig> configs;
+    for (Benchmark b : allBenchmarks())
+        configs.push_back(makeConfig(b, Scale::Reduced));
+    configs.push_back(makeConfig(Benchmark::MLD, Scale::Full));
+    for (const ModelConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.name);
+        const auto built = WeightStore::build(cfg);
+        const auto oracle = serialOracle(cfg);
+        EXPECT_EQ(built->checksum(), oracle->checksum());
+        EXPECT_TRUE(imageBytes(*built, "built.exws")
+                    == imageBytes(*oracle, "oracle.exws"));
+    }
 }
 
 TEST(WeightStoreTest, CorruptionAndForeignImagesAreRejected)
@@ -151,12 +254,7 @@ TEST(WeightStoreTest, CorruptionAndForeignImagesAreRejected)
     const std::string path = tempPath("corrupt.exws");
     built->save(path);
 
-    std::vector<char> image;
-    {
-        std::ifstream in(path, std::ios::binary);
-        image.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
+    const std::vector<char> image = fileBytes(path);
     const auto write_variant = [&](auto mutate) {
         std::vector<char> bytes = image;
         mutate(bytes);
@@ -226,12 +324,7 @@ TEST(WeightStoreTest, RefusesTensorWhoseByteLengthWraps)
     const std::string path = tempPath("wrap.exws");
     builder.finish()->save(path);
     ASSERT_NO_THROW(WeightStore::load(path));
-    std::vector<char> b;
-    {
-        std::ifstream in(path, std::ios::binary);
-        b.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    }
+    std::vector<char> b = fileBytes(path);
     // Header bytes [48, 56) hold the index offset. The one record is
     // a u32 name length, the name, then rows, cols, section offset
     // and byte length as u64.
