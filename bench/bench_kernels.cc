@@ -18,13 +18,15 @@
  *
  * Both modes run the kernel-vs-Reference comparison on the gate
  * shapes (a stacked cohort of 8 x 8-token members against full-scale
- * MLD weight shapes, MDM's 196-token projections and FFN linears, and
- * MDM's score product), print GMAC/s per shape, and **exit nonzero if
- * the GEMM kernel does not reach Reference throughput** over them —
- * the regression gate for gemmF32. They then time the active table's
- * gemmInt12 against the scalar table's on eager prediction's integer
- * GEMM shapes, print GMAC/s per shape, and **exit nonzero if the
- * vector total is slower** — the gate for gemmInt12. Then they time
+ * MLD weight shapes, MDM's 196-token projections and FFN linears,
+ * MDM's score product, eager prediction's per-head projections and a
+ * reduced-scale request's FFN product), print GMAC/s per shape, and
+ * **exit nonzero if the GEMM kernel does not reach Reference
+ * throughput** over them — the regression gate for gemmF32. They then
+ * time the active table's gemmInt12 against the scalar table's on
+ * eager prediction's integer GEMM shapes, print GMAC/s per shape, and
+ * **exit nonzero if the vector total is slower** — the gate for
+ * gemmInt12. Then they time
  * the active table's dotRowsF32 against the scalar entry on the masked
  * dots of FFN-Reuse's reuse iteration (MDM and MLD) and of EP's kept
  * scores, with the same verdict — the gate for dotRowsF32. Last, the
@@ -80,8 +82,12 @@ struct GemmShape
  * 8 MLD members x 8 tokens stacked into 64 activation rows against the
  * full-scale MLD projection (256x256) and FFN (256x1024, 1024x256)
  * weights; MDM's 196 tokens against its projection (512x512) and FFN
- * (512x2048, 2048x512) weights, where the k-blocking matters; and
- * MDM's per-head score product (196 x 64 against 196 x 64 keys).
+ * (512x2048, 2048x512) weights, where the k-blocking matters; MDM's
+ * per-head score product (196 x 64 against 196 x 64 keys); eager
+ * prediction's per-head projections, the rows a head needs against
+ * one 64-column head of the weight (176 of MDM's 196 rows, 56 of an
+ * 8-member MLD cohort's 64); and one reduced-scale MLD request's
+ * 8 tokens against a 64 x 256 FFN weight.
  */
 constexpr GemmShape kGateShapes[] = {
     {"qkv_64x256x256", 64, 256, 256, false},
@@ -91,6 +97,9 @@ constexpr GemmShape kGateShapes[] = {
     {"ffn1_196x512x2048", 196, 512, 2048, false},
     {"ffn2_196x2048x512", 196, 2048, 512, false},
     {"score_196x64x196", 196, 64, 196, true},
+    {"ep_proj_176x512x64", 176, 512, 64, false},
+    {"ep_proj_56x256x64", 56, 256, 64, false},
+    {"reduced_8x64x256", 8, 64, 256, false},
 };
 
 /** Normal operands of one GemmShape: B is n x k when transposed. */
@@ -281,7 +290,7 @@ gateGemmKernel(int reps)
     double ref_total = 0.0;
     double kernel_total = 0.0;
     std::printf("\n== GEMM kernel gate: matmul vs Reference on the "
-                "tall cohort and MDM shapes (best of %d) ==\n",
+                "cohort, MDM, EP and reduced shapes (best of %d) ==\n",
                 reps);
     for (const GemmShape &s : kGateShapes) {
         const GemmOperands ops(s, rng);
@@ -729,7 +738,9 @@ BM_GemmTall(benchmark::State &state)
     state.SetLabel(std::string(shape.name) + "/" + kernelName(blocked));
 }
 BENCHMARK(BM_GemmTall)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {0, 1}})
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, std::size(kGateShapes) - 1, 1),
+                   {0, 1}})
     ->ArgNames({"shape", "blocked"});
 
 /** A * B^T (attention scores) vs its oracle. */

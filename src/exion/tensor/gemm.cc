@@ -1,5 +1,6 @@
 #include "exion/tensor/gemm.h"
 
+#include <cmath>
 #include <vector>
 
 #include "exion/tensor/ops.h"
@@ -52,7 +53,7 @@ matmulQuant(const QuantMatrix &a, const QuantMatrix &b)
     return c;
 }
 
-Matrix
+EXION_FMA_CLONES Matrix
 matmulReference(const Matrix &a, const Matrix &b)
 {
     EXION_ASSERT(a.cols() == b.rows(), "matmul shape (", a.rows(), "x",
@@ -66,13 +67,13 @@ matmulReference(const Matrix &a, const Matrix &b)
             const float av = arow[k];
             const float *brow = b.rowPtr(k);
             for (Index j = 0; j < b.cols(); ++j)
-                crow[j] += av * brow[j];
+                crow[j] = std::fma(av, brow[j], crow[j]);
         }
     }
     return c;
 }
 
-Matrix
+EXION_FMA_CLONES Matrix
 matmulTransposedReference(const Matrix &a, const Matrix &b)
 {
     EXION_ASSERT(a.cols() == b.cols(), "matmulT shape (", a.rows(), "x",
@@ -85,7 +86,7 @@ matmulTransposedReference(const Matrix &a, const Matrix &b)
             const float *brow = b.rowPtr(j);
             float acc = 0.0f;
             for (Index k = 0; k < k_dim; ++k)
-                acc += arow[k] * brow[k];
+                acc = std::fma(arow[k], brow[k], acc);
             c(i, j) = acc;
         }
     }

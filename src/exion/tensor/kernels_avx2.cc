@@ -3,25 +3,27 @@
  * AVX2 kernel table (256-bit lanes).
  *
  * Exactness discipline: float kernels vectorize across independent
- * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
- * FMA — the golden chains round twice per term), ragged tails fall
+ * output elements with one _mm256_fmadd_ps per term (the golden
+ * chains round once per term, as std::fma does), ragged tails fall
  * back to the scalar reference chains or (gemmF32, dotRowsF32) masked
- * loads and stores, the masked dots run eight chains at once through
- * an in-register 8 x 8 transpose (the AVX-512 table runs this entry
- * too), compares are ordered-quiet (_CMP_*_OQ) so NaN lanes never
- * set mask bits, and the integer GEMM (gemmInt12) is exact in any
- * order; it multiplies i16 pairs with _mm256_madd_epi16 and masks its
- * ragged last panel. The Int12 quantisation runs quantizeToRange's
- * double operations four lanes at a time; the dequantisation is the
- * scalar entry, since AVX2 has no packed i64-to-double conversion.
+ * loads and stores, the masked dots run sixteen chains at once, two
+ * overlapping groups of eight, on row data transposed in registers
+ * (the AVX-512 table runs this entry too), compares are ordered-quiet
+ * (_CMP_*_OQ) so NaN lanes never set mask bits, and the integer GEMM
+ * (gemmInt12) is exact in any order; it multiplies i16 pairs with
+ * _mm256_madd_epi16 and masks its ragged last panel. The Int12
+ * quantisation runs quantizeToRange's double operations four lanes at
+ * a time; the dequantisation is the scalar entry, since AVX2 has no
+ * packed i64-to-double conversion.
  *
- * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
- * it must only be *called* after the runtime probe confirmed AVX2.
+ * This TU alone is compiled with -mavx2 -mfma (plus -ffp-contract=off,
+ * so the only fused operations are the intrinsics); it must only be
+ * *called* after the runtime probe confirmed AVX2 and FMA.
  */
 
 #include "exion/tensor/simd_dispatch.h"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -43,9 +45,8 @@ axpyF32Avx2(float *out, const float *x, float a, Index n)
     const __m256 va = _mm256_set1_ps(a);
     Index j = 0;
     for (; j + 8 <= n; j += 8) {
-        __m256 o = _mm256_loadu_ps(out + j);
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va, _mm256_loadu_ps(x + j)));
+        const __m256 o = _mm256_fmadd_ps(va, _mm256_loadu_ps(x + j),
+                                         _mm256_loadu_ps(out + j));
         _mm256_storeu_ps(out + j, o);
     }
     if (j < n)
@@ -70,11 +71,11 @@ constexpr Index kGemmF32KBlock = 128;
 constexpr Index kGemmF32Prefetch = 4;
 
 /**
- * k-steps [k0, k1) of one MR-row by (8 * NV)-column gemmF32 tile, as
- * in the AVX-512 table: accumulators start at +0.0f on the first
- * k-block and reload C's partial sums on later ones, each term is a
- * separate rounded multiply then add, and lanes outside live[v] (sign
- * bit clear) load as zero and are never stored.
+ * k-steps [k0, k1) of one MR-row by (8 * NV)-column gemmF32 tile:
+ * accumulators start at +0.0f on the first k-block and reload C's
+ * partial sums on later ones, each term is one fused multiply-add,
+ * and lanes outside live[v] (sign bit clear) load as zero and are
+ * never stored. A and B are read in place.
  */
 template <int MR, int NV>
 void
@@ -101,8 +102,7 @@ gemmF32TileAvx2(const float *a, Index lda, const float *b, Index ldb,
         for (int r = 0; r < MR; ++r) {
             const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
             for (int v = 0; v < NV; ++v)
-                acc[r][v] = _mm256_add_ps(acc[r][v],
-                                          _mm256_mul_ps(av, bv[v]));
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
     }
     for (int r = 0; r < MR; ++r)
@@ -158,43 +158,107 @@ gemmF32Avx2(const float *a, Index lda, const float *b, Index ldb,
 }
 
 /**
- * Transposes eight 8-lane rows in place: afterwards r[k] holds element
- * k of every row, row i in lane i.
+ * 4 x 4 transposes within each 128-bit half: before, r[j] holds four
+ * k-steps of row j in its low half (and of row j + 4 in its high
+ * half); after, r[c] holds k-step c of the four rows in each half.
+ * One shuffle and two blends stand in for each pair of shuffle_ps, so
+ * the shuffle port takes 6 operations, not 8.
  */
 inline void
-transpose8x8(__m256 r[8])
+transposeHalves4x4(__m256 r[4])
 {
-    __m256 t[8];
-#pragma GCC unroll 4
-    for (int g = 0; g < 4; ++g) {
-        t[2 * g] = _mm256_unpacklo_ps(r[2 * g], r[2 * g + 1]);
-        t[2 * g + 1] = _mm256_unpackhi_ps(r[2 * g], r[2 * g + 1]);
-    }
-    // u[4q + j]: rows 4q .. 4q + 3 at k = 4H + j in 128-bit half H.
-    __m256 u[8];
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 v0 = _mm256_shuffle_ps(t0, t2, 0x4E);
+    const __m256 v1 = _mm256_shuffle_ps(t1, t3, 0x4E);
+    r[0] = _mm256_blend_ps(t0, v0, 0xCC);
+    r[1] = _mm256_blend_ps(v0, t2, 0xCC);
+    r[2] = _mm256_blend_ps(t1, v1, 0xCC);
+    r[3] = _mm256_blend_ps(v1, t3, 0xCC);
+}
+
+/**
+ * k-steps [k0, k0 + 8) of eight rows as columns: afterwards col[c]
+ * holds k-step k0 + c of every row, row i in lane i. Each register
+ * loads row j's four k-steps in its low half and row j + 4's in its
+ * high half (vinsertf128 from memory, off the shuffle port), and then
+ * each half is transposed 4 x 4. With Ragged, only the first rest
+ * (< 8) k-steps load; the rest read as zero.
+ */
+template <bool Ragged>
+inline void
+loadColumns(const float *const *row, Index k0, Index rest, __m256 col[8])
+{
+    const __m128i lane = _mm_setr_epi32(0, 1, 2, 3);
 #pragma GCC unroll 2
-    for (int q = 0; q < 2; ++q) {
-        u[4 * q] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0x44);
-        u[4 * q + 1] = _mm256_shuffle_ps(t[4 * q], t[4 * q + 2], 0xEE);
-        u[4 * q + 2] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0x44);
-        u[4 * q + 3] = _mm256_shuffle_ps(t[4 * q + 1], t[4 * q + 3], 0xEE);
-    }
+    for (int h = 0; h < 2; ++h) {
+        __m128i live = _mm_setzero_si128();
+        if constexpr (Ragged)
+            live = _mm_cmpgt_epi32(
+                _mm_set1_epi32(static_cast<int>(rest) - 4 * h), lane);
+        const auto load = [&](const float *src) {
+            return Ragged ? _mm_maskload_ps(src, live) : _mm_loadu_ps(src);
+        };
+        __m256 *r = col + 4 * h;
 #pragma GCC unroll 4
-    for (int j = 0; j < 4; ++j) {
-        r[j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x20);
-        r[4 + j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x31);
+        for (int j = 0; j < 4; ++j)
+            r[j] = _mm256_insertf128_ps(
+                _mm256_castps128_ps256(load(row[j] + k0 + 4 * h)),
+                load(row[j + 4] + k0 + 4 * h), 1);
+        transposeHalves4x4(r);
+    }
+}
+
+/**
+ * G groups of eight golden chains, group g over rows row[8g .. 8g + 7]
+ * into acc[g]. The groups' chains are independent, so their
+ * multiply-adds overlap: one chain alone waits on the multiply-add's
+ * latency at every k-step.
+ */
+template <int G>
+inline void
+dotRowGroups(const float *x, const float *const *row, Index d, __m256 *acc)
+{
+    for (int g = 0; g < G; ++g)
+        acc[g] = _mm256_setzero_ps();
+    Index k0 = 0;
+    for (; k0 + 8 <= d; k0 += 8) {
+#pragma GCC unroll 2
+        for (int g = 0; g < G; ++g) {
+            __m256 col[8];
+            loadColumns<false>(row + 8 * g, k0, 8, col);
+#pragma GCC unroll 8
+            for (int c = 0; c < 8; ++c)
+                acc[g] = _mm256_fmadd_ps(_mm256_broadcast_ss(x + k0 + c),
+                                         col[c], acc[g]);
+        }
+    }
+    if (k0 < d) {
+        const Index rest = d - k0;
+        for (int g = 0; g < G; ++g) {
+            __m256 col[8];
+            loadColumns<true>(row + 8 * g, k0, rest, col);
+            for (Index c = 0; c < rest; ++c)
+                acc[g] = _mm256_fmadd_ps(_mm256_broadcast_ss(x + k0 + c),
+                                         col[c], acc[g]);
+        }
     }
 }
 
 } // namespace
 
 /**
- * Eight golden chains at once, one per lane. Each block multiplies 8
- * rows by x's next 8 k (the products a chain adds, rounded as the
- * scalar chain rounds them), transposes the products and adds them to
- * the lanes in ascending k. A ragged last block loads masked and adds
- * only its live columns. A ragged last row group repeats its last row
- * in the spare lanes and stores only the live ones.
+ * Golden chains one per lane, sixteen rows at a time (two groups of
+ * eight whose multiply-adds overlap), and eight for a last group of
+ * at most eight rows. Each k block loads the rows' next 8 k-steps as
+ * columns (loadColumns), so column c holds k-step c of every row, and
+ * multiply-adds them into the lanes in ascending k, each against x's
+ * k-step broadcast: one fused multiply-add per term, as the scalar
+ * chain takes them. A ragged last block loads masked and adds only its
+ * live columns. Spare lanes of a ragged last group repeat its last row
+ * and are never stored.
  */
 void
 dotRowsF32Avx2(const float *x, const float *b, Index ldb,
@@ -205,40 +269,21 @@ dotRowsF32Avx2(const float *x, const float *b, Index ldb,
         return _mm256_cmpgt_epi32(
             _mm256_set1_epi32(static_cast<int>(count)), lane);
     };
-    for (Index i0 = 0; i0 < n; i0 += 8) {
-        const Index lanes = std::min<Index>(8, n - i0);
-        const float *row[8];
-        for (Index i = 0; i < 8; ++i)
+    for (Index i0 = 0; i0 < n;) {
+        const Index lanes = std::min<Index>(16, n - i0);
+        const float *row[16];
+        for (Index i = 0; i < 16; ++i)
             row[i] = b + idx[i0 + std::min(i, lanes - 1)] * ldb;
-        __m256 acc = _mm256_setzero_ps();
-        Index k0 = 0;
-        for (; k0 + 8 <= d; k0 += 8) {
-            const __m256 xv = _mm256_loadu_ps(x + k0);
-            __m256 v[8];
-#pragma GCC unroll 8
-            for (int i = 0; i < 8; ++i)
-                v[i] = _mm256_mul_ps(xv, _mm256_loadu_ps(row[i] + k0));
-            transpose8x8(v);
-#pragma GCC unroll 8
-            for (int k = 0; k < 8; ++k)
-                acc = _mm256_add_ps(acc, v[k]);
+        __m256 acc[2];
+        if (lanes > 8) {
+            dotRowGroups<2>(x, row, d, acc);
+            _mm256_storeu_ps(out + i0, acc[0]);
+            _mm256_maskstore_ps(out + i0 + 8, below(lanes - 8), acc[1]);
+        } else {
+            dotRowGroups<1>(x, row, d, acc);
+            _mm256_maskstore_ps(out + i0, below(lanes), acc[0]);
         }
-        if (k0 < d) {
-            const Index rest = d - k0;
-            const __m256i live = below(rest);
-            const __m256 xv = _mm256_maskload_ps(x + k0, live);
-            __m256 v[8];
-#pragma GCC unroll 8
-            for (int i = 0; i < 8; ++i)
-                v[i] = _mm256_mul_ps(xv,
-                                     _mm256_maskload_ps(row[i] + k0, live));
-            transpose8x8(v);
-#pragma GCC unroll 8
-            for (int k = 0; k < 8; ++k)
-                if (static_cast<Index>(k) < rest)
-                    acc = _mm256_add_ps(acc, v[k]);
-        }
-        _mm256_maskstore_ps(out + i0, below(lanes), acc);
+        i0 += lanes;
     }
 }
 
@@ -557,7 +602,7 @@ avx2Table()
 } // namespace simd
 } // namespace exion
 
-#else // !defined(__AVX2__)
+#else // !(defined(__AVX2__) && defined(__FMA__))
 
 namespace exion
 {

@@ -3,24 +3,28 @@
  * AVX-512 kernel table (512-bit lanes; AVX-512F, BW and DQ).
  *
  * Same exactness discipline as the AVX2 table: independent-element
- * float kernels with separate mul/add (no FMA), ordered-quiet
- * compares, exact integer sums. The mask kernels are where AVX-512
- * shines — _mm512_cmp_ps_mask yields the 16 compare bits directly,
- * and masked loads make the ragged tail branch-free (masked-off
- * lanes load +0.0f and are excluded from the result mask, so NaN/Inf
- * beyond the tail cannot leak in). The GEMM tiles use the same masks
- * for their ragged last column panel. The integer GEMM multiplies
- * i16 pairs with _mm512_madd_epi16, the one AVX-512BW instruction the
- * table needs. The masked dots (dotRowsF32) run the AVX2 table's
- * eight-lane entry: a sixteen-lane form through a 16 x 16 transpose
- * was not faster beyond run-to-run noise on FFN-Reuse's shapes. The
- * Int12 dequantisation converts i64 lanes to double with
- * _mm512_cvtepi64_pd, the one AVX-512DQ instruction the table needs;
- * every other instruction here is AVX-512F, on 512-bit registers.
+ * float kernels with one _mm512_fmadd_ps per term (the golden chain),
+ * ordered-quiet compares, exact integer sums. The mask kernels are
+ * where AVX-512 shines — _mm512_cmp_ps_mask yields the 16 compare bits
+ * directly, and masked loads make the ragged tail branch-free
+ * (masked-off lanes load +0.0f and are excluded from the result mask,
+ * so NaN/Inf beyond the tail cannot leak in). The GEMM tiles use the
+ * same masks for their ragged last column panel. The float GEMM packs
+ * each panel of B contiguous just before its row tiles read it. The
+ * integer GEMM multiplies i16 pairs with _mm512_madd_epi16, the one
+ * AVX-512BW instruction the table needs. The masked dots (dotRowsF32)
+ * run the AVX2 table's entry: a sixteen-lane form through a 16 x 16
+ * transpose was not faster beyond run-to-run noise on FFN-Reuse's
+ * shapes, and neither was a sixteen-lane fused form that loads four
+ * rows per 128-bit lane. The Int12 dequantisation converts i64 lanes
+ * to double with _mm512_cvtepi64_pd, the one AVX-512DQ instruction the
+ * table needs; every other instruction here is AVX-512F, on 512-bit
+ * registers.
  *
  * This TU alone is compiled with -mavx512f -mavx512bw -mavx512dq (plus
- * -ffp-contract=off); only called after the runtime probe confirmed
- * AVX-512F, AVX-512BW and AVX-512DQ.
+ * -ffp-contract=off, so the only fused operations are the
+ * intrinsics); only called after the runtime probe confirmed
+ * AVX-512F, AVX-512BW, AVX-512DQ and FMA (for the AVX2 masked dots).
  */
 
 #include "exion/tensor/simd_dispatch.h"
@@ -46,9 +50,8 @@ axpyF32Avx512(float *out, const float *x, float a, Index n)
     const __m512 va = _mm512_set1_ps(a);
     Index j = 0;
     for (; j + 16 <= n; j += 16) {
-        __m512 o = _mm512_loadu_ps(out + j);
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va, _mm512_loadu_ps(x + j)));
+        const __m512 o = _mm512_fmadd_ps(va, _mm512_loadu_ps(x + j),
+                                         _mm512_loadu_ps(out + j));
         _mm512_storeu_ps(out + j, o);
     }
     if (j < n)
@@ -58,64 +61,110 @@ axpyF32Avx512(float *out, const float *x, float a, Index n)
 /** Rows of C one gemmF32 tile keeps in registers. */
 constexpr int kGemmF32Rows = 8;
 
-/** 16-lane vectors across one gemmF32 tile: 32 columns. */
+/** 16-lane vectors across one gemmF32 tile. */
 constexpr int kGemmF32Vecs = 2;
 
+/** Columns of one packed panel of B: one tile's width. */
+constexpr Index kGemmF32Panel = 16 * kGemmF32Vecs;
+
 /** k-steps per register pass; partial sums go through C between. */
-constexpr Index kGemmF32KBlock = 128;
+constexpr Index kGemmF32KBlock = 256;
 
 /**
- * k-steps [k0, k1) of one MR-row by (16 * NV)-column gemmF32 tile.
- * The MR x NV accumulators start at +0.0f on the first k-block and
- * reload C's partial sums on later ones, add each term as a separate
- * rounded multiply then add, and go back to C at the end. Lanes
- * outside live[v] (a ragged last panel) load as zero and are never
- * stored.
+ * Packs k-steps [0, kb) of a panel of B (rows ldb apart) into out,
+ * kGemmF32Panel floats per k-step; lanes outside live[v] load and
+ * store as zero.
  */
-template <int MR, int NV>
 void
-gemmF32TileAvx512(const float *a, Index lda, const float *b, Index ldb,
-                  float *c, Index ldc, Index k0, Index k1,
+packGemmF32B(const float *b, Index ldb, Index kb, const __mmask16 *live,
+             float *out)
+{
+    for (Index kk = 0; kk < kb; ++kk)
+        for (int v = 0; v < kGemmF32Vecs; ++v)
+            _mm512_store_ps(out + kk * kGemmF32Panel + 16 * v,
+                            _mm512_maskz_loadu_ps(live[v],
+                                                  b + kk * ldb + 16 * v));
+}
+
+/**
+ * kb k-steps of one MR-row by (16 * NV)-column gemmF32 tile: A's rows
+ * lda apart, read in place, and the panel of B, rows ldbp apart
+ * (packed, or in place when no other tile reads it). The MR x NV
+ * accumulators start at +0.0f on the first k-block (first) and reload
+ * C's partial sums on later ones, take one fused multiply-add per
+ * term, and go back to C at the end. In a Ragged (last) panel, lanes
+ * outside live[v] load as zero and are never stored; full panels load
+ * and store unmasked, measured 1.1x faster. The unroll pragmas keep
+ * GCC from parking the accumulators on the stack every k-step.
+ */
+template <int MR, int NV, bool Ragged>
+void
+gemmF32TileAvx512(const float *a, Index lda, const float *bp, Index ldbp,
+                  Index kb, float *c, Index ldc, bool first,
                   const __mmask16 *live)
 {
+    __mmask16 lanes[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v)
+        lanes[v] = live[v];
+    const auto load = [&](const float *src, int v) {
+        return Ragged ? _mm512_maskz_loadu_ps(lanes[v], src)
+                      : _mm512_loadu_ps(src);
+    };
     __m512 acc[MR][NV];
+#pragma GCC unroll 8
     for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
-            acc[r][v] = k0 == 0 ? _mm512_setzero_ps()
-                                : _mm512_maskz_loadu_ps(
-                                      live[v], c + r * ldc + 16 * v);
-    for (Index kk = k0; kk < k1; ++kk) {
-        const float *brow = b + kk * ldb;
+            acc[r][v] = first ? _mm512_setzero_ps()
+                              : load(c + r * ldc + 16 * v, v);
+    for (Index kk = 0; kk < kb; ++kk) {
         __m512 bv[NV];
+#pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
-            bv[v] = _mm512_maskz_loadu_ps(live[v], brow + 16 * v);
+            bv[v] = load(bp + kk * ldbp + 16 * v, v);
+#pragma GCC unroll 8
         for (int r = 0; r < MR; ++r) {
             const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
+#pragma GCC unroll 2
             for (int v = 0; v < NV; ++v)
-                acc[r][v] = _mm512_add_ps(acc[r][v],
-                                          _mm512_mul_ps(av, bv[v]));
+                acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
         }
     }
+#pragma GCC unroll 8
     for (int r = 0; r < MR; ++r)
-        for (int v = 0; v < NV; ++v)
-            _mm512_mask_storeu_ps(c + r * ldc + 16 * v, live[v],
-                                  acc[r][v]);
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+            float *dst = c + r * ldc + 16 * v;
+            if (Ragged)
+                _mm512_mask_storeu_ps(dst, lanes[v], acc[r][v]);
+            else
+                _mm512_storeu_ps(dst, acc[r][v]);
+        }
 }
 
 using GemmF32Tile = void (*)(const float *, Index, const float *, Index,
-                             float *, Index, Index, Index,
+                             Index, float *, Index, bool,
                              const __mmask16 *);
 
-/** Tile kernels by [rows - 1][vectors - 1]. */
-constexpr GemmF32Tile kGemmF32Tiles[kGemmF32Rows][kGemmF32Vecs] = {
-    {gemmF32TileAvx512<1, 1>, gemmF32TileAvx512<1, 2>},
-    {gemmF32TileAvx512<2, 1>, gemmF32TileAvx512<2, 2>},
-    {gemmF32TileAvx512<3, 1>, gemmF32TileAvx512<3, 2>},
-    {gemmF32TileAvx512<4, 1>, gemmF32TileAvx512<4, 2>},
-    {gemmF32TileAvx512<5, 1>, gemmF32TileAvx512<5, 2>},
-    {gemmF32TileAvx512<6, 1>, gemmF32TileAvx512<6, 2>},
-    {gemmF32TileAvx512<7, 1>, gemmF32TileAvx512<7, 2>},
-    {gemmF32TileAvx512<8, 1>, gemmF32TileAvx512<8, 2>},
+/** Tiles of a full 32-column panel by rows - 1. */
+constexpr GemmF32Tile kGemmF32Tiles[kGemmF32Rows] = {
+    gemmF32TileAvx512<1, 2, false>, gemmF32TileAvx512<2, 2, false>,
+    gemmF32TileAvx512<3, 2, false>, gemmF32TileAvx512<4, 2, false>,
+    gemmF32TileAvx512<5, 2, false>, gemmF32TileAvx512<6, 2, false>,
+    gemmF32TileAvx512<7, 2, false>, gemmF32TileAvx512<8, 2, false>,
+};
+
+/** Tiles of a ragged last panel by [rows - 1][vectors - 1]. */
+constexpr GemmF32Tile kGemmF32RaggedTiles[kGemmF32Rows][kGemmF32Vecs] = {
+    {gemmF32TileAvx512<1, 1, true>, gemmF32TileAvx512<1, 2, true>},
+    {gemmF32TileAvx512<2, 1, true>, gemmF32TileAvx512<2, 2, true>},
+    {gemmF32TileAvx512<3, 1, true>, gemmF32TileAvx512<3, 2, true>},
+    {gemmF32TileAvx512<4, 1, true>, gemmF32TileAvx512<4, 2, true>},
+    {gemmF32TileAvx512<5, 1, true>, gemmF32TileAvx512<5, 2, true>},
+    {gemmF32TileAvx512<6, 1, true>, gemmF32TileAvx512<6, 2, true>},
+    {gemmF32TileAvx512<7, 1, true>, gemmF32TileAvx512<7, 2, true>},
+    {gemmF32TileAvx512<8, 1, true>, gemmF32TileAvx512<8, 2, true>},
 };
 
 void
@@ -127,26 +176,38 @@ gemmF32Avx512(const float *a, Index lda, const float *b, Index ldb,
             std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
         return;
     }
-    constexpr Index kPanel = 16 * kGemmF32Vecs;
-    // Every row tile of A passes over one 32-column slab of a k-block
-    // of B (16 KiB) before the next slab, so each B element comes from
-    // memory once per call and from near caches for the other tiles.
+    // The one scratch: a k-block of one panel of B, 32 KiB on the
+    // calling thread's stack. Each panel is packed just before its row
+    // tiles sweep it from L1, so no call allocates and no copy of all
+    // of B is ever held. With a single row tile B is read in place: a
+    // packed copy would be read once.
+    alignas(64) float packed[kGemmF32KBlock * kGemmF32Panel];
+    const bool pack_b = m > kGemmF32Rows;
     for (Index k0 = 0; k0 < k; k0 += kGemmF32KBlock) {
-        const Index k1 = std::min(k, k0 + kGemmF32KBlock);
-        for (Index j0 = 0; j0 < n; j0 += kPanel) {
-            const Index w = std::min(kPanel, n - j0);
+        const Index kb = std::min(kGemmF32KBlock, k - k0);
+        for (Index j0 = 0; j0 < n; j0 += kGemmF32Panel) {
+            const Index w = std::min(kGemmF32Panel, n - j0);
             __mmask16 live[kGemmF32Vecs];
             for (Index v = 0; v < kGemmF32Vecs; ++v) {
                 const Index lanes =
                     w > 16 * v ? std::min<Index>(16, w - 16 * v) : 0;
                 live[v] = static_cast<__mmask16>((u32{1} << lanes) - 1);
             }
+            const float *panel = b + k0 * ldb + j0;
+            Index ldp = ldb;
+            if (pack_b) {
+                packGemmF32B(panel, ldb, kb, live, packed);
+                panel = packed;
+                ldp = kGemmF32Panel;
+            }
             const Index nv = (w + 15) / 16;
             for (Index i0 = 0; i0 < m; i0 += kGemmF32Rows) {
                 const Index mr = std::min<Index>(kGemmF32Rows, m - i0);
-                kGemmF32Tiles[mr - 1][nv - 1](a + i0 * lda, lda, b + j0,
-                                              ldb, c + i0 * ldc + j0,
-                                              ldc, k0, k1, live);
+                const GemmF32Tile tile = w == kGemmF32Panel
+                    ? kGemmF32Tiles[mr - 1]
+                    : kGemmF32RaggedTiles[mr - 1][nv - 1];
+                tile(a + i0 * lda + k0, lda, panel, ldp, kb,
+                     c + i0 * ldc + j0, ldc, k0 == 0, live);
             }
         }
     }

@@ -2,17 +2,18 @@
  * @file
  * ARM NEON kernel table (128-bit lanes).
  *
- * Exactness discipline matches the x86 tables: float kernels combine
- * separate vmulq_f32 / vaddq_f32 — never vmlaq/vfmaq, which lower to
- * fused FMLA on AArch64 and would round once where the golden chain
- * rounds twice — ragged tails fall back to the scalar reference, and
- * compares go through the scalar kernels (NEON has no move-mask; the
- * scalar entries compare into one byte per entry and pack the bytes
- * with a multiply, a loop the compiler vectorises). gemmF32 points
- * at the scalar entry: NEON is AArch64's baseline, so the compiler
- * vectorises that entry's column sweep. dotRowsF32 points at the
- * scalar entry too: no ARM host has measured a transposed form. So do
- * quantizeF32 and dequantizeI64, which have no NEON form.
+ * Exactness discipline matches the x86 tables: float kernels take one
+ * fused multiply-add per term, vfmaq_f32 (FMLA, rounded once, as
+ * std::fma is) — never vmlaq_f32, which rounds the product before the
+ * add — ragged tails fall back to the scalar reference,
+ * and compares go through the scalar kernels (NEON has no move-mask;
+ * the scalar entries compare into one byte per entry and pack the
+ * bytes with a multiply, a loop the compiler vectorises). gemmF32
+ * points at the scalar entry: NEON is AArch64's baseline, where
+ * std::fma is one FMADD, so the compiler vectorises that entry's
+ * column sweep. dotRowsF32 points at the scalar entry too: no ARM
+ * host has measured a transposed form. So do quantizeF32 and
+ * dequantizeI64, which have no NEON form.
  *
  * Compiled with -ffp-contract=off like every kernel TU.
  */
@@ -36,11 +37,9 @@ axpyF32Neon(float *out, const float *x, float a, Index n)
 {
     const float32x4_t va = vdupq_n_f32(a);
     Index j = 0;
-    for (; j + 4 <= n; j += 4) {
-        float32x4_t o = vld1q_f32(out + j);
-        o = vaddq_f32(o, vmulq_f32(va, vld1q_f32(x + j)));
-        vst1q_f32(out + j, o);
-    }
+    for (; j + 4 <= n; j += 4)
+        vst1q_f32(out + j,
+                  vfmaq_f32(vld1q_f32(out + j), va, vld1q_f32(x + j)));
     if (j < n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
@@ -50,10 +49,9 @@ gemmInt12Neon(const i32 *a, Index lda, const i32 *b, Index ldb, i64 *c,
               Index ldc, Index m, Index k, Index n)
 {
     // Row-panel axpy over 16-column panels: four i32x4 accumulators
-    // per panel (integer vmla: exact, unlike the float form the
-    // kernels above avoid), widened into C after at most
-    // kGemmInt12FlushSteps k-steps. The ragged column tail goes to
-    // the scalar reference.
+    // per panel (integer vmla: exact in any order), widened into C
+    // after at most kGemmInt12FlushSteps k-steps. The ragged column
+    // tail goes to the scalar reference.
     const Index full = n - n % 16;
     for (Index i = 0; i < m; ++i) {
         const i32 *arow = a + i * lda;

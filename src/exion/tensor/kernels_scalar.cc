@@ -4,10 +4,14 @@
  * measured against.
  *
  * These loops are the gemm.h accumulation contract spelled out once:
- * separate rounded multiply and add per term, ascending index order,
- * +0.0f accumulator starts, ordered compares (NaN never sets a bit).
- * Compiled with -ffp-contract=off so no toolchain fuses a chain here
- * that a vector kernel keeps unfused (or vice versa).
+ * one fused multiply-add per term (std::fma, a single rounding),
+ * ascending index order, +0.0f accumulator starts, ordered compares
+ * (NaN never sets a bit). Compiled with -ffp-contract=off, so the only
+ * fusion is the one the source spells. The float chains carry
+ * EXION_FMA_CLONES: on x86 they are built twice, with and without the
+ * FMA instruction set, and the loader picks the first build on a CPU
+ * that has it. Without it std::fma is a call to fmaf, correctly
+ * rounded as the instruction is, so both builds give the same bits.
  */
 
 #include "exion/tensor/simd_dispatch.h"
@@ -25,11 +29,11 @@ namespace exion
 namespace simd
 {
 
-void
+EXION_FMA_CLONES void
 axpyF32Scalar(float *out, const float *x, float a, Index n)
 {
     for (Index j = 0; j < n; ++j)
-        out[j] += a * x[j];
+        out[j] = std::fma(a, x[j], out[j]);
 }
 
 namespace
@@ -42,19 +46,9 @@ namespace
  */
 constexpr Index kSweepCols = 128;
 
-/** sum_k a[k] * b[k] as one serial chain from +0.0f, k ascending. */
-float
-dotF32Scalar(const float *a, const float *b, Index n)
-{
-    float acc = 0.0f;
-    for (Index k = 0; k < n; ++k)
-        acc += a[k] * b[k];
-    return acc;
-}
-
 } // namespace
 
-void
+EXION_FMA_CLONES void
 gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
               float *c, Index ldc, Index m, Index k, Index n)
 {
@@ -72,8 +66,8 @@ gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
             std::fill(crow, crow + nb, 0.0f);
             // Jam four k steps per C sweep: each element still adds
             // its k terms one at a time in ascending order (four
-            // separately rounded additions, the golden chain), but C
-            // is loaded and stored once per four terms.
+            // fused multiply-adds, the golden chain), but C is loaded
+            // and stored once per four terms.
             Index kk = 0;
             for (; kk + 4 <= k; kk += 4) {
                 const float *b0 = packed.data() + kk * nb;
@@ -86,10 +80,10 @@ gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
                 const float a3 = arow[kk + 3];
                 for (Index j = 0; j < nb; ++j) {
                     float acc = crow[j];
-                    acc += a0 * b0[j];
-                    acc += a1 * b1[j];
-                    acc += a2 * b2[j];
-                    acc += a3 * b3[j];
+                    acc = std::fma(a0, b0[j], acc);
+                    acc = std::fma(a1, b1[j], acc);
+                    acc = std::fma(a2, b2[j], acc);
+                    acc = std::fma(a3, b3[j], acc);
                     crow[j] = acc;
                 }
             }
@@ -100,12 +94,17 @@ gemmF32Scalar(const float *a, Index lda, const float *b, Index ldb,
     }
 }
 
-void
+EXION_FMA_CLONES void
 dotRowsF32Scalar(const float *x, const float *b, Index ldb,
                  const Index *idx, Index n, Index d, float *out)
 {
-    for (Index i = 0; i < n; ++i)
-        out[i] = dotF32Scalar(x, b + idx[i] * ldb, d);
+    for (Index i = 0; i < n; ++i) {
+        const float *row = b + idx[i] * ldb;
+        float acc = 0.0f;
+        for (Index k = 0; k < d; ++k)
+            acc = std::fma(x[k], row[k], acc);
+        out[i] = acc;
+    }
 }
 
 void

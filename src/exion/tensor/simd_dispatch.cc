@@ -16,6 +16,11 @@ SimdLevel
 probeCpuLevel()
 {
 #if defined(__x86_64__) || defined(__i386__)
+    // Both vector levels spell the golden chain with fused
+    // multiply-adds, and the AVX-512 table runs the AVX2 table's
+    // masked dots, so each needs the FMA bit too.
+    if (!__builtin_cpu_supports("fma"))
+        return SimdLevel::Scalar;
     if (simd::avx512Table() != nullptr
         && __builtin_cpu_supports("avx512f")
         && __builtin_cpu_supports("avx512bw")

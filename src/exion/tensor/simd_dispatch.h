@@ -18,10 +18,15 @@
  * dot per lane, per-lane compares and conversions, integer GEMM tiles
  * — integer sums are exact in any order). Each float output element's
  * accumulation chain stays in the golden reference order from gemm.h (one
- * accumulator, +0.0f start, ascending k, separate mul then add, no
- * FMA), so the vector path is bit-identical to scalar *by
- * construction* and the existing maxAbsDiff == 0 differential tests
- * run with vector dispatch active.
+ * accumulator, +0.0f start, ascending k, one fused multiply-add per
+ * term: acc = fma(a, b, acc), rounded once), so the vector path is
+ * bit-identical to scalar *by construction* and the existing
+ * maxAbsDiff == 0 differential tests run with vector dispatch active.
+ * The scalar table spells the chain with std::fma; AVX2 with
+ * _mm256_fmadd_ps, AVX-512 with _mm512_fmadd_ps and NEON with
+ * vfmaq_f32 / vfmaq_n_f32 (never vmlaq_f32, which rounds the product).
+ * So the AVX2 level needs the FMA instruction set as well as AVX2: a
+ * host with AVX2 but no FMA runs the scalar table.
  *
  * One table per process: every kernel call reads activeKernels().
  * The EXION_SIMD environment variable (scalar|neon|avx2|avx512|auto)
@@ -72,8 +77,8 @@ enum class SimdLevel
 {
     Scalar, //!< portable reference kernels
     Neon,   //!< 128-bit ARM NEON
-    Avx2,   //!< 256-bit x86 AVX2
-    Avx512, //!< 512-bit x86 AVX-512F, AVX-512BW and AVX-512DQ
+    Avx2,   //!< 256-bit x86 AVX2 and FMA
+    Avx512, //!< 512-bit x86 AVX-512F, AVX-512BW, AVX-512DQ and FMA
 };
 
 /**
@@ -91,13 +96,13 @@ struct SimdKernels
     const char *name;
 
     /**
-     * out[j] += a * x[j] for j in [0, n). Exact: per element one
-     * rounded multiply then one rounded add, independent across j.
-     * Caveat shared by every float kernel: when an addition's two
-     * operands are BOTH NaN, the propagated payload is unspecified
-     * (IEEE 754 leaves the choice to the implementation and
-     * hardware takes the first operand's payload, whose position
-     * the compiler picks) — NaN-ness itself is always identical.
+     * out[j] = fma(a, x[j], out[j]) for j in [0, n). Exact: per
+     * element one fused multiply-add, rounded once, independent
+     * across j. Caveat shared by every float kernel: when more than
+     * one operand of a multiply-add is NaN, the propagated payload is
+     * unspecified (IEEE 754 leaves the choice to the implementation,
+     * and hardware picks by operand position, which the compiler
+     * chooses) — NaN-ness itself is always identical.
      */
     void (*axpyF32)(float *out, const float *x, float a, Index n);
 
@@ -108,15 +113,17 @@ struct SimdKernels
      * product in the library runs here (gemm.h).
      *
      * Each C element is the golden chain: one accumulator that starts
-     * at +0.0f and adds a(i, kk) * b(kk, j) for kk ascending, the
-     * multiply and the add rounded separately (never FMA). Vector
-     * forms keep an MR x NR block of C in registers over k-blocks and
-     * read A and B in place, with masked ragged edges: no packing
-     * buffer, no copy of B. Between k-blocks the partial sums go
-     * through C, and a float store and reload is exact. So every table
-     * is bit-identical to the scalar entry by construction, up to the
-     * NaN-payload caveat above. MR, NR and the k-block are constants
-     * of each ISA file.
+     * at +0.0f and takes acc = fma(a(i, kk), b(kk, j), acc) for kk
+     * ascending, one rounding per term. Vector forms keep an MR x NR
+     * block of C in registers over a k-block and read A in place.
+     * AVX-512 packs each k-block of each 32-column panel of B
+     * contiguous just before its row tiles run (its one scratch,
+     * 32 KiB on the calling thread's stack; a single row tile reads B
+     * in place); AVX2 reads B in place. Ragged edges are masked.
+     * Between k-blocks the partial sums go through C, and a float
+     * store and reload is exact. So every table is bit-identical to the scalar
+     * entry by construction, up to the NaN-payload caveat above. MR,
+     * NR and the k-block are constants of each ISA file.
      */
     void (*gemmF32)(const float *a, Index lda, const float *b, Index ldb,
                     float *c, Index ldc, Index m, Index k, Index n);
@@ -125,23 +132,25 @@ struct SimdKernels
      * out[i] = sum_k x[k] * row(idx[i])[k] over k in [0, d), for i in
      * [0, n), where row(j) starts at b + j * ldb. idx may be in any
      * order and may repeat; only out[0, n) is written. Each out[i] is
-     * the golden chain: one accumulator from +0.0f, k ascending, the
-     * multiply and the add rounded separately (never FMA), and no
-     * term past d. FFN-Reuse's
+     * the golden chain: one accumulator from +0.0f, k ascending, one
+     * fused multiply-add per term, and no term past d. FFN-Reuse's
      * masked recompute (x row against the set columns' rows of the
      * block's W1^T) and eager prediction's kept scores (q row against
      * the kept keys) run here.
      *
      * A chain is serial in k, so the vector form runs one chain per
-     * lane: AVX2 loads 8 rows x 8 k, multiplies them by x's 8 k and
-     * transposes the products in registers (unpacklo/hi_ps,
-     * shuffle_ps 0x44/0xEE, then permute2f128 0x20/0x31), which leaves
-     * row i in lane i, then adds the 8 columns in ascending k. No
-     * gathers. A ragged last k block loads masked and adds only its
-     * live columns; a ragged last row group computes spare lanes that
-     * are never stored. AVX-512 runs the AVX2 entry (a 16-lane form
-     * was not faster beyond noise); the scalar entry runs one chain
-     * per index, and NEON points at it.
+     * lane: AVX2 loads 8 rows x 8 k as columns (each register takes
+     * four k of row j in its low half and of row j + 4 in its high
+     * half through vinsertf128, then a 4 x 4 transpose inside each
+     * half: unpacklo/hi_ps, shuffle_ps 0x4E and two blends), which
+     * leaves row i in lane i, then multiply-adds the 8 columns with
+     * x's broadcast k in ascending k. Two such groups of 8 rows run
+     * side by side, so one group's multiply-adds wait out the other's
+     * latency. No gathers. A ragged last k block loads masked and adds
+     * only its live columns; a ragged last row group computes spare
+     * lanes that are never stored. AVX-512 runs the AVX2 entry (no
+     * 16-lane form was faster beyond noise); the scalar entry runs one
+     * chain per index, and NEON points at it.
      */
     void (*dotRowsF32)(const float *x, const float *b, Index ldb,
                        const Index *idx, Index n, Index d, float *out);
@@ -252,6 +261,23 @@ namespace simd
  * tables can point unspecialised entries — and their own ragged
  * tails — at the golden chains.
  */
+
+/**
+ * Builds a scalar float chain twice on x86, for the FMA instruction
+ * set and for the baseline, and lets the loader pick the FMA build on
+ * a CPU that has it. At the baseline std::fma is a call to fmaf,
+ * about 30x slower than the instruction and correctly rounded as the
+ * instruction is, so both builds give the same bits. The scalar
+ * table's float entries and gemm.h's Reference oracles carry it.
+ * Elsewhere (other architectures, or a build whose baseline already
+ * has FMA) std::fma is one instruction and it expands to nothing.
+ */
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__) \
+    && !defined(__FMA__)
+#define EXION_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define EXION_FMA_CLONES
+#endif
 
 const SimdKernels &scalarTable();
 const SimdKernels *avx2Table();

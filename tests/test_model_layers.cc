@@ -31,7 +31,7 @@ TEST(Linear, ForwardMatchesManual)
     for (Index j = 0; j < 2; ++j) {
         float expect = lin.bias()(0, j);
         for (Index k = 0; k < 3; ++k)
-            expect += x(0, k) * lin.weight()(k, j);
+            expect = std::fma(x(0, k), lin.weight()(k, j), expect);
         EXPECT_NEAR(y(0, j), expect, 1e-5);
     }
 }

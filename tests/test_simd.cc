@@ -6,7 +6,11 @@
  * against the scalar reference table on adversarial inputs: NaN/Inf
  * payloads, signed zeros, lengths that are not a multiple of any
  * vector width, and mask words with ragged tails. Every entry (axpy,
- * GEMMs, compares, integer reductions) must be bit-identical. The
+ * GEMMs, compares, integer reductions) must be bit-identical. Every
+ * float entry of every table, the scalar one included, is also held
+ * to std::fma chains on inputs where a fused multiply-add and a
+ * rounded product then add give different bits, so a table that
+ * rounds the product fails. The
  * float GEMM every dense product runs on is checked on ragged shapes
  * with strided operands and poisoned row gaps, and so are the masked
  * dots (dotRowsF32), on ragged row counts and depths with unsorted and
@@ -34,6 +38,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exion/common/fixed_point.h"
@@ -52,16 +57,19 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 /**
  * Every vector table compiled into this build that this CPU can run:
- * the same __builtin_cpu_supports checks the level probe makes, so an
- * AVX2-only host, or one with AVX-512F but not BW or DQ, never calls an
- * AVX-512 kernel. The EXION_SIMD cap is ignored on purpose: a
- * forced-scalar run still checks every vector table the host has.
+ * the same __builtin_cpu_supports checks the level probe makes, so a
+ * host without FMA, an AVX2-only host, or one with AVX-512F but not BW
+ * or DQ, never calls a kernel it lacks. The EXION_SIMD cap is ignored
+ * on purpose: a forced-scalar run still checks every vector table the
+ * host has.
  */
 std::vector<const SimdKernels *>
 vectorTables()
 {
     std::vector<const SimdKernels *> tables;
 #if defined(__x86_64__) || defined(__i386__)
+    if (!__builtin_cpu_supports("fma"))
+        return tables;
     if (simd::avx2Table() && __builtin_cpu_supports("avx2"))
         tables.push_back(simd::avx2Table());
     if (simd::avx512Table() && __builtin_cpu_supports("avx512f")
@@ -284,8 +292,8 @@ gapsUntouched(const StridedFloats &c)
 TEST(SimdKernelTest, GemmF32RaggedShapesMatchScalar)
 {
     // Shapes straddle every tile edge (6- and 8-row tiles, 8- and
-    // 16-lane vectors, 16- and 32-column panels, 128-step k-blocks),
-    // empty ones included; operands carry NaN, Inf and signed zeros,
+    // 16-lane vectors, 16- and 32-column panels, 128- and 256-step
+    // k-blocks), empty ones included; operands carry NaN, Inf and signed zeros,
     // and every stride is longer than its row.
     Rng rng(12);
     const Index ms[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 64, 196};
@@ -309,7 +317,8 @@ TEST(SimdKernelTest, GemmF32RaggedShapesMatchScalar)
                     for (Index j = 0; j < n; ++j) {
                         float acc = 0.0f;
                         for (Index kk = 0; kk < k; ++kk)
-                            acc += a.v[i * a.ld + kk] * b.v[kk * b.ld + j];
+                            acc = std::fma(a.v[i * a.ld + kk],
+                                           b.v[kk * b.ld + j], acc);
                         loop[i * ldc + j] = acc;
                     }
                 ASSERT_TRUE(bitsEqual(loop, want.v));
@@ -395,7 +404,7 @@ TEST(SimdKernelTest, DotRowsMatchesScalarChains)
                 for (Index i = 0; i < n; ++i) {
                     float acc = 0.0f;
                     for (Index k = 0; k < d; ++k)
-                        acc += x[k] * b.v[idx[i] * b.ld + k];
+                        acc = std::fma(x[k], b.v[idx[i] * b.ld + k], acc);
                     loop[i] = acc;
                 }
                 ASSERT_TRUE(bitsEqual(loop, want));
@@ -405,6 +414,173 @@ TEST(SimdKernelTest, DotRowsMatchesScalarChains)
                         runDotRows(*table, x, b, idx, d);
                     ASSERT_TRUE(poisonedFrom(got, n)) << table->name;
                     ASSERT_TRUE(bitsEqual(want, got)) << table->name;
+                }
+            }
+        }
+    }
+}
+
+// ------------------------------------------------ fusion pinning
+
+/** The golden chain: one fused multiply-add per term, from +0.0f. */
+float
+fusedChain(const std::vector<float> &x, const std::vector<float> &y)
+{
+    float acc = 0.0f;
+    for (Index k = 0; k < x.size(); ++k)
+        acc = std::fma(x[k], y[k], acc);
+    return acc;
+}
+
+/** The chain a kernel that rounds each product before its add runs. */
+float
+unfusedChain(const std::vector<float> &x, const std::vector<float> &y)
+{
+    float acc = 0.0f;
+    for (Index k = 0; k < x.size(); ++k) {
+        const volatile float product = x[k] * y[k];
+        acc = acc + product;
+    }
+    return acc;
+}
+
+/**
+ * Two depth-long factor rows, full-mantissa values of either sign in
+ * [1, 2), whose fused chain ends on other bits than the unfused one
+ * (redrawn until it does; a depth of at least 2 always gets there,
+ * since the first term alone rounds the same either way). Scaling
+ * either row by a power of two scales both chains exactly, so every
+ * element of a product built from scaled copies keeps the difference.
+ */
+std::pair<std::vector<float>, std::vector<float>>
+fusionPinningFactors(Index depth, Rng &rng)
+{
+    std::vector<float> x(depth), y(depth);
+    do {
+        for (Index k = 0; k < depth; ++k) {
+            x[k] = static_cast<float>(1.0 + rng.uniform())
+                * (rng.uniform() < 0.5 ? -1.0f : 1.0f);
+            y[k] = static_cast<float>(1.0 + rng.uniform())
+                * (rng.uniform() < 0.5 ? -1.0f : 1.0f);
+        }
+    } while (fusedChain(x, y) == unfusedChain(x, y));
+    return {x, y};
+}
+
+/** Row or column r's power-of-two scale: 2^-2 .. 2^2. */
+float
+pinScale(Index r)
+{
+    return std::ldexp(1.0f, static_cast<int>(r % 5) - 2);
+}
+
+TEST(SimdKernelTest, AxpyFusesEachTerm)
+{
+    // out[j] = fma(a, x[j], out[j]) with a * x[j] one bit too long
+    // for a float and out[j] cancelling its rounded value: the fused
+    // result is the lost bit, the rounded product then add gives 0.
+    const float a = 1.0f + std::ldexp(1.0f, -12);
+    for (Index n : kLengths) {
+        std::vector<float> x(n), base(n), fused(n);
+        for (Index j = 0; j < n; ++j) {
+            const float s = pinScale(j) * (j % 2 == 0 ? 1.0f : -1.0f);
+            x[j] = a * s;
+            base[j] = -(1.0f + std::ldexp(1.0f, -11)) * s;
+            fused[j] = std::fma(a, x[j], base[j]);
+            const volatile float product = a * x[j];
+            ASSERT_NE(fused[j], product + base[j]) << "j=" << j;
+        }
+        std::vector<const SimdKernels *> tables = vectorTables();
+        tables.push_back(&simd::scalarTable());
+        for (const SimdKernels *table : tables) {
+            std::vector<float> got = base;
+            table->axpyF32(got.data(), x.data(), a, n);
+            EXPECT_TRUE(bitsEqual(fused, got)) << table->name << " n=" << n;
+        }
+    }
+}
+
+TEST(SimdKernelTest, GemmF32FusesEachTerm)
+{
+    // Element (i, j) is the pinning chain scaled by row i's and column
+    // j's powers of two, so each one differs from the unfused chain.
+    // Depths straddle the 128- and 256-step k-blocks, row counts the
+    // row tiles and the 256-row packing block, column counts the
+    // 16- and 32-column panels.
+    Rng rng(14);
+    const Index ks[] = {2, 127, 128, 129, 255, 256, 257, 511, 512, 513};
+    const Index ms[] = {1, 5, 8, 9, 17, 260};
+    const Index ns[] = {1, 15, 16, 17, 31, 32, 33, 47};
+    for (Index k : ks) {
+        const auto [x, y] = fusionPinningFactors(k, rng);
+        const float want = fusedChain(x, y);
+        const float unfused = unfusedChain(x, y);
+        for (Index m : ms) {
+            for (Index n : ns) {
+                SCOPED_TRACE(::testing::Message()
+                             << "m=" << m << " k=" << k << " n=" << n);
+                const Index lda = k + 1, ldb = n + 3, ldc = n + 2;
+                std::vector<float> a(m * lda, gapPoison());
+                std::vector<float> b(k * ldb, gapPoison());
+                for (Index i = 0; i < m; ++i)
+                    for (Index kk = 0; kk < k; ++kk)
+                        a[i * lda + kk] = x[kk] * pinScale(i);
+                for (Index kk = 0; kk < k; ++kk)
+                    for (Index j = 0; j < n; ++j)
+                        b[kk * ldb + j] = y[kk] * pinScale(j + 3);
+                std::vector<const SimdKernels *> tables = vectorTables();
+                tables.push_back(&simd::scalarTable());
+                for (const SimdKernels *table : tables) {
+                    std::vector<float> c(m * ldc, gapPoison());
+                    table->gemmF32(a.data(), lda, b.data(), ldb, c.data(),
+                                   ldc, m, k, n);
+                    for (Index i = 0; i < m; ++i)
+                        for (Index j = 0; j < n; ++j) {
+                            const float scale = pinScale(i) * pinScale(j + 3);
+                            ASSERT_EQ(c[i * ldc + j], want * scale)
+                                << table->name << " i=" << i << " j=" << j;
+                            ASSERT_NE(c[i * ldc + j], unfused * scale);
+                        }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernelTest, DotRowsFusesEachTerm)
+{
+    // out[i] is the pinning chain scaled by its row's power of two,
+    // over depths that straddle the 8-k blocks and row counts that
+    // straddle the 8-lane groups and their pairs, with unsorted and
+    // repeated indices.
+    Rng rng(15);
+    const Index ds[] = {2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 512};
+    const Index ns[] = {1, 7, 8, 9, 15, 16, 17, 33};
+    constexpr Index kRows = 12;
+    for (Index d : ds) {
+        const auto [x, y] = fusionPinningFactors(d, rng);
+        const float want = fusedChain(x, y);
+        const float unfused = unfusedChain(x, y);
+        const Index ldb = d + 5;
+        std::vector<float> b(kRows * ldb, gapPoison());
+        for (Index r = 0; r < kRows; ++r)
+            for (Index k = 0; k < d; ++k)
+                b[r * ldb + k] = y[k] * pinScale(r);
+        for (Index n : ns) {
+            SCOPED_TRACE(::testing::Message() << "d=" << d << " n=" << n);
+            std::vector<Index> idx(n);
+            for (Index i = 0; i < n; ++i)
+                idx[i] = (7 * i + 3) % kRows;
+            std::vector<const SimdKernels *> tables = vectorTables();
+            tables.push_back(&simd::scalarTable());
+            for (const SimdKernels *table : tables) {
+                std::vector<float> out(n, gapPoison());
+                table->dotRowsF32(x.data(), b.data(), ldb, idx.data(), n, d,
+                                  out.data());
+                for (Index i = 0; i < n; ++i) {
+                    ASSERT_EQ(out[i], want * pinScale(idx[i]))
+                        << table->name << " i=" << i;
+                    ASSERT_NE(out[i], unfused * pinScale(idx[i]));
                 }
             }
         }

@@ -234,7 +234,7 @@ epAttentionOracle(const TransformerBlock &blk, const Matrix &x,
                     continue;
                 float dot = 0.0f;
                 for (Index c = 0; c < dh; ++c)
-                    dot += q(r, h * dh + c) * k(j, h * dh + c);
+                    dot = std::fma(q(r, h * dh + c), k(j, h * dh + c), dot);
                 cols.push_back(j);
                 p.push_back(dot * inv_sqrt);
                 max_v = std::max(max_v, p.back());
@@ -249,7 +249,7 @@ epAttentionOracle(const TransformerBlock &blk, const Matrix &x,
                 float acc = 0.0f;
                 for (Index i = 0; i < cols.size(); ++i) {
                     const float w = p[i] * inv_denom;
-                    acc += w * v(cols[i], h * dh + c);
+                    acc = std::fma(w, v(cols[i], h * dh + c), acc);
                 }
                 concat(r, h * dh + c) = acc;
             }
